@@ -77,10 +77,30 @@ func loadFixtures(b *testing.B) {
 	})
 }
 
-func centralAndGlobalRanks(seqs []bio.Sequence, p int) (central, global []float64) {
+// kmerRanks and kmerMatrix are the k-mer entry points on the
+// benchmark's context, failing the benchmark on error.
+func kmerRanks(b *testing.B, targets, reference []kmer.Profile) []float64 {
+	b.Helper()
+	ranks, err := kmer.RanksContext(b.Context(), targets, reference, kmer.DefaultRankScale, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ranks
+}
+
+func kmerMatrix(b *testing.B, profiles []kmer.Profile, workers int) *kmer.Matrix {
+	b.Helper()
+	m, err := kmer.DistanceMatrixContext(b.Context(), profiles, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+func centralAndGlobalRanks(b *testing.B, seqs []bio.Sequence, p int) (central, global []float64) {
 	counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
 	profiles := counter.Profiles(seqs, 0)
-	central = kmer.Ranks(profiles, profiles, kmer.DefaultRankScale, 0)
+	central = kmerRanks(b, profiles, profiles)
 	// globalised: k·p regular samples, k = p−1 per "processor" block
 	k := p - 1
 	var samplePool []kmer.Profile
@@ -95,7 +115,7 @@ func centralAndGlobalRanks(seqs []bio.Sequence, p int) (central, global []float6
 			samplePool = append(samplePool, profiles[idx])
 		}
 	}
-	global = kmer.Ranks(profiles, samplePool, kmer.DefaultRankScale, 0)
+	global = kmerRanks(b, profiles, samplePool)
 	return central, global
 }
 
@@ -105,7 +125,7 @@ func BenchmarkFig1RankDistributions(b *testing.B) {
 	loadFixtures(b)
 	var central, global []float64
 	for i := 0; i < b.N; i++ {
-		central, global = centralAndGlobalRanks(fixtures.fam500, 16)
+		central, global = centralAndGlobalRanks(b, fixtures.fam500, 16)
 	}
 	sc, sg := stats.Summarize(central), stats.Summarize(global)
 	b.ReportMetric(sc.Mean, "centralMean")
@@ -120,7 +140,7 @@ func BenchmarkTable1GlobalizedVsCentralized(b *testing.B) {
 	loadFixtures(b)
 	var central, global []float64
 	for i := 0; i < b.N; i++ {
-		central, global = centralAndGlobalRanks(fixtures.fam1000, 16)
+		central, global = centralAndGlobalRanks(b, fixtures.fam1000, 16)
 	}
 	sc, sg := stats.Summarize(central), stats.Summarize(global)
 	variance, stddev, err := stats.DiffStats(global, central)
@@ -143,7 +163,7 @@ func BenchmarkFig3InputRankDistribution(b *testing.B) {
 	var ranks []float64
 	for i := 0; i < b.N; i++ {
 		profiles := counter.Profiles(fixtures.fam1000, 0)
-		ranks = kmer.Ranks(profiles, profiles, kmer.DefaultRankScale, 0)
+		ranks = kmerRanks(b, profiles, profiles)
 	}
 	s := stats.Summarize(ranks)
 	h := stats.NewHistogram(ranks, 10)
@@ -409,7 +429,7 @@ func BenchmarkAblationAlphabet(b *testing.B) {
 			counter := kmer.MustCounter(c.comp, c.k)
 			for i := 0; i < b.N; i++ {
 				profiles := counter.Profiles(fixtures.fam500, 0)
-				kmer.DistanceMatrix(profiles, 0)
+				kmerMatrix(b, profiles, 0)
 			}
 		})
 	}
@@ -495,7 +515,7 @@ func loadGuideTreeFixture(b *testing.B) ([]kmer.Profile, *kmer.Matrix) {
 		}
 		counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
 		f.profiles = counter.Profiles(seqs, 0)
-		f.dist = kmer.DistanceMatrix(f.profiles, 0)
+		f.dist, f.err = kmer.DistanceMatrixContext(b.Context(), f.profiles, 0)
 	})
 	if f.err != nil {
 		b.Fatal(f.err)
@@ -503,23 +523,49 @@ func loadGuideTreeFixture(b *testing.B) ([]kmer.Profile, *kmer.Matrix) {
 	return f.profiles, f.dist
 }
 
-// BenchmarkDistanceMatrixTiled sweeps worker counts over the tiled
-// O(N²) k-mer distance matrix at N=2000 — the first half of guide-tree
+// BenchmarkDistanceMatrix sweeps worker counts over the indexed k-mer
+// distance matrix at N=2000 — the first half of guide-tree
 // construction. workers=1 is the sequential baseline the BENCH_*.json
 // speedup series is computed against; on a machine with >= 4 cores
 // workers=4 should run >= 2x faster (this container may have fewer).
-func BenchmarkDistanceMatrixTiled(b *testing.B) {
+func BenchmarkDistanceMatrix(b *testing.B) {
 	profiles, _ := loadGuideTreeFixture(b)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n=2000/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := kmer.DistanceMatrixTiled(b.Context(), profiles, w, 0); err != nil {
-					b.Fatal(err)
-				}
+				kmerMatrix(b, profiles, w)
 			}
 		})
 	}
+}
+
+// BenchmarkDistanceMatrixIdentical is the index's worst case beside the
+// diverse one: N copies of one sequence share every k-mer, so each
+// posting list holds all N sequences and a pair costs its full profile.
+// The pairwise sub-benchmark is the two-profile merge over the same
+// pairs — the bound the index must stay within a constant of.
+func BenchmarkDistanceMatrixIdentical(b *testing.B) {
+	all, _ := loadGuideTreeFixture(b)
+	profiles := make([]kmer.Profile, 1000)
+	for i := range profiles {
+		profiles[i] = all[0]
+	}
+	b.Run("n=1000/index", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			kmerMatrix(b, profiles, 1)
+		}
+	})
+	b.Run("n=1000/pairwise", func(b *testing.B) {
+		m := kmer.NewMatrix(len(profiles))
+		for i := 0; i < b.N; i++ {
+			for x := range profiles {
+				for y := x + 1; y < len(profiles); y++ {
+					m.Set(x, y, kmer.Distance(profiles[x], profiles[y]))
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkGuideTreeWorkers sweeps worker counts over tree building —
@@ -536,10 +582,7 @@ func BenchmarkGuideTreeWorkers(b *testing.B) {
 			}
 		})
 	}
-	njDist, err := kmer.DistanceMatrixTiled(b.Context(), profiles[:600], 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	njDist := kmerMatrix(b, profiles[:600], 0)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nj/n=600/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
@@ -654,7 +697,7 @@ func BenchmarkUPGMA(b *testing.B) {
 	loadFixtures(b)
 	counter := kmer.MustCounter(bio.Dayhoff6, 6)
 	profiles := counter.Profiles(fixtures.fam500, 0)
-	d := kmer.DistanceMatrix(profiles, 0)
+	d := kmerMatrix(b, profiles, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.UPGMA(d, nil)

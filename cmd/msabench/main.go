@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduce real-run sizes for fast smoke runs")
 	seed := flag.Int64("seed", 2008, "master RNG seed")
 	workers := flag.Int("workers", 0,
-		"shared-memory workers for real runs, covering guide-tree construction (tiled distance matrix, UPGMA/NJ) and merging; 0 keeps the historical defaults (1 per distributed rank, all cores for sequential baselines)")
+		"shared-memory workers for real runs, covering guide-tree construction (distance matrix, UPGMA/NJ) and merging; 0 keeps the historical defaults (1 per distributed rank, all cores for sequential baselines)")
 	kernel := flag.String("kernel", "auto", "DP kernel for every run: auto|scalar|striped (byte-identical output)")
 	jsonOut := flag.String("json", "",
 		"write machine-readable results of every real (non-simulated) run to this file")
@@ -191,10 +192,14 @@ func (r *runner) diverseSet(n int) ([]bio.Sequence, error) {
 }
 
 // centralGlobal computes centralised and globalised (k·p samples) ranks.
-func centralGlobal(seqs []bio.Sequence, p int) (central, global []float64) {
+func centralGlobal(seqs []bio.Sequence, p int) (central, global []float64, err error) {
+	ctx := context.Background()
 	counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
 	profiles := counter.Profiles(seqs, 0)
-	central = kmer.Ranks(profiles, profiles, kmer.DefaultRankScale, 0)
+	central, err = kmer.RanksContext(ctx, profiles, profiles, kmer.DefaultRankScale, 0)
+	if err != nil {
+		return nil, nil, err
+	}
 	k := p - 1
 	var pool []kmer.Profile
 	n := len(seqs)
@@ -208,8 +213,8 @@ func centralGlobal(seqs []bio.Sequence, p int) (central, global []float64) {
 			pool = append(pool, profiles[idx])
 		}
 	}
-	global = kmer.Ranks(profiles, pool, kmer.DefaultRankScale, 0)
-	return central, global
+	global, err = kmer.RanksContext(ctx, profiles, pool, kmer.DefaultRankScale, 0)
+	return central, global, err
 }
 
 func (r *runner) fig1() error {
@@ -218,7 +223,10 @@ func (r *runner) fig1() error {
 	if err != nil {
 		return err
 	}
-	central, global := centralGlobal(seqs, 16)
+	central, global, err := centralGlobal(seqs, 16)
+	if err != nil {
+		return err
+	}
 	fmt.Println("centralised ranks:")
 	fmt.Print(stats.NewHistogram(central, 12).Render(40))
 	fmt.Println("globalised ranks (k·p = 240 samples):")
@@ -237,7 +245,10 @@ func (r *runner) table1() error {
 	if err != nil {
 		return err
 	}
-	central, global := centralGlobal(seqs, 16)
+	central, global, err := centralGlobal(seqs, 16)
+	if err != nil {
+		return err
+	}
 	sc, sg := stats.Summarize(central), stats.Summarize(global)
 	variance, stddev, err := stats.DiffStats(global, central)
 	if err != nil {
@@ -262,7 +273,10 @@ func (r *runner) fig3() error {
 	}
 	counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
 	profiles := counter.Profiles(seqs, 0)
-	ranks := kmer.Ranks(profiles, profiles, kmer.DefaultRankScale, 0)
+	ranks, err := kmer.RanksContext(context.Background(), profiles, profiles, kmer.DefaultRankScale, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Print(stats.NewHistogram(ranks, 14).Render(40))
 	s := stats.Summarize(ranks)
 	fmt.Printf("mean %.4f  spread %.4f  (paper: \"in general evenly distributed\")\n",

@@ -16,17 +16,19 @@ import (
 )
 
 // This file is the cross-engine determinism matrix for parallel
-// guide-tree construction: whatever the worker count, the tile size or
-// the transport, the guide tree — and therefore the final alignment —
-// must be byte-identical to the sequential path. The tiled distance
-// matrix writes every pair exactly once with the same float ops as the
-// row loop, and UPGMA/NJ break score ties by the lower cluster index,
-// so these are exact-equality assertions, not tolerances.
+// guide-tree construction: whatever the worker count or the transport,
+// the guide tree — and therefore the final alignment — must be
+// byte-identical to the sequential path. The indexed distance matrix
+// writes every pair exactly once from the same shared k-mer count and
+// the same float ops as the pair-by-pair loop, and UPGMA/NJ break score
+// ties by the lower cluster index, so these are exact-equality
+// assertions, not tolerances.
 
 // TestGuideTreeConstructionDeterminism builds, from real k-mer
 // distances over a realistic dataset, the UPGMA and NJ trees at
-// Workers {1, 4, 8} on top of distance matrices tiled at {1, 7, 64, N}
-// and asserts every combination yields the same Newick serialisation
+// Workers {1, 4, 8} on top of distance matrices computed at the same
+// worker counts, and asserts every one equals the pair-by-pair
+// kmer.Distance loop and yields the same Newick serialisation
 // (topology, merge order and branch lengths).
 func TestGuideTreeConstructionDeterminism(t *testing.T) {
 	seqs, err := GenerateDiverseSet(120, 90, 2027)
@@ -37,28 +39,31 @@ func TestGuideTreeConstructionDeterminism(t *testing.T) {
 	profiles := counter.Profiles(seqs, 0)
 	names := bio.IDs(seqs)
 
-	ref := kmer.DistanceMatrix(profiles, 1)
+	ref := kmer.NewMatrix(len(profiles))
+	for i := range profiles {
+		for j := i + 1; j < len(profiles); j++ {
+			ref.Set(i, j, kmer.Distance(profiles[i], profiles[j]))
+		}
+	}
 	upgmaRef := tree.UPGMAWorkers(ref, names, 1).Newick()
 	njRef := tree.NeighborJoiningWorkers(ref, names, 1).Newick()
-	for _, tile := range []int{1, 7, 64, len(profiles)} {
-		for _, w := range []int{1, 4, 8} {
-			d, err := kmer.DistanceMatrixTiled(t.Context(), profiles, w, tile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < d.N; i++ {
-				for j := i + 1; j < d.N; j++ {
-					if d.At(i, j) != ref.At(i, j) {
-						t.Fatalf("tile=%d workers=%d: distance (%d,%d) differs", tile, w, i, j)
-					}
+	for _, w := range []int{1, 4, 8} {
+		d, err := kmer.DistanceMatrixContext(t.Context(), profiles, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < d.N; i++ {
+			for j := i + 1; j < d.N; j++ {
+				if d.At(i, j) != ref.At(i, j) {
+					t.Fatalf("workers=%d: distance (%d,%d) differs", w, i, j)
 				}
 			}
-			if got := tree.UPGMAWorkers(d, names, w).Newick(); got != upgmaRef {
-				t.Fatalf("tile=%d workers=%d: UPGMA tree differs", tile, w)
-			}
-			if got := tree.NeighborJoiningWorkers(d, names, w).Newick(); got != njRef {
-				t.Fatalf("tile=%d workers=%d: NJ tree differs", tile, w)
-			}
+		}
+		if got := tree.UPGMAWorkers(d, names, w).Newick(); got != upgmaRef {
+			t.Fatalf("workers=%d: UPGMA tree differs", w)
+		}
+		if got := tree.NeighborJoiningWorkers(d, names, w).Newick(); got != njRef {
+			t.Fatalf("workers=%d: NJ tree differs", w)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	//lint:allow determinism rand is only used by the RandomSampling ablation, seeded per-rank with a fixed constant
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bio"
@@ -274,7 +275,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 
 	// --- phase 1: local rank + local sort
 	tPhase := startClock()
-	_, sp1 := obs.Start(ctx, "localrank")
+	ctx1, sp1 := obs.Start(ctx, "localrank")
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -282,21 +283,22 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	for i := range seqs {
 		profiles[i] = counter.Profile(seqs[i].Data)
 	}
-	localRanks, err := kmer.RanksContext(ctx, profiles, profiles, cfg.RankScale, cfg.Workers)
+	localRanks, err := kmer.RanksContext(ctx1, profiles, profiles, cfg.RankScale, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	for i := range seqs {
 		seqs[i].Rank = localRanks[i]
 	}
-	sortByRank(seqs)
-	sortProfilesLike(profiles, seqs, counter)
+	order := rankOrder(seqs)
+	permute(seqs, order)
+	permute(profiles, order)
 	sp1.End()
 	stats.Timings.LocalRank = tPhase.elapsed()
 
 	// --- phase 2: sample exchange + globalised rank
 	tPhase = startClock()
-	_, sp2 := obs.Start(ctx, "sample")
+	ctx2, sp2 := obs.Start(ctx, "sample")
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -319,7 +321,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 			samplePool = append(samplePool, counter.Profile(data))
 		}
 	}
-	globalRanks, err := kmer.RanksContext(ctx, profiles, samplePool, cfg.RankScale, cfg.Workers)
+	globalRanks, err := kmer.RanksContext(ctx2, profiles, samplePool, cfg.RankScale, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -385,21 +387,32 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	return bucket, nil
 }
 
-func sortByRank(seqs []wireSeq) {
-	sort.SliceStable(seqs, func(i, j int) bool {
-		if seqs[i].Rank != seqs[j].Rank {
-			return seqs[i].Rank < seqs[j].Rank
+func sortByRank(seqs []wireSeq) { permute(seqs, rankOrder(seqs)) }
+
+// rankOrder returns the permutation that sorts seqs by (Rank, Orig):
+// position i of the sorted order holds seqs[order[i]].
+func rankOrder(seqs []wireSeq) []int {
+	order := make([]int, len(seqs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &seqs[order[i]], &seqs[order[j]]
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
 		}
-		return seqs[i].Orig < seqs[j].Orig
+		return a.Orig < b.Orig
 	})
+	return order
 }
 
-// sortProfilesLike recomputes profiles to match a freshly sorted seqs
-// slice. Recomputing is cheaper to reason about than tracking a
-// permutation and costs one pass of k-mer counting.
-func sortProfilesLike(profiles []kmer.Profile, seqs []wireSeq, counter *kmer.Counter) {
-	for i := range seqs {
-		profiles[i] = counter.Profile(seqs[i].Data)
+// permute reorders s in place so that s[i] becomes the old s[order[i]];
+// it keeps slices parallel to a sorted one (the k-mer profiles of the
+// ranked sequences) in step without recomputing them.
+func permute[T any](s []T, order []int) {
+	old := slices.Clone(s)
+	for i, o := range order {
+		s[i] = old[o]
 	}
 }
 

@@ -73,8 +73,8 @@ type Config struct {
 	// Sampling picks the pivot sampling strategy (default regular).
 	Sampling SamplingStrategy
 	// Workers bounds shared-memory parallelism inside one rank: k-mer
-	// ranking, the local aligner's guide-tree construction (tiled
-	// distance matrix, UPGMA/NJ nearest-neighbour scans) and its
+	// ranking, the local aligner's guide-tree construction (distance
+	// matrix, UPGMA/NJ nearest-neighbour scans) and its
 	// guide-tree merges all share this budget. Results are identical
 	// for every value (default 1: ranks model single-CPU cluster
 	// nodes).

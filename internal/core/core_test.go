@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bio"
 	"repro/internal/msa"
+	"repro/internal/obs"
 	"repro/internal/rose"
 )
 
@@ -217,6 +220,47 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.Stats[0].GALen == 0 {
 		t.Fatal("global ancestor is empty")
+	}
+}
+
+// TestKmerWorkCountsOnSpans: every rank's localrank and sample span and
+// every k-mer distmatrix span carries the index kernel's work count, and
+// the counts are a property of the input — the same at any worker count.
+func TestKmerWorkCountsOnSpans(t *testing.T) {
+	seqs := testFamily(t, 30, 60, 400, 12)
+	const p = 3
+	counts := func(workers int) []string {
+		tr := obs.New(obs.Options{})
+		ctx := obs.WithTracer(context.Background(), tr)
+		if _, err := AlignInprocContext(ctx, seqs, p, Config{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		seen := map[string]int{}
+		var walk func(spans []*obs.SpanDoc)
+		walk = func(spans []*obs.SpanDoc) {
+			for _, sp := range spans {
+				want := map[string][]string{"localrank": {"hits"}, "sample": {"hits"}, "distmatrix": {"postings", "hits"}}[sp.Name]
+				for _, key := range want {
+					i := slices.IndexFunc(sp.Attrs, func(a obs.Attr) bool { return a.Key == key })
+					if i < 0 {
+						t.Fatalf("workers=%d: %s span has no %q attribute: %v", workers, sp.Name, key, sp.Attrs)
+					}
+					out = append(out, sp.Name+"."+key+"="+sp.Attrs[i].Value)
+				}
+				seen[sp.Name]++
+				walk(sp.Children)
+			}
+		}
+		walk(tr.Document().Spans)
+		if seen["localrank"] != p || seen["sample"] != p || seen["distmatrix"] < p {
+			t.Fatalf("workers=%d: spans seen: %v", workers, seen)
+		}
+		slices.Sort(out)
+		return out
+	}
+	if one, four := counts(1), counts(4); !slices.Equal(one, four) {
+		t.Fatalf("work counts depend on the worker count:\n%v\n%v", one, four)
 	}
 }
 

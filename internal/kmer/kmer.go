@@ -6,14 +6,23 @@
 // Counting runs over a compressed alphabet (bio.Dayhoff6 by default):
 // grouping chemically similar residues makes short k-mers sensitive to
 // distant homology (Edgar, NAR 2004). Sequences become sparse sorted
-// k-mer count profiles so any pair can be compared in O(L) by merging.
+// k-mer count profiles. One pair is compared by merging its two
+// profiles (Common, Similarity, Distance). Whole sets are not compared
+// pair by pair: DistanceMatrixContext and AvgDistancesContext invert
+// the reference set once into posting lists — for every k-mer, the
+// sequences that hold it (index.go) — and then each row walks only the
+// lists of its own k-mers, so a pair costs the k-mers it shares instead
+// of the length of both profiles. The shared count is the integer the
+// merge produces and the float operations after it are the same, so
+// both routes give bit-identical distances; the merge is the oracle the
+// tests hold the index to.
 package kmer
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bio"
 	"repro/internal/obs"
@@ -108,7 +117,7 @@ func (c *Counter) Profile(data []byte) Profile {
 			codes = append(codes, code)
 		}
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+	slices.Sort(codes)
 	entries := make([]Entry, 0, len(codes))
 	for i := 0; i < len(codes); {
 		j := i
@@ -157,14 +166,18 @@ func Common(a, b Profile) int {
 // window count of the shorter sequence. It lies in [0,1]; identical
 // sequences score 1.
 func Similarity(a, b Profile) float64 {
-	den := a.Windows
-	if b.Windows < den {
-		den = b.Windows
-	}
+	return similarity(Common(a, b), a.Windows, b.Windows)
+}
+
+// similarity turns a shared k-mer count and the two window counts into
+// r(x_i,x_j). The pair API and the index kernel both finish through it,
+// which is what makes their floats identical.
+func similarity(common, windowsA, windowsB int) float64 {
+	den := min(windowsA, windowsB)
 	if den <= 0 {
 		return 0
 	}
-	s := float64(Common(a, b)) / float64(den)
+	s := float64(common) / float64(den)
 	if s > 1 {
 		s = 1
 	}
@@ -174,13 +187,6 @@ func Similarity(a, b Profile) float64 {
 // Distance is 1 − Similarity: 0 for k-mer-identical sequences, 1 for
 // sequences sharing no k-mers.
 func Distance(a, b Profile) float64 { return 1 - Similarity(a, b) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Matrix is a symmetric distance matrix stored in condensed upper-
 // triangular form.
@@ -218,69 +224,52 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.d[m.idx(i, j)] = v
 }
 
-// DefaultTileSize is the edge length of the blocks the distance-matrix
-// pair space is tiled into. A 128×128 tile touches 256 profiles' worth
-// of entries — small enough to stay cache-resident while a worker
-// sweeps the tile, large enough that tile dispatch overhead vanishes
-// against the O(tile²) merge work inside.
-const DefaultTileSize = 128
-
-// DistanceMatrix computes all pairwise k-mer distances between the
-// profiles, in parallel across cache-sized tiles of the upper-
-// triangular pair space (see DistanceMatrixTiled).
-func DistanceMatrix(profiles []Profile, workers int) *Matrix {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	m, _ := DistanceMatrixTiled(context.Background(), profiles, workers, 0)
-	return m
-}
-
-// DistanceMatrixContext is DistanceMatrix bound to a context: this
-// O(N²) pass dominates guide-tree construction on large inputs, so it
-// stops dispatching tiles on cancellation.
+// DistanceMatrixContext computes all pairwise k-mer distances between
+// the profiles. The set is inverted once (buildIndex); row i then walks
+// the posting lists of its own k-mers down to sequence i, summing
+// min(count_i, count_j) into an accumulator cell per column, and turns
+// the cells into distances straight into its stretch of the condensed
+// triangle. Each cell is written by exactly one row from the same
+// integer and the same float operations as Distance, so the matrix is
+// bit-identical to the pair-by-pair loop for every worker count. Rows
+// are dispatched in dynamic blocks and stop on cancellation. The span
+// records the index size ("postings") and the posting cells visited
+// ("hits").
 func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int) (*Matrix, error) {
 	ctx, sp := obs.Start(ctx, "distmatrix")
 	defer sp.End()
 	sp.SetStr("method", "kmer")
 	sp.SetInt("n", int64(len(profiles)))
 	sp.SetInt("workers", int64(workers))
-	return DistanceMatrixTiled(ctx, profiles, workers, 0)
-}
-
-// DistanceMatrixTiled computes all pairwise k-mer distances with the
-// upper triangle split into tile×tile blocks handed to workers
-// dynamically (par.ForDynamicCtx). The one k-mer counting pass over
-// the sequences is shared by every tile — profiles arrive precomputed
-// — and within a tile each row profile is merged against the tile's
-// whole column range while it is cache-hot, instead of fanning out per
-// row. Every pair is written by exactly one tile with the same
-// floating-point operations as the sequential loop, so the result is
-// bit-identical for every workers value and every tile size. tile <= 0
-// selects DefaultTileSize.
-func DistanceMatrixTiled(ctx context.Context, profiles []Profile, workers int, tile int) (*Matrix, error) {
 	n := len(profiles)
 	m := NewMatrix(n)
 	if n < 2 {
 		return m, ctx.Err()
 	}
-	tiles := PairTiles(n, workers, tile)
-	err := par.ForDynamicCtx(ctx, len(tiles), workers, func(t int) {
-		tl := tiles[t]
-		for i := tl.RLo; i < tl.RHi; i++ {
-			pi := profiles[i]
-			jlo := tl.CLo
-			if jlo <= i {
-				jlo = i + 1 // diagonal tile: stay above the diagonal
-			}
-			for j := jlo; j < tl.CHi; j++ {
-				m.Set(i, j, Distance(pi, profiles[j]))
-			}
+	ix := buildIndex(profiles)
+	hits, err := ix.sweep(ctx, n-1, workers, func(i int, acc []int32) int64 {
+		hits := ix.accumulate(profiles[i], int32(i), acc)
+		row := m.d[m.idx(i, i+1):][:n-i-1]
+		for j := i + 1; j < n; j++ {
+			row[j-i-1] = 1 - similarity(int(acc[j]), ix.windows[i], ix.windows[j])
+			acc[j] = 0
 		}
+		return hits
 	})
 	if err != nil {
 		return nil, err
 	}
+	sp.SetInt("postings", int64(len(ix.post)))
+	sp.SetInt("hits", hits)
 	return m, nil
 }
+
+// DefaultTileSize is the edge length of the blocks PairTiles cuts the
+// pair space into. A 128×128 tile touches 256 sequences — small enough
+// to stay cache-resident while a worker sweeps the tile, large enough
+// that tile dispatch overhead vanishes against the O(tile²) work
+// inside.
+const DefaultTileSize = 128
 
 // Tile is one block of the strict upper-triangular pair space: rows
 // [RLo, RHi) against columns [CLo, CHi). Tiles on the diagonal include
@@ -291,14 +280,13 @@ type Tile struct {
 }
 
 // PairTiles enumerates cache-sized tiles covering all unordered pairs
-// of n items, in the fixed (row-block, column-block) order the tiled
-// distance matrix dispatches them. tile <= 0 selects DefaultTileSize,
+// of n items, in a fixed (row-block, column-block) order, for pair
+// passes whose every pair costs about the same (the %-identity distance
+// pass in internal/msa). tile <= 0 selects DefaultTileSize,
 // shrunk until the dynamic scheduler has around four tiles per worker —
 // at n <= DefaultTileSize a single tile would serialize the whole
 // triangle, losing to a per-row fan-out. The floor keeps per-tile work
 // above dispatch cost; explicit tile sizes are honoured as given.
-// Shared by the k-mer distance matrix and the %-identity (CLUSTALW)
-// distance pass in internal/msa, so both walk the identical schedule.
 func PairTiles(n, workers, tile int) []Tile {
 	if tile <= 0 {
 		tile = DefaultTileSize
@@ -348,42 +336,39 @@ const DefaultRankScale = 4.0
 // ordering by average distance.
 func Rank(d, scale float64) float64 { return math.Log(0.1 + scale*d) }
 
-// AvgDistances returns, for every target profile, its mean k-mer distance
-// to the reference set (the paper's D_i). A target that also appears in
-// the reference contributes its self-distance of 0, exactly as the
-// paper's centralised definition does.
-func AvgDistances(targets, reference []Profile, workers int) []float64 {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	out, _ := AvgDistancesContext(context.Background(), targets, reference, workers)
-	return out
-}
-
-// AvgDistancesContext is AvgDistances bound to a context: this O(N·R)
-// pass dominates the redistribution phases on large inputs, so it stops
-// dispatching rows on cancellation.
+// AvgDistancesContext returns, for every target profile, its mean k-mer
+// distance to the reference set (the paper's D_i). A target that also
+// appears in the reference contributes its self-distance of 0, exactly
+// as the paper's centralised definition does. It runs on the same
+// kernel as DistanceMatrixContext with the reference inverted and every
+// list walked whole; the distances are summed in ascending reference
+// order, so every mean is bit-identical to the loop over Distance. When
+// ctx carries an open span, the posting cells visited are recorded on
+// it as "hits". Targets stop being dispatched on cancellation.
 func AvgDistancesContext(ctx context.Context, targets, reference []Profile, workers int) ([]float64, error) {
+	out := make([]float64, len(targets))
 	if len(reference) == 0 {
-		return make([]float64, len(targets)), ctx.Err()
+		return out, ctx.Err()
 	}
-	return par.MapCtx(ctx, len(targets), workers, func(i int) float64 {
+	ix := buildIndex(reference)
+	hits, err := ix.sweep(ctx, len(targets), workers, func(i int, acc []int32) int64 {
+		hits := ix.accumulate(targets[i], -1, acc)
+		windows := targets[i].Windows
 		var sum float64
-		for j := range reference {
-			sum += Distance(targets[i], reference[j])
+		for j, common := range acc {
+			sum += 1 - similarity(int(common), windows, ix.windows[j])
+			acc[j] = 0
 		}
-		return sum / float64(len(reference))
+		out[i] = sum / float64(len(reference))
+		return hits
 	})
+	obs.Current(ctx).SetInt("hits", hits)
+	return out, err
 }
 
-// Ranks computes the k-mer rank of every target against the reference
-// set: centralised ranks when reference is the full data set, globalised
-// ranks when it is the k·p sample.
-func Ranks(targets, reference []Profile, scale float64, workers int) []float64 {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	out, _ := RanksContext(context.Background(), targets, reference, scale, workers)
-	return out
-}
-
-// RanksContext is Ranks bound to a context (see AvgDistancesContext).
+// RanksContext computes the k-mer rank of every target against the
+// reference set: centralised ranks when reference is the full data set,
+// globalised ranks when it is the k·p sample.
 func RanksContext(ctx context.Context, targets, reference []Profile, scale float64, workers int) ([]float64, error) {
 	ds, err := AvgDistancesContext(ctx, targets, reference, workers)
 	if err != nil {

@@ -1,7 +1,6 @@
 package kmer
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,79 +157,6 @@ func TestMatrixIndexing(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	profiles := make([]Profile, 40)
-	for i := range profiles {
-		profiles[i] = testCounter.Profile(randomSeq(rng, 50+rng.Intn(100)))
-	}
-	serial := DistanceMatrix(profiles, 1)
-	parallel := DistanceMatrix(profiles, 8)
-	for i := 0; i < len(profiles); i++ {
-		for j := 0; j < len(profiles); j++ {
-			if serial.At(i, j) != parallel.At(i, j) {
-				t.Fatalf("parallel mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-// rowMatrix is the pre-tiling reference: one row per dispatch, exactly
-// the sequential pair loop.
-func rowMatrix(profiles []Profile) *Matrix {
-	n := len(profiles)
-	m := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, Distance(profiles[i], profiles[j]))
-		}
-	}
-	return m
-}
-
-// TestDistanceMatrixTiledMatchesRows pins the tiling invariant: for any
-// tile size — degenerate 1×1 tiles, a size that doesn't divide N, a
-// cache-sized block, one tile covering everything — and any worker
-// count, the tiled kernel is bit-identical to the row-by-row loop.
-func TestDistanceMatrixTiledMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 70
-	profiles := make([]Profile, n)
-	for i := range profiles {
-		profiles[i] = testCounter.Profile(randomSeq(rng, 40+rng.Intn(120)))
-	}
-	want := rowMatrix(profiles)
-	for _, tile := range []int{1, 7, 64, n} {
-		for _, workers := range []int{1, 4, 8} {
-			got, err := DistanceMatrixTiled(context.Background(), profiles, workers, tile)
-			if err != nil {
-				t.Fatalf("tile=%d workers=%d: %v", tile, workers, err)
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if got.At(i, j) != want.At(i, j) {
-						t.Fatalf("tile=%d workers=%d: mismatch at (%d,%d): %g != %g",
-							tile, workers, i, j, got.At(i, j), want.At(i, j))
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDistanceMatrixTiledCancel(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	profiles := make([]Profile, 300)
-	for i := range profiles {
-		profiles[i] = testCounter.Profile(randomSeq(rng, 60))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := DistanceMatrixTiled(ctx, profiles, 4, 16); err == nil {
-		t.Fatal("cancelled tiled matrix returned nil error")
-	}
-}
-
 func TestRankMonotone(t *testing.T) {
 	prev := math.Inf(-1)
 	for d := 0.0; d <= 1.0; d += 0.01 {
@@ -250,33 +176,6 @@ func TestRankPaperRange(t *testing.T) {
 	}
 	if r := Rank(0.225, DefaultRankScale); math.Abs(r) > 0.01 {
 		t.Errorf("Rank(0.225) = %g, want ≈ 0", r)
-	}
-}
-
-func TestRanksCentralizedSelfIncluded(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	profiles := make([]Profile, 10)
-	for i := range profiles {
-		profiles[i] = testCounter.Profile(randomSeq(rng, 80))
-	}
-	ranks := Ranks(profiles, profiles, DefaultRankScale, 2)
-	if len(ranks) != 10 {
-		t.Fatalf("got %d ranks", len(ranks))
-	}
-	// identical reference must give identical ranks for identical targets
-	r2 := Ranks(profiles, profiles, DefaultRankScale, 1)
-	for i := range ranks {
-		if ranks[i] != r2[i] {
-			t.Fatalf("parallel rank mismatch at %d", i)
-		}
-	}
-}
-
-func TestAvgDistancesEmptyReference(t *testing.T) {
-	p := []Profile{testCounter.Profile([]byte("ACDEFGH"))}
-	ds := AvgDistances(p, nil, 1)
-	if len(ds) != 1 || ds[0] != 0 {
-		t.Fatalf("empty reference: %v", ds)
 	}
 }
 

@@ -177,9 +177,8 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 		profiles := counter.Profiles(seqs, p.opts.Workers)
 		return kmer.DistanceMatrixContext(ctx, profiles, p.opts.Workers)
 	case PIDDistance:
-		// The O(N²·L²) pair space is dispatched as the same cache-sized
-		// tiles the k-mer matrix uses (kmer.PairTiles), so the dynamic
-		// scheduler balances the quadratic tail instead of handing each
+		// The O(N²·L²) pair space is dispatched as cache-sized tiles
+		// (kmer.PairTiles), so the dynamic scheduler balances the quadratic tail instead of handing each
 		// worker whole rows of shrinking length. Each tile borrows one
 		// pooled DP workspace for all of its alignments, and the identity
 		// is counted directly off the traceback plane

@@ -161,6 +161,14 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
+// Current returns the open span ctx carries, or nil when there is none,
+// so a callee can record attributes on its caller's span without
+// opening one of its own.
+func Current(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
+}
+
 // StartDepth is Start gated by the tracer's sampling threshold: spans
 // requested at a depth greater than Options.SampleDepth are not
 // recorded. Progressive aligners use it for per-merge-node spans so

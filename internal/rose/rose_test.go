@@ -69,7 +69,10 @@ func TestRelatednessControlsDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		profiles := counter.Profiles(f.Seqs(), 0)
-		m := kmer.DistanceMatrix(profiles, 0)
+		m, err := kmer.DistanceMatrixContext(t.Context(), profiles, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sum float64
 		var cnt int
 		for i := 0; i < m.N; i++ {

@@ -56,7 +56,7 @@ func NewMetrics() *Metrics {
 // histogram family: only spans with these names become label values, so
 // metric cardinality stays bounded no matter what the tracer records.
 var pipelineStages = map[string]bool{
-	"distmatrix":  true, // pairwise distance matrix (k-mer tiled or PID)
+	"distmatrix":  true, // pairwise distance matrix (k-mer or PID)
 	"guidetree":   true, // UPGMA / neighbor-joining construction
 	"decompose":   true, // sampling, pivot selection, all-to-all exchange
 	"bucketalign": true, // local MSA of one rank's bucket

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf trajectory for the PR series: runs the real msabench experiments
 # (machine-readable -json) plus the guide-tree construction
-# micro-benchmarks (BenchmarkDistanceMatrixTiled, the tiled O(N²)
+# micro-benchmarks (BenchmarkDistanceMatrix, the indexed k-mer
 # distance matrix at N=2000, and BenchmarkGuideTreeWorkers, UPGMA/NJ at
 # worker counts 1..8) and the DP-kernel micro-benchmarks
 # (BenchmarkProfilePSP and BenchmarkPairwiseGlobal, scalar vs striped)
@@ -9,7 +9,7 @@
 # CI uploads the file as an artifact; diff the files across PRs to see
 # the trajectory.
 #
-#   bash scripts/bench.sh [out.json]       # default out: BENCH_10.json
+#   bash scripts/bench.sh [out.json]       # default out: BENCH_13.json
 #
 # Environment knobs:
 #   BENCHTIME        go test -benchtime for the guide-tree micro-benchmarks
@@ -40,7 +40,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_10.json}
+OUT=${1:-BENCH_13.json}
 BENCHTIME=${BENCHTIME:-3x}
 KERNEL_BENCHTIME=${KERNEL_BENCHTIME:-300ms}
 JOURNAL_BENCHTIME=${JOURNAL_BENCHTIME:-500ms}
@@ -53,7 +53,7 @@ echo "== real distributed runs (msabench -exp $MSABENCH_EXP -quick) =="
 go run ./cmd/msabench -exp "$MSABENCH_EXP" -quick -json "$tmp/msabench.json"
 
 echo "== guide-tree construction benchmarks (benchtime $BENCHTIME) =="
-go test -run '^$' -bench 'BenchmarkDistanceMatrixTiled|BenchmarkGuideTreeWorkers' \
+go test -run '^$' -bench 'BenchmarkDistanceMatrix|BenchmarkGuideTreeWorkers' \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$tmp/gobench.txt"
 
 echo "== DP-kernel benchmarks (benchtime $KERNEL_BENCHTIME) =="
@@ -156,7 +156,7 @@ with open(gobench_path) as f:
         journal_fsyncs[key] = max(val, journal_fsyncs.get(key, 0.0))
 
 out = {
-    "pr": 10,
+    "pr": 13,
     "generated_by": "scripts/bench.sh",
     "host": {"cores": int(os.environ.get("CORES", "0")),
              "go": os.environ.get("GOVER", "")},
