@@ -125,90 +125,35 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	gt := tree.UPGMAWorkers(dist, bio.IDs(seqs), a.opts.Workers)
 	gsp.End()
 
-	aln, err := a.alignWithTree(ctx, seqs, gt)
+	// The msa engine drives the guide-tree merges and the
+	// tree-bipartition refinement; only the pair path is mafft's own.
+	prog := msa.NewProgressive(msa.Options{
+		Sub: a.opts.Sub, Gap: a.opts.Gap, Workers: a.opts.Workers,
+		Kernel: a.opts.Kernel,
+	})
+	palign := profile.NewAligner(a.opts.Sub, a.opts.Gap)
+	palign.Kernel = a.opts.Kernel
+	aln, err := prog.AlignWithTreePairs(ctx, seqs, gt, nil, func(pl, pr *profile.Profile) (profile.Path, error) {
+		if !a.opts.UseFFT {
+			path, _ := palign.Align(pl, pr)
+			return path, nil
+		}
+		lo, hi, err := a.fftBand(pl, pr)
+		if err != nil {
+			return nil, err
+		}
+		path, _ := palign.AlignBanded(pl, pr, lo, hi)
+		return path, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	if a.opts.Refine > 0 {
-		// reuse the msa engine's tree-bipartition refinement
-		prog := msa.NewProgressive(msa.Options{
-			Sub: a.opts.Sub, Gap: a.opts.Gap, Workers: a.opts.Workers,
-			Kernel: a.opts.Kernel,
-		})
 		aln, err = prog.RefineAlignmentContext(ctx, aln, gt, a.opts.Refine)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return aln, nil
-}
-
-type group struct {
-	rows [][]byte
-	ids  []int
-}
-
-// alignWithTree runs the guide-tree merges as a parallel post-order
-// schedule (tree.ParallelReduce): disjoint subtrees merge concurrently
-// on Workers workers; output is byte-identical for every Workers value.
-func (a *Aligner) alignWithTree(ctx context.Context, seqs []bio.Sequence, gt *tree.Node) (*msa.Alignment, error) {
-	ctx, psp := obs.Start(ctx, "progressive")
-	defer psp.End()
-	psp.SetInt("n", int64(len(seqs)))
-	psp.SetInt("workers", int64(a.opts.Workers))
-	psp.SetBool("fft", a.opts.UseFFT)
-	alpha := a.opts.Sub.Alphabet()
-	palign := profile.NewAligner(a.opts.Sub, a.opts.Gap)
-	palign.Kernel = a.opts.Kernel
-
-	leaf := func(n *tree.Node) (*group, error) {
-		if n.ID < 0 || n.ID >= len(seqs) {
-			return nil, fmt.Errorf("mafft: leaf id %d out of range", n.ID)
-		}
-		return &group{rows: [][]byte{bio.Ungap(seqs[n.ID].Data)}, ids: []int{n.ID}}, nil
-	}
-	merge := func(mi tree.Merge, left, right *group) (*group, error) {
-		_, msp := obs.StartDepth(ctx, "mergenode", mi.Depth)
-		defer msp.End()
-		msp.SetInt("depth", int64(mi.Depth))
-		msp.SetInt("rows", int64(len(left.ids)+len(right.ids)))
-		pl, err := profile.FromRows(alpha, left.rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := profile.FromRows(alpha, right.rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		var path profile.Path
-		if a.opts.UseFFT {
-			lo, hi, err := a.fftBand(pl, pr)
-			if err != nil {
-				return nil, err
-			}
-			path, _ = palign.AlignBanded(pl, pr, lo, hi)
-		} else {
-			path, _ = palign.Align(pl, pr)
-		}
-		merged := profile.MergeRows(left.rows, right.rows, path)
-		// Fresh id slice: appending to left.ids would alias its backing
-		// array, a data race between concurrent sibling merges.
-		ids := make([]int, 0, len(left.ids)+len(right.ids))
-		ids = append(append(ids, left.ids...), right.ids...)
-		return &group{rows: merged, ids: ids}, nil
-	}
-	g, err := tree.ParallelReduce(ctx, gt, a.opts.Workers, leaf, merge)
-	if err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, fmt.Errorf("mafft: empty guide tree")
-	}
-	aln := &msa.Alignment{Seqs: make([]bio.Sequence, len(seqs))}
-	for k, idx := range g.ids {
-		aln.Seqs[idx] = bio.Sequence{ID: seqs[idx].ID, Desc: seqs[idx].Desc, Data: g.rows[k]}
-	}
-	aln.RemoveAllGapColumns()
 	return aln, nil
 }
 

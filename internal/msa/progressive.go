@@ -293,20 +293,34 @@ func (p *Progressive) AlignWithTree(seqs []bio.Sequence, gt *tree.Node, weights 
 	return p.AlignWithTreeContext(context.Background(), seqs, gt, weights)
 }
 
-// AlignWithTreeContext is AlignWithTree bound to a context. The merge
-// recursion runs as a parallel post-order schedule on a task DAG
-// (tree.ParallelReduce): disjoint subtrees merge concurrently on
-// Workers workers, each merge borrowing its own pooled DP workspace.
-// Output is byte-identical for every Workers value — a node's merge
-// depends only on its children, never on execution order.
+// AlignWithTreeContext is AlignWithTree bound to a context: every merge
+// aligns its two profiles with full profile-profile DP.
 func (p *Progressive) AlignWithTreeContext(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64) (*Alignment, error) {
+	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
+	palign.Kernel = p.opts.Kernel
+	return p.AlignWithTreePairs(ctx, seqs, gt, weights, func(pl, pr *profile.Profile) (profile.Path, error) {
+		path, _ := palign.Align(pl, pr)
+		return path, nil
+	})
+}
+
+// PairPath picks the alignment path between the two profiles one
+// guide-tree merge joins — the only step progressive engines differ in
+// (full DP here, FFT-banded DP in mafft).
+type PairPath func(pl, pr *profile.Profile) (profile.Path, error)
+
+// AlignWithTreePairs is the progressive merge driver under a caller's
+// pair strategy. The merge recursion runs as a parallel post-order
+// schedule on a task DAG (tree.ParallelReduce): disjoint subtrees merge
+// concurrently on Workers workers, each merge borrowing its own pooled
+// DP workspace. Output is byte-identical for every Workers value — a
+// node's merge depends only on its children, never on execution order.
+func (p *Progressive) AlignWithTreePairs(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64, pair PairPath) (*Alignment, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
 	psp.SetInt("n", int64(len(seqs)))
 	psp.SetInt("workers", int64(p.opts.Workers))
 	alpha := p.opts.Sub.Alphabet()
-	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
-	palign.Kernel = p.opts.Kernel
 
 	weightOf := func(idx int) float64 {
 		if weights == nil {
@@ -343,7 +357,10 @@ func (p *Progressive) AlignWithTreeContext(ctx context.Context, seqs []bio.Seque
 		if err != nil {
 			return nil, err
 		}
-		path, _ := palign.Align(pl, pr)
+		path, err := pair(pl, pr)
+		if err != nil {
+			return nil, err
+		}
 		merged := profile.MergeRows(left.rows, right.rows, path)
 		// The merged id slice must never alias left.ids: sibling merges
 		// run concurrently, and appending into a shared backing array

@@ -1,8 +1,6 @@
 // Package pairwise implements the dynamic-programming sequence alignment
 // kernels every higher layer builds on: global alignment with affine gap
-// penalties (Gotoh), local alignment (Smith-Waterman), a banded global
-// variant, a linear-memory score-only pass and a linear-space Hirschberg
-// aligner.
+// penalties (Gotoh) and a banded global variant.
 //
 // Scores are maximised; gap penalties are supplied as positive costs and a
 // gap of length g costs Open + g·Extend.
@@ -232,159 +230,6 @@ func traceAffine(w *dp.Workspace, a, b []byte, state byte) ([]byte, []byte) {
 	reverse(ra)
 	reverse(rb)
 	return ra, rb
-}
-
-// GlobalScore computes the optimal global alignment score in O(min) memory
-// without a traceback — two rolling rows per DP plane, borrowed from the
-// workspace pool.
-func (al Aligner) GlobalScore(a, b []byte) float64 {
-	n, m := len(a), len(b)
-	open, ext := al.Gap.Open, al.Gap.Extend
-	w := dp.Get(2, m+1)
-	defer dp.Put(w)
-	cols := m + 1
-	prevM, curM := w.MP[:cols], w.MP[cols:]
-	prevX, curX := w.XP[:cols], w.XP[cols:]
-	prevY, curY := w.YP[:cols], w.YP[cols:]
-
-	prevM[0] = 0
-	prevX[0], prevY[0] = negInf, negInf
-	for j := 1; j <= m; j++ {
-		prevM[j], prevX[j] = negInf, negInf
-		prevY[j] = -(open + float64(j)*ext)
-	}
-	for i := 1; i <= n; i++ {
-		curM[0], curY[0] = negInf, negInf
-		curX[0] = -(open + float64(i)*ext)
-		for j := 1; j <= m; j++ {
-			s := al.Sub.Score(a[i-1], b[j-1])
-			curM[j] = s + max3(prevM[j-1], prevX[j-1], prevY[j-1])
-			curX[j] = math.Max(prevM[j]-open-ext, prevX[j]-ext)
-			curY[j] = math.Max(curM[j-1]-open-ext, curY[j-1]-ext)
-		}
-		prevM, curM = curM, prevM
-		prevX, curX = curX, prevX
-		prevY, curY = curY, prevY
-	}
-	return max3(prevM[m], prevX[m], prevY[m])
-}
-
-// Local aligns the best-scoring pair of substrings of a and b
-// (Smith-Waterman with affine gaps). The empty alignment scores 0.
-func (al Aligner) Local(a, b []byte) Result {
-	n, m := len(a), len(b)
-	open, ext := al.Gap.Open, al.Gap.Extend
-	w := dp.Get(n+1, m+1)
-	defer dp.Put(w)
-	M, X, Y, tb := w.MP, w.XP, w.YP, w.TB
-	cols := m + 1
-	const stStop = dp.Stop
-
-	for i := 0; i <= n; i++ {
-		idx := i * cols
-		M[idx], X[idx], Y[idx] = 0, negInf, negInf
-	}
-	for j := 0; j <= m; j++ {
-		M[j], X[j], Y[j] = 0, negInf, negInf
-	}
-
-	bestI, bestJ, bestScore := 0, 0, 0.0
-	for i := 1; i <= n; i++ {
-		row := i * cols
-		prev := row - cols
-		for j := 1; j <= m; j++ {
-			s := al.Sub.Score(a[i-1], b[j-1])
-			// Best predecessor, clamped at the empty alignment (score 0).
-			// stStop marks "this pair starts a fresh alignment".
-			d := prev + j - 1
-			bm, bs := stM, M[d]
-			if X[d] > bs {
-				bm, bs = stX, X[d]
-			}
-			if Y[d] > bs {
-				bm, bs = stY, Y[d]
-			}
-			if bs <= 0 {
-				bm, bs = stStop, 0
-			}
-			if v := bs + s; v <= 0 {
-				M[row+j] = 0
-				bm = stStop
-			} else {
-				M[row+j] = v
-			}
-
-			up := prev + j
-			bx := stM
-			openX := M[up] - open - ext
-			if extX := X[up] - ext; openX >= extX {
-				X[row+j] = openX
-			} else {
-				X[row+j] = extX
-				bx = stX
-			}
-			left := row + j - 1
-			by := stM
-			openY := M[left] - open - ext
-			if extY := Y[left] - ext; openY >= extY {
-				Y[row+j] = openY
-			} else {
-				Y[row+j] = extY
-				by = stY
-			}
-			tb[row+j] = dp.PackTB(bm, bx, by)
-			if M[row+j] > bestScore {
-				bestI, bestJ, bestScore = i, j, M[row+j]
-			}
-		}
-	}
-	if bestScore == 0 {
-		return Result{}
-	}
-	ra := make([]byte, 0, 64)
-	rb := make([]byte, 0, 64)
-	i, j, state := bestI, bestJ, stM
-	for i > 0 && j > 0 {
-		cell := tb[i*cols+j]
-		switch state {
-		case stM:
-			// A cell whose predecessor is stStop consumed its residue
-			// pair starting from the empty alignment: emit it, then stop.
-			prev := dp.TBM(cell)
-			ra = append(ra, a[i-1])
-			rb = append(rb, b[j-1])
-			i--
-			j--
-			if prev == stStop {
-				i, j = 0, 0
-				break
-			}
-			state = prev
-		case stX:
-			ra = append(ra, a[i-1])
-			rb = append(rb, bio.Gap)
-			i--
-			state = dp.TBX(cell)
-		default:
-			ra = append(ra, bio.Gap)
-			rb = append(rb, b[j-1])
-			j--
-			state = dp.TBY(cell)
-		}
-	}
-	reverse(ra)
-	reverse(rb)
-	return Result{A: ra, B: rb, Score: bestScore}
-}
-
-func max3(a, b, c float64) float64 {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
 }
 
 func reverse(b []byte) {

@@ -114,9 +114,6 @@ func TestGlobalScoreMatchesTracebackScore(t *testing.T) {
 		if got := scoreAlignment(prot, r.A, r.B); got != r.Score {
 			t.Fatalf("trial %d: alignment rescues to %g, reported %g", trial, got, r.Score)
 		}
-		if so := prot.GlobalScore(a, b); so != r.Score {
-			t.Fatalf("trial %d: GlobalScore %g != Global %g", trial, so, r.Score)
-		}
 	}
 }
 
@@ -125,7 +122,7 @@ func TestGlobalSymmetryProperty(t *testing.T) {
 	f := func(x, y uint8) bool {
 		a := randSeq(rng, 1+int(x)%50)
 		b := randSeq(rng, 1+int(y)%50)
-		return prot.GlobalScore(a, b) == prot.GlobalScore(b, a)
+		return prot.Global(a, b).Score == prot.Global(b, a).Score
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -198,57 +195,6 @@ func TestGlobalOptimalVsBruteForceSmall(t *testing.T) {
 	}
 }
 
-func TestLocalFindsEmbeddedMotif(t *testing.T) {
-	// Flanks score negatively against each other (P vs G = -2), so the
-	// optimal local alignment is exactly the shared motif.
-	motif := []byte("WWHHKKWW")
-	a := append(append([]byte("PPPPPPPP"), motif...), []byte("PPPPPPPP")...)
-	b := append(append([]byte("GGGG"), motif...), []byte("GGGG")...)
-	r := prot.Local(a, b)
-	if !bytes.Contains(a, bio.Ungap(r.A)) || !bytes.Contains(b, bio.Ungap(r.B)) {
-		t.Fatalf("local alignment rows are not substrings: %q %q", r.A, r.B)
-	}
-	if !bytes.Equal(bio.Ungap(r.A), motif) {
-		t.Fatalf("local alignment %q, want motif %q", bio.Ungap(r.A), motif)
-	}
-	if r.Score <= 0 {
-		t.Fatalf("motif score %g", r.Score)
-	}
-}
-
-func TestLocalUnrelatedSequences(t *testing.T) {
-	// Sequences of residues with mutually negative scores: best local
-	// alignment is at most a single residue pair or empty.
-	r := prot.Local([]byte("WWWW"), []byte("PPPP"))
-	if r.Score != 0 || len(r.A) != 0 {
-		t.Fatalf("unrelated local alignment: %+v", r)
-	}
-}
-
-func TestLocalScoreNonNegativeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := func(x, y uint8) bool {
-		a := randSeq(rng, int(x)%40)
-		b := randSeq(rng, int(y)%40)
-		r := prot.Local(a, b)
-		return r.Score >= 0 && len(r.A) == len(r.B)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLocalNeverBeatenByGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		a := randSeq(rng, 5+rng.Intn(40))
-		b := randSeq(rng, 5+rng.Intn(40))
-		if l, g := prot.Local(a, b).Score, prot.Global(a, b).Score; l < g {
-			t.Fatalf("local %g < global %g", l, g)
-		}
-	}
-}
-
 func TestBandedWideBandMatchesGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 25; trial++ {
@@ -273,29 +219,6 @@ func TestBandedNarrowBandStillValid(t *testing.T) {
 		if full := prot.Global(a, b); r.Score > full.Score {
 			t.Fatalf("banded score %g exceeds optimum %g", r.Score, full.Score)
 		}
-	}
-}
-
-func TestHirschbergMatchesLinearNW(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	const gapSym = 4
-	for trial := 0; trial < 30; trial++ {
-		a := randSeq(rng, 1+rng.Intn(70))
-		b := randSeq(rng, 1+rng.Intn(70))
-		h := prot.Hirschberg(a, b, gapSym)
-		checkValidAlignment(t, h, a, b)
-		full := prot.nwLinear(a, b, gapSym)
-		if h.Score != full.Score {
-			t.Fatalf("trial %d: hirschberg %g != nw %g", trial, h.Score, full.Score)
-		}
-	}
-}
-
-func TestHirschbergEmpty(t *testing.T) {
-	r := prot.Hirschberg(nil, []byte("ACD"), 2)
-	checkValidAlignment(t, r, nil, []byte("ACD"))
-	if r.Score != -6 {
-		t.Fatalf("score = %g, want -6", r.Score)
 	}
 }
 

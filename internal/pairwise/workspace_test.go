@@ -27,17 +27,13 @@ func TestKernelsDeterministicAcrossReuse(t *testing.T) {
 	b := randomSeq(rng, 97)
 
 	first := al.Global(a, b)
-	firstLocal := al.Local(a, b)
 	firstBanded := al.GlobalBanded(a, b, 16)
-	firstScore := al.GlobalScore(a, b)
-	firstH := al.Hirschberg(a, b, 4)
 
 	// pollute the pool with differently-sized DPs
 	for i := 0; i < 5; i++ {
 		x := randomSeq(rng, 10+i*50)
 		y := randomSeq(rng, 200-i*30)
 		al.Global(x, y)
-		al.Local(y, x)
 		al.GlobalBanded(x, y, 4)
 	}
 
@@ -45,17 +41,8 @@ func TestKernelsDeterministicAcrossReuse(t *testing.T) {
 	if string(first.A) != string(second.A) || string(first.B) != string(second.B) || first.Score != second.Score {
 		t.Fatal("Global result changed across workspace reuse")
 	}
-	if r := al.Local(a, b); string(firstLocal.A) != string(r.A) || firstLocal.Score != r.Score {
-		t.Fatal("Local result changed across workspace reuse")
-	}
 	if r := al.GlobalBanded(a, b, 16); string(firstBanded.A) != string(r.A) || firstBanded.Score != r.Score {
 		t.Fatal("GlobalBanded result changed across workspace reuse")
-	}
-	if s := al.GlobalScore(a, b); s != firstScore {
-		t.Fatal("GlobalScore changed across workspace reuse")
-	}
-	if r := al.Hirschberg(a, b, 4); string(firstH.A) != string(r.A) || firstH.Score != r.Score {
-		t.Fatal("Hirschberg result changed across workspace reuse")
 	}
 }
 
@@ -113,17 +100,5 @@ func BenchmarkGlobalBanded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		al.GlobalBanded(x, y, 32)
-	}
-}
-
-func BenchmarkGlobalScore(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	al := NewProtein()
-	x := randomSeq(rng, 400)
-	y := randomSeq(rng, 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		al.GlobalScore(x, y)
 	}
 }

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fasta"
@@ -164,6 +167,81 @@ func TestSubmitBatchCoalescesAndServesCacheHits(t *testing.T) {
 	}
 	if got := s.metrics.Coalesced.Value(); got != 1 {
 		t.Fatalf("coalesced = %d, want 1", got)
+	}
+}
+
+// logCapture is a slog.Handler that keeps every record as a flat
+// msg+attributes map, for asserting on operational log lines.
+type logCapture struct {
+	mu   sync.Mutex
+	recs []map[string]string
+}
+
+func (c *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *logCapture) WithGroup(string) slog.Handler            { return c }
+
+func (c *logCapture) Handle(_ context.Context, r slog.Record) error {
+	m := map[string]string{"msg": r.Message}
+	r.Attrs(func(a slog.Attr) bool {
+		m[a.Key] = a.Value.String()
+		return true
+	})
+	c.mu.Lock()
+	c.recs = append(c.recs, m)
+	c.mu.Unlock()
+	return nil
+}
+
+// where returns the captured records whose attribute key equals value.
+func (c *logCapture) where(key, value string) []map[string]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []map[string]string
+	for _, m := range c.recs {
+		if m[key] == value {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// Every batch member logs the same per-job admission line a single
+// Submit does (README §Observability promises one for every job), next
+// to the one "batch accepted" summary.
+func TestSubmitBatchLogsPerJobLines(t *testing.T) {
+	logs := &logCapture{}
+	fe := &fakeExec{block: make(chan struct{})}
+	s := newTestServer(t, Config{Executor: fe, Logger: slog.New(logs)})
+	defer s.Close()
+	cachedSeqs, fresh := testSeqs(5, 40, 99), testSeqs(6, 40, 100)
+	close(fe.block)
+	first, err := s.Submit(cachedSeqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, first, StateDone)
+
+	jobs, err := s.SubmitBatch([]BatchItem{{Seqs: cachedSeqs}, {Seqs: fresh}, {Seqs: fresh}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"job served from cache", "job accepted", "job coalesced onto in-flight computation"}
+	for i, job := range jobs {
+		lines := logs.where("job", job.ID)
+		if len(lines) == 0 || lines[0]["msg"] != want[i] {
+			t.Fatalf("batch member %d: log lines %v, want first %q", i, lines, want[i])
+		}
+		if lines[0]["key"] != job.Key || lines[0]["trace"] != job.Trace || job.Trace == "" {
+			t.Fatalf("batch member %d: line %v not keyed by key %s / trace %s", i, lines[0], job.Key, job.Trace)
+		}
+	}
+	if n := len(logs.where("msg", "batch accepted")); n != 1 {
+		t.Fatalf("%d batch summary lines, want 1", n)
+	}
+	// The single-submit line for the same state reads the same.
+	if single := logs.where("job", first.ID); len(single) == 0 || single[0]["msg"] != "job accepted" {
+		t.Fatalf("single submit lines %v", single)
 	}
 }
 

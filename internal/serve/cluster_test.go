@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,18 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/obs"
 )
+
+// testLogger routes structured logs to t.Log.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(tLogWriter{t}, nil))
+}
+
+type tLogWriter struct{ t *testing.T }
+
+func (w tLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimRight(string(p), "\n"))
+	return len(p), nil
+}
 
 // freeAddr reserves an ephemeral localhost port and returns it. The
 // tiny window between Close and reuse is the standard test trade-off.
@@ -34,7 +48,7 @@ func startCluster(t *testing.T, n int) (*Cluster, context.CancelFunc) {
 	ctrls := make([]string, n)
 	for i := 0; i < n; i++ {
 		ctrls[i] = freeAddr(t)
-		cfg := WorkerConfig{CtrlAddr: ctrls[i], MeshAddr: freeAddr(t), Logf: t.Logf}
+		cfg := WorkerConfig{CtrlAddr: ctrls[i], MeshAddr: freeAddr(t), Logger: testLogger(t)}
 		go func() {
 			if err := RunWorker(ctx, cfg); err != nil && ctx.Err() == nil {
 				t.Errorf("worker: %v", err)

@@ -238,6 +238,71 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, v)
 }
 
+// BatchRequest is the JSON body of POST /v1/batch: many FASTA inputs
+// submitted in one request. Request-level Options apply to every input
+// that does not set its own; query parameters overlay both.
+type BatchRequest struct {
+	Inputs  []SubmitRequest `json:"inputs"`
+	Options Options         `json:"options"`
+}
+
+// BatchResponse lists the per-input jobs in input order.
+type BatchResponse struct {
+	Jobs []JobView `json:"jobs"`
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
+	if err != nil {
+		submitError(w, badRequest("reading body: %v", err))
+		return
+	}
+	if len(body) > MaxRequestBytes {
+		submitError(w, badRequest("request body exceeds %d bytes", MaxRequestBytes))
+		return
+	}
+	var req BatchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		submitError(w, badRequest("decoding JSON body: %v", err))
+		return
+	}
+	if len(req.Inputs) == 0 {
+		submitError(w, badRequest("batch has no inputs"))
+		return
+	}
+	items := make([]BatchItem, len(req.Inputs))
+	for i, in := range req.Inputs {
+		o := in.Options
+		if o == (Options{}) {
+			o = req.Options
+		}
+		if err := optionsFromQuery(r, &o); err != nil {
+			submitError(w, err)
+			return
+		}
+		seqs, err := fasta.Read(strings.NewReader(in.FASTA))
+		if err != nil {
+			submitError(w, badRequest("input %d: parsing FASTA: %v", i, err))
+			return
+		}
+		items[i] = BatchItem{Seqs: seqs, Opts: o}
+	}
+	jobs, err := s.SubmitBatch(items)
+	if err != nil {
+		submitError(w, err)
+		return
+	}
+	resp := BatchResponse{Jobs: make([]JobView, len(jobs))}
+	code := http.StatusOK
+	for i, job := range jobs {
+		resp.Jobs[i] = job.View()
+		if !resp.Jobs[i].State.Terminal() {
+			code = http.StatusAccepted // at least one job still pending
+		}
+	}
+	writeJSON(w, code, resp)
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {

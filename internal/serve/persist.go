@@ -2,14 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
 
-	"repro/internal/bio"
 	"repro/internal/fasta"
 	"repro/internal/store"
 )
@@ -22,7 +20,7 @@ import (
 //
 //	submit  submitData — resolved options, input FASTA (omitted for
 //	        cache-hit submissions, which carry a finish record in the
-//	        same breath and are never re-run)
+//	        same commit group and are never re-run)
 //	start   (no data) — the flight began executing
 //	finish  finishData — terminal state done/failed + result summary
 //	cancel  finishData — terminal state canceled + cause
@@ -209,41 +207,6 @@ func interruptRecord(id, key string, at time.Time) store.Record {
 	return store.Record{Type: store.RecInterrupt, Job: id, Key: key, Time: at}
 }
 
-// journalSubmit makes an accepted job durable: options plus the full
-// input, enough to re-run it from a cold start.
-func (s *Server) journalSubmit(job *Job, seqs []bio.Sequence) {
-	if s.journal == nil {
-		return
-	}
-	sd := submitData{
-		Opts:      job.Opts,
-		NumSeqs:   job.NumSeqs,
-		FASTA:     []byte(fasta.FormatString(seqs)),
-		Coalesced: job.coalesced,
-		Recovered: job.recovered,
-	}
-	s.journalAppend(submitRecord(job.ID, job.Key, job.Submitted, sd))
-}
-
-// journalTerminalJob records a submission that was terminal on arrival
-// (cache/store hit): a FASTA-less submit plus its finish, so the job
-// stays visible after a restart without ever being re-run. The finish
-// record goes first: replay merges records in either order, and a
-// crash between the two appends must leave a terminal half (a lone
-// unfinished submit with no input would be unrunnable), never a
-// "failed" resurrection of a job the client saw succeed.
-func (s *Server) journalTerminalJob(job *Job) {
-	if s.journal == nil {
-		return
-	}
-	job.mu.Lock()
-	summary, finished := metaOf(job.result), job.finished
-	job.mu.Unlock()
-	s.journalAppend(finishRecord(job.ID, job.Key, StateDone, "", summary, finished))
-	s.journalAppend(submitRecord(job.ID, job.Key, job.Submitted,
-		submitData{Opts: job.Opts, NumSeqs: job.NumSeqs, Cached: true}))
-}
-
 // journalFinish records a job's terminal state. A cancellation whose
 // cause is the shutdown itself (ErrInterrupted: the drain window
 // expired, or Close ran with the job still live) is journaled as an
@@ -362,8 +325,6 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 	s.recovery.CleanShutdown = clean
 
 	now := time.Now()
-	var pending []*flight
-	flightByKey := make(map[string]*flight)
 	for _, r := range order {
 		if r.sub == nil {
 			// A terminal or interrupt record whose submit half was torn
@@ -379,37 +340,18 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			Submitted: r.submitted,
 			NumSeqs:   r.sub.NumSeqs,
 			done:      make(chan struct{}),
+			cached:    r.sub.Cached,
+			coalesced: r.sub.Coalesced,
+			recovered: !r.state.Terminal(),
 		}
-		job.cached = r.sub.Cached
-		job.coalesced = r.sub.Coalesced
-
-		finalize := func(state State, errMsg string, summary *resultMeta, started, finished time.Time) {
-			job.state = state
-			job.started = started
-			job.finished = finished
-			if summary != nil {
-				job.result = summary.result(nil)
-				job.Trace = summary.TraceID
-			}
-			if errMsg != "" {
-				job.err = errors.New(errMsg)
-			}
-			close(job.done)
-			s.rememberLocked(job)
-			s.recovery.Finished++
-			r.state, r.errMsg, r.summary, r.finished = state, errMsg, summary, finished
-		}
-
-		switch {
-		case r.state.Terminal():
-			finalize(r.state, r.errMsg, r.summary, r.started, r.finished)
-		default:
-			job.recovered = true
+		if job.recovered {
 			// The result may already exist (crash after the store write
 			// but before the finish record): complete without re-running.
 			if res, ok := s.lookupResult(r.key); ok {
-				job.cached = true
-				finalize(StateDone, "", metaOf(res), now, now)
+				s.completeFromCache(job, res, now)
+				s.rememberLocked(job)
+				s.recovery.Finished++
+				r.state, r.summary, r.finished = StateDone, metaOf(res), now
 				continue
 			}
 			if len(r.sub.FASTA) == 0 {
@@ -426,40 +368,42 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			if err == nil && len(seqs) == 0 {
 				err = errors.New("no sequences")
 			}
-			if err != nil {
-				finalize(StateFailed, fmt.Sprintf("recovery: journaled input unreadable: %v", err), nil, r.started, now)
+			if err == nil {
+				// Re-enqueue under the original ID, coalescing by content
+				// address like a live submission but with no MaxQueued
+				// bound: these jobs were all admitted once already.
+				fl := s.inflight[r.key]
+				if fl == nil {
+					fl = s.newFlight(r.key, seqs, r.sub.Opts, now)
+					s.fifo = append(s.fifo, fl)
+				}
+				s.attach(job, fl, now)
+				s.publishQueued(job)
+				s.recovery.Requeued++
+				if r.interrupted {
+					s.recovery.Interrupted++
+				}
+				s.metrics.Recovered.Inc()
 				continue
 			}
-			fl := flightByKey[r.key]
-			if fl == nil {
-				fctx, fcancel := context.WithCancelCause(s.baseCtx)
-				fl = &flight{key: r.key, trace: newTraceID(), seqs: seqs, opts: r.sub.Opts,
-					ctx: fctx, cancel: fcancel, bus: s.newEventBus(), enqueued: now, state: StateQueued}
-				flightByKey[r.key] = fl
-				pending = append(pending, fl)
-			} else {
-				job.coalesced = true
-			}
-			job.fl = fl
-			job.Trace = fl.trace
-			job.bus = fl.bus
-			job.state = StateQueued
-			fl.jobs = append(fl.jobs, job)
-			s.rememberLocked(job)
-			s.publish(fl.bus, Event{Type: EventQueued, Job: job.ID, Trace: fl.trace,
-				Coalesced: job.coalesced, Recovered: true})
-			s.recovery.Requeued++
-			if r.interrupted {
-				s.recovery.Interrupted++
-			}
-			s.metrics.Recovered.Inc()
+			r.state, r.finished = StateFailed, now
+			r.errMsg = fmt.Sprintf("recovery: journaled input unreadable: %v", err)
 		}
-	}
-	for _, fl := range pending {
-		fl.queuedSlot = true
-		s.inflight[fl.key] = fl
-		s.fifo = append(s.fifo, fl)
-		s.queued++
+		// Terminal in the journal (or just failed above): a visible
+		// finished job record, never re-run.
+		job.state = r.state
+		job.started = r.started
+		job.finished = r.finished
+		if r.summary != nil {
+			job.result = r.summary.result(nil)
+			job.Trace = r.summary.TraceID
+		}
+		if r.errMsg != "" {
+			job.err = errors.New(r.errMsg)
+		}
+		close(job.done)
+		s.rememberLocked(job)
+		s.recovery.Finished++
 	}
 
 	// Compact: finished jobs shed their input payload (and are pruned
@@ -490,7 +434,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 	// Recovered jobs restart their deadline budget at replay time — the
 	// original submission clock includes the downtime, which is the
 	// server's fault, not the caller's.
-	for _, fl := range pending {
+	for _, fl := range s.fifo {
 		for _, job := range fl.jobs {
 			s.armDeadline(job, now)
 		}

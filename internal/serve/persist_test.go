@@ -102,13 +102,18 @@ func TestCrashRecoveryRequeuesUnfinishedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-fe1.started // journal now holds submit + start, no finish
+	// A duplicate rides job1's running flight.
+	dup1, err := s1.Submit(seqs, Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	crash(s1)
 
 	fe2 := &fakeExec{}
 	s2 := newTestServer(t, Config{Executor: fe2, DataDir: dir})
 	defer s2.Close()
 	rec := s2.Recovery()
-	if rec.CleanShutdown || rec.Requeued != 1 {
+	if rec.CleanShutdown || rec.Requeued != 2 || rec.Finished != 0 || rec.Interrupted != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	j, ok := s2.Job(job1.ID)
@@ -117,6 +122,14 @@ func TestCrashRecoveryRequeuesUnfinishedJob(t *testing.T) {
 	}
 	if !j.View().Recovered {
 		t.Fatal("re-enqueued job not marked recovered")
+	}
+	// The recovered duplicate coalesces again: one flight, one run.
+	dup, ok := s2.Job(dup1.ID)
+	if !ok {
+		t.Fatal("coalesced duplicate not restored under its ID")
+	}
+	if dv := waitState(t, dup, StateDone); !dv.Coalesced || !dv.Recovered || dv.TraceID != j.View().TraceID {
+		t.Fatalf("recovered duplicate did not coalesce onto the recovered flight: %+v", dv)
 	}
 	v := waitState(t, j, StateDone)
 	if fe2.Runs() != 1 {
@@ -129,6 +142,37 @@ func TestCrashRecoveryRequeuesUnfinishedJob(t *testing.T) {
 	// Byte-identical to an uninterrupted run of the same executor.
 	if want := fasta.FormatString(seqs); string(payload) != want {
 		t.Fatalf("recovered payload differs:\n got %d bytes\nwant %d bytes", len(payload), len(want))
+	}
+}
+
+// A cache-hit submission journals its finish+submit pair as one commit
+// group: one fsync, both records or neither.
+func TestCacheHitSubmitJournalsOneGroup(t *testing.T) {
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: t.TempDir()})
+	defer s.Close()
+	seqs := testSeqs(5, 40, 79)
+	first, err := s.Submit(seqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, first, StateDone)
+	// Done closes just before the finish record is appended; let it land.
+	for deadline := time.Now().Add(10 * time.Second); s.journal.FlushedRecords() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("first job's submit/start/finish records never flushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	flushes, records := s.journal.Flushes(), s.journal.FlushedRecords()
+	hit, err := s.Submit(seqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := hit.View(); v.State != StateDone || !v.Cached {
+		t.Fatalf("resubmit was not a cache hit: %+v", v)
+	}
+	if f, r := s.journal.Flushes()-flushes, s.journal.FlushedRecords()-records; f != 1 || r != 2 {
+		t.Fatalf("cache-hit submit cost %d fsyncs for %d records, want 1 and 2", f, r)
 	}
 }
 

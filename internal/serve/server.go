@@ -6,12 +6,15 @@
 // pre-connected TCP rank cluster optionally) and an HTTP/JSON API (see
 // Handler).
 //
-// Lifecycle of a job: Submit canonicalizes the input and options,
-// consults the cache tiers (a hit completes the job instantly),
-// coalesces onto an identical in-flight computation if one exists,
-// applies admission control (full queue ⇒ ErrOverloaded, which the
-// HTTP layer maps to 429), journals the submission, and enqueues. A
-// fixed pool of dispatchers executes queued flights FIFO; every job
+// Lifecycle of a job: every live submission goes through one function,
+// admit (admit.go) — Submit is a batch of one, SubmitBatch adds only the
+// "input N:" error prefix and the batch counters. admit canonicalizes
+// the input and options, consults the cache tiers (a hit completes the
+// job instantly), coalesces onto an identical in-flight computation if
+// one exists, applies all-or-nothing admission control (full queue ⇒
+// ErrOverloaded, which the HTTP layer maps to 429), journals the whole
+// admission as one commit group, and enqueues; every admitted job logs
+// one lifecycle line, batch member or not. A fixed pool of dispatchers executes queued flights FIFO; every job
 // attached to a flight completes with its result. Cancellation —
 // explicit, caller deadline, or client disconnect on the synchronous
 // endpoint — detaches one job; only when the last waiter detaches does
@@ -119,10 +122,9 @@ type Config struct {
 	JournalBatchWait  time.Duration
 
 	// Logger receives structured operational logs (job lifecycle,
-	// journal I/O errors, recovery notes), keyed by job/trace IDs. When
-	// nil, the legacy Logf sink is adapted; with neither, silent.
+	// journal I/O errors, recovery notes), keyed by job/trace IDs. Nil
+	// means silent.
 	Logger *slog.Logger
-	Logf   func(format string, args ...any) // legacy printf sink; used only when Logger is nil
 
 	// NoTrace disables per-job span tracing: no tracer enters the
 	// pipeline context (the disabled path costs one context lookup),
@@ -373,7 +375,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		cache:      NewCache(cacheEntries, cacheBytes),
 		metrics:    NewMetrics(),
-		log:        resolveLogger(cfg.Logger, cfg.Logf),
+		log:        orDiscard(cfg.Logger),
 		started:    time.Now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -449,6 +451,14 @@ func (s *Server) Close() {
 	}
 }
 
+// orDiscard returns l, or a logger that drops everything when l is nil.
+func orDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.DiscardHandler)
+	}
+	return l
+}
+
 func randomID(prefix string) string {
 	var b [9]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -460,213 +470,8 @@ func randomID(prefix string) string {
 func newJobID() string   { return randomID("j") }
 func newTraceID() string { return randomID("t") }
 
-// Submit validates, cache-checks, coalesces and enqueues one job. The
-// returned job may already be terminal (cache or store hit) or riding
-// an existing flight (identical in-flight submission). ErrOverloaded
-// means the queue is at MaxQueued; *BadRequestError wraps client
-// mistakes.
-func (s *Server) Submit(seqs []bio.Sequence, o Options) (*Job, error) {
-	// Refuse everything — cache hits included — once draining or
-	// closed: a drained server must stop mutating its job table and
-	// journal (a record landing after the shutdown marker would make
-	// the next boot misreport a crash).
-	s.mu.Lock()
-	stopped := s.closed || s.draining
-	s.mu.Unlock()
-	if stopped {
-		return nil, ErrClosed
-	}
-	// A fixed-size cluster's rank count enters resolution itself, so
-	// limits and the cache key both see the procs the job actually uses.
-	opts, err := resolve(o, s.cfg.Defaults, s.cfg.Limits, s.cfg.Executor.FixedProcs())
-	if err != nil {
-		return nil, &BadRequestError{Err: err}
-	}
-	if len(seqs) == 0 {
-		return nil, badRequest("no sequences in input")
-	}
-	seen := make(map[string]bool, len(seqs))
-	for _, sq := range seqs {
-		if seen[sq.ID] {
-			return nil, badRequest("duplicate sequence id %q (ids must be unique)", sq.ID)
-		}
-		seen[sq.ID] = true
-		if len(sq.Data) == 0 {
-			return nil, badRequest("sequence %q is empty", sq.ID)
-		}
-	}
-	now := time.Now()
-	job := &Job{
-		ID:        newJobID(),
-		Key:       CacheKey(seqs, opts),
-		Opts:      opts,
-		Submitted: now,
-		NumSeqs:   len(seqs),
-		done:      make(chan struct{}),
-	}
-
-	// Content-addressed fast path: identical input + options were
-	// already aligned; answer from the cache tiers without queueing.
-	// The job record keeps only the summary — the payload stays in the
-	// cache/store, so their bounds govern result memory.
-	if res, ok := s.lookupResult(job.Key); ok {
-		s.metrics.Submitted.Inc()
-		s.metrics.CacheHits.Inc()
-		job.Trace = res.TraceID // the original computation's trace
-		job.state = StateDone
-		job.cached = true
-		job.result = s.retainedResult(res)
-		job.started, job.finished = now, now
-		// A one-event stream so /events subscribers of a cache-hit job
-		// still replay a terminal event instead of hanging.
-		job.bus = s.newEventBus()
-		s.publish(job.bus, Event{Type: EventDone, Job: job.ID, Trace: job.Trace, Cached: true})
-		job.bus.Close()
-		close(job.done)
-		s.remember(job)
-		s.metrics.Completed.Inc()
-		s.journalTerminalJob(job)
-		s.log.Info("job served from cache", "job", job.ID, "key", job.Key, "trace", job.Trace)
-		return job, nil
-	}
-
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-
-	// In-flight coalescing: an identical computation is already queued
-	// or running; attach to it instead of queueing a duplicate. The
-	// attached job takes no queue slot — it rides the existing one.
-	if fl := s.inflight[job.Key]; fl != nil {
-		job.coalesced = true
-		job.Trace = fl.trace
-		job.fl = fl
-		job.bus = fl.bus
-		fl.jobs = append(fl.jobs, job)
-		job.state = StateQueued
-		running := fl.state == StateRunning
-		if running {
-			job.state = StateRunning
-			job.started = now
-		}
-		s.rememberLocked(job)
-		s.mu.Unlock()
-		s.metrics.Submitted.Inc()
-		s.metrics.Coalesced.Inc()
-		if running {
-			// Never queued: it attached straight to a running flight.
-			// Riders attached while the flight waits are observed as
-			// "dispatched" with everyone else when it starts.
-			s.metrics.QueueWait.Observe("coalesced", now.Sub(job.Submitted).Seconds())
-		}
-		s.publish(job.bus, Event{Type: EventQueued, Job: job.ID, Trace: job.Trace, Coalesced: true})
-		s.journalSubmit(job, seqs)
-		s.log.Info("job coalesced onto in-flight computation",
-			"job", job.ID, "key", job.Key, "trace", job.Trace)
-		s.armDeadline(job, now)
-		return job, nil
-	}
-
-	if s.queued >= s.cfg.MaxQueued {
-		s.mu.Unlock()
-		s.metrics.Rejected.Inc()
-		return nil, ErrOverloaded
-	}
-	fctx, fcancel := context.WithCancelCause(s.baseCtx)
-	fl := &flight{
-		key:        job.Key,
-		trace:      newTraceID(),
-		seqs:       seqs,
-		opts:       opts,
-		ctx:        fctx,
-		cancel:     fcancel,
-		bus:        s.newEventBus(),
-		enqueued:   now,
-		state:      StateQueued,
-		jobs:       []*Job{job},
-		queuedSlot: true,
-	}
-	job.fl = fl
-	job.Trace = fl.trace
-	job.bus = fl.bus
-	job.state = StateQueued
-	s.inflight[job.Key] = fl
-	s.queued++
-	s.rememberLocked(job)
-	s.mu.Unlock()
-
-	s.metrics.Submitted.Inc()
-	s.metrics.CacheMisses.Inc()
-	s.publish(fl.bus, Event{Type: EventQueued, Job: job.ID, Trace: fl.trace})
-	s.log.Info("job accepted", "job", job.ID, "key", job.Key, "trace", fl.trace,
-		"procs", opts.Procs, "aligner", opts.Aligner, "num_seqs", job.NumSeqs)
-	// Journal before the flight can be dispatched: once the caller sees
-	// an accepted job, a crash must not lose it.
-	s.journalSubmit(job, seqs)
-
-	s.mu.Lock()
-	switch {
-	case fl.state != StateQueued:
-		// Canceled while the submit record was being journaled; it was
-		// never in the fifo, so nothing to remove.
-		s.mu.Unlock()
-	case s.closed:
-		fl.state = StateCanceled
-		fl.queuedSlot = false
-		s.queued--
-		if s.inflight[fl.key] == fl {
-			delete(s.inflight, fl.key)
-		}
-		jobs := fl.jobs
-		fl.jobs = nil
-		s.mu.Unlock()
-		// The job was accepted and journaled, then the shutdown raced
-		// in: that is an interruption, not a caller cancel — the next
-		// boot re-enqueues it like every other shutdown casualty.
-		for _, w := range jobs {
-			s.finalizeJob(w, StateCanceled, nil, ErrInterrupted, time.Now())
-		}
-		fl.bus.Close()
-		fl.cancel(ErrInterrupted)
-	default:
-		s.fifo = append(s.fifo, fl)
-		s.cond.Signal()
-		s.mu.Unlock()
-	}
-	s.armDeadline(job, now)
-	return job, nil
-}
-
-// armDeadline schedules the job's deadline, counted from `from` (the
-// submission — queueing time is the server's problem, not extra
-// budget; recovered jobs restart their budget at replay).
-func (s *Server) armDeadline(job *Job, from time.Time) {
-	d := job.Opts.Timeout
-	if d <= 0 {
-		return
-	}
-	cause := fmt.Errorf("job deadline (%v) exceeded", d)
-	fire := time.Until(from.Add(d))
-	if fire < 0 {
-		fire = 0
-	}
-	job.mu.Lock()
-	if !job.state.Terminal() {
-		job.timer = time.AfterFunc(fire, func() { s.cancelJob(job, cause) })
-	}
-	job.mu.Unlock()
-}
-
-// remember stores the job record, pruning the oldest terminal jobs
-// beyond MaxJobs.
-func (s *Server) remember(job *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rememberLocked(job)
-}
-
+// rememberLocked stores the job record, pruning the oldest terminal
+// jobs beyond MaxJobs. Server.mu must be held.
 func (s *Server) rememberLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)

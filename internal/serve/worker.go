@@ -17,11 +17,10 @@ import (
 
 // WorkerConfig configures one cluster worker daemon.
 type WorkerConfig struct {
-	CtrlAddr string                           // control listen address (coordinator dials this)
-	MeshAddr string                           // fixed rank mesh listen address, advertised per job
-	Metrics  *WorkerMetrics                   // rank-local metrics (-metrics-addr); nil disables
-	Logger   *slog.Logger                     // structured logs; preferred
-	Logf     func(format string, args ...any) // legacy printf sink, used only when Logger is nil
+	CtrlAddr string         // control listen address (coordinator dials this)
+	MeshAddr string         // fixed rank mesh listen address, advertised per job
+	Metrics  *WorkerMetrics // rank-local metrics (-metrics-addr); nil disables
+	Logger   *slog.Logger   // structured logs; nil = silent
 }
 
 // RunWorker serves cluster jobs until ctx is cancelled: accept one
@@ -29,7 +28,7 @@ type WorkerConfig struct {
 // the mesh address is fixed — so a worker is claimed for the duration
 // of a job; admission control belongs to the coordinator.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	logger := resolveLogger(cfg.Logger, cfg.Logf)
+	logger := orDiscard(cfg.Logger)
 	if cfg.MeshAddr == "" {
 		return fmt.Errorf("serve: worker needs a mesh address")
 	}

@@ -62,10 +62,9 @@ type ServerConfig struct {
 	DrainTimeout time.Duration
 
 	// Logger receives structured operational logs (job lifecycle keyed
-	// by job/trace IDs, journal I/O errors, recovery notes). When nil,
-	// Logf is adapted; with neither, the server is silent.
+	// by job/trace IDs, journal I/O errors, recovery notes). Nil means
+	// silent.
 	Logger *slog.Logger
-	Logf   func(format string, args ...any) // legacy printf sink, used only when Logger is nil
 
 	// NoTrace disables per-job span tracing: /v1/jobs/{id}/trace
 	// answers 404 and the per-stage histograms on /metrics stay empty.
@@ -124,7 +123,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		JournalBatchBytes: cfg.JournalBatchBytes,
 		JournalBatchWait:  cfg.JournalBatchWait,
 		Logger:            cfg.Logger,
-		Logf:              cfg.Logf,
 		NoTrace:           cfg.NoTrace,
 	}
 	if len(cfg.ClusterWorkers) > 0 {
