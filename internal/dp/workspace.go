@@ -3,12 +3,21 @@
 // internal/profile and internal/mafft.
 //
 // A progressive alignment of a large bucket performs thousands of DP
-// passes, and allocating three O(n·m) float64 score planes plus
-// traceback arrays per pass makes the allocator and GC a first-order
-// cost. A Workspace holds all of that scratch as flat backing arrays
-// that grow in place and are recycled through a sync.Pool: a kernel
-// borrows with Get, fills the planes it needs, and returns the
-// workspace with Put, so steady-state kernels run allocation-free.
+// passes, and allocating score and traceback memory per pass makes the
+// allocator and GC a first-order cost. A Workspace holds all of that
+// scratch as flat backing arrays that grow in place and are recycled
+// through a sync.Pool: a kernel borrows with one of the Get variants,
+// reserves and fills the planes it needs, and returns the workspace
+// with Put, so steady-state kernels run allocation-free.
+//
+// Which planes a kernel needs differs. The pairwise kernels keep three
+// O(n·m) score planes (float64 MP/XP/YP, or int16 MI/XI/YI for the
+// striped kernels of internal/dpkern) next to the traceback plane. The
+// profile–profile PSP kernel does not: its scores live in O(n+m)
+// rolling rows drawn from the Floats arena, and the only O(n·m) memory
+// it keeps is the 1 B/cell traceback plane — that is what the
+// traceback-only reserve (ReserveTB) is for: a 2100×2100 profile merge
+// commits 1 B/cell, where three float64 planes beside it would be 25.
 //
 // The three per-state traceback arrays of the classic affine-gap
 // formulation are merged into a single byte plane: each cell packs the
@@ -52,8 +61,7 @@ func TBY(b byte) byte { return (b >> 4) & 3 }
 // a float64 arena for kernel-specific scratch (profile frequencies,
 // expected-score tables, rolling rows).
 //
-// A Workspace is not safe for concurrent use; borrow one per goroutine
-// with Get.
+// A Workspace is not safe for concurrent use; borrow one per goroutine.
 type Workspace struct {
 	// MP, XP, YP are the match / gap-in-B / gap-in-A score planes,
 	// indexed with At. Valid up to rows*cols after Reserve.
@@ -86,14 +94,23 @@ func (w *Workspace) resetAux() {
 // resets the scratch arena. Backing arrays grow in place (never
 // shrink), so repeated borrows of similar sizes allocate nothing.
 func (w *Workspace) Reserve(rows, cols int) {
+	w.ReserveTB(rows, cols)
 	n := rows * cols
 	w.MP = growF(w.MP, n)
 	w.XP = growF(w.XP, n)
 	w.YP = growF(w.YP, n)
+}
+
+// ReserveTB sizes only the traceback plane for a rows×cols DP whose
+// scores live in rolling rows (the profile PSP kernel), leaving every
+// score plane at zero length: the borrow commits one byte per cell.
+func (w *Workspace) ReserveTB(rows, cols int) {
+	n := rows * cols
 	if cap(w.TB) < n {
 		w.TB = make([]byte, n)
 	}
 	w.TB = w.TB[:n]
+	w.MP, w.XP, w.YP = w.MP[:0], w.XP[:0], w.YP[:0]
 	w.MI, w.XI, w.YI = w.MI[:0], w.XI[:0], w.YI[:0]
 	w.rows, w.cols = rows, cols
 	w.resetAux()
@@ -105,17 +122,11 @@ func (w *Workspace) Reserve(rows, cols int) {
 // exactly as they do the float64 ones after Reserve, so traceback code is
 // shared between kernel families.
 func (w *Workspace) ReserveInt(rows, cols int) {
+	w.ReserveTB(rows, cols)
 	n := rows * cols
 	w.MI = growI16(w.MI, n)
 	w.XI = growI16(w.XI, n)
 	w.YI = growI16(w.YI, n)
-	if cap(w.TB) < n {
-		w.TB = make([]byte, n)
-	}
-	w.TB = w.TB[:n]
-	w.MP, w.XP, w.YP = w.MP[:0], w.XP[:0], w.YP[:0]
-	w.rows, w.cols = rows, cols
-	w.resetAux()
 }
 
 // ReserveScore sizes only the MP plane (rows×cols) for single-plane
@@ -221,15 +232,6 @@ func (w *Workspace) Ints(n int) []int32 {
 }
 
 var pool = sync.Pool{New: func() any { return new(Workspace) }}
-
-// Get borrows a workspace from the pool sized for a rows×cols DP.
-// Return it with Put when the kernel is done (after copying out any
-// results that alias workspace memory).
-func Get(rows, cols int) *Workspace {
-	w := pool.Get().(*Workspace)
-	w.Reserve(rows, cols)
-	return w
-}
 
 // GetScore borrows a workspace with only the MP plane sized (see
 // ReserveScore). Return it with Put.

@@ -92,7 +92,7 @@ func TestFloatsGrowKeepsEarlierSlices(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrent hammers Get/Put from many goroutines, each writing
+// TestPoolConcurrent hammers GetRaw/Put from many goroutines, each writing
 // a distinct pattern and verifying it before returning the workspace.
 // Run with -race to prove borrows never alias.
 func TestPoolConcurrent(t *testing.T) {
@@ -104,7 +104,8 @@ func TestPoolConcurrent(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				rows := 5 + g%7
 				cols := 3 + iter%11
-				w := Get(rows, cols)
+				w := GetRaw()
+				w.Reserve(rows, cols)
 				v := float64(g*1000 + iter)
 				for i := range w.MP {
 					w.MP[i] = v

@@ -150,42 +150,6 @@ func (p *Progressive) realignSplit(aln *Alignment, split []int) (*Alignment, err
 	partA.RemoveAllGapColumns()
 	partB.RemoveAllGapColumns()
 
-	// The current alignment already relates the two parts column by
-	// column; replay it as a seed path over the compacted profiles.
-	// Columns where only one side has residues become that side's gap
-	// op, columns with residues on both sides a match, and columns with
-	// neither (gap-only overall) vanish — exactly mirroring the
-	// per-part RemoveAllGapColumns compaction above, so the path is
-	// valid for (pa, pb). AlignSeeded explores a corridor around this
-	// prior and falls back to the full DP when the optimum escapes it,
-	// so the accepted alignments are unchanged.
-	width := aln.Width()
-	prior := make(profile.Path, 0, width)
-	for c := 0; c < width; c++ {
-		hasA, hasB := false, false
-		for i, s := range aln.Seqs {
-			if c >= len(s.Data) || s.Data[c] == bio.Gap {
-				continue
-			}
-			if inSplit[i] {
-				hasA = true
-			} else {
-				hasB = true
-			}
-			if hasA && hasB {
-				break
-			}
-		}
-		switch {
-		case hasA && hasB:
-			prior = append(prior, profile.OpMatch)
-		case hasA:
-			prior = append(prior, profile.OpA)
-		case hasB:
-			prior = append(prior, profile.OpB)
-		}
-	}
-
 	alpha := p.opts.Sub.Alphabet()
 	pa, err := partA.Profile(alpha)
 	if err != nil {
@@ -197,7 +161,7 @@ func (p *Progressive) realignSplit(aln *Alignment, split []int) (*Alignment, err
 	}
 	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
 	palign.Kernel = p.opts.Kernel
-	path, _ := palign.AlignSeeded(pa, pb, prior)
+	path, _ := palign.Align(pa, pb)
 	merged := profile.MergeRows(partA.Rows(), partB.Rows(), path)
 
 	out := &Alignment{Seqs: make([]bio.Sequence, aln.NumSeqs())}

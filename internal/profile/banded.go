@@ -1,10 +1,6 @@
 package profile
 
-import (
-	"math"
-
-	"repro/internal/dp"
-)
+import "repro/internal/dp"
 
 // AlignBanded is Align restricted to diagonals j−i ∈ [diagLo, diagHi]
 // (clamped so the start and end cells are always reachable). The
@@ -37,93 +33,9 @@ func (al *Aligner) AlignBanded(a, b *Profile, diagLo, diagHi int) (Path, float64
 	if path, score, ok := al.alignStriped(a, b, true, diagLo, diagHi); ok {
 		return path, score
 	}
-	w := dp.Get(n+1, m+1)
+	w := dp.GetRaw()
 	defer dp.Put(w)
-	sc := al.pspSetup(w, a, b)
-	open, ext := al.Gap.Open, al.Gap.Extend
-	negInf := math.Inf(-1)
-	M, X, Y, tb := w.MP, w.XP, w.YP, w.TB
-	cols := m + 1
-
-	for i := range M {
-		M[i], X[i], Y[i] = negInf, negInf, negInf
-	}
-	inBand := func(i, j int) bool {
-		d := j - i
-		return d >= diagLo && d <= diagHi
-	}
-	M[0] = 0
-	for i := 1; i <= n && inBand(i, 0); i++ {
-		idx := i * cols
-		X[idx] = X0(i, X[idx-cols], open, ext, sc.occA[i-1])
-		tb[idx] = dp.PackTB(sM, sX, sM)
-	}
-	for j := 1; j <= m && inBand(0, j); j++ {
-		Y[j] = X0(j, Y[j-1], open, ext, sc.occB[j-1])
-		tb[j] = dp.PackTB(sM, sM, sY)
-	}
-
-	for i := 1; i <= n; i++ {
-		jLo := i + diagLo
-		if jLo < 1 {
-			jLo = 1
-		}
-		jHi := i + diagHi
-		if jHi > m {
-			jHi = m
-		}
-		row := i * cols
-		prev := row - cols
-		wA := sc.occA[i-1]
-		openA, extA := (open+ext)*wA, ext*wA
-		for j := jLo; j <= jHi; j++ {
-			s := sc.colScore(i-1, j-1)
-			d := prev + j - 1
-			bm, bs := sM, M[d]
-			if X[d] > bs {
-				bm, bs = sX, X[d]
-			}
-			if Y[d] > bs {
-				bm, bs = sY, Y[d]
-			}
-			if bs > negInf {
-				M[row+j] = bs + s
-			} else {
-				bm = sM
-			}
-
-			up := prev + j
-			bx := sM
-			openX := M[up] - openA
-			if extX := X[up] - extA; openX >= extX {
-				X[row+j] = openX
-			} else {
-				X[row+j] = extX
-				bx = sX
-			}
-			wB := sc.occB[j-1]
-			left := row + j - 1
-			by := sM
-			openY := M[left] - (open+ext)*wB
-			if extY := Y[left] - ext*wB; openY >= extY {
-				Y[row+j] = openY
-			} else {
-				Y[row+j] = extY
-				by = sY
-			}
-			tb[row+j] = dp.PackTB(bm, bx, by)
-		}
-	}
-
-	end := n*cols + m
-	state, score := sM, M[end]
-	if X[end] > score {
-		state, score = sX, X[end]
-	}
-	if Y[end] > score {
-		state, score = sY, Y[end]
-	}
-	return tracePath(w, n, m, state), score
+	return al.alignRows(w, a, b, diagLo, diagHi)
 }
 
 func (al *Aligner) alignTrivial(n, m int) (Path, float64) {

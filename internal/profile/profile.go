@@ -67,41 +67,48 @@ func FromRows(alpha *bio.Alphabet, rows [][]byte, weights []float64) (*Profile, 
 			return nil, fmt.Errorf("profile: row %d has length %d, want %d", i, len(r), width)
 		}
 	}
-	if weights == nil {
-		weights = make([]float64, len(rows))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(rows) {
+	if weights != nil && len(weights) != len(rows) {
 		return nil, fmt.Errorf("profile: %d weights for %d rows", len(weights), len(rows))
 	}
-	p := &Profile{Alpha: alpha, Cols: make([]Column, width)}
-	for _, w := range weights {
+	p := &Profile{Alpha: alpha, Cols: newColumns(alpha, width)}
+	for r, row := range rows {
+		w := 1.0
+		if weights != nil {
+			w = weights[r]
+		}
 		p.Weight += w
-	}
-	for c := 0; c < width; c++ {
-		col := Column{Counts: make([]float64, alpha.Len())}
-		for r, row := range rows {
-			b := row[c]
+		for c, b := range row {
+			col := &p.Cols[c]
 			if b == bio.Gap {
-				col.Gaps += weights[r]
+				col.Gaps += w
 				continue
 			}
 			if idx := alpha.Index(b); idx >= 0 {
-				col.Counts[idx] += weights[r]
+				col.Counts[idx] += w
 			} else {
 				// Unknown residue: spread over all letters so it is
 				// near-neutral in scoring instead of silently dropped.
-				frac := weights[r] / float64(alpha.Len())
+				frac := w / float64(alpha.Len())
 				for k := range col.Counts {
 					col.Counts[k] += frac
 				}
 			}
 		}
-		p.Cols[c] = col
 	}
 	return p, nil
+}
+
+// newColumns returns width zeroed columns whose Counts share one
+// backing slab — one allocation per profile, not one per column — each
+// capped at its own letters so an append cannot reach its neighbour.
+func newColumns(alpha *bio.Alphabet, width int) []Column {
+	L := alpha.Len()
+	slab := make([]float64, width*L)
+	cols := make([]Column, width)
+	for c := range cols {
+		cols[c].Counts = slab[c*L : (c+1)*L : (c+1)*L]
+	}
+	return cols
 }
 
 // FromSequence builds a single-row profile from an ungapped sequence.
@@ -228,33 +235,37 @@ const (
 // A's per-column residue frequencies are stored sparsely — only the
 // letters actually present in a column (faIdx/faVal, ascending letter
 // order, with faOff prefix offsets), since real profile columns hold a
-// handful of the 20 letters — while sb keeps the dense expected score of
-// each B column against every letter (m×alphaLen) for random access.
-// occA/occB are the column occupancies. Iterating the sparse lists adds
-// the identical terms in the identical order as the dense f != 0 scan
-// they replaced, so scores are bit-for-bit unchanged.
+// handful of the 20 letters — while sbT keeps the dense expected score
+// of every letter against each B column, transposed (letter-major) so
+// one letter's scores against all of B are contiguous and a row of
+// column scores is streamed with unit stride. occA/occB are the column
+// occupancies; openB/extB the gap-in-A penalties of opening and
+// extending against each B column, hoisted out of the cell loop.
 type pspScratch struct {
-	faOff      []int32 // n+1 prefix offsets into faIdx/faVal
-	faIdx      []int32 // nonzero letter indices of A's columns
-	faVal      []float64
-	sb         []float64
-	occA, occB []float64
-	alphaLen   int
+	faOff       []int32 // n+1 prefix offsets into faIdx/faVal
+	faIdx       []int32 // nonzero letter indices of A's columns
+	faVal       []float64
+	sbT         []float64 // sbT[x·m+j] = Σ_y fb[j][y]·S(x,y)
+	occA, occB  []float64
+	openB, extB []float64
+	m           int
 }
 
-// pspSetup fills the scratch tables: sb[j·L+x] = Σ_y fb[j][y]·S(x,y),
-// making each DP cell O(residues present), at most O(alphaLen).
+// pspSetup fills the scratch tables, making each DP cell O(residues
+// present in its A column), at most O(alphaLen).
 func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	n, m := a.Len(), b.Len()
 	L := al.Sub.Alphabet().Len()
 	sc := pspScratch{
-		faOff:    w.Ints(n + 1),
-		faIdx:    w.Ints(n * L),
-		faVal:    w.Floats(n * L),
-		sb:       w.Floats(m * L),
-		occA:     w.Floats(n),
-		occB:     w.Floats(m),
-		alphaLen: L,
+		faOff: w.Ints(n + 1),
+		faIdx: w.Ints(n * L),
+		faVal: w.Floats(n * L),
+		sbT:   w.Floats(m * L),
+		occA:  w.Floats(n),
+		occB:  w.Floats(m),
+		openB: w.Floats(m),
+		extB:  w.Floats(m),
+		m:     m,
 	}
 	var nz int32
 	for i := range a.Cols {
@@ -274,37 +285,53 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		}
 	}
 	sc.faOff[n] = nz
+	open, ext := al.Gap.Open, al.Gap.Extend
 	for j := range b.Cols {
 		col := &b.Cols[j]
 		res := col.Residues()
-		sc.occB[j] = col.Occupancy()
+		occ := col.Occupancy()
+		sc.occB[j] = occ
+		sc.openB[j], sc.extB[j] = (open+ext)*occ, ext*occ
 		if res == 0 {
 			continue
 		}
-		row := sc.sb[j*L : (j+1)*L]
 		for y, c := range col.Counts {
 			if c == 0 {
 				continue
 			}
 			fy := c / res
 			for x := 0; x < L; x++ {
-				row[x] += fy * al.Sub.ScoreIdx(x, y)
+				sc.sbT[x*m+j] += fy * al.Sub.ScoreIdx(x, y)
 			}
 		}
 	}
 	return sc
 }
 
-// colScore is the occupancy-scaled PSP score of A column i against B
-// column j.
-func (sc *pspScratch) colScore(i, j int) float64 {
-	var s float64
-	sb := sc.sb[j*sc.alphaLen : (j+1)*sc.alphaLen]
+// colScores streams the occupancy-scaled PSP scores of A column i
+// against B columns [lo, lo+len(dst)) into dst: one unit-stride pass
+// over sbT per letter present in the A column, letters in ascending
+// order and each cell's sum started from zero — the order a per-cell
+// sparse dot product adds them in, so every score is bit-identical to
+// that formulation (and stays so where the compiler fuses the
+// multiply-add: both are s += v·t).
+func (sc *pspScratch) colScores(dst []float64, i, lo int) {
+	clear(dst)
 	for k := sc.faOff[i]; k < sc.faOff[i+1]; k++ {
-		s += sc.faVal[k] * sb[sc.faIdx[k]]
+		v := sc.faVal[k]
+		col := sc.sbT[int(sc.faIdx[k])*sc.m+lo:]
+		col = col[:len(dst)]
+		for t, c := range col {
+			dst[t] += v * c
+		}
 	}
 	// Scale by occupancies so sparse columns influence less.
-	return s * sc.occA[i] * sc.occB[j]
+	occA := sc.occA[i]
+	occB := sc.occB[lo:]
+	occB = occB[:len(dst)]
+	for t, ob := range occB {
+		dst[t] = dst[t] * occA * ob
+	}
 }
 
 // tracePath follows the packed traceback plane from (n, m) back to the
@@ -346,79 +373,126 @@ func (al *Aligner) Align(a, b *Profile) (Path, float64) {
 	if path, score, ok := al.alignStriped(a, b, false, 0, 0); ok {
 		return path, score
 	}
-	w := dp.Get(n+1, m+1)
+	w := dp.GetRaw()
 	defer dp.Put(w)
+	return al.alignRows(w, a, b, -n, m) // every diagonal is in band
+}
+
+// alignRows is the scalar float64 PSP kernel behind Align and
+// AlignBanded: the affine-gap DP over the cells with j−i ∈ [diagLo,
+// diagHi] (which must contain diagonals 0 and m−n). Scores live in
+// rolling rows — two of M (columns paired), two of X (consume an A
+// column, gap in B) and one of Y (the reverse) updated in place — so
+// score memory is O(m); the only per-cell memory is the packed
+// traceback plane. Cells just outside the band are −∞ sentinels, which
+// is what a full plane pre-filled with −∞ would hold there. The
+// workspace arrives unreserved.
+func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int) (Path, float64) {
+	n, m := a.Len(), b.Len()
+	w.ReserveTB(n+1, m+1)
 	sc := al.pspSetup(w, a, b)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	negInf := math.Inf(-1)
-
-	// M: columns paired; X: consume A column, gap in B; Y: the reverse.
-	M, X, Y, tb := w.MP, w.XP, w.YP, w.TB
+	tb := w.TB
 	cols := m + 1
 
-	M[0] = 0
-	X[0], Y[0] = negInf, negInf
-	for i := 1; i <= n; i++ {
-		idx := i * cols
-		M[idx], Y[idx] = negInf, negInf
-		X[idx] = X0(i, X[idx-cols], open, ext, sc.occA[i-1])
-		tb[idx] = dp.PackTB(sM, sX, sM)
-	}
-	for j := 1; j <= m; j++ {
-		M[j], X[j] = negInf, negInf
-		Y[j] = X0(j, Y[j-1], open, ext, sc.occB[j-1])
+	// Index j of a row is DP column j; slot m+1 only ever holds the
+	// right-hand sentinel, so writing it needs no bounds case.
+	rows := w.Floats(5 * (m + 2))
+	prevM, curM := rows[:m+2], rows[m+2:2*(m+2)]
+	prevX, curX := rows[2*(m+2):3*(m+2)], rows[3*(m+2):4*(m+2)]
+	rowY := rows[4*(m+2):]
+	srow := w.Floats(m)
+
+	// Row 0: leading gaps in A as far as the band reaches.
+	prevM[0] = 0
+	prevX[0], rowY[0] = negInf, negInf
+	jHi := min(diagHi, m)
+	for j := 1; j <= jHi; j++ {
+		prevM[j], prevX[j] = negInf, negInf
+		rowY[j] = X0(j, rowY[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
+	prevM[jHi+1], prevX[jHi+1] = negInf, negInf
 
 	for i := 1; i <= n; i++ {
+		jLo := max(i+diagLo, 1)
+		jHi = min(i+diagHi, m)
 		row := i * cols
-		prev := row - cols
 		// gap in B against A column i-1: penalty scaled by how
 		// occupied the gapped-against column is
 		wA := sc.occA[i-1]
 		openA, extA := (open+ext)*wA, ext*wA
-		for j := 1; j <= m; j++ {
-			s := sc.colScore(i-1, j-1)
-			d := prev + j - 1
-			bm, bs := sM, M[d]
-			if X[d] > bs {
-				bm, bs = sX, X[d]
-			}
-			if Y[d] > bs {
-				bm, bs = sY, Y[d]
-			}
-			M[row+j] = bs + s
 
-			up := prev + j
-			bx := sM
-			openX := M[up] - openA
-			if extX := X[up] - extA; openX >= extX {
-				X[row+j] = openX
+		// The cell left of the band's first: column 0 carries the
+		// leading gaps in B while the band reaches it, else a sentinel.
+		curM[jLo-1], curX[jLo-1] = negInf, negInf
+		if i+diagLo <= 0 {
+			curX[0] = X0(i, prevX[0], open, ext, wA)
+			tb[row] = dp.PackTB(sM, sX, sM)
+		}
+		mLeft, yLeft := negInf, negInf
+
+		wd := jHi - jLo + 1
+		s := srow[:wd]
+		sc.colScores(s, i-1, jLo-1)
+		// Windows of equal length over the band's cells: d* the
+		// diagonal predecessors, u* the ones above, c* the cells.
+		dM, dX, dY := prevM[jLo-1:][:wd], prevX[jLo-1:][:wd], rowY[jLo-1:][:wd]
+		uM, uX := prevM[jLo:][:wd], prevX[jLo:][:wd]
+		cM, cX := curM[jLo:][:wd], curX[jLo:][:wd]
+		openB, extB := sc.openB[jLo-1:][:wd], sc.extB[jLo-1:][:wd]
+		tbRow := tb[row+jLo:][:wd]
+		for t := range s {
+			bm, bs := sM, dM[t]
+			if dX[t] > bs {
+				bm, bs = sX, dX[t]
+			}
+			// dY[t] still holds the previous row's Y of the diagonal
+			// cell: read it, then store this row's Y of that cell.
+			if dY[t] > bs {
+				bm, bs = sY, dY[t]
+			}
+			dY[t] = yLeft
+			mv := negInf
+			if bs > negInf {
+				mv = bs + s[t]
 			} else {
-				X[row+j] = extX
+				bm = sM
+			}
+			cM[t] = mv
+
+			bx := sM
+			openX := uM[t] - openA
+			if extX := uX[t] - extA; openX >= extX {
+				cX[t] = openX
+			} else {
+				cX[t] = extX
 				bx = sX
 			}
-			wB := sc.occB[j-1]
-			left := row + j - 1
 			by := sM
-			openY := M[left] - (open+ext)*wB
-			if extY := Y[left] - ext*wB; openY >= extY {
-				Y[row+j] = openY
+			openY := mLeft - openB[t]
+			if extY := yLeft - extB[t]; openY >= extY {
+				yLeft = openY
 			} else {
-				Y[row+j] = extY
+				yLeft = extY
 				by = sY
 			}
-			tb[row+j] = dp.PackTB(bm, bx, by)
+			mLeft = mv
+			tbRow[t] = dp.PackTB(bm, bx, by)
 		}
+		rowY[jHi] = yLeft
+		curM[jHi+1], curX[jHi+1] = negInf, negInf
+		prevM, curM = curM, prevM
+		prevX, curX = curX, prevX
 	}
 
-	end := n*cols + m
-	state, score := sM, M[end]
-	if X[end] > score {
-		state, score = sX, X[end]
+	state, score := sM, prevM[m]
+	if prevX[m] > score {
+		state, score = sX, prevX[m]
 	}
-	if Y[end] > score {
-		state, score = sY, Y[end]
+	if rowY[m] > score {
+		state, score = sY, rowY[m]
 	}
 	return tracePath(w, n, m, state), score
 }
@@ -438,30 +512,26 @@ func Merge(a, b *Profile, path Path) (*Profile, error) {
 	if err := path.Validate(a.Len(), b.Len()); err != nil {
 		return nil, err
 	}
-	alpha := a.Alpha
-	out := &Profile{Alpha: alpha, Weight: a.Weight + b.Weight, Cols: make([]Column, 0, len(path))}
-	gapCol := func(w float64) Column {
-		return Column{Counts: make([]float64, alpha.Len()), Gaps: w}
-	}
-	addCols := func(x, y Column) Column {
-		c := Column{Counts: make([]float64, alpha.Len()), Gaps: x.Gaps + y.Gaps}
-		for k := range c.Counts {
-			c.Counts[k] = x.Counts[k] + y.Counts[k]
-		}
-		return c
-	}
+	out := &Profile{Alpha: a.Alpha, Weight: a.Weight + b.Weight, Cols: newColumns(a.Alpha, len(path))}
 	i, j := 0, 0
-	for _, op := range path {
+	for c, op := range path {
+		col := &out.Cols[c]
 		switch op {
 		case OpMatch:
-			out.Cols = append(out.Cols, addCols(a.Cols[i], b.Cols[j]))
+			x, y := &a.Cols[i], &b.Cols[j]
+			for k := range col.Counts {
+				col.Counts[k] = x.Counts[k] + y.Counts[k]
+			}
+			col.Gaps = x.Gaps + y.Gaps
 			i++
 			j++
-		case OpA:
-			out.Cols = append(out.Cols, addCols(a.Cols[i], gapCol(b.Weight)))
+		case OpA: // every row of b holds a gap here
+			copy(col.Counts, a.Cols[i].Counts)
+			col.Gaps = a.Cols[i].Gaps + b.Weight
 			i++
 		case OpB:
-			out.Cols = append(out.Cols, addCols(gapCol(a.Weight), b.Cols[j]))
+			copy(col.Counts, b.Cols[j].Counts)
+			col.Gaps = a.Weight + b.Cols[j].Gaps
 			j++
 		}
 	}

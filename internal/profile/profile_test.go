@@ -42,6 +42,32 @@ func TestFromRowsBasic(t *testing.T) {
 	}
 }
 
+// TestFromRowsOneCountsSlab: a profile's columns share one backing
+// slab (three allocations per FromRows — profile, columns, slab —
+// whatever the width), and each column's Counts is capped so growing
+// one cannot write into the next.
+func TestFromRowsOneCountsSlab(t *testing.T) {
+	rows := randomRows(rand.New(rand.NewSource(3)), 6, 200)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := FromRows(bio.AminoAcids, rows, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 3 {
+		t.Errorf("FromRows: %v allocs per call, want <= 3", allocs)
+	}
+	p, err := FromRows(bio.AminoAcids, rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]float64(nil), p.Cols[1].Counts...)
+	_ = append(p.Cols[0].Counts, 99)
+	for k, v := range p.Cols[1].Counts {
+		if v != next[k] {
+			t.Fatalf("append to column 0 overwrote column 1 letter %d", k)
+		}
+	}
+}
+
 func TestFromRowsErrors(t *testing.T) {
 	if _, err := FromRows(bio.AminoAcids, [][]byte{[]byte("AC"), []byte("A")}, nil); err == nil {
 		t.Error("ragged rows accepted")

@@ -2,10 +2,12 @@ package profile
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/bio"
+	"repro/internal/dp"
 )
 
 func randomRows(rng *rand.Rand, n, width int) [][]byte {
@@ -103,6 +105,37 @@ func TestAlignConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAlignScoreMemoryIsLinear pins the kernel's memory shape: on a
+// fresh workspace a 1500×1500 multi-row alignment allocates the 1 B/cell
+// traceback plane plus O(n+m) tables and rows — under 2 B/cell in all,
+// where three float64 score planes alone would be 24 — and never sizes
+// the workspace's score planes. Same for a ±64 band.
+func TestAlignScoreMemoryIsLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const n, m = 1500, 1500
+	a := randomProfile(t, rng, 3, n)
+	b := randomProfile(t, rng, 4, m)
+	for _, tc := range []struct {
+		name   string
+		lo, hi int
+	}{{"Align", -n, m}, {"AlignBanded", -64, 64}} {
+		var w dp.Workspace
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		path, _ := testAligner.alignRows(&w, a, b, tc.lo, tc.hi)
+		runtime.ReadMemStats(&after)
+		if err := path.Validate(n, m); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*(n+1)*(m+1)); got >= limit {
+			t.Errorf("%s allocated %d bytes, want < %d (2 B/cell)", tc.name, got, limit)
+		}
+		if len(w.MP) != 0 || len(w.XP) != 0 || len(w.YP) != 0 {
+			t.Errorf("%s sized score planes: MP=%d XP=%d YP=%d", tc.name, len(w.MP), len(w.XP), len(w.YP))
+		}
+	}
 }
 
 // BenchmarkProfileAlign measures the steady-state profile-profile DP:

@@ -9,7 +9,7 @@
 # CI uploads the file as an artifact; diff the files across PRs to see
 # the trajectory.
 #
-#   bash scripts/bench.sh [out.json]       # default out: BENCH_13.json
+#   bash scripts/bench.sh [out.json]       # default out: BENCH_15.json
 #
 # Environment knobs:
 #   BENCHTIME        go test -benchtime for the guide-tree micro-benchmarks
@@ -35,12 +35,13 @@
 # and guide-tree families should show >= 2x at workers=4; on fewer
 # cores the ratio saturates at the core count (a 1-core container
 # reports ~1.0x). The "kernel_speedup" section divides each family's
-# kernel=scalar ns/op by kernel=striped — single-thread, so >= 2x is
-# expected on the profile-PSP family even on a 1-core host.
+# kernel=scalar ns/op by kernel=striped — single-thread, so the ratio
+# holds on a 1-core host; the gate's floor is 1.0 (striped never
+# slower), since a faster scalar kernel lowers the ratio by itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_13.json}
+OUT=${1:-BENCH_15.json}
 BENCHTIME=${BENCHTIME:-3x}
 KERNEL_BENCHTIME=${KERNEL_BENCHTIME:-300ms}
 JOURNAL_BENCHTIME=${JOURNAL_BENCHTIME:-500ms}
@@ -156,7 +157,7 @@ with open(gobench_path) as f:
         journal_fsyncs[key] = max(val, journal_fsyncs.get(key, 0.0))
 
 out = {
-    "pr": 13,
+    "pr": 15,
     "generated_by": "scripts/bench.sh",
     "host": {"cores": int(os.environ.get("CORES", "0")),
              "go": os.environ.get("GOVER", "")},
