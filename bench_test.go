@@ -675,6 +675,38 @@ func BenchmarkProfilePSP(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileAlignDeep times the scalar PSP kernel on the merge
+// shape that dominates the benchmark's ops: the two halves of one long
+// homologous family (ROSE, 20 × 1200, relatedness 400), each already
+// aligned, joined by one profile-profile DP. Unlike random profiles —
+// where every max/argmax is a coin flip — the branches here behave as
+// they do near a guide tree's root. Reports ns per DP cell.
+func BenchmarkProfileAlignDeep(b *testing.B) {
+	fam, err := GenerateFamily(FamilyConfig{N: 20, MeanLen: 1200, Relatedness: 400, Seed: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := submat.BLOSUM62
+	var halves [2]*profile.Profile
+	for h := range halves {
+		aln, err := msa.MuscleLike(1).Align(fam[h*10 : (h+1)*10])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if halves[h], err = aln.Profile(sub.Alphabet()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	al := profile.NewAligner(sub, submat.DefaultProteinGap)
+	b.ReportAllocs()
+	b.ResetTimer() // the two MuscleLike set-up alignments are not the kernel
+	for i := 0; i < b.N; i++ {
+		al.Align(halves[0], halves[1])
+	}
+	cells := float64(halves[0].Len()) * float64(halves[1].Len())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+}
+
 func BenchmarkProfileProfileAlign(b *testing.B) {
 	loadFixtures(b)
 	sub := submat.BLOSUM62

@@ -50,18 +50,22 @@ func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
 }
 
 // sniffReader transparently decompresses gzip input, detected by its
-// magic bytes; everything else passes through unchanged.
+// magic bytes; everything else passes through unchanged. The two bytes
+// it looks at are put back in front of r, not peeked through a
+// bufio.Reader: the scanner has a buffer of its own, and a request
+// body of a kilobyte should not cost a second, 4 KiB one.
 func sniffReader(r io.Reader) (io.Reader, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(gzipMagic))
-	if err != nil {
-		// Short or empty input: not gzip; let the FASTA parser handle it.
-		return br, nil
+	head := make([]byte, len(gzipMagic))
+	n, err := io.ReadFull(r, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("fasta: %w", err)
 	}
-	if !bytes.Equal(magic, gzipMagic) {
-		return br, nil
+	whole := io.MultiReader(bytes.NewReader(head[:n]), r)
+	if err != nil || !bytes.Equal(head, gzipMagic) {
+		// Not gzip (or too short to be): the FASTA parser's to handle.
+		return whole, nil
 	}
-	zr, err := gzip.NewReader(br)
+	zr, err := gzip.NewReader(whole)
 	if err != nil {
 		return nil, fmt.Errorf("fasta: gzip input: %w", err)
 	}
@@ -76,7 +80,9 @@ func Read(r io.Reader) ([]bio.Sequence, error) {
 		return nil, err
 	}
 	sc := bufio.NewScanner(plain)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	// No initial buffer: the scanner starts at 4 KiB and doubles as
+	// lines demand, up to the same 64 MiB cap on one line.
+	sc.Buffer(nil, 64*1024*1024)
 	sc.Split(scanLines)
 	var (
 		seqs []bio.Sequence

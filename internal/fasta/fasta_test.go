@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,5 +202,43 @@ func TestReadShortInput(t *testing.T) {
 	}
 	if _, err := ParseString("A"); err == nil {
 		t.Fatal("1-byte residue line without header accepted")
+	}
+}
+
+// TestReadSmallInputAllocatesLittle holds Read's fixed cost down: a
+// request body of about a kilobyte must not pay for buffers sized for
+// files (it used to zero a 64 KiB scanner buffer and a 4 KiB reader).
+func TestReadSmallInputAllocatesLittle(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 8; i++ {
+		sb.WriteString(">seq")
+		sb.WriteByte(byte('0' + i))
+		sb.WriteByte('\n')
+		sb.WriteString(strings.Repeat("ACDEFGHIKLMNPQRSTVWY", 6))
+		sb.WriteByte('\n')
+	}
+	in := sb.String() // ≈ 1 KB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seqs, err := Read(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(seqs) != 8 {
+		t.Fatalf("%d seqs, err %v", len(seqs), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("Read of %d bytes allocated %d bytes, want < 16 KiB", len(in), got)
+	}
+}
+
+// TestReadLongLine: the scanner's buffer starts small and must still
+// grow to hold a whole sequence on one line.
+func TestReadLongLine(t *testing.T) {
+	line := strings.Repeat("ACDEFGHIKLMNPQRSTVWY", (1<<20)/20+1)
+	seqs, err := ParseString(">long\n" + line + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 1 || string(seqs[0].Data) != line {
+		t.Fatalf("1 MiB line did not survive: %d seqs", len(seqs))
 	}
 }

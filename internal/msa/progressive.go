@@ -1,6 +1,7 @@
 package msa
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -280,10 +281,43 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 	return aln, nil
 }
 
-// group is the partial alignment carried up the guide tree.
+// group is the partial alignment carried up the guide tree: a recipe
+// for its rows — a leaf's residues, or two child groups and the path
+// that joined them — and, while the group waits for its parent, its
+// profile. Rows are built once, at the root (expandRows).
 type group struct {
-	rows [][]byte
-	ids  []int // sequence indices, parallel to rows
+	id          int    // leaf: sequence index
+	seq         []byte // leaf: ungapped residues
+	left, right *group // merged group
+	path        profile.Path
+	leaves      int
+	prof        *profile.Profile // until the group's parent exists
+}
+
+// expandRows builds the row of every leaf under g into rows, indexed by
+// sequence and total columns wide. cols[c] is the final column of g's
+// column c; each path on the way down splits that map between the two
+// children — O(width) per node, one allocation per row.
+func (g *group) expandRows(rows [][]byte, cols []int32, total int) {
+	if g.left == nil {
+		row := bytes.Repeat([]byte{bio.Gap}, total)
+		for c, b := range g.seq {
+			row[cols[c]] = b
+		}
+		rows[g.id] = row
+		return
+	}
+	lc, rc := make([]int32, 0, len(cols)), make([]int32, 0, len(cols))
+	for c, op := range g.path {
+		if op != profile.OpB {
+			lc = append(lc, cols[c])
+		}
+		if op != profile.OpA {
+			rc = append(rc, cols[c])
+		}
+	}
+	g.left.expandRows(rows, lc, total)
+	g.right.expandRows(rows, rc, total)
 }
 
 // AlignWithTree performs the post-order progressive merge over an
@@ -315,6 +349,17 @@ type PairPath func(pl, pr *profile.Profile) (profile.Path, error)
 // concurrently on Workers workers, each merge borrowing its own pooled
 // DP workspace. Output is byte-identical for every Workers value — a
 // node's merge depends only on its children, never on execution order.
+//
+// A merge touches profiles only: it aligns its children's with pair,
+// joins them along the path (profile.Merge: O(width), no rows read) and
+// lets them go; a leaf's one-row profile is made when ParallelReduce
+// calls leaf, which is inside the merge that consumes it. A profile so
+// lives from the merge that makes it to the merge that uses it, and
+// ParallelReduce's order keeps those few. The carried profile is the
+// definition of a group's profile: it equals profile.FromRows of the
+// group's rows exactly with unit weights over the alphabet's letters,
+// and to within rounding with tree weights or unknown residues
+// ((ΣA)+(ΣB) where FromRows adds row by row).
 func (p *Progressive) AlignWithTreePairs(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64, pair PairPath) (*Alignment, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
@@ -322,53 +367,35 @@ func (p *Progressive) AlignWithTreePairs(ctx context.Context, seqs []bio.Sequenc
 	psp.SetInt("workers", int64(p.opts.Workers))
 	alpha := p.opts.Sub.Alphabet()
 
-	weightOf := func(idx int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[idx]
-	}
-
 	leaf := func(n *tree.Node) (*group, error) {
 		if n.ID < 0 || n.ID >= len(seqs) {
 			return nil, fmt.Errorf("msa: guide tree leaf id %d out of range", n.ID)
 		}
-		data := bio.Ungap(seqs[n.ID].Data)
-		return &group{rows: [][]byte{data}, ids: []int{n.ID}}, nil
+		g := &group{id: n.ID, seq: bio.Ungap(seqs[n.ID].Data), leaves: 1}
+		var w []float64
+		if weights != nil {
+			w = weights[n.ID : n.ID+1]
+		}
+		var err error
+		g.prof, err = profile.FromRows(alpha, [][]byte{g.seq}, w)
+		return g, err
 	}
 	merge := func(mi tree.Merge, left, right *group) (*group, error) {
 		_, msp := obs.StartDepth(ctx, "mergenode", mi.Depth)
 		defer msp.End()
+		g := &group{left: left, right: right, leaves: left.leaves + right.leaves}
 		msp.SetInt("depth", int64(mi.Depth))
-		msp.SetInt("rows", int64(len(left.ids)+len(right.ids)))
-		wl := make([]float64, len(left.ids))
-		for i, id := range left.ids {
-			wl[i] = weightOf(id)
-		}
-		wr := make([]float64, len(right.ids))
-		for i, id := range right.ids {
-			wr[i] = weightOf(id)
-		}
-		pl, err := profile.FromRows(alpha, left.rows, wl)
-		if err != nil {
+		msp.SetInt("rows", int64(g.leaves))
+		pl, pr := left.prof, right.prof
+		left.prof, right.prof = nil, nil // the children stay, as recipes
+		var err error
+		if g.path, err = pair(pl, pr); err != nil {
 			return nil, err
 		}
-		pr, err := profile.FromRows(alpha, right.rows, wr)
-		if err != nil {
+		if g.prof, err = profile.Merge(pl, pr, g.path); err != nil {
 			return nil, err
 		}
-		path, err := pair(pl, pr)
-		if err != nil {
-			return nil, err
-		}
-		merged := profile.MergeRows(left.rows, right.rows, path)
-		// The merged id slice must never alias left.ids: sibling merges
-		// run concurrently, and appending into a shared backing array
-		// is a data race (and silently corrupts ids even sequentially
-		// when a node is reused across merges).
-		ids := make([]int, 0, len(left.ids)+len(right.ids))
-		ids = append(append(ids, left.ids...), right.ids...)
-		return &group{rows: merged, ids: ids}, nil
+		return g, nil
 	}
 
 	g, err := tree.ParallelReduce(ctx, gt, p.opts.Workers, leaf, merge)
@@ -378,10 +405,15 @@ func (p *Progressive) AlignWithTreePairs(ctx context.Context, seqs []bio.Sequenc
 	if g == nil {
 		return nil, fmt.Errorf("msa: empty guide tree")
 	}
-	// Restore input order.
+	cols := make([]int32, max(len(g.seq), len(g.path))) // one of them is the root's
+	for c := range cols {
+		cols[c] = int32(c)
+	}
+	rows := make([][]byte, len(seqs))
+	g.expandRows(rows, cols, len(cols))
 	aln := &Alignment{Seqs: make([]bio.Sequence, len(seqs))}
-	for k, idx := range g.ids {
-		aln.Seqs[idx] = bio.Sequence{ID: seqs[idx].ID, Desc: seqs[idx].Desc, Data: g.rows[k]}
+	for idx, row := range rows {
+		aln.Seqs[idx] = bio.Sequence{ID: seqs[idx].ID, Desc: seqs[idx].Desc, Data: row}
 	}
 	aln.RemoveAllGapColumns()
 	return aln, nil

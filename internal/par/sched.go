@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // TaskID identifies a task registered with a Sched. IDs are handed out
@@ -19,6 +18,15 @@ type TaskID int
 // subtrees merge in parallel), but the scheduler is general: any
 // register-then-run DAG works, including flat fan-outs (tasks with no
 // dependencies).
+//
+// The ready set is a stack: the tasks a completion enables run before
+// any task that was ready earlier, and the tasks ready from the start
+// run in registration order. A reduction tree registered depth-first is
+// therefore also walked depth-first — a worker finishes the subtree it
+// is in before it opens another — so the results waiting for their
+// sibling number O(depth·workers). A queue would run every leaf, then
+// every parent of two leaves, and keep O(tasks) results alive, which
+// for guide-tree merges is a profile each.
 //
 // Usage: register every task with Add (dependencies must be TaskIDs
 // returned by earlier Add calls), then call Run once. Task bodies
@@ -66,8 +74,8 @@ func (s *Sched) Len() int { return len(s.tasks) }
 // context is reported even when every task happened to finish first.
 // Run may be called once.
 //
-// With workers == 1 the DAG runs inline on the calling goroutine in
-// deterministic topological (registration) order.
+// The calling goroutine is one of the workers: with workers == 1 the
+// DAG runs inline, in the one order the stack rule allows.
 func (s *Sched) Run(ctx context.Context, workers int) error {
 	if s.ran {
 		return fmt.Errorf("par: Sched.Run called twice")
@@ -80,129 +88,90 @@ func (s *Sched) Run(ctx context.Context, workers int) error {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
-	}
 
-	waits := make([]int32, n)
+	// The ready set is a stack whose top is its last element. Pushing
+	// reverses, so the tasks are walked backwards: the initial stack,
+	// and each list of dependents pushed in its order, then pop in
+	// registration order.
+	waits := make([]int, n)
 	dependents := make([][]int, n)
-	for i, t := range s.tasks {
-		waits[i] = int32(len(t.deps))
-		for _, d := range t.deps {
+	ready := make([]int, 0, n)
+	for i := n - 1; i >= 0; i-- {
+		deps := s.tasks[i].deps
+		waits[i] = len(deps)
+		for _, d := range deps {
 			dependents[d] = append(dependents[d], i)
 		}
-	}
-
-	if workers == 1 {
-		return s.runSerial(ctx, waits, dependents)
-	}
-
-	// Deps only point backwards, so the DAG always drains: `ready` never
-	// needs more capacity than n and sends below never block.
-	ready := make(chan int, n)
-	for i := range s.tasks {
-		if waits[i] == 0 {
-			ready <- i
+		if len(deps) == 0 {
+			ready = append(ready, i)
 		}
 	}
 	var (
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		mu       sync.Mutex
+		mu       sync.Mutex // guards everything below, and ready and waits
+		wake     = sync.NewCond(&mu)
+		stopped  bool
 		firstErr error
-		pending  = int64(n)
-		wg       sync.WaitGroup
+		pending  = n
 	)
-	halt := func(err error) {
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+	halt := func(err error) { // mu held
+		if firstErr == nil {
+			firstErr = err
 		}
-		stopOnce.Do(func() { close(stop) })
+		stopped = true
+		wake.Broadcast()
 	}
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
+	// Workers between tasks see a cancellation themselves; this wakes
+	// the ones waiting for a task.
+	defer context.AfterFunc(ctx, func() {
+		mu.Lock()
+		halt(nil) // Run reports ctx.Err()
+		mu.Unlock()
+	})()
+	work := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			for len(ready) == 0 && !stopped {
+				wake.Wait()
+			}
+			if stopped || ctx.Err() != nil {
+				return
+			}
+			i := ready[len(ready)-1]
+			ready = ready[:len(ready)-1]
+			mu.Unlock()
+			err := s.tasks[i].fn()
+			mu.Lock()
+			if err != nil {
+				halt(err)
+				return
+			}
+			for _, d := range dependents[i] {
+				if waits[d]--; waits[d] == 0 {
+					ready = append(ready, d)
+					wake.Signal()
+				}
+			}
+			if pending--; pending == 0 {
+				halt(nil)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-done:
-					halt(nil) // Run reports ctx.Err()
-					return
-				case i := <-ready:
-					// Prefer stopping over starting yet another task when
-					// both channels are readable.
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := s.tasks[i].fn(); err != nil {
-						halt(err)
-						return
-					}
-					for _, d := range dependents[i] {
-						if atomic.AddInt32(&waits[d], -1) == 0 {
-							ready <- d
-						}
-					}
-					if atomic.AddInt64(&pending, -1) == 0 {
-						halt(nil)
-						return
-					}
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	mu.Lock()
+	mu.Lock() // the cancellation hook may still be running
 	err := firstErr
 	mu.Unlock()
 	if err != nil {
 		return err
-	}
-	return ctx.Err()
-}
-
-// runSerial drains the DAG inline: FIFO over the ready queue, which for
-// backward-only dependencies is a topological order of the registration
-// sequence.
-func (s *Sched) runSerial(ctx context.Context, waits []int32, dependents [][]int) error {
-	n := len(s.tasks)
-	ready := make([]int, 0, n)
-	for i := range s.tasks {
-		if waits[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	done := ctx.Done()
-	for k := 0; k < len(ready); k++ {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		i := ready[k]
-		if err := s.tasks[i].fn(); err != nil {
-			return err
-		}
-		for _, d := range dependents[i] {
-			waits[d]--
-			if waits[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	if len(ready) != n {
-		return fmt.Errorf("par: sched finished with %d of %d tasks unreachable", n-len(ready), n)
 	}
 	return ctx.Err()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -106,6 +107,29 @@ func TestSchedDependencyOrder(t *testing.T) {
 		if stage != 3 {
 			t.Fatalf("workers=%d: stage = %d", workers, stage)
 		}
+	}
+
+	// Among ready tasks the order is the stack's, which one worker makes
+	// observable: tasks ready from the start run in registration order,
+	// and what a completion enables — in registration order too — runs
+	// before any of them that is still waiting.
+	var ran []string
+	s := NewSched()
+	add := func(name string, deps ...TaskID) TaskID {
+		return s.Add(func() error { ran = append(ran, name); return nil }, deps...)
+	}
+	a := add("a")
+	b := add("b")
+	add("c")
+	d := add("d", a)
+	add("e", b)
+	add("f", b)
+	add("g", d)
+	if err := s.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(ran, " "), "a d g b e f c"; got != want {
+		t.Fatalf("serial order %q, want %q", got, want)
 	}
 }
 

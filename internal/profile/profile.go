@@ -380,19 +380,33 @@ func (al *Aligner) Align(a, b *Profile) (Path, float64) {
 
 // alignRows is the scalar float64 PSP kernel behind Align and
 // AlignBanded: the affine-gap DP over the cells with j−i ∈ [diagLo,
-// diagHi] (which must contain diagonals 0 and m−n). Scores live in
-// rolling rows — two of M (columns paired), two of X (consume an A
-// column, gap in B) and one of Y (the reverse) updated in place — so
-// score memory is O(m); the only per-cell memory is the packed
-// traceback plane. Cells just outside the band are −∞ sentinels, which
-// is what a full plane pre-filled with −∞ would hold there. The
-// workspace arrives unreserved.
+// diagHi] (which must contain diagonals 0 and m−n). It keeps rolling
+// rows — two of M (columns paired), two of X (consume an A column, gap
+// in B) and one of Y (the reverse) updated in place — so score memory
+// is O(m); the only per-cell memory is the packed traceback plane.
+// Cells just outside the band are sentinels, which is what a full plane
+// pre-filled with them would hold. The workspace arrives unreserved.
+//
+// The rows hold costs, the negated scores, and the DP minimises: the
+// compiler lowers a float64 min to three instructions and a max to that
+// min between three negations. Negation is exact, so every stored value
+// is bit for bit the negation of what a maximising DP holds in that
+// cell (the sign of a zero aside, which no comparison sees), every
+// comparison mirrors that DP's, and path and score are its own.
+//
+// Each row's band window is filled in two passes: rowMX computes M and
+// X, which read only the previous row, so no cell waits for its left
+// neighbour; rowYChain then runs the one serial dependency, Y on the M
+// and Y to its left, over the row just written. rowMX is a function of
+// its own because in a small leaf the loop index and slice bases stay
+// in registers; written here, among this function's live slices, the
+// same loop spills them every cell.
 func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int) (Path, float64) {
 	n, m := a.Len(), b.Len()
 	w.ReserveTB(n+1, m+1)
 	sc := al.pspSetup(w, a, b)
 	open, ext := al.Gap.Open, al.Gap.Extend
-	negInf := math.Inf(-1)
+	inf := math.Inf(1)
 	tb := w.TB
 	cols := m + 1
 
@@ -406,14 +420,14 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 
 	// Row 0: leading gaps in A as far as the band reaches.
 	prevM[0] = 0
-	prevX[0], rowY[0] = negInf, negInf
+	prevX[0], rowY[0] = inf, inf
 	jHi := min(diagHi, m)
 	for j := 1; j <= jHi; j++ {
-		prevM[j], prevX[j] = negInf, negInf
-		rowY[j] = X0(j, rowY[j-1], open, ext, sc.occB[j-1])
+		prevM[j], prevX[j] = inf, inf
+		rowY[j] = -X0(j, -rowY[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
-	prevM[jHi+1], prevX[jHi+1] = negInf, negInf
+	prevM[jHi+1], prevX[jHi+1] = inf, inf
 
 	for i := 1; i <= n; i++ {
 		jLo := max(i+diagLo, 1)
@@ -422,79 +436,99 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 		// gap in B against A column i-1: penalty scaled by how
 		// occupied the gapped-against column is
 		wA := sc.occA[i-1]
-		openA, extA := (open+ext)*wA, ext*wA
 
 		// The cell left of the band's first: column 0 carries the
 		// leading gaps in B while the band reaches it, else a sentinel.
-		curM[jLo-1], curX[jLo-1] = negInf, negInf
+		curM[jLo-1], curX[jLo-1] = inf, inf
 		if i+diagLo <= 0 {
-			curX[0] = X0(i, prevX[0], open, ext, wA)
+			curX[0] = -X0(i, -prevX[0], open, ext, wA)
 			tb[row] = dp.PackTB(sM, sX, sM)
 		}
-		mLeft, yLeft := negInf, negInf
 
 		wd := jHi - jLo + 1
 		s := srow[:wd]
 		sc.colScores(s, i-1, jLo-1)
-		// Windows of equal length over the band's cells: d* the
-		// diagonal predecessors, u* the ones above, c* the cells.
-		dM, dX, dY := prevM[jLo-1:][:wd], prevX[jLo-1:][:wd], rowY[jLo-1:][:wd]
-		uM, uX := prevM[jLo:][:wd], prevX[jLo:][:wd]
-		cM, cX := curM[jLo:][:wd], curX[jLo:][:wd]
-		openB, extB := sc.openB[jLo-1:][:wd], sc.extB[jLo-1:][:wd]
 		tbRow := tb[row+jLo:][:wd]
-		for t := range s {
-			bm, bs := sM, dM[t]
-			if dX[t] > bs {
-				bm, bs = sX, dX[t]
-			}
-			// dY[t] still holds the previous row's Y of the diagonal
-			// cell: read it, then store this row's Y of that cell.
-			if dY[t] > bs {
-				bm, bs = sY, dY[t]
-			}
-			dY[t] = yLeft
-			mv := negInf
-			if bs > negInf {
-				mv = bs + s[t]
-			} else {
-				bm = sM
-			}
-			cM[t] = mv
-
-			bx := sM
-			openX := uM[t] - openA
-			if extX := uX[t] - extA; openX >= extX {
-				cX[t] = openX
-			} else {
-				cX[t] = extX
-				bx = sX
-			}
-			by := sM
-			openY := mLeft - openB[t]
-			if extY := yLeft - extB[t]; openY >= extY {
-				yLeft = openY
-			} else {
-				yLeft = extY
-				by = sY
-			}
-			mLeft = mv
-			tbRow[t] = dp.PackTB(bm, bx, by)
-		}
-		rowY[jHi] = yLeft
-		curM[jHi+1], curX[jHi+1] = negInf, negInf
+		// rowY[jLo−1:jHi] still holds the previous row: rowMX reads it
+		// as the diagonal Y, then rowYChain overwrites it with this row's.
+		rowMX(curM[jLo:][:wd], curX[jLo:][:wd], tbRow,
+			prevM[jLo-1:][:wd+1], prevX[jLo-1:][:wd+1], rowY[jLo-1:][:wd], s,
+			(open+ext)*wA, ext*wA)
+		rowY[jLo-1] = inf
+		rowYChain(rowY[jLo-1:][:wd+1], tbRow, curM[jLo-1:][:wd],
+			sc.openB[jLo-1:][:wd], sc.extB[jLo-1:][:wd])
+		curM[jHi+1], curX[jHi+1] = inf, inf
 		prevM, curM = curM, prevM
 		prevX, curX = curX, prevX
 	}
 
-	state, score := sM, prevM[m]
-	if prevX[m] > score {
-		state, score = sX, prevX[m]
+	state, cost := sM, prevM[m]
+	if prevX[m] < cost {
+		state, cost = sX, prevX[m]
 	}
-	if rowY[m] > score {
-		state, score = sY, rowY[m]
+	if rowY[m] < cost {
+		state, cost = sY, rowY[m]
 	}
-	return tracePath(w, n, m, state), score
+	return tracePath(w, n, m, state), 0 - cost // not −cost: a zero cost is the score +0
+}
+
+// rowMX is pass 1 over one row's band window of len(s) cells: cell t's
+// M from its diagonal predecessors pM[t], pX[t], pY[t] and the column
+// score s[t], its X from the cells above, pM[t+1] and pX[t+1] (loaded
+// once: a cell's "above" is the next cell's diagonal), and the M and X
+// traceback fields of tb[t]. Values come from min and the traceback
+// bits from the comparisons a branching argmin would make, in its order
+// — X beats M, then Y the better of the two, extending a gap beats
+// opening one, each only when strictly better — as 0/1 bytes, so no
+// branch depends on the data. A cell whose diagonal predecessors are
+// all unreachable (+∞) needs no case of its own: no comparison fires,
+// so its M-predecessor reads sM, and +∞ less a finite score is +∞.
+func rowMX(cM, cX []float64, tb []byte, pM, pX, pY, s []float64, openA, extA float64) {
+	cM, cX, tb, pY = cM[:len(s)], cX[:len(s)], tb[:len(s)], pY[:len(s)]
+	pM, pX = pM[:len(s)+1], pX[:len(s)+1]
+	m0, x0 := pM[0], pX[0]
+	for t := range s {
+		var gx, gy, bx byte
+		if x0 < m0 {
+			gx = 1
+		}
+		bs, y0 := min(m0, x0), pY[t]
+		if y0 < bs {
+			gy = 1
+		}
+		cM[t] = min(bs, y0) - s[t]
+
+		m0, x0 = pM[t+1], pX[t+1]
+		openX, extX := m0+openA, x0+extA
+		if extX < openX {
+			bx = 1
+		}
+		cX[t] = min(openX, extX)
+		// gx&^gy | gy<<1 is sM, sX or sY; bx<<2 is sX in X's field.
+		tb[t] = gx&^gy | gy<<1 | bx<<2
+	}
+}
+
+// rowYChain is pass 2: y[0] is Y of the cell left of the window (+∞)
+// and y[t+1] becomes Y of cell t, from M and Y of the cell to its left
+// (mLeft[t], y[t]) plus the penalty of opening or extending a gap
+// against B column t; an extension sets sY in the Y field of the byte
+// rowMX wrote. This pass keeps its branch: every Y waits for the one
+// before it, and a predicted branch takes the select off that chain,
+// where min puts its whole latency on it (measured: twice the time).
+func rowYChain(y []float64, tb []byte, mLeft, openB, extB []float64) {
+	mLeft, openB, extB, y = mLeft[:len(tb)], openB[:len(tb)], extB[:len(tb)], y[:len(tb)+1]
+	yl := y[0]
+	for t := range tb {
+		openY, extY := mLeft[t]+openB[t], yl+extB[t]
+		if extY < openY {
+			yl = extY
+			tb[t] |= sY << 4
+		} else {
+			yl = openY
+		}
+		y[t+1] = yl
+	}
 }
 
 // X0 accumulates the boundary gap cost for leading gaps: first column

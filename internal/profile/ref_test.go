@@ -329,9 +329,17 @@ func oracleProfile(t testing.TB, rng *rand.Rand, rows, width int) *Profile {
 	return p
 }
 
+// oracleLen draws a column count: mostly 1–90, with the edges — one
+// column, two, and more than 256 — each drawn often enough that all of
+// them meet one another.
 func oracleLen(rng *rand.Rand) int {
-	if rng.Intn(6) == 0 {
+	switch rng.Intn(12) {
+	case 0, 1:
 		return 1
+	case 2:
+		return 2
+	case 3:
+		return 257 + rng.Intn(40)
 	}
 	return 1 + rng.Intn(90)
 }
@@ -364,9 +372,12 @@ func checkAgainstOracle(t testing.TB, a, b *Profile, bands [][2]int) {
 func TestAlignMatchesReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 150; trial++ {
-		a := oracleProfile(t, rng, 1+rng.Intn(5), oracleLen(rng))
-		b := oracleProfile(t, rng, 1+rng.Intn(5), oracleLen(rng))
-		n, m := a.Len(), b.Len()
+		n, m := oracleLen(rng), oracleLen(rng)
+		if trial%5 == 0 {
+			m = n // square: {0, 0} stays a band one cell wide
+		}
+		a := oracleProfile(t, rng, 1+rng.Intn(5), n)
+		b := oracleProfile(t, rng, 1+rng.Intn(5), m)
 		bands := [][2]int{
 			{-n, m},        // everything in band
 			{0, 0},         // clamps at both corners to min/max(0, m−n)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,6 +100,20 @@ func waitState(t *testing.T, j *Job, want State) JobView {
 		t.Fatalf("job %s finished %s (err %q), want %s", j.ID, v.State, v.Error, want)
 	}
 	return v
+}
+
+// waitBookkept waits until n jobs' completions have been counted. A job
+// is Done (waitState returns) before its finish record is journaled and
+// its counter moved, in that order; a test that reads the journal or
+// the counters next must wait for the later of the two.
+func waitBookkept(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); s.metrics.Completed.Value() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d completions counted", s.metrics.Completed.Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestSubmitRoundTripMatchesDirectRun(t *testing.T) {
@@ -449,6 +464,86 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	if _, err := s.Submit(testSeqs(2, 20, 6), Options{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
+}
+
+// holdExec finishes every job at once except those of holdSeqs
+// sequences, which wait for release.
+type holdExec struct {
+	fakeExec
+	release chan struct{}
+}
+
+const holdSeqs = 7
+
+func (h *holdExec) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved) (*msa.Alignment, ExecReport, error) {
+	if len(seqs) == holdSeqs {
+		select {
+		case <-h.release:
+		case <-ctx.Done():
+			return nil, ExecReport{}, ctx.Err()
+		}
+	}
+	return h.fakeExec.Align(ctx, seqs, opts)
+}
+
+// TestJobRetentionKeepsLiveJobAndOrder pins the retention rule on both
+// of rememberLocked's paths — the head pop (oldest record terminal) and
+// the scan (a live job heads the table): oldest terminal records go
+// first, a live job survives any number of later submits, the table
+// stays in submission order and at the cap.
+func TestJobRetentionKeepsLiveJobAndOrder(t *testing.T) {
+	const maxJobs = 4
+	he := &holdExec{release: make(chan struct{})}
+	s := newTestServer(t, Config{Executor: he, MaxJobs: maxJobs, MaxConcurrent: 2})
+	defer s.Close()
+	var submitted []string
+	submit := func(nseq int) *Job {
+		t.Helper()
+		j, err := s.Submit(testSeqs(nseq, 20, int64(300+len(submitted))), Options{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, j.ID)
+		return j
+	}
+	// check asserts the table holds exactly the newest records that fit
+	// beside the live ones, in submission order.
+	check := func(live ...string) {
+		t.Helper()
+		s.mu.Lock()
+		order := append([]string(nil), s.order...)
+		n := len(s.jobs)
+		s.mu.Unlock()
+		if n != len(order) || n != maxJobs {
+			t.Fatalf("table holds %d records and %d ids, want %d of each", n, len(order), maxJobs)
+		}
+		want := append([]string(nil), live...)
+		want = append(want, submitted[len(submitted)-(maxJobs-len(live)):]...)
+		if !slices.Equal(order, want) {
+			t.Fatalf("table order %v, want %v", order, want)
+		}
+	}
+	for i := 0; i < maxJobs+2; i++ { // head pops: every record terminal
+		waitState(t, submit(3), StateDone)
+	}
+	check()
+	held := submit(holdSeqs)
+	for i := 0; i < 20; i++ { // the held job reaches the head and stays
+		waitState(t, submit(3), StateDone)
+		if _, ok := s.Job(held.ID); !ok {
+			t.Fatalf("live job pruned after %d later submits", i+1)
+		}
+	}
+	check(held.ID)
+	close(he.release)
+	waitState(t, held, StateDone)
+	for i := 0; i < maxJobs; i++ { // finished, it goes like any other
+		waitState(t, submit(3), StateDone)
+	}
+	if _, ok := s.Job(held.ID); ok {
+		t.Fatal("finished job still retained after the table turned over")
+	}
+	check()
 }
 
 func TestJobRetentionPrunesOldFinished(t *testing.T) {

@@ -471,33 +471,45 @@ func newJobID() string   { return randomID("j") }
 func newTraceID() string { return randomID("t") }
 
 // rememberLocked stores the job record, pruning the oldest terminal
-// jobs beyond MaxJobs. Server.mu must be held.
+// jobs beyond MaxJobs: a live job is never dropped, whatever the cap,
+// and neither is the job being remembered. Server.mu must be held.
 func (s *Server) rememberLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	if len(s.order) <= s.cfg.MaxJobs {
+	excess := len(s.order) - s.cfg.MaxJobs
+	// The oldest record is nearly always terminal: pop it off the head.
+	for excess > 0 && s.order[0] != job.ID && s.dropIfTerminalLocked(s.order[0]) {
+		s.order[0] = "" // the backing array outlives the reslice
+		s.order = s.order[1:]
+		excess--
+	}
+	if excess <= 0 {
 		return
 	}
-	kept := make([]string, 0, len(s.order))
-	excess := len(s.order) - s.cfg.MaxJobs
+	// A live job heads the table: look past it for terminal records.
+	kept := s.order[:0]
 	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
+		if excess > 0 && id != job.ID && s.dropIfTerminalLocked(id) {
+			excess--
 			continue
-		}
-		if excess > 0 && id != job.ID {
-			j.mu.Lock()
-			terminal := j.state.Terminal()
-			j.mu.Unlock()
-			if terminal { // live jobs are never dropped, whatever the cap
-				delete(s.jobs, id)
-				excess--
-				continue
-			}
 		}
 		kept = append(kept, id)
 	}
+	clear(s.order[len(kept):])
 	s.order = kept
+}
+
+// dropIfTerminalLocked deletes the record of job id if the job has
+// finished, and reports whether it did. Server.mu must be held.
+func (s *Server) dropIfTerminalLocked(id string) bool {
+	j := s.jobs[id]
+	j.mu.Lock()
+	terminal := j.state.Terminal()
+	j.mu.Unlock()
+	if terminal {
+		delete(s.jobs, id)
+	}
+	return terminal
 }
 
 // Job looks up a job by ID.

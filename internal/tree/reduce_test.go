@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kmer"
@@ -123,5 +124,71 @@ func TestParallelReduceNilAndSingle(t *testing.T) {
 	got, err = ParallelReduce(context.Background(), &Node{ID: 9}, 4, leaf, merge)
 	if err != nil || got != 9 {
 		t.Fatalf("single leaf: %d, %v", got, err)
+	}
+}
+
+// frontierPeak reduces root and returns the most results that were ever
+// alive at once: made by a leaf or a merge and not yet consumed by one.
+func frontierPeak(t *testing.T, root *Node, workers int) int64 {
+	t.Helper()
+	var alive, peak atomic.Int64
+	made := func() {
+		v := alive.Add(1)
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+	}
+	leaf := func(*Node) (int, error) { made(); return 1, nil }
+	merge := func(_ Merge, l, r int) (int, error) {
+		alive.Add(-2)
+		made()
+		return l + r, nil
+	}
+	got, err := ParallelReduce(context.Background(), root, workers, leaf, merge)
+	if err != nil || got != root.LeafCount() {
+		t.Fatalf("reduced to %d (err %v), want %d", got, err, root.LeafCount())
+	}
+	return peak.Load()
+}
+
+// TestParallelReduceFrontierBound: the reduction walks depth-first,
+// heavy child first, so the results waiting for their sibling stay few
+// — for progressive alignment each is a whole profile. A caterpillar
+// whose spine hangs to the right is the shape that tells heavy-first
+// from left-first: left-first runs every leaf before the first merge.
+func TestParallelReduceFrontierBound(t *testing.T) {
+	caterpillar := func(n int, spineRight bool) *Node {
+		spine := &Node{ID: 0}
+		for i := 1; i < n; i++ {
+			leaf := &Node{ID: i}
+			if spineRight {
+				spine = &Node{ID: -1, Left: leaf, Right: spine}
+			} else {
+				spine = &Node{ID: -1, Left: spine, Right: leaf}
+			}
+		}
+		return spine
+	}
+	var balanced func(lo, hi int) *Node
+	balanced = func(lo, hi int) *Node {
+		if hi-lo == 1 {
+			return &Node{ID: lo}
+		}
+		mid := (lo + hi) / 2
+		return &Node{ID: -1, Left: balanced(lo, mid), Right: balanced(mid, hi)}
+	}
+	for _, tc := range []struct {
+		name  string
+		root  *Node
+		bound int64 // with one worker; workers times that with more
+	}{
+		{"caterpillar256/spine-left", caterpillar(256, false), 3},
+		{"caterpillar256/spine-right", caterpillar(256, true), 3},
+		{"balanced1024", balanced(0, 1024), 11},
+	} {
+		for _, workers := range []int{1, 4} {
+			if peak, limit := frontierPeak(t, tc.root, workers), tc.bound*int64(workers); peak > limit {
+				t.Errorf("%s workers=%d: %d results alive at once, want ≤ %d", tc.name, workers, peak, limit)
+			}
+		}
 	}
 }
