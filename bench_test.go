@@ -12,6 +12,7 @@ package samplealign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -705,6 +706,39 @@ func BenchmarkProfileAlignDeep(b *testing.B) {
 	}
 	cells := float64(halves[0].Len()) * float64(halves[1].Len())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+}
+
+// BenchmarkRefine times tree-bipartition refinement the way the NS-i
+// bucket engines run it: one ROSE family, aligned progressively along
+// its guide tree outside the timer, then two rounds of refinement.
+// n=40 scores candidates by exact SP, n=90 by the sampled objective.
+func BenchmarkRefine(b *testing.B) {
+	for _, n := range []int{40, 90} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			fam, err := GenerateFamily(FamilyConfig{N: n, MeanLen: 300, Relatedness: 400, Seed: 18})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			eng := msa.MuscleLike(1)
+			d, err := eng.DistanceMatrixContext(ctx, fam)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gt := eng.GuideTree(d, fam)
+			aln, err := eng.AlignWithTreeContext(ctx, fam, gt, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.RefineAlignmentContext(ctx, aln, gt, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkProfileProfileAlign(b *testing.B) {

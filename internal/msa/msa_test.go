@@ -355,16 +355,18 @@ func TestIdenticalSequencesAlignPerfectly(t *testing.T) {
 
 func TestRefinementNeverWorsensSP(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	seqs := family(rng, 10, 60, 0.25)
-	base := MuscleLike(0)
-	refined := MuscleLikeRefined(0, 2)
-	a0 := mustAlign(t, base, seqs)
-	a1 := mustAlign(t, refined, seqs)
-	checkPreservesSequences(t, a1, seqs)
-	sp0 := SPScore(a0, submat.BLOSUM62, submat.DefaultProteinGap, 0)
-	sp1 := SPScore(a1, submat.BLOSUM62, submat.DefaultProteinGap, 0)
-	if sp1 < sp0 {
-		t.Fatalf("refinement lowered SP: %g -> %g", sp0, sp1)
+	for _, n := range []int{10, 40} {
+		seqs := family(rng, n, 60, 0.25)
+		base := MuscleLike(0)
+		refined := MuscleLikeRefined(0, 2)
+		a0 := mustAlign(t, base, seqs)
+		a1 := mustAlign(t, refined, seqs)
+		checkPreservesSequences(t, a1, seqs)
+		sp0 := SPScore(a0, submat.BLOSUM62, submat.DefaultProteinGap, 0)
+		sp1 := SPScore(a1, submat.BLOSUM62, submat.DefaultProteinGap, 0)
+		if sp1 < sp0 {
+			t.Fatalf("n=%d: refinement lowered SP: %g -> %g", n, sp0, sp1)
+		}
 	}
 }
 

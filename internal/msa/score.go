@@ -2,7 +2,7 @@ package msa
 
 import (
 	"fmt"
-	//lint:allow determinism SPScoreSampled's rng is seeded by the caller's explicit seed parameter
+	//lint:allow determinism drawPairs' rng is seeded by the caller's explicit seed parameter
 	"math/rand"
 
 	"repro/internal/bio"
@@ -75,18 +75,30 @@ func SPScoreSampled(a *Alignment, sub *submat.Matrix, gap submat.Gap, pairs int,
 	if pairs >= totalPairs {
 		return SPScore(a, sub, gap, 0)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	rows := a.Rows()
 	var s float64
-	for k := 0; k < pairs; k++ {
+	for _, p := range drawPairs(n, pairs, seed) {
+		s += pairScore(rows[p[0]], rows[p[1]], sub, gap)
+	}
+	return s * float64(totalPairs) / float64(pairs)
+}
+
+// drawPairs returns the row pairs SPScoreSampled sums, in draw order:
+// `pairs` uniform draws of i, then of j ≠ i, from n ≥ 2 rows. Repeats
+// and orientation are kept — a pair drawn twice counts twice, and
+// (i, j) is scored as drawn. The list depends on (n, pairs, seed) only.
+func drawPairs(n, pairs int, seed int64) [][2]int32 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][2]int32, pairs)
+	for k := range out {
 		i := rng.Intn(n)
 		j := rng.Intn(n - 1)
 		if j >= i {
 			j++
 		}
-		s += pairScore(rows[i], rows[j], sub, gap)
+		out[k] = [2]int32{int32(i), int32(j)}
 	}
-	return s * float64(totalPairs) / float64(pairs)
+	return out
 }
 
 // residueColumns returns, for one aligned row, the column index of every

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bio"
 )
 
 // renderAlignment flattens an alignment to one comparable byte string.
@@ -34,12 +36,20 @@ func TestProgressiveWorkersDeterminism(t *testing.T) {
 		{"clustalw-like", func(w int) Aligner { return ClustalLike(w) }},
 	}
 	for _, e := range engines {
+		inputs := [][]bio.Sequence{seqs}
+		if e.name == "muscle-like+refine" {
+			// 70 rows: past the switch to the sampled objective, whose
+			// per-slot pair-score tables the chunk workers fill side by side.
+			inputs = append(inputs, family(rng, 70, 40, 0.25))
+		}
 		t.Run(e.name, func(t *testing.T) {
-			ref := renderAlignment(mustAlign(t, e.build(1), seqs))
-			for _, w := range []int{4, 8} {
-				got := renderAlignment(mustAlign(t, e.build(w), seqs))
-				if !bytes.Equal(got, ref) {
-					t.Fatalf("workers=%d alignment differs from workers=1", w)
+			for _, in := range inputs {
+				ref := renderAlignment(mustAlign(t, e.build(1), in))
+				for _, w := range []int{4, 8} {
+					got := renderAlignment(mustAlign(t, e.build(w), in))
+					if !bytes.Equal(got, ref) {
+						t.Fatalf("n=%d workers=%d alignment differs from workers=1", len(in), w)
+					}
 				}
 			}
 		})

@@ -23,12 +23,12 @@ type Column struct {
 
 // Occupancy returns the fraction of (weighted) rows holding a residue in
 // this column.
-func (c *Column) Occupancy() float64 {
-	var res float64
-	for _, v := range c.Counts {
-		res += v
-	}
-	tot := res + c.Gaps
+func (c *Column) Occupancy() float64 { return occupancy(c.Residues(), c.Gaps) }
+
+// occupancy is Occupancy for a caller that already holds the column's
+// residue total.
+func occupancy(res, gaps float64) float64 {
+	tot := res + gaps
 	if tot == 0 {
 		return 0
 	}
@@ -253,6 +253,14 @@ type pspScratch struct {
 
 // pspSetup fills the scratch tables, making each DP cell O(residues
 // present in its A column), at most O(alphaLen).
+//
+// sbT is filled a B column at a time through an alphabet-long
+// accumulator: each letter y present adds fy·S(·,y), one unit-stride
+// pass over column y of the matrix (transposed once per call), and the
+// finished column goes to its L letter-major slots once. Every entry is
+// still the sum over the column's letters in ascending order from zero
+// — what adding into sbT[x·m+j] letter by letter gives, without L
+// read-modify-writes m entries apart per nonzero count.
 func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	n, m := a.Len(), b.Len()
 	L := al.Sub.Alphabet().Len()
@@ -271,7 +279,7 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	for i := range a.Cols {
 		col := &a.Cols[i]
 		res := col.Residues()
-		sc.occA[i] = col.Occupancy()
+		sc.occA[i] = occupancy(res, col.Gaps)
 		sc.faOff[i] = nz
 		if res == 0 {
 			continue
@@ -285,24 +293,36 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		}
 	}
 	sc.faOff[n] = nz
+
+	subT := w.Floats(L * L) // subT[y·L+x] = S(x,y)
+	for x := 0; x < L; x++ {
+		for y := 0; y < L; y++ {
+			subT[y*L+x] = al.Sub.ScoreIdx(x, y)
+		}
+	}
+	acc := w.Floats(L)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	for j := range b.Cols {
 		col := &b.Cols[j]
 		res := col.Residues()
-		occ := col.Occupancy()
+		occ := occupancy(res, col.Gaps)
 		sc.occB[j] = occ
 		sc.openB[j], sc.extB[j] = (open+ext)*occ, ext*occ
 		if res == 0 {
 			continue
 		}
+		clear(acc)
 		for y, c := range col.Counts {
 			if c == 0 {
 				continue
 			}
 			fy := c / res
-			for x := 0; x < L; x++ {
-				sc.sbT[x*m+j] += fy * al.Sub.ScoreIdx(x, y)
+			for x, s := range subT[y*L:][:len(acc)] {
+				acc[x] += fy * s
 			}
+		}
+		for x, v := range acc {
+			sc.sbT[x*m+j] = v
 		}
 	}
 	return sc
