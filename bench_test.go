@@ -20,12 +20,10 @@ import (
 	"repro/internal/bio"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dpkern"
 	"repro/internal/kmer"
 	"repro/internal/mafft"
 	"repro/internal/mpi"
 	"repro/internal/msa"
-	"repro/internal/pairwise"
 	"repro/internal/prefab"
 	"repro/internal/profile"
 	"repro/internal/stats"
@@ -526,9 +524,9 @@ func loadGuideTreeFixture(b *testing.B) ([]kmer.Profile, *kmer.Matrix) {
 
 // BenchmarkDistanceMatrix sweeps worker counts over the indexed k-mer
 // distance matrix at N=2000 — the first half of guide-tree
-// construction. workers=1 is the sequential baseline the BENCH_*.json
-// speedup series is computed against; on a machine with >= 4 cores
-// workers=4 should run >= 2x faster (this container may have fewer).
+// construction. workers=1 is the sequential baseline; on a machine
+// with >= 4 cores workers=4 should run >= 2x faster (this container may
+// have fewer).
 func BenchmarkDistanceMatrix(b *testing.B) {
 	profiles, _ := loadGuideTreeFixture(b)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -616,31 +614,9 @@ func BenchmarkKmerDistance(b *testing.B) {
 	}
 }
 
-func BenchmarkPairwiseGlobal(b *testing.B) {
-	loadFixtures(b)
-	x := fixtures.fam500[0].Data
-	y := fixtures.fam500[1].Data
-	for _, k := range []dpkern.Kernel{dpkern.Scalar, dpkern.Striped} {
-		b.Run("kernel="+k.String(), func(b *testing.B) {
-			al := pairwise.NewProtein()
-			al.Kernel = k
-			b.SetBytes(int64(len(x) + len(y)))
-			for i := 0; i < b.N; i++ {
-				al.Global(x, y)
-			}
-		})
-	}
-}
-
-// ---- striped DP kernels (internal/dpkern) ----
-
-// BenchmarkProfilePSP measures the profile-profile PSP hot path on the
-// unit-leaf pairs a guide tree's first merges are made of — exactly the
-// shape the striped int16 kernel accelerates — comparing the scalar
-// float64 reference against the striped kernel. Path and score are
-// asserted identical in both sub-benches (the kernel's byte-identity
-// contract); the BENCH_*.json kernel_speedup family tracks the ratio
-// (the bench gate requires that striped is never slower than scalar).
+// BenchmarkProfilePSP measures the profile-profile PSP hot path on a
+// unit-leaf pair, the shape a guide tree's first merges are made of:
+// two 500-residue sequences, where PSP degenerates to the pairwise DP.
 func BenchmarkProfilePSP(b *testing.B) {
 	seqs, err := GenerateDiverseSet(2, 500, 110)
 	if err != nil {
@@ -650,33 +626,14 @@ func BenchmarkProfilePSP(b *testing.B) {
 	alpha := sub.Alphabet()
 	pa := profile.FromSequence(alpha, bio.Ungap(seqs[0].Data))
 	pb := profile.FromSequence(alpha, bio.Ungap(seqs[1].Data))
-	ref := profile.NewAligner(sub, submat.DefaultProteinGap)
-	ref.Kernel = dpkern.Scalar
-	refPath, refScore := ref.Align(pa, pb)
-	for _, k := range []dpkern.Kernel{dpkern.Scalar, dpkern.Striped} {
-		b.Run("kernel="+k.String(), func(b *testing.B) {
-			al := profile.NewAligner(sub, submat.DefaultProteinGap)
-			al.Kernel = k
-			var path profile.Path
-			var score float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				path, score = al.Align(pa, pb)
-			}
-			if score != refScore || len(path) != len(refPath) {
-				b.Fatalf("kernel %v diverged: score %v vs %v, path %d vs %d ops",
-					k, score, refScore, len(path), len(refPath))
-			}
-			for i := range path {
-				if path[i] != refPath[i] {
-					b.Fatalf("kernel %v: path op %d differs", k, i)
-				}
-			}
-		})
+	al := profile.NewAligner(sub, submat.DefaultProteinGap)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		al.Align(pa, pb)
 	}
 }
 
-// BenchmarkProfileAlignDeep times the scalar PSP kernel on the merge
+// BenchmarkProfileAlignDeep times the PSP kernel on the merge
 // shape that dominates the benchmark's ops: the two halves of one long
 // homologous family (ROSE, 20 × 1200, relatedness 400), each already
 // aligned, joined by one profile-profile DP. Unlike random profiles —

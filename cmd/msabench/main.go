@@ -13,11 +13,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 	"repro/internal/bio"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dpkern"
 	"repro/internal/engines"
 	"repro/internal/kmer"
 	"repro/internal/msa"
@@ -40,17 +37,9 @@ func main() {
 	seed := flag.Int64("seed", 2008, "master RNG seed")
 	workers := flag.Int("workers", 0,
 		"shared-memory workers for real runs, covering guide-tree construction (distance matrix, UPGMA/NJ) and merging; 0 keeps the historical defaults (1 per distributed rank, all cores for sequential baselines)")
-	kernel := flag.String("kernel", "auto", "DP kernel for every run: auto|scalar|striped (byte-identical output)")
-	jsonOut := flag.String("json", "",
-		"write machine-readable results of every real (non-simulated) run to this file")
 	flag.Parse()
 
-	kern, err := dpkern.Parse(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "msabench:", err)
-		os.Exit(2)
-	}
-	r := &runner{quick: *quick, seed: *seed, workers: *workers, kernel: kern}
+	r := &runner{quick: *quick, seed: *seed, workers: *workers}
 	experiments := map[string]func() error{
 		"fig1":   r.fig1,
 		"table1": r.table1,
@@ -81,87 +70,25 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *jsonOut != "" {
-		if err := writeResults(*jsonOut, r.results); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d real-run results to %s\n", len(r.results), *jsonOut)
-	}
-}
-
-// BenchResult is one real (non-simulated) distributed run in the
-// machine-readable -json output, the format the BENCH_*.json perf
-// trajectory is built from.
-type BenchResult struct {
-	Name        string  `json:"name"`    // experiment/series label
-	N           int     `json:"n"`       // input sequences
-	P           int     `json:"p"`       // ranks
-	Workers     int     `json:"workers"` // intra-rank workers (0 = historical default)
-	Seconds     float64 `json:"seconds"`
-	NsPerOp     int64   `json:"ns_per_op"`     // one op = one full distributed alignment
-	AllocsPerOp uint64  `json:"allocs_per_op"` // heap allocations during the run
-	BytesSent   int64   `json:"bytes_sent"`    // communication volume, all ranks
-	BytesRecv   int64   `json:"bytes_received"`
-}
-
-func writeResults(path string, results []BenchResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 type runner struct {
 	quick   bool
 	seed    int64
-	workers int           // intra-rank workers for the real runs
-	kernel  dpkern.Kernel // DP kernel for every run (byte-identical output)
+	workers int // intra-rank workers for the real runs
 
 	diverse []bio.Sequence // cached Fig. 1/3/Table 1 input
-	results []BenchResult  // real runs, written by -json
 }
 
-// measure runs one real distributed alignment, records a BenchResult
-// (wall clock, allocations, comm volume) and returns the run for the
-// experiment's own reporting.
-func (r *runner) measure(name string, seqs []bio.Sequence, p int) (*core.Result, float64, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// measure runs one real distributed alignment and returns it with its
+// wall-clock seconds.
+func (r *runner) measure(seqs []bio.Sequence, p int) (*core.Result, float64, error) {
 	start := time.Now()
 	res, err := core.AlignInproc(seqs, p, r.realConfig())
 	if err != nil {
 		return nil, 0, err
 	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	var sent, recv int64
-	for _, s := range res.Stats {
-		if s == nil {
-			continue
-		}
-		sent += s.Comm.BytesSent
-		recv += s.Comm.BytesRecv
-	}
-	r.results = append(r.results, BenchResult{
-		Name:        name,
-		N:           len(seqs),
-		P:           p,
-		Workers:     r.workers,
-		Seconds:     elapsed.Seconds(),
-		NsPerOp:     elapsed.Nanoseconds(),
-		AllocsPerOp: after.Mallocs - before.Mallocs,
-		BytesSent:   sent,
-		BytesRecv:   recv,
-	})
-	return res, elapsed.Seconds(), nil
+	return res, time.Since(start).Seconds(), nil
 }
 
 // realConfig is the core configuration of every real (non-simulated)
@@ -169,7 +96,7 @@ func (r *runner) measure(name string, seqs []bio.Sequence, p int) (*core.Result,
 // parallelism. Flag value 0 keeps core's historical default of one
 // worker per rank (the paper's single-CPU cluster nodes).
 func (r *runner) realConfig() core.Config {
-	return core.Config{Workers: r.workers, Kernel: r.kernel}
+	return core.Config{Workers: r.workers}
 }
 
 func (r *runner) header(title string) {
@@ -300,7 +227,7 @@ func (r *runner) fig4() error {
 	fmt.Printf("real runs (N=%d, in-process ranks sharing local cores):\n", n)
 	fmt.Printf("%6s %12s\n", "p", "seconds")
 	for _, p := range []int{1, 2, 4, 8} {
-		_, secs, err := r.measure("fig4", seqs, p)
+		_, secs, err := r.measure(seqs, p)
 		if err != nil {
 			return err
 		}
@@ -338,7 +265,7 @@ func (r *runner) fig5() error {
 	fmt.Printf("real runs (N=%d):\n%6s %12s %10s\n", n, "p", "seconds", "speedup")
 	var t1 float64
 	for _, p := range []int{1, 2, 4, 8} {
-		_, secs, err := r.measure("fig5", seqs, p)
+		_, secs, err := r.measure(seqs, p)
 		if err != nil {
 			return err
 		}
@@ -378,7 +305,7 @@ func (r *runner) fig6() error {
 	}
 	fmt.Printf("real runs (synthetic genome sample, N=%d):\n%6s %12s\n", n, "p", "seconds")
 	for _, p := range []int{1, 4, 8} {
-		_, secs, err := r.measure("fig6", seqs, p)
+		_, secs, err := r.measure(seqs, p)
 		if err != nil {
 			return err
 		}
@@ -455,7 +382,7 @@ func (r *runner) resolve(name string) (msa.Aligner, error) {
 		}
 		return &core.InprocAligner{P: procs, Cfg: r.realConfig()}, nil
 	}
-	return engines.NewWithKernel(name, r.workers, r.kernel)
+	return engines.New(name, r.workers)
 }
 
 func (r *runner) comm() error {
@@ -470,7 +397,7 @@ func (r *runner) comm() error {
 	}
 	fmt.Printf("%6s %14s %12s %14s %12s\n", "p", "bytes sent", "messages", "max bucket", "bound 2N/p")
 	for _, p := range []int{2, 4, 8} {
-		res, _, err := r.measure("comm", seqs, p)
+		res, _, err := r.measure(seqs, p)
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,6 @@ func main() {
 	aligner := flag.String("aligner", "muscle",
 		fmt.Sprintf("bucket aligner: %s", strings.Join(samplealign.SequentialAligners(), "|")))
 	sampleSize := flag.Int("samples", 0, "samples per rank for the globalised rank (0 = p-1)")
-	kernel := flag.String("kernel", "auto", "DP kernel: auto|scalar|striped (byte-identical output; striped is faster where inputs fit int16 bounds)")
 	noFineTune := flag.Bool("no-finetune", false, "skip the global-ancestor fine-tuning (ablation)")
 	showStats := flag.Bool("stats", false, "print the per-rank run report to stderr")
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 	opts := []samplealign.Option{
 		samplealign.WithWorkers(*workers),
 		samplealign.WithLocalAligner(*aligner),
-		samplealign.WithKernel(*kernel),
 	}
 	if *sampleSize > 0 {
 		opts = append(opts, samplealign.WithSampleSize(*sampleSize))

@@ -44,7 +44,6 @@ func main() {
 	out := flag.String("out", "", "output FASTA file (rank 0 only; default stdout)")
 	workers := flag.Int("workers", 1, "shared-memory workers in this rank, covering guide-tree construction (distance matrix, UPGMA/NJ) and merging; identical output for any value (0 = all cores)")
 	aligner := flag.String("aligner", "muscle", "bucket aligner")
-	kernel := flag.String("kernel", "auto", "DP kernel: auto|scalar|striped (byte-identical output)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 	workerCtrl := flag.String("worker-ctrl", "", "serve cluster jobs: control listen address (see samplealignsrv -cluster)")
 	workerMesh := flag.String("worker-mesh", "", "worker mode: fixed rank mesh listen address (host:port reachable by the cluster)")
@@ -137,7 +136,6 @@ func main() {
 		local,
 		samplealign.WithWorkers(*workers),
 		samplealign.WithLocalAligner(*aligner),
-		samplealign.WithKernel(*kernel),
 	)
 	wm.JobFinished(err == nil)
 	if err != nil {

@@ -72,7 +72,6 @@ func main() {
 	workers := flag.Int("workers", 1, "default shared-memory workers per rank")
 	aligner := flag.String("aligner", "muscle",
 		fmt.Sprintf("default bucket aligner: %s", strings.Join(samplealign.SequentialAligners(), "|")))
-	kernel := flag.String("kernel", "auto", "default DP kernel for jobs: auto|scalar|striped (byte-identical output)")
 	maxConcurrent := flag.Int("max-concurrent", 2, "jobs aligning at once")
 	maxQueued := flag.Int("max-queued", 64, "queued jobs beyond the running ones (429 past this)")
 	maxProcs := flag.Int("max-procs", 64, "reject jobs requesting more ranks than this")
@@ -98,7 +97,6 @@ func main() {
 		DefaultProcs:      *procs,
 		DefaultWorkers:    *workers,
 		DefaultAligner:    *aligner,
-		DefaultKernel:     *kernel,
 		MaxConcurrent:     *maxConcurrent,
 		MaxQueued:         *maxQueued,
 		MaxProcs:          *maxProcs,

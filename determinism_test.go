@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/bio"
-	"repro/internal/dpkern"
-	"repro/internal/engines"
 	"repro/internal/kmer"
 	"repro/internal/obs"
 	"repro/internal/tree"
@@ -108,82 +106,6 @@ func TestEngineWorkersDeterminism(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestKernelDeterminismMatrix extends the matrix with the DP kernel
-// dimension: engines {msa, mafft, cons} × Workers {1, 4} × Kernel
-// {auto, striped}, every cell compared byte-for-byte against the
-// engine's scalar Workers=1 reference. The striped int16 kernels are
-// an exactness contract with a scalar escape hatch, so this is exact
-// equality, not a tolerance.
-func TestKernelDeterminismMatrix(t *testing.T) {
-	seqs, err := GenerateDiverseSet(48, 80, 2030)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range matrixEngines {
-		t.Run(eng, func(t *testing.T) {
-			ref, err := engines.NewWithKernel(eng, 1, dpkern.Scalar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refAln, err := ref.Align(seqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRows := renderRows(refAln)
-			for _, k := range []dpkern.Kernel{dpkern.Auto, dpkern.Striped} {
-				for _, w := range []int{1, 4} {
-					al, err := engines.NewWithKernel(eng, w, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					aln, err := al.Align(seqs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(renderRows(aln), refRows) {
-						t.Fatalf("%s: kernel=%v workers=%d differs from scalar workers=1", eng, k, w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestKernelBackendDeterminism runs the kernel dimension through the
-// distributed backends: the full pipeline at p=4 with the striped
-// kernels, over both inproc and TCP transports, must match the scalar
-// inproc reference byte for byte.
-func TestKernelBackendDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp cluster matrix in -short mode")
-	}
-	seqs, err := GenerateDiverseSet(40, 70, 2031)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 4
-	ref, _, err := Align(seqs, p, WithLocalAligner("muscle"), WithKernel("scalar"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRows := renderRows(ref)
-	t.Run("inproc/striped", func(t *testing.T) {
-		aln, _, err := Align(seqs, p, WithLocalAligner("muscle"), WithKernel("striped"), WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(renderRows(aln), refRows) {
-			t.Fatal("inproc striped differs from inproc scalar")
-		}
-	})
-	t.Run("tcp/striped", func(t *testing.T) {
-		tcp := runTCPCluster(t, seqs, p, WithLocalAligner("muscle"), WithKernel("striped"), WithWorkers(4))
-		if !bytes.Equal(renderRows(tcp), refRows) {
-			t.Fatal("tcp striped differs from inproc scalar")
-		}
-	})
 }
 
 // TestCrossEngineBackendDeterminismMatrix is the full matrix: engines

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/dp"
-	"repro/internal/dpkern"
 	"repro/internal/kmer"
 	"repro/internal/msa"
 	"repro/internal/obs"
@@ -35,7 +34,6 @@ type Options struct {
 	Gap     submat.Gap
 	Extend  bool // apply the triplet consistency transform (default on via New)
 	Workers int
-	Kernel  dpkern.Kernel // DP kernel for the pairwise library build; byte-identical output
 	// MaxSequences guards against accidental O(N³) blowups (default 200,
 	// mirroring T-Coffee's practical limit the paper cites).
 	MaxSequences int
@@ -67,11 +65,6 @@ func NewWithOptions(opts Options) *Aligner {
 
 // Name identifies the aligner.
 func (a *Aligner) Name() string { return "tcoffee-like" }
-
-// SetKernel selects the DP kernel for the pairwise library build. The
-// consistency merge DP itself scores library support, not substitution
-// scores, and always runs in float64.
-func (a *Aligner) SetKernel(k dpkern.Kernel) { a.opts.Kernel = k }
 
 // pairKey identifies an ordered residue pair between two sequences.
 type pairKey struct {
@@ -189,7 +182,7 @@ func (a *Aligner) buildLibrary(seqs [][]byte) (*library, *kmer.Matrix) {
 	n := len(seqs)
 	lib := newLibrary(n)
 	dist := kmer.NewMatrix(n)
-	pw := pairwise.Aligner{Sub: a.opts.Sub, Gap: a.opts.Gap, Kernel: a.opts.Kernel}
+	pw := pairwise.Aligner{Sub: a.opts.Sub, Gap: a.opts.Gap}
 
 	type pairResult struct {
 		i, j int

@@ -128,9 +128,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	bctx, bsp := obs.Start(ctx, "bucketalign")
 	tally0 := dpkern.TallySnapshot()
 	localAligner := cfg.NewLocalAligner(cfg.Workers)
-	if kc, ok := localAligner.(msa.KernelConfigurable); ok {
-		kc.SetKernel(cfg.Kernel)
-	}
 	bucketSeqs := make([]bio.Sequence, len(bucket))
 	for i, ws := range bucket {
 		bucketSeqs[i] = bio.Sequence{ID: ws.ID, Desc: ws.Desc, Data: ws.Data}
@@ -151,7 +148,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		bsp.SetInt("seqs", int64(len(bucketSeqs)))
 		bsp.SetInt("workers", int64(cfg.Workers))
 		bsp.SetStr("aligner", localAligner.Name())
-		bsp.SetStr("kernel", cfg.Kernel.String())
 		bsp.SetInt("striped_calls", d.Striped)
 		bsp.SetInt("escape_calls", d.Escaped)
 	}

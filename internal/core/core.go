@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/bio"
-	"repro/internal/dpkern"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -79,11 +78,6 @@ type Config struct {
 	// for every value (default 1: ranks model single-CPU cluster
 	// nodes).
 	Workers int
-	// Kernel selects the DP kernel (auto/scalar/striped) for the local
-	// aligner and the fine-tuning profile alignment. Selection never
-	// changes output — the striped int16 kernels are byte-identical to
-	// the scalar float64 reference — only speed.
-	Kernel dpkern.Kernel
 	// Sub/Gap drive the fine-tuning profile alignment
 	// (defaults BLOSUM62 / DefaultProteinGap).
 	Sub *submat.Matrix

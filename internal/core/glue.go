@@ -34,7 +34,6 @@ func templatePath(localAln *msa.Alignment, ga []byte, cfg Config) (profile.Path,
 	}
 	gp := profile.FromSequence(alpha, ga)
 	aligner := profile.NewAligner(cfg.Sub, cfg.Gap)
-	aligner.Kernel = cfg.Kernel
 	path, _ := aligner.Align(lp, gp)
 	return path, nil
 }

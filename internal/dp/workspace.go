@@ -12,7 +12,7 @@
 //
 // Which planes a kernel needs differs. The pairwise kernels keep three
 // O(n·m) score planes (float64 MP/XP/YP, or int16 MI/XI/YI for the
-// striped kernels of internal/dpkern) next to the traceback plane. The
+// integer kernel of internal/dpkern) next to the traceback plane. The
 // profile–profile PSP kernel does not: its scores live in O(n+m)
 // rolling rows drawn from the Floats arena, and the only O(n·m) memory
 // it keeps is the 1 B/cell traceback plane — that is what the
@@ -67,7 +67,7 @@ type Workspace struct {
 	// indexed with At. Valid up to rows*cols after Reserve.
 	MP, XP, YP []float64
 	// MI, XI, YI are the scaled-integer score planes used by the
-	// striped int16 kernels in internal/dpkern, indexed with At.
+	// int16 kernel in internal/dpkern, indexed with At.
 	// Valid up to rows*cols after ReserveInt.
 	MI, XI, YI []int16
 	// TB is the merged traceback plane, one packed byte per cell
@@ -120,7 +120,7 @@ func (w *Workspace) ReserveTB(rows, cols int) {
 // rows×cols scaled-integer affine-gap DP (see internal/dpkern), leaving
 // the float64 planes at zero length. At/Rows/Cols index the int16 planes
 // exactly as they do the float64 ones after Reserve, so traceback code is
-// shared between kernel families.
+// shared between the two kernels.
 func (w *Workspace) ReserveInt(rows, cols int) {
 	w.ReserveTB(rows, cols)
 	n := rows * cols
@@ -238,14 +238,6 @@ var pool = sync.Pool{New: func() any { return new(Workspace) }}
 func GetScore(rows, cols int) *Workspace {
 	w := pool.Get().(*Workspace)
 	w.ReserveScore(rows, cols)
-	return w
-}
-
-// GetInt borrows a workspace with the int16 planes plus traceback sized
-// (see ReserveInt). Return it with Put.
-func GetInt(rows, cols int) *Workspace {
-	w := pool.Get().(*Workspace)
-	w.ReserveInt(rows, cols)
 	return w
 }
 

@@ -1,21 +1,21 @@
-// Package dpkern provides the striped scaled-integer DP kernel family:
-// Farrar-style query-profile scoring over saturating int16 lanes for the
-// affine-gap global aligners in internal/pairwise and internal/profile.
+// Package dpkern provides the scaled-integer affine-gap global DP
+// kernel: query-profile scoring over int16 planes, which
+// internal/pairwise runs wherever it is exact.
 //
-// The kernels are an exactness-preserving fast path, not an
+// The kernel is an exactness-preserving fast path, not an
 // approximation. All shipped substitution matrices (BLOSUM62, DNA+5/−4)
-// and gap models are half-integral, so every score the float64 kernels
-// ever compute is an exact multiple of ½ with magnitude far below 2^52:
+// and gap models are half-integral, so every score the float64 kernel
+// ever computes is an exact multiple of ½ with magnitude far below 2^52:
 // float64 addition, subtraction and comparison on such values are exact,
 // which means the whole scalar DP is secretly integer arithmetic at
 // scale 2. A Table quantizes the matrix and gap model to int16 at that
 // scale; when quantization is exact and the a-priori value bounds fit
-// int16 (Fits/FitsBanded), the integer kernel performs bit-for-bit the
-// same comparisons and tie-breaks as the scalar kernel and therefore
+// int16 (Fits), the integer kernel performs bit-for-bit the same
+// comparisons and tie-breaks as the scalar kernel and therefore
 // produces the identical traceback and score. Anything outside those
 // bounds — fractional matrices, extreme lengths, adversarial gap models
-// — makes For return nil or Fits return false, and callers escape to
-// the float64 path, keeping output byte-identical by construction.
+// — makes For return nil or Fits return false, and the caller runs the
+// float64 kernel, keeping output byte-identical by construction.
 //
 // The speed comes from three classic tricks: a query profile (one score
 // row per residue class, so the inner loop is a single indexed load
@@ -25,49 +25,3 @@
 // the M/X pass has no loop-carried dependency and is unrolled four wide
 // while the serial Y chain runs in a tight second pass.
 package dpkern
-
-import "fmt"
-
-// Kernel selects which DP kernel family the aligners use.
-type Kernel uint8
-
-const (
-	// Auto (the zero value) uses the striped int16 kernels wherever the
-	// exactness contract holds and escapes to the scalar float64 path
-	// everywhere else. Output is byte-identical to Scalar.
-	Auto Kernel = iota
-	// Scalar forces the reference float64 kernels everywhere.
-	Scalar
-	// Striped behaves like Auto: the striped kernels are used where
-	// exact and the escape hatch still guards the rest, because the
-	// escape is a correctness contract, not a heuristic. The distinct
-	// name exists so runs can be pinned against future Auto policy
-	// changes.
-	Striped
-)
-
-// String returns the flag spelling of k.
-func (k Kernel) String() string {
-	switch k {
-	case Scalar:
-		return "scalar"
-	case Striped:
-		return "striped"
-	default:
-		return "auto"
-	}
-}
-
-// Parse converts a flag spelling ("auto", "scalar", "striped"; "" means
-// auto) into a Kernel.
-func Parse(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return Auto, nil
-	case "scalar":
-		return Scalar, nil
-	case "striped":
-		return Striped, nil
-	}
-	return Auto, fmt.Errorf("dpkern: unknown kernel %q (want auto, scalar or striped)", s)
-}

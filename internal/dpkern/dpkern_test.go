@@ -7,39 +7,9 @@ import (
 	"repro/internal/submat"
 )
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", Auto, true},
-		{"auto", Auto, true},
-		{"scalar", Scalar, true},
-		{"striped", Striped, true},
-		{"AUTO", Auto, false},
-		{"sse", Auto, false},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("Parse(%q): err=%v, want ok=%v", c.in, err, c.ok)
-		}
-		if err == nil && got != c.want {
-			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, k := range []Kernel{Auto, Scalar, Striped} {
-		rt, err := Parse(k.String())
-		if err != nil || rt != k {
-			t.Errorf("Parse(%v.String()) = %v, %v; want identity", k, rt, err)
-		}
-	}
-}
-
 func TestForShippedMatrices(t *testing.T) {
 	// Every shipped (matrix, gap) pair is half-integral and must have an
-	// exact int16 image — the striped kernels cover the default paths.
+	// exact int16 image — the int16 kernel covers the default paths.
 	if For(submat.BLOSUM62, submat.DefaultProteinGap) == nil {
 		t.Error("BLOSUM62 + default protein gap: want a table, got nil")
 	}
@@ -115,27 +85,7 @@ func TestFitsBounds(t *testing.T) {
 		t.Error("gap floor must reject extreme total length")
 	}
 	var nilTbl *Table
-	if nilTbl.Fits(5, 5) || nilTbl.FitsBanded(5, 5) {
+	if nilTbl.Fits(5, 5) {
 		t.Error("nil table never fits")
-	}
-}
-
-func TestFitsBandedStricter(t *testing.T) {
-	tbl := For(submat.BLOSUM62, submat.DefaultProteinGap)
-	if tbl == nil {
-		t.Fatal("no BLOSUM62 table")
-	}
-	if !tbl.FitsBanded(100, 100) {
-		t.Error("small banded problems must fit")
-	}
-	// The banded floor charges worstStep per step: a band can force the
-	// whole path through mismatches, so lengths the full-matrix check
-	// accepts must be rejected once (n+m+2)·worstStep crosses the bound.
-	n := 1200
-	if !tbl.Fits(5, n) {
-		t.Fatalf("precondition: Fits(5, %d) should hold", n)
-	}
-	if tbl.FitsBanded(5, n) {
-		t.Errorf("FitsBanded(5, %d) must be stricter than Fits", n)
 	}
 }

@@ -2,10 +2,10 @@ package dpkern
 
 import "repro/internal/dp"
 
-// Global runs the striped affine-gap global DP over row sets ra and rb
+// Global runs the int16 affine-gap global DP over row sets ra and rb
 // (table row indices, see MapRows). It fills the workspace's int16
-// planes and packed traceback exactly as the scalar kernels fill
-// theirs — same boundary bytes, same tie-breaks — and returns the end
+// planes and packed traceback exactly as the scalar kernel fills
+// its own — same boundary bytes, same tie-breaks — and returns the end
 // state plus the unscaled score. The caller must have checked
 // Fits(len(ra), len(rb)) and reserved the workspace with ReserveInt.
 //
@@ -139,92 +139,6 @@ func (t *Table) Global(w *dp.Workspace, ra, rb []byte) (byte, float64) {
 	return t.endState(w, n, m)
 }
 
-// Banded is Global restricted to diagonals j−i ∈ [lo, hi]; the caller
-// supplies bounds already clamped to contain both corners (matching the
-// scalar banded kernels) and must have checked FitsBanded. Off-band
-// reads see the neg prefill exactly where the scalar kernel sees −inf;
-// dead gap chains running down the band edge are clamped at neg so they
-// cannot wrap, which the scalar kernel gets for free from −inf.
-func (t *Table) Banded(w *dp.Workspace, ra, rb []byte, lo, hi int) (byte, float64) {
-	n, m := len(ra), len(rb)
-	cols := m + 1
-	mi, xi, yi, tb := w.MI, w.XI, w.YI, w.TB
-	openE, ext := t.openE, t.ext
-	qp := t.queryProfile(w, rb)
-
-	total := (n + 1) * cols
-	for i := 0; i < total; i++ {
-		mi[i], xi[i], yi[i] = neg, neg, neg
-	}
-	mi[0] = 0
-	for i := 1; i <= n && -i >= lo; i++ {
-		idx := i * cols
-		xi[idx] = gapRun(i, openE, ext)
-		tb[idx] = dp.PackTB(dp.M, dp.X, dp.M)
-	}
-	for j := 1; j <= m && j <= hi; j++ {
-		yi[j] = gapRun(j, openE, ext)
-		tb[j] = dp.PackTB(dp.M, dp.M, dp.Y)
-	}
-
-	for i := 1; i <= n; i++ {
-		jLo := i + lo
-		if jLo < 1 {
-			jLo = 1
-		}
-		jHi := i + hi
-		if jHi > m {
-			jHi = m
-		}
-		row := i * cols
-		pm := mi[row-cols : row]
-		px := xi[row-cols : row]
-		py := yi[row-cols : row]
-		cm := mi[row : row+cols]
-		cx := xi[row : row+cols]
-		cy := yi[row : row+cols]
-		tr := tb[row : row+cols]
-		q := qp[int(ra[i-1])*m:]
-		q = q[:m]
-
-		for j := jLo; j <= jHi; j++ {
-			bm, bs := dp.M, pm[j-1]
-			if v := px[j-1]; v > bs {
-				bm, bs = dp.X, v
-			}
-			if v := py[j-1]; v > bs {
-				bm, bs = dp.Y, v
-			}
-			if bs > negGuard {
-				cm[j] = bs + q[j-1]
-			} else {
-				bm = dp.M
-			}
-
-			vx, bx := pm[j]-openE, dp.M
-			if v := px[j] - ext; vx < v {
-				vx, bx = v, dp.X
-			}
-			if vx < neg {
-				vx = neg
-			}
-			cx[j] = vx
-
-			vy, by := cm[j-1]-openE, dp.M
-			if v := cy[j-1] - ext; vy < v {
-				vy, by = v, dp.Y
-			}
-			if vy < neg {
-				vy = neg
-			}
-			cy[j] = vy
-			tr[j] = bm | bx<<2 | by<<4
-		}
-	}
-
-	return t.endState(w, n, m)
-}
-
 // gapRun is the boundary value of a leading gap of length i: −(open +
 // i·ext) at scale. Computed in int to sidestep int16 conversion of i;
 // Fits guarantees the result is in range whenever ext > 0, and the
@@ -233,7 +147,7 @@ func gapRun(i int, openE, ext int16) int16 {
 	return int16(-(int(openE) + (i-1)*int(ext)))
 }
 
-// endState picks the final DP state with the scalar kernels' exact
+// endState picks the final DP state with the scalar kernel's exact
 // comparison order and returns it with the unscaled score.
 func (t *Table) endState(w *dp.Workspace, n, m int) (byte, float64) {
 	end := w.At(n, m)

@@ -13,15 +13,14 @@ import (
 // that no reachable arithmetic can wrap int16:
 //
 //   - real DP values and their one-step candidates stay within ±maxReal
-//     (enforced a priori by Fits/FitsBanded);
-//   - −inf-derived values stay below negGuard and above −32768 (the
-//     full kernel's dead chains are at most two extensions deep, the
-//     banded kernel clamps them at neg), so "is this cell reachable"
-//     is decided identically to the float64 kernels' v > −inf test.
+//     (enforced a priori by Fits);
+//   - −inf-derived values stay well below every real value and above
+//     −32768 (dead chains are at most two extensions deep), so a
+//     comparison between a real and an unreachable cell falls the way
+//     the float64 kernel's comparison with −inf does.
 const (
 	scale      = 2
 	neg        = int16(-31000) // −inf sentinel
-	negGuard   = int16(-30000) // values above this are real, below −inf-derived
 	maxReal    = 28000         // bound on |real value| and one-step candidates
 	maxStep    = 2000          // bound on |scaled substitution score|
 	maxGapStep = 1500          // bound on scaled open + 2·extend
@@ -32,7 +31,7 @@ const (
 // hold the matrix's unknown-residue score, a byte→row map covering all
 // 256 residue bytes, and the scaled gap costs. Tables are immutable and
 // cached; a nil *Table means the pair has no exact int16 representation
-// and callers must use the scalar kernels.
+// and the caller must use the scalar kernel.
 type Table struct {
 	L      int     // alphabet length; row L scores unknown residues
 	scores []int16 // (L+1)×(L+1), row-major, scaled
@@ -40,9 +39,8 @@ type Table struct {
 	openE  int16 // scaled open+extend (charged when a gap opens)
 	ext    int16 // scaled extend
 
-	maxPos    int64 // max positive scaled score (0 if none)
-	maxAbs    int64 // max |scaled score|
-	worstStep int64 // max cost any single DP step can subtract
+	maxPos int64 // max positive scaled score (0 if none)
+	maxAbs int64 // max |scaled score|
 }
 
 type tableKey struct {
@@ -54,7 +52,7 @@ var tables sync.Map // tableKey → *Table (nil when not representable)
 
 // For returns the cached quantization table for the matrix and gap
 // model, or nil when the pair is not exactly representable in scaled
-// int16 (callers then escape to the scalar kernels).
+// int16 (the caller then runs the scalar kernel).
 func For(sub *submat.Matrix, gap submat.Gap) *Table {
 	key := tableKey{sub, gap}
 	if v, ok := tables.Load(key); ok {
@@ -118,10 +116,6 @@ func build(sub *submat.Matrix, gap submat.Gap) *Table {
 			t.maxAbs = sv
 		}
 	}
-	t.worstStep = int64(t.openE)
-	if t.maxAbs > t.worstStep {
-		t.worstStep = t.maxAbs
-	}
 	return t
 }
 
@@ -142,23 +136,6 @@ func (t *Table) Fits(n, m int) bool {
 		return false
 	}
 	return 3*int64(t.openE)+int64(n+m+1)*int64(t.ext)+2*t.maxAbs <= maxReal
-}
-
-// FitsBanded is the bound check for the banded kernel. A band can force
-// arbitrarily bad alignments, so the floor uses the unconditional
-// any-path bound (n+m)·worstStep instead of the boundary-path bound.
-func (t *Table) FitsBanded(n, m int) bool {
-	if t == nil || n < 1 || m < 1 {
-		return false
-	}
-	mn := int64(m)
-	if n < m {
-		mn = int64(n)
-	}
-	if (mn+1)*t.maxPos > maxReal {
-		return false
-	}
-	return int64(n+m+2)*t.worstStep <= maxReal
 }
 
 // MapRows translates residue bytes to table row indices (row L for any

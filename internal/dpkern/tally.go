@@ -2,12 +2,11 @@ package dpkern
 
 import "sync/atomic"
 
-// Process-wide kernel-dispatch tally: how many DP alignments ran the
-// striped int16 kernel vs. escaped to the scalar float64 path because
-// the exactness bounds (or the unit-leaf precondition) failed. The
-// tracer samples deltas around each bucket alignment, turning the tally
-// into per-span striped/escape counts. An explicit Scalar kernel
-// request counts as neither — only Auto/Striped dispatches are tallied.
+// Process-wide kernel-dispatch tally: how many pairwise global
+// alignments ran the int16 kernel vs. escaped to the scalar float64
+// kernel because the exactness bounds failed. The tracer samples deltas
+// around each bucket alignment, turning the tally into per-span
+// striped/escape counts.
 //
 // The counters are observational only; nothing in alignment control
 // flow reads them, so they cannot perturb the byte-identical
@@ -18,11 +17,11 @@ var (
 	escapeCalls  atomic.Int64
 )
 
-// NoteStriped records one DP alignment dispatched to the striped kernel.
+// NoteStriped records one alignment dispatched to the int16 kernel.
 func NoteStriped() { stripedCalls.Add(1) }
 
-// NoteEscape records one DP alignment that wanted the striped kernel
-// but fell back to the scalar path.
+// NoteEscape records one alignment that ran the scalar kernel because
+// the int16 kernel could not take it.
 func NoteEscape() { escapeCalls.Add(1) }
 
 // Tally is a snapshot of the kernel-dispatch counters.

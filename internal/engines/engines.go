@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cons"
-	"repro/internal/dpkern"
 	"repro/internal/mafft"
 	"repro/internal/msa"
 )
@@ -20,28 +19,8 @@ func Names() []string {
 }
 
 // New builds the named pipeline with the given intra-pipeline worker
-// budget and the default (auto) DP kernel. Unknown names return an
-// error listing the registry.
+// budget. Unknown names return an error listing the registry.
 func New(name string, workers int) (msa.Aligner, error) {
-	return NewWithKernel(name, workers, dpkern.Auto)
-}
-
-// NewWithKernel is New with an explicit DP kernel selection. Every
-// registered pipeline supports kernel switching; the selection never
-// changes output (striped kernels are byte-identical to scalar), only
-// speed.
-func NewWithKernel(name string, workers int, kern dpkern.Kernel) (msa.Aligner, error) {
-	a, err := newEngine(name, workers)
-	if err != nil {
-		return nil, err
-	}
-	if kc, ok := a.(msa.KernelConfigurable); ok {
-		kc.SetKernel(kern)
-	}
-	return a, nil
-}
-
-func newEngine(name string, workers int) (msa.Aligner, error) {
 	switch name {
 	case "muscle":
 		return msa.MuscleLike(workers), nil

@@ -11,7 +11,7 @@ import (
 const dpPkg = ModulePath + "/internal/dp"
 
 // PoolDiscipline guards the PR 1 allocation-free kernels: a pooled DP
-// workspace (dp.GetScore/GetInt/GetRaw) or a raw sync.Pool Get must
+// workspace (dp.GetScore/GetRaw) or a raw sync.Pool Get must
 // be released in the acquiring function —
 //
 //   - no release at all is a leak: the pool drains and every DP pass
@@ -187,7 +187,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 }
 
 func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
-	if _, ok := importedPkgFunc(info, call, dpPkg, "GetScore", "GetInt", "GetRaw"); ok {
+	if _, ok := importedPkgFunc(info, call, dpPkg, "GetScore", "GetRaw"); ok {
 		return true
 	}
 	return methodOn(info, call, "Get", "sync", "Pool")

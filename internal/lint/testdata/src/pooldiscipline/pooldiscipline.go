@@ -9,10 +9,10 @@ import (
 )
 
 func deferred(n, m int) float64 {
-	w := dp.GetInt(n, m)
+	w := dp.GetScore(n, m)
 	defer dp.Put(w)
-	w.TB[0] = 1
-	return float64(w.TB[0])
+	w.MP[0] = 1
+	return w.MP[0]
 }
 
 func deferredInClosure(n, m int) float64 {
@@ -22,8 +22,8 @@ func deferredInClosure(n, m int) float64 {
 }
 
 func leaked(n, m int) {
-	w := dp.GetInt(n, m) // want `never releases`
-	w.TB[0] = 1
+	w := dp.GetScore(n, m) // want `never releases`
+	w.MP[0] = 1
 }
 
 func leakedRaw() {
@@ -32,30 +32,30 @@ func leakedRaw() {
 }
 
 func earlyReturn(n, m int, bad bool) float64 {
-	w := dp.GetInt(n, m)
+	w := dp.GetScore(n, m)
 	if bad {
 		return 0 // want `return leaks the workspace`
 	}
-	s := float64(w.TB[0])
+	s := w.MP[0]
 	dp.Put(w)
 	return s
 }
 
 func putOnEveryPath(n, m int) float64 {
-	w := dp.GetInt(n, m)
-	s := float64(w.TB[0])
+	w := dp.GetScore(n, m)
+	s := w.MP[0]
 	dp.Put(w)
 	return s
 }
 
-func escapesPlane(n, m int) []byte {
-	w := dp.GetInt(n, m)
+func escapesPlane(n, m int) []float64 {
+	w := dp.GetScore(n, m)
 	defer dp.Put(w)
-	return w.TB // want `escapes via return`
+	return w.MP // want `escapes via return`
 }
 
 func escapesWorkspace(n, m int) *dp.Workspace {
-	w := dp.GetInt(n, m)
+	w := dp.GetScore(n, m)
 	defer dp.Put(w)
 	return w // want `escapes via return`
 }

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/bio"
-	"repro/internal/dpkern"
 	"repro/internal/fft"
 	"repro/internal/kmer"
 	"repro/internal/msa"
@@ -33,7 +32,6 @@ type Options struct {
 	BandPad   int  // extra half-width around detected offsets (default 32)
 	PeakCount int  // number of correlation peaks considered (default 8)
 	Workers   int
-	Kernel    dpkern.Kernel // DP kernel selection; byte-identical output either way
 	Sub       *submat.Matrix
 	Gap       submat.Gap
 	K         int
@@ -85,9 +83,6 @@ func New(opts Options, name string) *Aligner {
 // Name identifies the variant.
 func (a *Aligner) Name() string { return a.name }
 
-// SetKernel selects the DP kernel for subsequent alignments.
-func (a *Aligner) SetKernel(k dpkern.Kernel) { a.opts.Kernel = k }
-
 // Align runs the pipeline.
 func (a *Aligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
 	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
@@ -129,10 +124,8 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	// tree-bipartition refinement; only the pair path is mafft's own.
 	prog := msa.NewProgressive(msa.Options{
 		Sub: a.opts.Sub, Gap: a.opts.Gap, Workers: a.opts.Workers,
-		Kernel: a.opts.Kernel,
 	})
 	palign := profile.NewAligner(a.opts.Sub, a.opts.Gap)
-	palign.Kernel = a.opts.Kernel
 	aln, err := prog.AlignWithTreePairs(ctx, seqs, gt, nil, func(pl, pr *profile.Profile) (profile.Path, error) {
 		if !a.opts.UseFFT {
 			path, _ := palign.Align(pl, pr)

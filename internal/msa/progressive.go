@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/dp"
-	"repro/internal/dpkern"
 	"repro/internal/kmer"
 	"repro/internal/obs"
 	"repro/internal/pairwise"
@@ -77,21 +76,8 @@ type Options struct {
 	Weighting bool            // CLUSTALW-style tree-derived sequence weights
 	Refine    int             // rounds of tree-bipartition refinement
 	Workers   int             // shared-memory workers (<=0: all cores)
-	Kernel    dpkern.Kernel   // DP kernel selection; byte-identical output either way
 	NameTag   string
 }
-
-// KernelConfigurable is implemented by aligners whose DP kernel can be
-// switched after construction. Kernel selection never changes output —
-// the striped kernels are byte-identical to the scalar reference — so
-// it is configuration, not identity, and deliberately lives outside the
-// constructors.
-type KernelConfigurable interface {
-	SetKernel(dpkern.Kernel)
-}
-
-// SetKernel selects the DP kernel for subsequent alignments.
-func (p *Progressive) SetKernel(k dpkern.Kernel) { p.opts.Kernel = k }
 
 // Progressive is a progressive multiple aligner: distance matrix → guide
 // tree → post-order profile merging (→ optional refinement).
@@ -191,7 +177,7 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 		sp.SetInt("workers", int64(p.opts.Workers))
 		n := len(seqs)
 		m := kmer.NewMatrix(n)
-		al := pairwise.Aligner{Sub: p.opts.Sub, Gap: p.opts.Gap, Kernel: p.opts.Kernel}
+		al := pairwise.Aligner{Sub: p.opts.Sub, Gap: p.opts.Gap}
 		tiles := kmer.PairTiles(n, p.opts.Workers, 0)
 		if err := par.ForDynamicCtx(ctx, len(tiles), p.opts.Workers, func(t int) {
 			tl := tiles[t]
@@ -331,7 +317,6 @@ func (p *Progressive) AlignWithTree(seqs []bio.Sequence, gt *tree.Node, weights 
 // aligns its two profiles with full profile-profile DP.
 func (p *Progressive) AlignWithTreeContext(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64) (*Alignment, error) {
 	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
-	palign.Kernel = p.opts.Kernel
 	return p.AlignWithTreePairs(ctx, seqs, gt, weights, func(pl, pr *profile.Profile) (profile.Path, error) {
 		path, _ := palign.Align(pl, pr)
 		return path, nil

@@ -259,7 +259,6 @@ func (p *Progressive) realignSplit(aln *Alignment, side []bool) (*Alignment, err
 		return nil, err
 	}
 	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
-	palign.Kernel = p.opts.Kernel
 	path, _ := palign.Align(pa, pb)
 	merged := profile.MergeRows(partA, partB, path)
 

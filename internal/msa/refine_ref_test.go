@@ -68,7 +68,6 @@ func (p *Progressive) refRealignSplit(aln *Alignment, split []int) (*Alignment, 
 		return nil, err
 	}
 	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
-	palign.Kernel = p.opts.Kernel
 	path, _ := palign.Align(pa, pb)
 	merged := profile.MergeRows(partA.Rows(), partB.Rows(), path)
 

@@ -1,6 +1,6 @@
 // Package obs is the pipeline's tracing layer: a context-propagated
 // span tracer that records, per pipeline stage, wall time plus a small
-// bag of attributes (worker count, kernel choice, comm bytes, cache
+// bag of attributes (worker count, kernel dispatch, comm bytes, cache
 // outcome). A finished trace renders as a JSON span tree that the serve
 // layer exposes on GET /v1/jobs/{id}/trace and persists alongside the
 // job result.

@@ -1,6 +1,6 @@
 // Package pairwise implements the dynamic-programming sequence alignment
-// kernels every higher layer builds on: global alignment with affine gap
-// penalties (Gotoh) and a banded global variant.
+// kernel every higher layer builds on: global alignment with affine gap
+// penalties (Gotoh).
 //
 // Scores are maximised; gap penalties are supplied as positive costs and a
 // gap of length g costs Open + g·Extend.
@@ -24,11 +24,6 @@ import (
 type Aligner struct {
 	Sub *submat.Matrix
 	Gap submat.Gap
-	// Kernel selects the DP kernel family for Global/GlobalBanded: the
-	// zero value (dpkern.Auto) uses the striped int16 kernels wherever
-	// their exactness contract holds and the scalar float64 path
-	// elsewhere. Results are byte-identical for every setting.
-	Kernel dpkern.Kernel
 }
 
 // NewProtein returns an aligner with BLOSUM62 and the default protein
@@ -63,33 +58,29 @@ func (al Aligner) Global(a, b []byte) Result {
 	return Result{A: ra, B: rb, Score: score}
 }
 
-// kernelTable resolves the striped quantization table for this aligner,
-// or nil when the scalar kernels were requested or the matrix has no
-// exact int16 image.
-func (al Aligner) kernelTable() *dpkern.Table {
-	if al.Kernel == dpkern.Scalar {
-		return nil
-	}
-	return dpkern.For(al.Sub, al.Gap)
-}
-
-// globalInto fills the workspace's DP and traceback planes for the
-// global alignment of a and b — via the striped int16 kernel when its
-// exactness bounds hold, the scalar float64 kernel otherwise — and
-// returns the optimal end state and score. The traceback plane is
-// identical whichever kernel ran.
+// globalInto fills the workspace's traceback plane for the global
+// alignment of a and b and returns the optimal end state and score.
+// This is the one place a DP kernel is chosen: the int16 kernel of
+// internal/dpkern where its exactness bounds hold, globalScalar
+// otherwise. The traceback plane and score are identical whichever ran.
 func (al Aligner) globalInto(w *dp.Workspace, a, b []byte) (byte, float64) {
 	n, m := len(a), len(b)
-	if t := al.kernelTable(); t.Fits(n, m) {
+	if t := dpkern.For(al.Sub, al.Gap); t.Fits(n, m) {
 		dpkern.NoteStriped()
 		w.ReserveInt(n+1, m+1)
 		ra := t.MapRows(w, a)
 		rb := t.MapRows(w, b)
 		return t.Global(w, ra, rb)
 	}
-	if al.Kernel != dpkern.Scalar {
-		dpkern.NoteEscape()
-	}
+	dpkern.NoteEscape()
+	return al.globalScalar(w, a, b)
+}
+
+// globalScalar is the float64 Gotoh kernel: the only one for matrices
+// with no exact int16 image and for inputs past the int16 bounds, and
+// the reference the int16 kernel is tested against.
+func (al Aligner) globalScalar(w *dp.Workspace, a, b []byte) (byte, float64) {
+	n, m := len(a), len(b)
 	open, ext := al.Gap.Open, al.Gap.Extend
 
 	// DP planes. M: last pair aligned; X: gap in b; Y: gap in a.
@@ -199,8 +190,7 @@ func (al Aligner) GlobalIdentityInto(w *dp.Workspace, a, b []byte) float64 {
 }
 
 // traceAffine follows the packed traceback plane from (len(a), len(b))
-// back to the origin, emitting the gapped rows. Shared by Global and
-// GlobalBanded.
+// back to the origin, emitting the gapped rows.
 func traceAffine(w *dp.Workspace, a, b []byte, state byte) ([]byte, []byte) {
 	n, m := len(a), len(b)
 	ra := make([]byte, 0, n+m)

@@ -195,33 +195,6 @@ func TestGlobalOptimalVsBruteForceSmall(t *testing.T) {
 	}
 }
 
-func TestBandedWideBandMatchesGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 25; trial++ {
-		a := randSeq(rng, 5+rng.Intn(50))
-		b := randSeq(rng, 5+rng.Intn(50))
-		full := prot.Global(a, b)
-		banded := prot.GlobalBanded(a, b, 100) // band wider than both
-		checkValidAlignment(t, banded, a, b)
-		if banded.Score != full.Score {
-			t.Fatalf("trial %d: banded %g != full %g", trial, banded.Score, full.Score)
-		}
-	}
-}
-
-func TestBandedNarrowBandStillValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 25; trial++ {
-		a := randSeq(rng, 20+rng.Intn(30))
-		b := randSeq(rng, 20+rng.Intn(30))
-		r := prot.GlobalBanded(a, b, 2)
-		checkValidAlignment(t, r, a, b)
-		if full := prot.Global(a, b); r.Score > full.Score {
-			t.Fatalf("banded score %g exceeds optimum %g", r.Score, full.Score)
-		}
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	if id := Identity([]byte("ACDEF"), []byte("ACDEF")); id != 1 {
 		t.Errorf("identical rows: %g", id)

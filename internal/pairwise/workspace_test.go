@@ -17,9 +17,9 @@ func randomSeq(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// TestKernelsDeterministicAcrossReuse runs every kernel twice over the
-// same inputs with other work in between, proving recycled workspace
-// memory never leaks into results.
+// TestKernelsDeterministicAcrossReuse runs both kernel bodies twice over
+// the same inputs with other work in between, proving recycled
+// workspace memory never leaks into results.
 func TestKernelsDeterministicAcrossReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	al := NewProtein()
@@ -27,22 +27,22 @@ func TestKernelsDeterministicAcrossReuse(t *testing.T) {
 	b := randomSeq(rng, 97)
 
 	first := al.Global(a, b)
-	firstBanded := al.GlobalBanded(a, b, 16)
+	firstScalar := scalarGlobal(al, a, b)
 
 	// pollute the pool with differently-sized DPs
 	for i := 0; i < 5; i++ {
 		x := randomSeq(rng, 10+i*50)
 		y := randomSeq(rng, 200-i*30)
 		al.Global(x, y)
-		al.GlobalBanded(x, y, 4)
+		scalarGlobal(al, x, y)
 	}
 
 	second := al.Global(a, b)
 	if string(first.A) != string(second.A) || string(first.B) != string(second.B) || first.Score != second.Score {
 		t.Fatal("Global result changed across workspace reuse")
 	}
-	if r := al.GlobalBanded(a, b, 16); string(firstBanded.A) != string(r.A) || firstBanded.Score != r.Score {
-		t.Fatal("GlobalBanded result changed across workspace reuse")
+	if r := scalarGlobal(al, a, b); string(firstScalar.A) != string(r.A) || firstScalar.Score != r.Score {
+		t.Fatal("scalar result changed across workspace reuse")
 	}
 }
 
@@ -88,17 +88,5 @@ func BenchmarkGlobal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		al.Global(x, y)
-	}
-}
-
-func BenchmarkGlobalBanded(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	al := NewProtein()
-	x := randomSeq(rng, 400)
-	y := randomSeq(rng, 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		al.GlobalBanded(x, y, 32)
 	}
 }

@@ -30,9 +30,6 @@ func (al *Aligner) AlignBanded(a, b *Profile, diagLo, diagHi int) (Path, float64
 		diagHi = m - n
 	}
 
-	if path, score, ok := al.alignStriped(a, b, true, diagLo, diagHi); ok {
-		return path, score
-	}
 	w := dp.GetRaw()
 	defer dp.Put(w)
 	return al.alignRows(w, a, b, diagLo, diagHi)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/dp"
-	"repro/internal/dpkern"
 	"repro/internal/submat"
 )
 
@@ -209,13 +208,6 @@ func MergeRows(rowsA, rowsB [][]byte, path Path) [][]byte {
 type Aligner struct {
 	Sub *submat.Matrix
 	Gap submat.Gap
-	// Kernel selects the DP kernel family (see dpkern): the zero value
-	// (dpkern.Auto) routes unit-leaf profile pairs — single sequences,
-	// the dominant merge shape at the bottom of every guide tree —
-	// through the striped int16 kernel, escaping to the scalar float64
-	// path whenever the exactness contract does not hold. Paths and
-	// scores are byte-identical for every setting.
-	Kernel dpkern.Kernel
 }
 
 // NewAligner returns a profile aligner over the matrix's alphabet.
@@ -390,15 +382,12 @@ func (al *Aligner) Align(a, b *Profile) (Path, float64) {
 	if n == 0 || m == 0 {
 		return al.alignTrivial(n, m)
 	}
-	if path, score, ok := al.alignStriped(a, b, false, 0, 0); ok {
-		return path, score
-	}
 	w := dp.GetRaw()
 	defer dp.Put(w)
 	return al.alignRows(w, a, b, -n, m) // every diagonal is in band
 }
 
-// alignRows is the scalar float64 PSP kernel behind Align and
+// alignRows is the one PSP kernel, float64, behind Align and
 // AlignBanded: the affine-gap DP over the cells with j−i ∈ [diagLo,
 // diagHi] (which must contain diagonals 0 and m−n). It keeps rolling
 // rows — two of M (columns paired), two of X (consume an A column, gap

@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/dp"
-	"repro/internal/dpkern"
-	"repro/internal/submat"
 )
 
 // The reference PSP aligner: the three-plane scalar kernel Align and
@@ -344,28 +342,29 @@ func oracleLen(rng *rand.Rand) int {
 	return 1 + rng.Intn(90)
 }
 
+// assertSameAlignment requires got to equal want exactly:
+// math.Float64bits on the score, op for op on the path.
+func assertSameAlignment(t testing.TB, tag string, wantP Path, wantS float64, gotP Path, gotS float64) {
+	t.Helper()
+	if math.Float64bits(wantS) != math.Float64bits(gotS) {
+		t.Fatalf("%s: score %v (%#x), want %v (%#x)", tag, gotS, math.Float64bits(gotS), wantS, math.Float64bits(wantS))
+	}
+	if !pathsEqual(wantP, gotP) {
+		t.Fatalf("%s: paths differ:\nwant %v\ngot  %v", tag, wantP, gotP)
+	}
+}
+
 // checkAgainstOracle runs Align and AlignBanded over each band for one
-// profile pair under every kernel setting and compares each result
-// with the reference.
+// profile pair and compares each result with the reference.
 func checkAgainstOracle(t testing.TB, a, b *Profile, bands [][2]int) {
 	t.Helper()
-	ref := NewAligner(submat.BLOSUM62, submat.DefaultProteinGap)
-	kernels := []dpkern.Kernel{dpkern.Scalar, dpkern.Auto, dpkern.Striped}
-	wantP, wantS := refAlign(ref, a, b)
-	for _, k := range kernels {
-		al := NewAligner(ref.Sub, ref.Gap)
-		al.Kernel = k
-		gotP, gotS := al.Align(a, b)
-		assertSameAlignment(t, "Align kernel="+k.String(), wantP, wantS, gotP, gotS)
-	}
+	wantP, wantS := refAlign(testAligner, a, b)
+	gotP, gotS := testAligner.Align(a, b)
+	assertSameAlignment(t, "Align", wantP, wantS, gotP, gotS)
 	for _, band := range bands {
-		wantP, wantS = refAlignBanded(ref, a, b, band[0], band[1])
-		for _, k := range kernels {
-			al := NewAligner(ref.Sub, ref.Gap)
-			al.Kernel = k
-			gotP, gotS := al.AlignBanded(a, b, band[0], band[1])
-			assertSameAlignment(t, fmt.Sprintf("AlignBanded%v kernel=%v", band, k), wantP, wantS, gotP, gotS)
-		}
+		wantP, wantS = refAlignBanded(testAligner, a, b, band[0], band[1])
+		gotP, gotS = testAligner.AlignBanded(a, b, band[0], band[1])
+		assertSameAlignment(t, fmt.Sprintf("AlignBanded%v", band), wantP, wantS, gotP, gotS)
 	}
 }
 
@@ -390,4 +389,23 @@ func TestAlignMatchesReferenceBitForBit(t *testing.T) {
 		}
 		checkAgainstOracle(t, a, b, bands)
 	}
+	// Unit-leaf pairs, the merges at the bottom of every guide tree:
+	// frequencies and occupancies are exactly 1, so PSP degenerates to
+	// the pairwise DP and ties are as dense as they get on two letters.
+	for trial := 0; trial < 80; trial++ {
+		letters := bio.AminoAcids.Letters()
+		if trial%2 == 1 {
+			letters = []byte("AG")
+		}
+		a, b := randLeaf(rng, 1+rng.Intn(120), letters), randLeaf(rng, 1+rng.Intn(120), letters)
+		checkAgainstOracle(t, a, b, [][2]int{{0, 0}, {-8, 8}})
+	}
+}
+
+func randLeaf(rng *rand.Rand, n int, letters []byte) *Profile {
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = letters[rng.Intn(len(letters))]
+	}
+	return FromSequence(bio.AminoAcids, s)
 }

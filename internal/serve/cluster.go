@@ -99,6 +99,10 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 	if err := ctx.Err(); err != nil {
 		return nil, ExecReport{}, err
 	}
+	cfg, err := opts.CoreConfig()
+	if err != nil {
+		return nil, ExecReport{}, err
+	}
 
 	p := len(c.Workers) + 1
 	opts.Procs = p
@@ -250,7 +254,7 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 		}(i, conn)
 	}
 
-	aln, rankStats, err := core.AlignContext(ctx, comm, shards[0], opts.CoreConfig())
+	aln, rankStats, err := core.AlignContext(ctx, comm, shards[0], cfg)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ExecReport{}, ctxErr

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -269,5 +270,58 @@ func TestClusterWorkerUnreachableFailsFast(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("unreachable worker hung the job")
+	}
+}
+
+// TestWorkerRefusesSpecItCannotRun speaks the control protocol by hand:
+// a spec naming an aligner this binary lacks (a coordinator of another
+// build, or anything else that reaches the port) must come back as an
+// error ack — before the mesh is dialled, with the worker process alive
+// — and the worker must serve the next job.
+func TestWorkerRefusesSpecItCannotRun(t *testing.T) {
+	cl, stop := startCluster(t, 1)
+	defer stop()
+	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.DialTimeout("tcp", cl.Workers[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	if err := enc.Encode(prepareMsg{Proto: clusterProto}); err != nil {
+		t.Fatal(err)
+	}
+	var hello helloMsg
+	if err := dec.Decode(&hello); err != nil || hello.Error != "" {
+		t.Fatalf("hello: %+v, err %v", hello, err)
+	}
+	bad := opts
+	bad.Procs, bad.Aligner = 2, "nosuch"
+	if err := enc.Encode(jobSpec{
+		Rank: 1, Addrs: []string{cl.SelfAddr, hello.Mesh}, Options: bad,
+		FASTA: fasta.FormatString(testSeqs(4, 30, 74)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var ack jobAck
+	if err := dec.Decode(&ack); err != nil {
+		t.Fatalf("no ack for a spec the worker cannot run: %v", err)
+	}
+	if ack.OK || !strings.Contains(ack.Error, "nosuch") {
+		t.Fatalf("ack = %+v, want an error naming the aligner", ack)
+	}
+	conn.Close()
+
+	aln, _, err := cl.Align(context.Background(), testSeqs(10, 40, 75), opts)
+	if err != nil {
+		t.Fatalf("worker unusable after refusing a spec: %v", err)
+	}
+	if aln.NumSeqs() != 10 {
+		t.Fatalf("next job rows = %d", aln.NumSeqs())
 	}
 }

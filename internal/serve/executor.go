@@ -46,7 +46,11 @@ func (Inproc) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved) (*m
 	// run the samplealign CLI would do with -p: the HTTP surface must
 	// never return a different alignment than the batch surface.
 	procs := opts.Procs
-	res, err := core.AlignInprocContext(ctx, seqs, procs, opts.CoreConfig())
+	cfg, err := opts.CoreConfig()
+	if err != nil {
+		return nil, ExecReport{}, err
+	}
+	res, err := core.AlignInprocContext(ctx, seqs, procs, cfg)
 	if err != nil {
 		return nil, ExecReport{}, err
 	}

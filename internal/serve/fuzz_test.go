@@ -23,9 +23,9 @@ var hexKeyRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
 //     (anything else would surface as a 500 for client-controlled input);
 //   - resolve is deterministic: the same parsed submission resolves to
 //     the same Resolved;
-//   - CacheKey is stable across calls and blind to Workers, Kernel and
-//     Timeout, the documented result-neutral options — a key that moved
-//     with any of them would split (or worse, alias) cache entries.
+//   - CacheKey is stable across calls and blind to Workers and Timeout,
+//     the documented result-neutral options — a key that moved with
+//     either would split (or worse, alias) cache entries.
 func FuzzSubmitJSON(f *testing.F) {
 	f.Add([]byte(">a\nACDEFG\n>b\nACDEFH\n"), "text/plain", "")
 	f.Add([]byte(`{"fasta":">a\nACDEFG\n>b\nACDEFH\n","options":{"procs":2,"aligner":"muscle"}}`),
@@ -91,11 +91,6 @@ func FuzzSubmitJSON(f *testing.F) {
 		neutral := r1
 		neutral.Workers++
 		neutral.Timeout += time.Second
-		if neutral.Kernel == "scalar" {
-			neutral.Kernel = "striped"
-		} else {
-			neutral.Kernel = "scalar"
-		}
 		if k3 := CacheKey(seqs, neutral); k3 != k1 {
 			t.Fatalf("cache key depends on a result-neutral option: %s vs %s", k1, k3)
 		}

@@ -206,9 +206,6 @@ func optionsFromQuery(r *http.Request, o *Options) error {
 	if v := q.Get("aligner"); v != "" {
 		o.Aligner = v
 	}
-	if v := q.Get("kernel"); v != "" {
-		o.Kernel = v
-	}
 	if v := q.Get("timeout_ms"); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {

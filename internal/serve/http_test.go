@@ -131,6 +131,39 @@ func TestHTTPSyncAlignAndJSONSubmit(t *testing.T) {
 	}
 }
 
+// The DP kernel was once a request option ("kernel" in the options
+// object, kernel= in the query). It selected nothing that changed a
+// byte, so it went; a client that still sends it — any value — gets the
+// alignment, cache key and cache entry of one that does not.
+func TestHTTPRetiredKernelOptionIsIgnored(t *testing.T) {
+	_, ts := httpServer(t, Config{})
+	in := fasta.FormatString(testSeqs(8, 40, 42))
+	align := func(url, body string) (key, cache string, out []byte) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ = io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, out)
+		}
+		return resp.Header.Get("X-Cache-Key"), resp.Header.Get("X-Cache"), out
+	}
+	fastaJSON, _ := json.Marshal(in)
+	key, _, want := align(ts.URL+"/v1/align",
+		`{"fasta":`+string(fastaJSON)+`,"options":{"procs":2}}`)
+	oldKey, cache, got := align(ts.URL+"/v1/align?kernel=banana",
+		`{"fasta":`+string(fastaJSON)+`,"options":{"procs":2,"kernel":"scalar"}}`)
+	if oldKey != key || cache != "hit" {
+		t.Fatalf("old-client submit: cache key %s (%s), want %s served as a hit", oldKey, cache, key)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("old-client submit returned different bytes (%d vs %d)", len(got), len(want))
+	}
+}
+
 func TestHTTPGzipSubmit(t *testing.T) {
 	_, ts := httpServer(t, Config{})
 	var buf bytes.Buffer

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/core"
-	"repro/internal/dpkern"
 	"repro/internal/engines"
 	"repro/internal/kmer"
 	"repro/internal/msa"
@@ -27,7 +26,6 @@ type Options struct {
 	NoFineTune     bool   `json:"no_finetune,omitempty"`     // skip GA fine-tuning
 	RandomSampling bool   `json:"random_sampling,omitempty"` // ablation: random pivots
 	FullAlphabet   bool   `json:"full_alphabet,omitempty"`   // ablation: uncompressed alphabet
-	Kernel         string `json:"kernel,omitempty"`          // DP kernel: auto/scalar/striped (never changes output)
 	TimeoutMs      int64  `json:"timeout_ms,omitempty"`      // caller deadline from submission time
 }
 
@@ -44,7 +42,6 @@ type Resolved struct {
 	NoFineTune     bool   `json:"no_finetune"`
 	RandomSampling bool   `json:"random_sampling"`
 	FullAlphabet   bool   `json:"full_alphabet"`
-	Kernel         string `json:"kernel"` // NOT part of the cache key: kernels are byte-identical
 
 	Timeout time.Duration `json:"timeout_ns"` // 0 = none; NOT part of the cache key
 }
@@ -88,15 +85,6 @@ func resolve(o, defaults Options, lim Limits, fixedProcs int) (Resolved, error) 
 	if r.Aligner == "" {
 		r.Aligner = "muscle"
 	}
-	r.Kernel = o.Kernel
-	if r.Kernel == "" {
-		r.Kernel = defaults.Kernel
-	}
-	kern, err := dpkern.Parse(r.Kernel)
-	if err != nil {
-		return Resolved{}, err
-	}
-	r.Kernel = kern.String()
 	if o.TimeoutMs < 0 {
 		return Resolved{}, fmt.Errorf("timeout_ms = %d", o.TimeoutMs)
 	}
@@ -153,29 +141,32 @@ func resolve(o, defaults Options, lim Limits, fixedProcs int) (Resolved, error) 
 	return r, nil
 }
 
-// CoreConfig reconstructs the core.Config this option set denotes.
-func (r Resolved) CoreConfig() core.Config {
+// CoreConfig reconstructs the core.Config this option set denotes. Not
+// every Resolved was made by resolve — a cluster worker decodes one from
+// its control port — so an aligner this binary lacks is an error here,
+// not a nil aligner for the pipeline to call.
+func (r Resolved) CoreConfig() (core.Config, error) {
+	aligner := r.Aligner
+	if _, err := engines.New(aligner, 1); err != nil {
+		return core.Config{}, err
+	}
 	cfg := core.Config{
 		K:          r.K,
 		Workers:    r.Workers,
 		SampleSize: r.SampleSize,
 		NoFineTune: r.NoFineTune,
 	}
-	// resolve validated the kernel string; a Resolved built elsewhere
-	// with a bad kernel falls back to Auto, which is byte-identical.
-	cfg.Kernel, _ = dpkern.Parse(r.Kernel)
 	if r.RandomSampling {
 		cfg.Sampling = core.RandomSampling
 	}
 	if r.FullAlphabet {
 		cfg.Compress = bio.Identity(bio.AminoAcids)
 	}
-	aligner := r.Aligner
 	cfg.NewLocalAligner = func(workers int) msa.Aligner {
-		al, _ := engines.New(aligner, workers)
+		al, _ := engines.New(aligner, workers) // the name was checked above
 		return al
 	}
-	return cfg
+	return cfg, nil
 }
 
 // cacheKeyVersion invalidates every cached result when the key schema
@@ -201,10 +192,7 @@ func CacheKey(seqs []bio.Sequence, r Resolved) string {
 	}
 	writeStr(cacheKeyVersion)
 	// Result-affecting options only. Workers deliberately excluded:
-	// alignments are byte-identical for every worker count. Kernel
-	// likewise: the striped DP kernels are byte-identical to scalar, so
-	// a scalar rerun may serve a striped job's cached result and vice
-	// versa.
+	// alignments are byte-identical for every worker count.
 	writeInt(int64(r.Procs))
 	writeStr(r.Aligner)
 	writeInt(int64(r.K))

@@ -111,7 +111,10 @@ func TestCoreConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := r.CoreConfig()
+	cfg, err := r.CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.K != 5 || cfg.Workers != 3 || cfg.SampleSize != 7 || !cfg.NoFineTune {
 		t.Fatalf("core config: %+v", cfg)
 	}
@@ -121,5 +124,11 @@ func TestCoreConfigRoundTrip(t *testing.T) {
 	al := cfg.NewLocalAligner(1)
 	if al == nil {
 		t.Fatal("aligner constructor nil")
+	}
+	// A Resolved that did not come from resolve (a worker decodes one
+	// off the wire) must not yield a constructor that returns nil.
+	r.Aligner = "nosuch"
+	if _, err := r.CoreConfig(); err == nil {
+		t.Fatal("CoreConfig accepted an aligner this binary lacks")
 	}
 }

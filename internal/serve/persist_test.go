@@ -493,6 +493,50 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 	}
 }
 
+// A journal written before the DP-kernel option was retired carries
+// "kernel" in every submit record's options. Replay must read such a
+// record as the job it was: same key, re-enqueued, run to completion.
+func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
+	dir := t.TempDir()
+	seqs := testSeqs(4, 30, 79)
+	opts, err := resolve(Options{Procs: 1}, Options{}, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey(seqs, opts)
+	optsJSON, _ := json.Marshal(opts)
+	var old map[string]any
+	if err := json.Unmarshal(optsJSON, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["kernel"] = "striped"
+	data, _ := json.Marshal(map[string]any{
+		"opts": old, "num_seqs": len(seqs), "fasta": []byte(fasta.FormatString(seqs)),
+	})
+	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(store.Record{Type: store.RecSubmit, Job: "jaabb03", Key: key, Time: time.Now(), Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	fe := &fakeExec{}
+	s := newTestServer(t, Config{Executor: fe, DataDir: dir})
+	defer s.Close()
+	if rec := s.Recovery(); rec.Requeued != 1 {
+		t.Fatalf("recovery = %+v, want 1 requeued", rec)
+	}
+	jb, ok := s.Job("jaabb03")
+	if !ok {
+		t.Fatal("old-format job not restored")
+	}
+	if v := waitState(t, jb, StateDone); v.Key != key || v.Opts != opts {
+		t.Fatalf("restored job: key %s opts %+v, want %s %+v", v.Key, v.Opts, key, opts)
+	}
+}
+
 func TestSubmitRefusedWhileDraining(t *testing.T) {
 	// Even a cache hit must be refused once draining: a drained server
 	// stops mutating its job table and journal.

@@ -699,7 +699,6 @@ func (s *Server) run(fl *flight) {
 		if root != nil {
 			root.SetStr("executor", s.cfg.Executor.Name())
 			root.SetStr("aligner", fl.opts.Aligner)
-			root.SetStr("kernel", fl.opts.Kernel)
 			root.SetInt("procs", int64(fl.opts.Procs))
 			root.SetInt("num_seqs", int64(len(fl.seqs)))
 		}

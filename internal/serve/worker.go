@@ -87,6 +87,14 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	}
 	conn.SetReadDeadline(time.Time{})
 
+	// The spec came off the network, from a coordinator that may be a
+	// different build: refuse what this binary cannot run before the
+	// mesh is dialled, and stay up for the next job.
+	coreCfg, err := spec.Options.CoreConfig()
+	if err != nil {
+		enc.Encode(jobAck{Error: fmt.Sprintf("options: %v", err)})
+		return fmt.Errorf("options: %w", err)
+	}
 	shard, err := fasta.Read(strings.NewReader(spec.FASTA))
 	if err != nil {
 		enc.Encode(jobAck{Error: fmt.Sprintf("parsing shard: %v", err)})
@@ -150,7 +158,7 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 		runCtx = obs.WithTracer(runCtx, tr)
 	}
 	cfg.Metrics.JobStarted()
-	_, _, runErr := core.AlignContext(runCtx, comm, shard, spec.Options.CoreConfig())
+	_, _, runErr := core.AlignContext(runCtx, comm, shard, coreCfg)
 	close(commWatch)
 	_ = comm.Close()
 	if runErr != nil {

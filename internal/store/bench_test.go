@@ -10,7 +10,8 @@ import (
 // BenchmarkJournalAppendParallel measures durable append throughput and
 // how well group commit amortizes fsyncs: fsyncs/rec is the number of
 // write+fsync cycles divided by records appended (1.0 means no
-// batching; the gate in cmd/benchgate requires < 1 at conc=8). The
+// batching; TestJournalConcurrentAppendsGroupCommit holds 8 writers
+// under ½, and bench/ reports store.fsyncs_per_record_conc2). The
 // journal runs with production-default options — no MaxWait — so any
 // batching shown here comes purely from appenders piling up behind
 // in-flight flushes.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/core"
-	"repro/internal/dpkern"
 	"repro/internal/engines"
 	"repro/internal/kmer"
 	"repro/internal/msa"
@@ -61,23 +60,6 @@ func WithWorkers(n int) Option {
 			n = -1
 		}
 		s.cfg.Workers = n
-		return nil
-	}
-}
-
-// WithKernel selects the DP kernel: "auto" (default) or "striped" run
-// the Farrar-style saturating int16 kernels wherever the inputs fit
-// their value bounds, escaping to float64 otherwise; "scalar" forces
-// the float64 reference DP everywhere. Output is byte-identical for
-// every mode — the striped kernels replicate the scalar comparisons and
-// tie-breaks exactly — so the knob only changes speed.
-func WithKernel(mode string) Option {
-	return func(s *settings) error {
-		k, err := dpkern.Parse(mode)
-		if err != nil {
-			return fmt.Errorf("samplealign: %w", err)
-		}
-		s.cfg.Kernel = k
 		return nil
 	}
 }

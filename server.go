@@ -3,13 +3,11 @@ package samplealign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"time"
 
-	"repro/internal/dpkern"
 	"repro/internal/serve"
 )
 
@@ -21,7 +19,6 @@ type ServerConfig struct {
 	DefaultProcs   int    // ranks per job (default 4)
 	DefaultWorkers int    // shared-memory workers per rank (default 1)
 	DefaultAligner string // bucket aligner name (default "muscle")
-	DefaultKernel  string // DP kernel: auto|scalar|striped (default "auto"; never changes results)
 
 	// Admission control and per-job resource bounds.
 	MaxConcurrent int // jobs aligning at once (default 2)
@@ -96,9 +93,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	if _, err := dpkern.Parse(cfg.DefaultKernel); err != nil {
-		return nil, fmt.Errorf("samplealign: %w", err)
-	}
 	if len(cfg.ClusterWorkers) > 0 && cfg.ClusterSelf == "" {
 		return nil, errors.New("samplealign: cluster mode needs a rank-0 mesh address (ClusterSelf)")
 	}
@@ -107,7 +101,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			Procs:   cfg.DefaultProcs,
 			Workers: cfg.DefaultWorkers,
 			Aligner: cfg.DefaultAligner,
-			Kernel:  cfg.DefaultKernel,
 		},
 		Limits: serve.Limits{
 			MaxProcs:     cfg.MaxProcs,
