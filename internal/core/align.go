@@ -208,7 +208,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 
 	tPhase = startClock()
 	_, gsp := obs.Start(mctx, "glue")
-	final, err := glue(c, localAln, bucket, path, len(ga), cfg)
+	final, err := glue(c, localAln, bucket, path, len(ga), cfg, stats)
 	if err != nil {
 		gsp.End()
 		msp.End()
@@ -337,7 +337,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	if err != nil {
 		return nil, err
 	}
-	var pivots []pivotKey
+	var pivots pivotKeyList
 	if rank == 0 {
 		var all []pivotKey
 		for _, part := range gathered {
@@ -354,7 +354,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	// --- phase 4: bucket partition + all-to-all exchange
 	tPhase = startClock()
 	_, sp4 := obs.Start(ctx, "exchange")
-	parts := make([][]wireSeq, p)
+	parts := make([]wireSeqList, p)
 	for _, ws := range seqs {
 		key := pivotKey{Rank: ws.Rank, Orig: ws.Orig}
 		b := sort.Search(len(pivots), func(i int) bool { return !pivots[i].less(key) })
@@ -371,15 +371,6 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	sortByRank(bucket)
 	sp4.End()
 	stats.Timings.Redistrib = tPhase.elapsed()
-
-	// root records all bucket sizes for the load-balance analysis
-	sizes, err := mpi.GatherValues(c, 0, tagBarrier, len(bucket))
-	if err != nil {
-		return nil, err
-	}
-	if rank == 0 {
-		stats.BucketSizes = sizes
-	}
 	return bucket, nil
 }
 
@@ -462,11 +453,11 @@ func (k pivotKey) less(o pivotKey) bool {
 
 // regularRankSample picks k evenly spaced rank keys from the locally
 // sorted list (the paper's p−1 regular samples).
-func regularRankSample(seqs []wireSeq, k int) []pivotKey {
+func regularRankSample(seqs []wireSeq, k int) pivotKeyList {
 	if len(seqs) == 0 || k <= 0 {
 		return nil
 	}
-	out := make([]pivotKey, 0, k)
+	out := make(pivotKeyList, 0, k)
 	for i := 0; i < k; i++ {
 		idx := (i + 1) * len(seqs) / (k + 1)
 		if idx >= len(seqs) {

@@ -137,7 +137,7 @@ type Stats struct {
 	Timings     Timings
 	Comm        mpi.Stats
 	BucketSize  int   // sequences this rank aligned after redistribution
-	BucketSizes []int // root only: all bucket sizes
+	BucketSizes []int // root only: all bucket sizes, read off the glue gather
 	GALen       int   // global ancestor length
 }
 
@@ -151,7 +151,6 @@ const (
 	tagGA
 	tagGluePath
 	tagGlueRows
-	tagBarrier
 	tagIDCheck
 )
 

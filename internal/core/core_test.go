@@ -223,6 +223,39 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestBucketSizesComeFromTheGlueGather: the root reads every bucket's
+// size off the rows it gathers, with and without fine-tuning, so a run
+// is the collectives the algorithm needs and no more: (p−1)(p+7)
+// messages on p in-process ranks.
+func TestBucketSizesComeFromTheGlueGather(t *testing.T) {
+	seqs := testFamily(t, 40, 60, 400, 10)
+	for _, p := range []int{2, 3, 8} {
+		for _, noFineTune := range []bool{false, true} {
+			res, err := AlignInproc(seqs, p, Config{NoFineTune: noFineTune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := res.Stats[0].BucketSizes
+			if len(sizes) != p {
+				t.Fatalf("p=%d: bucket sizes %v", p, sizes)
+			}
+			var msgs int64
+			for r, s := range res.Stats {
+				if sizes[r] != s.BucketSize {
+					t.Errorf("p=%d nofinetune=%v: root says bucket %d holds %d, rank %d aligned %d", p, noFineTune, r, sizes[r], r, s.BucketSize)
+				}
+				if r > 0 && s.BucketSizes != nil {
+					t.Errorf("rank %d has bucket sizes %v", r, s.BucketSizes)
+				}
+				msgs += s.Comm.MsgsSent
+			}
+			if want := int64((p - 1) * (p + 7)); msgs != want {
+				t.Errorf("p=%d nofinetune=%v: %d messages, want %d", p, noFineTune, msgs, want)
+			}
+		}
+	}
+}
+
 // TestKmerWorkCountsOnSpans: every rank's localrank and sample span and
 // every k-mer distmatrix span carries the index kernel's work count, and
 // the counts are a property of the input — the same at any worker count.

@@ -51,36 +51,42 @@ type glueMsg struct {
 // merges them in GA coordinates: GA column g of every rank lands in the
 // same global column; insertion runs between GA columns get a shared slot
 // sized by the widest rank. Rows come back in Orig order. Only rank 0
-// returns a non-nil alignment.
-func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Path, gaLen int, cfg Config) (*msa.Alignment, error) {
-	if cfg.NoFineTune {
-		// Ablation mode: ignore the GA template and concatenate the local
-		// alignments block-diagonally (what you get without the paper's
-		// fine-tuning idea).
-		return glueBlockDiagonal(c, localAln, bucket)
-	}
+// returns a non-nil alignment, and only rank 0's stats get BucketSizes:
+// a bucket's size is the number of rows its rank sends here.
+func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Path, gaLen int, cfg Config, stats *Stats) (*msa.Alignment, error) {
 	origs := origMap(bucket)
 	msgOut := glueMsg{
 		IDs:   make([]string, localAln.NumSeqs()),
 		Descs: make([]string, localAln.NumSeqs()),
 		Origs: make([]int64, localAln.NumSeqs()),
 		Rows:  localAln.Rows(),
-		Path:  make([]byte, len(path)),
 	}
 	for i, s := range localAln.Seqs {
 		msgOut.IDs[i] = s.ID
 		msgOut.Descs[i] = s.Desc
 		msgOut.Origs[i] = origs[s.ID]
 	}
-	for i, op := range path {
-		msgOut.Path[i] = byte(op)
+	tag := tagGlueRows
+	if !cfg.NoFineTune {
+		tag = tagGluePath
+		msgOut.Path = make([]byte, len(path))
+		for i, op := range path {
+			msgOut.Path[i] = byte(op)
+		}
 	}
-	msgs, err := mpi.GatherValues(c, 0, tagGluePath, msgOut)
-	if err != nil {
+	msgs, err := mpi.GatherValues(c, 0, tag, msgOut)
+	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}
-	if c.Rank() != 0 {
-		return nil, nil
+	stats.BucketSizes = make([]int, len(msgs))
+	for r := range msgs {
+		stats.BucketSizes[r] = len(msgs[r].Rows)
+	}
+	if cfg.NoFineTune {
+		// Ablation mode: ignore the GA template and concatenate the local
+		// alignments block-diagonally (what you get without the paper's
+		// fine-tuning idea).
+		return mergeBlockDiagonal(msgs)
 	}
 	return mergeOnTemplate(msgs, gaLen)
 }
@@ -222,28 +228,9 @@ func mergeOnTemplate(msgs []glueMsg, gaLen int) (*msa.Alignment, error) {
 	return aln, nil
 }
 
-// glueBlockDiagonal is the no-fine-tune fallback: each rank's alignment
+// mergeBlockDiagonal is the no-fine-tune fallback: each rank's alignment
 // occupies its own column range; rows from other ranks are gaps there.
-func glueBlockDiagonal(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq) (*msa.Alignment, error) {
-	origs := origMap(bucket)
-	msgOut := glueMsg{
-		IDs:   make([]string, localAln.NumSeqs()),
-		Descs: make([]string, localAln.NumSeqs()),
-		Origs: make([]int64, localAln.NumSeqs()),
-		Rows:  localAln.Rows(),
-	}
-	for i, s := range localAln.Seqs {
-		msgOut.IDs[i] = s.ID
-		msgOut.Descs[i] = s.Desc
-		msgOut.Origs[i] = origs[s.ID]
-	}
-	msgs, err := mpi.GatherValues(c, 0, tagGlueRows, msgOut)
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() != 0 {
-		return nil, nil
-	}
+func mergeBlockDiagonal(msgs []glueMsg) (*msa.Alignment, error) {
 	width := 0
 	for _, m := range msgs {
 		if len(m.Rows) > 0 {

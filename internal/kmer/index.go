@@ -27,6 +27,13 @@ type index struct {
 	windows []int     // Profile.Windows of every reference sequence
 }
 
+// cell is one profile entry on its way into the index: a posting and
+// the code of the list it belongs to.
+type cell struct {
+	code uint32
+	posting
+}
+
 // radixBits is the digit width of the index build's radix sort: 2048
 // counters stay cache-resident, and the 16-bit codes of the default
 // Dayhoff 6-mers sort in two passes (31-bit codes in three).
@@ -37,10 +44,6 @@ const radixBits = 11
 // each list comes out in ascending sequence order without comparing
 // sequence numbers.
 func buildIndex(ref []Profile) *index {
-	type cell struct {
-		code uint32
-		posting
-	}
 	total, maxCode := 0, uint32(0)
 	windows := make([]int, len(ref))
 	for j, p := range ref {
@@ -50,28 +53,25 @@ func buildIndex(ref []Profile) *index {
 			maxCode = p.Entries[n-1].Code
 		}
 	}
-	cells, spare := make([]cell, 0, total), make([]cell, total)
+	cells := make([]cell, 0, total)
 	for j, p := range ref {
 		for _, e := range p.Entries {
 			cells = append(cells, cell{e.Code, posting{int32(j), e.Count}})
 		}
 	}
-	for shift := 0; maxCode>>shift != 0; shift += radixBits {
-		var next [1<<radixBits + 1]int
-		for _, c := range cells {
-			next[(c.code>>shift)&(1<<radixBits-1)+1]++
+	cells = sortCellsRadix(cells, maxCode)
+	distinct := 0
+	for i, c := range cells {
+		if i == 0 || c.code != cells[i-1].code {
+			distinct++
 		}
-		for d := 1; d < len(next); d++ {
-			next[d] += next[d-1]
-		}
-		for _, c := range cells {
-			d := (c.code >> shift) & (1<<radixBits - 1)
-			spare[next[d]] = c
-			next[d]++
-		}
-		cells, spare = spare, cells
 	}
-	ix := &index{post: make([]posting, total), windows: windows}
+	ix := &index{
+		codes:   make([]uint32, 0, distinct),
+		start:   make([]int, 0, distinct+1),
+		post:    make([]posting, total),
+		windows: windows,
+	}
 	for i, c := range cells {
 		if i == 0 || c.code != cells[i-1].code {
 			ix.codes = append(ix.codes, c.code)
@@ -81,6 +81,34 @@ func buildIndex(ref []Profile) *index {
 	}
 	ix.start = append(ix.start, total)
 	return ix
+}
+
+// sortCellsRadix sorts cells by code, equal codes keeping their order,
+// over the digits maxCode occupies. It returns the sorted slice, which
+// is cells or a buffer of the same length.
+func sortCellsRadix(cells []cell, maxCode uint32) []cell {
+	spare := make([]cell, len(cells))
+	for shift := 0; maxCode>>shift != 0; shift += radixBits {
+		var next [1 << radixBits]int
+		for _, c := range cells {
+			next[(c.code>>shift)&(1<<radixBits-1)]++
+		}
+		// counts to start offsets; the running sum stays in a register
+		// (summing through the array waits on every store it just made)
+		sum := 0
+		for d := range next {
+			n := next[d]
+			next[d] = sum
+			sum += n
+		}
+		for _, c := range cells {
+			d := (c.code >> shift) & (1<<radixBits - 1)
+			spare[next[d]] = c
+			next[d]++
+		}
+		cells, spare = spare, cells
+	}
+	return cells
 }
 
 // seek returns the first position at or after from whose code is not

@@ -2,10 +2,12 @@ package kmer
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bio"
@@ -264,6 +266,29 @@ func TestIndexHitsCountSharedCells(t *testing.T) {
 		})
 		if err != nil || got != all {
 			t.Fatalf("workers=%d: rank hits = %d (%v), want %d", w, got, err, all)
+		}
+	}
+}
+
+// TestRadixSortIsTheStableSortByCode holds the index build's radix sort
+// to slices.SortStableFunc on cells in sequence order: ties keep that
+// order, so every list comes out in ascending sequence order.
+func TestRadixSortIsTheStableSortByCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 2, 3, 17, 300, 1<<radixBits - 1, 1 << radixBits, 5000} {
+		for _, maxCode := range []uint32{0, 1, 5, 1<<radixBits - 1, 1 << radixBits, 1<<16 - 1, 1<<31 - 1} {
+			cells := make([]cell, n)
+			for i := range cells {
+				cells[i] = cell{uint32(rng.Int63n(int64(maxCode) + 1)), posting{int32(i), int32(rng.Intn(9))}}
+				if rng.Intn(3) == 0 && i > 0 {
+					cells[i].code = cells[rng.Intn(i)].code // force ties
+				}
+			}
+			want := slices.Clone(cells)
+			slices.SortStableFunc(want, func(a, b cell) int { return cmp.Compare(a.code, b.code) })
+			if got := sortCellsRadix(cells, maxCode); !slices.Equal(got, want) {
+				t.Fatalf("n=%d maxCode=%d: radix sort is not the stable sort by code", n, maxCode)
+			}
 		}
 	}
 }

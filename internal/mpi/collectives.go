@@ -12,6 +12,16 @@ import (
 // (standard SPMD discipline). Broadcast and barrier use log-p trees, the
 // personalised exchanges are direct sends, matching the coarse-grained
 // cost model the paper assumes (§3).
+//
+// Gather, AllGather, Scatter and AllToAll each have an unexported body
+// that takes the send to use: the exported raw-bytes form passes
+// Comm.Send, which copies what it is given; the typed helpers in
+// codec.go pass sendOwned, because the buffers they send were encoded a
+// moment ago and nobody else holds them. Bcast always copies — one
+// buffer goes to several ranks there, and each must own what it gets.
+
+// sendFunc is Comm.Send or sendOwned.
+type sendFunc func(c Comm, to, tag int, data []byte) error
 
 // Barrier blocks until every rank has entered it.
 func Barrier(c Comm, tag int) error {
@@ -69,9 +79,13 @@ func parentOf(v int) int {
 // Gather collects every rank's data at root. At root the result is a
 // slice indexed by rank (root's own entry included); other ranks get nil.
 func Gather(c Comm, root, tag int, data []byte) ([][]byte, error) {
+	return gather(c, root, tag, data, Comm.Send)
+}
+
+func gather(c Comm, root, tag int, data []byte, send sendFunc) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if rank != root {
-		return nil, c.Send(root, tag, data)
+		return nil, send(c, root, tag, data)
 	}
 	out := make([][]byte, size)
 	out[root] = data
@@ -90,7 +104,11 @@ func Gather(c Comm, root, tag int, data []byte) ([][]byte, error) {
 
 // AllGather gives every rank the slice of every rank's data.
 func AllGather(c Comm, tag int, data []byte) ([][]byte, error) {
-	gathered, err := Gather(c, 0, tag, data)
+	return allGather(c, tag, data, Comm.Send)
+}
+
+func allGather(c Comm, tag int, data []byte, send sendFunc) ([][]byte, error) {
+	gathered, err := gather(c, 0, tag, data, send)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +129,10 @@ func AllGather(c Comm, tag int, data []byte) ([][]byte, error) {
 // Scatter distributes parts[r] from root to rank r and returns this
 // rank's part. Only root's parts argument is consulted.
 func Scatter(c Comm, root, tag int, parts [][]byte) ([]byte, error) {
+	return scatter(c, root, tag, parts, Comm.Send)
+}
+
+func scatter(c Comm, root, tag int, parts [][]byte, send sendFunc) ([]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if rank == root {
 		if len(parts) != size {
@@ -120,7 +142,7 @@ func Scatter(c Comm, root, tag int, parts [][]byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.Send(r, tag, parts[r]); err != nil {
+			if err := send(c, r, tag, parts[r]); err != nil {
 				return nil, err
 			}
 		}
@@ -133,6 +155,10 @@ func Scatter(c Comm, root, tag int, parts [][]byte) ([]byte, error) {
 // redistribution step: rank r sends parts[q] to rank q and receives one
 // part from every rank, returned indexed by source rank.
 func AllToAll(c Comm, tag int, parts [][]byte) ([][]byte, error) {
+	return allToAll(c, tag, parts, Comm.Send)
+}
+
+func allToAll(c Comm, tag int, parts [][]byte, send sendFunc) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if len(parts) != size {
 		return nil, fmt.Errorf("mpi: alltoall %d parts for %d ranks", len(parts), size)
@@ -142,7 +168,7 @@ func AllToAll(c Comm, tag int, parts [][]byte) ([][]byte, error) {
 	// send first (buffered sends cannot deadlock), then receive
 	for off := 1; off < size; off++ {
 		to := (rank + off) % size
-		if err := c.Send(to, tag, parts[to]); err != nil {
+		if err := send(c, to, tag, parts[to]); err != nil {
 			return nil, err
 		}
 	}
@@ -216,43 +242,23 @@ func AllReduceFloat64(c Comm, tag int, x float64, op string) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(out)), nil
 }
 
-// packSlices/unpackSlices frame a [][]byte into one buffer:
-// [count][len0][bytes0][len1][bytes1]...
+// packSlices frames a [][]byte into one buffer and unpackSlices takes it
+// apart again: the wire format's [][]byte (see codec.go), so the parts
+// alias buf and a count or length larger than buf is an error.
 func packSlices(parts [][]byte) []byte {
-	total := 4
+	size := binary.MaxVarintLen64
 	for _, p := range parts {
-		total += 4 + len(p)
+		size += binary.MaxVarintLen64 + len(p)
 	}
-	out := make([]byte, 0, total)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(parts)))
-	out = append(out, hdr[:]...)
+	buf := AppendUint(make([]byte, 0, size), uint64(len(parts)))
 	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		out = append(out, hdr[:]...)
-		out = append(out, p...)
+		buf = AppendBytes(buf, p)
 	}
-	return out
+	return buf
 }
 
 func unpackSlices(buf []byte) ([][]byte, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("mpi: truncated packed slices")
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("mpi: truncated packed slice %d", i)
-		}
-		l := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		if uint32(len(buf)) < l {
-			return nil, fmt.Errorf("mpi: truncated payload %d", i)
-		}
-		out = append(out, buf[:l:l])
-		buf = buf[l:]
-	}
-	return out, nil
+	var parts [][]byte
+	err := Decode(buf, &parts)
+	return parts, err
 }

@@ -212,10 +212,6 @@ func TestReduceUnknownOp(t *testing.T) {
 }
 
 func TestTypedCollectives(t *testing.T) {
-	type item struct {
-		Rank  int
-		Label string
-	}
 	err := Run(4, func(c Comm) error {
 		// AllGatherValues
 		all, err := AllGatherValues(c, 10, item{Rank: c.Rank(), Label: "x"})
@@ -301,5 +297,8 @@ func TestPackUnpackSlices(t *testing.T) {
 	}
 	if _, err := unpackSlices([]byte{1, 2}); err == nil {
 		t.Error("truncated buffer accepted")
+	}
+	if _, err := unpackSlices(append(packSlices(in), 0)); err == nil {
+		t.Error("trailing byte accepted")
 	}
 }

@@ -151,14 +151,20 @@ func (c *inprocComm) Size() int     { return c.world.size }
 func (c *inprocComm) Stats() *Stats { return c.stats }
 
 func (c *inprocComm) Send(to, tag int, data []byte) error {
-	if to < 0 || to >= c.world.size {
-		return fmt.Errorf("mpi: send to rank %d of %d", to, c.world.size)
-	}
 	// Copy the payload: the sender may reuse its buffer, and ranks must
 	// not share memory through messages (cluster semantics).
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	if err := c.world.boxes[to].push(message{src: c.rank, tag: tag, data: cp}); err != nil {
+	return c.sendOwned(to, tag, cp)
+}
+
+// sendOwned queues data itself: the caller has given it up, so the
+// receiving rank is its only holder, as it would be of a copy.
+func (c *inprocComm) sendOwned(to, tag int, data []byte) error {
+	if to < 0 || to >= c.world.size {
+		return fmt.Errorf("mpi: send to rank %d of %d", to, c.world.size)
+	}
+	if err := c.world.boxes[to].push(message{src: c.rank, tag: tag, data: data}); err != nil {
 		return err
 	}
 	c.stats.addSend(len(data))

@@ -2,9 +2,11 @@
 // the MPI library the paper uses: rank-addressed point-to-point messages
 // with tag matching, the collective operations Sample-Align-D needs
 // (barrier, broadcast, gather, all-gather, scatter, all-to-all
-// personalised exchange, reduce), gob-typed convenience wrappers, and two
-// transports — in-process goroutine ranks for tests/benchmarks and TCP
-// for real multi-process cluster runs.
+// personalised exchange, reduce), typed wrappers over one binary wire
+// format (codec.go: append to write, slice to parse, no reflection), and
+// two transports — in-process goroutine ranks for tests/benchmarks and
+// TCP for real multi-process cluster runs. Both transports carry the
+// same bytes.
 //
 // Semantics follow MPI's: Send is asynchronous (buffered), Recv blocks
 // until a matching (source, tag) message arrives, and messages between a
@@ -44,6 +46,25 @@ type Comm interface {
 	Close() error
 }
 
+// ownedSender is a communicator that can take a payload over instead of
+// copying it. The typed helpers send buffers they encoded a moment ago
+// and never look at again, so the copy Send owes a caller who may reuse
+// its buffer is wasted on them.
+type ownedSender interface {
+	// sendOwned is Send, except that data belongs to the receiver from
+	// here on: the caller neither reads nor writes it again.
+	sendOwned(to, tag int, data []byte) error
+}
+
+// sendOwned hands data over to c if it can take it and falls back to
+// Send (a wrapper that intercepts Send still sees every message).
+func sendOwned(c Comm, to, tag int, data []byte) error {
+	if o, ok := c.(ownedSender); ok {
+		return o.sendOwned(to, tag, data)
+	}
+	return c.Send(to, tag, data)
+}
+
 // WithContext binds a communicator to a context: Recv blocks become
 // RecvContext calls that unblock with ctx.Err() on cancellation, and
 // Send fails fast once ctx is done. Because the collectives are built on
@@ -68,6 +89,13 @@ func (c *ctxComm) Send(to, tag int, data []byte) error {
 		return err
 	}
 	return c.Comm.Send(to, tag, data)
+}
+
+func (c *ctxComm) sendOwned(to, tag int, data []byte) error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	return sendOwned(c.Comm, to, tag, data)
 }
 
 func (c *ctxComm) Recv(from, tag int) ([]byte, error) {

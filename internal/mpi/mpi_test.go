@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -185,11 +186,6 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type payload struct {
-		Name  string
-		Vals  []float64
-		Bytes []byte
-	}
 	in := payload{Name: "x", Vals: []float64{1, 2.5}, Bytes: []byte("seq")}
 	data, err := Encode(in)
 	if err != nil {
@@ -199,7 +195,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := Decode(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || len(out.Vals) != 2 || !bytes.Equal(out.Bytes, in.Bytes) {
+	if out.Name != in.Name || !slices.Equal(out.Vals, in.Vals) || !bytes.Equal(out.Bytes, in.Bytes) {
 		t.Fatalf("round trip: %+v", out)
 	}
 }
@@ -207,14 +203,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestSendRecvValue(t *testing.T) {
 	err := Run(2, func(c Comm) error {
 		if c.Rank() == 0 {
-			return SendValue(c, 1, 3, map[string]int{"a": 1, "b": 2})
+			return SendValue(c, 1, 3, item{Rank: 7, Label: "a"})
 		}
-		var m map[string]int
-		if err := RecvValue(c, 0, 3, &m); err != nil {
+		var it item
+		if err := RecvValue(c, 0, 3, &it); err != nil {
 			return err
 		}
-		if m["a"] != 1 || m["b"] != 2 {
-			return fmt.Errorf("decoded %v", m)
+		if it != (item{Rank: 7, Label: "a"}) {
+			return fmt.Errorf("decoded %+v", it)
 		}
 		return nil
 	})

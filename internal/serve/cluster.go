@@ -31,7 +31,7 @@ import (
 // control connection mid-job cancels the worker's rank.
 
 type prepareMsg struct {
-	Proto int `json:"proto"` // protocol version, currently 1
+	Proto int `json:"proto"` // protocol version: clusterProto
 }
 
 type helloMsg struct {
@@ -64,7 +64,13 @@ type jobAck struct {
 	Trace json.RawMessage `json:"trace,omitempty"` // the rank's obs.Document, when the spec asked for tracing
 }
 
-const clusterProto = 1
+// clusterProto is the version both ends of the control connection must
+// name in prepare. It covers what the ranks say to each other on the
+// mesh as well as the control messages: 2 is mpi's binary wire format
+// (1 was gob), so builds on either side of that change refuse each
+// other here, before a mesh is dialled, instead of failing to decode
+// each other's first collective.
+const clusterProto = 2
 
 // Cluster executes jobs on a pre-connected set of samplealignd worker
 // daemons (started with -worker-ctrl/-worker-mesh): the server itself

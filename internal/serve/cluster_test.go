@@ -273,6 +273,48 @@ func TestClusterWorkerUnreachableFailsFast(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesOlderProtocol speaks prepare by hand as a coordinator
+// built before the mesh changed its wire format (protocol 1): the worker
+// must refuse in its hello — naming both versions, before any spec or
+// mesh — and stay up for a coordinator of its own build.
+func TestWorkerRefusesOlderProtocol(t *testing.T) {
+	cl, stop := startCluster(t, 1)
+	defer stop()
+
+	conn, err := net.DialTimeout("tcp", cl.Workers[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := json.NewEncoder(conn).Encode(prepareMsg{Proto: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(conn)
+	var hello helloMsg
+	if err := dec.Decode(&hello); err != nil {
+		t.Fatalf("no hello for an old prepare: %v", err)
+	}
+	if hello.Mesh != "" || !strings.Contains(hello.Error, "protocol 1") || !strings.Contains(hello.Error, fmt.Sprintf("want %d", clusterProto)) {
+		t.Fatalf("hello = %+v, want a refusal naming protocol 1 and %d", hello, clusterProto)
+	}
+	if err := dec.Decode(&hello); err == nil {
+		t.Fatal("worker kept the connection of a coordinator it refused")
+	}
+
+	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aln, _, err := cl.Align(context.Background(), testSeqs(10, 40, 76), opts)
+	if err != nil {
+		t.Fatalf("worker unusable after refusing an old coordinator: %v", err)
+	}
+	if aln.NumSeqs() != 10 {
+		t.Fatalf("next job rows = %d", aln.NumSeqs())
+	}
+}
+
 // TestWorkerRefusesSpecItCannotRun speaks the control protocol by hand:
 // a spec naming an aligner this binary lacks (a coordinator of another
 // build, or anything else that reaches the port) must come back as an
