@@ -1,13 +1,10 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablations called out in DESIGN.md §5 and
-// micro-benchmarks of the hot kernels.
+// evaluation, plus ablations (sample size, bucket aligner, k-mer
+// alphabet) and micro-benchmarks of the hot kernels.
 //
-// Real runs execute the actual distributed pipeline at laptop scale
-// (hundreds of sequences); paper-scale numbers (N up to 20000, the
-// 23-hour baseline) come from the calibrated cluster cost model and are
-// emitted as custom metrics (suffix _sim). cmd/msabench prints the same
-// experiments as human-readable tables; EXPERIMENTS.md records
-// paper-vs-measured.
+// Every run executes the actual distributed pipeline at laptop scale
+// (hundreds of sequences). cmd/msabench prints the same experiments as
+// human-readable tables beside the paper's own numbers.
 package samplealign
 
 import (
@@ -18,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/bio"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kmer"
 	"repro/internal/mafft"
@@ -190,23 +186,6 @@ func BenchmarkFig4ScalingTime(b *testing.B) {
 			}
 		})
 	}
-	// paper-scale simulated series (one metric per point)
-	cal := cluster.Synthetic()
-	for _, n := range []int{5000, 10000, 20000} {
-		for _, p := range []int{1, 4, 8, 12, 16} {
-			b.Run(fmt.Sprintf("sim/N=%d/p=%d", n, p), func(b *testing.B) {
-				var total float64
-				for i := 0; i < b.N; i++ {
-					ph, err := cal.SampleAlignD(n, 300, p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total = ph.Total
-				}
-				b.ReportMetric(total, "seconds_sim")
-			})
-		}
-	}
 }
 
 // ---- Fig. 5: superlinear speedup ----
@@ -231,25 +210,6 @@ func BenchmarkFig5Speedup(b *testing.B) {
 			b.ReportMetric(t1/t4, "speedup_p4")
 		}
 	})
-	cal := cluster.Synthetic()
-	for _, n := range []int{5000, 10000, 20000} {
-		b.Run(fmt.Sprintf("sim/N=%d", n), func(b *testing.B) {
-			var s4, s16 float64
-			for i := 0; i < b.N; i++ {
-				var err error
-				s4, err = cal.Speedup(n, 300, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s16, err = cal.Speedup(n, 300, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(s4, "speedup_p4_sim")
-			b.ReportMetric(s16, "speedup_p16_sim")
-		})
-	}
 }
 
 // ---- Fig. 6: genome proteins, sequential MUSCLE vs Sample-Align-D ----
@@ -265,21 +225,6 @@ func BenchmarkFig6GenomeAlignment(b *testing.B) {
 			}
 		})
 	}
-	b.Run("sim/paper-scale", func(b *testing.B) {
-		cal := cluster.Genome()
-		var seq, par float64
-		for i := 0; i < b.N; i++ {
-			seq = cal.SequentialMuscle(2000, 316)
-			ph, err := cal.SampleAlignD(2000, 316, 16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			par = ph.Total
-		}
-		b.ReportMetric(seq/3600, "seqMuscle_hours_sim")
-		b.ReportMetric(par/60, "sampleAlignD16_minutes_sim")
-		b.ReportMetric(seq/par, "speedup_sim")
-	})
 }
 
 // ---- Table 2: PREFAB Q scores per method ----
@@ -323,7 +268,7 @@ func BenchmarkCommRounds(b *testing.B) {
 	b.ReportMetric(float64(bytes), "bytesExchanged")
 }
 
-// ---- ablations (DESIGN.md §5) ----
+// ---- ablations ----
 
 func BenchmarkAblationSampleSize(b *testing.B) {
 	loadFixtures(b)
@@ -343,52 +288,6 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(maxBucket), "maxBucket")
-		})
-	}
-}
-
-func BenchmarkAblationSamplingStrategy(b *testing.B) {
-	loadFixtures(b)
-	for _, mode := range []struct {
-		name string
-		s    core.SamplingStrategy
-	}{{"regular", core.RegularSampling}, {"random", core.RandomSampling}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var maxBucket int
-			for i := 0; i < b.N; i++ {
-				res, err := core.AlignInproc(fixtures.famBench, 8, core.Config{Sampling: mode.s})
-				if err != nil {
-					b.Fatal(err)
-				}
-				maxBucket = 0
-				for _, sz := range res.Stats[0].BucketSizes {
-					if sz > maxBucket {
-						maxBucket = sz
-					}
-				}
-			}
-			b.ReportMetric(float64(maxBucket), "maxBucket")
-			b.ReportMetric(2*float64(len(fixtures.famBench))/8, "bound2NoverP")
-		})
-	}
-}
-
-func BenchmarkAblationFineTune(b *testing.B) {
-	loadFixtures(b)
-	for _, mode := range []struct {
-		name string
-		off  bool
-	}{{"with-GA", false}, {"without-GA", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var sp float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.AlignInproc(fixtures.famBench, 4, core.Config{NoFineTune: mode.off})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sp = msa.SPScoreSampled(res.Alignment, submat.BLOSUM62, submat.DefaultProteinGap, 2000, 1)
-			}
-			b.ReportMetric(sp, "sampledSP")
 		})
 	}
 }

@@ -1,8 +1,7 @@
 // Command msabench regenerates every table and figure of the paper's
-// evaluation section. Real experiments run the actual distributed
-// pipeline at laptop scale; paper-scale series come from the calibrated
-// Beowulf cost model (see internal/cluster). EXPERIMENTS.md is written
-// from this tool's output.
+// evaluation section by running the actual distributed pipeline at
+// laptop scale, with the paper's own numbers printed beside each for
+// reference.
 //
 // Usage:
 //
@@ -21,14 +20,12 @@ import (
 
 	samplealign "repro"
 	"repro/internal/bio"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/kmer"
 	"repro/internal/msa"
 	"repro/internal/prefab"
 	"repro/internal/stats"
-	"repro/internal/submat"
 )
 
 func main() {
@@ -91,10 +88,10 @@ func (r *runner) measure(seqs []bio.Sequence, p int) (*core.Result, float64, err
 	return res, time.Since(start).Seconds(), nil
 }
 
-// realConfig is the core configuration of every real (non-simulated)
-// distributed run: the paper defaults plus the -workers intra-rank
-// parallelism. Flag value 0 keeps core's historical default of one
-// worker per rank (the paper's single-CPU cluster nodes).
+// realConfig is the core configuration of every distributed run: the
+// paper defaults plus the -workers intra-rank parallelism. Flag value 0
+// keeps core's historical default of one worker per rank (the paper's
+// single-CPU cluster nodes).
 func (r *runner) realConfig() core.Config {
 	return core.Config{Workers: r.workers}
 }
@@ -233,21 +230,6 @@ func (r *runner) fig4() error {
 		}
 		fmt.Printf("%6d %12.3f\n", p, secs)
 	}
-	// paper-scale simulated series
-	cal := cluster.Synthetic()
-	fmt.Println("\nsimulated paper scale (calibrated Beowulf model, L=300):")
-	fmt.Printf("%8s %10s %10s %10s\n", "p", "N=5000", "N=10000", "N=20000")
-	for _, p := range []int{1, 4, 8, 12, 16} {
-		fmt.Printf("%8d", p)
-		for _, n := range []int{5000, 10000, 20000} {
-			ph, err := cal.SampleAlignD(n, 300, p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" %9.1fs", ph.Total)
-		}
-		fmt.Println()
-	}
 	fmt.Println("paper reference: curves decline sharply with p; 20000@16 ≈ tens of seconds")
 	return nil
 }
@@ -274,20 +256,6 @@ func (r *runner) fig5() error {
 		}
 		fmt.Printf("%6d %12.3f %10.2f\n", p, secs, t1/secs)
 	}
-	cal := cluster.Synthetic()
-	fmt.Println("\nsimulated paper scale:")
-	fmt.Printf("%8s %10s %10s %10s\n", "p", "N=5000", "N=10000", "N=20000")
-	for _, p := range []int{4, 8, 12, 16} {
-		fmt.Printf("%8d", p)
-		for _, n := range []int{5000, 10000, 20000} {
-			s, err := cal.Speedup(n, 300, p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" %10.1f", s)
-		}
-		fmt.Println()
-	}
 	fmt.Println("paper reference: superlinear; N=5000/10000 dip at p=16, N=20000 keeps rising")
 	return nil
 }
@@ -311,19 +279,7 @@ func (r *runner) fig6() error {
 		}
 		fmt.Printf("%6d %12.3f\n", p, secs)
 	}
-	cal := cluster.Genome()
-	fmt.Println("\nsimulated paper scale (N=2000, L=316):")
-	seq := cal.SequentialMuscle(2000, 316)
-	fmt.Printf("  sequential MUSCLE:        %8.1f s (%.1f h; paper ≈ 23 h)\n", seq, seq/3600)
-	for _, p := range []int{4, 8, 12, 16} {
-		ph, err := cal.SampleAlignD(2000, 316, p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  sample-align-d p=%-2d:      %8.1f s (%.2f min, %.0f× vs MUSCLE)\n",
-			p, ph.Total, ph.Total/60, seq/ph.Total)
-	}
-	fmt.Println("paper reference: 9.82 min on 16 nodes, a 142× speedup")
+	fmt.Println("paper reference (N=2000, L=316): sequential MUSCLE ≈ 23 h; 9.82 min on 16 nodes, a 142× speedup")
 	return nil
 }
 
@@ -413,39 +369,6 @@ func (r *runner) comm() error {
 			}
 		}
 		fmt.Printf("%6d %14d %12d %14d %12d\n", p, bytes, msgs, maxBucket, 2*n/p)
-	}
-	// SP sanity on a homologous family (the algorithm's stated input
-	// class): the GA fine-tune must beat block-diagonal concatenation.
-	// On sets of mostly unrelated sequences, SP under BLOSUM62 prefers
-	// gapping strangers apart, so a family is the meaningful check.
-	famN := 128
-	if r.quick {
-		famN = 48
-	}
-	fam, err := samplealign.GenerateFamily(samplealign.FamilyConfig{
-		N: famN, MeanLen: 120, Relatedness: 400, Seed: r.seed + 6,
-	})
-	if err != nil {
-		return err
-	}
-	tuned, err := core.AlignInproc(fam, 4, r.realConfig())
-	if err != nil {
-		return err
-	}
-	naiveCfg := r.realConfig()
-	naiveCfg.NoFineTune = true
-	naive, err := core.AlignInproc(fam, 4, naiveCfg)
-	if err != nil {
-		return err
-	}
-	spT := msa.SPScoreSampled(tuned.Alignment, submat.BLOSUM62, submat.DefaultProteinGap, 4000, 1)
-	spN := msa.SPScoreSampled(naive.Alignment, submat.BLOSUM62, submat.DefaultProteinGap, 4000, 1)
-	fmt.Printf("homologous family (N=%d): sampled SP with GA fine-tune %.0f, without %.0f\n",
-		famN, spT, spN)
-	if spT > spN {
-		fmt.Println("ancestor fine-tuning wins, as the paper's Fig. 2 illustrates")
-	} else {
-		fmt.Println("WARNING: fine-tuning did not win on this seed")
 	}
 	return nil
 }

@@ -26,7 +26,6 @@ func main() {
 	aligner := flag.String("aligner", "muscle",
 		fmt.Sprintf("bucket aligner: %s", strings.Join(samplealign.SequentialAligners(), "|")))
 	sampleSize := flag.Int("samples", 0, "samples per rank for the globalised rank (0 = p-1)")
-	noFineTune := flag.Bool("no-finetune", false, "skip the global-ancestor fine-tuning (ablation)")
 	showStats := flag.Bool("stats", false, "print the per-rank run report to stderr")
 	flag.Parse()
 
@@ -48,9 +47,6 @@ func main() {
 	}
 	if *sampleSize > 0 {
 		opts = append(opts, samplealign.WithSampleSize(*sampleSize))
-	}
-	if *noFineTune {
-		opts = append(opts, samplealign.WithoutFineTune())
 	}
 
 	aln, report, err := samplealign.Align(seqs, *procs, opts...)

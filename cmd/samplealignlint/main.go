@@ -2,300 +2,47 @@
 // analyzer suite in internal/lint (ctxflow, determinism,
 // pooldiscipline, durerr).
 //
-// It runs in two modes:
+// `samplealignlint [packages]` loads the module through
+// `go list -deps -export` (lint.LoadModule, type-checking with the same
+// export-data importer as the fixture harness), runs the suite over
+// every matched package and prints the findings; the default pattern is
+// ./... and the exit status is 1 when anything was found.
+// scripts/lint.sh and CI run it as
 //
-//   - vettool: speaks cmd/go's vet tool protocol (the same one
-//     golang.org/x/tools/go/analysis/unitchecker implements, rebuilt
-//     here on the standard library because the module is
-//     dependency-free), so CI and local runs use
-//
-//     go build -o /tmp/samplealignlint ./cmd/samplealignlint
-//     go vet -vettool=/tmp/samplealignlint ./...
-//
-//   - standalone: `samplealignlint [packages]` loads the module via
-//     `go list -export` and prints findings directly; the default
-//     pattern is ./....
+//	go run ./cmd/samplealignlint ./...
 //
 // Analyzers can be selected with -ctxflow, -determinism,
-// -pooldiscipline, -durerr (vet semantics: naming any runs only
-// those). Suppressions are `//lint:allow <analyzer> <reason>` — see
-// internal/lint and TESTING.md.
+// -pooldiscipline, -durerr (naming any runs only those). Suppressions
+// are `//lint:allow <analyzer> <reason>` — see internal/lint and
+// TESTING.md.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	log := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "samplealignlint: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	// cmd/go probes the tool before using it: `-V=full` must print a
-	// version line ending in a build ID (it keys vet's result cache),
-	// and `-flags` must print a JSON description of supported flags.
-	versionFlag := flag.String("V", "", "print version and exit (cmd/go protocol; only -V=full is supported)")
-	flagsFlag := flag.Bool("flags", false, "print a JSON description of supported flags and exit (cmd/go protocol)")
-	jsonFlag := flag.Bool("json", false, "emit JSON output instead of text")
-	printPath := flag.Bool("print-path", false, "print the path of this executable and exit")
 	enableFlags := map[string]*bool{}
 	for _, a := range lint.Analyzers() {
 		enableFlags[a.Name] = flag.Bool(a.Name, false, "run only the named analyzers: "+a.Doc)
 	}
 	flag.Parse()
 
-	switch {
-	case *versionFlag != "":
-		if *versionFlag != "full" {
-			log("unsupported flag -V=%s", *versionFlag)
-		}
-		doVersion()
-		return
-	case *flagsFlag:
-		doFlags()
-		return
-	case *printPath:
-		exe, err := os.Executable()
-		if err != nil {
-			log("%v", err)
-		}
-		fmt.Println(exe)
-		return
-	}
-
-	enabled := map[string]bool{}
-	any := false
+	var enabled map[string]bool // nil: all analyzers
 	for name, on := range enableFlags {
 		if *on {
+			if enabled == nil {
+				enabled = map[string]bool{}
+			}
 			enabled[name] = true
-			any = true
 		}
 	}
-	if !any {
-		enabled = nil // all analyzers
-	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetUnit(args[0], enabled, *jsonFlag)
-		return
-	}
-	runStandalone(args, enabled)
-}
-
-// doVersion implements `-V=full`: cmd/go hashes the reported line into
-// its build cache key, so it must change whenever the binary does —
-// hash the executable itself, exactly as unitchecker does.
-func doVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "samplealignlint: %v\n", err)
-		os.Exit(1)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "samplealignlint: %v\n", err)
-		os.Exit(1)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintf(os.Stderr, "samplealignlint: %v\n", err)
-		os.Exit(1)
-	}
-	_ = f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", filepath.Base(exe), h.Sum(nil))
-}
-
-// doFlags implements `-flags`: the JSON flag inventory cmd/go uses to
-// split a `go vet` command line into tool flags and package patterns.
-func doFlags() {
-	type jsonFlagDef struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlagDef
-	for _, a := range lint.Analyzers() {
-		defs = append(defs, jsonFlagDef{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	defs = append(defs, jsonFlagDef{Name: "json", Bool: true, Usage: "emit JSON output"})
-	data, err := json.Marshal(defs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "samplealignlint: %v\n", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-}
-
-// vetConfig is the per-package JSON config cmd/go hands a vet tool
-// (the unitchecker wire format).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package as directed by a vet config file.
-func runVetUnit(cfgPath string, enabled map[string]bool, asJSON bool) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "samplealignlint: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fail("%v", err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fail("parsing %s: %v", cfgPath, err)
-	}
-	// The tool exports no cross-package facts, but cmd/go requires the
-	// facts file to exist after every run, dependencies included.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-				fail("writing facts: %v", err)
-			}
-		}
-	}
-	// Dependency-only runs (VetxOnly) and packages outside this module
-	// need no analysis: every analyzer scopes to module packages. Test
-	// variants ("p [p.test]") are skipped too — the suite ignores
-	// _test.go files, and the variant's remaining files were already
-	// analyzed as the plain package, so running it would only duplicate
-	// every finding.
-	if cfg.VetxOnly || lint.StripTestVariant(cfg.ImportPath) != cfg.ImportPath ||
-		!appliesToAny(cfg.ImportPath) {
-		writeVetx()
-		return
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx()
-				return
-			}
-			fail("parsing %s: %v", path, err)
-		}
-		files = append(files, f)
-	}
-	exports := map[string]string{}
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
-	imp := vetImporter{
-		base:      lint.ExportImporter(fset, exports),
-		importMap: cfg.ImportMap,
-	}
-	info := lint.NewInfo()
-	conf := types.Config{
-		Importer:  imp,
-		GoVersion: cfg.GoVersion,
-		Error:     func(error) {},
-	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return
-		}
-		fail("type-checking %s: %v", cfg.ImportPath, err)
-	}
-	diags := lint.Run(fset, files, cfg.ImportPath, pkg, info, enabled)
-	writeVetx()
-	if len(diags) == 0 {
-		return
-	}
-	if asJSON {
-		printJSON(os.Stdout, fset, cfg.ImportPath, diags)
-		return
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	os.Exit(2)
-}
-
-// vetImporter maps source-level import paths through the vet config's
-// ImportMap (vendoring, test variants) before export-data lookup.
-type vetImporter struct {
-	base      types.Importer
-	importMap map[string]string
-}
-
-func (v vetImporter) Import(path string) (*types.Package, error) {
-	if canon, ok := v.importMap[path]; ok {
-		path = canon
-	}
-	return v.base.Import(path)
-}
-
-func appliesToAny(pkgPath string) bool {
-	for _, a := range lint.Analyzers() {
-		if a.Applies(pkgPath) {
-			return true
-		}
-	}
-	return false
-}
-
-// printJSON emits the unitchecker-compatible JSON diagnostic tree.
-func printJSON(w io.Writer, fset *token.FileSet, pkgPath string, diags []lint.Diagnostic) {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := map[string][]jsonDiag{}
-	for _, d := range diags {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-			Posn:    fset.Position(d.Pos).String(),
-			Message: d.Message,
-		})
-	}
-	tree := map[string]map[string][]jsonDiag{pkgPath: byAnalyzer}
-	out, _ := json.MarshalIndent(tree, "", "\t")
-	w.Write(out)
-	fmt.Fprintln(w)
-}
-
-// runStandalone loads the module with `go list` and analyzes every
-// matched package.
-func runStandalone(patterns []string, enabled map[string]bool) {
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

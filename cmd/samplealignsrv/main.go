@@ -81,8 +81,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durability directory: write-ahead job journal + on-disk result store (empty = in-memory only)")
 	storeEntries := flag.Int("store-entries", 4096, "on-disk result store entry bound (-1 disables the disk tier)")
 	storeBytes := flag.Int64("store-bytes", 1<<30, "on-disk result store byte bound (-1 unbounded)")
-	journalBatchBytes := flag.Int("journal-batch-bytes", 0, "max framed bytes per journal commit group (0 = 1 MiB default); concurrent appends share one fsync")
-	journalBatchWait := flag.Duration("journal-batch-wait", 0, "how long a journal group leader waits for followers before fsyncing (0 = flush immediately; batching still happens behind in-flight flushes)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT waits for running jobs before hard-canceling (<0 skips draining)")
 	cluster := flag.String("cluster", "", "comma-separated worker control addresses (samplealignd -worker-ctrl); empty = in-process ranks")
 	clusterSelf := flag.String("cluster-self", "", "this server's rank-0 mesh listen address (required with -cluster)")
@@ -94,24 +92,22 @@ func main() {
 	logger := newLogger(*logJSON)
 
 	cfg := samplealign.ServerConfig{
-		DefaultProcs:      *procs,
-		DefaultWorkers:    *workers,
-		DefaultAligner:    *aligner,
-		MaxConcurrent:     *maxConcurrent,
-		MaxQueued:         *maxQueued,
-		MaxProcs:          *maxProcs,
-		WorkerBudget:      *workerBudget,
-		CacheEntries:      *cacheEntries,
-		CacheBytes:        *cacheBytes,
-		DataDir:           *dataDir,
-		StoreEntries:      *storeEntries,
-		StoreBytes:        *storeBytes,
-		JournalBatchBytes: *journalBatchBytes,
-		JournalBatchWait:  *journalBatchWait,
-		DrainTimeout:      *drainTimeout,
-		ClusterSelf:       *clusterSelf,
-		Logger:            logger,
-		NoTrace:           *noTrace,
+		DefaultProcs:   *procs,
+		DefaultWorkers: *workers,
+		DefaultAligner: *aligner,
+		MaxConcurrent:  *maxConcurrent,
+		MaxQueued:      *maxQueued,
+		MaxProcs:       *maxProcs,
+		WorkerBudget:   *workerBudget,
+		CacheEntries:   *cacheEntries,
+		CacheBytes:     *cacheBytes,
+		DataDir:        *dataDir,
+		StoreEntries:   *storeEntries,
+		StoreBytes:     *storeBytes,
+		DrainTimeout:   *drainTimeout,
+		ClusterSelf:    *clusterSelf,
+		Logger:         logger,
+		NoTrace:        *noTrace,
 	}
 	for _, w := range strings.Split(*cluster, ",") {
 		if w = strings.TrimSpace(w); w != "" {

@@ -124,30 +124,6 @@ func TestAlignTCPContextCancelMidRun(t *testing.T) {
 	waitGoroutines(t, base, 2)
 }
 
-func TestWithFullAlphabetKOrdering(t *testing.T) {
-	seqs := testSeqs(t, 8)
-	// An explicit k that overflows the 20-letter code space must be
-	// rejected up front, in either option order.
-	if _, _, err := Align(seqs, 1, WithFullAlphabet(), WithK(8)); err == nil {
-		t.Fatal("WithFullAlphabet+WithK(8) accepted")
-	}
-	if _, _, err := Align(seqs, 1, WithK(8), WithFullAlphabet()); err == nil {
-		t.Fatal("WithK(8)+WithFullAlphabet accepted")
-	}
-	// The compressed default alphabet still allows k=8.
-	if _, _, err := Align(seqs, 1, WithK(8)); err != nil {
-		t.Fatalf("WithK(8) over Dayhoff6: %v", err)
-	}
-	// WithFullAlphabet alone defaults k to 4 and must work.
-	if _, _, err := Align(seqs, 1, WithFullAlphabet()); err != nil {
-		t.Fatalf("WithFullAlphabet alone: %v", err)
-	}
-	// Explicit small k with the full alphabet works in either order.
-	if _, _, err := Align(seqs, 1, WithK(3), WithFullAlphabet()); err != nil {
-		t.Fatalf("WithK(3)+WithFullAlphabet: %v", err)
-	}
-}
-
 func TestSummaryReportsBothDirections(t *testing.T) {
 	seqs := testSeqs(t, 16)
 	_, report, err := Align(seqs, 4)

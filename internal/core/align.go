@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	//lint:allow determinism rand is only used by the RandomSampling ablation, seeded per-rank with a fixed constant
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -14,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/obs"
+	"repro/internal/submat"
 )
 
 // Align runs Sample-Align-D as an SPMD program: every rank calls it with
@@ -80,7 +79,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		}()
 	}
 
-	counter, err := kmer.NewCounter(cfg.Compress, cfg.K)
+	counter, err := kmer.NewCounter(bio.Dayhoff6, cfg.K)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,7 +168,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	actx, asp := obs.Start(mctx, "ancestor")
 	var localAnc []byte
 	if localAln.NumSeqs() > 0 {
-		localAnc, err = localAln.Consensus(cfg.Sub.Alphabet(), cfg.AncestorOcc)
+		localAnc, err = localAln.Consensus(submat.BLOSUM62.Alphabet(), ancestorOcc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -180,7 +179,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 	var ga []byte
 	if c.Rank() == 0 {
-		ga, err = globalAncestor(actx, ancestors, localAligner, cfg)
+		ga, err = globalAncestor(actx, ancestors, localAligner)
 		if err != nil {
 			return nil, nil, ctxErr(ctx, err)
 		}
@@ -199,7 +198,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	path, err := templatePath(localAln, ga, cfg)
+	path, err := templatePath(localAln, ga)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,7 +207,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 
 	tPhase = startClock()
 	_, gsp := obs.Start(mctx, "glue")
-	final, err := glue(c, localAln, bucket, path, len(ga), cfg, stats)
+	final, err := glue(c, localAln, bucket, path, len(ga), stats)
 	if err != nil {
 		gsp.End()
 		msp.End()
@@ -279,7 +278,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	for i := range seqs {
 		profiles[i] = counter.Profile(seqs[i].Data)
 	}
-	localRanks, err := kmer.RanksContext(ctx1, profiles, profiles, cfg.RankScale, cfg.Workers)
+	localRanks, err := kmer.RanksContext(ctx1, profiles, profiles, kmer.DefaultRankScale, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -298,11 +297,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k := cfg.SampleSize
-	if k > len(seqs) {
-		k = len(seqs)
-	}
-	samples := pickSamples(seqs, k, cfg.Sampling, rank)
+	samples := pickSamples(seqs, cfg.SampleSize) // clamped to the local set size
 	sampleData := make([][]byte, len(samples))
 	for i, s := range samples {
 		sampleData[i] = s.Data
@@ -317,7 +312,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 			samplePool = append(samplePool, counter.Profile(data))
 		}
 	}
-	globalRanks, err := kmer.RanksContext(ctx2, profiles, samplePool, cfg.RankScale, cfg.Workers)
+	globalRanks, err := kmer.RanksContext(ctx2, profiles, samplePool, kmer.DefaultRankScale, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -403,9 +398,9 @@ func permute[T any](s []T, order []int) {
 	}
 }
 
-// pickSamples returns k samples of the locally sorted sequence list,
-// evenly spaced (regular) or uniform random (ablation).
-func pickSamples(seqs []wireSeq, k int, strategy SamplingStrategy, rank int) []wireSeq {
+// pickSamples returns k evenly spaced samples of the locally sorted
+// sequence list: the element at (i+1)·n/(k+1) for i in [0, k).
+func pickSamples(seqs []wireSeq, k int) []wireSeq {
 	if k <= 0 || len(seqs) == 0 {
 		return nil
 	}
@@ -413,21 +408,12 @@ func pickSamples(seqs []wireSeq, k int, strategy SamplingStrategy, rank int) []w
 		k = len(seqs)
 	}
 	out := make([]wireSeq, 0, k)
-	switch strategy {
-	case RandomSampling:
-		rng := rand.New(rand.NewSource(int64(rank)*7919 + 17))
-		for _, idx := range rng.Perm(len(seqs))[:k] {
-			out = append(out, seqs[idx])
+	for i := 0; i < k; i++ {
+		idx := (i + 1) * len(seqs) / (k + 1)
+		if idx >= len(seqs) {
+			idx = len(seqs) - 1
 		}
-	default:
-		// evenly spaced: element at (i+1)·n/(k+1) of the sorted list
-		for i := 0; i < k; i++ {
-			idx := (i + 1) * len(seqs) / (k + 1)
-			if idx >= len(seqs) {
-				idx = len(seqs) - 1
-			}
-			out = append(out, seqs[idx])
-		}
+		out = append(out, seqs[idx])
 	}
 	return out
 }
@@ -509,7 +495,7 @@ func selectPivots(all []pivotKey, p int) []pivotKey {
 
 // globalAncestor aligns the non-empty local ancestors and extracts the
 // consensus of their alignment.
-func globalAncestor(ctx context.Context, ancestors [][]byte, aligner msa.Aligner, cfg Config) ([]byte, error) {
+func globalAncestor(ctx context.Context, ancestors [][]byte, aligner msa.Aligner) ([]byte, error) {
 	var ancSeqs []bio.Sequence
 	for r, a := range ancestors {
 		if len(a) == 0 {
@@ -527,5 +513,5 @@ func globalAncestor(ctx context.Context, ancestors [][]byte, aligner msa.Aligner
 	if err != nil {
 		return nil, fmt.Errorf("core: ancestor alignment: %w", err)
 	}
-	return aln.Consensus(cfg.Sub.Alphabet(), cfg.AncestorOcc)
+	return aln.Consensus(submat.BLOSUM62.Alphabet(), ancestorOcc)
 }

@@ -24,37 +24,22 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/bio"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/msa"
-	"repro/internal/submat"
 )
 
-// SamplingStrategy selects how redistribution pivots are sampled.
-type SamplingStrategy int
-
-const (
-	// RegularSampling is the paper's choice: evenly spaced samples from
-	// locally sorted data, giving the 2N/p worst-case bucket bound.
-	RegularSampling SamplingStrategy = iota
-	// RandomSampling picks samples uniformly at random; kept for the
-	// ablation benches (no skew bound).
-	RandomSampling
-)
-
-// Config parameterises Sample-Align-D. The zero value plus defaults
-// reproduces the paper's configuration.
+// Config parameterises Sample-Align-D: the zero value is the paper's
+// configuration. The k-mer alphabet (bio.Dayhoff6), the rank scale
+// (kmer.DefaultRankScale), the ancestor occupancy and the fine-tuning
+// scoring (BLOSUM62, submat.DefaultProteinGap) are the pipeline's own.
 type Config struct {
 	// K is the k-mer length (default kmer.DefaultK = 6).
 	K int
-	// Compress is the compressed alphabet for k-mer counting
-	// (default bio.Dayhoff6).
-	Compress *bio.Compressed
-	// RankScale feeds kmer.Rank (default kmer.DefaultRankScale).
-	RankScale float64
 	// SampleSize is k, the number of sample sequences each rank
 	// contributes to the globalised rank estimate (paper: k << N/p,
 	// analysed at k = p−1). Default: max(p−1, 4), clamped to the local
@@ -63,14 +48,6 @@ type Config struct {
 	// NewLocalAligner builds the sequential MSA run on each bucket and on
 	// the ancestor set (default msa.MuscleLike).
 	NewLocalAligner func(workers int) msa.Aligner
-	// AncestorOcc is the minimum column occupancy for ancestor
-	// extraction (default 0.5).
-	AncestorOcc float64
-	// NoFineTune disables the global-ancestor profile re-alignment
-	// (the paper's fine-tuning step); used by the ablation bench.
-	NoFineTune bool
-	// Sampling picks the pivot sampling strategy (default regular).
-	Sampling SamplingStrategy
 	// Workers bounds shared-memory parallelism inside one rank: k-mer
 	// ranking, the local aligner's guide-tree construction (distance
 	// matrix, UPGMA/NJ nearest-neighbour scans) and its
@@ -78,21 +55,25 @@ type Config struct {
 	// for every value (default 1: ranks model single-CPU cluster
 	// nodes).
 	Workers int
-	// Sub/Gap drive the fine-tuning profile alignment
-	// (defaults BLOSUM62 / DefaultProteinGap).
-	Sub *submat.Matrix
-	Gap submat.Gap
 }
+
+// CheckK reports whether k is a usable k-mer length: k ≥ 1, and the 6^k
+// codes over bio.Dayhoff6 fit the counter's code space. The callers
+// that take k from outside (the public options, the job API) ask here,
+// so a bad k is refused before any rank starts.
+func CheckK(k int) error {
+	if _, err := kmer.NewCounter(bio.Dayhoff6, k); err != nil {
+		return fmt.Errorf("k = %d: %w", k, err)
+	}
+	return nil
+}
+
+// ancestorOcc is the minimum column occupancy for ancestor extraction.
+const ancestorOcc = 0.5
 
 func (c Config) withDefaults(worldSize int) Config {
 	if c.K == 0 {
 		c.K = kmer.DefaultK
-	}
-	if c.Compress == nil {
-		c.Compress = bio.Dayhoff6
-	}
-	if c.RankScale == 0 {
-		c.RankScale = kmer.DefaultRankScale
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = worldSize - 1
@@ -103,17 +84,8 @@ func (c Config) withDefaults(worldSize int) Config {
 	if c.NewLocalAligner == nil {
 		c.NewLocalAligner = func(workers int) msa.Aligner { return msa.MuscleLike(workers) }
 	}
-	if c.AncestorOcc == 0 {
-		c.AncestorOcc = 0.5
-	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.Sub == nil {
-		c.Sub = submat.BLOSUM62
-	}
-	if c.Gap == (submat.Gap{}) {
-		c.Gap = submat.DefaultProteinGap
 	}
 	return c
 }
@@ -149,8 +121,7 @@ const (
 	tagRedist
 	tagAncGather
 	tagGA
-	tagGluePath
-	tagGlueRows
+	tagGlue
 	tagIDCheck
 )
 

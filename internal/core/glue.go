@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/profile"
+	"repro/internal/submat"
 )
 
 // templatePath profile-aligns a rank's local alignment against the global
@@ -15,7 +16,7 @@ import (
 // path: which local columns match which GA columns and where insertions
 // fall. An empty local alignment maps to "all GA columns unmatched"; an
 // empty GA maps to "all local columns are insertions".
-func templatePath(localAln *msa.Alignment, ga []byte, cfg Config) (profile.Path, error) {
+func templatePath(localAln *msa.Alignment, ga []byte) (profile.Path, error) {
 	localCols := localAln.Width()
 	if len(ga) == 0 || localCols == 0 {
 		path := make(profile.Path, 0, localCols+len(ga))
@@ -27,13 +28,13 @@ func templatePath(localAln *msa.Alignment, ga []byte, cfg Config) (profile.Path,
 		}
 		return path, nil
 	}
-	alpha := cfg.Sub.Alphabet()
+	alpha := submat.BLOSUM62.Alphabet()
 	lp, err := localAln.Profile(alpha)
 	if err != nil {
 		return nil, err
 	}
 	gp := profile.FromSequence(alpha, ga)
-	aligner := profile.NewAligner(cfg.Sub, cfg.Gap)
+	aligner := profile.NewAligner(submat.BLOSUM62, submat.DefaultProteinGap)
 	path, _ := aligner.Align(lp, gp)
 	return path, nil
 }
@@ -53,40 +54,30 @@ type glueMsg struct {
 // sized by the widest rank. Rows come back in Orig order. Only rank 0
 // returns a non-nil alignment, and only rank 0's stats get BucketSizes:
 // a bucket's size is the number of rows its rank sends here.
-func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Path, gaLen int, cfg Config, stats *Stats) (*msa.Alignment, error) {
+func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Path, gaLen int, stats *Stats) (*msa.Alignment, error) {
 	origs := origMap(bucket)
 	msgOut := glueMsg{
 		IDs:   make([]string, localAln.NumSeqs()),
 		Descs: make([]string, localAln.NumSeqs()),
 		Origs: make([]int64, localAln.NumSeqs()),
 		Rows:  localAln.Rows(),
+		Path:  make([]byte, len(path)),
 	}
 	for i, s := range localAln.Seqs {
 		msgOut.IDs[i] = s.ID
 		msgOut.Descs[i] = s.Desc
 		msgOut.Origs[i] = origs[s.ID]
 	}
-	tag := tagGlueRows
-	if !cfg.NoFineTune {
-		tag = tagGluePath
-		msgOut.Path = make([]byte, len(path))
-		for i, op := range path {
-			msgOut.Path[i] = byte(op)
-		}
+	for i, op := range path {
+		msgOut.Path[i] = byte(op)
 	}
-	msgs, err := mpi.GatherValues(c, 0, tag, msgOut)
+	msgs, err := mpi.GatherValues(c, 0, tagGlue, msgOut)
 	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}
 	stats.BucketSizes = make([]int, len(msgs))
 	for r := range msgs {
 		stats.BucketSizes[r] = len(msgs[r].Rows)
-	}
-	if cfg.NoFineTune {
-		// Ablation mode: ignore the GA template and concatenate the local
-		// alignments block-diagonally (what you get without the paper's
-		// fine-tuning idea).
-		return mergeBlockDiagonal(msgs)
 	}
 	return mergeOnTemplate(msgs, gaLen)
 }
@@ -218,48 +209,6 @@ func mergeOnTemplate(msgs []glueMsg, gaLen int) (*msa.Alignment, error) {
 				orig: m.Origs[i],
 			})
 		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].orig < rows[j].orig })
-	aln := &msa.Alignment{Seqs: make([]bio.Sequence, len(rows))}
-	for i, r := range rows {
-		aln.Seqs[i] = r.seq
-	}
-	aln.RemoveAllGapColumns()
-	return aln, nil
-}
-
-// mergeBlockDiagonal is the no-fine-tune fallback: each rank's alignment
-// occupies its own column range; rows from other ranks are gaps there.
-func mergeBlockDiagonal(msgs []glueMsg) (*msa.Alignment, error) {
-	width := 0
-	for _, m := range msgs {
-		if len(m.Rows) > 0 {
-			width += len(m.Rows[0])
-		}
-	}
-	type rowOut struct {
-		seq  bio.Sequence
-		orig int64
-	}
-	var rows []rowOut
-	offset := 0
-	for _, m := range msgs {
-		if len(m.Rows) == 0 {
-			continue
-		}
-		w := len(m.Rows[0])
-		for i, rowData := range m.Rows {
-			out := make([]byte, width)
-			for j := range out {
-				out[j] = bio.Gap
-			}
-			copy(out[offset:], rowData)
-			rows = append(rows, rowOut{
-				seq:  bio.Sequence{ID: m.IDs[i], Desc: m.Descs[i], Data: out},
-				orig: m.Origs[i],
-			})
-		}
-		offset += w
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].orig < rows[j].orig })
 	aln := &msa.Alignment{Seqs: make([]bio.Sequence, len(rows))}

@@ -168,7 +168,6 @@ func FuzzWireDecode(f *testing.F) {
 			for gaLen := 0; gaLen <= 3; gaLen++ {
 				_, _ = mergeOnTemplate([]glueMsg{msg, msg}, gaLen)
 			}
-			_, _ = mergeBlockDiagonal([]glueMsg{msg, msg})
 		}
 	})
 }

@@ -107,16 +107,6 @@ func NewInfo() *types.Info {
 	}
 }
 
-// StripTestVariant reduces a go/vet package ID to its import path:
-// "p [p.test]" -> "p", "p.test" -> "p.test" (the synthesized test main,
-// which no analyzer applies to).
-func StripTestVariant(id string) string {
-	if i := strings.Index(id, " ["); i >= 0 {
-		return id[:i]
-	}
-	return id
-}
-
 // IsTestFile reports whether the file (by filename) is a _test.go file.
 // The suite checks invariants of production code; tests may freely use
 // context.Background, wall clocks and maps.
@@ -161,7 +151,6 @@ func init() {
 // suppression directives are added. enabled selects analyzers by name;
 // nil enables all.
 func Run(fset *token.FileSet, files []*ast.File, pkgPath string, pkg *types.Package, info *types.Info, enabled map[string]bool) []Diagnostic {
-	pkgPath = StripTestVariant(pkgPath)
 	var src []*ast.File
 	for _, f := range files {
 		if !IsTestFile(fset, f) {

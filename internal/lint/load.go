@@ -39,9 +39,7 @@ type listedPackage struct {
 // LoadModule lists the packages matching patterns in the module rooted
 // at dir (with `go list -deps -export`, so every dependency arrives as
 // compiled export data) and type-checks the module's own packages from
-// source. Used by the driver's standalone mode and by the test
-// harness; the `go vet -vettool` path gets the same inputs from vet's
-// unitchecker config instead.
+// source. It is how cmd/samplealignlint sees the module.
 func LoadModule(dir string, patterns []string) ([]*LoadedPackage, error) {
 	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -92,8 +90,7 @@ func LoadModule(dir string, patterns []string) ([]*LoadedPackage, error) {
 }
 
 // ExportImporter returns a types.Importer resolving imports through
-// compiled gc export data files (as produced by `go list -export` or
-// handed over in a vet config's PackageFile map).
+// compiled gc export data files (as produced by `go list -export`).
 func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]

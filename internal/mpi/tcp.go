@@ -37,6 +37,14 @@ type tcpComm struct {
 
 // frame layout: [tag int64][length uint32][payload]
 
+// maxFrame is the largest payload one frame carries: 1 GiB, the
+// journal's record limit. Send refuses more — past 4 GiB the header's
+// uint32 would truncate the length and desynchronise the stream — and
+// readLoop gives up on a peer whose header claims more before
+// allocating a byte of it, so nobody on the mesh port can ask a rank
+// for 4 GiB per frame.
+const maxFrame = 1 << 30
+
 // DialTCP establishes the mesh and returns this rank's communicator.
 // Every rank of the world must call DialTCP concurrently (they block on
 // each other).
@@ -191,6 +199,9 @@ func (c *tcpComm) readLoop(peer int, conn net.Conn) {
 		}
 		tag := int(int64(binary.LittleEndian.Uint64(hdr[:8])))
 		length := binary.LittleEndian.Uint32(hdr[8:])
+		if length > maxFrame {
+			return
+		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			return
@@ -224,6 +235,9 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	c.mu.Unlock()
 	if closed || conn == nil {
 		return ErrClosed
+	}
+	if len(data) > maxFrame {
+		return fmt.Errorf("mpi: send to %d: payload of %d bytes exceeds the frame limit of %d", to, len(data), maxFrame)
 	}
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[:8], uint64(int64(tag)))

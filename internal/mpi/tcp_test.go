@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -206,4 +209,65 @@ func TestTCPPeerDeathFailsPendingRecv(t *testing.T) {
 			return fmt.Errorf("recv from dead peer hung")
 		}
 	})
+}
+
+// TestTCPOversizedFrameHeaderKillsThePeerNotTheRank speaks rank 1's side
+// of a two-rank mesh by hand: a hello, then a 12-byte header claiming a
+// 4 GiB payload that never comes. Rank 0 must not believe the length —
+// no allocation of that size — and its pending Recv must fail fast with
+// ErrClosed while the connection is still open.
+func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	type dialed struct {
+		c   Comm
+		err error
+	}
+	rank0 := make(chan dialed, 1)
+	go func() {
+		c, err := DialTCP(TCPConfig{Rank: 0, Addrs: addrs})
+		rank0 <- dialed{c, err}
+	}()
+	var conn net.Conn
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if conn, err = net.Dial("tcp", addrs[0]); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank 0 never listened: %v", err)
+		}
+	}
+	defer conn.Close()
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	d := <-rank0
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	defer d.c.Close()
+
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := d.c.Recv(1, 5)
+		recvErr <- err
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hdr := binary.LittleEndian.AppendUint64(nil, 5)
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(hdr, 0xFFFFFFFF)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-recvErr:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv after an oversized header: %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv still waits for the 4 GiB an oversized header claimed")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d bytes allocated on the word of a frame header", grew)
+	}
 }

@@ -66,11 +66,13 @@ type jobAck struct {
 
 // clusterProto is the version both ends of the control connection must
 // name in prepare. It covers what the ranks say to each other on the
-// mesh as well as the control messages: 2 is mpi's binary wire format
-// (1 was gob), so builds on either side of that change refuse each
-// other here, before a mesh is dialled, instead of failing to decode
-// each other's first collective.
-const clusterProto = 2
+// mesh as well as the control messages, so builds on either side of a
+// change refuse each other here, before a mesh is dialled, instead of
+// failing to decode each other's first collective: 2 was mpi's binary
+// wire format (1 was gob); 3 dropped the ablation options from the job
+// spec — a 2 coordinator could ask for a pipeline this build no longer
+// has — and renumbered core's message tags.
+const clusterProto = 3
 
 // Cluster executes jobs on a pre-connected set of samplealignd worker
 // daemons (started with -worker-ctrl/-worker-mesh): the server itself

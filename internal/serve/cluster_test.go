@@ -274,32 +274,35 @@ func TestClusterWorkerUnreachableFailsFast(t *testing.T) {
 }
 
 // TestWorkerRefusesOlderProtocol speaks prepare by hand as a coordinator
-// built before the mesh changed its wire format (protocol 1): the worker
-// must refuse in its hello — naming both versions, before any spec or
-// mesh — and stay up for a coordinator of its own build.
+// of an older build — protocol 1, before the mesh changed its wire
+// format, and 2, which could still ask for an ablation pipeline: the
+// worker must refuse in its hello — naming both versions, before any
+// spec or mesh — and stay up for a coordinator of its own build.
 func TestWorkerRefusesOlderProtocol(t *testing.T) {
 	cl, stop := startCluster(t, 1)
 	defer stop()
 
-	conn, err := net.DialTimeout("tcp", cl.Workers[0], 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := json.NewEncoder(conn).Encode(prepareMsg{Proto: 1}); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(conn)
-	var hello helloMsg
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatalf("no hello for an old prepare: %v", err)
-	}
-	if hello.Mesh != "" || !strings.Contains(hello.Error, "protocol 1") || !strings.Contains(hello.Error, fmt.Sprintf("want %d", clusterProto)) {
-		t.Fatalf("hello = %+v, want a refusal naming protocol 1 and %d", hello, clusterProto)
-	}
-	if err := dec.Decode(&hello); err == nil {
-		t.Fatal("worker kept the connection of a coordinator it refused")
+	for _, proto := range []int{1, 2} {
+		conn, err := net.DialTimeout("tcp", cl.Workers[0], 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := json.NewEncoder(conn).Encode(prepareMsg{Proto: proto}); err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(conn)
+		var hello helloMsg
+		if err := dec.Decode(&hello); err != nil {
+			t.Fatalf("no hello for an old prepare: %v", err)
+		}
+		if hello.Mesh != "" || !strings.Contains(hello.Error, fmt.Sprintf("protocol %d", proto)) || !strings.Contains(hello.Error, fmt.Sprintf("want %d", clusterProto)) {
+			t.Fatalf("hello = %+v, want a refusal naming protocol %d and %d", hello, proto, clusterProto)
+		}
+		if err := dec.Decode(&hello); err == nil {
+			t.Fatal("worker kept the connection of a coordinator it refused")
+		}
 	}
 
 	opts, err := resolve(Options{}, Options{}, Limits{}, 0)

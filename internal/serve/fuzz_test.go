@@ -30,7 +30,7 @@ func FuzzSubmitJSON(f *testing.F) {
 	f.Add([]byte(">a\nACDEFG\n>b\nACDEFH\n"), "text/plain", "")
 	f.Add([]byte(`{"fasta":">a\nACDEFG\n>b\nACDEFH\n","options":{"procs":2,"aligner":"muscle"}}`),
 		"application/json", "")
-	f.Add([]byte(`{"fasta":">a\nAC\n","options":{"k":3,"sample_size":5,"no_finetune":true}}`),
+	f.Add([]byte(`{"fasta":">a\nAC\n","options":{"k":3,"sample_size":5,"no_finetune":false}}`),
 		"application/json", "procs=3&workers=2")
 	f.Add([]byte(`{"fasta":">a\nAC\n","options":{"timeout_ms":-1}}`), "application/json", "")
 	f.Add([]byte(`{"fasta":"","options":{}}`), "", "aligner=nosuch&kernel=banana")

@@ -170,18 +170,6 @@ func optionsFromQuery(r *http.Request, o *Options) error {
 		*dst = n
 		return nil
 	}
-	getBool := func(name string, dst *bool) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
-		}
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return badRequest("query %s=%q: %v", name, v, err)
-		}
-		*dst = b
-		return nil
-	}
 	if err := getInt("procs", &o.Procs); err != nil {
 		return err
 	}
@@ -194,14 +182,8 @@ func optionsFromQuery(r *http.Request, o *Options) error {
 	if err := getInt("sample_size", &o.SampleSize); err != nil {
 		return err
 	}
-	if err := getBool("no_finetune", &o.NoFineTune); err != nil {
-		return err
-	}
-	if err := getBool("random_sampling", &o.RandomSampling); err != nil {
-		return err
-	}
-	if err := getBool("full_alphabet", &o.FullAlphabet); err != nil {
-		return err
+	if err := refuseRetired(q.Get); err != nil {
+		return &BadRequestError{Err: err}
 	}
 	if v := q.Get("aligner"); v != "" {
 		o.Aligner = v

@@ -164,6 +164,47 @@ func TestHTTPRetiredKernelOptionIsIgnored(t *testing.T) {
 	}
 }
 
+// The ablation switches changed the alignment, so — unlike kernel — a
+// request that still sets one is refused by name on every way in: the
+// query string, the options object of a submit, and both levels of a
+// batch. Setting one false asks for the pipeline that remains.
+func TestHTTPRetiredAblationOptionsAreRefused(t *testing.T) {
+	fe := &fakeExec{}
+	_, ts := httpServer(t, Config{Executor: fe})
+	fastaJSON, _ := json.Marshal(fasta.FormatString(testSeqs(4, 30, 44)))
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(out)
+	}
+	submit := `{"fasta":` + string(fastaJSON) + `}`
+	for _, name := range retiredOptions {
+		for what, req := range map[string][2]string{
+			"query":                               {"/v1/jobs?" + name + "=true", submit},
+			"sync query":                          {"/v1/align?" + name + "=1", submit},
+			"options":                             {"/v1/jobs", `{"fasta":` + string(fastaJSON) + `,"options":{"` + name + `":true}}`},
+			"options, the decoder's case folding": {"/v1/jobs", `{"fasta":` + string(fastaJSON) + `,"options":{"` + strings.ToUpper(name) + `":true}}`},
+			"batch member":                        {"/v1/batch", `{"inputs":[` + submit + `,{"fasta":` + string(fastaJSON) + `,"options":{"procs":2,"` + name + `":true}}]}`},
+			"batch level":                         {"/v1/batch", `{"inputs":[` + submit + `],"options":{"` + name + `":true}}`},
+		} {
+			if code, out := post(req[0], req[1]); code != http.StatusBadRequest || !strings.Contains(out, name) {
+				t.Errorf("%s, %s: status %d, body %s; want a 400 naming the option", name, what, code, out)
+			}
+		}
+		if code, out := post("/v1/align?"+name+"=false", `{"fasta":`+string(fastaJSON)+`,"options":{"`+name+`":false}}`); code != http.StatusOK {
+			t.Errorf("%s=false: status %d, body %s; want the alignment", name, code, out)
+		}
+	}
+	if fe.Runs() != 1 {
+		t.Errorf("executor ran %d times, want 1: every accepted request is the same job", fe.Runs())
+	}
+}
+
 func TestHTTPGzipSubmit(t *testing.T) {
 	_, ts := httpServer(t, Config{})
 	var buf bytes.Buffer

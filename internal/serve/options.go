@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bio"
@@ -18,15 +21,57 @@ import (
 // Zero fields inherit the server defaults; the JSON names are the wire
 // format of the "options" object in submit requests.
 type Options struct {
-	Procs          int    `json:"procs,omitempty"`           // in-process ranks (ignored by cluster executors)
-	Workers        int    `json:"workers,omitempty"`         // shared-memory workers per rank
-	Aligner        string `json:"aligner,omitempty"`         // bucket aligner name (engines registry)
-	K              int    `json:"k,omitempty"`               // k-mer length
-	SampleSize     int    `json:"sample_size,omitempty"`     // samples per rank
-	NoFineTune     bool   `json:"no_finetune,omitempty"`     // skip GA fine-tuning
-	RandomSampling bool   `json:"random_sampling,omitempty"` // ablation: random pivots
-	FullAlphabet   bool   `json:"full_alphabet,omitempty"`   // ablation: uncompressed alphabet
-	TimeoutMs      int64  `json:"timeout_ms,omitempty"`      // caller deadline from submission time
+	Procs      int    `json:"procs,omitempty"`       // in-process ranks (ignored by cluster executors)
+	Workers    int    `json:"workers,omitempty"`     // shared-memory workers per rank
+	Aligner    string `json:"aligner,omitempty"`     // bucket aligner name (engines registry)
+	K          int    `json:"k,omitempty"`           // k-mer length
+	SampleSize int    `json:"sample_size,omitempty"` // samples per rank
+	TimeoutMs  int64  `json:"timeout_ms,omitempty"`  // caller deadline from submission time
+}
+
+// retiredOptions are the ablation switches that left with cache key v2.
+// They changed the alignment, so — unlike a leftover "kernel", which is
+// ignored — a request that sets one is refused by name rather than run
+// as the one pipeline that remains.
+var retiredOptions = [...]string{"no_finetune", "random_sampling", "full_alphabet"}
+
+// refuseRetired is the one check behind the query string, the JSON body
+// and journal replay. value returns an option's text — a query value or
+// a JSON literal, "" when absent — and anything but an explicit false
+// is refused.
+func refuseRetired(value func(name string) string) error {
+	for _, name := range retiredOptions {
+		v := value(name)
+		if v == "" || v == "null" {
+			continue
+		}
+		if set, err := strconv.ParseBool(v); err != nil || set {
+			return fmt.Errorf("option %s=%s was retired with the ablation pipelines (only the paper's pipeline runs): drop it or set it false", name, v)
+		}
+	}
+	return nil
+}
+
+// UnmarshalJSON decodes an "options" object and refuses the retired
+// names, so every JSON entry point — /v1/jobs, /v1/align and both
+// levels of /v1/batch — shares the check.
+func (o *Options) UnmarshalJSON(data []byte) error {
+	type options Options // the same fields without this method
+	if err := json.Unmarshal(data, (*options)(o)); err != nil {
+		return err
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return err
+	}
+	return refuseRetired(func(name string) string {
+		for key, v := range fields { // any case, as the decoder above matches its fields
+			if strings.EqualFold(key, name) {
+				return string(v)
+			}
+		}
+		return ""
+	})
 }
 
 // Resolved is a fully defaulted, validated option set: every field is
@@ -34,14 +79,11 @@ type Options struct {
 // cannot change the alignment) and reconstructs an identical
 // core.Config on any process, including remote cluster workers.
 type Resolved struct {
-	Procs          int    `json:"procs"`
-	Workers        int    `json:"workers"`
-	Aligner        string `json:"aligner"`
-	K              int    `json:"k"`
-	SampleSize     int    `json:"sample_size"` // 0 keeps core's p-derived default
-	NoFineTune     bool   `json:"no_finetune"`
-	RandomSampling bool   `json:"random_sampling"`
-	FullAlphabet   bool   `json:"full_alphabet"`
+	Procs      int    `json:"procs"`
+	Workers    int    `json:"workers"`
+	Aligner    string `json:"aligner"`
+	K          int    `json:"k"`
+	SampleSize int    `json:"sample_size"` // 0 keeps core's p-derived default
 
 	Timeout time.Duration `json:"timeout_ns"` // 0 = none; NOT part of the cache key
 }
@@ -70,13 +112,10 @@ func resolve(o, defaults Options, lim Limits, fixedProcs int) (Resolved, error) 
 		return fallback
 	}
 	r := Resolved{
-		Procs:          pick(o.Procs, defaults.Procs, 4),
-		Workers:        pick(o.Workers, defaults.Workers, 1),
-		K:              pick(o.K, defaults.K, 0),
-		SampleSize:     pick(o.SampleSize, defaults.SampleSize, 0),
-		NoFineTune:     o.NoFineTune || defaults.NoFineTune,
-		RandomSampling: o.RandomSampling || defaults.RandomSampling,
-		FullAlphabet:   o.FullAlphabet || defaults.FullAlphabet,
+		Procs:      pick(o.Procs, defaults.Procs, 4),
+		Workers:    pick(o.Workers, defaults.Workers, 1),
+		K:          pick(o.K, defaults.K, kmer.DefaultK),
+		SampleSize: pick(o.SampleSize, defaults.SampleSize, 0),
 	}
 	r.Aligner = o.Aligner
 	if r.Aligner == "" {
@@ -118,25 +157,11 @@ func resolve(o, defaults Options, lim Limits, fixedProcs int) (Resolved, error) 
 	if !engines.Valid(r.Aligner) {
 		return Resolved{}, fmt.Errorf("unknown aligner %q (have %v)", r.Aligner, engines.Names())
 	}
-	if r.K < 0 || r.SampleSize < 0 {
-		return Resolved{}, fmt.Errorf("k = %d, sample_size = %d", r.K, r.SampleSize)
+	if r.SampleSize < 0 {
+		return Resolved{}, fmt.Errorf("sample_size = %d", r.SampleSize)
 	}
-	// Default K mirrors the public buildConfig: 6 over Dayhoff classes,
-	// 4 over the full alphabet; explicit values are validated against
-	// the alphabet's code space.
-	if r.K == 0 {
-		if r.FullAlphabet {
-			r.K = 4
-		} else {
-			r.K = kmer.DefaultK
-		}
-	}
-	comp := bio.Dayhoff6
-	if r.FullAlphabet {
-		comp = bio.Identity(bio.AminoAcids)
-	}
-	if _, err := kmer.NewCounter(comp, r.K); err != nil {
-		return Resolved{}, fmt.Errorf("k = %d is too large for the %d-letter alphabet", r.K, comp.Len())
+	if err := core.CheckK(r.K); err != nil {
+		return Resolved{}, err
 	}
 	return r, nil
 }
@@ -150,28 +175,20 @@ func (r Resolved) CoreConfig() (core.Config, error) {
 	if _, err := engines.New(aligner, 1); err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Config{
+	return core.Config{
 		K:          r.K,
 		Workers:    r.Workers,
 		SampleSize: r.SampleSize,
-		NoFineTune: r.NoFineTune,
-	}
-	if r.RandomSampling {
-		cfg.Sampling = core.RandomSampling
-	}
-	if r.FullAlphabet {
-		cfg.Compress = bio.Identity(bio.AminoAcids)
-	}
-	cfg.NewLocalAligner = func(workers int) msa.Aligner {
-		al, _ := engines.New(aligner, workers) // the name was checked above
-		return al
-	}
-	return cfg, nil
+		NewLocalAligner: func(workers int) msa.Aligner {
+			al, _ := engines.New(aligner, workers) // the name was checked above
+			return al
+		},
+	}, nil
 }
 
 // cacheKeyVersion invalidates every cached result when the key schema
 // or anything result-affecting about the pipeline encoding changes.
-const cacheKeyVersion = "samplealign-job-v1"
+const cacheKeyVersion = "samplealign-job-v2"
 
 // CacheKey returns the content address of (input, options): the hex
 // SHA-256 of the canonicalized sequences and every result-affecting
@@ -197,9 +214,6 @@ func CacheKey(seqs []bio.Sequence, r Resolved) string {
 	writeStr(r.Aligner)
 	writeInt(int64(r.K))
 	writeInt(int64(r.SampleSize))
-	writeInt(b2i(r.NoFineTune))
-	writeInt(b2i(r.RandomSampling))
-	writeInt(b2i(r.FullAlphabet))
 	writeInt(int64(len(seqs)))
 	for _, s := range seqs {
 		writeStr(s.ID)
@@ -208,11 +222,4 @@ func CacheKey(seqs []bio.Sequence, r Resolved) string {
 		h.Write(s.Data)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

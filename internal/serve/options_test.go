@@ -72,29 +72,12 @@ func TestResolveFixedProcs(t *testing.T) {
 	}
 }
 
-func TestResolveFullAlphabetK(t *testing.T) {
-	// Full alphabet defaults k to 4 (20^6 would overflow the code space).
-	r, err := resolve(Options{FullAlphabet: true}, Options{}, Limits{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.K != 4 {
-		t.Fatalf("full-alphabet k = %d, want 4", r.K)
-	}
-	// An explicit oversized k is rejected, like the public buildConfig.
-	if _, err := resolve(Options{FullAlphabet: true, K: 8}, Options{}, Limits{}, 0); err == nil {
-		t.Fatal("k=8 over the full alphabet accepted")
-	}
-	if _, err := resolve(Options{K: 6}, Options{}, Limits{}, 0); err != nil {
-		t.Fatalf("k=6 over Dayhoff rejected: %v", err)
-	}
-}
-
 func TestResolveRejects(t *testing.T) {
 	for _, o := range []Options{
 		{Procs: -2},
 		{Workers: -1},
 		{K: -1},
+		{K: 12}, // 6^12 k-mer codes overflow the counter
 		{SampleSize: -1},
 		{TimeoutMs: -5},
 		{Aligner: "bogus"},
@@ -107,7 +90,7 @@ func TestResolveRejects(t *testing.T) {
 
 func TestCoreConfigRoundTrip(t *testing.T) {
 	r, err := resolve(Options{Procs: 2, Workers: 3, Aligner: "tcoffee", K: 5,
-		SampleSize: 7, NoFineTune: true, RandomSampling: true}, Options{}, Limits{}, 0)
+		SampleSize: 7}, Options{}, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +98,8 @@ func TestCoreConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.K != 5 || cfg.Workers != 3 || cfg.SampleSize != 7 || !cfg.NoFineTune {
+	if cfg.K != 5 || cfg.Workers != 3 || cfg.SampleSize != 7 {
 		t.Fatalf("core config: %+v", cfg)
-	}
-	if cfg.Sampling == 0 {
-		t.Fatal("random sampling not mapped")
 	}
 	al := cfg.NewLocalAligner(1)
 	if al == nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/bio"
 	"repro/internal/fasta"
 	"repro/internal/store"
 )
@@ -39,6 +40,19 @@ type submitData struct {
 	Cached    bool     `json:"cached,omitempty"`
 	Coalesced bool     `json:"coalesced,omitempty"`
 	Recovered bool     `json:"recovered,omitempty"`
+}
+
+// retiredInSubmit reports a retired option set in a journaled submit
+// record: a build that still had the option wrote it, and Resolved no
+// longer decodes the field.
+func retiredInSubmit(data []byte) error {
+	var sub struct {
+		Opts map[string]json.RawMessage `json:"opts"`
+	}
+	if err := json.Unmarshal(data, &sub); err != nil {
+		return err
+	}
+	return refuseRetired(func(name string) string { return string(sub.Opts[name]) })
 }
 
 // finishData is the finish/cancel record payload.
@@ -144,8 +158,6 @@ func (s *Server) openPersistence() error {
 		}
 	}
 	journal, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{
-		MaxBatchBytes: s.cfg.JournalBatchBytes,
-		MaxWait:       s.cfg.JournalBatchWait,
 		OnFlush: func(records, bytes int64) {
 			s.metrics.GroupRecords.Observe(float64(records))
 		},
@@ -260,6 +272,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 		id, key     string
 		submitted   time.Time
 		sub         *submitData
+		subData     []byte // the submit record as journaled, for retiredInSubmit
 		started     time.Time
 		state       State
 		errMsg      string
@@ -293,7 +306,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				continue
 			}
 			r := entry(rec)
-			r.sub = &sd
+			r.sub, r.subData = &sd, rec.Data
 			r.submitted = rec.Time
 		case store.RecStart:
 			if r := byID[rec.Job]; r != nil && !r.state.Terminal() {
@@ -364,9 +377,19 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				r.state = StateCanceled
 				continue
 			}
-			seqs, err := fasta.Read(bytes.NewReader(r.sub.FASTA))
-			if err == nil && len(seqs) == 0 {
-				err = errors.New("no sequences")
+			// The pipeline a retired option asked for is gone and the
+			// job's key describes that pipeline: fail it rather than
+			// re-run it as a different job.
+			var seqs []bio.Sequence
+			err := retiredInSubmit(r.subData)
+			if err == nil {
+				seqs, err = fasta.Read(bytes.NewReader(r.sub.FASTA))
+				if err == nil && len(seqs) == 0 {
+					err = errors.New("no sequences")
+				}
+				if err != nil {
+					err = fmt.Errorf("journaled input unreadable: %w", err)
+				}
 			}
 			if err == nil {
 				// Re-enqueue under the original ID, coalescing by content
@@ -387,7 +410,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				continue
 			}
 			r.state, r.finished = StateFailed, now
-			r.errMsg = fmt.Sprintf("recovery: journaled input unreadable: %v", err)
+			r.errMsg = fmt.Sprintf("recovery: %v", err)
 		}
 		// Terminal in the journal (or just failed above): a visible
 		// finished job record, never re-run.

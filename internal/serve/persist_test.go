@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -534,6 +535,70 @@ func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
 	}
 	if v := waitState(t, jb, StateDone); v.Key != key || v.Opts != opts {
 		t.Fatalf("restored job: key %s opts %+v, want %s %+v", v.Key, v.Opts, key, opts)
+	}
+}
+
+// A journal written while the ablation options existed. A finished job
+// submitted under one is restored as it was: its result was computed
+// under that option and stays addressable by job ID. An unfinished one
+// cannot be re-run as the job it was — that pipeline is gone and its key
+// describes it — so it is failed, naming the option. The compacted
+// journal replays to the same two jobs.
+func TestReplayOfJobsSubmittedUnderARetiredOption(t *testing.T) {
+	dir := t.TempDir()
+	seqs := testSeqs(4, 30, 80)
+	opts, err := resolve(Options{Procs: 1}, Options{}, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optsJSON, _ := json.Marshal(opts)
+	var old map[string]any
+	if err := json.Unmarshal(optsJSON, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["no_finetune"] = true
+	submit, _ := json.Marshal(map[string]any{
+		"opts": old, "num_seqs": len(seqs), "fasta": []byte(fasta.FormatString(seqs)),
+	})
+	doneKey, liveKey := strings.Repeat("a", 64), strings.Repeat("b", 64) // keys of the old schema
+	now := time.Now()
+	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendBatch([]store.Record{
+		{Type: store.RecSubmit, Job: "jaabb04", Key: doneKey, Time: now, Data: submit},
+		finishRecord("jaabb04", doneKey, StateDone, "", &resultMeta{NumSeqs: len(seqs), Width: 30, Procs: 1}, now),
+		{Type: store.RecSubmit, Job: "jaabb05", Key: liveKey, Time: now, Data: submit},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	for restart := 1; restart <= 2; restart++ {
+		fe := &fakeExec{}
+		s := newTestServer(t, Config{Executor: fe, DataDir: dir})
+		if rec := s.Recovery(); rec.Finished != 2 || rec.Requeued != 0 {
+			t.Fatalf("restart %d: recovery = %+v, want 2 finished and nothing requeued", restart, rec)
+		}
+		done, ok := s.Job("jaabb04")
+		if !ok {
+			t.Fatalf("restart %d: finished job not restored", restart)
+		}
+		if v := done.View(); v.State != StateDone || v.Key != doneKey || v.Result == nil || v.Result.NumSeqs != len(seqs) {
+			t.Fatalf("restart %d: finished job came back as %+v", restart, v)
+		}
+		live, ok := s.Job("jaabb05")
+		if !ok {
+			t.Fatalf("restart %d: unfinished job not restored", restart)
+		}
+		if v := live.View(); v.State != StateFailed || !strings.HasPrefix(v.Error, "recovery: ") || !strings.Contains(v.Error, "no_finetune") {
+			t.Fatalf("restart %d: unfinished job came back %s (%q), want failed by recovery naming no_finetune", restart, v.State, v.Error)
+		}
+		if fe.Runs() != 0 {
+			t.Fatalf("restart %d: a job submitted under a retired option ran", restart)
+		}
+		s.Close()
 	}
 }
 

@@ -112,15 +112,6 @@ type Config struct {
 	StoreEntries int   // disk store entry bound (default 4096; -1 disables the disk result tier)
 	StoreBytes   int64 // disk store byte bound (default 1 GiB; -1 unbounded)
 
-	// JournalBatchBytes and JournalBatchWait tune the journal's group
-	// commit (store.JournalOptions): the framed bytes one commit group
-	// accumulates before spilling to the next, and how long a group
-	// leader waits for followers before fsyncing. Zero means the store
-	// defaults (1 MiB, no wait — batching then comes purely from
-	// appenders piling up behind in-flight flushes).
-	JournalBatchBytes int
-	JournalBatchWait  time.Duration
-
 	// Logger receives structured operational logs (job lifecycle,
 	// journal I/O errors, recovery notes), keyed by job/trace IDs. Nil
 	// means silent.

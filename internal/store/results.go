@@ -16,7 +16,7 @@ import (
 	"sync"
 )
 
-// Result file layout (current version, "SAR2"):
+// Result file layout ("SAR2"):
 //
 //	magic   [4]byte  "SAR2"
 //	metaLen uint32   little-endian
@@ -32,24 +32,17 @@ import (
 // store capacity — and the CRC covers the compressed frame, so reads
 // verify the cheap small frame, not the inflated bytes. Accounting
 // (LRU byte bound, Bytes) follows the compressed size actually on
-// disk. Files written by the previous "SAR1" version (identical header
-// minus rawLen, payload stored raw) remain readable; new writes always
-// produce SAR2.
+// disk.
 //
 // Files are written to a temp name and renamed into place, so a
 // half-written result is never visible under its key; checksums catch
 // bit rot and torn writes that survived the rename anyway, and a file
-// that fails them is deleted and treated as a miss.
+// that fails them — or carries any other magic — is deleted and treated
+// as a miss.
 
-var (
-	resultMagic   = [4]byte{'S', 'A', 'R', '2'}
-	resultMagicV1 = [4]byte{'S', 'A', 'R', '1'}
-)
+var resultMagic = [4]byte{'S', 'A', 'R', '2'}
 
-const (
-	resultHeaderLen   = 4 + 4 + 4 + 8 + 4 + 8
-	resultHeaderLenV1 = 4 + 4 + 4 + 8 + 4
-)
+const resultHeaderLen = 4 + 4 + 4 + 8 + 4 + 8
 
 // ErrCorrupt reports a result file whose checksum did not match; the
 // streaming reader returns it from Read at the point of detection.
@@ -162,47 +155,35 @@ func statResult(path string) (int64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	if fi.Size() != int64(hdr.headerLen)+int64(hdr.metaLen)+hdr.payLen {
+	if fi.Size() != resultHeaderLen+int64(hdr.metaLen)+hdr.payLen {
 		return 0, false // truncated or padded: treat as corrupt
 	}
 	return hdr.payLen, true
 }
 
-// resultHeader is a decoded result file header, either version.
+// resultHeader is a decoded result file header.
 type resultHeader struct {
-	metaLen    uint32
-	metaCRC    uint32
-	payLen     int64 // bytes on disk: compressed (SAR2) or raw (SAR1)
-	payCRC     uint32
-	rawLen     int64 // decompressed payload length (== payLen for SAR1)
-	compressed bool
-	headerLen  int
+	metaLen uint32
+	metaCRC uint32
+	payLen  int64 // compressed bytes on disk
+	payCRC  uint32
+	rawLen  int64 // decompressed payload length
 }
 
 func readHeader(r io.Reader) (resultHeader, error) {
 	var hdr [resultHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:resultHeaderLenV1]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return resultHeader{}, err
 	}
-	h := resultHeader{
-		metaLen:   binary.LittleEndian.Uint32(hdr[4:8]),
-		metaCRC:   binary.LittleEndian.Uint32(hdr[8:12]),
-		payLen:    int64(binary.LittleEndian.Uint64(hdr[12:20])),
-		payCRC:    binary.LittleEndian.Uint32(hdr[20:24]),
-		headerLen: resultHeaderLenV1,
-	}
-	switch [4]byte(hdr[0:4]) {
-	case resultMagic:
-		if _, err := io.ReadFull(r, hdr[resultHeaderLenV1:]); err != nil {
-			return resultHeader{}, err
-		}
-		h.rawLen = int64(binary.LittleEndian.Uint64(hdr[24:32]))
-		h.compressed = true
-		h.headerLen = resultHeaderLen
-	case resultMagicV1:
-		h.rawLen = h.payLen
-	default:
+	if [4]byte(hdr[0:4]) != resultMagic {
 		return resultHeader{}, ErrCorrupt
+	}
+	h := resultHeader{
+		metaLen: binary.LittleEndian.Uint32(hdr[4:8]),
+		metaCRC: binary.LittleEndian.Uint32(hdr[8:12]),
+		payLen:  int64(binary.LittleEndian.Uint64(hdr[12:20])),
+		payCRC:  binary.LittleEndian.Uint32(hdr[20:24]),
+		rawLen:  int64(binary.LittleEndian.Uint64(hdr[24:32])),
 	}
 	if h.metaLen > maxRecordBytes || h.payLen < 0 || h.payLen > 1<<40 ||
 		h.rawLen < 0 || h.rawLen > 1<<40 {
@@ -355,9 +336,6 @@ func (s *Results) Get(key string) (meta, payload []byte, ok bool) {
 		s.drop(key)
 		return nil, nil, false
 	}
-	if !hdr.compressed {
-		return meta, frame, true
-	}
 	zr, err := gzip.NewReader(bytes.NewReader(frame))
 	if err != nil {
 		s.drop(key)
@@ -413,9 +391,6 @@ func (s *Results) Open(key string) (meta []byte, r io.ReadCloser, size int64, ok
 		want: hdr.payCRC,
 		left: hdr.payLen,
 		bad:  func() { s.drop(key) },
-	}
-	if !hdr.compressed {
-		return meta, vr, hdr.payLen, true
 	}
 	zr, err := gzip.NewReader(vr)
 	if err != nil {

@@ -266,50 +266,45 @@ func TestResultsConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestResultsReadsV1Files: files written by the pre-gzip "SAR1" format
-// (raw payload, 24-byte header) must stay readable — both the full
-// read and the streaming path — and account at their raw size.
+// TestResultsReadsV1Files: the pre-gzip "SAR1" format (raw payload,
+// 24-byte header) was never deployed and has no reader. A well-formed
+// SAR1 file is what any file with another magic is: not a result — a
+// miss, and removed at the scan.
 func TestResultsReadsV1Files(t *testing.T) {
 	dir := t.TempDir()
 	meta := []byte(`{"num_seqs":2}`)
 	payload := []byte(">a\nACDEF\n>b\nAC-EF\n")
-	hdr := make([]byte, resultHeaderLenV1)
-	copy(hdr[0:4], resultMagicV1[:])
+	hdr := make([]byte, 24)
+	copy(hdr[0:4], "SAR1")
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(meta)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(meta, crcTable))
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[20:24], crc32.Checksum(payload, crcTable))
 	file := append(append(append([]byte{}, hdr...), meta...), payload...)
-	if err := os.WriteFile(filepath.Join(dir, tkey(7)), file, 0o644); err != nil {
+	path := filepath.Join(dir, tkey(7))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s := openStore(t, dir, 0, 0)
-	if s.Len() != 1 || s.Bytes() != int64(len(payload)) {
-		t.Fatalf("v1 rescan: Len=%d Bytes=%d, want 1/%d", s.Len(), s.Bytes(), len(payload))
+	if s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("v1 rescan: Len=%d Bytes=%d, want an empty store", s.Len(), s.Bytes())
 	}
-	gotMeta, gotPayload, ok := s.Get(tkey(7))
-	if !ok || !bytes.Equal(gotMeta, meta) || !bytes.Equal(gotPayload, payload) {
-		t.Fatalf("v1 Get: ok=%v meta=%q payload=%q", ok, gotMeta, gotPayload)
+	if _, _, ok := s.Get(tkey(7)); ok {
+		t.Fatal("v1 Get: hit")
 	}
-	_, rc, size, ok := s.Open(tkey(7))
-	if !ok || size != int64(len(payload)) {
-		t.Fatalf("v1 Open: ok=%v size=%d", ok, size)
+	if _, _, _, ok := s.Open(tkey(7)); ok {
+		t.Fatal("v1 Open: hit")
 	}
-	defer rc.Close()
-	streamed, err := io.ReadAll(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed, payload) {
-		t.Fatalf("v1 stream: %q", streamed)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("v1 file still on disk: %v", err)
 	}
 
-	// A fresh Put alongside it writes the current format; both coexist.
-	if err := s.Put(tkey(8), meta, payload); err != nil {
+	// The key is free again: a Put under it stores the current format.
+	if err := s.Put(tkey(7), meta, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, p2, ok := s.Get(tkey(8)); !ok || !bytes.Equal(p2, payload) {
-		t.Fatal("v2 neighbour unreadable")
+	if _, p2, ok := s.Get(tkey(7)); !ok || !bytes.Equal(p2, payload) {
+		t.Fatal("result stored under the freed key is unreadable")
 	}
 }

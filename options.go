@@ -3,45 +3,22 @@ package samplealign
 import (
 	"fmt"
 
-	"repro/internal/bio"
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/kmer"
 	"repro/internal/msa"
 )
 
 // Option customises an Align run.
-type Option func(*settings) error
-
-type settings struct {
-	cfg  core.Config
-	kSet bool // WithK was given explicitly
-}
+type Option func(*core.Config) error
 
 func buildConfig(opts []Option) (core.Config, error) {
-	var s settings
+	var cfg core.Config
 	for _, opt := range opts {
-		if err := opt(&s); err != nil {
+		if err := opt(&cfg); err != nil {
 			return core.Config{}, err
 		}
 	}
-	// Validate the k-mer length against the (possibly compressed)
-	// alphabet regardless of option order: k codes must fit the uint32
-	// k-mer space. Without this, WithFullAlphabet combined with a large
-	// WithK would only fail deep inside the run, on every rank at once.
-	comp := s.cfg.Compress
-	if comp == nil {
-		comp = bio.Dayhoff6
-	}
-	k := s.cfg.K
-	if k == 0 {
-		k = kmer.DefaultK
-	}
-	if _, err := kmer.NewCounter(comp, k); err != nil {
-		return core.Config{}, fmt.Errorf("samplealign: k = %d is too large for the %d-letter alphabet: %w",
-			k, comp.Len(), err)
-	}
-	return s.cfg, nil
+	return cfg, nil
 }
 
 // WithWorkers bounds the shared-memory workers used inside each rank
@@ -49,7 +26,7 @@ func buildConfig(opts []Option) (core.Config, error) {
 // cores". Alignments are byte-identical for every worker count; workers
 // only change wall-clock time.
 func WithWorkers(n int) Option {
-	return func(s *settings) error {
+	return func(cfg *core.Config) error {
 		if n < 0 {
 			return fmt.Errorf("samplealign: workers = %d", n)
 		}
@@ -59,21 +36,20 @@ func WithWorkers(n int) Option {
 			// engine resolves to par.DefaultWorkers().
 			n = -1
 		}
-		s.cfg.Workers = n
+		cfg.Workers = n
 		return nil
 	}
 }
 
-// WithK sets the k-mer length used for ranking (default 6, or 4 with
-// WithFullAlphabet). buildConfig rejects combinations whose code space
-// alphabet^k overflows, whatever order the options are given in.
+// WithK sets the k-mer length used for ranking (default 6). A k whose
+// code space over the compressed alphabet overflows is rejected here,
+// not deep inside the run on every rank at once.
 func WithK(k int) Option {
-	return func(s *settings) error {
-		if k < 1 {
-			return fmt.Errorf("samplealign: k = %d", k)
+	return func(cfg *core.Config) error {
+		if err := core.CheckK(k); err != nil {
+			return fmt.Errorf("samplealign: %w", err)
 		}
-		s.cfg.K = k
-		s.kSet = true
+		cfg.K = k
 		return nil
 	}
 }
@@ -81,44 +57,11 @@ func WithK(k int) Option {
 // WithSampleSize sets k, the number of sample sequences each rank
 // contributes to the globalised rank (default max(p−1, 4)).
 func WithSampleSize(k int) Option {
-	return func(s *settings) error {
+	return func(cfg *core.Config) error {
 		if k < 1 {
 			return fmt.Errorf("samplealign: sample size = %d", k)
 		}
-		s.cfg.SampleSize = k
-		return nil
-	}
-}
-
-// WithoutFineTune disables the global-ancestor fine-tuning step
-// (buckets are concatenated block-diagonally); exposed for ablation.
-func WithoutFineTune() Option {
-	return func(s *settings) error {
-		s.cfg.NoFineTune = true
-		return nil
-	}
-}
-
-// WithRandomSampling switches pivot selection from the paper's regular
-// sampling to uniform random sampling; exposed for ablation.
-func WithRandomSampling() Option {
-	return func(s *settings) error {
-		s.cfg.Sampling = core.RandomSampling
-		return nil
-	}
-}
-
-// WithFullAlphabet computes k-mers over the full 20-letter amino-acid
-// alphabet instead of the compressed Dayhoff classes; exposed for
-// ablation. Unless WithK was given explicitly (in either order), k
-// defaults to 4 to keep the 20^k code space small; explicit k values
-// are validated against the alphabet in buildConfig.
-func WithFullAlphabet() Option {
-	return func(s *settings) error {
-		s.cfg.Compress = bio.Identity(bio.AminoAcids)
-		if !s.kSet {
-			s.cfg.K = 4
-		}
+		cfg.SampleSize = k
 		return nil
 	}
 }
@@ -139,11 +82,11 @@ func NewAligner(name string, workers int) (msa.Aligner, error) {
 // WithLocalAligner selects the sequential MSA pipeline run inside each
 // bucket by name (default "muscle").
 func WithLocalAligner(name string) Option {
-	return func(s *settings) error {
+	return func(cfg *core.Config) error {
 		if _, err := NewAligner(name, 1); err != nil {
 			return err
 		}
-		s.cfg.NewLocalAligner = func(workers int) msa.Aligner {
+		cfg.NewLocalAligner = func(workers int) msa.Aligner {
 			al, _ := engines.New(name, workers)
 			return al
 		}

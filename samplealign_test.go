@@ -38,8 +38,7 @@ func TestAlignPublicAPI(t *testing.T) {
 func TestAlignOptions(t *testing.T) {
 	seqs := testSeqs(t, 12)
 	aln, _, err := Align(seqs, 2,
-		WithWorkers(2), WithK(5), WithSampleSize(3),
-		WithRandomSampling(), WithLocalAligner("muscle-refined"))
+		WithWorkers(2), WithK(5), WithSampleSize(3), WithLocalAligner("muscle-refined"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +57,14 @@ func TestAlignOptionValidation(t *testing.T) {
 	}
 	if _, _, err := Align(seqs, 2, WithK(0)); err == nil {
 		t.Error("k=0 accepted")
+	}
+	// 6^k codes over the compressed alphabet must fit the counter:
+	// k=12 overflows and is refused before any rank starts, k=8 fits.
+	if _, _, err := Align(seqs, 2, WithK(12)); err == nil {
+		t.Error("k=12 accepted")
+	}
+	if _, _, err := Align(seqs, 2, WithK(8)); err != nil {
+		t.Errorf("k=8 rejected: %v", err)
 	}
 	if _, _, err := Align(seqs, 2, WithSampleSize(0)); err == nil {
 		t.Error("sample size 0 accepted")

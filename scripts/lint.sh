@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # lint.sh — run the project-invariant analyzer suite (internal/lint) over
-# the whole module via `go vet -vettool`, exactly as CI does.
+# the whole module with cmd/samplealignlint, exactly as CI does.
 #
 # Usage:
 #   scripts/lint.sh                 # whole module
-#   scripts/lint.sh ./internal/...  # any `go vet` package patterns
+#   scripts/lint.sh ./internal/...  # any `go list` package patterns
 #
 # The suite enforces (see TESTING.md for the full contract):
 #   ctxflow        library code threads contexts, never originates them
@@ -17,9 +17,5 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tool_dir=$(mktemp -d)
-trap 'rm -rf "$tool_dir"' EXIT
-
-go build -o "$tool_dir/samplealignlint" ./cmd/samplealignlint
-go vet -vettool="$tool_dir/samplealignlint" "${@:-./...}"
+go run ./cmd/samplealignlint "${@:-./...}"
 echo "lint: clean"

@@ -43,15 +43,6 @@ type ServerConfig struct {
 	StoreEntries int   // disk store entry bound (default 4096; -1 disables the disk tier)
 	StoreBytes   int64 // disk store byte bound (default 1 GiB; -1 unbounded)
 
-	// Journal group commit: concurrent journal appends share one
-	// write+fsync. JournalBatchBytes caps the framed bytes per commit
-	// group (default 1 MiB); JournalBatchWait is how long a group
-	// leader waits for followers before fsyncing (default 0 — groups
-	// then form only from appenders arriving during an in-flight
-	// flush, adding no latency when the journal is idle).
-	JournalBatchBytes int
-	JournalBatchWait  time.Duration
-
 	// DrainTimeout bounds the graceful-shutdown drain: how long
 	// ListenAndServe waits for queued and running jobs to finish after
 	// its context is canceled before hard-canceling the rest (default
@@ -106,17 +97,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			MaxProcs:     cfg.MaxProcs,
 			WorkerBudget: cfg.WorkerBudget,
 		},
-		MaxConcurrent:     cfg.MaxConcurrent,
-		MaxQueued:         cfg.MaxQueued,
-		CacheEntries:      cfg.CacheEntries,
-		CacheBytes:        cfg.CacheBytes,
-		DataDir:           cfg.DataDir,
-		StoreEntries:      cfg.StoreEntries,
-		StoreBytes:        cfg.StoreBytes,
-		JournalBatchBytes: cfg.JournalBatchBytes,
-		JournalBatchWait:  cfg.JournalBatchWait,
-		Logger:            cfg.Logger,
-		NoTrace:           cfg.NoTrace,
+		MaxConcurrent: cfg.MaxConcurrent,
+		MaxQueued:     cfg.MaxQueued,
+		CacheEntries:  cfg.CacheEntries,
+		CacheBytes:    cfg.CacheBytes,
+		DataDir:       cfg.DataDir,
+		StoreEntries:  cfg.StoreEntries,
+		StoreBytes:    cfg.StoreBytes,
+		Logger:        cfg.Logger,
+		NoTrace:       cfg.NoTrace,
 	}
 	if len(cfg.ClusterWorkers) > 0 {
 		sc.Executor = &serve.Cluster{Workers: cfg.ClusterWorkers, SelfAddr: cfg.ClusterSelf}
