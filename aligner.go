@@ -1,41 +1,15 @@
 package samplealign
 
 import (
-	"context"
-	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/bio"
-	"repro/internal/core"
-	"repro/internal/msa"
 )
 
 // aminoAlphabet exposes the standard alphabet to the public helpers
 // without leaking the internal package into signatures.
 func aminoAlphabet() *bio.Alphabet { return bio.AminoAcids }
-
-// coreInprocAligner adapts the distributed aligner to msa.Aligner so the
-// quality harness can evaluate it next to the sequential pipelines.
-type coreInprocAligner struct {
-	p   int
-	cfg core.Config
-}
-
-func (a *coreInprocAligner) Name() string { return fmt.Sprintf("sample-align-d:%d", a.p) }
-
-func (a *coreInprocAligner) Align(seqs []Sequence) (*msa.Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return a.AlignContext(context.Background(), seqs)
-}
-
-func (a *coreInprocAligner) AlignContext(ctx context.Context, seqs []Sequence) (*msa.Alignment, error) {
-	res, err := core.AlignInprocContext(ctx, seqs, a.p, a.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Alignment, nil
-}
 
 // parseSampleAlignName recognises "sample-align-d:<p>" aligner names.
 func parseSampleAlignName(name string) (int, bool) {

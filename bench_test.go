@@ -180,7 +180,7 @@ func BenchmarkFig4ScalingTime(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("real/N=256/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AlignInproc(fixtures.famBench, p, core.Config{}); err != nil {
+				if _, err := core.AlignInprocContext(context.Background(), fixtures.famBench, p, core.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,11 +195,11 @@ func BenchmarkFig5Speedup(b *testing.B) {
 	b.Run("real/N=256", func(b *testing.B) {
 		var t1, t4 float64
 		for i := 0; i < b.N; i++ {
-			r1, err := core.AlignInproc(fixtures.famBench, 1, core.Config{})
+			r1, err := core.AlignInprocContext(context.Background(), fixtures.famBench, 1, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			r4, err := core.AlignInproc(fixtures.famBench, 4, core.Config{})
+			r4, err := core.AlignInprocContext(context.Background(), fixtures.famBench, 4, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func BenchmarkFig6GenomeAlignment(b *testing.B) {
 	for _, p := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("real/N=160/p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AlignInproc(fixtures.genome160, p, core.Config{}); err != nil {
+				if _, err := core.AlignInprocContext(context.Background(), fixtures.genome160, p, core.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,7 +240,7 @@ func BenchmarkTable2PrefabQScores(b *testing.B) {
 			}
 			var q float64
 			for i := 0; i < b.N; i++ {
-				q, _, err = prefab.Evaluate(al, fixtures.prefabS)
+				q, _, err = prefab.Evaluate(context.Background(), al, fixtures.prefabS)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -256,7 +256,7 @@ func BenchmarkCommRounds(b *testing.B) {
 	loadFixtures(b)
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.AlignInproc(fixtures.famBench, 4, core.Config{})
+		res, err := core.AlignInprocContext(context.Background(), fixtures.famBench, 4, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var maxBucket int
 			for i := 0; i < b.N; i++ {
-				res, err := core.AlignInproc(fixtures.famBench, 4, core.Config{SampleSize: k})
+				res, err := core.AlignInprocContext(context.Background(), fixtures.famBench, 4, core.Config{SampleSize: k})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -303,7 +303,7 @@ func BenchmarkAblationLocalAligner(b *testing.B) {
 				return a
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AlignInproc(fixtures.famBench, 4, cfg); err != nil {
+				if _, err := core.AlignInprocContext(context.Background(), fixtures.famBench, 4, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,7 +353,7 @@ func BenchmarkProgressiveWorkers(b *testing.B) {
 			var aln *msa.Alignment
 			for i := 0; i < b.N; i++ {
 				var err error
-				aln, err = msa.MuscleLike(w).Align(seqs)
+				aln, err = msa.MuscleLike(w).AlignContext(context.Background(), seqs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -382,7 +382,7 @@ func BenchmarkMafftWorkers(b *testing.B) {
 	for _, w := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mafft.NewFFTNSI(w).Align(seqs); err != nil {
+				if _, err := mafft.NewFFTNSI(w).AlignContext(context.Background(), seqs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -546,7 +546,7 @@ func BenchmarkProfileAlignDeep(b *testing.B) {
 	sub := submat.BLOSUM62
 	var halves [2]*profile.Profile
 	for h := range halves {
-		aln, err := msa.MuscleLike(1).Align(fam[h*10 : (h+1)*10])
+		aln, err := msa.MuscleLike(1).AlignContext(context.Background(), fam[h*10:(h+1)*10])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -600,11 +600,11 @@ func BenchmarkRefine(b *testing.B) {
 func BenchmarkProfileProfileAlign(b *testing.B) {
 	loadFixtures(b)
 	sub := submat.BLOSUM62
-	a1, err := msa.MuscleLike(0).Align(fixtures.fam500[:8])
+	a1, err := msa.MuscleLike(0).AlignContext(context.Background(), fixtures.fam500[:8])
 	if err != nil {
 		b.Fatal(err)
 	}
-	a2, err := msa.MuscleLike(0).Align(fixtures.fam500[8:16])
+	a2, err := msa.MuscleLike(0).AlignContext(context.Background(), fixtures.fam500[8:16])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func BenchmarkMuscleLikeEndToEnd(b *testing.B) {
 	loadFixtures(b)
 	seqs := fixtures.famBench[:64]
 	for i := 0; i < b.N; i++ {
-		if _, err := msa.MuscleLike(0).Align(seqs); err != nil {
+		if _, err := msa.MuscleLike(0).AlignContext(context.Background(), seqs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -642,7 +642,7 @@ func BenchmarkMuscleLikeEndToEnd(b *testing.B) {
 func BenchmarkMPIAllToAll(b *testing.B) {
 	payload := make([]byte, 64*1024)
 	for i := 0; i < b.N; i++ {
-		err := mpi.Run(8, func(c mpi.Comm) error {
+		err := mpi.RunContext(context.Background(), 8, func(c mpi.Comm) error {
 			parts := make([][]byte, 8)
 			for q := range parts {
 				parts[q] = payload

@@ -81,7 +81,7 @@ type runner struct {
 // wall-clock seconds.
 func (r *runner) measure(seqs []bio.Sequence, p int) (*core.Result, float64, error) {
 	start := time.Now()
-	res, err := core.AlignInproc(seqs, p, r.realConfig())
+	res, err := core.AlignInprocContext(context.Background(), seqs, p, r.realConfig())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -299,14 +299,24 @@ func (r *runner) table2() error {
 	if err != nil {
 		return err
 	}
-	methods := []struct{ label, name string }{
-		{"Sample-Align-D (p=4)", "sample-align-d:4"},
+	type method struct {
+		label string
+		al    msa.Aligner
+	}
+	methods := []method{{"Sample-Align-D (p=4)", &core.InprocAligner{P: 4, Cfg: r.realConfig()}}}
+	for _, e := range [][2]string{
 		{"MUSCLE", "muscle-refined"},
 		{"MUSCLE-p (draft)", "muscle"},
 		{"T-Coffee", "tcoffee"},
 		{"NWNSI", "nwnsi"},
 		{"FFTNSI", "fftnsi"},
 		{"CLUSTALW", "clustal"},
+	} {
+		al, err := engines.New(e[1], r.workers)
+		if err != nil {
+			return err
+		}
+		methods = append(methods, method{e[0], al})
 	}
 	paperQ := map[string]float64{
 		"Sample-Align-D (p=4)": 0.544, "MUSCLE": 0.645, "MUSCLE-p (draft)": 0.634,
@@ -314,12 +324,8 @@ func (r *runner) table2() error {
 	}
 	fmt.Printf("%-24s %10s %10s %10s\n", "METHOD", "Q (ours)", "Q (paper)", "seconds")
 	for _, m := range methods {
-		al, err := r.resolve(m.name)
-		if err != nil {
-			return err
-		}
 		start := time.Now()
-		q, _, err := prefab.Evaluate(al, sets)
+		q, _, err := prefab.Evaluate(context.Background(), m.al, sets)
 		if err != nil {
 			return err
 		}
@@ -328,17 +334,6 @@ func (r *runner) table2() error {
 	fmt.Println("shape to check: Sample-Align-D within the band of the sequential tools,")
 	fmt.Println("below full MUSCLE (the paper's fine-grained-partitioning caveat)")
 	return nil
-}
-
-func (r *runner) resolve(name string) (msa.Aligner, error) {
-	if p, ok := strings.CutPrefix(name, "sample-align-d:"); ok {
-		var procs int
-		if _, err := fmt.Sscanf(p, "%d", &procs); err != nil {
-			return nil, err
-		}
-		return &core.InprocAligner{P: procs, Cfg: r.realConfig()}, nil
-	}
-	return engines.New(name, r.workers)
 }
 
 func (r *runner) comm() error {

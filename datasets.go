@@ -1,9 +1,11 @@
 package samplealign
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/genome"
 	"repro/internal/msa"
 	"repro/internal/prefab"
@@ -121,8 +123,9 @@ func GeneratePrefab(numSets int, seed int64) ([]PrefabSet, error) {
 
 // EvaluatePrefab scores an aligner (by name, or "sample-align-d:p" for
 // the distributed aligner on p ranks) on a PREFAB-like benchmark and
-// returns the mean Q score.
-func EvaluatePrefab(alignerName string, sets []PrefabSet) (float64, error) {
+// returns the mean Q score. Cancelling ctx stops the evaluation with the
+// context's error.
+func EvaluatePrefab(ctx context.Context, alignerName string, sets []PrefabSet) (float64, error) {
 	al, err := resolveAligner(alignerName)
 	if err != nil {
 		return 0, err
@@ -131,13 +134,13 @@ func EvaluatePrefab(alignerName string, sets []PrefabSet) (float64, error) {
 	for i, s := range sets {
 		native[i] = prefab.Set{ID: s.ID, Seqs: s.Seqs, Ref: s.Ref}
 	}
-	mean, _, err := prefab.Evaluate(al, native)
+	mean, _, err := prefab.Evaluate(ctx, al, native)
 	return mean, err
 }
 
 func resolveAligner(name string) (msa.Aligner, error) {
 	if n, ok := parseSampleAlignName(name); ok {
-		return &coreInprocAligner{p: n}, nil
+		return &core.InprocAligner{P: n}, nil
 	}
 	return NewAligner(name, 0)
 }

@@ -86,7 +86,7 @@ func TestEngineWorkersDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := al.Align(seqs)
+			ref, err := al.AlignContext(context.Background(), seqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestEngineWorkersDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				aln, err := al.Align(seqs)
+				aln, err := al.AlignContext(context.Background(), seqs)
 				if err != nil {
 					t.Fatal(err)
 				}

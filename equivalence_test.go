@@ -2,6 +2,7 @@ package samplealign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func runTCPCluster(t *testing.T, seqs []Sequence, p int, opts ...Option) *Alignm
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			aln, err := AlignTCP(TCPRankConfig{Rank: rank, Addrs: addrs}, shards[rank], opts...)
+			aln, err := AlignTCPContext(context.Background(), TCPRankConfig{Rank: rank, Addrs: addrs}, shards[rank], opts...)
 			if err != nil {
 				errs <- fmt.Errorf("rank %d: %w", rank, err)
 				return

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,7 +32,7 @@ func main() {
 	fmt.Printf("%-20s %8s %10s\n", "METHOD", "Q", "seconds")
 	for _, m := range methods {
 		start := time.Now()
-		q, err := samplealign.EvaluatePrefab(m, sets)
+		q, err := samplealign.EvaluatePrefab(context.Background(), m, sets)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -41,6 +42,7 @@ func main() {
 		ln.Close()
 	}
 
+	ctx := context.Background()
 	fmt.Printf("starting %d TCP ranks on %v\n", procs, addrs)
 	var (
 		wg    sync.WaitGroup
@@ -51,7 +53,7 @@ func main() {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			aln, err := samplealign.AlignTCP(
+			aln, err := samplealign.AlignTCPContext(ctx,
 				samplealign.TCPRankConfig{Rank: rank, Addrs: addrs},
 				shards[rank],
 			)

@@ -2,6 +2,7 @@ package samplealign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -55,7 +56,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			aln, err := AlignTCP(TCPRankConfig{Rank: rank, Addrs: addrs}, shards[rank])
+			aln, err := AlignTCPContext(context.Background(), TCPRankConfig{Rank: rank, Addrs: addrs}, shards[rank])
 			if err != nil {
 				errs <- fmt.Errorf("rank %d: %w", rank, err)
 				return

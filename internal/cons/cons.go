@@ -112,15 +112,9 @@ func (l *library) weight(i int, a int, j int, b int) float64 {
 	return m[pairKey{int32(a), int32(b)}]
 }
 
-// Align runs the full consistency pipeline.
-func (a *Aligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return a.AlignContext(context.Background(), seqs)
-}
-
 // AlignContext runs the full consistency pipeline under a context:
-// cancellation is observed between the expensive phases (library build,
-// consistency extension) and per guide-tree merge.
+// cancellation is observed per sequence pair in the library build and
+// the consistency extension, and per guide-tree merge.
 func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.Alignment, error) {
 	switch len(seqs) {
 	case 0:
@@ -147,15 +141,14 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	lsp.SetInt("n", int64(len(seqs)))
 	lsp.SetInt("workers", int64(a.opts.Workers))
 	lsp.SetBool("extend", a.opts.Extend)
-	lib, dist := a.buildLibrary(clean)
-	if err := ctx.Err(); err != nil {
-		lsp.End()
-		return nil, err
-	}
-	if a.opts.Extend {
-		lib = a.extendLibrary(lib, clean)
+	lib, dist, err := a.buildLibrary(ctx, clean)
+	if err == nil && a.opts.Extend {
+		lib, err = a.extendLibrary(ctx, lib, clean)
 	}
 	lsp.End()
+	if err != nil {
+		return nil, err
+	}
 	_, gsp := obs.Start(ctx, "guidetree")
 	gsp.SetStr("method", "nj")
 	gsp.SetInt("n", int64(len(seqs)))
@@ -178,7 +171,7 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 // residue pair enters the library weighted by the alignment's fractional
 // identity (T-Coffee's sequence weighting). Also returns the distance
 // matrix (1 − identity) for the guide tree.
-func (a *Aligner) buildLibrary(seqs [][]byte) (*library, *kmer.Matrix) {
+func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *kmer.Matrix, error) {
 	n := len(seqs)
 	lib := newLibrary(n)
 	dist := kmer.NewMatrix(n)
@@ -195,7 +188,7 @@ func (a *Aligner) buildLibrary(seqs [][]byte) (*library, *kmer.Matrix) {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	results := par.Map(len(pairs), a.opts.Workers, func(k int) pairResult {
+	results, err := par.MapCtx(ctx, len(pairs), a.opts.Workers, func(k int) pairResult {
 		i, j := pairs[k][0], pairs[k][1]
 		r := pw.Global(seqs[i], seqs[j])
 		id := pairwise.Identity(r.A, r.B)
@@ -215,6 +208,9 @@ func (a *Aligner) buildLibrary(seqs [][]byte) (*library, *kmer.Matrix) {
 		}
 		return pairResult{i: i, j: j, id: id, keys: keys}
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, r := range results {
 		dist.Set(r.i, r.j, 1-r.id)
 		m := lib.get(r.i, r.j)
@@ -226,13 +222,13 @@ func (a *Aligner) buildLibrary(seqs [][]byte) (*library, *kmer.Matrix) {
 			m[k] += w
 		}
 	}
-	return lib, dist
+	return lib, dist, nil
 }
 
 // extendLibrary applies the triplet consistency transform: the support
 // for (i,a)↔(j,b) grows by min(w(i,a,k,c), w(k,c,j,b)) summed over all
 // third sequences k that align both to the same residue c.
-func (a *Aligner) extendLibrary(lib *library, seqs [][]byte) *library {
+func (a *Aligner) extendLibrary(ctx context.Context, lib *library, seqs [][]byte) (*library, error) {
 	n := len(seqs)
 	out := newLibrary(n)
 	// adjacency: for pair (x,k), map residue of x → (residue of k, w)
@@ -282,7 +278,7 @@ func (a *Aligner) extendLibrary(lib *library, seqs [][]byte) *library {
 			jobs = append(jobs, job{i, j})
 		}
 	}
-	mats := par.Map(len(jobs), a.opts.Workers, func(t int) map[pairKey]float64 {
+	mats, err := par.MapCtx(ctx, len(jobs), a.opts.Workers, func(t int) map[pairKey]float64 {
 		i, j := jobs[t].i, jobs[t].j
 		acc := map[pairKey]float64{}
 		// direct support
@@ -312,10 +308,13 @@ func (a *Aligner) extendLibrary(lib *library, seqs [][]byte) *library {
 		}
 		return acc
 	})
+	if err != nil {
+		return nil, err
+	}
 	for t, m := range mats {
 		out.pairs[out.idx(jobs[t].i, jobs[t].j)] = m
 	}
-	return out
+	return out, nil
 }
 
 // group is a partially aligned set of rows. ords tracks, per row, the

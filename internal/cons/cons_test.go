@@ -2,7 +2,10 @@ package cons
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/bio"
 	"repro/internal/msa"
@@ -35,7 +38,7 @@ func checkValid(t *testing.T, aln *msa.Alignment, seqs []bio.Sequence) {
 
 func TestConsBasicFamily(t *testing.T) {
 	seqs := famSeqs(t, 8, 60, 250, 1)
-	aln, err := New(0).Align(seqs)
+	aln, err := New(0).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestConsIdenticalSequences(t *testing.T) {
 	seqs := []bio.Sequence{
 		{ID: "a", Data: seq}, {ID: "b", Data: seq}, {ID: "c", Data: seq},
 	}
-	aln, err := New(0).Align(seqs)
+	aln, err := New(0).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +62,11 @@ func TestConsIdenticalSequences(t *testing.T) {
 
 func TestConsTrivial(t *testing.T) {
 	al := New(0)
-	empty, err := al.Align(nil)
+	empty, err := al.AlignContext(context.Background(), nil)
 	if err != nil || empty.NumSeqs() != 0 {
 		t.Fatalf("empty: %v %v", empty, err)
 	}
-	one, err := al.Align([]bio.Sequence{{ID: "a", Data: []byte("ACD")}})
+	one, err := al.AlignContext(context.Background(), []bio.Sequence{{ID: "a", Data: []byte("ACD")}})
 	if err != nil || one.NumSeqs() != 1 {
 		t.Fatalf("single: %v %v", one, err)
 	}
@@ -74,13 +77,13 @@ func TestConsRejectsHugeSets(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = bio.Sequence{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), Data: []byte("ACDEF")}
 	}
-	if _, err := New(0).Align(seqs); err == nil {
+	if _, err := New(0).AlignContext(context.Background(), seqs); err == nil {
 		t.Fatal("300 sequences accepted by consistency method")
 	}
 }
 
 func TestConsRejectsEmptySequence(t *testing.T) {
-	if _, err := New(0).Align([]bio.Sequence{
+	if _, err := New(0).AlignContext(context.Background(), []bio.Sequence{
 		{ID: "a", Data: []byte("ACD")},
 		{ID: "b", Data: nil},
 	}); err == nil {
@@ -99,11 +102,11 @@ func TestExtensionImprovesOrMatchesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := New(0).Align(f.Seqs())
+	with, err := New(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := NewWithOptions(Options{Extend: false}).Align(f.Seqs())
+	without, err := NewWithOptions(Options{Extend: false}).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,10 @@ func TestExtensionImprovesOrMatchesQuality(t *testing.T) {
 func TestLibraryWeightSymmetry(t *testing.T) {
 	seqs := [][]byte{[]byte("ACDEF"), []byte("ACDEF"), []byte("ACWEF")}
 	a := New(0)
-	lib, _ := a.buildLibrary(seqs)
+	lib, _, err := a.buildLibrary(context.Background(), seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i == j {
@@ -151,7 +157,7 @@ func TestConsQualityOnModerateFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, err := New(0).Align(f.Seqs())
+	aln, err := New(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +175,12 @@ func TestConsQualityOnModerateFamily(t *testing.T) {
 // value (the library is read-only during the progressive stage).
 func TestConsWorkersDeterminism(t *testing.T) {
 	seqs := famSeqs(t, 14, 60, 300, 6)
-	ref, err := New(1).Align(seqs)
+	ref, err := New(1).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 8} {
-		got, err := New(w).Align(seqs)
+		got, err := New(w).AlignContext(context.Background(), seqs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -183,5 +189,30 @@ func TestConsWorkersDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d row %d differs from workers=1", w, i)
 			}
 		}
+	}
+}
+
+func TestConsCancelReachesLibraryExtension(t *testing.T) {
+	// At N=80, L=200 the library build takes ≈0.5 s and the O(N³·L)
+	// consistency extension ≈2.6 s on two workers. A cancel one second
+	// in lands inside the extension, which must stop at its next pair
+	// instead of running to the end before the next phase sees ctx.
+	seqs := famSeqs(t, 80, 200, 300, 9)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(2).AlignContext(ctx, seqs)
+		done <- err
+	}()
+	time.Sleep(time.Second)
+	cancel()
+	cancelled := time.Now()
+	err := <-done
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if lag := time.Since(cancelled); lag > 500*time.Millisecond {
+		t.Fatalf("AlignContext returned %v after the cancel", lag)
 	}
 }

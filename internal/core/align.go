@@ -15,19 +15,14 @@ import (
 	"repro/internal/submat"
 )
 
-// Align runs Sample-Align-D as an SPMD program: every rank calls it with
-// its local slice of the input. The full alignment is returned on rank 0
-// (nil elsewhere); Stats are returned on every rank.
-func Align(c mpi.Comm, local []bio.Sequence, cfg Config) (*msa.Alignment, *Stats, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return AlignContext(context.Background(), c, local, cfg)
-}
-
-// AlignContext is Align bound to a context. Cancelling ctx unwinds the
-// whole rank: blocking collectives unblock with the context's error, the
-// bucket MSA stops at its next merge, and the rank returns ctx.Err()
-// (context.Canceled after a cancel, context.DeadlineExceeded after a
-// missed deadline).
+// AlignContext runs Sample-Align-D as an SPMD program: every rank calls
+// it with its local slice of the input. The full alignment is returned
+// on rank 0 (nil elsewhere); Stats are returned on every rank. c must
+// close when ctx ends (mpi.RunContext and mpi.DialTCPContext make such
+// communicators): then cancelling ctx unwinds the whole rank — blocking
+// collectives unblock, the bucket MSA stops at its next merge — and the
+// rank returns ctx.Err() (context.Canceled after a cancel,
+// context.DeadlineExceeded after a missed deadline).
 func AlignContext(ctx context.Context, c mpi.Comm, local []bio.Sequence, cfg Config) (*msa.Alignment, *Stats, error) {
 	origs := make([]int64, len(local))
 	for i := range origs {
@@ -46,8 +41,8 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// alignTagged is Align with explicit per-sequence global ordering keys
-// (the inproc driver passes original input indices so the final
+// alignTagged is AlignContext with explicit per-sequence global ordering
+// keys (the inproc driver passes original input indices so the final
 // alignment comes back in input order). idsVerified marks worlds whose
 // driver already proved sequence-ID uniqueness across all ranks, so the
 // cluster-wide check (and its communication) can be skipped.
@@ -55,9 +50,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	if len(origs) != len(local) {
 		return nil, nil, fmt.Errorf("core: %d origin keys for %d sequences", len(origs), len(local))
 	}
-	// Bind the communicator to the context: every blocking Recv below —
-	// direct or inside a collective — now unblocks on cancellation.
-	c = mpi.WithContext(ctx, c)
 	cfg = cfg.withDefaults(c.Size())
 	stats := &Stats{Rank: c.Rank()}
 	tStart := startClock()
@@ -131,7 +123,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	for i, ws := range bucket {
 		bucketSeqs[i] = bio.Sequence{ID: ws.ID, Desc: ws.Desc, Data: ws.Data}
 	}
-	localAln, err := msa.AlignWithContext(bctx, localAligner, bucketSeqs)
+	localAln, err := localAligner.AlignContext(bctx, bucketSeqs)
 	if err != nil {
 		bsp.End()
 		if cerr := ctx.Err(); cerr != nil {
@@ -263,8 +255,8 @@ func checkClusterIDs(c mpi.Comm, seqs []wireSeq) error {
 }
 
 // redistribute performs the sampling, pivoting and all-to-all exchange
-// phases, returning this rank's bucket. The communicator is already
-// context-bound by the caller; ctx is checked between compute phases.
+// phases, returning this rank's bucket. The communicator closes when
+// ctx ends; ctx is checked between compute phases.
 func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs []wireSeq, cfg Config, stats *Stats) ([]wireSeq, error) {
 	p, rank := c.Size(), c.Rank()
 
@@ -509,7 +501,7 @@ func globalAncestor(ctx context.Context, ancestors [][]byte, aligner msa.Aligner
 	case 1:
 		return ancSeqs[0].Data, nil
 	}
-	aln, err := msa.AlignWithContext(ctx, aligner, ancSeqs)
+	aln, err := aligner.AlignContext(ctx, ancSeqs)
 	if err != nil {
 		return nil, fmt.Errorf("core: ancestor alignment: %w", err)
 	}

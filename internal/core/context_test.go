@@ -23,10 +23,6 @@ type blockingAligner struct {
 
 func (b *blockingAligner) Name() string { return "blocking" }
 
-func (b *blockingAligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
-	return b.AlignContext(context.Background(), seqs)
-}
-
 func (b *blockingAligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.Alignment, error) {
 	b.once.Do(func() { close(b.started) })
 	<-ctx.Done()

@@ -2,7 +2,7 @@
 // distributed multiple sequence aligner modelled on parallel sorting by
 // regular sampling.
 //
-// The SPMD algorithm (one call to Align per rank):
+// The SPMD algorithm (one call to AlignContext per rank):
 //
 //  1. Each rank k-mer-ranks and sorts its N/p local sequences.
 //  2. Each rank contributes k evenly spaced sample sequences; the samples

@@ -48,12 +48,12 @@ func checkCompleteAlignment(t *testing.T, aln *msa.Alignment, seqs []bio.Sequenc
 
 func TestSingleRankEqualsLocalAligner(t *testing.T) {
 	seqs := testFamily(t, 12, 60, 300, 1)
-	res, err := AlignInproc(seqs, 1, Config{})
+	res, err := AlignInprocContext(context.Background(), seqs, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCompleteAlignment(t, res.Alignment, seqs)
-	direct, err := msa.MuscleLike(1).Align(seqs)
+	direct, err := msa.MuscleLike(1).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSingleRankEqualsLocalAligner(t *testing.T) {
 func TestMultiRankCompleteness(t *testing.T) {
 	seqs := testFamily(t, 40, 80, 500, 2)
 	for _, p := range []int{2, 3, 4, 8} {
-		res, err := AlignInproc(seqs, p, Config{})
+		res, err := AlignInprocContext(context.Background(), seqs, p, Config{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -93,11 +93,11 @@ func TestMultiRankCompleteness(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	seqs := testFamily(t, 24, 60, 400, 3)
-	a, err := AlignInproc(seqs, 4, Config{})
+	a, err := AlignInprocContext(context.Background(), seqs, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AlignInproc(seqs, 4, Config{})
+	b, err := AlignInprocContext(context.Background(), seqs, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestMoreRanksThanSequences(t *testing.T) {
 	seqs := testFamily(t, 3, 40, 200, 4)
-	res, err := AlignInproc(seqs, 8, Config{})
+	res, err := AlignInprocContext(context.Background(), seqs, 8, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestIdenticalSequences(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = bio.Sequence{ID: string(rune('a' + i)), Data: seq}
 	}
-	res, err := AlignInproc(seqs, 4, Config{})
+	res, err := AlignInprocContext(context.Background(), seqs, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDecompositionKeepsQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := func(p int) float64 {
-		res, err := AlignInproc(f.Seqs(), p, Config{})
+		res, err := AlignInprocContext(context.Background(), f.Seqs(), p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestRegularSamplingBucketBound(t *testing.T) {
 	// with small slack for duplicate ranks).
 	seqs := testFamily(t, 96, 60, 700, 8)
 	for _, p := range []int{4, 8} {
-		res, err := AlignInproc(seqs, p, Config{})
+		res, err := AlignInprocContext(context.Background(), seqs, p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestRegularSamplingBucketBound(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	seqs := testFamily(t, 24, 60, 400, 9)
-	res, err := AlignInproc(seqs, 4, Config{})
+	res, err := AlignInprocContext(context.Background(), seqs, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestStatsPopulated(t *testing.T) {
 func TestBucketSizesComeFromTheGlueGather(t *testing.T) {
 	seqs := testFamily(t, 40, 60, 400, 10)
 	for _, p := range []int{2, 3, 8} {
-		res, err := AlignInproc(seqs, p, Config{})
+		res, err := AlignInprocContext(context.Background(), seqs, p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,11 +303,11 @@ func TestQualityComparableToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := msa.MuscleLike(0).Align(f.Seqs())
+	seq, err := msa.MuscleLike(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := AlignInproc(f.Seqs(), 4, Config{})
+	dist, err := AlignInprocContext(context.Background(), f.Seqs(), 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestRejectsDuplicateIDs(t *testing.T) {
 		{ID: "x", Data: []byte("ACDEF")},
 		{ID: "x", Data: []byte("ACDEW")},
 	}
-	if _, err := AlignInproc(seqs, 2, Config{}); err == nil {
+	if _, err := AlignInprocContext(context.Background(), seqs, 2, Config{}); err == nil {
 		t.Fatal("duplicate ids accepted")
 	}
 }
@@ -339,7 +339,7 @@ func TestRejectsEmptySequence(t *testing.T) {
 		{ID: "a", Data: []byte("ACDEF")},
 		{ID: "b", Data: nil},
 	}
-	if _, err := AlignInproc(seqs, 2, Config{}); err == nil {
+	if _, err := AlignInprocContext(context.Background(), seqs, 2, Config{}); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
 }
@@ -347,7 +347,7 @@ func TestRejectsEmptySequence(t *testing.T) {
 func TestInprocAlignerInterface(t *testing.T) {
 	var al msa.Aligner = &InprocAligner{P: 2}
 	seqs := testFamily(t, 10, 50, 300, 11)
-	aln, err := al.Align(seqs)
+	aln, err := al.AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,19 +16,13 @@ type Result struct {
 	Stats     []*Stats // indexed by rank
 }
 
-// AlignInproc runs Sample-Align-D over p in-process ranks on a single
-// sequence list: the paper's experimental setup ("files were divided into
-// equal parts and placed on the cluster nodes") on one machine. Sequences
-// are dealt out block-wise (rank r gets seqs[r·N/p:(r+1)·N/p]) and the
-// final alignment is returned in input order.
-func AlignInproc(seqs []bio.Sequence, p int, cfg Config) (*Result, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return AlignInprocContext(context.Background(), seqs, p, cfg)
-}
-
-// AlignInprocContext is AlignInproc bound to a context: cancelling ctx
-// unwinds all p ranks (each returns the context's error) and
-// AlignInprocContext reports it.
+// AlignInprocContext runs Sample-Align-D over p in-process ranks on a
+// single sequence list: the paper's experimental setup ("files were
+// divided into equal parts and placed on the cluster nodes") on one
+// machine. Sequences are dealt out block-wise (rank r gets
+// seqs[r·N/p:(r+1)·N/p]) and the final alignment is returned in input
+// order. Cancelling ctx unwinds all p ranks (each returns the context's
+// error) and AlignInprocContext reports it.
 func AlignInprocContext(ctx context.Context, seqs []bio.Sequence, p int, cfg Config) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d", p)
@@ -102,24 +96,19 @@ func duplicateIDError(ids []string) error {
 	return nil
 }
 
-// InprocAligner adapts AlignInproc to the msa.Aligner interface so
-// Sample-Align-D can be evaluated by the PREFAB harness alongside the
+// InprocAligner adapts AlignInprocContext to the msa.Aligner interface
+// so Sample-Align-D can be evaluated by the PREFAB harness alongside the
 // sequential baselines.
 type InprocAligner struct {
 	P   int
 	Cfg Config
 }
 
-// Name identifies the aligner and its rank count.
-func (a *InprocAligner) Name() string { return fmt.Sprintf("sample-align-d(p=%d)", a.P) }
+// Name identifies the aligner and its rank count in the form the public
+// API parses back ("sample-align-d:<p>").
+func (a *InprocAligner) Name() string { return fmt.Sprintf("sample-align-d:%d", a.P) }
 
-// Align satisfies msa.Aligner.
-func (a *InprocAligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return a.AlignContext(context.Background(), seqs)
-}
-
-// AlignContext satisfies msa.ContextAligner.
+// AlignContext satisfies msa.Aligner.
 func (a *InprocAligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.Alignment, error) {
 	res, err := AlignInprocContext(ctx, seqs, a.P, a.Cfg)
 	if err != nil {

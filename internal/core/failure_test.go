@@ -46,7 +46,7 @@ func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 		var anyErr error
 		var mu sync.Mutex
 		faulty := &faultyComm{failAt: failAt}
-		_ = mpi.Run(3, func(c mpi.Comm) error {
+		_ = mpi.RunContext(context.Background(), 3, func(c mpi.Comm) error {
 			comm := mpi.Comm(c)
 			if c.Rank() == 1 {
 				faulty.Comm = c
@@ -78,17 +78,17 @@ func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 type failingAligner struct{}
 
 func (failingAligner) Name() string { return "failing" }
-func (failingAligner) Align([]bio.Sequence) (*msa.Alignment, error) {
+func (failingAligner) AlignContext(context.Context, []bio.Sequence) (*msa.Alignment, error) {
 	return nil, errors.New("bucket aligner crashed")
 }
 
 func TestAlignPropagatesLocalAlignerFailure(t *testing.T) {
 	seqs := testFamily(t, 12, 40, 300, 22)
 	cfg := Config{NewLocalAligner: func(int) msa.Aligner { return failingAligner{} }}
-	if _, err := AlignInproc(seqs, 2, cfg); err == nil {
+	if _, err := AlignInprocContext(context.Background(), seqs, 2, cfg); err == nil {
 		t.Fatal("local aligner failure not propagated")
 	}
-	if _, err := AlignInproc(seqs, 1, cfg); err == nil {
+	if _, err := AlignInprocContext(context.Background(), seqs, 1, cfg); err == nil {
 		t.Fatal("p=1 local aligner failure not propagated")
 	}
 }

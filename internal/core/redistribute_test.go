@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestIdenticalSequencesBucketSkew(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = bio.Sequence{ID: fmt.Sprintf("s%03d", i), Data: data}
 	}
-	res, err := AlignInproc(seqs, p, Config{})
+	res, err := AlignInprocContext(context.Background(), seqs, p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestIdenticalSequencesBucketSkew(t *testing.T) {
 }
 
 // TestClusterWideDuplicateIDs exercises the SPMD path (core.AlignContext
-// without the inproc driver's local check, as AlignTCP reaches it): a
+// without the inproc driver's local check, as AlignTCPContext reaches it): a
 // duplicate ID split across two ranks must fail the whole world with an
 // error naming the colliding ID instead of silently dropping a row in
 // the glue phase.
@@ -61,8 +62,8 @@ func TestClusterWideDuplicateIDs(t *testing.T) {
 	}
 	shards[2][1].ID = "r0-a" // collides with rank 0's first sequence
 	var rankErrs [p]error
-	_ = mpi.Run(p, func(c mpi.Comm) error {
-		_, _, err := Align(c, shards[c.Rank()], Config{})
+	_ = mpi.RunContext(context.Background(), p, func(c mpi.Comm) error {
+		_, _, err := AlignContext(context.Background(), c, shards[c.Rank()], Config{})
 		rankErrs[c.Rank()] = err
 		return err
 	})
@@ -81,7 +82,7 @@ func TestClusterWideDuplicateIDs(t *testing.T) {
 func TestClusterUniqueIDsPass(t *testing.T) {
 	seqs := testFamily(t, 9, 50, 300, 17)
 	for _, p := range []int{1, 3} {
-		res, err := AlignInproc(seqs, p, Config{})
+		res, err := AlignInprocContext(context.Background(), seqs, p, Config{})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -96,7 +97,7 @@ func TestDuplicateEmptyIDsRejected(t *testing.T) {
 		{ID: "", Data: []byte("MKVLWAALLVTFLAG")},
 		{ID: "", Data: []byte("MKVLWAGLLVTFLAG")},
 	}
-	if _, err := AlignInproc(seqs, 2, Config{}); err == nil || !strings.Contains(err.Error(), `""`) {
+	if _, err := AlignInprocContext(context.Background(), seqs, 2, Config{}); err == nil || !strings.Contains(err.Error(), `""`) {
 		t.Fatalf("duplicate empty ids accepted: %v", err)
 	}
 }

@@ -9,9 +9,11 @@ import (
 // accept their caller's context, not originate one. Two rules:
 //
 //  1. No context.Background()/context.TODO() calls outside cmd/*,
-//     examples/*, tests and main functions. Compatibility wrappers that
-//     deliberately root a fresh context (Align -> AlignContext) carry a
-//     //lint:allow ctxflow directive documenting why.
+//     examples/*, tests and main functions. The few places that
+//     deliberately root a fresh context (a server's lifetime root, a
+//     shutdown timeout that outlives the caller's ctx, a helper whose
+//     callers hold no context) carry a //lint:allow ctxflow directive
+//     documenting why.
 //  2. A function that declares a context.Context parameter must use
 //     it. A named-but-unread ctx is a dropped cancellation chain: the
 //     work it spawns can no longer be cancelled. Interface-satisfying

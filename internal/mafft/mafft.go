@@ -83,12 +83,6 @@ func New(opts Options, name string) *Aligner {
 // Name identifies the variant.
 func (a *Aligner) Name() string { return a.name }
 
-// Align runs the pipeline.
-func (a *Aligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return a.AlignContext(context.Background(), seqs)
-}
-
 // AlignContext runs the pipeline under a context: cancellation is
 // observed between phases, per guide-tree merge and per refinement
 // split.

@@ -2,6 +2,7 @@ package mafft
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/bio"
@@ -35,7 +36,7 @@ func checkValid(t *testing.T, aln *msa.Alignment, seqs []bio.Sequence) {
 
 func TestNWNSIBasic(t *testing.T) {
 	seqs := famSeqs(t, 10, 70, 300, 1)
-	aln, err := NewNWNSI(0).Align(seqs)
+	aln, err := NewNWNSI(0).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestNWNSIBasic(t *testing.T) {
 
 func TestFFTNSIBasic(t *testing.T) {
 	seqs := famSeqs(t, 10, 70, 300, 2)
-	aln, err := NewFFTNSI(0).Align(seqs)
+	aln, err := NewFFTNSI(0).AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +54,15 @@ func TestFFTNSIBasic(t *testing.T) {
 
 func TestTrivialInputs(t *testing.T) {
 	al := NewFFTNSI(0)
-	empty, err := al.Align(nil)
+	empty, err := al.AlignContext(context.Background(), nil)
 	if err != nil || empty.NumSeqs() != 0 {
 		t.Fatalf("empty: %v %v", empty, err)
 	}
-	one, err := al.Align([]bio.Sequence{{ID: "a", Data: []byte("ACDEF")}})
+	one, err := al.AlignContext(context.Background(), []bio.Sequence{{ID: "a", Data: []byte("ACDEF")}})
 	if err != nil || one.NumSeqs() != 1 {
 		t.Fatalf("single: %v %v", one, err)
 	}
-	if _, err := al.Align([]bio.Sequence{{ID: "a", Data: []byte("AC")}, {ID: "b"}}); err == nil {
+	if _, err := al.AlignContext(context.Background(), []bio.Sequence{{ID: "a", Data: []byte("AC")}, {ID: "b"}}); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
 }
@@ -77,7 +78,7 @@ func TestFFTBandCoversTrueShift(t *testing.T) {
 		{ID: "x", Data: base},
 		{ID: "y", Data: ext},
 	}
-	aln, err := NewFFTNSI(0).Align(in)
+	aln, err := NewFFTNSI(0).AlignContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestFFTAndNWQualityComparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alnNW, err := NewNWNSI(0).Align(f.Seqs())
+	alnNW, err := NewNWNSI(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alnFFT, err := NewFFTNSI(0).Align(f.Seqs())
+	alnFFT, err := NewFFTNSI(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +150,12 @@ func TestWorkersDeterminism(t *testing.T) {
 		{"fftnsi", NewFFTNSI},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
-			ref, err := variant.build(1).Align(seqs)
+			ref, err := variant.build(1).AlignContext(context.Background(), seqs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{4, 8} {
-				got, err := variant.build(w).Align(seqs)
+				got, err := variant.build(w).AlignContext(context.Background(), seqs)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

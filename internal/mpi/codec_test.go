@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -165,7 +166,7 @@ func TestUnsupportedTypeIsAnError(t *testing.T) {
 		}
 	}
 	// and through a collective, before anything is sent
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		_, err := AllGatherValues(c, 1, stranger{})
 		if err == nil || !strings.Contains(err.Error(), "mpi.stranger") {
 			return fmt.Errorf("AllGatherValues(stranger): %v", err)

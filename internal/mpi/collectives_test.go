@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	for _, size := range worldSizes {
 		for root := 0; root < size; root++ {
 			payload := []byte(fmt.Sprintf("payload-from-%d", root))
-			err := Run(size, func(c Comm) error {
+			err := RunContext(context.Background(), size, func(c Comm) error {
 				var data []byte
 				if c.Rank() == root {
 					data = payload
@@ -35,7 +36,7 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	for _, size := range worldSizes {
-		err := Run(size, func(c Comm) error {
+		err := RunContext(context.Background(), size, func(c Comm) error {
 			data := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
 			got, err := Gather(c, 0, 2, data)
 			if err != nil {
@@ -62,7 +63,7 @@ func TestGather(t *testing.T) {
 
 func TestAllGather(t *testing.T) {
 	for _, size := range worldSizes {
-		err := Run(size, func(c Comm) error {
+		err := RunContext(context.Background(), size, func(c Comm) error {
 			got, err := AllGather(c, 3, []byte{byte(c.Rank() + 10)})
 			if err != nil {
 				return err
@@ -85,7 +86,7 @@ func TestAllGather(t *testing.T) {
 
 func TestScatter(t *testing.T) {
 	for _, size := range worldSizes {
-		err := Run(size, func(c Comm) error {
+		err := RunContext(context.Background(), size, func(c Comm) error {
 			var parts [][]byte
 			if c.Rank() == 0 {
 				parts = make([][]byte, size)
@@ -109,7 +110,7 @@ func TestScatter(t *testing.T) {
 }
 
 func TestScatterValidatesParts(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			_, err := Scatter(c, 0, 4, [][]byte{{1}}) // wrong count
 			if err == nil {
@@ -128,7 +129,7 @@ func TestScatterValidatesParts(t *testing.T) {
 
 func TestAllToAll(t *testing.T) {
 	for _, size := range worldSizes {
-		err := Run(size, func(c Comm) error {
+		err := RunContext(context.Background(), size, func(c Comm) error {
 			parts := make([][]byte, size)
 			for q := range parts {
 				parts[q] = []byte{byte(c.Rank()), byte(q)}
@@ -153,7 +154,7 @@ func TestAllToAll(t *testing.T) {
 func TestBarrier(t *testing.T) {
 	// A barrier must not deadlock and must complete for every size.
 	for _, size := range worldSizes {
-		err := Run(size, func(c Comm) error {
+		err := RunContext(context.Background(), size, func(c Comm) error {
 			for round := 0; round < 3; round++ {
 				if err := Barrier(c, 100+round); err != nil {
 					return err
@@ -168,7 +169,7 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestReduceFloat64(t *testing.T) {
-	err := Run(5, func(c Comm) error {
+	err := RunContext(context.Background(), 5, func(c Comm) error {
 		x := float64(c.Rank() + 1) // 1..5
 		sum, err := ReduceFloat64(c, 0, 6, x, "sum")
 		if err != nil {
@@ -199,7 +200,7 @@ func TestReduceFloat64(t *testing.T) {
 }
 
 func TestReduceUnknownOp(t *testing.T) {
-	err := Run(1, func(c Comm) error {
+	err := RunContext(context.Background(), 1, func(c Comm) error {
 		_, err := ReduceFloat64(c, 0, 9, 1, "median")
 		if err == nil {
 			return fmt.Errorf("unknown op accepted")
@@ -212,7 +213,7 @@ func TestReduceUnknownOp(t *testing.T) {
 }
 
 func TestTypedCollectives(t *testing.T) {
-	err := Run(4, func(c Comm) error {
+	err := RunContext(context.Background(), 4, func(c Comm) error {
 		// AllGatherValues
 		all, err := AllGatherValues(c, 10, item{Rank: c.Rank(), Label: "x"})
 		if err != nil {

@@ -9,100 +9,6 @@ import (
 	"time"
 )
 
-func TestRecvContextUnblocksOnCancel(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c := w.Comm(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.RecvContext(ctx, 1, 9) // no message ever sent
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("RecvContext did not unblock on cancel")
-	}
-}
-
-func TestRecvContextDeliversBeforeCancel(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c0, c1 := w.Comm(0), w.Comm(1)
-	if err := c1.Send(0, 3, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	d, err := c0.RecvContext(ctx, 1, 3)
-	if err != nil || string(d) != "payload" {
-		t.Fatalf("got %q, %v", d, err)
-	}
-}
-
-func TestWithContextCollectiveUnblocks(t *testing.T) {
-	// Rank 1 never enters the gather; rank 0's blocking collective over a
-	// context-bound comm must unwind with context.Canceled.
-	ctx, cancel := context.WithCancel(context.Background())
-	var rank0Err error
-	var wg sync.WaitGroup
-	w, err := NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := WithContext(ctx, w.Comm(0))
-		_, rank0Err = Gather(c, 0, 5, []byte("x"))
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	wg.Wait()
-	if !errors.Is(rank0Err, context.Canceled) {
-		t.Fatalf("collective err = %v", rank0Err)
-	}
-}
-
-func TestWithContextSendFailsFast(t *testing.T) {
-	w, err := NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := WithContext(ctx, w.Comm(0))
-	if err := c.Send(0, 1, []byte("x")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("send err = %v", err)
-	}
-}
-
-func TestWithContextBackgroundIsPassthrough(t *testing.T) {
-	w, err := NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	c := w.Comm(0)
-	if WithContext(context.Background(), c) != c {
-		t.Fatal("Background binding should return the comm unchanged")
-	}
-}
-
 func TestRunContextCancelUnblocksRanks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -113,7 +19,7 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 				close(started)
 			}
 			// every rank blocks forever on a message that never comes
-			_, err := WithContext(ctx, c).Recv(c.Rank(), 99)
+			_, err := c.Recv(c.Rank(), 99)
 			return err
 		})
 	}()
@@ -168,44 +74,43 @@ func TestDialTCPContextCancelledSetup(t *testing.T) {
 	}
 }
 
-func TestBoundRecvContextHonorsBothContexts(t *testing.T) {
-	w, err := NewWorld(2)
-	if err != nil {
+func TestDialTCPContextCancelClosesLiveMesh(t *testing.T) {
+	// The dial ctx bounds the communicator's life, not only its setup:
+	// cancelling it after the mesh is up releases rank 0's pending Recv
+	// while rank 1 stays connected.
+	addrs := freeAddrs(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	comms := make([]Comm, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r, rctx := range []context.Context{ctx, context.Background()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			comms[r], errs[r] = DialTCPContext(rctx, TCPConfig{Rank: r, Addrs: addrs})
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	bound, cancelBound := context.WithCancel(context.Background())
-	defer cancelBound()
-	c := WithContext(bound, w.Comm(0))
+	defer comms[0].Close()
+	defer comms[1].Close()
 
-	// caller context fires first
-	callerCtx, cancelCaller := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	recvErr := make(chan error, 1)
 	go func() {
-		_, err := c.RecvContext(callerCtx, 1, 1)
-		done <- err
+		_, err := comms[0].Recv(1, 5) // rank 1 never sends
+		recvErr <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	cancelCaller()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("caller cancel: err = %v", err)
-	}
-
-	// bound context fires while the caller's is still live
-	liveCtx, cancelLive := context.WithCancel(context.Background())
-	defer cancelLive()
-	go func() {
-		_, err := c.RecvContext(liveCtx, 1, 2)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancelBound()
+	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("bound cancel: err = %v", err)
+	case err := <-recvErr:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv after the dial ctx ended: %v, want ErrClosed", err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("bound context did not unblock RecvContext")
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still blocked 5 s after the dial ctx ended")
 	}
 }

@@ -14,10 +14,9 @@ type message struct {
 
 // mailbox is one rank's inbound queue with (source, tag) matching.
 // Messages from the same (source, tag) are matched FIFO. Waiters block
-// on a broadcast channel that is closed-and-replaced on every push, so
-// a blocked pop can also race a context's Done channel — that is how
-// cancellation reaches every blocking Recv and, through them, the
-// collectives.
+// on a broadcast channel that is closed-and-replaced on every push and
+// on close, so closing the mailbox is what releases a blocked Recv and,
+// through it, the collectives.
 //
 // A source can be marked dead (its transport hit EOF): queued messages
 // from it stay deliverable, but a pop that would otherwise wait for a
@@ -48,10 +47,10 @@ func (mb *mailbox) push(m message) error {
 }
 
 // pop blocks until a message with the given source and tag arrives, the
-// mailbox closes, the source is marked dead, or ctx is cancelled.
-// Queued messages win over closure and death, so an early-finishing
-// peer's already-sent data is always drainable.
-func (mb *mailbox) pop(ctx context.Context, src, tag int) ([]byte, error) {
+// mailbox closes or the source is marked dead. Queued messages win over
+// closure and death, so an early-finishing peer's already-sent data is
+// always drainable.
+func (mb *mailbox) pop(src, tag int) ([]byte, error) {
 	for {
 		mb.mu.Lock()
 		for i := range mb.queue {
@@ -72,11 +71,7 @@ func (mb *mailbox) pop(ctx context.Context, src, tag int) ([]byte, error) {
 		}
 		wake := mb.wake
 		mb.mu.Unlock()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-wake
 	}
 }
 
@@ -172,15 +167,10 @@ func (c *inprocComm) sendOwned(to, tag int, data []byte) error {
 }
 
 func (c *inprocComm) Recv(from, tag int) ([]byte, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return c.RecvContext(context.Background(), from, tag)
-}
-
-func (c *inprocComm) RecvContext(ctx context.Context, from, tag int) ([]byte, error) {
 	if from < 0 || from >= c.world.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d of %d", from, c.world.size)
 	}
-	data, err := c.world.boxes[c.rank].pop(ctx, from, tag)
+	data, err := c.world.boxes[c.rank].pop(from, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -193,35 +183,20 @@ func (c *inprocComm) Close() error {
 	return nil
 }
 
-// Run launches fn as an SPMD program over `size` in-process ranks and
-// waits for all of them. It returns the first non-nil error; on error the
-// world is closed so other ranks unblock.
-func Run(size int, fn func(Comm) error) error {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return RunContext(context.Background(), size, fn)
-}
-
-// RunContext is Run bound to a context: when ctx is cancelled the world
-// is closed, so every rank blocked in a Recv (directly or inside a
-// collective) unblocks and the SPMD program unwinds. Rank functions that
-// want to observe the cancellation reason should check ctx themselves
-// (core does) or use a context-bound communicator via WithContext.
+// RunContext launches fn as an SPMD program over `size` in-process
+// ranks and waits for all of them. The world lives as long as ctx: when
+// ctx ends the world is closed, so every rank blocked in a Recv
+// (directly or inside a collective) gets ErrClosed, the program unwinds
+// and RunContext returns ctx.Err(). Otherwise it returns the first rank
+// error; a rank error also closes the world so the other ranks unblock.
 func RunContext(ctx context.Context, size int, fn func(Comm) error) error {
 	w, err := NewWorld(size)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
-
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.Close() // unblock every rank
-		case <-done:
-		}
-	}()
+	stop := context.AfterFunc(ctx, w.Close)
+	defer stop()
 
 	errs := make(chan error, size)
 	var wg sync.WaitGroup
@@ -236,28 +211,13 @@ func RunContext(ctx context.Context, size int, fn func(Comm) error) error {
 		}(r)
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case err := <-errs:
 		return err
 	default:
-		return ctx.Err()
-	}
-}
-
-// RunCollect is Run for SPMD functions that produce a per-rank result;
-// results are returned indexed by rank.
-func RunCollect[T any](size int, fn func(Comm) (T, error)) ([]T, error) {
-	out := make([]T, size)
-	var mu sync.Mutex
-	err := Run(size, func(c Comm) error {
-		v, err := fn(c)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		out[c.Rank()] = v
-		mu.Unlock()
 		return nil
-	})
-	return out, err
+	}
 }

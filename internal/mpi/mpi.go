@@ -11,10 +11,15 @@
 // Semantics follow MPI's: Send is asynchronous (buffered), Recv blocks
 // until a matching (source, tag) message arrives, and messages between a
 // fixed (source, destination, tag) triple are delivered in order.
+//
+// A communicator lives as long as the context it was made under:
+// RunContext closes its world and DialTCPContext its mesh when that
+// context ends, so every Recv blocked on it, directly or inside a
+// collective, returns ErrClosed. Callers that want the cancellation
+// reason read it off their context.
 package mpi
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 )
@@ -37,9 +42,6 @@ type Comm interface {
 	// Recv blocks until a message with the given source and tag arrives
 	// and returns its payload.
 	Recv(from, tag int) ([]byte, error)
-	// RecvContext is Recv that additionally unblocks with ctx.Err()
-	// when ctx is cancelled before a matching message arrives.
-	RecvContext(ctx context.Context, from, tag int) ([]byte, error)
 	// Stats returns this rank's traffic counters.
 	Stats() *Stats
 	// Close shuts the communicator down; blocked Recvs return ErrClosed.
@@ -63,68 +65,6 @@ func sendOwned(c Comm, to, tag int, data []byte) error {
 		return o.sendOwned(to, tag, data)
 	}
 	return c.Send(to, tag, data)
-}
-
-// WithContext binds a communicator to a context: Recv blocks become
-// RecvContext calls that unblock with ctx.Err() on cancellation, and
-// Send fails fast once ctx is done. Because the collectives are built on
-// Send/Recv, running them over a context-bound communicator makes every
-// blocking collective honor cancellation with no further plumbing.
-// Binding to context.Background() returns c unchanged.
-func WithContext(ctx context.Context, c Comm) Comm {
-	//lint:allow ctxflow sentinel comparison against the Background singleton, no context is created
-	if ctx == context.Background() || ctx.Done() == nil {
-		return c
-	}
-	return &ctxComm{Comm: c, ctx: ctx}
-}
-
-type ctxComm struct {
-	Comm
-	ctx context.Context
-}
-
-func (c *ctxComm) Send(to, tag int, data []byte) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	return c.Comm.Send(to, tag, data)
-}
-
-func (c *ctxComm) sendOwned(to, tag int, data []byte) error {
-	if err := c.ctx.Err(); err != nil {
-		return err
-	}
-	return sendOwned(c.Comm, to, tag, data)
-}
-
-func (c *ctxComm) Recv(from, tag int) ([]byte, error) {
-	return c.Comm.RecvContext(c.ctx, from, tag)
-}
-
-// RecvContext on a context-bound comm honors both the bound context and
-// the caller's: whichever is done first unblocks the receive with its
-// error.
-func (c *ctxComm) RecvContext(ctx context.Context, from, tag int) ([]byte, error) {
-	if ctx.Done() == nil {
-		return c.Comm.RecvContext(c.ctx, from, tag)
-	}
-	if c.ctx.Done() == nil {
-		return c.Comm.RecvContext(ctx, from, tag)
-	}
-	merged, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(c.ctx, cancel)
-	defer stop()
-	data, err := c.Comm.RecvContext(merged, from, tag)
-	if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-		// the bound context fired, not the caller's: report its error
-		// (which may be DeadlineExceeded rather than Canceled)
-		if cerr := c.ctx.Err(); cerr != nil {
-			err = cerr
-		}
-	}
-	return data, err
 }
 
 // Stats counts a rank's message traffic; used to reproduce the paper's

@@ -2,13 +2,14 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"testing"
 )
 
 func TestSendRecvBasic(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, []byte("hello"))
 		}
@@ -27,7 +28,7 @@ func TestSendRecvBasic(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	err := Run(1, func(c Comm) error {
+	err := RunContext(context.Background(), 1, func(c Comm) error {
 		if err := c.Send(0, 1, []byte("loop")); err != nil {
 			return err
 		}
@@ -48,7 +49,7 @@ func TestSendToSelf(t *testing.T) {
 func TestTagMatching(t *testing.T) {
 	// Messages with different tags must be matched independently of
 	// arrival order.
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, []byte("one")); err != nil {
 				return err
@@ -74,7 +75,7 @@ func TestTagMatching(t *testing.T) {
 }
 
 func TestFIFOPerSourceTag(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		const n = 100
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
@@ -101,7 +102,7 @@ func TestFIFOPerSourceTag(t *testing.T) {
 }
 
 func TestSendCopiesBuffer(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			buf := []byte("aaaa")
 			if err := c.Send(1, 1, buf); err != nil {
@@ -128,7 +129,7 @@ func TestSendCopiesBuffer(t *testing.T) {
 }
 
 func TestInvalidRanks(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if err := c.Send(5, 1, nil); err == nil {
 			return fmt.Errorf("send to rank 5 accepted")
 		}
@@ -144,7 +145,7 @@ func TestInvalidRanks(t *testing.T) {
 
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := fmt.Errorf("rank failure")
-	err := Run(4, func(c Comm) error {
+	err := RunContext(context.Background(), 4, func(c Comm) error {
 		if c.Rank() == 2 {
 			return sentinel
 		}
@@ -162,17 +163,19 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	res, err := RunCollect(2, func(c Comm) (Stats, error) {
+	res := make([]Stats, 2)
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, make([]byte, 1000)); err != nil {
-				return Stats{}, err
+				return err
 			}
 		} else {
 			if _, err := c.Recv(0, 1); err != nil {
-				return Stats{}, err
+				return err
 			}
 		}
-		return c.Stats().Snapshot(), nil
+		res[c.Rank()] = c.Stats().Snapshot()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +204,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestSendRecvValue(t *testing.T) {
-	err := Run(2, func(c Comm) error {
+	err := RunContext(context.Background(), 2, func(c Comm) error {
 		if c.Rank() == 0 {
 			return SendValue(c, 1, 3, item{Rank: 7, Label: "a"})
 		}

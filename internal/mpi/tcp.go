@@ -33,6 +33,7 @@ type tcpComm struct {
 	sendLock []sync.Mutex // per-peer write serialisation
 	listener net.Listener
 	closed   bool
+	stop     func() bool // releases the shutdown-on-ctx hook
 }
 
 // frame layout: [tag int64][length uint32][payload]
@@ -45,17 +46,12 @@ type tcpComm struct {
 // for 4 GiB per frame.
 const maxFrame = 1 << 30
 
-// DialTCP establishes the mesh and returns this rank's communicator.
-// Every rank of the world must call DialTCP concurrently (they block on
-// each other).
-func DialTCP(cfg TCPConfig) (Comm, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return DialTCPContext(context.Background(), cfg)
-}
-
-// DialTCPContext is DialTCP bound to a context: cancelling ctx aborts
-// the mesh setup (pending accepts and dial retries stop) and the call
-// returns ctx.Err().
+// DialTCPContext establishes the mesh and returns this rank's
+// communicator. Every rank of the world must call it concurrently (they
+// block on each other). ctx bounds the communicator's whole life: ending
+// it aborts a mesh setup in progress (pending accepts and dial retries
+// stop and the call returns ctx.Err()) and, after setup, closes the
+// communicator, so blocked Recvs return ErrClosed.
 func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 	size := len(cfg.Addrs)
 	if cfg.Rank < 0 || cfg.Rank >= size {
@@ -75,28 +71,20 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 		conns:    make([]net.Conn, size),
 		sendLock: make([]sync.Mutex, size),
 	}
+	if size > 1 {
+		ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
+		if err != nil {
+			return nil, fmt.Errorf("mpi: rank %d listen %s: %w", cfg.Rank, cfg.Addrs[cfg.Rank], err)
+		}
+		c.listener = ln
+	}
+	// Shutting down on ctx's end also aborts the setup below: the closed
+	// listener unblocks Accept, and the dial loops poll ctx between
+	// retries.
+	c.stop = context.AfterFunc(ctx, c.shutdown)
 	if size == 1 {
 		return c, nil
 	}
-
-	ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
-	if err != nil {
-		return nil, fmt.Errorf("mpi: rank %d listen %s: %w", cfg.Rank, cfg.Addrs[cfg.Rank], err)
-	}
-	c.listener = ln
-
-	// Abort the whole mesh setup if ctx is cancelled: closing the
-	// listener unblocks Accept, and the dial loops poll ctx between
-	// retries.
-	setupDone := make(chan struct{})
-	defer close(setupDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-		case <-setupDone:
-		}
-	}()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, size)
@@ -107,7 +95,7 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < higher; i++ {
-			conn, err := ln.Accept()
+			conn, err := c.listener.Accept()
 			if err != nil {
 				errs <- fmt.Errorf("mpi: rank %d accept: %w", cfg.Rank, err)
 				return
@@ -256,15 +244,10 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 }
 
 func (c *tcpComm) Recv(from, tag int) ([]byte, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return c.RecvContext(context.Background(), from, tag)
-}
-
-func (c *tcpComm) RecvContext(ctx context.Context, from, tag int) ([]byte, error) {
 	if from < 0 || from >= c.size {
 		return nil, fmt.Errorf("mpi: recv from rank %d of %d", from, c.size)
 	}
-	data, err := c.box.pop(ctx, from, tag)
+	data, err := c.box.pop(from, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -272,15 +255,20 @@ func (c *tcpComm) RecvContext(ctx context.Context, from, tag int) ([]byte, error
 	return data, nil
 }
 
+// Close releases the shutdown-on-ctx hook and shuts the communicator down.
 func (c *tcpComm) Close() error {
+	c.stop()
+	c.shutdown()
+	return nil
+}
+
+// shutdown closes the mailbox, every connection and the listener. It is
+// safe to repeat: a setup that ctx aborted runs it once more after its
+// dialers are done, for the connections they stored after the first run.
+func (c *tcpComm) shutdown() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
 	c.closed = true
 	conns := append([]net.Conn(nil), c.conns...)
-	ln := c.listener
 	c.mu.Unlock()
 
 	c.box.close()
@@ -289,8 +277,7 @@ func (c *tcpComm) Close() error {
 			conn.Close()
 		}
 	}
-	if ln != nil {
-		ln.Close()
+	if c.listener != nil {
+		c.listener.Close()
 	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,7 +43,7 @@ func runTCP(t *testing.T, size int, fn func(Comm) error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c, err := DialTCP(TCPConfig{Rank: rank, Addrs: addrs})
+			c, err := DialTCPContext(context.Background(), TCPConfig{Rank: rank, Addrs: addrs})
 			if err != nil {
 				errs <- fmt.Errorf("rank %d dial: %w", rank, err)
 				return
@@ -155,7 +156,7 @@ func TestTCPLargeMessage(t *testing.T) {
 }
 
 func TestTCPSingleRank(t *testing.T) {
-	c, err := DialTCP(TCPConfig{Rank: 0, Addrs: []string{"127.0.0.1:0"}})
+	c, err := DialTCPContext(context.Background(), TCPConfig{Rank: 0, Addrs: []string{"127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestTCPSingleRank(t *testing.T) {
 }
 
 func TestTCPInvalidConfig(t *testing.T) {
-	if _, err := DialTCP(TCPConfig{Rank: 3, Addrs: []string{"a", "b"}}); err == nil {
+	if _, err := DialTCPContext(context.Background(), TCPConfig{Rank: 3, Addrs: []string{"a", "b"}}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
 }
@@ -224,7 +225,7 @@ func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
 	}
 	rank0 := make(chan dialed, 1)
 	go func() {
-		c, err := DialTCP(TCPConfig{Rank: 0, Addrs: addrs})
+		c, err := DialTCPContext(context.Background(), TCPConfig{Rank: 0, Addrs: addrs})
 		rank0 <- dialed{c, err}
 	}()
 	var conn net.Conn

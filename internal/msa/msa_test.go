@@ -2,6 +2,7 @@ package msa
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func mustAlign(t *testing.T, al Aligner, seqs []bio.Sequence) *Alignment {
 	t.Helper()
-	a, err := al.Align(seqs)
+	a, err := al.AlignContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatalf("%s: %v", al.Name(), err)
 	}
@@ -325,7 +326,7 @@ func TestProgressiveTrivialInputs(t *testing.T) {
 }
 
 func TestProgressiveRejectsEmptySequence(t *testing.T) {
-	_, err := MuscleLike(0).Align([]bio.Sequence{
+	_, err := MuscleLike(0).AlignContext(context.Background(), []bio.Sequence{
 		{ID: "a", Data: []byte("ACDEF")},
 		{ID: "b", Data: []byte("")},
 	})
@@ -374,7 +375,7 @@ func TestTreeWeightsFamilyStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	seqs := family(rng, 12, 60, 0.1)
 	p := MuscleLike(0)
-	d, err := p.DistanceMatrix(seqs)
+	d, err := p.DistanceMatrixContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}

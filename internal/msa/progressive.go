@@ -19,30 +19,18 @@ import (
 // Aligner is any multiple sequence aligner. Implementations in this
 // repository: the Progressive engine (MUSCLE-like, CLUSTAL-like), the
 // consistency aligner in internal/cons, the MAFFT-like aligner in
-// internal/mafft and Sample-Align-D itself in internal/core.
+// internal/mafft and Sample-Align-D itself in internal/core. A long
+// alignment observes cancellation at phase and guide-tree-merge
+// granularity and returns the context's error.
 type Aligner interface {
 	Name() string
-	Align(seqs []bio.Sequence) (*Alignment, error)
-}
-
-// ContextAligner is an Aligner whose runs can be cancelled through a
-// context: a long alignment observes cancellation at phase and
-// guide-tree-merge granularity and returns the context's error.
-type ContextAligner interface {
-	Aligner
 	AlignContext(ctx context.Context, seqs []bio.Sequence) (*Alignment, error)
 }
 
-// AlignWithContext runs a's AlignContext when it supports cancellation,
-// falling back to plain Align (after an upfront ctx check) otherwise.
+// AlignWithContext runs a.AlignContext. It stays for the benchmark
+// module, which calls it; code here calls the method.
 func AlignWithContext(ctx context.Context, a Aligner, seqs []bio.Sequence) (*Alignment, error) {
-	if ca, ok := a.(ContextAligner); ok {
-		return ca.AlignContext(ctx, seqs)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.Align(seqs)
+	return a.AlignContext(ctx, seqs)
 }
 
 // DistanceMethod selects how the guide-tree distance matrix is computed.
@@ -146,14 +134,9 @@ func (p *Progressive) Name() string { return p.opts.NameTag }
 // Options returns a copy of the engine's configuration.
 func (p *Progressive) Options() Options { return p.opts }
 
-// DistanceMatrix computes the configured guide-tree distance matrix.
-func (p *Progressive) DistanceMatrix(seqs []bio.Sequence) (*kmer.Matrix, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return p.DistanceMatrixContext(context.Background(), seqs)
-}
-
-// DistanceMatrixContext is DistanceMatrix bound to a context; the
-// O(N²·L²) PID path stops dispatching pair rows on cancellation.
+// DistanceMatrixContext computes the configured guide-tree distance
+// matrix; the O(N²·L²) PID path stops dispatching pair rows on
+// cancellation.
 func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequence) (*kmer.Matrix, error) {
 	switch p.opts.Distance {
 	case KmerDistance:
@@ -213,12 +196,6 @@ func (p *Progressive) GuideTree(d *kmer.Matrix, seqs []bio.Sequence) *tree.Node 
 	default:
 		return tree.UPGMAWorkers(d, names, p.opts.Workers)
 	}
-}
-
-// Align runs the full progressive pipeline.
-func (p *Progressive) Align(seqs []bio.Sequence) (*Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return p.AlignContext(context.Background(), seqs)
 }
 
 // AlignContext runs the full progressive pipeline under a context:
@@ -306,15 +283,9 @@ func (g *group) expandRows(rows [][]byte, cols []int32, total int) {
 	g.right.expandRows(rows, rc, total)
 }
 
-// AlignWithTree performs the post-order progressive merge over an
-// explicit guide tree. weights may be nil (unit weights).
-func (p *Progressive) AlignWithTree(seqs []bio.Sequence, gt *tree.Node, weights []float64) (*Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return p.AlignWithTreeContext(context.Background(), seqs, gt, weights)
-}
-
-// AlignWithTreeContext is AlignWithTree bound to a context: every merge
-// aligns its two profiles with full profile-profile DP.
+// AlignWithTreeContext performs the post-order progressive merge over
+// an explicit guide tree, every merge aligning its two profiles with
+// full profile-profile DP. weights may be nil (unit weights).
 func (p *Progressive) AlignWithTreeContext(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64) (*Alignment, error) {
 	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
 	return p.AlignWithTreePairs(ctx, seqs, gt, weights, func(pl, pr *profile.Profile) (profile.Path, error) {

@@ -23,7 +23,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // locality. For blocks until every call returns. workers <= 0 selects
 // DefaultWorkers(); n <= 0 is a no-op.
 func For(n, workers int, body func(i int)) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
+	//lint:allow ctxflow for callers that hold no context: tree scans, and kmer.Profiles and SPScore through Map
 	_ = ForCtx(context.Background(), n, workers, body)
 }
 
@@ -84,17 +84,11 @@ func ForCtx(ctx context.Context, n, workers int, body func(i int)) error {
 	return ctx.Err()
 }
 
-// ForDynamic is like For but hands out indices one at a time from a
-// shared counter, which balances load when per-index cost varies wildly
-// (for example, distance-matrix rows of decreasing length).
-func ForDynamic(n, workers int, body func(i int)) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	_ = ForDynamicCtx(context.Background(), n, workers, body)
-}
-
-// ForDynamicCtx is ForDynamic bound to a context: the dispatcher stops
-// handing out indices once ctx is cancelled and ForDynamicCtx returns
-// ctx.Err() (in-flight body calls complete first).
+// ForDynamicCtx is like ForCtx but hands out indices one at a time from
+// a shared counter, which balances load when per-index cost varies
+// wildly (for example, distance-matrix rows of decreasing length). The
+// dispatcher stops handing out indices once ctx is cancelled and
+// ForDynamicCtx returns ctx.Err() (in-flight body calls complete first).
 func ForDynamicCtx(ctx context.Context, n, workers int, body func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -148,9 +142,9 @@ func ForDynamicCtx(ctx context.Context, n, workers int, body func(i int)) error 
 // given block size, dynamically scheduled across workers. Blocking
 // amortises dispatch overhead when the per-index work is small (row
 // sums, nearest-neighbour cache refreshes) while keeping the dynamic
-// load balance of ForDynamic for blocks of uneven cost.
+// load balance of ForDynamicCtx for blocks of uneven cost.
 func ForBlocks(n, block, workers int, body func(lo, hi int)) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
+	//lint:allow ctxflow for callers that hold no context: the tree builders' row scans
 	_ = ForBlocksCtx(context.Background(), n, block, workers, body)
 }
 

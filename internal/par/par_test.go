@@ -23,7 +23,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForDynamicCoversEveryIndexOnce(t *testing.T) {
 	n := 523
 	seen := make([]int32, n)
-	ForDynamic(n, 7, func(i int) { atomic.AddInt32(&seen[i], 1) })
+	_ = ForDynamicCtx(context.Background(), n, 7, func(i int) { atomic.AddInt32(&seen[i], 1) })
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)

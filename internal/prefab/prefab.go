@@ -8,6 +8,7 @@
 package prefab
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -105,7 +106,7 @@ type Result struct {
 // Sets where the aligner errors are recorded (Q=0, Err set) and excluded
 // from the mean, mirroring the paper's footnote that some scores were
 // discarded by the automatic quality process.
-func Evaluate(al msa.Aligner, sets []Set) (meanQ float64, results []Result, err error) {
+func Evaluate(ctx context.Context, al msa.Aligner, sets []Set) (meanQ float64, results []Result, err error) {
 	if len(sets) == 0 {
 		return 0, nil, fmt.Errorf("prefab: no sets")
 	}
@@ -113,7 +114,10 @@ func Evaluate(al msa.Aligner, sets []Set) (meanQ float64, results []Result, err 
 	var sum float64
 	var ok int
 	for _, set := range sets {
-		aln, aerr := al.Align(set.Seqs)
+		aln, aerr := al.AlignContext(ctx, set.Seqs)
+		if err := ctx.Err(); err != nil {
+			return 0, results, err // a cancelled run is no failed set
+		}
 		if aerr == nil {
 			if verr := aln.Validate(); verr != nil {
 				aerr = verr

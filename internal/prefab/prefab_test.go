@@ -1,6 +1,8 @@
 package prefab
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -57,7 +59,7 @@ func TestEvaluateMuscleLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, results, err := Evaluate(msa.MuscleLike(0), sets)
+	mean, results, err := Evaluate(context.Background(), msa.MuscleLike(0), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +83,12 @@ func TestEvaluateMuscleLike(t *testing.T) {
 type failingAligner struct{ n int }
 
 func (f *failingAligner) Name() string { return "flaky" }
-func (f *failingAligner) Align(seqs []bio.Sequence) (*msa.Alignment, error) {
+func (f *failingAligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.Alignment, error) {
 	f.n++
 	if f.n%2 == 0 {
 		return nil, fmt.Errorf("boom")
 	}
-	return msa.MuscleLike(0).Align(seqs)
+	return msa.MuscleLike(0).AlignContext(ctx, seqs)
 }
 
 func TestEvaluateDiscardsFailedSets(t *testing.T) {
@@ -94,7 +96,7 @@ func TestEvaluateDiscardsFailedSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, results, err := Evaluate(&failingAligner{}, sets)
+	mean, results, err := Evaluate(context.Background(), &failingAligner{}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +117,16 @@ func TestEvaluateDiscardsFailedSets(t *testing.T) {
 type alwaysFail struct{}
 
 func (alwaysFail) Name() string { return "dead" }
-func (alwaysFail) Align([]bio.Sequence) (*msa.Alignment, error) {
+func (alwaysFail) AlignContext(context.Context, []bio.Sequence) (*msa.Alignment, error) {
 	return nil, fmt.Errorf("always fails")
 }
 
 func TestEvaluateAllFailed(t *testing.T) {
 	sets, _ := Generate(Config{NumSets: 2, SeqsPerSet: 4, MeanLen: 40, Seed: 6})
-	if _, _, err := Evaluate(alwaysFail{}, sets); err == nil {
+	if _, _, err := Evaluate(context.Background(), alwaysFail{}, sets); err == nil {
 		t.Fatal("all-failed evaluation did not error")
 	}
-	if _, _, err := Evaluate(alwaysFail{}, nil); err == nil {
+	if _, _, err := Evaluate(context.Background(), alwaysFail{}, nil); err == nil {
 		t.Fatal("empty benchmark accepted")
 	}
 }
@@ -142,15 +144,26 @@ func TestCloserFamiliesScoreHigher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qClose, _, err := Evaluate(msa.MuscleLike(0), close)
+	qClose, _, err := Evaluate(context.Background(), msa.MuscleLike(0), close)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qFar, _, err := Evaluate(msa.MuscleLike(0), far)
+	qFar, _, err := Evaluate(context.Background(), msa.MuscleLike(0), far)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qClose <= qFar {
 		t.Fatalf("Q(close)=%g <= Q(far)=%g", qClose, qFar)
+	}
+}
+
+func TestEvaluateCancelledIsNoScore(t *testing.T) {
+	// A cancelled evaluation reports the cancel, not a mean over the
+	// sets that happened to finish.
+	sets, _ := Generate(Config{NumSets: 2, SeqsPerSet: 4, MeanLen: 40, Seed: 6})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Evaluate(ctx, msa.MuscleLike(0), sets); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

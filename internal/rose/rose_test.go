@@ -1,6 +1,7 @@
 package rose
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestProgressiveRecoversTrueAlignmentOnCloseFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	test, err := msa.MuscleLike(0).Align(f.Seqs())
+	test, err := msa.MuscleLike(0).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,10 +139,11 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 	}()
 
 	// Phase 1: claim every worker and learn its mesh address. The
-	// conn-closing watcher is armed before the first write so a job
-	// cancel or deadline unwinds even a write stalled on a wedged
-	// worker; per-operation I/O deadlines bound stalls that the
-	// context never sees.
+	// conn-closing watcher is armed before the first write and stays
+	// for the whole call, so a job cancel or deadline unwinds even a
+	// write stalled on a wedged worker and, in phase 3, tells every
+	// worker to cancel its rank; per-operation I/O deadlines bound
+	// stalls that the context never sees.
 	var connsMu sync.Mutex
 	conns := make([]net.Conn, len(c.Workers))
 	closeConns := func() {
@@ -215,23 +216,14 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 	}
 
 	// Phase 3: run rank 0 here while collecting worker acks. If ctx is
-	// cancelled, closing the communicator and the control connections
-	// unwinds everything (workers see EOF on control and cancel too).
+	// cancelled, the communicator (made under ctx) and the control
+	// connections (phase 1's watcher) close, which unwinds everything:
+	// workers see EOF on control and cancel too.
 	comm, err := mpi.DialTCPContext(ctx, mpi.TCPConfig{Rank: 0, Addrs: addrs})
 	if err != nil {
 		return nil, ExecReport{}, fmt.Errorf("serve: cluster mesh: %w", err)
 	}
-	defer func() { _ = comm.Close() }() // teardown; run errors surface from Align
-	commWatch := make(chan struct{})
-	defer close(commWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = comm.Close()
-			closeConns()
-		case <-commWatch:
-		}
-	}()
+	defer func() { _ = comm.Close() }() // teardown; run errors surface from AlignContext
 
 	ackCh := make(chan error, len(conns))
 	for i, conn := range conns {

@@ -89,7 +89,7 @@ func TestClusterExecutorMatchesInproc(t *testing.T) {
 	if rep.Procs != 3 {
 		t.Fatalf("cluster procs = %d, want 3 (2 workers + rank 0)", rep.Procs)
 	}
-	res, err := core.AlignInproc(seqs, 3, core.Config{})
+	res, err := core.AlignInprocContext(context.Background(), seqs, 3, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestClusterDistributedTrace(t *testing.T) {
 
 	// Tracing is observation only: byte-identical to the untraced
 	// in-process run of the same input.
-	res, err := core.AlignInproc(seqs, 4, core.Config{})
+	res, err := core.AlignInprocContext(context.Background(), seqs, 4, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

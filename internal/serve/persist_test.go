@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -215,7 +216,7 @@ func TestCrashRecoveryByteIdenticalToUninterruptedRun(t *testing.T) {
 	if !ok {
 		t.Fatal("no payload")
 	}
-	res, err := core.AlignInproc(seqs, 3, core.Config{Workers: 2})
+	res, err := core.AlignInprocContext(context.Background(), seqs, 3, core.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestSubmitRoundTripMatchesDirectRun(t *testing.T) {
 	}
 
 	// The job result must be byte-identical to the batch surface.
-	res, err := core.AlignInproc(seqs, 3, core.Config{Workers: 2})
+	res, err := core.AlignInprocContext(context.Background(), seqs, 3, core.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,8 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 
 	// The control connection doubles as the cancellation channel: the
 	// coordinator closing it (job cancelled, coordinator died) cancels
-	// this rank, which unwinds its collectives via the mpi context
-	// plumbing and frees the mesh port for the next job.
+	// this rank, whose communicator, made under jobCtx, closes: that
+	// unwinds its collectives and frees the mesh port for the next job.
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	watchDone := make(chan struct{})
@@ -130,14 +130,6 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 		enc.Encode(jobAck{Error: fmt.Sprintf("mesh: %v", err)})
 		return fmt.Errorf("mesh: %w", err)
 	}
-	commWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-jobCtx.Done():
-			_ = comm.Close()
-		case <-commWatch:
-		}
-	}()
 	// Rank-local tracing: when the coordinator asked for it, this rank
 	// runs its own tracer under the propagated ID and bounds and ships
 	// the finished tree back in the ack (the coordinator grafts it into
@@ -159,7 +151,6 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	}
 	cfg.Metrics.JobStarted()
 	_, _, runErr := core.AlignContext(runCtx, comm, shard, coreCfg)
-	close(commWatch)
 	_ = comm.Close()
 	if runErr != nil {
 		cfg.Metrics.JobFinished(false)

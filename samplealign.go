@@ -8,7 +8,8 @@
 // redistribution, aligning each bucket independently with a sequential
 // MSA pipeline, and reconciling the buckets through a global ancestor
 // profile. Ranks can be in-process goroutines (Align) or separate
-// processes connected over TCP (AlignTCP / the samplealignd daemon).
+// processes connected over TCP (AlignTCPContext / the samplealignd
+// daemon).
 // For continuous workloads the same pipeline runs behind a long-lived
 // HTTP job service (NewServer / the samplealignsrv daemon) with
 // queueing, backpressure and content-addressed result caching.
@@ -86,7 +87,7 @@ func (r *RunReport) Summary() string {
 // ranks. Sequence IDs must be unique and sequences non-empty. The result
 // rows come back in input order.
 func Align(seqs []Sequence, procs int, opts ...Option) (*Alignment, *RunReport, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
+	//lint:allow ctxflow context-free twin kept while bench/ calls it (ROADMAP S, benchmark PR B)
 	return AlignContext(context.Background(), seqs, procs, opts...)
 }
 
@@ -132,19 +133,14 @@ type TCPRankConfig struct {
 	Addrs []string // listen address of every rank, indexed by rank
 }
 
-// AlignTCP participates in a distributed alignment as one rank of a TCP
-// cluster: every rank calls AlignTCP with its local slice of sequences;
-// rank 0 receives the full alignment (others get nil).
-func AlignTCP(tcpCfg TCPRankConfig, local []Sequence, opts ...Option) (*Alignment, error) {
-	//lint:allow ctxflow context-free compat wrapper: delegates to the Context-bound variant
-	return AlignTCPContext(context.Background(), tcpCfg, local, opts...)
-}
-
-// AlignTCPContext is AlignTCP bound to a context: cancelling ctx aborts
-// the mesh setup or the run in progress on this rank — the communicator
-// is closed so peer connections and reader goroutines shut down — and
-// the call returns the context's error. A hung or oversized cluster job
-// can thus be abandoned cleanly from any rank.
+// AlignTCPContext participates in a distributed alignment as one rank
+// of a TCP cluster: every rank calls it with its local slice of
+// sequences; rank 0 receives the full alignment (others get nil).
+// Cancelling ctx aborts the mesh setup or the run in progress on this
+// rank — the communicator, which lives as long as ctx, closes, so peer
+// connections and reader goroutines shut down — and the call returns the
+// context's error. A hung or oversized cluster job can thus be abandoned
+// cleanly from any rank.
 func AlignTCPContext(ctx context.Context, tcpCfg TCPRankConfig, local []Sequence, opts ...Option) (*Alignment, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -155,17 +151,6 @@ func AlignTCPContext(ctx context.Context, tcpCfg TCPRankConfig, local []Sequence
 		return nil, err
 	}
 	defer comm.Close()
-	// Close the communicator as soon as ctx is cancelled so blocked
-	// socket reads and peer reader goroutines unwind promptly.
-	watch := make(chan struct{})
-	defer close(watch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			comm.Close()
-		case <-watch:
-		}
-	}()
 	aln, _, err := core.AlignContext(ctx, comm, local, cfg)
 	return aln, err
 }

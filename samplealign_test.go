@@ -2,6 +2,7 @@ package samplealign
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -81,7 +82,7 @@ func TestNewAlignerAllNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		aln, err := al.Align(seqs)
+		aln, err := al.AlignContext(context.Background(), seqs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -126,21 +127,21 @@ func TestEvaluatePrefabPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qMuscle, err := EvaluatePrefab("muscle", sets)
+	qMuscle, err := EvaluatePrefab(context.Background(), "muscle", sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qMuscle <= 0 || qMuscle > 1 {
 		t.Fatalf("muscle Q = %g", qMuscle)
 	}
-	qDist, err := EvaluatePrefab("sample-align-d:2", sets)
+	qDist, err := EvaluatePrefab(context.Background(), "sample-align-d:2", sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qDist <= 0 || qDist > 1 {
 		t.Fatalf("sample-align-d Q = %g", qDist)
 	}
-	if _, err := EvaluatePrefab("bogus", sets); err == nil {
+	if _, err := EvaluatePrefab(context.Background(), "bogus", sets); err == nil {
 		t.Error("bogus aligner accepted")
 	}
 }
@@ -159,7 +160,15 @@ func TestParseSampleAlignName(t *testing.T) {
 	if p, ok := parseSampleAlignName("sample-align-d:8"); !ok || p != 8 {
 		t.Fatalf("parse: %d %v", p, ok)
 	}
-	for _, bad := range []string{"sample-align-d:", "sample-align-d:0", "muscle", "sample-align-d:x"} {
+	// the adapter's own name parses back to its rank count
+	al, err := resolveAligner("sample-align-d:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := parseSampleAlignName(al.Name()); !ok || p != 3 {
+		t.Fatalf("%q parses to %d %v", al.Name(), p, ok)
+	}
+	for _, bad := range []string{"sample-align-d:", "sample-align-d:0", "sample-align-d:4x", "sample-align-d:-2", "muscle", "sample-align-d:x"} {
 		if _, ok := parseSampleAlignName(bad); ok {
 			t.Errorf("%q parsed", bad)
 		}
