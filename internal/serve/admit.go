@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -13,7 +12,7 @@ import (
 
 // This file is admission: the one way a live submission becomes a job.
 // Submit is a batch of one; journal replay (persist.go) builds its
-// flights through the same newFlight/attach/completeFromCache helpers.
+// flights through the same newFlight/attach transitions (lifecycle.go).
 
 // BatchItem is one input of a batch submission: a parsed FASTA set and
 // the options it should run under.
@@ -94,11 +93,12 @@ func (s *Server) validate(it BatchItem) (Resolved, error) {
 }
 
 // admit turns items into jobs, in item order: validate everything,
-// complete cache hits, then — atomically against MaxQueued — coalesce
-// onto in-flight computations or open new flights, journal the whole
-// admission as one commit group and enqueue. Nothing is admitted unless
-// everything is. bad is the index of the item a validation error names,
-// -1 for every other outcome.
+// look every item up in the cache tiers, then — atomically against
+// MaxQueued — coalesce onto in-flight computations or open new flights,
+// journal the whole admission as one commit group, end the cache hits
+// and enqueue. Nothing is admitted unless everything is. bad is the
+// index of the item a validation error names, -1 for every other
+// outcome.
 func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	// Refuse everything — cache hits included — once draining or closed:
 	// a drained server must stop mutating its job table and journal (a
@@ -128,13 +128,10 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	}
 
 	// Content-addressed fast path: identical input + options were already
-	// aligned; answer from the cache tiers without queueing. Hit jobs are
-	// fully built before they become visible, so a rejection below leaves
-	// no trace of them.
-	for _, job := range jobs {
-		if res, ok := s.lookupResult(job.Key); ok {
-			s.completeFromCache(job, res, now)
-		}
+	// aligned; a hit is answered from the cache tiers without queueing.
+	hits := make([]*Result, len(jobs))
+	for i, job := range jobs {
+		hits[i], _ = s.lookupResult(job.Key)
 	}
 
 	// All-or-nothing admission: count the queue slots needed — one per
@@ -147,8 +144,8 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	}
 	need := 0
 	distinct := make(map[string]bool)
-	for _, job := range jobs {
-		if !job.cached && s.inflight[job.Key] == nil && !distinct[job.Key] {
+	for i, job := range jobs {
+		if hits[i] == nil && s.inflight[job.Key] == nil && !distinct[job.Key] {
 			distinct[job.Key] = true
 			need++
 		}
@@ -163,8 +160,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	}
 	var newFlights []*flight
 	for i, job := range jobs {
-		if job.cached {
-			s.rememberLocked(job)
+		if hits[i] != nil {
 			continue
 		}
 		// An identical computation already queued or running — possibly
@@ -187,10 +183,8 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	for i, job := range jobs {
 		s.metrics.Submitted.Inc()
 		switch {
-		case job.cached:
+		case hits[i] != nil:
 			s.metrics.CacheHits.Inc()
-			s.metrics.Completed.Inc()
-			s.log.Info("job served from cache", "job", job.ID, "key", job.Key, "trace", job.Trace)
 		case job.coalesced:
 			s.metrics.Coalesced.Inc()
 			s.log.Info("job coalesced onto in-flight computation",
@@ -200,17 +194,17 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 			s.log.Info("job accepted", "job", job.ID, "key", job.Key, "trace", job.Trace,
 				"procs", job.Opts.Procs, "aligner", job.Opts.Aligner, "num_seqs", job.NumSeqs)
 		}
-		if !job.cached {
+		if hits[i] == nil {
 			s.publishQueued(job)
 		}
 		if s.journal == nil {
 			continue
 		}
-		sd := submitData{Opts: job.Opts, NumSeqs: job.NumSeqs, Cached: job.cached, Coalesced: job.coalesced}
-		if job.cached {
+		sd := submitData{Opts: job.Opts, NumSeqs: job.NumSeqs, Cached: hits[i] != nil, Coalesced: job.coalesced}
+		if hits[i] != nil {
 			// Terminal on arrival: a FASTA-less submit plus its finish, so
 			// the job stays visible after a restart without being re-run.
-			records = append(records, finishRecord(job.ID, job.Key, StateDone, "", metaOf(job.result), job.finished))
+			records = append(records, endRecord(job, outcome{state: StateDone, res: hits[i], at: now}))
 		} else {
 			// Options plus the full input: enough to re-run from a cold start.
 			sd.FASTA = []byte(fasta.FormatString(items[i].Seqs))
@@ -218,103 +212,42 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 		records = append(records, submitRecord(job.ID, job.Key, job.Submitted, sd))
 	}
 	s.journalAppendBatch(records)
+	for i, job := range jobs {
+		if hits[i] != nil {
+			s.end(evHit, outcome{state: StateDone, res: hits[i], at: now}, job)
+		}
+	}
 
-	// Enqueue. A shutdown that raced the journal write interrupts the new
-	// flights (the next boot re-enqueues them like every other shutdown
-	// casualty) instead of leaving them undispatched.
-	var casualties []*flight
-	var riders []*Job
+	// Enqueue. A shutdown that raced the journal write makes the new
+	// flights' riders shutdown casualties (the next boot re-enqueues them
+	// like every other) instead of leaving them undispatched.
+	var casualties []*Job
 	s.mu.Lock()
+	for i, job := range jobs {
+		if hits[i] != nil {
+			s.rememberLocked(job)
+		}
+	}
 	for _, fl := range newFlights {
 		switch {
 		case fl.state != StateQueued:
 			// Canceled while the group was being journaled; it was never
 			// in the fifo, so nothing to remove.
 		case s.closed:
-			fl.state = StateCanceled
-			fl.queuedSlot = false
-			s.queued--
-			if s.inflight[fl.key] == fl {
-				delete(s.inflight, fl.key)
-			}
-			casualties = append(casualties, fl)
-			riders = append(riders, fl.jobs...)
-			fl.jobs = nil
+			casualties = append(casualties, fl.jobs...)
 		default:
 			s.fifo = append(s.fifo, fl)
 			s.cond.Signal()
 		}
 	}
 	s.mu.Unlock()
-	for _, w := range riders {
-		s.finalizeJob(w, StateCanceled, nil, ErrInterrupted, time.Now())
-	}
-	for _, fl := range casualties {
-		fl.bus.Close()
-		fl.cancel(ErrInterrupted)
+	for _, j := range casualties {
+		s.cancelJob(j, ErrInterrupted)
 	}
 	for _, job := range jobs {
 		s.armDeadline(job, now)
 	}
 	return jobs, -1, nil
-}
-
-// completeFromCache finishes a not-yet-visible job on the spot from a
-// cache-tier result. The job record keeps only the summary — the payload
-// stays in the cache/store, so their bounds govern result memory.
-func (s *Server) completeFromCache(job *Job, res *Result, now time.Time) {
-	job.Trace = res.TraceID // the original computation's trace
-	job.state = StateDone
-	job.cached = true
-	job.result = s.retainedResult(res)
-	job.started, job.finished = now, now
-	// A one-event stream so /events subscribers of a cache-hit job still
-	// replay a terminal event instead of hanging.
-	job.bus = s.newEventBus()
-	s.publish(job.bus, Event{Type: EventDone, Job: job.ID, Trace: job.Trace, Cached: true})
-	job.bus.Close()
-	close(job.done)
-}
-
-// newFlight opens a queued computation for key, holding one admission
-// slot, with no job attached yet. Server.mu must be held.
-func (s *Server) newFlight(key string, seqs []bio.Sequence, opts Resolved, now time.Time) *flight {
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	fl := &flight{
-		key:        key,
-		trace:      newTraceID(),
-		seqs:       seqs,
-		opts:       opts,
-		ctx:        ctx,
-		cancel:     cancel,
-		bus:        s.newEventBus(),
-		enqueued:   now,
-		state:      StateQueued,
-		queuedSlot: true,
-	}
-	s.inflight[key] = fl
-	s.queued++
-	return fl
-}
-
-// attach makes job a waiter of fl — its first, or a coalesced rider of
-// the jobs already there — and records it. Server.mu must be held.
-func (s *Server) attach(job *Job, fl *flight, now time.Time) {
-	if len(fl.jobs) > 0 {
-		job.coalesced = true
-	}
-	job.fl, job.Trace, job.bus = fl, fl.trace, fl.bus
-	job.state = StateQueued
-	if fl.state == StateRunning {
-		// Never queued: it attached straight to a running flight. Riders
-		// attached while the flight waits are observed as "dispatched"
-		// with everyone else when it starts.
-		job.state = StateRunning
-		job.started = now
-		s.metrics.QueueWait.Observe("coalesced", now.Sub(job.Submitted).Seconds())
-	}
-	fl.jobs = append(fl.jobs, job)
-	s.rememberLocked(job)
 }
 
 // publishQueued announces an attached job on its flight's stream.

@@ -114,7 +114,6 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 			first := mustSubmit(t, e.s, x)
 			e.release()
 			waitState(t, first, StateDone)
-			waitBookkept(t, e.s, 1) // the probe's baseline comes after
 		}},
 		{name: "coalesce onto queued", input: x, setup: func(t *testing.T, e env) {
 			mustSubmit(t, e.s, filler(0))

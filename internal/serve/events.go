@@ -124,17 +124,6 @@ func terminalEvent(v JobView) Event {
 	return ev
 }
 
-// terminalFor reports whether ev ends the stream for this job: a
-// terminal event addressed to it (riders on the same bus see each
-// other's cancellations pass by without ending their own stream).
-func terminalFor(j *Job, ev Event) bool {
-	switch ev.Type {
-	case EventDone, EventFailed, EventCanceled:
-		return ev.Job == j.ID
-	}
-	return false
-}
-
 // writeSSE frames one event: id (bus sequence, for Last-Event-ID
 // resume; omitted for synthesized events), event type, JSON data.
 func writeSSE(w io.Writer, seq int64, ev Event) {
@@ -196,7 +185,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	emit := func(seq int64, ev Event) bool {
 		writeSSE(w, seq, ev)
 		flusher.Flush()
-		return terminalFor(job, ev)
+		// The stream ends on this job's own terminal event; riders on
+		// the same bus see each other's cancellations pass by.
+		return ev.Job == job.ID && ev.Type != EventQueued
 	}
 	synth := func() {
 		if v := job.View(); v.State.Terminal() {

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 
 	"repro/internal/bio"
 	"repro/internal/core"
+	"repro/internal/fasta"
 	"repro/internal/msa"
+	"repro/internal/obs"
 )
 
 // ExecReport is what an executor learned about one run, for the status
@@ -63,4 +66,70 @@ func (Inproc) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved) (*m
 		rep.BytesRecv += s.Comm.BytesRecv
 	}
 	return res.Alignment, rep, nil
+}
+
+// execute runs one flight on the configured executor and renders its
+// result. Tracing: one tracer per flight, its ID shared by every
+// coalesced job. Finished spans feed the per-stage histograms and the
+// live event stream as they end; the whole tree is serialized into the
+// result. The tracer rides the context — alignment code sees only
+// obs.Start calls, which are inert when NoTrace leaves it out.
+func (s *Server) execute(fl *flight) (*Result, error) {
+	if err := fl.ctx.Err(); err != nil {
+		return nil, err
+	}
+	ctx := fl.ctx
+	var tr *obs.Tracer
+	if !s.cfg.NoTrace {
+		tr = obs.New(obs.Options{
+			ID:        fl.trace,
+			OnSpanEnd: s.metrics.ObserveStage,
+			OnSpanClose: func(sc obs.SpanClose) {
+				s.publishSpanEvent(fl.bus, fl.trace, sc)
+			},
+		})
+		ctx = obs.WithTracer(ctx, tr)
+		// Published under the lock so the trace endpoint can serve
+		// in-progress snapshots of this flight.
+		s.mu.Lock()
+		fl.tracer = tr
+		s.mu.Unlock()
+	}
+	jctx, root := obs.Start(ctx, "job")
+	if root != nil {
+		root.SetStr("executor", s.cfg.Executor.Name())
+		root.SetStr("aligner", fl.opts.Aligner)
+		root.SetInt("procs", int64(fl.opts.Procs))
+		root.SetInt("num_seqs", int64(len(fl.seqs)))
+	}
+	aln, rep, err := s.cfg.Executor.Align(jctx, fl.seqs, fl.opts)
+	if root != nil {
+		root.SetBool("ok", err == nil)
+		root.End()
+	}
+	var trace []byte
+	if tr != nil {
+		doc := tr.Document()
+		s.metrics.TraceDropped.Add(doc.DroppedSpans)
+		if err == nil {
+			if b, derr := json.Marshal(doc); derr == nil {
+				trace = b
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.CommSent.Add(rep.BytesSent)
+	s.metrics.CommRecv.Add(rep.BytesRecv)
+	return &Result{
+		FASTA:     []byte(fasta.FormatString(aln.Seqs)),
+		NumSeqs:   aln.NumSeqs(),
+		Width:     aln.Width(),
+		Procs:     rep.Procs,
+		BytesSent: rep.BytesSent,
+		BytesRecv: rep.BytesRecv,
+		TraceID:   fl.trace,
+		Trace:     trace,
+	}, nil
 }

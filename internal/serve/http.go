@@ -297,12 +297,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	s.writeResult(w, job)
+}
+
+// writeResult answers with a job's outcome: a done job's FASTA, served
+// straight from the job record or the memory cache when the payload is
+// already resident and otherwise streamed from the disk store, so peak
+// memory never scales with alignment size; an error for a job that
+// failed, was canceled, or has not finished.
+func (s *Server) writeResult(w http.ResponseWriter, job *Job) {
 	res, state, err := job.resultIfDone()
 	switch state {
 	case StateDone:
-		// Serve straight from the job record or the memory cache when
-		// the payload is already resident; otherwise stream it from the
-		// disk store so peak memory never scales with alignment size.
 		if res != nil && res.FASTA != nil {
 			writeFASTA(w, job, res.FASTA)
 			return
@@ -474,23 +480,9 @@ func (s *Server) handleAlignSync(w http.ResponseWriter, r *http.Request) {
 	case <-job.Done():
 	case <-r.Context().Done():
 		s.cancelJob(job, errors.New("client disconnected"))
-		<-job.Done() // wait for the executor to actually unwind
-		return       // client is gone; nothing to write
+		return // client is gone; nothing to write
 	}
-	res, state, jerr := job.resultIfDone()
-	switch state {
-	case StateDone:
-		payload, ok := s.resultPayload(job, res)
-		if !ok { // evicted between completion and this write; vanishingly rare
-			writeError(w, http.StatusGone, "result evicted from the cache; resubmit the job")
-			return
-		}
-		writeFASTA(w, job, payload)
-	case StateCanceled:
-		writeError(w, http.StatusGone, "job canceled: %v", jerr)
-	default:
-		writeError(w, http.StatusInternalServerError, "job failed: %v", jerr)
-	}
+	s.writeResult(w, job)
 }
 
 func writeFASTAHeaders(w http.ResponseWriter, job *Job) {

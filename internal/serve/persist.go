@@ -55,6 +55,23 @@ func retiredInSubmit(data []byte) error {
 	return refuseRetired(func(name string) string { return string(sub.Opts[name]) })
 }
 
+// replayInput reads a journaled job's input back. The pipeline a
+// retired option asked for is gone and the job's key describes that
+// pipeline, so a submit carrying one is an error, not a different job.
+func replayInput(subData, text []byte) ([]bio.Sequence, error) {
+	if err := retiredInSubmit(subData); err != nil {
+		return nil, err
+	}
+	seqs, err := fasta.Read(bytes.NewReader(text))
+	if err == nil && len(seqs) == 0 {
+		err = errors.New("no sequences")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journaled input unreadable: %w", err)
+	}
+	return seqs, nil
+}
+
 // finishData is the finish/cancel record payload.
 type finishData struct {
 	State   State       `json:"state"`
@@ -173,21 +190,10 @@ func (s *Server) openPersistence() error {
 	return nil
 }
 
-// journalAppend best-effort appends: a journal I/O error degrades
-// durability, not service — it is logged and the job proceeds.
-func (s *Server) journalAppend(rec store.Record) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Append(rec); err != nil {
-		s.log.Warn("journal append failed", "type", string(rec.Type), "job", rec.Job, "err", err)
-	}
-}
-
 // journalAppendBatch best-effort appends a record group covered by a
 // single fsync (store.Journal.AppendBatch): either every record in it
-// becomes durable or none does. Like journalAppend, an I/O error
-// degrades durability, not service.
+// becomes durable or none does. A journal I/O error degrades
+// durability, not service: it is logged and the jobs proceed.
 func (s *Server) journalAppendBatch(recs []store.Record) {
 	if s.journal == nil || len(recs) == 0 {
 		return
@@ -209,34 +215,6 @@ func finishRecord(id, key string, state State, errMsg string, summary *resultMet
 	}
 	data, _ := json.Marshal(finishData{State: state, Error: errMsg, Summary: summary})
 	return store.Record{Type: typ, Job: id, Key: key, Time: at, Data: data}
-}
-
-// interruptRecord marks a job killed by the shutdown path itself. It
-// carries no state: at replay it is a hint ("the last process died on
-// purpose with this job still live"), not a terminal record — the job
-// re-enqueues from its submit record like a crash victim.
-func interruptRecord(id, key string, at time.Time) store.Record {
-	return store.Record{Type: store.RecInterrupt, Job: id, Key: key, Time: at}
-}
-
-// journalFinish records a job's terminal state. A cancellation whose
-// cause is the shutdown itself (ErrInterrupted: the drain window
-// expired, or Close ran with the job still live) is journaled as an
-// interrupt instead — terminal for this process, re-enqueueable for
-// the next.
-func (s *Server) journalFinish(id, key string, state State, cause error, summary *Result, at time.Time) {
-	if s.journal == nil {
-		return
-	}
-	if state == StateCanceled && errors.Is(cause, ErrInterrupted) {
-		s.journalAppend(interruptRecord(id, key, at))
-		return
-	}
-	errMsg := ""
-	if cause != nil {
-		errMsg = cause.Error()
-	}
-	s.journalAppend(finishRecord(id, key, state, errMsg, metaOf(summary), at))
 }
 
 // storePut persists a finished result content-addressed on disk.
@@ -274,7 +252,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 		sub         *submitData
 		subData     []byte // the submit record as journaled, for retiredInSubmit
 		started     time.Time
-		state       State
+		final       State // the journal's terminal state; StateQueued until a finish or cancel record
 		errMsg      string
 		summary     *resultMeta
 		finished    time.Time
@@ -289,7 +267,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 	entry := func(rec store.Record) *rj {
 		r := byID[rec.Job]
 		if r == nil {
-			r = &rj{id: rec.Job, key: rec.Key, submitted: rec.Time, state: StateQueued}
+			r = &rj{id: rec.Job, key: rec.Key, submitted: rec.Time, final: StateQueued}
 			byID[rec.Job] = r
 			order = append(order, r)
 		}
@@ -309,9 +287,8 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			r.sub, r.subData = &sd, rec.Data
 			r.submitted = rec.Time
 		case store.RecStart:
-			if r := byID[rec.Job]; r != nil && !r.state.Terminal() {
+			if r := byID[rec.Job]; r != nil {
 				r.started = rec.Time
-				r.state = StateRunning
 			}
 		case store.RecFinish, store.RecCancel:
 			var fd finishData
@@ -320,7 +297,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				continue
 			}
 			r := entry(rec)
-			r.state = fd.State
+			r.final = fd.State
 			r.errMsg = fd.Error
 			r.summary = fd.Summary
 			r.finished = rec.Time
@@ -329,7 +306,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			// this job mid-flight, so it falls through to the requeue
 			// path below exactly like a crash victim (unless a real
 			// terminal record also exists, which wins).
-			if r := entry(rec); !r.state.Terminal() {
+			if r := entry(rec); !r.final.Terminal() {
 				r.interrupted = true
 			}
 		}
@@ -355,43 +332,24 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			done:      make(chan struct{}),
 			cached:    r.sub.Cached,
 			coalesced: r.sub.Coalesced,
-			recovered: !r.state.Terminal(),
+			recovered: !r.final.Terminal(),
 		}
 		if job.recovered {
-			// The result may already exist (crash after the store write
-			// but before the finish record): complete without re-running.
 			if res, ok := s.lookupResult(r.key); ok {
-				s.completeFromCache(job, res, now)
-				s.rememberLocked(job)
-				s.recovery.Finished++
-				r.state, r.summary, r.finished = StateDone, metaOf(res), now
-				continue
-			}
-			if len(r.sub.FASTA) == 0 {
+				// The result already exists (crash after the store write
+				// but before the finish record): restored, not re-run.
+				job.cached = true
+				r.final, r.summary, r.finished = StateDone, metaOf(res), now
+			} else if len(r.sub.FASTA) == 0 {
 				// No input to re-run: a cache-hit submit whose finish
 				// half was torn away. The caller already got its answer
 				// from the cache; resurrecting this as "failed" would
 				// contradict what they saw, so drop it (and let
 				// compaction shed it via the terminal-untracked path).
 				s.log.Warn("recovery: job has no journaled input; dropped", "job", r.id)
-				r.state = StateCanceled
+				r.final = StateCanceled
 				continue
-			}
-			// The pipeline a retired option asked for is gone and the
-			// job's key describes that pipeline: fail it rather than
-			// re-run it as a different job.
-			var seqs []bio.Sequence
-			err := retiredInSubmit(r.subData)
-			if err == nil {
-				seqs, err = fasta.Read(bytes.NewReader(r.sub.FASTA))
-				if err == nil && len(seqs) == 0 {
-					err = errors.New("no sequences")
-				}
-				if err != nil {
-					err = fmt.Errorf("journaled input unreadable: %w", err)
-				}
-			}
-			if err == nil {
+			} else if seqs, err := replayInput(r.subData, r.sub.FASTA); err == nil {
 				// Re-enqueue under the original ID, coalescing by content
 				// address like a live submission but with no MaxQueued
 				// bound: these jobs were all admitted once already.
@@ -408,23 +366,22 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				}
 				s.metrics.Recovered.Inc()
 				continue
+			} else {
+				r.final, r.finished = StateFailed, now
+				r.errMsg = fmt.Sprintf("recovery: %v", err)
 			}
-			r.state, r.finished = StateFailed, now
-			r.errMsg = fmt.Sprintf("recovery: %v", err)
 		}
-		// Terminal in the journal (or just failed above): a visible
-		// finished job record, never re-run.
-		job.state = r.state
-		job.started = r.started
-		job.finished = r.finished
+		// Terminal in the journal (or just restored or failed above): a
+		// visible finished job record, never re-run.
+		o := outcome{state: r.final, at: r.finished}
 		if r.summary != nil {
-			job.result = r.summary.result(nil)
-			job.Trace = r.summary.TraceID
+			o.res = r.summary.result(nil)
 		}
 		if r.errMsg != "" {
-			job.err = errors.New(r.errMsg)
+			o.cause = errors.New(r.errMsg)
 		}
-		close(job.done)
+		job.started = r.started
+		s.end(evRestore, o, job)
 		s.rememberLocked(job)
 		s.recovery.Finished++
 	}
@@ -438,13 +395,13 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			continue // dropped above: no submit half to carry forward
 		}
 		sd := *r.sub
-		if r.state.Terminal() {
+		if r.final.Terminal() {
 			if _, tracked := s.jobs[r.id]; !tracked {
 				continue // pruned from the job table: prune from the journal too
 			}
 			sd.FASTA = nil
 			compact = append(compact, submitRecord(r.id, r.key, r.submitted, sd))
-			compact = append(compact, finishRecord(r.id, r.key, r.state, r.errMsg, r.summary, r.finished))
+			compact = append(compact, finishRecord(r.id, r.key, r.final, r.errMsg, r.summary, r.finished))
 		} else {
 			sd.Recovered = true
 			compact = append(compact, submitRecord(r.id, r.key, r.submitted, sd))

@@ -328,7 +328,6 @@ func TestJournalCorruptTailRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, job1, StateDone)
-	waitBookkept(t, s1, 1) // the tail torn below must be the finish record
 	crash(s1)
 
 	// Tear the journal tail mid-record (the finish record), so replay
@@ -373,7 +372,6 @@ func TestRecoveryFindsOrphanedStoreResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, job1, StateDone)
-	waitBookkept(t, s1, 1) // the finish record below must exist to be dropped
 	crash(s1)
 	// Rewind the journal to submit+start by dropping the finish record.
 	path := filepath.Join(dir, "journal.wal")

@@ -102,18 +102,17 @@ func waitState(t *testing.T, j *Job, want State) JobView {
 	return v
 }
 
-// waitBookkept waits until n jobs' completions have been counted. A job
-// is Done (waitState returns) before its finish record is journaled and
-// its counter moved, in that order; a test that reads the journal or
-// the counters next must wait for the later of the two.
-func waitBookkept(t *testing.T, s *Server, n int64) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); s.metrics.Completed.Value() < n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d completions counted", s.metrics.Completed.Value(), n)
-		}
-		time.Sleep(time.Millisecond)
+// resultPayload returns the aligned FASTA for a done job: from the job
+// record when no cache tier holds it, else from the memory cache or
+// the disk store. ok is false when every tier has since evicted it.
+func (s *Server) resultPayload(job *Job, res *Result) ([]byte, bool) {
+	if res != nil && res.FASTA != nil {
+		return res.FASTA, true
 	}
+	if full, ok := s.lookupResult(job.Key); ok {
+		return full.FASTA, true
+	}
+	return nil, false
 }
 
 func TestSubmitRoundTripMatchesDirectRun(t *testing.T) {

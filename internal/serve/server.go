@@ -6,21 +6,36 @@
 // pre-connected TCP rank cluster optionally) and an HTTP/JSON API (see
 // Handler).
 //
-// Lifecycle of a job: every live submission goes through one function,
-// admit (admit.go) — Submit is a batch of one, SubmitBatch adds only the
-// "input N:" error prefix and the batch counters. admit canonicalizes
-// the input and options, consults the cache tiers (a hit completes the
-// job instantly), coalesces onto an identical in-flight computation if
-// one exists, applies all-or-nothing admission control (full queue ⇒
-// ErrOverloaded, which the HTTP layer maps to 429), journals the whole
-// admission as one commit group, and enqueues; every admitted job logs
-// one lifecycle line, batch member or not. A fixed pool of dispatchers executes queued flights FIFO; every job
-// attached to a flight completes with its result. Cancellation —
-// explicit, caller deadline, or client disconnect on the synchronous
-// endpoint — detaches one job; only when the last waiter detaches does
-// it propagate through the flight's context into the rank world, so a
-// thundering herd sharing one computation cannot be killed by a single
-// impatient client.
+// A job rides a flight: one computation shared by every identical
+// submission in flight (admit.go). Every change to a job's or a
+// flight's state is a row of this table, made in lifecycle.go:
+//
+//	job       event                 next state              effects
+//	new       attach                queued, or running¹     remember
+//	new       cache hit             done (cached)           end²
+//	new       replayed outcome      the journal's outcome   record, close Done
+//	queued    flight pop            running                 journal start³, publish started
+//	queued    cancel, deadline      canceled                detach⁴, end
+//	running   cancel, deadline      canceled                detach⁴, end
+//	running   flight verdict        done, failed, canceled  end³
+//	terminal  any                   terminal                none
+//
+//	flight    event                 next state              effects
+//	new       admit, replay         queued                  take a queue slot
+//	queued    dispatcher pop        running                 give the slot back; riders start
+//	queued    last waiter detaches  canceled                give the slot back, leave the queue, close the stream
+//	running   last waiter detaches  running                 cancel its context: the executor unwinds
+//	running   executor returns      done, failed, canceled  riders end³, close the stream
+//
+// "end" runs the terminal effects in one order: stop the deadline
+// timer, record the outcome, journal, count, publish the terminal
+// event, close Done, log. A job seen Done, or whose terminal event was
+// published, is journaled and counted. ¹ when the flight already runs.
+// ² no journal effect: its records ride the admission's commit group.
+// ³ one journal commit group per flight. ⁴ only the last waiter to
+// leave stops the flight, so one impatient client cannot kill a
+// computation others wait for. Close ends every live job canceled with
+// ErrInterrupted, journaled as an interrupt the next boot re-enqueues.
 //
 // With Config.DataDir set, every accepted job is journaled before it
 // can run and every finished result is persisted content-addressed on
@@ -33,7 +48,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -42,8 +56,6 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/events"
-	"repro/internal/fasta"
-	"repro/internal/msa"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -54,12 +66,9 @@ var (
 	ErrClosed     = errors.New("serve: server is shutting down")     // → 503
 	ErrNotFound   = errors.New("serve: no such job")                 // → 404
 
-	// ErrInterrupted is the cancellation cause Close applies to jobs
-	// still queued or running when the server stops (a drain window
-	// that expired, or no drain at all). Jobs killed with this cause
-	// are journaled as interrupted, not canceled, so the next boot
-	// re-enqueues them like crash victims instead of reporting them
-	// terminally canceled.
+	// ErrInterrupted is the cause Close ends live jobs with (a drain
+	// window that expired, or no drain at all). They are journaled as
+	// interrupts, not cancels: the next boot re-enqueues them.
 	ErrInterrupted = errors.New("serve: interrupted by shutdown")
 )
 
@@ -167,10 +176,9 @@ type flight struct {
 	bus      *events.Bus[Event] // live progress stream, shared by coalesced jobs
 	enqueued time.Time          // admission time, for queue-age accounting
 
-	state      State
-	jobs       []*Job
-	queuedSlot bool        // holds one of the MaxQueued admission slots
-	tracer     *obs.Tracer // live tracer while running (guarded by Server.mu); nil when queued, finished or NoTrace
+	state  State
+	jobs   []*Job
+	tracer *obs.Tracer // live tracer while running (guarded by Server.mu); nil when queued, finished or NoTrace
 }
 
 // Job is one submitted alignment request. Jobs sharing a flight
@@ -187,7 +195,7 @@ type Job struct {
 
 	fl   *flight // guarded by Server.mu; nil once detached or terminal
 	done chan struct{}
-	bus  *events.Bus[Event] // the flight's event stream; immutable once the job is visible; nil for journal-restored terminal jobs
+	bus  *events.Bus[Event] // the flight's event stream (a hit's own); immutable once the job is visible; nil for journal-restored jobs
 
 	mu        sync.Mutex
 	state     State
@@ -196,12 +204,13 @@ type Job struct {
 	cached    bool
 	coalesced bool
 	recovered bool
-	timer     *time.Timer // pending deadline, stopped at finalization
+	timer     *time.Timer // pending deadline, stopped when the job ends
 	result    *Result
 	err       error
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed when the job reaches a terminal state,
+// by which time its outcome is journaled and counted.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // JobView is an immutable snapshot of a job for status reporting.
@@ -253,18 +262,12 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// result returns the stored result if the job is done.
+// resultIfDone returns the job's result, state and error in one
+// snapshot; the result is set only once the job is done.
 func (j *Job) resultIfDone() (*Result, State, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.state, j.err
-}
-
-// summaryOf strips the payload from a result for the job record.
-func summaryOf(res *Result) *Result {
-	summary := *res
-	summary.FASTA = nil
-	return &summary
 }
 
 // retainedResult decides what the job record keeps: only the summary
@@ -273,22 +276,11 @@ func summaryOf(res *Result) *Result {
 // payload's only home.
 func (s *Server) retainedResult(res *Result) *Result {
 	if s.cache.Enabled() || s.results != nil {
-		return summaryOf(res)
+		summary := *res
+		summary.FASTA = nil
+		return &summary
 	}
 	return res
-}
-
-// resultPayload returns the aligned FASTA for a done job: from the job
-// record when no cache tier holds it, else from the memory cache or
-// the disk store. ok is false when every tier has since evicted it.
-func (s *Server) resultPayload(job *Job, res *Result) ([]byte, bool) {
-	if res != nil && res.FASTA != nil {
-		return res.FASTA, true
-	}
-	if full, ok := s.lookupResult(job.Key); ok {
-		return full.FASTA, true
-	}
-	return nil, false
 }
 
 // lookupResult consults the cache tiers: the in-memory LRU first, then
@@ -425,13 +417,10 @@ func (s *Server) Close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	// Shutdown is the cancellation cause: every job this kills is
-	// journaled as interrupted (see journalFinish), so the next boot
-	// re-enqueues it like a crash victim.
-	s.baseCancel(ErrInterrupted)
+	s.baseCancel(ErrInterrupted) // every job this kills ends as an interrupt
 	s.wg.Wait()
 	if s.journal != nil {
-		s.journalAppend(store.Record{Type: store.RecShutdown, Time: time.Now()})
+		s.journalAppendBatch([]store.Record{{Type: store.RecShutdown, Time: time.Now()}})
 		if err := s.journal.Close(); err != nil {
 			s.log.Warn("closing journal", "err", err)
 		}
@@ -461,48 +450,6 @@ func randomID(prefix string) string {
 func newJobID() string   { return randomID("j") }
 func newTraceID() string { return randomID("t") }
 
-// rememberLocked stores the job record, pruning the oldest terminal
-// jobs beyond MaxJobs: a live job is never dropped, whatever the cap,
-// and neither is the job being remembered. Server.mu must be held.
-func (s *Server) rememberLocked(job *Job) {
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	excess := len(s.order) - s.cfg.MaxJobs
-	// The oldest record is nearly always terminal: pop it off the head.
-	for excess > 0 && s.order[0] != job.ID && s.dropIfTerminalLocked(s.order[0]) {
-		s.order[0] = "" // the backing array outlives the reslice
-		s.order = s.order[1:]
-		excess--
-	}
-	if excess <= 0 {
-		return
-	}
-	// A live job heads the table: look past it for terminal records.
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if excess > 0 && id != job.ID && s.dropIfTerminalLocked(id) {
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	clear(s.order[len(kept):])
-	s.order = kept
-}
-
-// dropIfTerminalLocked deletes the record of job id if the job has
-// finished, and reports whether it did. Server.mu must be held.
-func (s *Server) dropIfTerminalLocked(id string) bool {
-	j := s.jobs[id]
-	j.mu.Lock()
-	terminal := j.state.Terminal()
-	j.mu.Unlock()
-	if terminal {
-		delete(s.jobs, id)
-	}
-	return terminal
-}
-
 // Job looks up a job by ID.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -522,88 +469,6 @@ func (s *Server) Cancel(id string, cause error) (bool, error) {
 	return s.cancelJob(j, cause), nil
 }
 
-// cancelJob detaches one job from its flight and finalizes it as
-// canceled. A queued flight whose last waiter detaches is removed from
-// the FIFO immediately (it never starts); a running one has its
-// context canceled, unwinding the rank world — but only when no other
-// coalesced waiter still wants the result.
-func (s *Server) cancelJob(j *Job, cause error) bool {
-	if cause == nil {
-		cause = context.Canceled
-	}
-	now := time.Now()
-	s.mu.Lock()
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return false
-	}
-	wasQueued := j.state == StateQueued
-	fl := j.fl
-	j.fl = nil
-	var lastDetach, flightCanceled bool
-	if fl != nil {
-		for i, w := range fl.jobs {
-			if w == j {
-				fl.jobs = append(fl.jobs[:i], fl.jobs[i+1:]...)
-				break
-			}
-		}
-		if len(fl.jobs) == 0 && !fl.state.Terminal() {
-			lastDetach = true
-			if s.inflight[fl.key] == fl {
-				delete(s.inflight, fl.key)
-			}
-			if fl.state == StateQueued {
-				// Still waiting: pull it out of the FIFO so it never
-				// occupies a dispatcher, and free its admission slot —
-				// unless a dispatcher already popped it (the slot is
-				// gone and run() will skip the now-canceled flight).
-				fl.state = StateCanceled
-				flightCanceled = true
-				if fl.queuedSlot {
-					for i, qf := range s.fifo {
-						if qf == fl {
-							s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
-							break
-						}
-					}
-					fl.queuedSlot = false
-					s.queued--
-				}
-				fl.seqs = nil
-			}
-		}
-	}
-	if j.timer != nil {
-		j.timer.Stop()
-		j.timer = nil
-	}
-	j.state = StateCanceled
-	j.err = cause
-	j.finished = now
-	j.mu.Unlock()
-	s.mu.Unlock()
-	if lastDetach {
-		fl.cancel(cause) // unwinds the rank world if running
-	}
-	if wasQueued {
-		s.metrics.QueueWait.Observe("canceled", now.Sub(j.Submitted).Seconds())
-	}
-	s.publish(j.bus, Event{Type: EventCanceled, Job: j.ID, Trace: j.Trace, Error: cause.Error()})
-	if flightCanceled {
-		// The flight died in the queue: no dispatcher will ever run it,
-		// so the stream ends here.
-		fl.bus.Close()
-	}
-	close(j.done)
-	s.metrics.Canceled.Inc()
-	s.journalFinish(j.ID, j.Key, StateCanceled, cause, nil, now)
-	s.log.Info("job canceled", "job", j.ID, "key", j.Key, "trace", j.Trace, "cause", cause)
-	return true
-}
-
 // dispatch is one worker of the executor pool.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
@@ -616,241 +481,15 @@ func (s *Server) dispatch() {
 			s.mu.Unlock()
 			return
 		}
-		fl := s.fifo[0]
-		s.fifo = s.fifo[1:]
-		fl.queuedSlot = false
-		s.queued--
+		now := time.Now()
+		fl, riders := s.popLocked(now)
 		s.active++
 		s.mu.Unlock()
-		s.run(fl)
+		s.run(fl, riders, now)
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()
 	}
-}
-
-// run executes one dequeued flight to a terminal state and fans the
-// outcome out to every job still attached.
-func (s *Server) run(fl *flight) {
-	s.mu.Lock()
-	if fl.state != StateQueued { // canceled between push and pop
-		s.mu.Unlock()
-		return
-	}
-	fl.state = StateRunning
-	jobs := append([]*Job(nil), fl.jobs...)
-	s.mu.Unlock()
-
-	started := time.Now()
-	startRecs := make([]store.Record, 0, len(jobs))
-	for _, j := range jobs {
-		j.mu.Lock()
-		if !j.state.Terminal() {
-			j.state = StateRunning
-			j.started = started
-		}
-		j.mu.Unlock()
-		s.metrics.QueueWait.Observe("dispatched", started.Sub(j.Submitted).Seconds())
-		startRecs = append(startRecs, store.Record{Type: store.RecStart, Job: j.ID, Key: fl.key, Time: started})
-	}
-	// One fsync covers every coalesced job's start record.
-	s.journalAppendBatch(startRecs)
-	s.publish(fl.bus, Event{Type: EventStarted, Trace: fl.trace})
-
-	var (
-		res *Result
-		err error
-	)
-	if err = fl.ctx.Err(); err == nil {
-		// Tracing: one tracer per flight, its ID shared by every
-		// coalesced job. Finished spans feed the per-stage histograms and
-		// the live event stream as they end; the whole tree is serialized
-		// into the result below. The tracer rides the context — alignment
-		// code sees only obs.Start calls, which are inert when NoTrace
-		// leaves it out.
-		ctx := fl.ctx
-		var tr *obs.Tracer
-		var trace []byte
-		if !s.cfg.NoTrace {
-			tr = obs.New(obs.Options{
-				ID:        fl.trace,
-				OnSpanEnd: s.metrics.ObserveStage,
-				OnSpanClose: func(sc obs.SpanClose) {
-					s.publishSpanEvent(fl.bus, fl.trace, sc)
-				},
-			})
-			ctx = obs.WithTracer(ctx, tr)
-			// Published under the lock so the trace endpoint can serve
-			// in-progress snapshots of this flight.
-			s.mu.Lock()
-			fl.tracer = tr
-			s.mu.Unlock()
-		}
-		jctx, root := obs.Start(ctx, "job")
-		if root != nil {
-			root.SetStr("executor", s.cfg.Executor.Name())
-			root.SetStr("aligner", fl.opts.Aligner)
-			root.SetInt("procs", int64(fl.opts.Procs))
-			root.SetInt("num_seqs", int64(len(fl.seqs)))
-		}
-		var aln *msa.Alignment
-		var rep ExecReport
-		aln, rep, err = s.cfg.Executor.Align(jctx, fl.seqs, fl.opts)
-		if root != nil {
-			root.SetBool("ok", err == nil)
-			root.End()
-		}
-		if tr != nil {
-			doc := tr.Document()
-			s.metrics.TraceDropped.Add(doc.DroppedSpans)
-			if err == nil {
-				if b, derr := json.Marshal(doc); derr == nil {
-					trace = b
-				}
-			}
-		}
-		if err == nil {
-			res = &Result{
-				FASTA:     []byte(fasta.FormatString(aln.Seqs)),
-				NumSeqs:   aln.NumSeqs(),
-				Width:     aln.Width(),
-				Procs:     rep.Procs,
-				BytesSent: rep.BytesSent,
-				BytesRecv: rep.BytesRecv,
-				TraceID:   fl.trace,
-				Trace:     trace,
-			}
-			s.metrics.CommSent.Add(rep.BytesSent)
-			s.metrics.CommRecv.Add(rep.BytesRecv)
-		}
-	}
-	finished := time.Now()
-	elapsed := finished.Sub(started)
-
-	var outcome State
-	var cause error
-	switch {
-	case err == nil:
-		res.Elapsed = elapsed
-		outcome = StateDone
-		// Persist before publishing completion: both tiers hold the
-		// result by the time any waiter (or a new submission racing the
-		// inflight-map removal below) looks for it.
-		s.cache.Put(fl.key, res)
-		s.storePut(fl.key, res)
-		s.storePutTrace(fl.key, res)
-	case wasCanceled(fl.ctx, err):
-		outcome = StateCanceled
-		cause = cancelCause(fl.ctx, err)
-	default:
-		outcome = StateFailed
-		cause = err
-	}
-
-	s.mu.Lock()
-	if s.inflight[fl.key] == fl {
-		delete(s.inflight, fl.key)
-	}
-	fl.state = outcome
-	fl.tracer = nil // live-snapshot window over; the trace now lives in the result
-	jobs = fl.jobs
-	fl.jobs = nil
-	fl.seqs = nil
-	s.mu.Unlock()
-
-	s.metrics.RunSeconds.Observe(elapsed.Seconds())
-	switch outcome {
-	case StateDone:
-		s.log.Info("flight finished", "key", fl.key, "trace", fl.trace,
-			"elapsed", elapsed, "jobs", len(jobs))
-	default:
-		s.log.Warn("flight ended without result", "key", fl.key, "trace", fl.trace,
-			"state", string(outcome), "elapsed", elapsed, "err", cause)
-	}
-	for _, j := range jobs {
-		s.finalizeJob(j, outcome, res, cause, finished)
-	}
-	fl.bus.Close() // ends every /events stream still riding this flight
-	fl.cancel(nil) // release the context resources
-}
-
-// finalizeJob moves one job to a terminal state (if it has not already
-// been detached/canceled), publishes the outcome and journals it.
-func (s *Server) finalizeJob(j *Job, outcome State, res *Result, cause error, finished time.Time) {
-	j.mu.Lock()
-	if j.state.Terminal() { // detached (canceled) while the flight ran
-		j.mu.Unlock()
-		return
-	}
-	if j.timer != nil {
-		j.timer.Stop()
-		j.timer = nil
-	}
-	j.state = outcome
-	j.finished = finished
-	var summary *Result
-	if outcome == StateDone {
-		j.result = s.retainedResult(res)
-		summary = summaryOf(res)
-	} else {
-		j.err = cause
-	}
-	j.mu.Unlock()
-	s.mu.Lock()
-	j.fl = nil
-	s.mu.Unlock()
-	// Publish before Done closes: an /events subscriber woken by Done
-	// finds its terminal event already buffered (or synthesizes one).
-	ev := Event{Job: j.ID, Trace: j.Trace}
-	switch outcome {
-	case StateDone:
-		ev.Type = EventDone
-	case StateCanceled:
-		ev.Type = EventCanceled
-	default:
-		ev.Type = EventFailed
-	}
-	if cause != nil {
-		ev.Error = cause.Error()
-	}
-	s.publish(j.bus, ev)
-	close(j.done)
-	s.journalFinish(j.ID, j.Key, outcome, cause, summary, finished)
-	switch outcome {
-	case StateDone:
-		s.metrics.Completed.Inc()
-	case StateCanceled:
-		s.metrics.Canceled.Inc()
-		if errors.Is(cause, ErrInterrupted) {
-			s.metrics.Interrupted.Inc()
-		}
-	default:
-		s.metrics.Failed.Inc()
-	}
-}
-
-// wasCanceled decides whether err is the flight's own cancellation
-// (vs. a genuine alignment failure).
-func wasCanceled(ctx context.Context, err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	// Executors surface cancellation in transport-specific clothing
-	// (closed communicators, peer-death); trust the context's verdict.
-	return ctx.Err() != nil
-}
-
-// cancelCause prefers the recorded cancellation cause over the bare
-// context error, so status reports say *why* ("client disconnected",
-// "job deadline (2s) exceeded") rather than just "context canceled".
-func cancelCause(ctx context.Context, err error) error {
-	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
-		return cause
-	}
-	if err != nil {
-		return err
-	}
-	return context.Canceled
 }
 
 // QueueStats is the health endpoint's view of the pool.

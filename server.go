@@ -125,29 +125,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 }
 
 // RecoveryInfo summarises what the write-ahead journal replay
-// reconstructed at startup (see ServerConfig.DataDir).
-type RecoveryInfo struct {
-	Enabled        bool // a DataDir is configured
-	JournalRecords int  // intact journal records replayed
-	Finished       int  // terminal jobs restored to the job table
-	Requeued       int  // unfinished jobs re-enqueued for execution
-	Interrupted    int  // of Requeued: hard-canceled when the previous shutdown's drain window expired
-	CleanShutdown  bool // the previous process closed cleanly
-}
+// reconstructed at startup (see ServerConfig.DataDir): whether a
+// DataDir is configured, the intact journal records replayed, the
+// terminal jobs restored, the unfinished jobs re-enqueued (of which
+// Interrupted were ended by the previous shutdown) and whether the
+// previous process closed cleanly.
+type RecoveryInfo = serve.RecoveryInfo
 
 // Recovery reports what startup journal replay found; the zero value
 // (Enabled false) without a DataDir.
-func (s *Server) Recovery() RecoveryInfo {
-	r := s.inner.Recovery()
-	return RecoveryInfo{
-		Enabled:        r.Enabled,
-		JournalRecords: r.JournalRecords,
-		Finished:       r.Finished,
-		Requeued:       r.Requeued,
-		Interrupted:    r.Interrupted,
-		CleanShutdown:  r.CleanShutdown,
-	}
-}
+func (s *Server) Recovery() RecoveryInfo { return s.inner.Recovery() }
 
 // Drain stops admission (new submissions get 503 while status and
 // result reads keep working) and waits up to timeout for queued and
@@ -162,7 +149,11 @@ func (s *Server) Drain(timeout time.Duration) bool { return s.inner.Drain(timeou
 //	                            commit group) → per-input job statuses
 //	GET    /v1/jobs/{id}        status
 //	GET    /v1/jobs/{id}/result aligned FASTA
-//	GET    /v1/jobs/{id}/trace  span-tree JSON of the finished run
+//	GET    /v1/jobs/{id}/trace  span-tree JSON of the finished run (a
+//	                            live snapshot, marked X-Trace-Incomplete,
+//	                            while it runs)
+//	GET    /v1/jobs/{id}/events live progress stream (Server-Sent
+//	                            Events); disconnecting never cancels
 //	DELETE /v1/jobs/{id}        cancel
 //	POST   /v1/align            submit + wait; disconnect cancels the job
 //	GET    /healthz             liveness + queue stats
