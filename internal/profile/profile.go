@@ -321,15 +321,25 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 }
 
 // colScores streams the occupancy-scaled PSP scores of A column i
-// against B columns [lo, lo+len(dst)) into dst: one unit-stride pass
-// over sbT per letter present in the A column, letters in ascending
-// order and each cell's sum started from zero — the order a per-cell
-// sparse dot product adds them in, so every score is bit-identical to
-// that formulation (and stays so where the compiler fuses the
-// multiply-add: both are s += v·t).
+// against B columns [lo, lo+len(dst)) into dst: unit-stride sweeps over
+// sbT, two letters of the A column per sweep and a last one alone,
+// letters in ascending order and each cell's sum started from zero —
+// the order a per-cell sparse dot product adds them in, so every score
+// is bit-identical to that formulation (and stays so where the compiler
+// fuses the multiply-adds: both are s += v·t, one letter at a time).
 func (sc *pspScratch) colScores(dst []float64, i, lo int) {
 	clear(dst)
-	for k := sc.faOff[i]; k < sc.faOff[i+1]; k++ {
+	k, end := sc.faOff[i], sc.faOff[i+1]
+	for ; k+1 < end; k += 2 {
+		v1, v2 := sc.faVal[k], sc.faVal[k+1]
+		c1 := sc.sbT[int(sc.faIdx[k])*sc.m+lo:]
+		c2 := sc.sbT[int(sc.faIdx[k+1])*sc.m+lo:]
+		c1, c2 = c1[:len(dst)], c2[:len(dst)]
+		for t := range dst {
+			dst[t] = dst[t] + v1*c1[t] + v2*c2[t]
+		}
+	}
+	if k < end {
 		v := sc.faVal[k]
 		col := sc.sbT[int(sc.faIdx[k])*sc.m+lo:]
 		col = col[:len(dst)]
@@ -406,10 +416,10 @@ func (al *Aligner) Align(a, b *Profile) (Path, float64) {
 // Each row's band window is filled in two passes: rowMX computes M and
 // X, which read only the previous row, so no cell waits for its left
 // neighbour; rowYChain then runs the one serial dependency, Y on the M
-// and Y to its left, over the row just written. rowMX is a function of
-// its own because in a small leaf the loop index and slice bases stay
-// in registers; written here, among this function's live slices, the
-// same loop spills them every cell.
+// and Y to its left, over the row just written. rowMX's Go loop,
+// rowMXFrom, is a function of its own because in a small leaf the loop
+// index and slice bases stay in registers; written here, among this
+// function's live slices, the same loop spills them every cell.
 func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int) (Path, float64) {
 	n, m := a.Len(), b.Len()
 	w.ReserveTB(n+1, m+1)
@@ -433,7 +443,7 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 	jHi := min(diagHi, m)
 	for j := 1; j <= jHi; j++ {
 		prevM[j], prevX[j] = inf, inf
-		rowY[j] = -X0(j, -rowY[j-1], open, ext, sc.occB[j-1])
+		rowY[j] = -leadGap(j, -rowY[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
 	prevM[jHi+1], prevX[jHi+1] = inf, inf
@@ -450,7 +460,7 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 		// leading gaps in B while the band reaches it, else a sentinel.
 		curM[jLo-1], curX[jLo-1] = inf, inf
 		if i+diagLo <= 0 {
-			curX[0] = -X0(i, -prevX[0], open, ext, wA)
+			curX[0] = -leadGap(i, -prevX[0], open, ext, wA)
 			tb[row] = dp.PackTB(sM, sX, sM)
 		}
 
@@ -483,20 +493,32 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 
 // rowMX is pass 1 over one row's band window of len(s) cells: cell t's
 // M from its diagonal predecessors pM[t], pX[t], pY[t] and the column
-// score s[t], its X from the cells above, pM[t+1] and pX[t+1] (loaded
-// once: a cell's "above" is the next cell's diagonal), and the M and X
-// traceback fields of tb[t]. Values come from min and the traceback
-// bits from the comparisons a branching argmin would make, in its order
-// — X beats M, then Y the better of the two, extending a gap beats
-// opening one, each only when strictly better — as 0/1 bytes, so no
-// branch depends on the data. A cell whose diagonal predecessors are
-// all unreachable (+∞) needs no case of its own: no comparison fires,
-// so its M-predecessor reads sM, and +∞ less a finite score is +∞.
+// score s[t], its X from the cells above, pM[t+1] and pX[t+1], and the M
+// and X traceback fields of tb[t]. No cell depends on another, so on
+// amd64 rowMXPairs runs the whole pairs two cells per SSE2 instruction
+// and rowMXFrom the odd cell left; elsewhere rowMXFrom runs them all.
 func rowMX(cM, cX []float64, tb []byte, pM, pX, pY, s []float64, openA, extA float64) {
 	cM, cX, tb, pY = cM[:len(s)], cX[:len(s)], tb[:len(s)], pY[:len(s)]
 	pM, pX = pM[:len(s)+1], pX[:len(s)+1]
-	m0, x0 := pM[0], pX[0]
-	for t := range s {
+	from := rowMXPairs(cM, cX, tb, pM, pX, pY, s, openA, extA)
+	rowMXFrom(from, cM, cX, tb, pM, pX, pY, s, openA, extA)
+}
+
+// rowMXFrom is rowMX's loop over cells [from, len(s)). Values come from
+// min and the traceback bits from the comparisons a branching argmin
+// would make, in its order — X beats M, then Y the better of the two,
+// extending a gap beats opening one, each only when strictly better —
+// as 0/1 bytes, so no branch depends on the data. A cell's "above" is
+// the next cell's diagonal, so each pM/pX value is loaded once. A cell
+// whose diagonal predecessors are all unreachable (+∞) needs no case of
+// its own: no comparison fires, so its M-predecessor reads sM, and +∞
+// less a finite score is +∞. The vector pass may store a zero of the
+// other sign where min's operands tie; no comparison can see that.
+func rowMXFrom(from int, cM, cX []float64, tb []byte, pM, pX, pY, s []float64, openA, extA float64) {
+	cM, cX, tb, pY = cM[:len(s)], cX[:len(s)], tb[:len(s)], pY[:len(s)]
+	pM, pX = pM[:len(s)+1], pX[:len(s)+1]
+	m0, x0 := pM[from], pX[from]
+	for t := from; t < len(s); t++ {
 		var gx, gy, bx byte
 		if x0 < m0 {
 			gx = 1
@@ -540,9 +562,9 @@ func rowYChain(y []float64, tb []byte, mLeft, openB, extB []float64) {
 	}
 }
 
-// X0 accumulates the boundary gap cost for leading gaps: first column
-// pays open+ext, later ones pay ext, all scaled by occupancy.
-func X0(i int, prev, open, ext, occ float64) float64 {
+// leadGap accumulates the boundary gap cost for leading gaps: first
+// column pays open+ext, later ones pay ext, all scaled by occupancy.
+func leadGap(i int, prev, open, ext, occ float64) float64 {
 	if i == 1 {
 		return -(open + ext) * occ
 	}

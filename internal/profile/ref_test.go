@@ -130,12 +130,12 @@ func refAlign(al *Aligner, a, b *Profile) (Path, float64) {
 	for i := 1; i <= n; i++ {
 		idx := i * cols
 		M[idx], Y[idx] = negInf, negInf
-		X[idx] = X0(i, X[idx-cols], open, ext, sc.occA[i-1])
+		X[idx] = leadGap(i, X[idx-cols], open, ext, sc.occA[i-1])
 		tb[idx] = dp.PackTB(sM, sX, sM)
 	}
 	for j := 1; j <= m; j++ {
 		M[j], X[j] = negInf, negInf
-		Y[j] = X0(j, Y[j-1], open, ext, sc.occB[j-1])
+		Y[j] = leadGap(j, Y[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
 
@@ -223,11 +223,11 @@ func refAlignBanded(al *Aligner, a, b *Profile, diagLo, diagHi int) (Path, float
 	M[0] = 0
 	for i := 1; i <= n && inBand(i, 0); i++ {
 		idx := i * cols
-		X[idx] = X0(i, X[idx-cols], open, ext, sc.occA[i-1])
+		X[idx] = leadGap(i, X[idx-cols], open, ext, sc.occA[i-1])
 		tb[idx] = dp.PackTB(sM, sX, sM)
 	}
 	for j := 1; j <= m && inBand(0, j); j++ {
-		Y[j] = X0(j, Y[j-1], open, ext, sc.occB[j-1])
+		Y[j] = leadGap(j, Y[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
 
