@@ -647,7 +647,7 @@ func BenchmarkMPIAllToAll(b *testing.B) {
 			for q := range parts {
 				parts[q] = payload
 			}
-			_, err := mpi.AllToAll(c, 1, parts)
+			_, err := mpi.AllToAllValues(c, 1, parts)
 			return err
 		})
 		if err != nil {

@@ -331,6 +331,13 @@ type group struct {
 // schedule (tree.ParallelReduce): disjoint subtrees merge concurrently
 // on Workers workers against the read-only library; output is
 // byte-identical for every Workers value.
+//
+// It cannot run on msa's AlignWithTreePairs driver. A msa.PairPath sees
+// two *profile.Profile, which are letter counts per column; this merge
+// scores a column pair by summing library support over (sequence,
+// residue ordinal) pairs, and a profile cannot tell which sequence put
+// which residue in a column. What the engines can share is the
+// schedule, tree.ParallelReduce, and they already do.
 func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node, lib *library) ([][]byte, []int, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()

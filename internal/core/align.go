@@ -103,9 +103,9 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		bucket = seqs
 	} else {
 		dctx, dsp := obs.Start(ctx, "decompose")
+		defer dsp.End()
 		bucket, err = redistribute(dctx, c, counter, seqs, cfg, stats)
 		if err != nil {
-			dsp.End()
 			return nil, nil, ctxErr(ctx, err)
 		}
 		dsp.SetInt("bucket", int64(len(bucket)))
@@ -117,6 +117,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	// in each processor using any sequential multiple alignment system")
 	tPhase := startClock()
 	bctx, bsp := obs.Start(ctx, "bucketalign")
+	defer bsp.End()
 	tally0 := dpkern.TallySnapshot()
 	localAligner := cfg.NewLocalAligner(cfg.Workers)
 	bucketSeqs := make([]bio.Sequence, len(bucket))
@@ -125,7 +126,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 	localAln, err := localAligner.AlignContext(bctx, bucketSeqs)
 	if err != nil {
-		bsp.End()
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, nil, cerr
 		}
@@ -154,10 +154,12 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 
 	// ------- merge stage: ancestor, fine-tune, glue
 	mctx, msp := obs.Start(ctx, "merge")
+	defer msp.End()
 
 	// ------- ancestor phases
 	tPhase = startClock()
 	actx, asp := obs.Start(mctx, "ancestor")
+	defer asp.End()
 	var localAnc []byte
 	if localAln.NumSeqs() > 0 {
 		localAnc, err = localAln.Consensus(submat.BLOSUM62.Alphabet(), ancestorOcc)
@@ -165,7 +167,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 			return nil, nil, err
 		}
 	}
-	ancestors, err := mpi.GatherValues(c, 0, tagAncGather, localAnc)
+	ancestors, err := mpi.GatherValues(c, tagAncGather, localAnc)
 	if err != nil {
 		return nil, nil, ctxErr(ctx, err)
 	}
@@ -176,7 +178,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 			return nil, nil, ctxErr(ctx, err)
 		}
 	}
-	if err := mpi.BcastValue(c, 0, tagGA, ga, &ga); err != nil {
+	if ga, err = mpi.BcastValue(c, tagGA, ga); err != nil {
 		return nil, nil, ctxErr(ctx, err)
 	}
 	stats.GALen = len(ga)
@@ -187,6 +189,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	// ------- fine-tune against the GA template and glue at the root
 	tPhase = startClock()
 	_, fsp := obs.Start(mctx, "finetune")
+	defer fsp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -199,10 +202,9 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 
 	tPhase = startClock()
 	_, gsp := obs.Start(mctx, "glue")
+	defer gsp.End()
 	final, err := glue(c, localAln, bucket, path, len(ga), stats)
 	if err != nil {
-		gsp.End()
-		msp.End()
 		return nil, nil, ctxErr(ctx, err)
 	}
 	gsp.End()
@@ -227,7 +229,7 @@ func checkClusterIDs(c mpi.Comm, seqs []wireSeq) error {
 	if c.Size() == 1 {
 		return duplicateIDError(ids)
 	}
-	gathered, err := mpi.GatherValues(c, 0, tagIDCheck, ids)
+	gathered, err := mpi.GatherValues(c, tagIDCheck, ids)
 	if err != nil {
 		return err
 	}
@@ -245,7 +247,7 @@ func checkClusterIDs(c mpi.Comm, seqs []wireSeq) error {
 			}
 		}
 	}
-	if err := mpi.BcastValue(c, 0, tagIDCheck, verdict, &verdict); err != nil {
+	if verdict, err = mpi.BcastValue(c, tagIDCheck, verdict); err != nil {
 		return err
 	}
 	if verdict != "" {
@@ -263,6 +265,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	// --- phase 1: local rank + local sort
 	tPhase := startClock()
 	ctx1, sp1 := obs.Start(ctx, "localrank")
+	defer sp1.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -286,6 +289,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	// --- phase 2: sample exchange + globalised rank
 	tPhase = startClock()
 	ctx2, sp2 := obs.Start(ctx, "sample")
+	defer sp2.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -319,8 +323,9 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	// --- phase 3: regular sampling of p-1 rank keys, pivot selection
 	tPhase = startClock()
 	_, sp3 := obs.Start(ctx, "pivot")
+	defer sp3.End()
 	sampleKeys := regularRankSample(seqs, p-1)
-	gathered, err := mpi.GatherValues(c, 0, tagPivotGather, sampleKeys)
+	gathered, err := mpi.GatherValues(c, tagPivotGather, sampleKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +337,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 		}
 		pivots = selectPivots(all, p)
 	}
-	if err := mpi.BcastValue(c, 0, tagPivots, pivots, &pivots); err != nil {
+	if pivots, err = mpi.BcastValue(c, tagPivots, pivots); err != nil {
 		return nil, err
 	}
 	sp3.End()
@@ -341,6 +346,7 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	// --- phase 4: bucket partition + all-to-all exchange
 	tPhase = startClock()
 	_, sp4 := obs.Start(ctx, "exchange")
+	defer sp4.End()
 	parts := make([]wireSeqList, p)
 	for _, ws := range seqs {
 		key := pivotKey{Rank: ws.Rank, Orig: ws.Orig}

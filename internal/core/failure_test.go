@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bio"
 	"repro/internal/mpi"
 	"repro/internal/msa"
+	"repro/internal/obs"
 	"repro/internal/profile"
 )
 
@@ -39,12 +41,16 @@ func (f *faultyComm) Send(to, tag int, data []byte) error {
 func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 	// Whatever send fails, Align must return an error (never hang, never
 	// return a partial alignment as success). The world is closed on
-	// first error, unblocking the peers.
+	// first error, unblocking the peers. Every span a failed rank opened
+	// must still end, so the stage it died in reaches the OnSpanEnd hook.
 	seqs := testFamily(t, 16, 40, 300, 21)
 	for _, failAt := range []int{1, 2, 5, 9} {
 		parts, origs := SplitBlocks(seqs, 3)
 		var anyErr error
 		var mu sync.Mutex
+		var ended atomic.Int64
+		tr := obs.New(obs.Options{OnSpanEnd: func(string, float64) { ended.Add(1) }})
+		ctx := obs.WithTracer(context.Background(), tr)
 		faulty := &faultyComm{failAt: failAt}
 		_ = mpi.RunContext(context.Background(), 3, func(c mpi.Comm) error {
 			comm := mpi.Comm(c)
@@ -52,7 +58,7 @@ func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 				faulty.Comm = c
 				comm = faulty
 			}
-			aln, _, err := alignTagged(context.Background(), comm, parts[c.Rank()], origs[c.Rank()], Config{}, true)
+			aln, _, err := alignTagged(ctx, comm, parts[c.Rank()], origs[c.Rank()], Config{}, true)
 			if err != nil {
 				mu.Lock()
 				anyErr = err
@@ -69,6 +75,9 @@ func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 		}
 		if faulty.injected == nil && anyErr != nil {
 			t.Fatalf("failAt=%d: error without injection: %v", failAt, anyErr)
+		}
+		if n, opened := ended.Load(), tr.Document().SpanCount; n != int64(opened) {
+			t.Fatalf("failAt=%d: %d of %d spans ended", failAt, n, opened)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Pa
 	for i, op := range path {
 		msgOut.Path[i] = byte(op)
 	}
-	msgs, err := mpi.GatherValues(c, 0, tagGlue, msgOut)
+	msgs, err := mpi.GatherValues(c, tagGlue, msgOut)
 	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}

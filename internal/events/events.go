@@ -105,26 +105,11 @@ func (b *Bus[T]) Close() {
 	b.subs = nil
 }
 
-// Closed reports whether Close has been called.
-func (b *Bus[T]) Closed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.closed
-}
-
 // Dropped returns the total entries dropped across all subscribers.
 func (b *Bus[T]) Dropped() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dropped
-}
-
-// LastSeq returns the sequence number of the most recent entry, zero if
-// nothing has been published.
-func (b *Bus[T]) LastSeq() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
 }
 
 // History returns the retained entries with sequence numbers greater

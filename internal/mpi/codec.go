@@ -161,9 +161,9 @@ func ReadSlice[T any](r *Reader, elemSize int, elem func(*Reader) T) []T {
 }
 
 // Encode lays v out in the wire format, in a buffer of its own. v is one
-// of the built-in shapes — []byte, [][]byte, string, []string, int,
-// int64, []int64 — or has an AppendWire method (see Wire); anything else
-// is an error naming the type.
+// of the built-in shapes — []byte, [][]byte, string, []string — or has
+// an AppendWire method (see Wire); anything else is an error naming the
+// type.
 func Encode(v any) ([]byte, error) {
 	switch v := v.(type) {
 	case []byte:
@@ -176,16 +176,6 @@ func Encode(v any) ([]byte, error) {
 		buf := AppendUint(nil, uint64(len(v)))
 		for _, s := range v {
 			buf = AppendString(buf, s)
-		}
-		return buf, nil
-	case int:
-		return AppendInt(nil, int64(v)), nil
-	case int64:
-		return AppendInt(nil, v), nil
-	case []int64:
-		buf := AppendUint(make([]byte, 0, binary.MaxVarintLen64*(1+len(v))), uint64(len(v)))
-		for _, x := range v {
-			buf = AppendInt(buf, x)
 		}
 		return buf, nil
 	case interface{ AppendWire([]byte) []byte }:
@@ -209,16 +199,6 @@ func Decode(data []byte, out any) error {
 		*p = r.String()
 	case *[]string:
 		*p = ReadSlice(&r, 1, (*Reader).String)
-	case *int:
-		v := r.Int()
-		if int64(int(v)) != v {
-			r.fail("int (out of range)")
-		}
-		*p = int(v)
-	case *int64:
-		*p = r.Int()
-	case *[]int64:
-		*p = ReadSlice(&r, 1, (*Reader).Int)
 	case Wire:
 		err = p.ParseWire(&r)
 	default:
@@ -236,43 +216,30 @@ func Decode(data []byte, out any) error {
 	return nil
 }
 
-// SendValue encodes v and sends it.
-func SendValue(c Comm, to, tag int, v any) error {
-	data, err := Encode(v)
-	if err != nil {
-		return err
-	}
-	return sendOwned(c, to, tag, data)
-}
+// The typed collectives: each encodes what this rank contributes, runs
+// the raw-bytes body from collectives.go and decodes what arrives. Rank 0
+// is the root wherever there is one.
 
-// RecvValue receives a message and decodes it into out (a pointer).
-func RecvValue(c Comm, from, tag int, out any) error {
-	data, err := c.Recv(from, tag)
-	if err != nil {
-		return err
-	}
-	return Decode(data, out)
-}
-
-// BcastValue broadcasts root's value; every rank decodes it into out
-// (a pointer). Root's out is left untouched (it already has the value).
-func BcastValue(c Comm, root, tag int, v any, out any) error {
+// BcastValue broadcasts rank 0's v; every rank returns it. Rank 0
+// returns its own v without decoding it.
+func BcastValue[T any](c Comm, tag int, v T) (T, error) {
 	var payload []byte
-	if c.Rank() == root {
+	if c.Rank() == 0 {
 		data, err := Encode(v)
 		if err != nil {
-			return err
+			return v, err
 		}
 		payload = data
 	}
-	data, err := Bcast(c, root, tag, payload)
-	if err != nil {
-		return err
+	data, err := bcast(c, tag, payload)
+	if err != nil || c.Rank() == 0 {
+		return v, err
 	}
-	if c.Rank() == root {
-		return nil
+	var out T
+	if err := Decode(data, &out); err != nil {
+		return out, fmt.Errorf("mpi: bcast from rank 0: %w", err)
 	}
-	return Decode(data, out)
+	return out, nil
 }
 
 // encodeAll encodes every part into a buffer of its own.
@@ -300,15 +267,15 @@ func decodeAll[T any](what string, parts [][]byte) ([]T, error) {
 	return out, nil
 }
 
-// GatherValues gathers one value of type T per rank at root; non-root
-// ranks return nil.
-func GatherValues[T any](c Comm, root, tag int, v T) ([]T, error) {
+// GatherValues gathers one value of type T per rank at rank 0, indexed
+// by rank; the other ranks return nil.
+func GatherValues[T any](c Comm, tag int, v T) ([]T, error) {
 	data, err := Encode(v)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := gather(c, root, tag, data, sendOwned)
-	if err != nil || c.Rank() != root {
+	parts, err := gather(c, tag, data)
+	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}
 	return decodeAll[T]("gather", parts)
@@ -320,7 +287,7 @@ func AllGatherValues[T any](c Comm, tag int, v T) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, err := allGather(c, tag, data, sendOwned)
+	parts, err := allGather(c, tag, data)
 	if err != nil {
 		return nil, err
 	}
@@ -334,29 +301,9 @@ func AllToAllValues[T any](c Comm, tag int, parts []T) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	got, err := allToAll(c, tag, raw, sendOwned)
+	got, err := allToAll(c, tag, raw)
 	if err != nil {
 		return nil, err
 	}
 	return decodeAll[T]("alltoall", got)
-}
-
-// ScatterValues distributes root's parts[r] to rank r.
-func ScatterValues[T any](c Comm, root, tag int, parts []T) (T, error) {
-	var zero, out T
-	var raw [][]byte
-	if c.Rank() == root {
-		var err error
-		if raw, err = encodeAll(parts); err != nil {
-			return zero, err
-		}
-	}
-	data, err := scatter(c, root, tag, raw, sendOwned)
-	if err != nil {
-		return zero, err
-	}
-	if err := Decode(data, &out); err != nil {
-		return zero, err
-	}
-	return out, nil
 }

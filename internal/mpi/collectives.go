@@ -3,96 +3,66 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // The collectives are implemented over point-to-point Send/Recv with
-// simple fan-in/fan-out patterns. Every collective takes a caller-chosen
-// tag; the whole world must call the same collective with the same tag
-// (standard SPMD discipline). Broadcast and barrier use log-p trees, the
-// personalised exchanges are direct sends, matching the coarse-grained
-// cost model the paper assumes (§3).
+// simple fan-in/fan-out patterns, and rank 0 is the root of every one
+// that has a root. Every collective takes a caller-chosen tag; the whole
+// world must call the same collective with the same tag (standard SPMD
+// discipline). Broadcast uses a log-p tree, the personalised exchange is
+// direct sends, matching the coarse-grained cost model the paper
+// assumes (§3).
 //
-// Gather, AllGather, Scatter and AllToAll each have an unexported body
-// that takes the send to use: the exported raw-bytes form passes
-// Comm.Send, which copies what it is given; the typed helpers in
-// codec.go pass sendOwned, because the buffers they send were encoded a
-// moment ago and nobody else holds them. Bcast always copies — one
-// buffer goes to several ranks there, and each must own what it gets.
+// The bodies below move raw bytes; the typed collectives in codec.go
+// call them. gather and allToAll hand their buffers over with sendOwned,
+// because the typed collectives encoded them a moment ago and nobody
+// else holds them. bcast copies with Comm.Send: one buffer goes to
+// several ranks there, and each must own what it gets.
 
-// sendFunc is Comm.Send or sendOwned.
-type sendFunc func(c Comm, to, tag int, data []byte) error
-
-// Barrier blocks until every rank has entered it.
-func Barrier(c Comm, tag int) error {
-	// all-reduce of nothing via gather-to-0 + broadcast
-	if _, err := Gather(c, 0, tag, nil); err != nil {
-		return err
-	}
-	_, err := Bcast(c, 0, tag, nil)
-	return err
-}
-
-// Bcast sends root's data to every rank along a binomial tree and
-// returns the received copy (root returns its own data unchanged).
-func Bcast(c Comm, root, tag int, data []byte) ([]byte, error) {
+// bcast sends rank 0's data to every rank along a binomial tree and
+// returns the received copy (rank 0 returns its own data unchanged). At
+// step s, every rank r < s that already holds the data sends it to r+s;
+// rank r (> 0) receives from r - 2^floor(log2 r) before it starts
+// forwarding.
+func bcast(c Comm, tag int, data []byte) ([]byte, error) {
 	size, rank := c.Size(), c.Rank()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: bcast root %d of %d", root, size)
-	}
-	// Rotate ranks so the root is virtual rank 0, then run a binomial
-	// tree: at step s, every virtual rank v < s that already holds the
-	// data sends it to v+s. Virtual rank v (>0) receives from
-	// v - 2^floor(log2 v) before it starts forwarding.
-	vrank := (rank - root + size) % size
-	if vrank != 0 {
-		parent := (parentOf(vrank) + root) % size
-		d, err := c.Recv(parent, tag)
+	if rank != 0 {
+		d, err := c.Recv(parentOf(rank), tag)
 		if err != nil {
 			return nil, err
 		}
 		data = d
 	}
 	for step := 1; step < size; step <<= 1 {
-		if vrank < step {
-			child := vrank + step
-			if child < size {
-				if err := c.Send((child+root)%size, tag, data); err != nil {
-					return nil, err
-				}
+		if child := rank + step; rank < step && child < size {
+			if err := c.Send(child, tag, data); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return data, nil
 }
 
-// parentOf returns the binomial-tree parent of virtual rank v (> 0):
-// v minus its highest power of two, i.e. the rank it receives from.
-func parentOf(v int) int {
+// parentOf returns the binomial-tree parent of rank r (> 0): r minus
+// its highest power of two, i.e. the rank it receives from.
+func parentOf(r int) int {
 	p := 1
-	for p<<1 <= v {
+	for p<<1 <= r {
 		p <<= 1
 	}
-	return v - p
+	return r - p
 }
 
-// Gather collects every rank's data at root. At root the result is a
-// slice indexed by rank (root's own entry included); other ranks get nil.
-func Gather(c Comm, root, tag int, data []byte) ([][]byte, error) {
-	return gather(c, root, tag, data, Comm.Send)
-}
-
-func gather(c Comm, root, tag int, data []byte, send sendFunc) ([][]byte, error) {
-	size, rank := c.Size(), c.Rank()
-	if rank != root {
-		return nil, send(c, root, tag, data)
+// gather collects every rank's data at rank 0. There the result is a
+// slice indexed by rank (rank 0's own entry included); other ranks get
+// nil.
+func gather(c Comm, tag int, data []byte) ([][]byte, error) {
+	if c.Rank() != 0 {
+		return nil, sendOwned(c, 0, tag, data)
 	}
-	out := make([][]byte, size)
-	out[root] = data
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
+	out := make([][]byte, c.Size())
+	out[0] = data
+	for r := 1; r < len(out); r++ {
 		d, err := c.Recv(r, tag)
 		if err != nil {
 			return nil, err
@@ -102,63 +72,28 @@ func gather(c Comm, root, tag int, data []byte, send sendFunc) ([][]byte, error)
 	return out, nil
 }
 
-// AllGather gives every rank the slice of every rank's data.
-func AllGather(c Comm, tag int, data []byte) ([][]byte, error) {
-	return allGather(c, tag, data, Comm.Send)
-}
-
-func allGather(c Comm, tag int, data []byte, send sendFunc) ([][]byte, error) {
-	gathered, err := gather(c, 0, tag, data, send)
+// allGather gives every rank the slice of every rank's data: a gather
+// at rank 0, which broadcasts the framed result.
+func allGather(c Comm, tag int, data []byte) ([][]byte, error) {
+	gathered, err := gather(c, tag, data)
 	if err != nil {
 		return nil, err
 	}
 	if c.Rank() == 0 {
-		packed := packSlices(gathered)
-		if _, err := Bcast(c, 0, tag, packed); err != nil {
-			return nil, err
-		}
-		return gathered, nil
+		_, err := bcast(c, tag, packSlices(gathered))
+		return gathered, err
 	}
-	packed, err := Bcast(c, 0, tag, nil)
+	packed, err := bcast(c, tag, nil)
 	if err != nil {
 		return nil, err
 	}
 	return unpackSlices(packed)
 }
 
-// Scatter distributes parts[r] from root to rank r and returns this
-// rank's part. Only root's parts argument is consulted.
-func Scatter(c Comm, root, tag int, parts [][]byte) ([]byte, error) {
-	return scatter(c, root, tag, parts, Comm.Send)
-}
-
-func scatter(c Comm, root, tag int, parts [][]byte, send sendFunc) ([]byte, error) {
-	size, rank := c.Size(), c.Rank()
-	if rank == root {
-		if len(parts) != size {
-			return nil, fmt.Errorf("mpi: scatter %d parts for %d ranks", len(parts), size)
-		}
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			if err := send(c, r, tag, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	return c.Recv(root, tag)
-}
-
-// AllToAll performs the personalised exchange at the heart of the
+// allToAll performs the personalised exchange at the heart of the
 // redistribution step: rank r sends parts[q] to rank q and receives one
 // part from every rank, returned indexed by source rank.
-func AllToAll(c Comm, tag int, parts [][]byte) ([][]byte, error) {
-	return allToAll(c, tag, parts, Comm.Send)
-}
-
-func allToAll(c Comm, tag int, parts [][]byte, send sendFunc) ([][]byte, error) {
+func allToAll(c Comm, tag int, parts [][]byte) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if len(parts) != size {
 		return nil, fmt.Errorf("mpi: alltoall %d parts for %d ranks", len(parts), size)
@@ -168,7 +103,7 @@ func allToAll(c Comm, tag int, parts [][]byte, send sendFunc) ([][]byte, error) 
 	// send first (buffered sends cannot deadlock), then receive
 	for off := 1; off < size; off++ {
 		to := (rank + off) % size
-		if err := send(c, to, tag, parts[to]); err != nil {
+		if err := sendOwned(c, to, tag, parts[to]); err != nil {
 			return nil, err
 		}
 	}
@@ -181,65 +116,6 @@ func allToAll(c Comm, tag int, parts [][]byte, send sendFunc) ([][]byte, error) 
 		out[from] = d
 	}
 	return out, nil
-}
-
-// ReduceFloat64 combines one float64 per rank at root with op
-// ("sum", "min", "max"); non-root ranks return 0.
-func ReduceFloat64(c Comm, root, tag int, x float64, op string) (float64, error) {
-	switch op {
-	case "sum", "min", "max":
-	default:
-		return 0, fmt.Errorf("mpi: unknown reduce op %q", op)
-	}
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-	gathered, err := Gather(c, root, tag, buf)
-	if err != nil {
-		return 0, err
-	}
-	if c.Rank() != root {
-		return 0, nil
-	}
-	acc := x
-	for r, d := range gathered {
-		if r == root {
-			continue
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(d))
-		switch op {
-		case "sum":
-			acc += v
-		case "min":
-			if v < acc {
-				acc = v
-			}
-		case "max":
-			if v > acc {
-				acc = v
-			}
-		default:
-			return 0, fmt.Errorf("mpi: unknown reduce op %q", op)
-		}
-	}
-	return acc, nil
-}
-
-// AllReduceFloat64 is ReduceFloat64 followed by a broadcast, so every
-// rank gets the combined value.
-func AllReduceFloat64(c Comm, tag int, x float64, op string) (float64, error) {
-	v, err := ReduceFloat64(c, 0, tag, x, op)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 8)
-	if c.Rank() == 0 {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	}
-	out, err := Bcast(c, 0, tag, buf)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(out)), nil
 }
 
 // packSlices frames a [][]byte into one buffer and unpackSlices takes it

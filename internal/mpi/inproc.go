@@ -102,21 +102,21 @@ func (mb *mailbox) close() {
 	mb.mu.Unlock()
 }
 
-// World is an in-process communication world: p ranks backed by
+// world is an in-process communication world: p ranks backed by
 // goroutines and shared-memory mailboxes. It models the cluster at full
 // message-passing fidelity (every byte crosses a Send/Recv boundary) on
 // one machine.
-type World struct {
+type world struct {
 	size  int
 	boxes []*mailbox
 }
 
-// NewWorld creates a world with the given number of ranks.
-func NewWorld(size int) (*World, error) {
+// newWorld creates a world with the given number of ranks.
+func newWorld(size int) (*world, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpi: world size %d", size)
 	}
-	w := &World{size: size, boxes: make([]*mailbox, size)}
+	w := &world{size: size, boxes: make([]*mailbox, size)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -124,19 +124,19 @@ func NewWorld(size int) (*World, error) {
 }
 
 // Comm returns the communicator endpoint for one rank.
-func (w *World) Comm(rank int) Comm {
+func (w *world) Comm(rank int) Comm {
 	return &inprocComm{world: w, rank: rank, stats: &Stats{}}
 }
 
 // Close shuts every rank's mailbox down.
-func (w *World) Close() {
+func (w *world) Close() {
 	for _, mb := range w.boxes {
 		mb.close()
 	}
 }
 
 type inprocComm struct {
-	world *World
+	world *world
 	rank  int
 	stats *Stats
 }
@@ -190,7 +190,7 @@ func (c *inprocComm) Close() error {
 // and RunContext returns ctx.Err(). Otherwise it returns the first rank
 // error; a rank error also closes the world so the other ranks unblock.
 func RunContext(ctx context.Context, size int, fn func(Comm) error) error {
-	w, err := NewWorld(size)
+	w, err := newWorld(size)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,9 @@
 // Package mpi is a hand-rolled message-passing runtime standing in for
 // the MPI library the paper uses: rank-addressed point-to-point messages
-// with tag matching, the collective operations Sample-Align-D needs
-// (barrier, broadcast, gather, all-gather, scatter, all-to-all
-// personalised exchange, reduce), typed wrappers over one binary wire
-// format (codec.go: append to write, slice to parse, no reflection), and
+// with tag matching, the four collectives Sample-Align-D needs — gather
+// and broadcast rooted at rank 0, all-gather, and the all-to-all
+// personalised exchange — typed over one binary wire format (codec.go:
+// append to write, slice to parse, no reflection), and
 // two transports — in-process goroutine ranks for tests/benchmarks and
 // TCP for real multi-process cluster runs. Both transports carry the
 // same bytes.
@@ -49,7 +49,7 @@ type Comm interface {
 }
 
 // ownedSender is a communicator that can take a payload over instead of
-// copying it. The typed helpers send buffers they encoded a moment ago
+// copying it. The typed collectives send buffers they encoded a moment ago
 // and never look at again, so the copy Send owes a caller who may reuse
 // its buffer is wasted on them.
 type ownedSender interface {
@@ -94,12 +94,4 @@ func (s *Stats) Snapshot() Stats {
 		MsgsSent:  atomic.LoadInt64(&s.MsgsSent),
 		MsgsRecv:  atomic.LoadInt64(&s.MsgsRecv),
 	}
-}
-
-// Add accumulates other into s (for aggregating per-rank stats).
-func (s *Stats) Add(other Stats) {
-	s.BytesSent += other.BytesSent
-	s.BytesRecv += other.BytesRecv
-	s.MsgsSent += other.MsgsSent
-	s.MsgsRecv += other.MsgsRecv
 }

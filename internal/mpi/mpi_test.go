@@ -202,22 +202,3 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", out)
 	}
 }
-
-func TestSendRecvValue(t *testing.T) {
-	err := RunContext(context.Background(), 2, func(c Comm) error {
-		if c.Rank() == 0 {
-			return SendValue(c, 1, 3, item{Rank: 7, Label: "a"})
-		}
-		var it item
-		if err := RecvValue(c, 0, 3, &it); err != nil {
-			return err
-		}
-		if it != (item{Rank: 7, Label: "a"}) {
-			return fmt.Errorf("decoded %+v", it)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -96,14 +96,18 @@ func TestTCPSelfSend(t *testing.T) {
 
 func TestTCPCollectives(t *testing.T) {
 	runTCP(t, 4, func(c Comm) error {
-		got, err := Bcast(c, 0, 1, []byte("b"))
+		var b []byte
+		if c.Rank() == 0 {
+			b = []byte("b")
+		}
+		got, err := BcastValue(c, 1, b)
 		if err != nil {
 			return err
 		}
 		if string(got) != "b" {
 			return fmt.Errorf("bcast got %q", got)
 		}
-		all, err := AllGather(c, 2, []byte{byte(c.Rank())})
+		all, err := AllGatherValues(c, 2, []byte{byte(c.Rank())})
 		if err != nil {
 			return err
 		}
@@ -116,7 +120,7 @@ func TestTCPCollectives(t *testing.T) {
 		for q := range parts {
 			parts[q] = []byte{byte(c.Rank() * 4), byte(q)}
 		}
-		x, err := AllToAll(c, 3, parts)
+		x, err := AllToAllValues(c, 3, parts)
 		if err != nil {
 			return err
 		}
@@ -125,7 +129,16 @@ func TestTCPCollectives(t *testing.T) {
 				return fmt.Errorf("alltoall from %d: %v", src, d)
 			}
 		}
-		return Barrier(c, 4)
+		gathered, err := GatherValues(c, 4, []byte{byte(c.Rank())})
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		for r, d := range gathered {
+			if d[0] != byte(r) {
+				return fmt.Errorf("gather entry %d = %v", r, d)
+			}
+		}
+		return nil
 	})
 }
 

@@ -138,38 +138,3 @@ func (a *Alignment) Column(c int) []byte {
 	}
 	return col
 }
-
-// FindRow returns the index of the row with the given ID, or -1.
-func (a *Alignment) FindRow(id string) int {
-	for i, s := range a.Seqs {
-		if s.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// Reorder rearranges rows to match the order of ids. Every id must be
-// present exactly once.
-func (a *Alignment) Reorder(ids []string) error {
-	if len(ids) != len(a.Seqs) {
-		return fmt.Errorf("msa: reorder with %d ids for %d rows", len(ids), len(a.Seqs))
-	}
-	byID := make(map[string]int, len(a.Seqs))
-	for i, s := range a.Seqs {
-		if _, dup := byID[s.ID]; dup {
-			return fmt.Errorf("msa: duplicate row id %q", s.ID)
-		}
-		byID[s.ID] = i
-	}
-	out := make([]bio.Sequence, 0, len(ids))
-	for _, id := range ids {
-		i, ok := byID[id]
-		if !ok {
-			return fmt.Errorf("msa: id %q not in alignment", id)
-		}
-		out = append(out, a.Seqs[i])
-	}
-	a.Seqs = out
-	return nil
-}

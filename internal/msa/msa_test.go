@@ -110,25 +110,6 @@ func TestRemoveAllGapColumns(t *testing.T) {
 	}
 }
 
-func TestReorder(t *testing.T) {
-	a := &Alignment{Seqs: []bio.Sequence{
-		{ID: "x", Data: []byte("AA")},
-		{ID: "y", Data: []byte("CC")},
-	}}
-	if err := a.Reorder([]string{"y", "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if a.Seqs[0].ID != "y" || a.Seqs[1].ID != "x" {
-		t.Fatalf("order after reorder: %s %s", a.Seqs[0].ID, a.Seqs[1].ID)
-	}
-	if err := a.Reorder([]string{"y", "z"}); err == nil {
-		t.Error("unknown id accepted")
-	}
-	if err := a.Reorder([]string{"y"}); err == nil {
-		t.Error("short id list accepted")
-	}
-}
-
 func TestSPScoreIdenticalRows(t *testing.T) {
 	a := &Alignment{Seqs: []bio.Sequence{
 		{ID: "a", Data: []byte("ACDE")},

@@ -282,27 +282,3 @@ func (f *Family) TrueAlignment(indices []int) (*msa.Alignment, error) {
 	}
 	return aln, nil
 }
-
-// Uniform generates n completely unrelated random sequences of the given
-// mean length — the null model used by ablation benches.
-func Uniform(n, meanLen int, seed int64) []bio.Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]bio.Sequence, n)
-	for i := range out {
-		length := meanLen/2 + rng.Intn(meanLen+1)
-		data := make([]byte, length)
-		for j := range data {
-			acc, r := 0.0, rng.Float64()
-			data[j] = bio.AminoAcids.Letter(19)
-			for k := 0; k < 20; k++ {
-				acc += submat.BackgroundFreq(k)
-				if r < acc {
-					data[j] = bio.AminoAcids.Letter(k)
-					break
-				}
-			}
-		}
-		out[i] = bio.Sequence{ID: fmt.Sprintf("rnd%04d", i), Data: data}
-	}
-	return out
-}

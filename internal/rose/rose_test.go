@@ -2,7 +2,6 @@ package rose
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/bio"
@@ -178,23 +177,5 @@ func TestProgressiveRecoversTrueAlignmentOnCloseFamily(t *testing.T) {
 	}
 	if q < 0.5 {
 		t.Fatalf("Q = %g on a mildly diverged family", q)
-	}
-}
-
-func TestUniform(t *testing.T) {
-	seqs := Uniform(30, 100, 9)
-	if len(seqs) != 30 {
-		t.Fatalf("%d sequences", len(seqs))
-	}
-	var mean float64
-	for _, s := range seqs {
-		if err := s.Validate(bio.AminoAcids); err != nil {
-			t.Fatal(err)
-		}
-		mean += float64(s.Len())
-	}
-	mean /= 30
-	if math.Abs(mean-100) > 40 {
-		t.Fatalf("mean length %g", mean)
 	}
 }

@@ -144,44 +144,6 @@ func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// inside the containing bucket, taking the first bound as the scale of
-// the lowest bucket and the last finite bound for the +Inf bucket.
-// Returns NaN on an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(s.Total)
-	for i, c := range s.Cumulative {
-		if float64(c) < target {
-			continue
-		}
-		if i >= len(s.Bounds) { // +Inf bucket: no upper bound to interpolate to
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		var below uint64
-		if i > 0 {
-			lo = s.Bounds[i-1]
-			below = s.Cumulative[i-1]
-		}
-		width := s.Bounds[i] - lo
-		inBucket := float64(c - below)
-		if inBucket == 0 {
-			return s.Bounds[i]
-		}
-		return lo + width*(target-float64(below))/inBucket
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // WritePrometheus renders the histogram in Prometheus text exposition
 // format under the given metric name (no labels), with HELP and TYPE
 // headers.

@@ -50,27 +50,6 @@ func TestLatencyHistogramValidation(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogramQuantile(t *testing.T) {
-	h := MustLatencyHistogram([]float64{1, 2, 3, 4})
-	if !math.IsNaN(h.Snapshot().Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	// 100 observations uniform over (0,4]: 25 per bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.04)
-	}
-	s := h.Snapshot()
-	if q := s.Quantile(0.5); math.Abs(q-2.0) > 0.1 {
-		t.Fatalf("p50 = %g, want ≈ 2", q)
-	}
-	if q := s.Quantile(1); q > 4.0001 {
-		t.Fatalf("p100 = %g, want ≤ 4", q)
-	}
-	if q := s.Quantile(0); q < 0 || q > 0.05 {
-		t.Fatalf("p0 = %g, want ≈ 0", q)
-	}
-}
-
 func TestLatencyHistogramConcurrent(t *testing.T) {
 	h := MustLatencyHistogram(DefaultLatencyBounds())
 	var wg sync.WaitGroup

@@ -1,81 +1,10 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
 )
-
-func TestQuantileEdgeCases(t *testing.T) {
-	h := MustLatencyHistogram([]float64{1, 2, 4})
-
-	// Empty histogram: every quantile is NaN.
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Snapshot().Quantile(q); !math.IsNaN(got) {
-			t.Fatalf("empty histogram Quantile(%g) = %g, want NaN", q, got)
-		}
-	}
-
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(3)
-	s := h.Snapshot()
-
-	// Out-of-range q clamps rather than panicking or extrapolating.
-	lo, hi := s.Quantile(-5), s.Quantile(7)
-	if lo != s.Quantile(0) {
-		t.Fatalf("Quantile(-5) = %g, want clamp to Quantile(0) = %g", lo, s.Quantile(0))
-	}
-	if hi != s.Quantile(1) {
-		t.Fatalf("Quantile(7) = %g, want clamp to Quantile(1) = %g", hi, s.Quantile(1))
-	}
-
-	// q=1 with all mass in finite buckets lands on a finite bound.
-	if got := s.Quantile(1); got > 4 || got <= 0 {
-		t.Fatalf("Quantile(1) = %g, want in (0, 4]", got)
-	}
-
-	// Quantiles must be monotone in q.
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.1 {
-		v := s.Quantile(q)
-		if v < prev {
-			t.Fatalf("Quantile not monotone: Quantile(%g) = %g < %g", q, v, prev)
-		}
-		prev = v
-	}
-
-	// Observations in the +Inf bucket: the estimate is capped at the
-	// last finite bound (no upper bound to interpolate toward).
-	h2 := MustLatencyHistogram([]float64{1})
-	h2.Observe(100)
-	if got := h2.Snapshot().Quantile(0.99); got != 1 {
-		t.Fatalf("+Inf-bucket quantile = %g, want last finite bound 1", got)
-	}
-
-	// Single observation exactly on a bound stays within that bucket.
-	h3 := MustLatencyHistogram([]float64{1, 2})
-	h3.Observe(2)
-	if got := h3.Snapshot().Quantile(0.5); got < 1 || got > 2 {
-		t.Fatalf("boundary observation quantile = %g, want in [1, 2]", got)
-	}
-
-	// NaN observations are ignored entirely.
-	h4 := MustLatencyHistogram([]float64{1})
-	h4.Observe(math.NaN())
-	if h4.Snapshot().Total != 0 {
-		t.Fatal("NaN observation must be ignored")
-	}
-
-	// Negative observations count into the first bucket.
-	h5 := MustLatencyHistogram([]float64{1, 2})
-	h5.Observe(-3)
-	s5 := h5.Snapshot()
-	if s5.Counts[0] != 1 || s5.Total != 1 {
-		t.Fatalf("negative observation: counts = %v", s5.Counts)
-	}
-}
 
 func TestLabeledHistogramsObserveAndRender(t *testing.T) {
 	l := MustLabeledHistograms([]float64{0.5, 1})

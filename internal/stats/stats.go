@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -123,29 +122,6 @@ func (h Histogram) Render(barWidth int) string {
 		fmt.Fprintf(&b, "%8.3f | %-*s %d\n", h.BinCenter(i), barWidth, strings.Repeat("#", bar), c)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; it sorts a copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	pos := p / 100 * float64(len(cp)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(cp) {
-		return cp[lo]
-	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }
 
 // Correlation returns the Pearson correlation of two equal-length samples.

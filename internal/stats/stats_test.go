@@ -112,22 +112,6 @@ func TestHistogramRender(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("median = %g", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %g", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %g", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Errorf("p25 = %g", p)
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{2, 4, 6, 8}
