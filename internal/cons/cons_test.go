@@ -196,7 +196,10 @@ func TestConsCancelReachesLibraryExtension(t *testing.T) {
 	// At N=80, L=200 the library build takes ≈0.5 s and the O(N³·L)
 	// consistency extension ≈2.6 s on two workers. A cancel one second
 	// in lands inside the extension, which must stop at its next pair
-	// instead of running to the end before the next phase sees ctx.
+	// instead of running to the end before the next phase sees ctx. The
+	// 1 s bound leaves room for a loaded host (0.54 s seen under
+	// go test -p 4) and still fails an extension that ignores ctx (≈2 s
+	// late).
 	seqs := famSeqs(t, 80, 200, 300, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -212,7 +215,7 @@ func TestConsCancelReachesLibraryExtension(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if lag := time.Since(cancelled); lag > 500*time.Millisecond {
+	if lag := time.Since(cancelled); lag > time.Second {
 		t.Fatalf("AlignContext returned %v after the cancel", lag)
 	}
 }

@@ -232,7 +232,8 @@ const (
 // one letter's scores against all of B are contiguous and a row of
 // column scores is streamed with unit stride. occA/occB are the column
 // occupancies; openB/extB the gap-in-A penalties of opening and
-// extending against each B column, hoisted out of the cell loop.
+// extending against each B column, hoisted out of the cell loop; zero
+// is the +0 row every sum starts from.
 type pspScratch struct {
 	faOff       []int32 // n+1 prefix offsets into faIdx/faVal
 	faIdx       []int32 // nonzero letter indices of A's columns
@@ -240,6 +241,7 @@ type pspScratch struct {
 	sbT         []float64 // sbT[x·m+j] = Σ_y fb[j][y]·S(x,y)
 	occA, occB  []float64
 	openB, extB []float64
+	zero        []float64 // max(m, L) entries, all +0
 	m           int
 }
 
@@ -247,12 +249,12 @@ type pspScratch struct {
 // present in its A column), at most O(alphaLen).
 //
 // sbT is filled a B column at a time through an alphabet-long
-// accumulator: each letter y present adds fy·S(·,y), one unit-stride
-// pass over column y of the matrix (transposed once per call), and the
-// finished column goes to its L letter-major slots once. Every entry is
-// still the sum over the column's letters in ascending order from zero
-// — what adding into sbT[x·m+j] letter by letter gives, without L
-// read-modify-writes m entries apart per nonzero count.
+// accumulator: sweepLetters adds fy·S(·,y) for the letters y present,
+// two unit-stride columns of the matrix (transposed once per call) per
+// sweep, and the finished column goes to its L letter-major slots once.
+// Every entry is still the sum over the column's letters in ascending
+// order from +0 — what adding into sbT[x·m+j] letter by letter gives,
+// without L read-modify-writes m entries apart per nonzero count.
 func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	n, m := a.Len(), b.Len()
 	L := al.Sub.Alphabet().Len()
@@ -265,6 +267,7 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		occB:  w.Floats(m),
 		openB: w.Floats(m),
 		extB:  w.Floats(m),
+		zero:  w.Floats(max(m, L)),
 		m:     m,
 	}
 	var nz int32
@@ -293,6 +296,7 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		}
 	}
 	acc := w.Floats(L)
+	bIdx, bVal := w.Ints(L), w.Floats(L)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	for j := range b.Cols {
 		col := &b.Cols[j]
@@ -303,16 +307,14 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		if res == 0 {
 			continue
 		}
-		clear(acc)
+		nb := 0
 		for y, c := range col.Counts {
-			if c == 0 {
-				continue
-			}
-			fy := c / res
-			for x, s := range subT[y*L:][:len(acc)] {
-				acc[x] += fy * s
+			if c != 0 {
+				bIdx[nb], bVal[nb] = int32(y), c/res
+				nb++
 			}
 		}
+		sweepLetters(acc, sc.zero, bIdx[:nb], bVal[:nb], subT, L, 0, nil)
 		for x, v := range acc {
 			sc.sbT[x*m+j] = v
 		}
@@ -321,39 +323,23 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 }
 
 // colScores streams the occupancy-scaled PSP scores of A column i
-// against B columns [lo, lo+len(dst)) into dst: unit-stride sweeps over
-// sbT, two letters of the A column per sweep and a last one alone,
-// letters in ascending order and each cell's sum started from zero —
-// the order a per-cell sparse dot product adds them in, so every score
-// is bit-identical to that formulation (and stays so where the compiler
-// fuses the multiply-adds: both are s += v·t, one letter at a time).
+// against B columns [lo, lo+len(dst)) into dst through sweepLetters:
+// unit-stride sweeps over sbT, two letters of the A column per sweep,
+// in ascending order from +0, the last sweep scaling by the occupancies
+// so sparse columns influence less — the order a per-cell sparse dot
+// product adds and scales in, so every score is bit-identical to that
+// formulation. An A column without residues scores the empty sum, +0,
+// scaled.
 func (sc *pspScratch) colScores(dst []float64, i, lo int) {
-	clear(dst)
 	k, end := sc.faOff[i], sc.faOff[i+1]
-	for ; k+1 < end; k += 2 {
-		v1, v2 := sc.faVal[k], sc.faVal[k+1]
-		c1 := sc.sbT[int(sc.faIdx[k])*sc.m+lo:]
-		c2 := sc.sbT[int(sc.faIdx[k+1])*sc.m+lo:]
-		c1, c2 = c1[:len(dst)], c2[:len(dst)]
-		for t := range dst {
-			dst[t] = dst[t] + v1*c1[t] + v2*c2[t]
+	occA, occB := sc.occA[i], sc.occB[lo:][:len(dst)]
+	if k == end {
+		for t, ob := range occB {
+			dst[t] = 0 * occA * ob
 		}
+		return
 	}
-	if k < end {
-		v := sc.faVal[k]
-		col := sc.sbT[int(sc.faIdx[k])*sc.m+lo:]
-		col = col[:len(dst)]
-		for t, c := range col {
-			dst[t] += v * c
-		}
-	}
-	// Scale by occupancies so sparse columns influence less.
-	occA := sc.occA[i]
-	occB := sc.occB[lo:]
-	occB = occB[:len(dst)]
-	for t, ob := range occB {
-		dst[t] = dst[t] * occA * ob
-	}
+	sweepLetters(dst, sc.zero, sc.faIdx[k:end], sc.faVal[k:end], sc.sbT[lo:], sc.m, occA, occB)
 }
 
 // tracePath follows the packed traceback plane from (n, m) back to the
