@@ -625,7 +625,7 @@ func BenchmarkUPGMA(b *testing.B) {
 	d := kmerMatrix(b, profiles, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.UPGMA(d, nil)
+		tree.UPGMAWorkers(d, nil, 1)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Command samplealignlint is the driver of the project-invariant
-// analyzer suite in internal/lint (ctxflow, determinism,
-// pooldiscipline, durerr).
+// analyzer suite in internal/lint (ctxflow, determinism, durerr).
 //
 // `samplealignlint [packages]` loads the module through
 // `go list -deps -export` (lint.LoadModule, type-checking with the same
@@ -11,8 +10,8 @@
 //
 //	go run ./cmd/samplealignlint ./...
 //
-// Analyzers can be selected with -ctxflow, -determinism,
-// -pooldiscipline, -durerr (naming any runs only those). Suppressions
+// Analyzers can be selected with -ctxflow, -determinism, -durerr
+// (naming any runs only those). Suppressions
 // are `//lint:allow <analyzer> <reason>` — see internal/lint and
 // TESTING.md.
 package main

@@ -16,10 +16,10 @@ type Alphabet struct {
 	index   [256]int16
 }
 
-// NewAlphabet builds an alphabet from the given (upper-case) letters.
+// newAlphabet builds an alphabet from the given (upper-case) letters.
 // It panics if letters contains duplicates; alphabets are meant to be
 // package-level constants, so a malformed one is a programming error.
-func NewAlphabet(name, letters string) *Alphabet {
+func newAlphabet(name, letters string) *Alphabet {
 	a := &Alphabet{name: name, letters: []byte(letters)}
 	for i := range a.index {
 		a.index[i] = -1
@@ -71,7 +71,7 @@ func lower(b byte) byte {
 
 // AminoAcids is the standard 20-letter amino-acid alphabet in the
 // conventional BLOSUM row order (ARNDCQEGHILKMFPSTWYV).
-var AminoAcids = NewAlphabet("amino", "ARNDCQEGHILKMFPSTWYV")
+var AminoAcids = newAlphabet("amino", "ARNDCQEGHILKMFPSTWYV")
 
 // DNA is the 4-letter nucleotide alphabet.
-var DNA = NewAlphabet("dna", "ACGT")
+var DNA = newAlphabet("dna", "ACGT")

@@ -44,7 +44,7 @@ func TestNewAlphabetPanicsOnDuplicate(t *testing.T) {
 			t.Fatal("expected panic for duplicate letters")
 		}
 	}()
-	NewAlphabet("bad", "AA")
+	newAlphabet("bad", "AA")
 }
 
 func TestSequenceUngap(t *testing.T) {

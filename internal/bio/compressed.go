@@ -12,11 +12,11 @@ type Compressed struct {
 	class [256]int8
 }
 
-// NewCompressed builds a compressed alphabet from residue groups, one
+// newCompressed builds a compressed alphabet from residue groups, one
 // string per class. Letters absent from every group map to class -1.
 // It panics on a letter assigned to two classes (programming error:
 // compressed alphabets are package constants).
-func NewCompressed(name string, groups []string) *Compressed {
+func newCompressed(name string, groups []string) *Compressed {
 	c := &Compressed{name: name, size: len(groups)}
 	for i := range c.class {
 		c.class[i] = -1
@@ -51,20 +51,17 @@ func Identity(a *Alphabet) *Compressed {
 	for i := 0; i < a.Len(); i++ {
 		groups[i] = string(a.Letter(i))
 	}
-	return NewCompressed(a.Name()+"-id", groups)
+	return newCompressed(a.Name()+"-id", groups)
 }
 
 // Dayhoff6 is the classic six-class Dayhoff grouping
 // (AGPST | C | DENQ | FWY | HKR | ILMV) used by MUSCLE's k-mer distance.
-var Dayhoff6 = NewCompressed("dayhoff6", []string{
+var Dayhoff6 = newCompressed("dayhoff6", []string{
 	"AGPST", "C", "DENQ", "FWY", "HKR", "ILMV",
 })
 
 // SEB14 is Edgar's SE-B(14) compressed alphabet
 // (A | C | D | EQ | FY | G | H | IV | KR | LM | N | P | ST | W).
-var SEB14 = NewCompressed("se-b14", []string{
+var SEB14 = newCompressed("se-b14", []string{
 	"A", "C", "D", "EQ", "FY", "G", "H", "IV", "KR", "LM", "N", "P", "ST", "W",
 })
-
-// DNA4 treats each nucleotide as its own class for nucleotide k-mers.
-var DNA4 = Identity(DNA)

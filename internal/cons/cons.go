@@ -46,11 +46,11 @@ type Aligner struct {
 
 // New returns a T-Coffee-like aligner with library extension enabled.
 func New(workers int) *Aligner {
-	return NewWithOptions(Options{Extend: true, Workers: workers})
+	return newWithOptions(Options{Extend: true, Workers: workers})
 }
 
-// NewWithOptions builds an aligner with explicit options.
-func NewWithOptions(opts Options) *Aligner {
+// newWithOptions builds an aligner with explicit options.
+func newWithOptions(opts Options) *Aligner {
 	if opts.Sub == nil {
 		opts.Sub = submat.BLOSUM62
 	}
@@ -395,49 +395,50 @@ func (a *Aligner) mergeGroups(l, r *group, lib *library) *group {
 	}
 	// NW with zero gap cost, maximising total support; the score plane
 	// comes from the pooled DP workspace.
-	w := dp.GetScore(wa+1, wb+1)
-	defer dp.Put(w)
-	mat := w.MP
-	cols := wb + 1
-	for j := 0; j <= wb; j++ {
-		mat[j] = 0
-	}
-	for i := 1; i <= wa; i++ {
-		row := i * cols
-		prev := row - cols
-		mat[row] = 0
-		for j := 1; j <= wb; j++ {
-			best := mat[prev+j-1] + score(i-1, j-1)
-			if mat[prev+j] > best {
-				best = mat[prev+j]
-			}
-			if mat[row+j-1] > best {
-				best = mat[row+j-1]
-			}
-			mat[row+j] = best
-		}
-	}
-	// traceback into a merge recipe
 	type op byte
 	const (
 		opM, opA, opB op = 0, 1, 2
 	)
 	var rev []op
-	i, j := wa, wb
-	for i > 0 || j > 0 {
-		switch {
-		case i > 0 && j > 0 && mat[i*cols+j] == mat[(i-1)*cols+j-1]+score(i-1, j-1):
-			rev = append(rev, opM)
-			i--
-			j--
-		case i > 0 && mat[i*cols+j] == mat[(i-1)*cols+j]:
-			rev = append(rev, opA)
-			i--
-		default:
-			rev = append(rev, opB)
-			j--
+	dp.With(func(w *dp.Workspace) {
+		w.ReserveScore(wa+1, wb+1)
+		mat := w.MP
+		cols := wb + 1
+		for j := 0; j <= wb; j++ {
+			mat[j] = 0
 		}
-	}
+		for i := 1; i <= wa; i++ {
+			row := i * cols
+			prev := row - cols
+			mat[row] = 0
+			for j := 1; j <= wb; j++ {
+				best := mat[prev+j-1] + score(i-1, j-1)
+				if mat[prev+j] > best {
+					best = mat[prev+j]
+				}
+				if mat[row+j-1] > best {
+					best = mat[row+j-1]
+				}
+				mat[row+j] = best
+			}
+		}
+		// traceback into a merge recipe
+		i, j := wa, wb
+		for i > 0 || j > 0 {
+			switch {
+			case i > 0 && j > 0 && mat[i*cols+j] == mat[(i-1)*cols+j-1]+score(i-1, j-1):
+				rev = append(rev, opM)
+				i--
+				j--
+			case i > 0 && mat[i*cols+j] == mat[(i-1)*cols+j]:
+				rev = append(rev, opA)
+				i--
+			default:
+				rev = append(rev, opB)
+				j--
+			}
+		}
+	})
 	width := len(rev)
 	out := &group{ids: append(append([]int{}, l.ids...), r.ids...)}
 	out.rows = make([][]byte, 0, len(out.ids))

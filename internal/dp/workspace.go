@@ -6,9 +6,10 @@
 // passes, and allocating score and traceback memory per pass makes the
 // allocator and GC a first-order cost. A Workspace holds all of that
 // scratch as flat backing arrays that grow in place and are recycled
-// through a sync.Pool: a kernel borrows with one of the Get variants,
-// reserves and fills the planes it needs, and returns the workspace
-// with Put, so steady-state kernels run allocation-free.
+// through a sync.Pool: a kernel borrows one for the length of a
+// function literal with With, reserves and fills the planes it needs
+// inside it, and the workspace goes back to the pool when the literal
+// returns, so steady-state kernels run allocation-free.
 //
 // Which planes a kernel needs differs. The pairwise kernels keep three
 // O(n·m) score planes (float64 MP/XP/YP, or int16 MI/XI/YI for the
@@ -34,13 +35,11 @@ package dp
 import "sync"
 
 // Traceback states shared by every affine-gap kernel: which DP plane a
-// cell's best predecessor lives in. Stop marks the start of a fresh
-// local alignment (Smith-Waterman).
+// cell's best predecessor lives in.
 const (
 	M byte = iota
 	X
 	Y
-	Stop
 )
 
 // PackTB packs the three per-plane predecessor states of one cell into
@@ -233,21 +232,12 @@ func (w *Workspace) Ints(n int) []int32 {
 
 var pool = sync.Pool{New: func() any { return new(Workspace) }}
 
-// GetScore borrows a workspace with only the MP plane sized (see
-// ReserveScore). Return it with Put.
-func GetScore(rows, cols int) *Workspace {
+// With borrows a workspace from the pool, calls f with it and returns it
+// to the pool when f returns (or panics). The workspace has no planes
+// reserved: f calls one of the Reserve variants before using it. Neither
+// the workspace nor any slice obtained from it may outlive f.
+func With(f func(w *Workspace)) {
 	w := pool.Get().(*Workspace)
-	w.ReserveScore(rows, cols)
-	return w
+	defer pool.Put(w)
+	f(w)
 }
-
-// GetRaw borrows a workspace without reserving any planes; the caller
-// must call one of the Reserve variants before using it. Lets routing
-// code pick the plane family (float64 vs int16) after borrowing.
-func GetRaw() *Workspace {
-	return pool.Get().(*Workspace)
-}
-
-// Put returns a workspace to the pool. The caller must not touch the
-// workspace (or slices obtained from Floats) afterwards.
-func Put(w *Workspace) { pool.Put(w) }

@@ -6,9 +6,10 @@ import (
 )
 
 func TestPackTBRoundTrip(t *testing.T) {
-	for _, m := range []byte{M, X, Y, Stop} {
-		for _, x := range []byte{M, X, Y, Stop} {
-			for _, y := range []byte{M, X, Y, Stop} {
+	states := []byte{M, X, Y, 3} // 3: the widest value a 2-bit field holds
+	for _, m := range states {
+		for _, x := range states {
+			for _, y := range states {
 				b := PackTB(m, x, y)
 				if TBM(b) != m || TBX(b) != x || TBY(b) != y {
 					t.Fatalf("pack(%d,%d,%d) = %08b unpacked to (%d,%d,%d)",
@@ -92,7 +93,7 @@ func TestFloatsGrowKeepsEarlierSlices(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrent hammers GetRaw/Put from many goroutines, each writing
+// TestPoolConcurrent hammers With from many goroutines, each writing
 // a distinct pattern and verifying it before returning the workspace.
 // Run with -race to prove borrows never alias.
 func TestPoolConcurrent(t *testing.T) {
@@ -104,24 +105,24 @@ func TestPoolConcurrent(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				rows := 5 + g%7
 				cols := 3 + iter%11
-				w := GetRaw()
-				w.Reserve(rows, cols)
-				v := float64(g*1000 + iter)
-				for i := range w.MP {
-					w.MP[i] = v
-					w.TB[i] = byte(g)
-				}
-				aux := w.Floats(64)
-				for i := range aux {
-					aux[i] = v
-				}
-				for i := range w.MP {
-					if w.MP[i] != v || w.TB[i] != byte(g) {
-						t.Errorf("workspace aliased across goroutines")
-						break
+				With(func(w *Workspace) {
+					w.Reserve(rows, cols)
+					v := float64(g*1000 + iter)
+					for i := range w.MP {
+						w.MP[i] = v
+						w.TB[i] = byte(g)
 					}
-				}
-				Put(w)
+					aux := w.Floats(64)
+					for i := range aux {
+						aux[i] = v
+					}
+					for i := range w.MP {
+						if w.MP[i] != v || w.TB[i] != byte(g) {
+							t.Errorf("workspace aliased across goroutines")
+							break
+						}
+					}
+				})
 			}
 		}(g)
 	}

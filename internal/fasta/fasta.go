@@ -122,7 +122,7 @@ func Read(r io.Reader) ([]bio.Sequence, error) {
 				// '>' mid-line is never residue data; it is the
 				// signature of a glued header (a lost newline before a
 				// record). Accepting it would also make the record
-				// ambiguous to re-serialise: rewrapped at LineWidth the
+				// ambiguous to re-serialise: rewrapped at lineWidth the
 				// '>' can land at line start and parse as a header.
 				return nil, fmt.Errorf("fasta: line %d: '>' inside sequence data", line)
 			}
@@ -154,10 +154,10 @@ func ReadFile(path string) ([]bio.Sequence, error) {
 	return Read(f)
 }
 
-// LineWidth is the residue line width used by Write.
-const LineWidth = 60
+// lineWidth is the residue line width used by Write.
+const lineWidth = 60
 
-// Write emits the sequences to w in FASTA format with LineWidth-column
+// Write emits the sequences to w in FASTA format with lineWidth-column
 // residue lines.
 func Write(w io.Writer, seqs []bio.Sequence) error {
 	bw := bufio.NewWriter(w)
@@ -167,8 +167,8 @@ func Write(w io.Writer, seqs []bio.Sequence) error {
 		} else {
 			fmt.Fprintf(bw, ">%s\n", s.ID)
 		}
-		for off := 0; off < len(s.Data); off += LineWidth {
-			end := off + LineWidth
+		for off := 0; off < len(s.Data); off += lineWidth {
+			end := off + lineWidth
 			if end > len(s.Data) {
 				end = len(s.Data)
 			}
@@ -194,11 +194,6 @@ func WriteFile(path string, seqs []bio.Sequence) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ParseString is a convenience wrapper over Read for in-memory data.
-func ParseString(s string) ([]bio.Sequence, error) {
-	return Read(strings.NewReader(s))
 }
 
 // FormatString renders sequences as a FASTA string.

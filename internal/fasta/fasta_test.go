@@ -12,9 +12,14 @@ import (
 	"repro/internal/bio"
 )
 
+// parseString reads FASTA from an in-memory string.
+func parseString(s string) ([]bio.Sequence, error) {
+	return Read(strings.NewReader(s))
+}
+
 func TestReadBasic(t *testing.T) {
 	in := ">s1 first sequence\nACDEF\nGHIKL\n>s2\nMNPQR\n"
-	seqs, err := ParseString(in)
+	seqs, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,7 @@ func TestReadBasic(t *testing.T) {
 
 func TestReadMessyInput(t *testing.T) {
 	in := "\r\n>a  spaced   desc \r\nAC DE\t\nF\r\n\r\n>b\r\nGG\r\n"
-	seqs, err := ParseString(in)
+	seqs, err := parseString(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +55,13 @@ func TestReadMessyInput(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := ParseString("ACDEF\n"); err == nil {
+	if _, err := parseString("ACDEF\n"); err == nil {
 		t.Error("data before header accepted")
 	}
 }
 
 func TestReadEmptyRecord(t *testing.T) {
-	seqs, err := ParseString(">empty\n>full\nAC\n")
+	seqs, err := parseString(">empty\n>full\nAC\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestRoundTrip(t *testing.T) {
 		{ID: "c", Data: nil},
 	}
 	out := FormatString(orig)
-	back, err := ParseString(out)
+	back, err := parseString(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestRoundTripProperty(t *testing.T) {
 			data[i] = letters[int(b)%len(letters)]
 		}
 		seqs := []bio.Sequence{{ID: "q", Data: data}}
-		back, err := ParseString(FormatString(seqs))
+		back, err := parseString(FormatString(seqs))
 		if err != nil || len(back) != 1 {
 			return false
 		}
@@ -135,7 +140,7 @@ func TestReadCRLFAndCROnly(t *testing.T) {
 		"mixed":  ">a one\nACD\r\nEF\r>b\nGGHH",
 		"no-eol": ">a one\r\nACDEF\r\n>b\r\nGGHH",
 	} {
-		seqs, err := ParseString(in)
+		seqs, err := parseString(in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -197,10 +202,10 @@ func TestReadGzipCorrupt(t *testing.T) {
 
 func TestReadShortInput(t *testing.T) {
 	// Inputs shorter than the gzip magic must not error in the sniffer.
-	if seqs, err := ParseString(""); err != nil || len(seqs) != 0 {
+	if seqs, err := parseString(""); err != nil || len(seqs) != 0 {
 		t.Fatalf("empty input: %v %v", seqs, err)
 	}
-	if _, err := ParseString("A"); err == nil {
+	if _, err := parseString("A"); err == nil {
 		t.Fatal("1-byte residue line without header accepted")
 	}
 }
@@ -234,7 +239,7 @@ func TestReadSmallInputAllocatesLittle(t *testing.T) {
 // grow to hold a whole sequence on one line.
 func TestReadLongLine(t *testing.T) {
 	line := strings.Repeat("ACDEFGHIKLMNPQRSTVWY", (1<<20)/20+1)
-	seqs, err := ParseString(">long\n" + line + "\n")
+	seqs, err := parseString(">long\n" + line + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func FuzzRead(f *testing.F) {
 		[]byte(">   \nACGT\n"),
 		[]byte(">a b c d\nAC>GT\n"), // glued header: '>' mid-data is rejected
 		// fuzz-found: '>' as the 61st residue lands at line start when
-		// rewrapped at LineWidth, turning one record into two — the
+		// rewrapped at lineWidth, turning one record into two — the
 		// reader now rejects '>' inside data instead
 		[]byte(">0\n000000000000000000 000000000000000000000000000000000000000000>"),
 		[]byte("ACGT\n>late header\nAC\n"), // data before first header
@@ -75,7 +75,7 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 		out := FormatString(seqs)
-		back, err := ParseString(out)
+		back, err := parseString(out)
 		if err != nil {
 			t.Fatalf("round trip rejected own output: %v\noutput:\n%s", err, out)
 		}

@@ -10,10 +10,10 @@ import (
 	"math/bits"
 )
 
-// Transform computes the in-place radix-2 decimation-in-time FFT of x.
+// transform computes the in-place radix-2 decimation-in-time FFT of x.
 // len(x) must be a power of two. inverse selects the inverse transform
 // (scaled by 1/n).
-func Transform(x []complex128, inverse bool) error {
+func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 {
 		return nil
@@ -56,8 +56,8 @@ func Transform(x []complex128, inverse bool) error {
 	return nil
 }
 
-// NextPow2 returns the smallest power of two >= n (and at least 1).
-func NextPow2(n int) int {
+// nextPow2 returns the smallest power of two >= n (and at least 1).
+func nextPow2(n int) int {
 	p := 1
 	for p < n {
 		p <<= 1
@@ -74,7 +74,7 @@ func CrossCorrelate(a, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("fft: empty signal")
 	}
 	outLen := len(a) + len(b) - 1
-	n := NextPow2(outLen)
+	n := nextPow2(outLen)
 	fa := make([]complex128, n)
 	fb := make([]complex128, n)
 	// reverse a so convolution becomes correlation
@@ -84,16 +84,16 @@ func CrossCorrelate(a, b []float64) ([]float64, error) {
 	for i, v := range b {
 		fb[i] = complex(v, 0)
 	}
-	if err := Transform(fa, false); err != nil {
+	if err := transform(fa, false); err != nil {
 		return nil, err
 	}
-	if err := Transform(fb, false); err != nil {
+	if err := transform(fb, false); err != nil {
 		return nil, err
 	}
 	for i := range fa {
 		fa[i] *= fb[i]
 	}
-	if err := Transform(fa, true); err != nil {
+	if err := transform(fa, true); err != nil {
 		return nil, err
 	}
 	out := make([]float64, outLen)

@@ -9,7 +9,7 @@ import (
 
 func TestTransformKnownDC(t *testing.T) {
 	x := []complex128{1, 1, 1, 1}
-	if err := Transform(x, false); err != nil {
+	if err := transform(x, false); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(x[0]-4) > 1e-12 {
@@ -31,10 +31,10 @@ func TestTransformRoundTrip(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			orig[i] = x[i]
 		}
-		if err := Transform(x, false); err != nil {
+		if err := transform(x, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := Transform(x, true); err != nil {
+		if err := transform(x, true); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
@@ -46,7 +46,7 @@ func TestTransformRoundTrip(t *testing.T) {
 }
 
 func TestTransformRejectsNonPow2(t *testing.T) {
-	if err := Transform(make([]complex128, 3), false); err == nil {
+	if err := transform(make([]complex128, 3), false); err == nil {
 		t.Fatal("length 3 accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestTransformParseval(t *testing.T) {
 		x[i] = complex(rng.NormFloat64(), 0)
 		timeEnergy += real(x[i]) * real(x[i])
 	}
-	if err := Transform(x, false); err != nil {
+	if err := transform(x, false); err != nil {
 		t.Fatal(err)
 	}
 	var freqEnergy float64
@@ -76,8 +76,8 @@ func TestTransformParseval(t *testing.T) {
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024}
 	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
+		if got := nextPow2(in); got != want {
+			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
 }

@@ -38,10 +38,10 @@ var codonsFor = func() map[byte][]string {
 	return m
 }()
 
-// Translate converts DNA to protein, stopping at the first stop codon or
+// translate converts DNA to protein, stopping at the first stop codon or
 // the end of complete codons. Unknown codons (ambiguity bytes) become 'X'
 // which downstream code treats as an unknown residue.
-func Translate(dna []byte) []byte {
+func translate(dna []byte) []byte {
 	out := make([]byte, 0, len(dna)/3)
 	for i := 0; i+3 <= len(dna); i += 3 {
 		aa, ok := geneticCode[string(upperDNA(dna[i:i+3]))]
@@ -57,10 +57,10 @@ func Translate(dna []byte) []byte {
 	return out
 }
 
-// BackTranslate converts a protein to DNA choosing uniformly among
+// backTranslate converts a protein to DNA choosing uniformly among
 // synonymous codons. Residues without codons (X etc.) become random sense
 // codons.
-func BackTranslate(protein []byte, rng *rand.Rand) []byte {
+func backTranslate(protein []byte, rng *rand.Rand) []byte {
 	out := make([]byte, 0, len(protein)*3)
 	for _, aa := range protein {
 		codons, ok := codonsFor[aa]
@@ -73,8 +73,8 @@ func BackTranslate(protein []byte, rng *rand.Rand) []byte {
 	return out
 }
 
-// ReverseComplement returns the reverse complement strand.
-func ReverseComplement(dna []byte) []byte {
+// reverseComplement returns the reverse complement strand.
+func reverseComplement(dna []byte) []byte {
 	out := make([]byte, len(dna))
 	for i, b := range dna {
 		var c byte
@@ -117,10 +117,10 @@ type ORF struct {
 	Protein    []byte
 }
 
-// FindORFs scans both strands in all three frames for ATG…stop open
+// findORFs scans both strands in all three frames for ATG…stop open
 // reading frames of at least minCodons codons (start and stop included).
 // Overlapping ORFs are all reported; callers can filter.
-func FindORFs(dna []byte, minCodons int) []ORF {
+func findORFs(dna []byte, minCodons int) []ORF {
 	var out []ORF
 	scan := func(seq []byte, reverse bool) {
 		n := len(seq)
@@ -139,7 +139,7 @@ func FindORFs(dna []byte, minCodons int) []ORF {
 					if j+3 <= n { // found a stop
 						codons := (j + 3 - i) / 3
 						if codons >= minCodons {
-							orf := ORF{Reverse: reverse, Protein: Translate(seq[i:j])}
+							orf := ORF{Reverse: reverse, Protein: translate(seq[i:j])}
 							if reverse {
 								orf.Start = n - (j + 3)
 								orf.End = n - i
@@ -158,6 +158,6 @@ func FindORFs(dna []byte, minCodons int) []ORF {
 		}
 	}
 	scan(dna, false)
-	scan(ReverseComplement(dna), true)
+	scan(reverseComplement(dna), true)
 	return out
 }

@@ -119,7 +119,7 @@ func Synthesize(cfg Config) (*Genome, error) {
 	for _, p := range proteins {
 		dna = append(dna, randomDNA(rng, 20+rng.Intn(180), cfg.GC)...)
 		dna = append(dna, 'A', 'T', 'G') // start codon
-		dna = append(dna, BackTranslate(p.Data, rng)...)
+		dna = append(dna, backTranslate(p.Data, rng)...)
 		dna = append(dna, stopCodons[rng.Intn(len(stopCodons))]...)
 	}
 	dna = append(dna, randomDNA(rng, 20+rng.Intn(180), cfg.GC)...)

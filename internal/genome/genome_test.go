@@ -10,20 +10,20 @@ import (
 )
 
 func TestTranslateKnown(t *testing.T) {
-	if got := Translate([]byte("ATGGCTTGG")); string(got) != "MAW" {
-		t.Fatalf("Translate = %q, want MAW", got)
+	if got := translate([]byte("ATGGCTTGG")); string(got) != "MAW" {
+		t.Fatalf("translate = %q, want MAW", got)
 	}
 	// stop codon terminates
-	if got := Translate([]byte("ATGTAAGCT")); string(got) != "M" {
-		t.Fatalf("Translate with stop = %q, want M", got)
+	if got := translate([]byte("ATGTAAGCT")); string(got) != "M" {
+		t.Fatalf("translate with stop = %q, want M", got)
 	}
 	// incomplete trailing codon ignored
-	if got := Translate([]byte("ATGGC")); string(got) != "M" {
-		t.Fatalf("Translate trailing = %q", got)
+	if got := translate([]byte("ATGGC")); string(got) != "M" {
+		t.Fatalf("translate trailing = %q", got)
 	}
 	// unknown codon → X
-	if got := Translate([]byte("ATGNNN")); string(got) != "MX" {
-		t.Fatalf("Translate unknown = %q", got)
+	if got := translate([]byte("ATGNNN")); string(got) != "MX" {
+		t.Fatalf("translate unknown = %q", got)
 	}
 }
 
@@ -49,21 +49,21 @@ func TestGeneticCodeComplete(t *testing.T) {
 func TestBackTranslateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	protein := []byte("MKVLWACDEFGHIKLMNPQRSTVWY")
-	dna := BackTranslate(protein, rng)
+	dna := backTranslate(protein, rng)
 	if len(dna) != len(protein)*3 {
 		t.Fatalf("dna length %d", len(dna))
 	}
-	back := Translate(dna)
+	back := translate(dna)
 	if !bytes.Equal(back, protein) {
 		t.Fatalf("round trip %q != %q", back, protein)
 	}
 }
 
 func TestReverseComplement(t *testing.T) {
-	if got := ReverseComplement([]byte("ATGC")); string(got) != "GCAT" {
+	if got := reverseComplement([]byte("ATGC")); string(got) != "GCAT" {
 		t.Fatalf("revcomp = %q", got)
 	}
-	if got := ReverseComplement(ReverseComplement([]byte("AATTGGCC"))); string(got) != "AATTGGCC" {
+	if got := reverseComplement(reverseComplement([]byte("AATTGGCC"))); string(got) != "AATTGGCC" {
 		t.Fatalf("double revcomp = %q", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestFindORFsForward(t *testing.T) {
 	// spacer ATG [MAW] TAA spacer — one clean forward ORF
 	dna := append([]byte("CCCC"), []byte("ATGGCTTGGTAA")...)
 	dna = append(dna, []byte("CCCC")...)
-	orfs := FindORFs(dna, 3)
+	orfs := findORFs(dna, 3)
 	found := false
 	for _, o := range orfs {
 		if !o.Reverse && string(o.Protein) == "MAW" {
@@ -89,9 +89,9 @@ func TestFindORFsForward(t *testing.T) {
 
 func TestFindORFsReverse(t *testing.T) {
 	gene := []byte("ATGGCTTGGTAA") // codes MAW forward
-	dna := append([]byte("CC"), ReverseComplement(gene)...)
+	dna := append([]byte("CC"), reverseComplement(gene)...)
 	dna = append(dna, []byte("CC")...)
-	orfs := FindORFs(dna, 3)
+	orfs := findORFs(dna, 3)
 	found := false
 	for _, o := range orfs {
 		if o.Reverse && string(o.Protein) == "MAW" {
@@ -105,7 +105,7 @@ func TestFindORFsReverse(t *testing.T) {
 
 func TestFindORFsMinLength(t *testing.T) {
 	dna := []byte("ATGGCTTGGTAA") // 4 codons total
-	if orfs := FindORFs(dna, 10); len(orfs) != 0 {
+	if orfs := findORFs(dna, 10); len(orfs) != 0 {
 		t.Fatalf("short ORF passed min filter: %+v", orfs)
 	}
 }
@@ -141,7 +141,7 @@ func TestSynthesizedGenesRecoverableByORFScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orfs := FindORFs(g.DNA, 50)
+	orfs := findORFs(g.DNA, 50)
 	// Every true protein should appear among scanned ORFs as "M"+protein.
 	// When an upstream in-frame ATG has no intervening stop, the scanner
 	// legitimately reports a longer ORF that ends with the gene, so accept

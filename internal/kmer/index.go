@@ -128,7 +128,7 @@ func (ix *index) seek(from int, code uint32) int {
 }
 
 // accumulate adds the shared k-mer count of target t and reference
-// sequence j — the integer Common(t, reference[j]) — into acc[j], for
+// sequence j — the integer common(t, reference[j]) — into acc[j], for
 // every j above after that shares any k-mer with t. Only t's own lists
 // are visited, and each from its tail down to after, so the cost is the
 // number of (k-mer, sequence) cells the target actually shares with

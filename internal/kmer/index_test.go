@@ -65,7 +65,7 @@ func checkIndexMatchesPairwise(t testing.TB, targets, reference []Profile) {
 				t.Fatalf("workers=%d: condensed cell %d = %v, pairwise %v", w, c, m.d[c], wantM.d[c])
 			}
 		}
-		avg, err := AvgDistancesContext(ctx, targets, reference, w)
+		avg, err := avgDistancesContext(ctx, targets, reference, w)
 		if err != nil {
 			t.Fatalf("workers=%d: avg: %v", w, err)
 		}
@@ -176,8 +176,8 @@ func TestRanksAreRankedAvgDistances(t *testing.T) {
 		t.Fatalf("got %d ranks", len(ranks))
 	}
 	for i := range ranks {
-		if ranks[i] != Rank(want[i], DefaultRankScale) {
-			t.Fatalf("rank %d = %v, want %v", i, ranks[i], Rank(want[i], DefaultRankScale))
+		if ranks[i] != rank(want[i], DefaultRankScale) {
+			t.Fatalf("rank %d = %v, want %v", i, ranks[i], rank(want[i], DefaultRankScale))
 		}
 	}
 }
@@ -215,7 +215,7 @@ func TestIndexSizedByEntriesNotCodeSpace(t *testing.T) {
 	if _, err := DistanceMatrixContext(context.Background(), profiles, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AvgDistancesContext(context.Background(), profiles, profiles, 1); err != nil {
+	if _, err := avgDistancesContext(context.Background(), profiles, profiles, 1); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

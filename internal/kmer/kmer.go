@@ -7,8 +7,8 @@
 // grouping chemically similar residues makes short k-mers sensitive to
 // distant homology (Edgar, NAR 2004). Sequences become sparse sorted
 // k-mer count profiles. One pair is compared by merging its two
-// profiles (Common, Similarity, Distance). Whole sets are not compared
-// pair by pair: DistanceMatrixContext and AvgDistancesContext invert
+// profiles (common, similarity, Distance). Whole sets are not compared
+// pair by pair: DistanceMatrixContext and avgDistancesContext invert
 // the reference set once into posting lists — for every k-mer, the
 // sequences that hold it (index.go) — and then each row walks only the
 // lists of its own k-mers, so a pair costs the k-mers it shares instead
@@ -137,9 +137,9 @@ func (c *Counter) Profiles(seqs []bio.Sequence, workers int) []Profile {
 	})
 }
 
-// Common returns Σ_τ min(n_a(τ), n_b(τ)), the shared k-mer count, by
+// common returns Σ_τ min(n_a(τ), n_b(τ)), the shared k-mer count, by
 // merging the two sorted profiles.
-func Common(a, b Profile) int {
+func common(a, b Profile) int {
 	var sum int
 	i, j := 0, 0
 	for i < len(a.Entries) && j < len(b.Entries) {
@@ -162,31 +162,31 @@ func Common(a, b Profile) int {
 	return sum
 }
 
-// Similarity is the paper's r(x_i,x_j): shared k-mers normalised by the
+// similarity is the paper's r(x_i,x_j): shared k-mers normalised by the
 // window count of the shorter sequence. It lies in [0,1]; identical
 // sequences score 1.
-func Similarity(a, b Profile) float64 {
-	return similarity(Common(a, b), a.Windows, b.Windows)
+func similarity(a, b Profile) float64 {
+	return similarityOf(common(a, b), a.Windows, b.Windows)
 }
 
-// similarity turns a shared k-mer count and the two window counts into
+// similarityOf turns a shared k-mer count and the two window counts into
 // r(x_i,x_j). The pair API and the index kernel both finish through it,
 // which is what makes their floats identical.
-func similarity(common, windowsA, windowsB int) float64 {
+func similarityOf(shared, windowsA, windowsB int) float64 {
 	den := min(windowsA, windowsB)
 	if den <= 0 {
 		return 0
 	}
-	s := float64(common) / float64(den)
+	s := float64(shared) / float64(den)
 	if s > 1 {
 		s = 1
 	}
 	return s
 }
 
-// Distance is 1 − Similarity: 0 for k-mer-identical sequences, 1 for
+// Distance is 1 − similarity: 0 for k-mer-identical sequences, 1 for
 // sequences sharing no k-mers.
-func Distance(a, b Profile) float64 { return 1 - Similarity(a, b) }
+func Distance(a, b Profile) float64 { return 1 - similarity(a, b) }
 
 // Matrix is a symmetric distance matrix stored in condensed upper-
 // triangular form.
@@ -251,7 +251,7 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 		hits := ix.accumulate(profiles[i], int32(i), acc)
 		row := m.d[m.idx(i, i+1):][:n-i-1]
 		for j := i + 1; j < n; j++ {
-			row[j-i-1] = 1 - similarity(int(acc[j]), ix.windows[i], ix.windows[j])
+			row[j-i-1] = 1 - similarityOf(int(acc[j]), ix.windows[i], ix.windows[j])
 			acc[j] = 0
 		}
 		return hits
@@ -264,12 +264,12 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 	return m, nil
 }
 
-// DefaultTileSize is the edge length of the blocks PairTiles cuts the
+// defaultTileSize is the edge length of the blocks PairTiles cuts the
 // pair space into. A 128×128 tile touches 256 sequences — small enough
 // to stay cache-resident while a worker sweeps the tile, large enough
 // that tile dispatch overhead vanishes against the O(tile²) work
 // inside.
-const DefaultTileSize = 128
+const defaultTileSize = 128
 
 // Tile is one block of the strict upper-triangular pair space: rows
 // [RLo, RHi) against columns [CLo, CHi). Tiles on the diagonal include
@@ -282,14 +282,14 @@ type Tile struct {
 // PairTiles enumerates cache-sized tiles covering all unordered pairs
 // of n items, in a fixed (row-block, column-block) order, for pair
 // passes whose every pair costs about the same (the %-identity distance
-// pass in internal/msa). tile <= 0 selects DefaultTileSize,
+// pass in internal/msa). tile <= 0 selects defaultTileSize,
 // shrunk until the dynamic scheduler has around four tiles per worker —
-// at n <= DefaultTileSize a single tile would serialize the whole
+// at n <= defaultTileSize a single tile would serialize the whole
 // triangle, losing to a per-row fan-out. The floor keeps per-tile work
 // above dispatch cost; explicit tile sizes are honoured as given.
 func PairTiles(n, workers, tile int) []Tile {
 	if tile <= 0 {
-		tile = DefaultTileSize
+		tile = defaultTileSize
 		w := workers
 		if w <= 0 {
 			w = par.DefaultWorkers()
@@ -331,12 +331,12 @@ func PairTiles(n, workers, tile int) []Tile {
 // k-mer distance fraction, so the default scale is 4.
 const DefaultRankScale = 4.0
 
-// Rank maps an average k-mer distance D to the Sample-Align-D rank
+// rank maps an average k-mer distance D to the Sample-Align-D rank
 // R = ln(0.1 + scale·D). Monotone in D, so ordering by rank equals
 // ordering by average distance.
-func Rank(d, scale float64) float64 { return math.Log(0.1 + scale*d) }
+func rank(d, scale float64) float64 { return math.Log(0.1 + scale*d) }
 
-// AvgDistancesContext returns, for every target profile, its mean k-mer
+// avgDistancesContext returns, for every target profile, its mean k-mer
 // distance to the reference set (the paper's D_i). A target that also
 // appears in the reference contributes its self-distance of 0, exactly
 // as the paper's centralised definition does. It runs on the same
@@ -345,7 +345,7 @@ func Rank(d, scale float64) float64 { return math.Log(0.1 + scale*d) }
 // order, so every mean is bit-identical to the loop over Distance. When
 // ctx carries an open span, the posting cells visited are recorded on
 // it as "hits". Targets stop being dispatched on cancellation.
-func AvgDistancesContext(ctx context.Context, targets, reference []Profile, workers int) ([]float64, error) {
+func avgDistancesContext(ctx context.Context, targets, reference []Profile, workers int) ([]float64, error) {
 	out := make([]float64, len(targets))
 	if len(reference) == 0 {
 		return out, ctx.Err()
@@ -355,8 +355,8 @@ func AvgDistancesContext(ctx context.Context, targets, reference []Profile, work
 		hits := ix.accumulate(targets[i], -1, acc)
 		windows := targets[i].Windows
 		var sum float64
-		for j, common := range acc {
-			sum += 1 - similarity(int(common), windows, ix.windows[j])
+		for j, shared := range acc {
+			sum += 1 - similarityOf(int(shared), windows, ix.windows[j])
 			acc[j] = 0
 		}
 		out[i] = sum / float64(len(reference))
@@ -370,12 +370,12 @@ func AvgDistancesContext(ctx context.Context, targets, reference []Profile, work
 // reference set: centralised ranks when reference is the full data set,
 // globalised ranks when it is the k·p sample.
 func RanksContext(ctx context.Context, targets, reference []Profile, scale float64, workers int) ([]float64, error) {
-	ds, err := AvgDistancesContext(ctx, targets, reference, workers)
+	ds, err := avgDistancesContext(ctx, targets, reference, workers)
 	if err != nil {
 		return nil, err
 	}
 	for i, d := range ds {
-		ds[i] = Rank(d, scale)
+		ds[i] = rank(d, scale)
 	}
 	return ds, nil
 }

@@ -38,8 +38,8 @@ func TestProfileShortSequence(t *testing.T) {
 func TestProfileSkipsGaps(t *testing.T) {
 	a := testCounter.Profile([]byte("ACDEF"))
 	b := testCounter.Profile([]byte("A-C--DE-F"))
-	if Similarity(a, b) != 1 {
-		t.Fatalf("gapped and ungapped copies differ: sim = %g", Similarity(a, b))
+	if similarity(a, b) != 1 {
+		t.Fatalf("gapped and ungapped copies differ: sim = %g", similarity(a, b))
 	}
 }
 
@@ -54,7 +54,7 @@ func TestProfileSortedEntries(t *testing.T) {
 
 func TestSimilaritySelfIsOne(t *testing.T) {
 	p := testCounter.Profile([]byte("MKVLAAGGTWYHHKDE"))
-	if s := Similarity(p, p); s != 1 {
+	if s := similarity(p, p); s != 1 {
 		t.Fatalf("self similarity = %g", s)
 	}
 	if d := Distance(p, p); d != 0 {
@@ -66,7 +66,7 @@ func TestSimilarityDisjoint(t *testing.T) {
 	// W and C are alone in their Dayhoff classes, so these share no k-mers.
 	a := testCounter.Profile([]byte("WWWWWWWW"))
 	b := testCounter.Profile([]byte("CCCCCCCC"))
-	if s := Similarity(a, b); s != 0 {
+	if s := similarity(a, b); s != 0 {
 		t.Fatalf("disjoint similarity = %g", s)
 	}
 }
@@ -75,7 +75,7 @@ func TestSimilarityCompressedClasses(t *testing.T) {
 	// I, L, M, V share a Dayhoff class, so ILMV-equivalent strings match.
 	a := testCounter.Profile([]byte("IIIIIIII"))
 	b := testCounter.Profile([]byte("LMVLMVLM"))
-	if s := Similarity(a, b); s != 1 {
+	if s := similarity(a, b); s != 1 {
 		t.Fatalf("same-class similarity = %g, want 1", s)
 	}
 }
@@ -94,7 +94,7 @@ func TestSimilarityPropertyBounds(t *testing.T) {
 	f := func(seedA, seedB uint16) bool {
 		a := testCounter.Profile(randomSeq(rng, 5+int(seedA)%200))
 		b := testCounter.Profile(randomSeq(rng, 5+int(seedB)%200))
-		s, s2 := Similarity(a, b), Similarity(b, a)
+		s, s2 := similarity(a, b), similarity(b, a)
 		return s >= 0 && s <= 1 && math.Abs(s-s2) < 1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -127,9 +127,9 @@ func TestCommonAgainstBruteForce(t *testing.T) {
 				want += na
 			}
 		}
-		got := Common(testCounter.Profile(sa), testCounter.Profile(sb))
+		got := common(testCounter.Profile(sa), testCounter.Profile(sb))
 		if got != want {
-			t.Fatalf("trial %d: Common = %d, brute force = %d", trial, got, want)
+			t.Fatalf("trial %d: common = %d, brute force = %d", trial, got, want)
 		}
 	}
 }
@@ -160,7 +160,7 @@ func TestMatrixIndexing(t *testing.T) {
 func TestRankMonotone(t *testing.T) {
 	prev := math.Inf(-1)
 	for d := 0.0; d <= 1.0; d += 0.01 {
-		r := Rank(d, DefaultRankScale)
+		r := rank(d, DefaultRankScale)
 		if r <= prev {
 			t.Fatalf("rank not strictly increasing at d=%g", d)
 		}
@@ -171,11 +171,11 @@ func TestRankMonotone(t *testing.T) {
 func TestRankPaperRange(t *testing.T) {
 	// With the default scale, ranks of distances in [0.22, 1] land inside
 	// the paper's reported [0, 1.47] band (Table 1).
-	if r := Rank(1, DefaultRankScale); r < 1.3 || r > 1.5 {
-		t.Errorf("Rank(1) = %g, outside the paper's max band", r)
+	if r := rank(1, DefaultRankScale); r < 1.3 || r > 1.5 {
+		t.Errorf("rank(1) = %g, outside the paper's max band", r)
 	}
-	if r := Rank(0.225, DefaultRankScale); math.Abs(r) > 0.01 {
-		t.Errorf("Rank(0.225) = %g, want ≈ 0", r)
+	if r := rank(0.225, DefaultRankScale); math.Abs(r) > 0.01 {
+		t.Errorf("rank(0.225) = %g, want ≈ 0", r)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// CtxFlow guards the PR 1 cancellation plumbing: library packages must
+// ctxFlow guards the cancellation plumbing: library packages must
 // accept their caller's context, not originate one. Two rules:
 //
 //  1. No context.Background()/context.TODO() calls outside cmd/*,
@@ -18,7 +18,7 @@ import (
 //     it. A named-but-unread ctx is a dropped cancellation chain: the
 //     work it spawns can no longer be cancelled. Interface-satisfying
 //     stubs rename the parameter to _ to state the drop explicitly.
-var CtxFlow = &Analyzer{
+var ctxFlow = &Analyzer{
 	Name:    "ctxflow",
 	Doc:     "library code must thread the incoming context, never originate or drop one",
 	Applies: libraryPackage,

@@ -7,7 +7,7 @@ import (
 	"strconv"
 )
 
-// Determinism guards the byte-identical-output contract of the
+// determinism guards the byte-identical-output contract of the
 // alignment pipeline (PR 2 aliasing fix, PR 5 tie-break rules, PR 6
 // kernel equivalence): in the determinism-critical packages it flags
 //
@@ -29,7 +29,7 @@ import (
 //     reading them inside a determinism-critical package is a clock
 //     read by another name. Emitting spans (Start/StartDepth, the
 //     Set* attribute setters, End) is write-only and stays allowed.
-var Determinism = &Analyzer{
+var determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "determinism-critical packages must not read clocks, use math/rand, or depend on map iteration order",
 	Applies: func(path string) bool {

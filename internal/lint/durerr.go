@@ -13,7 +13,7 @@ const (
 	servePkg = ModulePath + "/internal/serve"
 )
 
-// DurErr guards the PR 4 durability contract: in internal/store and
+// durErr guards the durability contract: in internal/store and
 // internal/serve a silently discarded error from
 //
 //   - (*os.File).Sync — the fsync IS the durability guarantee,
@@ -30,7 +30,7 @@ const (
 // is an error. A deliberate, audited discard is written as an explicit
 // `_ = call()` (ideally with a comment); the bare statement form and
 // bare `defer call()` are flagged because they hide the decision.
-var DurErr = &Analyzer{
+var durErr = &Analyzer{
 	Name: "durerr",
 	Doc:  "durability packages must not silently discard Sync/Close/Rename/store-write errors",
 	Applies: func(path string) bool {

@@ -1,7 +1,7 @@
 // Package lint is the project-invariant analyzer suite: a small,
 // dependency-free analysis framework (the container pins the module to
 // the standard library, so golang.org/x/tools/go/analysis is
-// re-implemented here in miniature) plus four analyzers encoding the
+// re-implemented here in miniature) plus three analyzers encoding the
 // invariants earlier PRs paid for at runtime:
 //
 //   - ctxflow: library code must thread the caller's context — no
@@ -11,10 +11,6 @@
 //     wall-clock time or math/rand, and must not build ordered output
 //     from map-iteration order (guards the PR 2/5/6 determinism
 //     matrix).
-//   - pooldiscipline: every pooled DP workspace borrow has a release
-//     reachable on all exits, preferably deferred, and pooled memory
-//     must not escape the borrowing function (guards the PR 1
-//     allocation-free kernels).
 //   - durerr: in the durability packages, discarding the error of
 //     Sync/Close/Flush/Rename or of a store write path is an error
 //     (guards the PR 4 crash-safety contract).
@@ -81,11 +77,11 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxFlow, Determinism, PoolDiscipline, DurErr}
+	return []*Analyzer{ctxFlow, determinism, durErr}
 }
 
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
+// byName returns the analyzer with the given name, or nil.
+func byName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {
 			return a
@@ -107,10 +103,10 @@ func NewInfo() *types.Info {
 	}
 }
 
-// IsTestFile reports whether the file (by filename) is a _test.go file.
+// isTestFile reports whether the file (by filename) is a _test.go file.
 // The suite checks invariants of production code; tests may freely use
 // context.Background, wall clocks and maps.
-func IsTestFile(fset *token.FileSet, f *ast.File) bool {
+func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	name := fset.Position(f.Package).Filename
 	return strings.HasSuffix(name, "_test.go")
 }
@@ -153,7 +149,7 @@ func init() {
 func Run(fset *token.FileSet, files []*ast.File, pkgPath string, pkg *types.Package, info *types.Info, enabled map[string]bool) []Diagnostic {
 	var src []*ast.File
 	for _, f := range files {
-		if !IsTestFile(fset, f) {
+		if !isTestFile(fset, f) {
 			src = append(src, f)
 		}
 	}

@@ -18,10 +18,6 @@ func TestDeterminism(t *testing.T) {
 	linttest.Run(t, "determinism", "determinism", lint.ModulePath+"/internal/kmer")
 }
 
-func TestPoolDiscipline(t *testing.T) {
-	linttest.Run(t, "pooldiscipline", "pooldiscipline", lint.ModulePath+"/internal/profile")
-}
-
 func TestDurErr(t *testing.T) {
 	linttest.Run(t, "durerr", "durerr", lint.ModulePath+"/internal/store")
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// AllowPrefix is the suppression directive. A finding on line L of a
+// allowPrefix is the suppression directive. A finding on line L of a
 // file is suppressed when line L, or line L-1 as a standalone comment,
 // carries
 //
@@ -15,7 +15,7 @@ import (
 // for the finding's analyzer. The reason is mandatory and is the
 // audit trail: a directive without one is itself reported, as is a
 // directive naming an analyzer that does not exist.
-const AllowPrefix = "//lint:allow"
+const allowPrefix = "//lint:allow"
 
 type allowDirective struct {
 	analyzer string
@@ -31,10 +31,10 @@ func parseAllows(fset *token.FileSet, files []*ast.File) []allowDirective {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, AllowPrefix) {
+				if !strings.HasPrefix(c.Text, allowPrefix) {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, AllowPrefix)
+				rest := strings.TrimPrefix(c.Text, allowPrefix)
 				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 					continue // e.g. //lint:allowance — not ours
 				}
@@ -80,7 +80,7 @@ func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 	}
 	var out []Diagnostic
 	for _, d := range allows {
-		if d.analyzer == "" || ByName(d.analyzer) == nil {
+		if d.analyzer == "" || byName(d.analyzer) == nil {
 			out = append(out, Diagnostic{
 				Pos:      d.pos,
 				Analyzer: "lintdirective",

@@ -46,16 +46,16 @@ type Aligner struct {
 
 // NewFFTNSI returns the FFT-banded iterative variant (MAFFT FFT-NS-i).
 func NewFFTNSI(workers int) *Aligner {
-	return New(Options{UseFFT: true, Refine: 2, Workers: workers}, "fftnsi")
+	return newAligner(Options{UseFFT: true, Refine: 2, Workers: workers}, "fftnsi")
 }
 
 // NewNWNSI returns the unbanded iterative variant (MAFFT NW-NS-i).
 func NewNWNSI(workers int) *Aligner {
-	return New(Options{UseFFT: false, Refine: 2, Workers: workers}, "nwnsi")
+	return newAligner(Options{UseFFT: false, Refine: 2, Workers: workers}, "nwnsi")
 }
 
-// New builds an aligner with explicit options.
-func New(opts Options, name string) *Aligner {
+// newAligner builds an aligner with explicit options.
+func newAligner(opts Options, name string) *Aligner {
 	if opts.Sub == nil {
 		opts.Sub = submat.BLOSUM62
 	}

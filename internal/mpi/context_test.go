@@ -107,8 +107,8 @@ func TestDialTCPContextCancelClosesLiveMesh(t *testing.T) {
 	cancel()
 	select {
 	case err := <-recvErr:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Recv after the dial ctx ended: %v, want ErrClosed", err)
+		if !errors.Is(err, errClosed) {
+			t.Fatalf("Recv after the dial ctx ended: %v, want errClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv still blocked 5 s after the dial ctx ended")

@@ -38,7 +38,7 @@ func (mb *mailbox) push(m message) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	if mb.closed {
-		return ErrClosed
+		return errClosed
 	}
 	mb.queue = append(mb.queue, m)
 	close(mb.wake)
@@ -63,7 +63,7 @@ func (mb *mailbox) pop(src, tag int) ([]byte, error) {
 		}
 		if mb.closed {
 			mb.mu.Unlock()
-			return nil, ErrClosed
+			return nil, errClosed
 		}
 		if err := mb.deadSrc[src]; err != nil {
 			mb.mu.Unlock()
@@ -186,7 +186,7 @@ func (c *inprocComm) Close() error {
 // RunContext launches fn as an SPMD program over `size` in-process
 // ranks and waits for all of them. The world lives as long as ctx: when
 // ctx ends the world is closed, so every rank blocked in a Recv
-// (directly or inside a collective) gets ErrClosed, the program unwinds
+// (directly or inside a collective) gets errClosed, the program unwinds
 // and RunContext returns ctx.Err(). Otherwise it returns the first rank
 // error; a rank error also closes the world so the other ranks unblock.
 func RunContext(ctx context.Context, size int, fn func(Comm) error) error {

@@ -15,7 +15,7 @@
 // A communicator lives as long as the context it was made under:
 // RunContext closes its world and DialTCPContext its mesh when that
 // context ends, so every Recv blocked on it, directly or inside a
-// collective, returns ErrClosed. Callers that want the cancellation
+// collective, returns errClosed. Callers that want the cancellation
 // reason read it off their context.
 package mpi
 
@@ -24,9 +24,9 @@ import (
 	"sync/atomic"
 )
 
-// ErrClosed is returned by operations on a communicator that has been
+// errClosed is returned by operations on a communicator that has been
 // shut down.
-var ErrClosed = errors.New("mpi: communicator closed")
+var errClosed = errors.New("mpi: communicator closed")
 
 // Comm is a communicator: the endpoint one rank uses to talk to the
 // others in its world.
@@ -44,7 +44,7 @@ type Comm interface {
 	Recv(from, tag int) ([]byte, error)
 	// Stats returns this rank's traffic counters.
 	Stats() *Stats
-	// Close shuts the communicator down; blocked Recvs return ErrClosed.
+	// Close shuts the communicator down; blocked Recvs return errClosed.
 	Close() error
 }
 

@@ -152,8 +152,8 @@ func TestRunPropagatesError(t *testing.T) {
 		// other ranks block on a message that never comes; Run must
 		// unblock them by closing the world
 		_, err := c.Recv((c.Rank()+1)%4, 99)
-		if err != ErrClosed {
-			return fmt.Errorf("expected ErrClosed, got %v", err)
+		if err != errClosed {
+			return fmt.Errorf("expected errClosed, got %v", err)
 		}
 		return nil
 	})

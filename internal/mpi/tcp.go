@@ -51,7 +51,7 @@ const maxFrame = 1 << 30
 // block on each other). ctx bounds the communicator's whole life: ending
 // it aborts a mesh setup in progress (pending accepts and dial retries
 // stop and the call returns ctx.Err()) and, after setup, closes the
-// communicator, so blocked Recvs return ErrClosed.
+// communicator, so blocked Recvs return errClosed.
 func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 	size := len(cfg.Addrs)
 	if cfg.Rank < 0 || cfg.Rank >= size {
@@ -179,7 +179,7 @@ func (c *tcpComm) readLoop(peer int, conn net.Conn) {
 	// On any exit the peer is marked dead: its queued messages stay
 	// deliverable, but Recvs waiting on future messages from it fail
 	// fast instead of hanging the rank when a peer crashes or cancels.
-	defer c.box.markDead(peer, fmt.Errorf("mpi: rank %d disconnected: %w", peer, ErrClosed))
+	defer c.box.markDead(peer, fmt.Errorf("mpi: rank %d disconnected: %w", peer, errClosed))
 	var hdr [12]byte
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -222,7 +222,7 @@ func (c *tcpComm) Send(to, tag int, data []byte) error {
 	closed := c.closed
 	c.mu.Unlock()
 	if closed || conn == nil {
-		return ErrClosed
+		return errClosed
 	}
 	if len(data) > maxFrame {
 		return fmt.Errorf("mpi: send to %d: payload of %d bytes exceeds the frame limit of %d", to, len(data), maxFrame)

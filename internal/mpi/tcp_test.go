@@ -229,7 +229,7 @@ func TestTCPPeerDeathFailsPendingRecv(t *testing.T) {
 // of a two-rank mesh by hand: a hello, then a 12-byte header claiming a
 // 4 GiB payload that never comes. Rank 0 must not believe the length —
 // no allocation of that size — and its pending Recv must fail fast with
-// ErrClosed while the connection is still open.
+// errClosed while the connection is still open.
 func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	type dialed struct {
@@ -274,8 +274,8 @@ func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
 	}
 	select {
 	case err := <-recvErr:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Recv after an oversized header: %v, want ErrClosed", err)
+		if !errors.Is(err, errClosed) {
+			t.Fatalf("Recv after an oversized header: %v, want errClosed", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Recv still waits for the 4 GiB an oversized header claimed")

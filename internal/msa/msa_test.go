@@ -165,7 +165,7 @@ func TestSPScoreSampledConvergesToExact(t *testing.T) {
 	seqs := family(rng, 10, 50, 0.15)
 	aln := mustAlign(t, MuscleLike(0), seqs)
 	exact := SPScore(aln, submat.BLOSUM62, submat.DefaultProteinGap, 0)
-	sampledAll := SPScoreSampled(aln, submat.BLOSUM62, submat.DefaultProteinGap, 10000, 7)
+	sampledAll := spScoreSampled(aln, submat.BLOSUM62, submat.DefaultProteinGap, 10000, 7)
 	if sampledAll != exact {
 		t.Fatalf("sampling more pairs than exist should fall back to exact: %g vs %g",
 			sampledAll, exact)
@@ -361,7 +361,7 @@ func TestTreeWeightsFamilyStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	gt := p.GuideTree(d, seqs)
-	w := TreeWeights(gt, len(seqs))
+	w := treeWeights(gt, len(seqs))
 	if len(w) != len(seqs) {
 		t.Fatalf("%d weights", len(w))
 	}

@@ -164,18 +164,18 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 		tiles := kmer.PairTiles(n, p.opts.Workers, 0)
 		if err := par.ForDynamicCtx(ctx, len(tiles), p.opts.Workers, func(t int) {
 			tl := tiles[t]
-			w := dp.GetRaw()
-			defer dp.Put(w)
-			for i := tl.RLo; i < tl.RHi; i++ {
-				a := seqs[i].Data
-				jlo := tl.CLo
-				if jlo <= i {
-					jlo = i + 1 // diagonal tile: stay above the diagonal
+			dp.With(func(w *dp.Workspace) {
+				for i := tl.RLo; i < tl.RHi; i++ {
+					a := seqs[i].Data
+					jlo := tl.CLo
+					if jlo <= i {
+						jlo = i + 1 // diagonal tile: stay above the diagonal
+					}
+					for j := jlo; j < tl.CHi; j++ {
+						m.Set(i, j, 1-al.GlobalIdentityInto(w, a, seqs[j].Data))
+					}
 				}
-				for j := jlo; j < tl.CHi; j++ {
-					m.Set(i, j, 1-al.GlobalIdentityInto(w, a, seqs[j].Data))
-				}
-			}
+			})
 		}); err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 	gsp.End()
 	var weights []float64
 	if p.opts.Weighting {
-		weights = TreeWeights(gt, len(seqs))
+		weights = treeWeights(gt, len(seqs))
 	}
 	aln, err := p.AlignWithTreeContext(ctx, seqs, gt, weights)
 	if err != nil {

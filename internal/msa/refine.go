@@ -171,7 +171,7 @@ func (p *Progressive) refine(ctx context.Context, aln *Alignment, gt *tree.Node,
 // the pair walks the same scoring columns in the same order before and
 // after and scores the same float64.
 //
-// total adds the table up in the order SPScore and SPScoreSampled add
+// total adds the table up in the order SPScore and spScoreSampled add
 // the same numbers — exact: each row's pairs over j, then the row sums
 // in row order; sampled: one running sum, then the scaling. Float
 // addition is not associative and acceptance is a strict >, so only

@@ -22,13 +22,13 @@ func (p *Progressive) refRefineScore(a *Alignment, workers int) float64 {
 	const exactLimit = 60
 	const samplePairs = 2000
 	n := a.NumSeqs()
-	// Take the exact branch whenever SPScoreSampled would fall back to
+	// Take the exact branch whenever spScoreSampled would fall back to
 	// exact anyway (pair count below the sample budget), so the workers
 	// bound is honored on that path too.
 	if n <= exactLimit || n*(n-1)/2 <= samplePairs {
 		return SPScore(a, p.opts.Sub, p.opts.Gap, workers)
 	}
-	return SPScoreSampled(a, p.opts.Sub, p.opts.Gap, samplePairs, 1)
+	return spScoreSampled(a, p.opts.Sub, p.opts.Gap, samplePairs, 1)
 }
 
 // refRealignSplit extracts the rows in `split` (by sequence index order of

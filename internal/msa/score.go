@@ -16,7 +16,7 @@ import (
 // rows have gaps are skipped). This is the objective the paper reports as
 // "score of the global map".
 //
-// Exact SP is O(N²·W); for large alignments use SPScoreSampled.
+// Exact SP is O(N²·W); for large alignments use spScoreSampled.
 func SPScore(a *Alignment, sub *submat.Matrix, gap submat.Gap, workers int) float64 {
 	n := a.NumSeqs()
 	rows := a.Rows()
@@ -64,9 +64,9 @@ func pairScore(x, y []byte, sub *submat.Matrix, gap submat.Gap) float64 {
 	return s
 }
 
-// SPScoreSampled estimates SP from `pairs` uniformly sampled row pairs,
+// spScoreSampled estimates SP from `pairs` uniformly sampled row pairs,
 // scaled to the full pair count. Deterministic for a given seed.
-func SPScoreSampled(a *Alignment, sub *submat.Matrix, gap submat.Gap, pairs int, seed int64) float64 {
+func spScoreSampled(a *Alignment, sub *submat.Matrix, gap submat.Gap, pairs int, seed int64) float64 {
 	n := a.NumSeqs()
 	totalPairs := n * (n - 1) / 2
 	if totalPairs == 0 {
@@ -83,7 +83,7 @@ func SPScoreSampled(a *Alignment, sub *submat.Matrix, gap submat.Gap, pairs int,
 	return s * float64(totalPairs) / float64(pairs)
 }
 
-// drawPairs returns the row pairs SPScoreSampled sums, in draw order:
+// drawPairs returns the row pairs spScoreSampled sums, in draw order:
 // `pairs` uniform draws of i, then of j ≠ i, from n ≥ 2 rows. Repeats
 // and orientation are kept — a pair drawn twice counts twice, and
 // (i, j) is scored as drawn. The list depends on (n, pairs, seed) only.

@@ -4,13 +4,13 @@ import (
 	"repro/internal/tree"
 )
 
-// TreeWeights computes CLUSTALW-style sequence weights from a guide
+// treeWeights computes CLUSTALW-style sequence weights from a guide
 // tree (Thompson, Higgins & Gibson 1994): each branch's length is shared
 // equally among the leaves below it, so sequences in crowded subtrees are
 // down-weighted and divergent outliers up-weighted. Weights are
 // normalised to mean 1; a degenerate tree (all zero branch lengths)
 // yields unit weights.
-func TreeWeights(gt *tree.Node, n int) []float64 {
+func treeWeights(gt *tree.Node, n int) []float64 {
 	w := make([]float64, n)
 	var walk func(node *tree.Node, acc float64)
 	walk = func(node *tree.Node, acc float64) {

@@ -39,10 +39,10 @@ type spanKey struct{}
 // DefaultMaxSpans bounds a trace when Options.MaxSpans is zero.
 const DefaultMaxSpans = 4096
 
-// DefaultSampleDepth is the merge-node sampling threshold when
+// defaultSampleDepth is the merge-node sampling threshold when
 // Options.SampleDepth is zero: StartDepth records spans with depth ≤ 3
 // (the top four levels of a merge tree) and drops deeper ones.
-const DefaultSampleDepth = 3
+const defaultSampleDepth = 3
 
 // Options configures a Tracer.
 type Options struct {
@@ -54,7 +54,7 @@ type Options struct {
 	MaxSpans int
 	// SampleDepth is the StartDepth threshold: spans requested with a
 	// depth greater than this are not recorded. Zero means
-	// DefaultSampleDepth; negative disables depth-gated spans entirely.
+	// defaultSampleDepth; negative disables depth-gated spans entirely.
 	SampleDepth int
 	// OnSpanEnd, when set, is invoked synchronously from Span.End with
 	// the span's name and wall duration in seconds. The serve layer uses
@@ -105,7 +105,7 @@ func New(o Options) *Tracer {
 	}
 	depth := o.SampleDepth
 	if depth == 0 {
-		depth = DefaultSampleDepth
+		depth = defaultSampleDepth
 	}
 	return &Tracer{
 		id:          o.ID,
@@ -140,9 +140,6 @@ func FromContext(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
 }
-
-// Enabled reports whether spans started under ctx are recorded.
-func Enabled(ctx context.Context) bool { return FromContext(ctx) != nil }
 
 // Start opens a span named name as a child of the current span (or as a
 // root if none is open) and returns a context carrying it. With no

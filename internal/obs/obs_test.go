@@ -29,8 +29,8 @@ func TestDisabledPathIsInert(t *testing.T) {
 	if got := sp.Wall(); got != 0 {
 		t.Fatalf("nil span Wall = %v, want 0", got)
 	}
-	if Enabled(ctx) {
-		t.Fatal("Enabled must be false without a tracer")
+	if FromContext(ctx) != nil {
+		t.Fatal("FromContext must be nil without a tracer")
 	}
 }
 
@@ -51,8 +51,8 @@ func TestDisabledPathAllocs(t *testing.T) {
 func TestSpanTreeNesting(t *testing.T) {
 	tr := New(Options{ID: "t1"})
 	ctx := WithTracer(context.Background(), tr)
-	if !Enabled(ctx) {
-		t.Fatal("Enabled must be true with a tracer installed")
+	if FromContext(ctx) == nil {
+		t.Fatal("FromContext must be non-nil with a tracer installed")
 	}
 	ctx, root := Start(ctx, "job")
 	root.SetStr("aligner", "muscle")
@@ -174,11 +174,11 @@ func TestStartDepthSampling(t *testing.T) {
 	// Default threshold records the top levels.
 	tr3 := New(Options{})
 	ctx3 := WithTracer(context.Background(), tr3)
-	if _, sp := StartDepth(ctx3, "mergenode", DefaultSampleDepth); sp == nil {
-		t.Fatal("default threshold must record depth == DefaultSampleDepth")
+	if _, sp := StartDepth(ctx3, "mergenode", defaultSampleDepth); sp == nil {
+		t.Fatal("default threshold must record depth == defaultSampleDepth")
 	}
-	if _, sp := StartDepth(ctx3, "mergenode", DefaultSampleDepth+1); sp != nil {
-		t.Fatal("default threshold must drop depth == DefaultSampleDepth+1")
+	if _, sp := StartDepth(ctx3, "mergenode", defaultSampleDepth+1); sp != nil {
+		t.Fatal("default threshold must drop depth == defaultSampleDepth+1")
 	}
 }
 
@@ -244,9 +244,9 @@ func TestDocumentJSONRoundTrip(t *testing.T) {
 
 func TestBounds(t *testing.T) {
 	maxSpans, sampleDepth := New(Options{}).Bounds()
-	if maxSpans != DefaultMaxSpans || sampleDepth != DefaultSampleDepth {
+	if maxSpans != DefaultMaxSpans || sampleDepth != defaultSampleDepth {
 		t.Fatalf("default Bounds = (%d, %d), want (%d, %d)",
-			maxSpans, sampleDepth, DefaultMaxSpans, DefaultSampleDepth)
+			maxSpans, sampleDepth, DefaultMaxSpans, defaultSampleDepth)
 	}
 	maxSpans, sampleDepth = New(Options{MaxSpans: -1, SampleDepth: 7}).Bounds()
 	if maxSpans != -1 || sampleDepth != 7 {

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// PprofHandler returns a mux serving only the net/http/pprof endpoints.
+// pprofHandler returns a mux serving only the net/http/pprof endpoints.
 // It is meant for a dedicated debug listener: the daemons mount it on a
 // separate address behind -pprof-addr, never on the public API mux, so
 // profiling can stay firewalled off from alignment traffic.
-func PprofHandler() http.Handler {
+func pprofHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -27,7 +27,7 @@ func PprofHandler() http.Handler {
 // has no relation to the public API server — it is always a separate
 // listener.
 func ServePprof(addr string) (string, *http.Server, error) {
-	return Serve(addr, PprofHandler())
+	return Serve(addr, pprofHandler())
 }
 
 // Serve binds addr and serves h on it in a background goroutine: the

@@ -29,11 +29,13 @@ func randSeqOf(rng *rand.Rand, n int, letters []byte) []byte {
 
 // scalarGlobal is Global through the float64 body whatever the input.
 func scalarGlobal(al Aligner, a, b []byte) Result {
-	w := dp.GetRaw()
-	defer dp.Put(w)
-	state, score := al.globalScalar(w, a, b)
-	ra, rb := traceAffine(w, a, b, state)
-	return Result{A: ra, B: rb, Score: score}
+	var r Result
+	dp.With(func(w *dp.Workspace) {
+		state, score := al.globalScalar(w, a, b)
+		r.A, r.B = traceAffine(w, a, b, state)
+		r.Score = score
+	})
+	return r
 }
 
 // dispatched runs f and returns how many alignments inside it took the
@@ -112,16 +114,17 @@ func TestStripedIdentityMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	al := NewProtein()
 	letters := bio.AminoAcids.Letters()
-	w := dp.GetRaw()
-	defer dp.Put(w)
-	fast, _ := dispatched(func() {
-		for trial := 0; trial < 40; trial++ {
-			a := randSeqOf(rng, 1+rng.Intn(100), letters)
-			b := randSeqOf(rng, 1+rng.Intn(100), letters)
-			if got, want := al.GlobalIdentityInto(w, a, b), scalarIdentity(al, a, b); got != want {
-				t.Fatalf("identity %v != Identity(scalar rows) %v", got, want)
+	var fast int64
+	dp.With(func(w *dp.Workspace) {
+		fast, _ = dispatched(func() {
+			for trial := 0; trial < 40; trial++ {
+				a := randSeqOf(rng, 1+rng.Intn(100), letters)
+				b := randSeqOf(rng, 1+rng.Intn(100), letters)
+				if got, want := al.GlobalIdentityInto(w, a, b), scalarIdentity(al, a, b); got != want {
+					t.Fatalf("identity %v != Identity(scalar rows) %v", got, want)
+				}
 			}
-		}
+		})
 	})
 	if fast != 40 {
 		t.Fatalf("int16 kernel took %d of 40 pairs inside its bounds", fast)
@@ -237,11 +240,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 			al = big
 		}
 		assertSameResult(t, "Global", scalarGlobal(al, a, b), al.Global(a, b))
-		w := dp.GetRaw()
-		defer dp.Put(w)
-		if got, want := al.GlobalIdentityInto(w, a, b), scalarIdentity(al, a, b); got != want {
-			t.Fatalf("identity %v != Identity(scalar rows) %v", got, want)
-		}
+		dp.With(func(w *dp.Workspace) {
+			if got, want := al.GlobalIdentityInto(w, a, b), scalarIdentity(al, a, b); got != want {
+				t.Fatalf("identity %v != Identity(scalar rows) %v", got, want)
+			}
+		})
 	})
 }
 

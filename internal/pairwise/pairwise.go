@@ -51,11 +51,13 @@ const (
 // Global aligns a and b end to end with affine gap penalties and returns
 // the optimal-score alignment.
 func (al Aligner) Global(a, b []byte) Result {
-	w := dp.GetRaw()
-	defer dp.Put(w)
-	state, score := al.globalInto(w, a, b)
-	ra, rb := traceAffine(w, a, b, state)
-	return Result{A: ra, B: rb, Score: score}
+	var r Result
+	dp.With(func(w *dp.Workspace) {
+		state, score := al.globalInto(w, a, b)
+		r.A, r.B = traceAffine(w, a, b, state)
+		r.Score = score
+	})
+	return r
 }
 
 // globalInto fills the workspace's traceback plane for the global

@@ -10,7 +10,7 @@ import (
 
 func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	var n int64
-	if err := ForCtx(context.Background(), 100, 4, func(i int) {
+	if err := forCtx(context.Background(), 100, 4, func(i int) {
 		atomic.AddInt64(&n, 1)
 	}); err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestForCtxCompletesWithoutCancel(t *testing.T) {
 func TestForCtxStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var n int64
-	err := ForCtx(ctx, 1000, 4, func(i int) {
+	err := forCtx(ctx, 1000, 4, func(i int) {
 		if atomic.AddInt64(&n, 1) == 8 {
 			cancel()
 		}
@@ -59,7 +59,7 @@ func TestForCtxPreCancelled(t *testing.T) {
 	cancel()
 	var n int64
 	// workers==1 path
-	if err := ForCtx(ctx, 50, 1, func(i int) { atomic.AddInt64(&n, 1) }); !errors.Is(err, context.Canceled) {
+	if err := forCtx(ctx, 50, 1, func(i int) { atomic.AddInt64(&n, 1) }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 	if n != 0 {

@@ -24,13 +24,13 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // DefaultWorkers(); n <= 0 is a no-op.
 func For(n, workers int, body func(i int)) {
 	//lint:allow ctxflow for callers that hold no context: tree scans, and kmer.Profiles and SPScore through Map
-	_ = ForCtx(context.Background(), n, workers, body)
+	_ = forCtx(context.Background(), n, workers, body)
 }
 
-// ForCtx is For bound to a context: when ctx is cancelled the workers
-// stop picking up new indices and ForCtx returns ctx.Err() (indices
+// forCtx is For bound to a context: when ctx is cancelled the workers
+// stop picking up new indices and forCtx returns ctx.Err() (indices
 // already dispatched complete). A nil error means every index ran.
-func ForCtx(ctx context.Context, n, workers int, body func(i int)) error {
+func forCtx(ctx context.Context, n, workers int, body func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -84,7 +84,7 @@ func ForCtx(ctx context.Context, n, workers int, body func(i int)) error {
 	return ctx.Err()
 }
 
-// ForDynamicCtx is like ForCtx but hands out indices one at a time from
+// ForDynamicCtx is like forCtx but hands out indices one at a time from
 // a shared counter, which balances load when per-index cost varies
 // wildly (for example, distance-matrix rows of decreasing length). The
 // dispatcher stops handing out indices once ctx is cancelled and
@@ -181,6 +181,6 @@ func Map[T any](n, workers int, f func(i int) T) []T {
 // is partially filled and the context's error is returned.
 func MapCtx[T any](ctx context.Context, n, workers int, f func(i int) T) ([]T, error) {
 	out := make([]T, n)
-	err := ForCtx(ctx, n, workers, func(i int) { out[i] = f(i) })
+	err := forCtx(ctx, n, workers, func(i int) { out[i] = f(i) })
 	return out, err
 }

@@ -70,7 +70,7 @@ func (s *Sched) Len() int { return len(s.tasks) }
 // returns an error, or ctx is cancelled. The first task error is
 // returned and no new tasks start after it (already-running tasks finish
 // first); dependents of a failed task never run. On cancellation Run
-// stops dispatching and returns ctx.Err() — like ForCtx, a cancelled
+// stops dispatching and returns ctx.Err() — like forCtx, a cancelled
 // context is reported even when every task happened to finish first.
 // Run may be called once.
 //

@@ -6,7 +6,7 @@ import "repro/internal/dp"
 // (clamped so the start and end cells are always reachable). The
 // MAFFT-like aligner uses FFT-detected homologous offsets to choose the
 // band, paying O(width·band) instead of O(width²).
-func (al *Aligner) AlignBanded(a, b *Profile, diagLo, diagHi int) (Path, float64) {
+func (al *Aligner) AlignBanded(a, b *Profile, diagLo, diagHi int) (path Path, score float64) {
 	n, m := a.Len(), b.Len()
 	if n == 0 || m == 0 {
 		return al.alignTrivial(n, m)
@@ -30,9 +30,10 @@ func (al *Aligner) AlignBanded(a, b *Profile, diagLo, diagHi int) (Path, float64
 		diagHi = m - n
 	}
 
-	w := dp.GetRaw()
-	defer dp.Put(w)
-	return al.alignRows(w, a, b, diagLo, diagHi)
+	dp.With(func(w *dp.Workspace) {
+		path, score = al.alignRows(w, a, b, diagLo, diagHi)
+	})
+	return path, score
 }
 
 func (al *Aligner) alignTrivial(n, m int) (Path, float64) {

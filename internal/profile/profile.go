@@ -373,14 +373,15 @@ func tracePath(w *dp.Workspace, n, m int, state byte) Path {
 
 // Align computes the optimal path aligning profiles a and b and its
 // score. Either profile may be empty.
-func (al *Aligner) Align(a, b *Profile) (Path, float64) {
+func (al *Aligner) Align(a, b *Profile) (path Path, score float64) {
 	n, m := a.Len(), b.Len()
 	if n == 0 || m == 0 {
 		return al.alignTrivial(n, m)
 	}
-	w := dp.GetRaw()
-	defer dp.Put(w)
-	return al.alignRows(w, a, b, -n, m) // every diagonal is in band
+	dp.With(func(w *dp.Workspace) {
+		path, score = al.alignRows(w, a, b, -n, m) // every diagonal is in band
+	})
+	return path, score
 }
 
 // alignRows is the one PSP kernel, float64, behind Align and

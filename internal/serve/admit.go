@@ -23,7 +23,7 @@ type BatchItem struct {
 
 // Submit validates, cache-checks, coalesces and enqueues one job. The
 // returned job may already be terminal (cache or store hit) or riding
-// an existing flight (identical in-flight submission). ErrOverloaded
+// an existing flight (identical in-flight submission). errOverloaded
 // means the queue is at MaxQueued; *BadRequestError wraps client
 // mistakes.
 func (s *Server) Submit(seqs []bio.Sequence, o Options) (*Job, error) {
@@ -39,7 +39,7 @@ func (s *Server) Submit(seqs []bio.Sequence, o Options) (*Job, error) {
 // hits instantly, identical in-flight computations (including
 // duplicates inside the batch itself) coalesce — but admission is
 // all-or-nothing: either every item that needs a queue slot gets one or
-// the whole batch is rejected with ErrOverloaded and no state changes.
+// the whole batch is rejected with errOverloaded and no state changes.
 // The accepted batch is journaled as one commit group, so either every
 // member is durable or none is. Returned jobs are in item order.
 func (s *Server) SubmitBatch(items []BatchItem) ([]*Job, error) {
@@ -50,7 +50,7 @@ func (s *Server) SubmitBatch(items []BatchItem) ([]*Job, error) {
 	switch {
 	case bad >= 0:
 		return nil, badRequest("input %d: %v", bad, err)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, errClosed):
 		return nil, err
 	case err != nil:
 		s.metrics.BatchRejected.Inc()
@@ -108,7 +108,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	stopped := s.closed || s.draining
 	s.mu.Unlock()
 	if stopped {
-		return nil, -1, ErrClosed
+		return nil, -1, errClosed
 	}
 	now := time.Now()
 	jobs = make([]*Job, len(items))
@@ -119,7 +119,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 		}
 		jobs[i] = &Job{
 			ID:        newJobID(),
-			Key:       CacheKey(it.Seqs, opts),
+			Key:       cacheKey(it.Seqs, opts),
 			Opts:      opts,
 			Submitted: now,
 			NumSeqs:   len(it.Seqs),
@@ -140,7 +140,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
-		return nil, -1, ErrClosed
+		return nil, -1, errClosed
 	}
 	need := 0
 	distinct := make(map[string]bool)
@@ -156,7 +156,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 		if need > 1 && need > s.cfg.MaxQueued { // can never fit: a client error, not overload
 			return nil, -1, badRequest("batch needs %d queue slots but the server admits at most %d", need, s.cfg.MaxQueued)
 		}
-		return nil, -1, ErrOverloaded
+		return nil, -1, errOverloaded
 	}
 	var newFlights []*flight
 	for i, job := range jobs {
@@ -242,7 +242,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	}
 	s.mu.Unlock()
 	for _, j := range casualties {
-		s.cancelJob(j, ErrInterrupted)
+		s.cancelJob(j, errInterrupted)
 	}
 	for _, job := range jobs {
 		s.armDeadline(job, now)
@@ -252,7 +252,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 
 // publishQueued announces an attached job on its flight's stream.
 func (s *Server) publishQueued(job *Job) {
-	s.publish(job.bus, Event{Type: EventQueued, Job: job.ID, Trace: job.Trace,
+	s.publish(job.bus, Event{Type: eventQueued, Job: job.ID, Trace: job.Trace,
 		Coalesced: job.coalesced, Recovered: job.recovered})
 }
 

@@ -176,9 +176,9 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 					probe = job.ID
 				case errors.As(err, &bad):
 					out.ErrKind = "bad-request"
-				case errors.Is(err, ErrOverloaded):
+				case errors.Is(err, errOverloaded):
 					out.ErrKind = "overloaded"
-				case errors.Is(err, ErrClosed):
+				case errors.Is(err, errClosed):
 					out.ErrKind = "closed"
 				default:
 					out.ErrKind = "other"
@@ -223,7 +223,7 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 					t.Fatalf("%s: batch counters moved by %d, want %d", way.name, batchDelta, wantBatch)
 				}
 				s.Close()
-				j, recs, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+				j, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

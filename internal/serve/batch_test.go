@@ -105,8 +105,8 @@ func TestSubmitBatchAllOrNothingAdmission(t *testing.T) {
 	// admitted — not even partially.
 	before := s.Stats()
 	two := three[:2]
-	if _, err := s.SubmitBatch(two); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("overfull batch err = %v, want ErrOverloaded", err)
+	if _, err := s.SubmitBatch(two); !errors.Is(err, errOverloaded) {
+		t.Fatalf("overfull batch err = %v, want errOverloaded", err)
 	}
 	after := s.Stats()
 	if after.Queued != before.Queued || after.Jobs != before.Jobs {

@@ -46,10 +46,10 @@ type cacheEntry struct {
 	res *Result
 }
 
-// NewCache builds a cache bounded to maxEntries results and maxBytes
+// newCache builds a cache bounded to maxEntries results and maxBytes
 // total FASTA payload; either bound ≤ 0 means "no bound on that axis",
 // and both ≤ 0 disables caching entirely (every Get misses).
-func NewCache(maxEntries int, maxBytes int64) *Cache {
+func newCache(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,

@@ -11,7 +11,7 @@ func res(size int) *Result {
 }
 
 func TestCacheLRUEvictionDeterminism(t *testing.T) {
-	c := NewCache(2, -1)
+	c := newCache(2, -1)
 	c.Put("a", res(10))
 	c.Put("b", res(10))
 	if _, ok := c.Get("a"); !ok { // refresh a: b is now LRU
@@ -36,7 +36,7 @@ func TestCacheLRUEvictionDeterminism(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	c := NewCache(-1, 100)
+	c := newCache(-1, 100)
 	c.Put("a", res(40))
 	c.Put("b", res(40))
 	c.Put("c", res(40)) // 120 > 100: evicts a
@@ -57,7 +57,7 @@ func TestCacheByteBound(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(-1, -1)
+	c := newCache(-1, -1)
 	c.Put("a", res(10))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
@@ -68,7 +68,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheDuplicatePutRefreshes(t *testing.T) {
-	c := NewCache(2, -1)
+	c := newCache(2, -1)
 	c.Put("a", res(10))
 	c.Put("b", res(10))
 	c.Put("a", res(10)) // same content address: refresh, no double-count
@@ -87,32 +87,32 @@ func TestCacheKeyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CacheKey(seqs, o1) != CacheKey(seqs, o1) {
+	if cacheKey(seqs, o1) != cacheKey(seqs, o1) {
 		t.Fatal("cache key not deterministic")
 	}
 	// Workers and timeouts must not affect the key; procs must.
 	o2 := o1
 	o2.Workers = 8
 	o2.Timeout = 1e9
-	if CacheKey(seqs, o1) != CacheKey(seqs, o2) {
+	if cacheKey(seqs, o1) != cacheKey(seqs, o2) {
 		t.Fatal("workers/timeout leaked into the cache key")
 	}
 	o3 := o1
 	o3.Procs = 5
-	if CacheKey(seqs, o1) == CacheKey(seqs, o3) {
+	if cacheKey(seqs, o1) == cacheKey(seqs, o3) {
 		t.Fatal("procs not in the cache key")
 	}
 	// Input order is content: a permutation is a different job.
 	swapped := append(seqs[:0:0], seqs...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if CacheKey(seqs, o1) == CacheKey(swapped, o1) {
+	if cacheKey(seqs, o1) == cacheKey(swapped, o1) {
 		t.Fatal("input order not in the cache key")
 	}
 	// Concatenation ambiguity: (id "ab") vs (id "a", desc "b") must not
 	// collide — lengths are encoded, not just bytes.
 	s1 := []bio.Sequence{{ID: "ab", Data: []byte("ACD")}}
 	s2 := []bio.Sequence{{ID: "a", Desc: "b", Data: []byte("ACD")}}
-	if CacheKey(s1, o1) == CacheKey(s2, o1) {
+	if cacheKey(s1, o1) == cacheKey(s2, o1) {
 		t.Fatal("field boundaries not encoded; keys collide")
 	}
 }

@@ -44,13 +44,13 @@ type Event struct {
 
 // Event types, in the order a simple job emits them.
 const (
-	EventQueued   = "queued"   // job accepted (or attached to an in-flight computation)
-	EventStarted  = "started"  // flight dispatched to an executor
-	EventStage    = "stage"    // one pipeline stage finished (span close)
-	EventRank     = "rank"     // one rank's share of the pipeline finished
-	EventDone     = "done"     // job finished with a result
-	EventFailed   = "failed"   // job finished with an error
-	EventCanceled = "canceled" // job canceled (caller, deadline, disconnect, shutdown)
+	eventQueued   = "queued"   // job accepted (or attached to an in-flight computation)
+	eventStarted  = "started"  // flight dispatched to an executor
+	eventStage    = "stage"    // one pipeline stage finished (span close)
+	eventRank     = "rank"     // one rank's share of the pipeline finished
+	eventDone     = "done"     // job finished with a result
+	eventFailed   = "failed"   // job finished with an error
+	eventCanceled = "canceled" // job canceled (caller, deadline, disconnect, shutdown)
 )
 
 const (
@@ -86,9 +86,9 @@ func (s *Server) publishSpanEvent(bus *events.Bus[Event], trace string, sc obs.S
 	var ev Event
 	switch {
 	case pipelineStages[sc.Name]:
-		ev = Event{Type: EventStage, Stage: sc.Name}
+		ev = Event{Type: eventStage, Stage: sc.Name}
 	case sc.Name == "rank":
-		ev = Event{Type: EventRank}
+		ev = Event{Type: eventRank}
 	default:
 		return
 	}
@@ -113,12 +113,12 @@ func terminalEvent(v JobView) Event {
 	ev := Event{Job: v.ID, Trace: v.TraceID, Cached: v.Cached, Time: time.Now()}
 	switch v.State {
 	case StateDone:
-		ev.Type = EventDone
+		ev.Type = eventDone
 	case StateCanceled:
-		ev.Type = EventCanceled
+		ev.Type = eventCanceled
 		ev.Error = v.Error
 	default:
-		ev.Type = EventFailed
+		ev.Type = eventFailed
 		ev.Error = v.Error
 	}
 	return ev
@@ -187,7 +187,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		// The stream ends on this job's own terminal event; riders on
 		// the same bus see each other's cancellations pass by.
-		return ev.Job == job.ID && ev.Type != EventQueued
+		return ev.Job == job.ID && ev.Type != eventQueued
 	}
 	synth := func() {
 		if v := job.View(); v.State.Terminal() {

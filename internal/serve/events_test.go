@@ -142,20 +142,20 @@ func TestEventsStreamLifecycle(t *testing.T) {
 	}
 
 	f1, _ := c.next(t)
-	if f1.ev.Type != EventQueued || f1.ev.Job != job.ID || f1.id == 0 {
+	if f1.ev.Type != eventQueued || f1.ev.Job != job.ID || f1.id == 0 {
 		t.Fatalf("first frame = %+v, want replayed queued for %s", f1, job.ID)
 	}
 	if f1.ev.Trace != job.Trace {
 		t.Fatalf("queued trace = %q, want %q", f1.ev.Trace, job.Trace)
 	}
 	f2, _ := c.next(t)
-	if f2.ev.Type != EventStarted || f2.id <= f1.id {
+	if f2.ev.Type != eventStarted || f2.id <= f1.id {
 		t.Fatalf("second frame = %+v, want started after id %d", f2, f1.id)
 	}
 
 	close(fe.block)
 	f3, _ := c.next(t)
-	if f3.ev.Type != EventDone || f3.ev.Job != job.ID {
+	if f3.ev.Type != eventDone || f3.ev.Job != job.ID {
 		t.Fatalf("terminal frame = %+v, want done for %s", f3, job.ID)
 	}
 	if _, ok := c.next(t); ok {
@@ -178,7 +178,7 @@ func TestEventsDisconnectDoesNotCancelJob(t *testing.T) {
 	<-fe.started
 
 	c := openSSE(t, ts.URL+"/v1/jobs/"+job.ID+"/events", "")
-	if f, _ := c.next(t); f.ev.Type != EventQueued {
+	if f, _ := c.next(t); f.ev.Type != eventQueued {
 		t.Fatalf("first frame = %+v", f)
 	}
 	c.close() // client walks away mid-stream
@@ -208,11 +208,11 @@ func TestEventsReplayAfterCompletion(t *testing.T) {
 	if len(frames) < 4 {
 		t.Fatalf("replay produced %d frames: %v", len(frames), eventTypes(frames))
 	}
-	if frames[0].ev.Type != EventQueued || frames[1].ev.Type != EventStarted {
+	if frames[0].ev.Type != eventQueued || frames[1].ev.Type != eventStarted {
 		t.Fatalf("replay starts %v, want [queued started ...]", eventTypes(frames[:2]))
 	}
 	last := frames[len(frames)-1]
-	if last.ev.Type != EventDone || last.ev.Job != job.ID {
+	if last.ev.Type != eventDone || last.ev.Job != job.ID {
 		t.Fatalf("replay ends %+v, want done for %s", last.ev, job.ID)
 	}
 
@@ -228,7 +228,7 @@ func TestEventsReplayAfterCompletion(t *testing.T) {
 			t.Fatalf("frame trace = %q, want %q: %+v", f.ev.Trace, job.Trace, f.ev)
 		}
 		switch f.ev.Type {
-		case EventStage:
+		case eventStage:
 			if !pipelineStages[f.ev.Stage] {
 				t.Fatalf("stage event with non-canonical stage %q", f.ev.Stage)
 			}
@@ -236,7 +236,7 @@ func TestEventsReplayAfterCompletion(t *testing.T) {
 				t.Fatalf("negative stage duration: %+v", f.ev)
 			}
 			stages[f.ev.Stage] = true
-		case EventRank:
+		case eventRank:
 			if f.ev.Rank == nil {
 				t.Fatalf("rank event without rank attribute: %+v", f.ev)
 			}
@@ -332,13 +332,13 @@ func TestEventsCoalescedRidersShareStream(t *testing.T) {
 		}
 		rider = append(rider, f)
 	}
-	if rider[0].ev.Job != job1.ID || rider[0].ev.Type != EventQueued {
+	if rider[0].ev.Job != job1.ID || rider[0].ev.Type != eventQueued {
 		t.Fatalf("rider frame 0 = %+v, want job1's queued", rider[0].ev)
 	}
-	if rider[1].ev.Type != EventStarted {
+	if rider[1].ev.Type != eventStarted {
 		t.Fatalf("rider frame 1 = %+v, want started", rider[1].ev)
 	}
-	if rider[2].ev.Type != EventQueued || rider[2].ev.Job != job2.ID || !rider[2].ev.Coalesced {
+	if rider[2].ev.Type != eventQueued || rider[2].ev.Job != job2.ID || !rider[2].ev.Coalesced {
 		t.Fatalf("rider frame 2 = %+v, want job2's coalesced queued", rider[2].ev)
 	}
 
@@ -353,7 +353,7 @@ func TestEventsCoalescedRidersShareStream(t *testing.T) {
 		if !ok {
 			break
 		}
-		if f.ev.Type == EventCanceled && f.ev.Job == job2.ID {
+		if f.ev.Type == eventCanceled && f.ev.Job == job2.ID {
 			sawCancel = true
 		}
 	}
@@ -369,14 +369,14 @@ func TestEventsCoalescedRidersShareStream(t *testing.T) {
 	var riderCancelSeen bool
 	last := frames[len(frames)-1]
 	for _, f := range frames {
-		if f.ev.Type == EventCanceled && f.ev.Job == job2.ID {
+		if f.ev.Type == eventCanceled && f.ev.Job == job2.ID {
 			riderCancelSeen = true
 		}
 	}
 	if !riderCancelSeen {
 		t.Fatalf("job1 stream missing rider's canceled event: %v", eventTypes(frames))
 	}
-	if last.ev.Type != EventDone || last.ev.Job != job1.ID {
+	if last.ev.Type != eventDone || last.ev.Job != job1.ID {
 		t.Fatalf("job1 stream ended on %+v, want its own done", last.ev)
 	}
 	waitState(t, job1, StateDone)
@@ -403,7 +403,7 @@ func TestEventsCacheHitStream(t *testing.T) {
 		t.Fatalf("cache-hit stream has %d frames: %v", len(frames), eventTypes(frames))
 	}
 	f := frames[0]
-	if f.ev.Type != EventDone || f.ev.Job != hit.ID || !f.ev.Cached {
+	if f.ev.Type != eventDone || f.ev.Job != hit.ID || !f.ev.Cached {
 		t.Fatalf("cache-hit frame = %+v, want cached done", f.ev)
 	}
 	if f.ev.Trace != first.Trace {
@@ -433,7 +433,7 @@ func TestEventsRestartSynthesizesTerminal(t *testing.T) {
 		t.Fatalf("restored stream has %d frames: %v", len(frames), eventTypes(frames))
 	}
 	f := frames[0]
-	if f.ev.Type != EventDone || f.ev.Job != job.ID {
+	if f.ev.Type != eventDone || f.ev.Job != job.ID {
 		t.Fatalf("restored frame = %+v, want synthesized done", f.ev)
 	}
 	if f.id != 0 {

@@ -178,8 +178,8 @@ func TestDrainWaitsForRunningAndRefusesNew(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(testSeqs(4, 30, 86), Options{Procs: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit while draining: %v, want ErrClosed", err)
+	if _, err := s.Submit(testSeqs(4, 30, 86), Options{Procs: 1}); !errors.Is(err, errClosed) {
+		t.Fatalf("submit while draining: %v, want errClosed", err)
 	}
 	// The running job finishes and the drain completes.
 	close(fe.block)

@@ -23,7 +23,7 @@ var hexKeyRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
 //     (anything else would surface as a 500 for client-controlled input);
 //   - resolve is deterministic: the same parsed submission resolves to
 //     the same Resolved;
-//   - CacheKey is stable across calls and blind to Workers and Timeout,
+//   - cacheKey is stable across calls and blind to Workers and Timeout,
 //     the documented result-neutral options — a key that moved with
 //     either would split (or worse, alias) cache entries.
 func FuzzSubmitJSON(f *testing.F) {
@@ -81,22 +81,22 @@ func FuzzSubmitJSON(f *testing.F) {
 			t.Fatalf("resolve is unstable: %+v / %+v (err=%v)", r1, r2, err)
 		}
 
-		k1 := CacheKey(seqs, r1)
+		k1 := cacheKey(seqs, r1)
 		if !hexKeyRe.MatchString(k1) {
 			t.Fatalf("cache key %q is not 64 hex chars", k1)
 		}
-		if k2 := CacheKey(seqs, r1); k2 != k1 {
+		if k2 := cacheKey(seqs, r1); k2 != k1 {
 			t.Fatalf("cache key unstable across calls: %s vs %s", k1, k2)
 		}
 		neutral := r1
 		neutral.Workers++
 		neutral.Timeout += time.Second
-		if k3 := CacheKey(seqs, neutral); k3 != k1 {
+		if k3 := cacheKey(seqs, neutral); k3 != k1 {
 			t.Fatalf("cache key depends on a result-neutral option: %s vs %s", k1, k3)
 		}
 		affecting := r1
 		affecting.Procs++
-		if k4 := CacheKey(seqs, affecting); k4 == k1 {
+		if k4 := cacheKey(seqs, affecting); k4 == k1 {
 			t.Fatalf("cache key ignores procs, which changes the alignment")
 		}
 	})

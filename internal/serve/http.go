@@ -17,9 +17,9 @@ import (
 	"repro/internal/fasta"
 )
 
-// MaxRequestBytes bounds submit bodies (gzip-expanded FASTA included,
+// maxRequestBytes bounds submit bodies (gzip-expanded FASTA included,
 // since the limit applies to the wire bytes before decompression).
-const MaxRequestBytes = 128 << 20
+const maxRequestBytes = 128 << 20
 
 // SubmitRequest is the JSON submit body. Raw FASTA bodies (text/*,
 // application/octet-stream, or anything starting with '>' or the gzip
@@ -81,10 +81,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 func submitError(w http.ResponseWriter, err error) {
 	var bad *BadRequestError
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, errClosed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.As(err, &bad):
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -95,12 +95,12 @@ func submitError(w http.ResponseWriter, err error) {
 
 // parseSubmit extracts the sequences and options from a submit body.
 func parseSubmit(r *http.Request) ([]bio.Sequence, Options, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 	if err != nil {
 		return nil, Options{}, badRequest("reading body: %v", err)
 	}
-	if len(body) > MaxRequestBytes {
-		return nil, Options{}, badRequest("request body exceeds %d bytes", MaxRequestBytes)
+	if len(body) > maxRequestBytes {
+		return nil, Options{}, badRequest("request body exceeds %d bytes", maxRequestBytes)
 	}
 	var o Options
 	fastaText := body
@@ -123,12 +123,12 @@ func parseSubmit(r *http.Request) ([]bio.Sequence, Options, error) {
 		if err != nil {
 			return nil, Options{}, badRequest("gzip body: %v", err)
 		}
-		expanded, err := io.ReadAll(io.LimitReader(zr, MaxRequestBytes+1))
+		expanded, err := io.ReadAll(io.LimitReader(zr, maxRequestBytes+1))
 		if err != nil {
 			return nil, Options{}, badRequest("gzip body: %v", err)
 		}
-		if len(expanded) > MaxRequestBytes {
-			return nil, Options{}, badRequest("decompressed body exceeds %d bytes", MaxRequestBytes)
+		if len(expanded) > maxRequestBytes {
+			return nil, Options{}, badRequest("decompressed body exceeds %d bytes", maxRequestBytes)
 		}
 		fastaText = expanded
 	}
@@ -231,13 +231,13 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 	if err != nil {
 		submitError(w, badRequest("reading body: %v", err))
 		return
 	}
-	if len(body) > MaxRequestBytes {
-		submitError(w, badRequest("request body exceeds %d bytes", MaxRequestBytes))
+	if len(body) > maxRequestBytes {
+		submitError(w, badRequest("request body exceeds %d bytes", maxRequestBytes))
 		return
 	}
 	var req BatchRequest
@@ -455,7 +455,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	live, err := s.Cancel(id, errors.New("canceled by client request"))
-	if errors.Is(err, ErrNotFound) {
+	if errors.Is(err, errNotFound) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}

@@ -95,7 +95,7 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 				s.metrics.Completed.Inc()
 			case o.state == StateFailed:
 				s.metrics.Failed.Inc()
-			case errors.Is(o.cause, ErrInterrupted):
+			case errors.Is(o.cause, errInterrupted):
 				s.metrics.Interrupted.Inc()
 				fallthrough
 			default:
@@ -135,7 +135,7 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 // on purpose with this job still live"), not a terminal record, and the
 // job re-enqueues from its submit record like a crash victim.
 func endRecord(j *Job, o outcome) store.Record {
-	if o.state == StateCanceled && errors.Is(o.cause, ErrInterrupted) {
+	if o.state == StateCanceled && errors.Is(o.cause, errInterrupted) {
 		return store.Record{Type: store.RecInterrupt, Job: j.ID, Key: j.Key, Time: o.at}
 	}
 	errMsg := ""
@@ -260,7 +260,7 @@ func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
 		recs[i] = store.Record{Type: store.RecStart, Job: j.ID, Key: fl.key, Time: started}
 	}
 	s.journalAppendBatch(recs)
-	s.publish(fl.bus, Event{Type: EventStarted, Trace: fl.trace})
+	s.publish(fl.bus, Event{Type: eventStarted, Trace: fl.trace})
 
 	res, err := s.execute(fl)
 	elapsed := time.Since(started)

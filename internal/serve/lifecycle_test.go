@@ -21,7 +21,7 @@ import (
 // record for job id, read by a replay as a restart would.
 func journaledEnd(t *testing.T, dir, id string) bool {
 	t.Helper()
-	j, recs, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	j, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEndedJobIsJournaledAndCounted(t *testing.T) {
 				waitState(t, job, StateDone)
 			} else {
 				for ev := range sub.C() {
-					if ev.V.Type == EventDone && ev.V.Job == job.ID {
+					if ev.V.Type == eventDone && ev.V.Job == job.ID {
 						break
 					}
 				}
@@ -547,9 +547,9 @@ func (h *lifeHarness) apply(o lop) bool {
 		switch {
 		case errors.As(err, &bad):
 			gotErr = "bad-request"
-		case errors.Is(err, ErrOverloaded):
+		case errors.Is(err, errOverloaded):
 			gotErr = "overloaded"
-		case errors.Is(err, ErrClosed):
+		case errors.Is(err, errClosed):
 			gotErr = "closed"
 		case err != nil:
 			gotErr = err.Error()

@@ -40,8 +40,8 @@ type Metrics struct {
 	GroupRecords *stats.LatencyHistogram  // records per journal commit group, fed by the journal's flush hook
 }
 
-// NewMetrics builds the metric set with the default latency bounds.
-func NewMetrics() *Metrics {
+// newMetrics builds the metric set with the default latency bounds.
+func newMetrics() *Metrics {
 	return &Metrics{
 		QueueWait:  stats.MustLabeledHistograms(stats.DefaultLatencyBounds()),
 		RunSeconds: stats.MustLatencyHistogram(stats.DefaultLatencyBounds()),

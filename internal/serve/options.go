@@ -190,13 +190,13 @@ func (r Resolved) CoreConfig() (core.Config, error) {
 // or anything result-affecting about the pipeline encoding changes.
 const cacheKeyVersion = "samplealign-job-v2"
 
-// CacheKey returns the content address of (input, options): the hex
+// cacheKey returns the content address of (input, options): the hex
 // SHA-256 of the canonicalized sequences and every result-affecting
 // resolved option. Identical resubmissions — same sequences in the same
 // order, same effective options — collide on purpose; deadlines and
 // worker counts never enter the key because they cannot change the
 // alignment bytes.
-func CacheKey(seqs []bio.Sequence, r Resolved) string {
+func cacheKey(seqs []bio.Sequence, r Resolved) string {
 	h := sha256.New()
 	var num [binary.MaxVarintLen64]byte
 	writeInt := func(v int64) {

@@ -188,8 +188,8 @@ func TestCrashRecoveryByteIdenticalToUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CacheKey(seqs, opts)
-	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	key := cacheKey(seqs, opts)
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestDrainTimeoutCasualtiesRequeueOnRestart(t *testing.T) {
 		if v.State != StateCanceled {
 			t.Fatalf("job %s after close: %s, want canceled", j.ID, v.State)
 		}
-		if want := ErrInterrupted.Error(); v.Error != want {
+		if want := errInterrupted.Error(); v.Error != want {
 			t.Fatalf("job %s cause = %q, want %q", j.ID, v.Error, want)
 		}
 	}
@@ -375,7 +375,7 @@ func TestRecoveryFindsOrphanedStoreResult(t *testing.T) {
 	crash(s1)
 	// Rewind the journal to submit+start by dropping the finish record.
 	path := filepath.Join(dir, "journal.wal")
-	jr, recs, err := store.OpenJournal(path)
+	jr, recs, err := store.OpenJournalOptions(path, store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestCompactionShedsFinishedPayloads(t *testing.T) {
 	// First restart compacts; close cleanly again and inspect the log.
 	s2 := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
 	s2.Close()
-	_, recs, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	_, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +452,8 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CacheKey(seqs, opts)
-	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	key := cacheKey(seqs, opts)
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CacheKey(seqs, opts)
+	key := cacheKey(seqs, opts)
 	optsJSON, _ := json.Marshal(opts)
 	var old map[string]any
 	if err := json.Unmarshal(optsJSON, &old); err != nil {
@@ -513,7 +513,7 @@ func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
 	data, _ := json.Marshal(map[string]any{
 		"opts": old, "num_seqs": len(seqs), "fasta": []byte(fasta.FormatString(seqs)),
 	})
-	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestReplayOfJobsSubmittedUnderARetiredOption(t *testing.T) {
 	})
 	doneKey, liveKey := strings.Repeat("a", 64), strings.Repeat("b", 64) // keys of the old schema
 	now := time.Now()
-	j, _, err := store.OpenJournal(filepath.Join(dir, "journal.wal"))
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,8 +616,8 @@ func TestSubmitRefusedWhileDraining(t *testing.T) {
 	if !s.Drain(time.Second) {
 		t.Fatal("drain of an idle server failed")
 	}
-	if _, err := s.Submit(seqs, Options{Procs: 1}); err != ErrClosed {
-		t.Fatalf("cache-hit submit while draining: %v, want ErrClosed", err)
+	if _, err := s.Submit(seqs, Options{Procs: 1}); err != errClosed {
+		t.Fatalf("cache-hit submit while draining: %v, want errClosed", err)
 	}
 }
 

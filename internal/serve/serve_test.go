@@ -281,8 +281,8 @@ func TestAdmissionControl429(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queue (2) and executor (1) are full: the next submission bounces.
-	if _, err := submit(13); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("4th submission: err = %v, want ErrOverloaded", err)
+	if _, err := submit(13); !errors.Is(err, errOverloaded) {
+		t.Fatalf("4th submission: err = %v, want errOverloaded", err)
 	}
 	if got := s.metrics.Rejected.Value(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
@@ -334,7 +334,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 
 	// Unknown job.
-	if _, err := s.Cancel("jdeadbeef", nil); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Cancel("jdeadbeef", nil); !errors.Is(err, errNotFound) {
 		t.Fatalf("cancel unknown: %v", err)
 	}
 	// Cancelling a finished job reports not-live.
@@ -460,7 +460,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestSubmitAfterCloseFails(t *testing.T) {
 	s := newTestServer(t, Config{Executor: &fakeExec{}})
 	s.Close()
-	if _, err := s.Submit(testSeqs(2, 20, 6), Options{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(testSeqs(2, 20, 6), Options{}); !errors.Is(err, errClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }

@@ -35,7 +35,7 @@
 // ³ one journal commit group per flight. ⁴ only the last waiter to
 // leave stops the flight, so one impatient client cannot kill a
 // computation others wait for. Close ends every live job canceled with
-// ErrInterrupted, journaled as an interrupt the next boot re-enqueues.
+// errInterrupted, journaled as an interrupt the next boot re-enqueues.
 //
 // With Config.DataDir set, every accepted job is journaled before it
 // can run and every finished result is persisted content-addressed on
@@ -62,14 +62,14 @@ import (
 
 // Errors the HTTP layer maps to status codes.
 var (
-	ErrOverloaded = errors.New("serve: queue full, try again later") // → 429
-	ErrClosed     = errors.New("serve: server is shutting down")     // → 503
-	ErrNotFound   = errors.New("serve: no such job")                 // → 404
+	errOverloaded = errors.New("serve: queue full, try again later") // → 429
+	errClosed     = errors.New("serve: server is shutting down")     // → 503
+	errNotFound   = errors.New("serve: no such job")                 // → 404
 
-	// ErrInterrupted is the cause Close ends live jobs with (a drain
+	// errInterrupted is the cause Close ends live jobs with (a drain
 	// window that expired, or no drain at all). They are journaled as
 	// interrupts, not cancels: the next boot re-enqueues them.
-	ErrInterrupted = errors.New("serve: interrupted by shutdown")
+	errInterrupted = errors.New("serve: interrupted by shutdown")
 )
 
 // BadRequestError marks client errors (malformed input or options) so
@@ -356,8 +356,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		cache:      NewCache(cacheEntries, cacheBytes),
-		metrics:    NewMetrics(),
+		cache:      newCache(cacheEntries, cacheBytes),
+		metrics:    newMetrics(),
 		log:        orDiscard(cfg.Logger),
 		started:    time.Now(),
 		baseCtx:    ctx,
@@ -379,7 +379,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Drain stops admission — new submissions fail with ErrClosed (HTTP
+// Drain stops admission — new submissions fail with errClosed (HTTP
 // 503) while status and result reads keep working — and waits up to
 // timeout for every queued and running job to finish. It reports
 // whether the server drained fully; leftovers are canceled by Close.
@@ -417,7 +417,7 @@ func (s *Server) Close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.baseCancel(ErrInterrupted) // every job this kills ends as an interrupt
+	s.baseCancel(errInterrupted) // every job this kills ends as an interrupt
 	s.wg.Wait()
 	if s.journal != nil {
 		s.journalAppendBatch([]store.Record{{Type: store.RecShutdown, Time: time.Now()}})
@@ -459,12 +459,12 @@ func (s *Server) Job(id string) (*Job, bool) {
 }
 
 // Cancel requests cancellation of a queued or running job. It returns
-// ErrNotFound for unknown IDs and reports whether the job was still
+// errNotFound for unknown IDs and reports whether the job was still
 // live (false: it had already finished).
 func (s *Server) Cancel(id string, cause error) (bool, error) {
 	j, ok := s.Job(id)
 	if !ok {
-		return false, ErrNotFound
+		return false, errNotFound
 	}
 	return s.cancelJob(j, cause), nil
 }

@@ -43,7 +43,7 @@ func (g *Gauge) Value() int64 { return g.n.Load() }
 // durations (in seconds). Buckets are cumulative in the exposition
 // (Prometheus "le" convention): bucket i counts observations ≤
 // Bounds[i], with a final implicit +Inf bucket. The zero value is not
-// usable; construct with NewLatencyHistogram.
+// usable; construct with MustLatencyHistogram.
 type LatencyHistogram struct {
 	bounds []float64 // strictly increasing upper bounds, seconds
 
@@ -60,10 +60,10 @@ func DefaultLatencyBounds() []float64 {
 	return []float64{0.001, 0.004, 0.016, 0.064, 0.25, 1, 4, 16, 64, 256}
 }
 
-// NewLatencyHistogram builds a histogram over the given strictly
+// newLatencyHistogram builds a histogram over the given strictly
 // increasing upper bounds (seconds). An empty or unsorted bounds slice
 // is rejected.
-func NewLatencyHistogram(bounds []float64) (*LatencyHistogram, error) {
+func newLatencyHistogram(bounds []float64) (*LatencyHistogram, error) {
 	if len(bounds) == 0 {
 		return nil, fmt.Errorf("stats: histogram needs at least one bucket bound")
 	}
@@ -79,10 +79,10 @@ func NewLatencyHistogram(bounds []float64) (*LatencyHistogram, error) {
 	}, nil
 }
 
-// MustLatencyHistogram is NewLatencyHistogram that panics on bad bounds;
+// MustLatencyHistogram is newLatencyHistogram that panics on bad bounds;
 // for package-level metric construction with literal bounds.
 func MustLatencyHistogram(bounds []float64) *LatencyHistogram {
-	h, err := NewLatencyHistogram(bounds)
+	h, err := newLatencyHistogram(bounds)
 	if err != nil {
 		panic(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLatencyHistogramBucketing(t *testing.T) {
-	h, err := NewLatencyHistogram([]float64{0.1, 1, 10})
+	h, err := newLatencyHistogram([]float64{0.1, 1, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,13 @@ func TestLatencyHistogramBucketing(t *testing.T) {
 }
 
 func TestLatencyHistogramValidation(t *testing.T) {
-	if _, err := NewLatencyHistogram(nil); err == nil {
+	if _, err := newLatencyHistogram(nil); err == nil {
 		t.Fatal("empty bounds accepted")
 	}
-	if _, err := NewLatencyHistogram([]float64{1, 1}); err == nil {
+	if _, err := newLatencyHistogram([]float64{1, 1}); err == nil {
 		t.Fatal("non-increasing bounds accepted")
 	}
-	if _, err := NewLatencyHistogram([]float64{2, 1}); err == nil {
+	if _, err := newLatencyHistogram([]float64{2, 1}); err == nil {
 		t.Fatal("decreasing bounds accepted")
 	}
 }

@@ -19,11 +19,11 @@ type LabeledHistograms struct {
 	m  map[string]*LatencyHistogram
 }
 
-// NewLabeledHistograms builds a family whose series all share bounds.
+// newLabeledHistograms builds a family whose series all share bounds.
 // Bounds are validated once here with the same rules as
-// NewLatencyHistogram.
-func NewLabeledHistograms(bounds []float64) (*LabeledHistograms, error) {
-	if _, err := NewLatencyHistogram(bounds); err != nil {
+// newLatencyHistogram.
+func newLabeledHistograms(bounds []float64) (*LabeledHistograms, error) {
+	if _, err := newLatencyHistogram(bounds); err != nil {
 		return nil, err
 	}
 	return &LabeledHistograms{
@@ -32,10 +32,10 @@ func NewLabeledHistograms(bounds []float64) (*LabeledHistograms, error) {
 	}, nil
 }
 
-// MustLabeledHistograms is NewLabeledHistograms that panics on bad
+// MustLabeledHistograms is newLabeledHistograms that panics on bad
 // bounds, for package-level metric construction.
 func MustLabeledHistograms(bounds []float64) *LabeledHistograms {
-	l, err := NewLabeledHistograms(bounds)
+	l, err := newLabeledHistograms(bounds)
 	if err != nil {
 		panic(err)
 	}

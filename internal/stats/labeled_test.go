@@ -80,10 +80,10 @@ func TestLabeledHistogramsConcurrent(t *testing.T) {
 }
 
 func TestLabeledHistogramsBadBounds(t *testing.T) {
-	if _, err := NewLabeledHistograms(nil); err == nil {
+	if _, err := newLabeledHistograms(nil); err == nil {
 		t.Fatal("empty bounds must be rejected")
 	}
-	if _, err := NewLabeledHistograms([]float64{2, 1}); err == nil {
+	if _, err := newLabeledHistograms([]float64{2, 1}); err == nil {
 		t.Fatal("unsorted bounds must be rejected")
 	}
 }

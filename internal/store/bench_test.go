@@ -18,7 +18,7 @@ import (
 func BenchmarkJournalAppendParallel(b *testing.B) {
 	for _, conc := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
-			j, _, err := OpenJournal(filepath.Join(b.TempDir(), "journal.wal"))
+			j, _, err := OpenJournalOptions(filepath.Join(b.TempDir(), "journal.wal"), JournalOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

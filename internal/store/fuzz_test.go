@@ -23,7 +23,7 @@ func frameFor(t string, job string) []byte {
 // FuzzJournalReplay feeds arbitrary bytes to the journal as an on-disk
 // image — the state a crash can leave at any byte boundary. Replay
 // must never panic and must truncate to a clean record prefix: after
-// OpenJournal, an append must land on a record boundary, so reopening
+// OpenJournalOptions, an append must land on a record boundary, so reopening
 // yields exactly the replayed records plus the appended one. A
 // finished job's records, once replayed, survive the truncate+append
 // cycle — replay can only lose the torn tail, never rewrite history
@@ -58,9 +58,9 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, recs, err := OpenJournal(path)
+		j, recs, err := OpenJournalOptions(path, JournalOptions{})
 		if err != nil {
-			t.Fatalf("OpenJournal on arbitrary bytes must truncate, not fail: %v", err)
+			t.Fatalf("OpenJournalOptions on arbitrary bytes must truncate, not fail: %v", err)
 		}
 		if int64(len(recs)) != j.Records() {
 			t.Fatalf("Records() = %d, replay returned %d", j.Records(), len(recs))
@@ -74,7 +74,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2, recs2, err := OpenJournal(path)
+		j2, recs2, err := OpenJournalOptions(path, JournalOptions{})
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

@@ -76,16 +76,16 @@ const maxRecordBytes = 1 << 30
 // this many framed bytes or records. Both are far above what a flush
 // can accumulate on a healthy disk; they bound memory, not batching.
 const (
-	DefaultMaxBatchBytes   = 1 << 20
-	DefaultMaxBatchRecords = 512
+	defaultMaxBatchBytes   = 1 << 20
+	defaultMaxBatchRecords = 512
 )
 
-// ErrRecordTooLarge is wrapped by Append/AppendBatch when a record's
+// errRecordTooLarge is wrapped by Append/AppendBatch when a record's
 // encoded payload exceeds the journal's record size limit. Nothing is
 // written: an oversized frame would be acknowledged as durable and
 // then silently discarded — along with every record after it — by the
 // next replay.
-var ErrRecordTooLarge = errors.New("store: record exceeds the journal record size limit")
+var errRecordTooLarge = errors.New("store: record exceeds the journal record size limit")
 
 var errJournalClosed = errors.New("store: journal is closed")
 
@@ -94,11 +94,11 @@ var errJournalClosed = errors.New("store: journal is closed")
 type JournalOptions struct {
 	// MaxBatchBytes caps the framed bytes one flush group accumulates
 	// before later appenders spill to the next group. <= 0 means
-	// DefaultMaxBatchBytes. A single AppendBatch call is atomic and may
+	// defaultMaxBatchBytes. A single AppendBatch call is atomic and may
 	// exceed the cap in a group of its own.
 	MaxBatchBytes int
 	// MaxBatchRecords caps the records per flush group. <= 0 means
-	// DefaultMaxBatchRecords.
+	// defaultMaxBatchRecords.
 	MaxBatchRecords int
 	// MaxWait is how long a group leader waits for followers before
 	// flushing a group that is not yet full; it bounds the extra
@@ -152,12 +152,6 @@ type Journal struct {
 	flushedRecords int64 // records made durable by those flushes
 }
 
-// OpenJournal opens the journal at path with default options. See
-// OpenJournalOptions.
-func OpenJournal(path string) (*Journal, []Record, error) {
-	return OpenJournalOptions(path, JournalOptions{})
-}
-
 // OpenJournalOptions opens (creating if needed) the journal at path,
 // replays every intact record, truncates any corrupt or torn tail so
 // that subsequent appends extend a clean prefix, and leaves the file
@@ -208,10 +202,10 @@ func OpenJournalOptions(path string, o JournalOptions) (*Journal, []Record, erro
 		onFlush:         o.OnFlush,
 	}
 	if j.maxBatchBytes <= 0 {
-		j.maxBatchBytes = DefaultMaxBatchBytes
+		j.maxBatchBytes = defaultMaxBatchBytes
 	}
 	if j.maxBatchRecords <= 0 {
-		j.maxBatchRecords = DefaultMaxBatchRecords
+		j.maxBatchRecords = defaultMaxBatchRecords
 	}
 	if j.maxRecordBytes <= 0 || j.maxRecordBytes > maxRecordBytes {
 		j.maxRecordBytes = maxRecordBytes
@@ -274,7 +268,7 @@ func frame(rec Record, limit int) ([]byte, error) {
 		return nil, err
 	}
 	if len(payload) > limit {
-		return nil, fmt.Errorf("%w: %d > %d payload bytes", ErrRecordTooLarge, len(payload), limit)
+		return nil, fmt.Errorf("%w: %d > %d payload bytes", errRecordTooLarge, len(payload), limit)
 	}
 	buf := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))

@@ -13,7 +13,7 @@ import (
 
 func TestJournalAppendBatchRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestJournalAppendBatchRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := OpenJournal(path)
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestJournalAppendBatchRoundTrip(t *testing.T) {
 
 func TestJournalTornTailMidGroupTruncatesToLastIntactRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestJournalTornTailMidGroupTruncatesToLastIntactRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, got, err := OpenJournal(path)
+	j, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJournalTornTailMidGroupTruncatesToLastIntactRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, got, err = OpenJournal(path)
+	_, got, err = OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestJournalConcurrentAppendsGroupCommit(t *testing.T) {
 		t.Fatalf("Flushes() = %d for %d records; groups are not forming", f, total)
 	}
 	j.Close()
-	_, got, err := OpenJournal(path)
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +172,19 @@ func TestJournalOversizedRecordRejectedAtAppend(t *testing.T) {
 	}
 	big := testRecord(RecSubmit, "big", 2)
 	big.Data = []byte(`"` + fmt.Sprintf("%01024d", 7) + `"`)
-	if err := j.Append(big); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("oversized Append error = %v, want ErrRecordTooLarge", err)
+	if err := j.Append(big); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("oversized Append error = %v, want errRecordTooLarge", err)
 	}
 	// An oversized member rejects the whole batch before any bytes are
 	// staged — the good record must not be half-committed.
-	if err := j.AppendBatch([]Record{testRecord(RecSubmit, "ok2", 3), big}); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("oversized AppendBatch error = %v, want ErrRecordTooLarge", err)
+	if err := j.AppendBatch([]Record{testRecord(RecSubmit, "ok2", 3), big}); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("oversized AppendBatch error = %v, want errRecordTooLarge", err)
 	}
 	if err := j.Append(testRecord(RecSubmit, "ok3", 4)); err != nil {
 		t.Fatalf("journal unusable after rejected record: %v", err)
 	}
 	j.Close()
-	_, got, err := OpenJournal(path)
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJournalBatchLargerThanGroupBoundsStillCommits(t *testing.T) {
 		t.Fatalf("Flushes() = %d, want 1", got)
 	}
 	j.Close()
-	_, got, err := OpenJournal(path)
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestJournalBatchLargerThanGroupBoundsStillCommits(t *testing.T) {
 
 func TestJournalAppendAfterCloseFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

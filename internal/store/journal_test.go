@@ -22,7 +22,7 @@ func testRecord(typ, job string, n int) Record {
 
 func openAppend(t *testing.T, path string, recs ...Record) {
 	t.Helper()
-	j, _, err := OpenJournal(path)
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	openAppend(t, path, want...)
 
-	j, got, err := OpenJournal(path)
+	j, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, got, err = OpenJournal(path)
+	_, got, err = OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestJournalTruncatedTailIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, got, err := OpenJournal(path)
+	j, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestJournalTruncatedTailIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, got, err = OpenJournal(path)
+	_, got, err = OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestJournalCorruptMiddleStopsReplayAtLastGoodRecord(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, got, err := OpenJournal(path)
+	j, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestJournalCorruptMiddleStopsReplayAtLastGoodRecord(t *testing.T) {
 func TestJournalEmptyAndGarbageFiles(t *testing.T) {
 	dir := t.TempDir()
 	// Empty file.
-	j, recs, err := OpenJournal(filepath.Join(dir, "empty.wal"))
+	j, recs, err := OpenJournalOptions(filepath.Join(dir, "empty.wal"), JournalOptions{})
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty journal: recs=%v err=%v", recs, err)
 	}
@@ -151,7 +151,7 @@ func TestJournalEmptyAndGarbageFiles(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("this is not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, recs, err = OpenJournal(garbage)
+	j, recs, err = OpenJournalOptions(garbage, JournalOptions{})
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("garbage journal: recs=%v err=%v", recs, err)
 	}
@@ -159,7 +159,7 @@ func TestJournalEmptyAndGarbageFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, recs, err = OpenJournal(garbage)
+	_, recs, err = OpenJournalOptions(garbage, JournalOptions{})
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("append after garbage: recs=%v err=%v", recs, err)
 	}
@@ -172,7 +172,7 @@ func TestJournalRewriteCompacts(t *testing.T) {
 		recs = append(recs, testRecord(RecSubmit, "j", i))
 	}
 	openAppend(t, path, recs...)
-	j, replayed, err := OpenJournal(path)
+	j, replayed, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestJournalRewriteCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, got, err := OpenJournal(path)
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,9 @@ var resultMagic = [4]byte{'S', 'A', 'R', '2'}
 
 const resultHeaderLen = 4 + 4 + 4 + 8 + 4 + 8
 
-// ErrCorrupt reports a result file whose checksum did not match; the
+// errCorrupt reports a result file whose checksum did not match; the
 // streaming reader returns it from Read at the point of detection.
-var ErrCorrupt = errors.New("store: result file corrupt")
+var errCorrupt = errors.New("store: result file corrupt")
 
 // Results is the bounded content-addressed result store. All methods
 // are goroutine-safe. Eviction is strict LRU over Put/Get/Open
@@ -176,7 +176,7 @@ func readHeader(r io.Reader) (resultHeader, error) {
 		return resultHeader{}, err
 	}
 	if [4]byte(hdr[0:4]) != resultMagic {
-		return resultHeader{}, ErrCorrupt
+		return resultHeader{}, errCorrupt
 	}
 	h := resultHeader{
 		metaLen: binary.LittleEndian.Uint32(hdr[4:8]),
@@ -187,7 +187,7 @@ func readHeader(r io.Reader) (resultHeader, error) {
 	}
 	if h.metaLen > maxRecordBytes || h.payLen < 0 || h.payLen > 1<<40 ||
 		h.rawLen < 0 || h.rawLen > 1<<40 {
-		return resultHeader{}, ErrCorrupt
+		return resultHeader{}, errCorrupt
 	}
 	return h, nil
 }
@@ -360,7 +360,7 @@ func (s *Results) Get(key string) (meta, payload []byte, ok bool) {
 // buffering it. size is the decompressed payload length. The
 // compressed frame's checksum is verified incrementally as decompression
 // pulls it; if the bytes on disk do not add up, the reader returns
-// ErrCorrupt at the point of detection (after which the entry has been
+// errCorrupt at the point of detection (after which the entry has been
 // dropped) — by then earlier bytes may already have been sent, which
 // is why streaming consumers must be able to abort (chunked HTTP
 // transfer does this naturally).
@@ -405,7 +405,7 @@ func (s *Results) Open(key string) (meta []byte, r io.ReadCloser, size int64, ok
 
 // gunzipReader streams the decompressed payload. Errors from the
 // compressed layer (CRC mismatch from verifyReader) or the gzip frame
-// itself (bad block, gzip's own checksum) surface as ErrCorrupt and
+// itself (bad block, gzip's own checksum) surface as errCorrupt and
 // drop the entry.
 type gunzipReader struct {
 	z   *gzip.Reader
@@ -420,7 +420,7 @@ func (g *gunzipReader) Read(p []byte) (int, error) {
 			g.bad()
 			g.bad = nil
 		}
-		return n, ErrCorrupt
+		return n, errCorrupt
 	}
 	return n, err
 }
@@ -431,7 +431,7 @@ func (g *gunzipReader) Close() error {
 }
 
 // verifyReader streams a payload while accumulating its CRC; EOF is
-// only reported once the checksum matches, otherwise ErrCorrupt.
+// only reported once the checksum matches, otherwise errCorrupt.
 type verifyReader struct {
 	r    io.Reader
 	f    *os.File
@@ -453,7 +453,7 @@ func (v *verifyReader) Read(p []byte) (int, error) {
 				v.bad()
 				v.bad = nil
 			}
-			return n, ErrCorrupt
+			return n, errCorrupt
 		}
 	}
 	return n, err

@@ -20,7 +20,7 @@ func randomTree(t *testing.T, n int, seed int64) *Node {
 			m.Set(i, j, rng.Float64())
 		}
 	}
-	return UPGMA(m, nil)
+	return UPGMAWorkers(m, nil, 1)
 }
 
 func TestParallelReduceCountsLeaves(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package tree builds the guide trees used by progressive alignment:
 // UPGMA (as in MUSCLE's draft stage) and neighbour-joining (as in
-// CLUSTALW), plus Newick serialisation and parsing.
+// CLUSTALW), plus Newick serialisation.
 package tree
 
 import (
@@ -119,16 +119,11 @@ func escapeName(s string) string {
 // anyway, so the cutover is invisible in the output.
 const parMinClusters = 96
 
-// UPGMA builds a rooted ultrametric guide tree by repeatedly joining the
-// closest cluster pair; cluster distances are size-weighted averages.
-// names may be nil. Runs in O(n²) using nearest-neighbour caching.
-func UPGMA(d *kmer.Matrix, names []string) *Node {
-	return UPGMAWorkers(d, names, 1)
-}
-
-// UPGMAWorkers is UPGMA with the O(n) nearest-neighbour cache scans —
-// the dominant cost of the O(n²) algorithm — spread over workers
-// shared-memory workers. Every scan resolves distance ties by the
+// UPGMAWorkers builds a rooted ultrametric guide tree by repeatedly
+// joining the closest cluster pair; cluster distances are size-weighted
+// averages. names may be nil. Runs in O(n²) using nearest-neighbour
+// caching, with the O(n) cache scans — the dominant cost — spread over
+// workers shared-memory workers. Every scan resolves distance ties by the
 // lower cluster index and the global pick resolves score ties by the
 // lower cluster index too, so the merge order, and therefore the tree,
 // is identical for every workers value (workers <= 0 selects all
@@ -264,15 +259,10 @@ func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 	return nodes[0]
 }
 
-// NeighborJoining builds a guide tree with the classic NJ criterion and
-// roots it at the final join. O(n³); intended for the CLUSTALW-like
-// pipeline on modest set sizes.
-func NeighborJoining(d *kmer.Matrix, names []string) *Node {
-	return NeighborJoiningWorkers(d, names, 1)
-}
-
-// NeighborJoiningWorkers is NeighborJoining with each iteration's O(m²)
-// row-sum and Q-minimisation scans spread over workers shared-memory
+// NeighborJoiningWorkers builds a guide tree with the classic NJ
+// criterion and roots it at the final join. O(n³); intended for the
+// CLUSTALW-like pipeline on modest set sizes. Each iteration's O(m²)
+// row-sum and Q-minimisation scans are spread over workers shared-memory
 // workers. Each row's scan is sequential (so its float accumulation
 // order never changes) and ties are resolved to the lexicographically
 // first (a, b) pair, exactly as the sequential double loop does — the

@@ -32,7 +32,7 @@ func TestUPGMAKnownTopology(t *testing.T) {
 		{6, 6, 0, 10},
 		{10, 10, 10, 0},
 	})
-	root := UPGMA(d, []string{"a", "b", "c", "d"})
+	root := UPGMAWorkers(d, []string{"a", "b", "c", "d"}, 1)
 	if root.LeafCount() != 4 {
 		t.Fatalf("leaf count = %d", root.LeafCount())
 	}
@@ -67,7 +67,7 @@ func TestUPGMAUltrametric(t *testing.T) {
 			m.Set(i, j, 0.1+rng.Float64())
 		}
 	}
-	root := UPGMA(m, nil)
+	root := UPGMAWorkers(m, nil, 1)
 	var check func(n *Node, acc float64)
 	check = func(node *Node, acc float64) {
 		if node.IsLeaf() {
@@ -91,7 +91,7 @@ func TestUPGMACoversAllLeaves(t *testing.T) {
 				m.Set(i, j, rng.Float64()+0.01)
 			}
 		}
-		root := UPGMA(m, nil)
+		root := UPGMAWorkers(m, nil, 1)
 		leaves := root.Leaves()
 		sort.Ints(leaves)
 		if len(leaves) != n {
@@ -148,7 +148,7 @@ func TestNeighborJoiningAdditiveTree(t *testing.T) {
 		{8, 9, 0, 9},
 		{9, 10, 9, 0},
 	})
-	root := NeighborJoining(d, []string{"a", "b", "c", "d"})
+	root := NeighborJoiningWorkers(d, []string{"a", "b", "c", "d"}, 1)
 	if root.LeafCount() != 4 {
 		t.Fatalf("leaf count = %d", root.LeafCount())
 	}
@@ -173,12 +173,12 @@ func TestNeighborJoiningAdditiveTree(t *testing.T) {
 
 func TestNeighborJoiningSmall(t *testing.T) {
 	d := matFrom(t, [][]float64{{0, 4}, {4, 0}})
-	root := NeighborJoining(d, nil)
+	root := NeighborJoiningWorkers(d, nil, 1)
 	if root.LeafCount() != 2 || root.LeftLen != 2 || root.RightLen != 2 {
 		t.Fatalf("2-leaf NJ: %+v", root)
 	}
 	single := kmer.NewMatrix(1)
-	if NeighborJoining(single, nil).LeafCount() != 1 {
+	if NeighborJoiningWorkers(single, nil, 1).LeafCount() != 1 {
 		t.Fatal("1-leaf NJ")
 	}
 }
@@ -192,7 +192,7 @@ func TestNeighborJoiningCoversAllLeaves(t *testing.T) {
 				m.Set(i, j, rng.Float64()+0.05)
 			}
 		}
-		root := NeighborJoining(m, nil)
+		root := NeighborJoiningWorkers(m, nil, 1)
 		leaves := root.Leaves()
 		sort.Ints(leaves)
 		if len(leaves) != n {
@@ -212,7 +212,7 @@ func TestPostOrderVisitsChildrenFirst(t *testing.T) {
 		{1, 0, 4},
 		{4, 4, 0},
 	})
-	root := UPGMA(d, nil)
+	root := UPGMAWorkers(d, nil, 1)
 	seen := map[*Node]bool{}
 	root.PostOrder(func(n *Node) {
 		if !n.IsLeaf() {
@@ -227,50 +227,6 @@ func TestPostOrderVisitsChildrenFirst(t *testing.T) {
 	}
 }
 
-func TestNewickRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 9
-	m := kmer.NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, rng.Float64()+0.01)
-		}
-	}
-	orig := UPGMA(m, nil)
-	parsed, err := ParseNewick(orig.Newick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Newick() != orig.Newick() {
-		t.Fatalf("round trip:\n  orig   %s\n  parsed %s", orig.Newick(), parsed.Newick())
-	}
-}
-
-func TestNewickNamedLeaves(t *testing.T) {
-	in := "(alpha:1,(beta:2,'odd name':3):0.5);"
-	n, err := ParseNewick(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.LeafCount() != 3 {
-		t.Fatalf("leaf count %d", n.LeafCount())
-	}
-	if n.Left.Name != "alpha" || n.Right.Right.Name != "odd name" {
-		t.Fatalf("names: %q %q", n.Left.Name, n.Right.Right.Name)
-	}
-	if n.Right.Left.LeftLen != 0 && n.Right.LeftLen != 2 {
-		t.Fatalf("branch lengths lost")
-	}
-}
-
-func TestNewickErrors(t *testing.T) {
-	for _, bad := range []string{"", "(a:1", "(a:1,b:2,c:3);", "(a:x,b:1);", "(a:1,b:2);extra"} {
-		if _, err := ParseNewick(bad); err == nil {
-			t.Errorf("ParseNewick(%q) accepted", bad)
-		}
-	}
-}
-
 func TestDepth(t *testing.T) {
 	d := matFrom(t, [][]float64{
 		{0, 1, 2, 8},
@@ -278,7 +234,7 @@ func TestDepth(t *testing.T) {
 		{2, 2, 0, 8},
 		{8, 8, 8, 0},
 	})
-	root := UPGMA(d, nil)
+	root := UPGMAWorkers(d, nil, 1)
 	if got := root.Depth(); got != 3 {
 		t.Fatalf("depth = %d, want 3 (caterpillar)", got)
 	}

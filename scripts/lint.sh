@@ -9,7 +9,6 @@
 # The suite enforces (see TESTING.md for the full contract):
 #   ctxflow        library code threads contexts, never originates them
 #   determinism    no clocks/rand/map-order in the alignment pipeline
-#   pooldiscipline every dp workspace acquired is released on all paths
 #   durerr         store/serve never silently discard Sync/Close/Rename errors
 #
 # Findings are suppressed only by `//lint:allow <analyzer> <reason>` with a
