@@ -28,39 +28,20 @@ import (
 	"repro/internal/tree"
 )
 
-// Options configures the consistency aligner.
-type Options struct {
-	Sub     *submat.Matrix
-	Gap     submat.Gap
-	Extend  bool // apply the triplet consistency transform (default on via New)
-	Workers int
-	// MaxSequences guards against accidental O(N³) blowups (default 200,
-	// mirroring T-Coffee's practical limit the paper cites).
-	MaxSequences int
-}
+// maxSequences guards against accidental O(N³) blowups, mirroring
+// T-Coffee's practical limit the paper cites.
+const maxSequences = 200
 
-// Aligner is the consistency-based aligner.
+// Aligner is the consistency-based aligner. Its pairwise library scores
+// with BLOSUM62 and the default protein gaps.
 type Aligner struct {
-	opts Options
+	extend  bool // apply the triplet consistency transform
+	workers int
 }
 
 // New returns a T-Coffee-like aligner with library extension enabled.
 func New(workers int) *Aligner {
-	return newWithOptions(Options{Extend: true, Workers: workers})
-}
-
-// newWithOptions builds an aligner with explicit options.
-func newWithOptions(opts Options) *Aligner {
-	if opts.Sub == nil {
-		opts.Sub = submat.BLOSUM62
-	}
-	if opts.Gap == (submat.Gap{}) {
-		opts.Gap = submat.DefaultProteinGap
-	}
-	if opts.MaxSequences <= 0 {
-		opts.MaxSequences = 200
-	}
-	return &Aligner{opts: opts}
+	return &Aligner{extend: true, workers: workers}
 }
 
 // Name identifies the aligner.
@@ -120,11 +101,11 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	case 0:
 		return &msa.Alignment{}, nil
 	case 1:
-		return &msa.Alignment{Seqs: bio.CloneAll(seqs)}, nil
+		return &msa.Alignment{Seqs: []bio.Sequence{seqs[0].Ungapped()}}, nil
 	}
-	if len(seqs) > a.opts.MaxSequences {
+	if len(seqs) > maxSequences {
 		return nil, fmt.Errorf("cons: %d sequences exceed the consistency limit %d",
-			len(seqs), a.opts.MaxSequences)
+			len(seqs), maxSequences)
 	}
 	clean := make([][]byte, len(seqs))
 	for i := range seqs {
@@ -139,10 +120,10 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	// so the span carries both roles.
 	_, lsp := obs.Start(ctx, "library")
 	lsp.SetInt("n", int64(len(seqs)))
-	lsp.SetInt("workers", int64(a.opts.Workers))
-	lsp.SetBool("extend", a.opts.Extend)
+	lsp.SetInt("workers", int64(a.workers))
+	lsp.SetBool("extend", a.extend)
 	lib, dist, err := a.buildLibrary(ctx, clean)
-	if err == nil && a.opts.Extend {
+	if err == nil && a.extend {
 		lib, err = a.extendLibrary(ctx, lib, clean)
 	}
 	lsp.End()
@@ -152,8 +133,8 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	_, gsp := obs.Start(ctx, "guidetree")
 	gsp.SetStr("method", "nj")
 	gsp.SetInt("n", int64(len(seqs)))
-	gsp.SetInt("workers", int64(a.opts.Workers))
-	gt := tree.NeighborJoiningWorkers(dist, bio.IDs(seqs), a.opts.Workers)
+	gsp.SetInt("workers", int64(a.workers))
+	gt := tree.NeighborJoiningWorkers(dist, bio.IDs(seqs), a.workers)
 	gsp.End()
 	rows, ids, err := a.progressive(ctx, clean, gt, lib)
 	if err != nil {
@@ -175,7 +156,7 @@ func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *k
 	n := len(seqs)
 	lib := newLibrary(n)
 	dist := kmer.NewMatrix(n)
-	pw := pairwise.Aligner{Sub: a.opts.Sub, Gap: a.opts.Gap}
+	pw := pairwise.Aligner{Sub: submat.BLOSUM62, Gap: submat.DefaultProteinGap}
 
 	type pairResult struct {
 		i, j int
@@ -188,7 +169,7 @@ func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *k
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	results, err := par.MapCtx(ctx, len(pairs), a.opts.Workers, func(k int) pairResult {
+	results, err := par.MapCtx(ctx, len(pairs), a.workers, func(k int) pairResult {
 		i, j := pairs[k][0], pairs[k][1]
 		r := pw.Global(seqs[i], seqs[j])
 		id := pairwise.Identity(r.A, r.B)
@@ -278,7 +259,7 @@ func (a *Aligner) extendLibrary(ctx context.Context, lib *library, seqs [][]byte
 			jobs = append(jobs, job{i, j})
 		}
 	}
-	mats, err := par.MapCtx(ctx, len(jobs), a.opts.Workers, func(t int) map[pairKey]float64 {
+	mats, err := par.MapCtx(ctx, len(jobs), a.workers, func(t int) map[pairKey]float64 {
 		i, j := jobs[t].i, jobs[t].j
 		acc := map[pairKey]float64{}
 		// direct support
@@ -332,7 +313,7 @@ type group struct {
 // on Workers workers against the read-only library; output is
 // byte-identical for every Workers value.
 //
-// It cannot run on msa's AlignWithTreePairs driver. A msa.PairPath sees
+// It cannot run on msa's progressive merge driver, whose pair step sees
 // two *profile.Profile, which are letter counts per column; this merge
 // scores a column pair by summing library support over (sequence,
 // residue ordinal) pairs, and a profile cannot tell which sequence put
@@ -342,7 +323,7 @@ func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node,
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
 	psp.SetInt("n", int64(len(seqs)))
-	psp.SetInt("workers", int64(a.opts.Workers))
+	psp.SetInt("workers", int64(a.workers))
 	leaf := func(n *tree.Node) (*group, error) {
 		if n.ID < 0 || n.ID >= len(seqs) {
 			return nil, fmt.Errorf("cons: leaf id %d out of range", n.ID)
@@ -361,7 +342,7 @@ func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node,
 		msp.SetInt("rows", int64(len(l.ids)+len(r.ids)))
 		return a.mergeGroups(l, r, lib), nil
 	}
-	g, err := tree.ParallelReduce(ctx, gt, a.opts.Workers, leaf, merge)
+	g, err := tree.ParallelReduce(ctx, gt, a.workers, leaf, merge)
 	if err != nil {
 		return nil, nil, err
 	}

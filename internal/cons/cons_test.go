@@ -106,7 +106,7 @@ func TestExtensionImprovesOrMatchesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := newWithOptions(Options{Extend: false}).AlignContext(context.Background(), f.Seqs())
+	without, err := (&Aligner{extend: false}).AlignContext(context.Background(), f.Seqs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package dp provides pooled, reusable scratch memory for the
-// dynamic-programming alignment kernels in internal/pairwise,
-// internal/profile and internal/mafft.
+// dynamic-programming alignment kernels in internal/pairwise and
+// internal/profile, and for the msa and cons engines' own DP passes.
 //
 // A progressive alignment of a large bucket performs thousands of DP
 // passes, and allocating score and traceback memory per pass makes the

@@ -25,7 +25,7 @@ func New(name string, workers int) (msa.Aligner, error) {
 	case "muscle":
 		return msa.MuscleLike(workers), nil
 	case "muscle-refined":
-		return msa.MuscleLikeRefined(workers, 2), nil
+		return msa.MuscleLikeRefined(workers), nil
 	case "clustal":
 		return msa.ClustalLike(workers), nil
 	case "tcoffee":
@@ -33,7 +33,9 @@ func New(name string, workers int) (msa.Aligner, error) {
 	case "fftnsi":
 		return mafft.NewFFTNSI(workers), nil
 	case "nwnsi":
-		return mafft.NewNWNSI(workers), nil
+		// MAFFT's NW-NS-i (k-mer distances, UPGMA, full profile DP, two
+		// refinement rounds) is muscle-refined under the paper's name.
+		return msa.NewProgressive(msa.Options{Refine: 2, Workers: workers, NameTag: "nwnsi"}), nil
 	default:
 		return nil, fmt.Errorf("engines: unknown aligner %q (have %v)", name, Names())
 	}

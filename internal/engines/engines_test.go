@@ -93,3 +93,26 @@ func TestEngineGoldenHash(t *testing.T) {
 		t.Errorf("%s: fftnsi equals nwnsi, so the FFT band did not bind", inputs[last].name)
 	}
 }
+
+// TestSingleGappedSequence: one gapped sequence aligns to its residues,
+// as the same row does next to a second sequence, with no all-gap
+// column left over; its ID and description stay.
+func TestSingleGappedSequence(t *testing.T) {
+	in := []bio.Sequence{{ID: "a", Desc: "one row", Data: []byte("-AC--GT-")}}
+	for _, name := range engines.Names() {
+		al, err := engines.New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aln, err := al.AlignContext(context.Background(), in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(aln.Seqs) != 1 {
+			t.Fatalf("%s: %d rows", name, len(aln.Seqs))
+		}
+		if got := aln.Seqs[0]; got.ID != "a" || got.Desc != "one row" || string(got.Data) != "ACGT" {
+			t.Errorf("%s: got %q %q %q, want \"a\" \"one row\" \"ACGT\"", name, got.ID, got.Desc, got.Data)
+		}
+	}
+}

@@ -340,7 +340,7 @@ func TestRefinementNeverWorsensSP(t *testing.T) {
 	for _, n := range []int{10, 40} {
 		seqs := family(rng, n, 60, 0.25)
 		base := MuscleLike(0)
-		refined := MuscleLikeRefined(0, 2)
+		refined := MuscleLikeRefined(0)
 		a0 := mustAlign(t, base, seqs)
 		a1 := mustAlign(t, refined, seqs)
 		checkPreservesSequences(t, a1, seqs)

@@ -17,9 +17,9 @@ import (
 )
 
 // Aligner is any multiple sequence aligner. Implementations in this
-// repository: the Progressive engine (MUSCLE-like, CLUSTAL-like), the
-// consistency aligner in internal/cons, the MAFFT-like aligner in
-// internal/mafft and Sample-Align-D itself in internal/core. A long
+// repository: the Progressive engine (MUSCLE-like, CLUSTAL-like, and
+// MAFFT-like with internal/mafft's FFT band), the consistency aligner in
+// internal/cons and Sample-Align-D itself in internal/core. A long
 // alignment observes cancellation at phase and guide-tree-merge
 // granularity and returns the context's error.
 type Aligner interface {
@@ -33,156 +33,105 @@ func AlignWithContext(ctx context.Context, a Aligner, seqs []bio.Sequence) (*Ali
 	return a.AlignContext(ctx, seqs)
 }
 
-// DistanceMethod selects how the guide-tree distance matrix is computed.
-type DistanceMethod int
-
-const (
-	// KmerDistance uses compressed-alphabet k-mer distances (MUSCLE
-	// draft stage): O(N²·L) and alignment-free.
-	KmerDistance DistanceMethod = iota
-	// PIDDistance uses 1 − fractional identity from global pairwise
-	// alignments (CLUSTALW stage 1): O(N²·L²) and much slower.
-	PIDDistance
-)
-
-// TreeMethod selects the guide-tree construction.
-type TreeMethod int
-
-const (
-	UPGMATree TreeMethod = iota
-	NJTree
-)
-
-// Options configures the progressive engine.
+// Options configures the progressive engine. The scoring model
+// (BLOSUM62, default protein gaps) and the k-mer draft distances
+// (Dayhoff-6, kmer.DefaultK) are the same in every engine.
 type Options struct {
-	Sub       *submat.Matrix
-	Gap       submat.Gap
-	Distance  DistanceMethod
-	Tree      TreeMethod
-	K         int             // k-mer length for KmerDistance
-	Compress  *bio.Compressed // compressed alphabet for k-mers
-	Weighting bool            // CLUSTALW-style tree-derived sequence weights
-	Refine    int             // rounds of tree-bipartition refinement
-	Workers   int             // shared-memory workers (<=0: all cores)
-	NameTag   string
+	Refine  int // rounds of tree-bipartition refinement
+	Workers int // shared-memory workers (<=0: all cores)
+	NameTag string
+	// Band, when set, restricts every guide-tree merge to the diagonals
+	// lo..hi it picks for the two profiles (profile.AlignBanded), as
+	// MAFFT's FFT-NS does; refinement realigns with full DP either way.
+	Band func(a, b *profile.Profile) (lo, hi int, err error)
+
+	// clustal selects the CLUSTALW recipe: %-identity distances, an NJ
+	// tree and tree-derived sequence weights in place of k-mer
+	// distances, UPGMA and unit weights.
+	clustal bool
 }
 
 // Progressive is a progressive multiple aligner: distance matrix → guide
 // tree → post-order profile merging (→ optional refinement).
 type Progressive struct {
 	opts Options
+	sub  *submat.Matrix // BLOSUM62; tests swap in a model whose sums round
+	gap  submat.Gap
 }
 
-// NewProgressive builds a progressive aligner, applying defaults for
-// unset options.
+// NewProgressive builds a progressive aligner.
 func NewProgressive(opts Options) *Progressive {
-	if opts.Sub == nil {
-		opts.Sub = submat.BLOSUM62
-	}
-	if opts.Gap == (submat.Gap{}) {
-		opts.Gap = submat.DefaultProteinGap
-	}
-	if opts.K == 0 {
-		opts.K = kmer.DefaultK
-	}
-	if opts.Compress == nil {
-		opts.Compress = bio.Dayhoff6
-	}
-	if opts.NameTag == "" {
-		opts.NameTag = "progressive"
-	}
-	return &Progressive{opts: opts}
+	return &Progressive{opts: opts, sub: submat.BLOSUM62, gap: submat.DefaultProteinGap}
 }
 
 // MuscleLike returns the MUSCLE-style pipeline the paper runs inside each
 // processor: k-mer distances, UPGMA tree, PSP profile alignment.
 func MuscleLike(workers int) *Progressive {
-	return NewProgressive(Options{
-		Distance: KmerDistance,
-		Tree:     UPGMATree,
-		Workers:  workers,
-		NameTag:  "muscle-like",
-	})
+	return NewProgressive(Options{Workers: workers, NameTag: "muscle-like"})
 }
 
-// MuscleLikeRefined adds MUSCLE stage-3 style iterative refinement.
-func MuscleLikeRefined(workers, rounds int) *Progressive {
-	return NewProgressive(Options{
-		Distance: KmerDistance,
-		Tree:     UPGMATree,
-		Workers:  workers,
-		Refine:   rounds,
-		NameTag:  "muscle-like+refine",
-	})
+// MuscleLikeRefined adds two rounds of MUSCLE stage-3 style iterative
+// refinement.
+func MuscleLikeRefined(workers int) *Progressive {
+	return NewProgressive(Options{Refine: 2, Workers: workers, NameTag: "muscle-like+refine"})
 }
 
 // ClustalLike returns the CLUSTALW-style pipeline used as the paper's
 // quality baseline: %-identity distances, NJ tree, weighted profiles.
 func ClustalLike(workers int) *Progressive {
-	return NewProgressive(Options{
-		Distance:  PIDDistance,
-		Tree:      NJTree,
-		Weighting: true,
-		Workers:   workers,
-		NameTag:   "clustalw-like",
-	})
+	return NewProgressive(Options{Workers: workers, NameTag: "clustalw-like", clustal: true})
 }
 
 // Name identifies the pipeline configuration.
 func (p *Progressive) Name() string { return p.opts.NameTag }
 
-// Options returns a copy of the engine's configuration.
-func (p *Progressive) Options() Options { return p.opts }
-
-// DistanceMatrixContext computes the configured guide-tree distance
-// matrix; the O(N²·L²) PID path stops dispatching pair rows on
-// cancellation.
+// DistanceMatrixContext computes the guide-tree distance matrix:
+// compressed-alphabet k-mer distances (MUSCLE's draft stage, O(N²·L) and
+// alignment-free), or for the CLUSTALW recipe 1 − fractional identity
+// from global pairwise alignments (O(N²·L²)), whose pair rows stop
+// dispatching on cancellation.
 func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequence) (*kmer.Matrix, error) {
-	switch p.opts.Distance {
-	case KmerDistance:
-		counter, err := kmer.NewCounter(p.opts.Compress, p.opts.K)
+	if !p.opts.clustal {
+		counter, err := kmer.NewCounter(bio.Dayhoff6, kmer.DefaultK)
 		if err != nil {
 			return nil, err
 		}
 		profiles := counter.Profiles(seqs, p.opts.Workers)
 		return kmer.DistanceMatrixContext(ctx, profiles, p.opts.Workers)
-	case PIDDistance:
-		// The O(N²·L²) pair space is dispatched as cache-sized tiles
-		// (kmer.PairTiles), so the dynamic scheduler balances the quadratic tail instead of handing each
-		// worker whole rows of shrinking length. Each tile borrows one
-		// pooled DP workspace for all of its alignments, and the identity
-		// is counted directly off the traceback plane
-		// (GlobalIdentityInto) without materializing aligned rows.
-		ctx, sp := obs.Start(ctx, "distmatrix")
-		defer sp.End()
-		sp.SetStr("method", "pid")
-		sp.SetInt("n", int64(len(seqs)))
-		sp.SetInt("workers", int64(p.opts.Workers))
-		n := len(seqs)
-		m := kmer.NewMatrix(n)
-		al := pairwise.Aligner{Sub: p.opts.Sub, Gap: p.opts.Gap}
-		tiles := kmer.PairTiles(n, p.opts.Workers, 0)
-		if err := par.ForDynamicCtx(ctx, len(tiles), p.opts.Workers, func(t int) {
-			tl := tiles[t]
-			dp.With(func(w *dp.Workspace) {
-				for i := tl.RLo; i < tl.RHi; i++ {
-					a := seqs[i].Data
-					jlo := tl.CLo
-					if jlo <= i {
-						jlo = i + 1 // diagonal tile: stay above the diagonal
-					}
-					for j := jlo; j < tl.CHi; j++ {
-						m.Set(i, j, 1-al.GlobalIdentityInto(w, a, seqs[j].Data))
-					}
-				}
-			})
-		}); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("msa: unknown distance method %d", p.opts.Distance)
 	}
+	// The O(N²·L²) pair space is dispatched as cache-sized tiles
+	// (kmer.PairTiles), so the dynamic scheduler balances the quadratic tail instead of handing each
+	// worker whole rows of shrinking length. Each tile borrows one
+	// pooled DP workspace for all of its alignments, and the identity
+	// is counted directly off the traceback plane
+	// (GlobalIdentityInto) without materializing aligned rows.
+	ctx, sp := obs.Start(ctx, "distmatrix")
+	defer sp.End()
+	sp.SetStr("method", "pid")
+	sp.SetInt("n", int64(len(seqs)))
+	sp.SetInt("workers", int64(p.opts.Workers))
+	n := len(seqs)
+	m := kmer.NewMatrix(n)
+	al := pairwise.Aligner{Sub: p.sub, Gap: p.gap}
+	tiles := kmer.PairTiles(n, p.opts.Workers, 0)
+	if err := par.ForDynamicCtx(ctx, len(tiles), p.opts.Workers, func(t int) {
+		tl := tiles[t]
+		dp.With(func(w *dp.Workspace) {
+			for i := tl.RLo; i < tl.RHi; i++ {
+				a := seqs[i].Data
+				jlo := tl.CLo
+				if jlo <= i {
+					jlo = i + 1 // diagonal tile: stay above the diagonal
+				}
+				for j := jlo; j < tl.CHi; j++ {
+					m.Set(i, j, 1-al.GlobalIdentityInto(w, a, seqs[j].Data))
+				}
+			}
+		})
+	}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // GuideTree builds the configured guide tree from a distance matrix.
@@ -190,12 +139,10 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 // workers; the tree is identical for every worker count.
 func (p *Progressive) GuideTree(d *kmer.Matrix, seqs []bio.Sequence) *tree.Node {
 	names := bio.IDs(seqs)
-	switch p.opts.Tree {
-	case NJTree:
+	if p.opts.clustal {
 		return tree.NeighborJoiningWorkers(d, names, p.opts.Workers)
-	default:
-		return tree.UPGMAWorkers(d, names, p.opts.Workers)
 	}
+	return tree.UPGMAWorkers(d, names, p.opts.Workers)
 }
 
 // AlignContext runs the full progressive pipeline under a context:
@@ -206,7 +153,7 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 	case 0:
 		return &Alignment{}, nil
 	case 1:
-		return &Alignment{Seqs: bio.CloneAll(seqs)}, nil
+		return &Alignment{Seqs: []bio.Sequence{seqs[0].Ungapped()}}, nil
 	}
 	for i := range seqs {
 		if len(bio.Ungap(seqs[i].Data)) == 0 {
@@ -218,7 +165,7 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 		return nil, err
 	}
 	_, gsp := obs.Start(ctx, "guidetree")
-	if p.opts.Tree == NJTree {
+	if p.opts.clustal {
 		gsp.SetStr("method", "nj")
 	} else {
 		gsp.SetStr("method", "upgma")
@@ -228,7 +175,7 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 	gt := p.GuideTree(d, seqs)
 	gsp.End()
 	var weights []float64
-	if p.opts.Weighting {
+	if p.opts.clustal {
 		weights = treeWeights(gt, len(seqs))
 	}
 	aln, err := p.AlignWithTreeContext(ctx, seqs, gt, weights)
@@ -285,22 +232,30 @@ func (g *group) expandRows(rows [][]byte, cols []int32, total int) {
 
 // AlignWithTreeContext performs the post-order progressive merge over
 // an explicit guide tree, every merge aligning its two profiles with
-// full profile-profile DP. weights may be nil (unit weights).
+// full profile-profile DP, or inside the diagonals Options.Band picks
+// when it is set. weights may be nil (unit weights).
 func (p *Progressive) AlignWithTreeContext(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64) (*Alignment, error) {
-	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
-	return p.AlignWithTreePairs(ctx, seqs, gt, weights, func(pl, pr *profile.Profile) (profile.Path, error) {
-		path, _ := palign.Align(pl, pr)
+	palign := profile.NewAligner(p.sub, p.gap)
+	return p.alignWithTreePairs(ctx, seqs, gt, weights, func(pl, pr *profile.Profile) (profile.Path, error) {
+		if p.opts.Band == nil {
+			path, _ := palign.Align(pl, pr)
+			return path, nil
+		}
+		lo, hi, err := p.opts.Band(pl, pr)
+		if err != nil {
+			return nil, err
+		}
+		path, _ := palign.AlignBanded(pl, pr, lo, hi)
 		return path, nil
 	})
 }
 
-// PairPath picks the alignment path between the two profiles one
-// guide-tree merge joins — the only step progressive engines differ in
-// (full DP here, FFT-banded DP in mafft).
-type PairPath func(pl, pr *profile.Profile) (profile.Path, error)
+// pairPath picks the alignment path between the two profiles one
+// guide-tree merge joins.
+type pairPath func(pl, pr *profile.Profile) (profile.Path, error)
 
-// AlignWithTreePairs is the progressive merge driver under a caller's
-// pair strategy. The merge recursion runs as a parallel post-order
+// alignWithTreePairs is the progressive merge driver under a pair
+// strategy. The merge recursion runs as a parallel post-order
 // schedule on a task DAG (tree.ParallelReduce): disjoint subtrees merge
 // concurrently on Workers workers, each merge borrowing its own pooled
 // DP workspace. Output is byte-identical for every Workers value — a
@@ -316,12 +271,12 @@ type PairPath func(pl, pr *profile.Profile) (profile.Path, error)
 // group's rows exactly with unit weights over the alphabet's letters,
 // and to within rounding with tree weights or unknown residues
 // ((ΣA)+(ΣB) where FromRows adds row by row).
-func (p *Progressive) AlignWithTreePairs(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64, pair PairPath) (*Alignment, error) {
+func (p *Progressive) alignWithTreePairs(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64, pair pairPath) (*Alignment, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
 	psp.SetInt("n", int64(len(seqs)))
 	psp.SetInt("workers", int64(p.opts.Workers))
-	alpha := p.opts.Sub.Alphabet()
+	alpha := p.sub.Alphabet()
 
 	leaf := func(n *tree.Node) (*group, error) {
 		if n.ID < 0 || n.ID >= len(seqs) {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/tree"
 )
 
-// The reference merge chain: what AlignWithTreePairs did at every node
+// The reference merge chain: what alignWithTreePairs did at every node
 // before a group became a recipe — rows rebuilt with profile.MergeRows,
 // ids concatenated, a profile available from profile.FromRows of those
 // rows — kept test-only. It also carries the profile.Merge chain, so
@@ -28,7 +28,7 @@ type refGroup struct {
 // refReduce walks gt in post-order. Every merge asks pair for a path
 // between the two carried profiles, and check (if not nil) sees each
 // merged node's carried profile beside the one rebuilt from its rows.
-func refReduce(t *testing.T, gt *tree.Node, seqs []bio.Sequence, weights []float64, pair PairPath,
+func refReduce(t *testing.T, gt *tree.Node, seqs []bio.Sequence, weights []float64, pair pairPath,
 	check func(carried, rebuilt *profile.Profile)) refGroup {
 	t.Helper()
 	alpha := bio.AminoAcids
@@ -120,11 +120,11 @@ func recipeSeqs(rng *rand.Rand, n int, unknown bool) []bio.Sequence {
 	return seqs
 }
 
-// randomPairPath returns a PairPath that ignores scores: a random valid
+// randomPairPath returns a pairPath that ignores scores: a random valid
 // path, a function of the two lengths and the seed alone — so the
 // driver and the reference chain, asking in different orders, are given
 // the same path at the same node. Paths open and close on any op.
-func randomPairPath(seed int64) PairPath {
+func randomPairPath(seed int64) pairPath {
 	return func(pl, pr *profile.Profile) (profile.Path, error) {
 		n, m := pl.Len(), pr.Len()
 		rng := rand.New(rand.NewSource(seed + int64(n)*1_000_003 + int64(m)))
@@ -147,7 +147,7 @@ func randomPairPath(seed int64) PairPath {
 	}
 }
 
-// TestRecipeRowsMatchMergeRowsChain: the rows AlignWithTreePairs builds
+// TestRecipeRowsMatchMergeRowsChain: the rows alignWithTreePairs builds
 // once at the root, by pushing a column map down its tree of paths, are
 // the rows the per-node MergeRows chain produces from the same paths.
 func TestRecipeRowsMatchMergeRowsChain(t *testing.T) {
@@ -168,7 +168,7 @@ func TestRecipeRowsMatchMergeRowsChain(t *testing.T) {
 
 			for _, workers := range []int{1, 4} {
 				p := NewProgressive(Options{Workers: workers})
-				got, err := p.AlignWithTreePairs(context.Background(), seqs, gt, nil, pair)
+				got, err := p.alignWithTreePairs(context.Background(), seqs, gt, nil, pair)
 				if err != nil {
 					t.Fatalf("%s n=%d workers=%d: %v", shape, n, workers, err)
 				}

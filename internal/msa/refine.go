@@ -96,7 +96,7 @@ func (p *Progressive) refine(ctx context.Context, aln *Alignment, gt *tree.Node,
 		rescored int
 		err      error
 	}
-	obj := newSPObjective(n, p.opts.Sub, p.opts.Gap)
+	obj := newSPObjective(n, p.sub, p.gap)
 	current := aln
 	table := make([]float64, len(obj.pairs))
 	obj.rescore(table, current.Rows(), nil)
@@ -249,7 +249,7 @@ func (o *spObjective) total(table []float64) float64 {
 func (p *Progressive) realignSplit(aln *Alignment, side []bool) (*Alignment, error) {
 	rows := aln.Rows()
 	partA, partB := compactPart(rows, side, true), compactPart(rows, side, false)
-	alpha := p.opts.Sub.Alphabet()
+	alpha := p.sub.Alphabet()
 	pa, err := profile.FromRows(alpha, partA, nil)
 	if err != nil {
 		return nil, err
@@ -258,7 +258,7 @@ func (p *Progressive) realignSplit(aln *Alignment, side []bool) (*Alignment, err
 	if err != nil {
 		return nil, err
 	}
-	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
+	palign := profile.NewAligner(p.sub, p.gap)
 	path, _ := palign.Align(pa, pb)
 	merged := profile.MergeRows(partA, partB, path)
 

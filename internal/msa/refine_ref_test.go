@@ -26,9 +26,9 @@ func (p *Progressive) refRefineScore(a *Alignment, workers int) float64 {
 	// exact anyway (pair count below the sample budget), so the workers
 	// bound is honored on that path too.
 	if n <= exactLimit || n*(n-1)/2 <= samplePairs {
-		return SPScore(a, p.opts.Sub, p.opts.Gap, workers)
+		return SPScore(a, p.sub, p.gap, workers)
 	}
-	return spScoreSampled(a, p.opts.Sub, p.opts.Gap, samplePairs, 1)
+	return spScoreSampled(a, p.sub, p.gap, samplePairs, 1)
 }
 
 // refRealignSplit extracts the rows in `split` (by sequence index order of
@@ -58,7 +58,7 @@ func (p *Progressive) refRealignSplit(aln *Alignment, split []int) (*Alignment, 
 	partA.RemoveAllGapColumns()
 	partB.RemoveAllGapColumns()
 
-	alpha := p.opts.Sub.Alphabet()
+	alpha := p.sub.Alphabet()
 	pa, err := partA.Profile(alpha)
 	if err != nil {
 		return nil, err
@@ -67,7 +67,7 @@ func (p *Progressive) refRealignSplit(aln *Alignment, split []int) (*Alignment, 
 	if err != nil {
 		return nil, err
 	}
-	palign := profile.NewAligner(p.opts.Sub, p.opts.Gap)
+	palign := profile.NewAligner(p.sub, p.gap)
 	path, _ := palign.Align(pa, pb)
 	merged := profile.MergeRows(partA.Rows(), partB.Rows(), path)
 

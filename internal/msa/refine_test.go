@@ -15,12 +15,26 @@ import (
 	"repro/internal/tree"
 )
 
+// refineModel is a scoring model the refinement tests run under.
+type refineModel struct {
+	name string
+	sub  *submat.Matrix
+	gap  submat.Gap
+}
+
+// engine returns a progressive engine scoring with the model.
+func (m refineModel) engine(workers int) *Progressive {
+	p := NewProgressive(Options{Workers: workers})
+	p.sub, p.gap = m.sub, m.gap
+	return p
+}
+
 // refineModels are the two scoring models the refinement tests run
 // under: the default (BLOSUM62 and 11/1 gaps — all integers, so every
 // sum is exact whatever its order) and a non-dyadic one (BLOSUM62 ÷ 3,
 // gaps 2.9/0.3) whose sums round, so a changed addition order shows in
 // the last bits.
-func refineModels() []Options {
+func refineModels() []refineModel {
 	L := bio.AminoAcids.Len()
 	table := make([][]float64, L)
 	for i := range table {
@@ -30,9 +44,9 @@ func refineModels() []Options {
 		}
 	}
 	third := submat.New("BLOSUM62/3", bio.AminoAcids, table, -4.0/3)
-	return []Options{
-		{NameTag: "blosum62"},
-		{NameTag: "third", Sub: third, Gap: submat.Gap{Open: 2.9, Extend: 0.3}},
+	return []refineModel{
+		{"blosum62", submat.BLOSUM62, submat.DefaultProteinGap},
+		{"third", third, submat.Gap{Open: 2.9, Extend: 0.3}},
 	}
 }
 
@@ -42,10 +56,10 @@ var refineSizes = []int{3, 12, 40, 63, 64, 90}
 
 // refineInput aligns one `family` set progressively along its guide
 // tree: what RefineAlignmentContext is handed by the engines.
-func refineInput(t *testing.T, opts Options, n int, seed int64) (*Alignment, *tree.Node) {
+func refineInput(t *testing.T, model refineModel, n int, seed int64) (*Alignment, *tree.Node) {
 	t.Helper()
 	seqs := family(rand.New(rand.NewSource(seed)), n, 24, 0.25)
-	p := NewProgressive(opts)
+	p := model.engine(0)
 	d, err := p.DistanceMatrixContext(context.Background(), seqs)
 	if err != nil {
 		t.Fatal(err)
@@ -69,15 +83,13 @@ func TestRefineMatchesOracle(t *testing.T) {
 		for _, n := range refineSizes {
 			for seed := int64(1); seed <= 2; seed++ {
 				aln, gt := refineInput(t, model, n, 100*int64(n)+seed)
-				want, wantScore := NewProgressive(model).refRefine(aln, gt, 2)
+				want, wantScore := model.engine(0).refRefine(aln, gt, 2)
 				for _, workers := range []int{1, 3, 8} {
-					opts := model
-					opts.Workers = workers
-					got, st, err := NewProgressive(opts).refine(context.Background(), aln, gt, 2)
+					got, st, err := model.engine(workers).refine(context.Background(), aln, gt, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("%s n=%d seed=%d workers=%d", model.NameTag, n, seed, workers)
+					name := fmt.Sprintf("%s n=%d seed=%d workers=%d", model.name, n, seed, workers)
 					if !bytes.Equal(renderAlignment(got), renderAlignment(want)) {
 						t.Fatalf("%s: alignment differs from the oracle's", name)
 					}
@@ -124,8 +136,8 @@ func randomSides(rng *rand.Rand, n int) [][]bool {
 // candidate validates (no all-gap column) and keeps every row's residues.
 func TestRefineCandidateScoreAndInvariant(t *testing.T) {
 	for _, model := range refineModels() {
-		p := NewProgressive(model)
-		sub, gap := p.opts.Sub, p.opts.Gap
+		p := model.engine(0)
+		sub, gap := model.sub, model.gap
 		for _, n := range refineSizes {
 			aln, _ := refineInput(t, model, n, 7000+int64(n))
 			rng := rand.New(rand.NewSource(int64(n)))
@@ -135,7 +147,7 @@ func TestRefineCandidateScoreAndInvariant(t *testing.T) {
 				t.Fatalf("n=%d: full rescore touched %d of %d pairs", n, got, len(table))
 			}
 			if got, want := obj.total(table), p.refRefineScore(aln, 1); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s n=%d: table total %v, full score %v", model.NameTag, n, got, want)
+				t.Fatalf("%s n=%d: table total %v, full score %v", model.name, n, got, want)
 			}
 			for _, side := range randomSides(rng, n) {
 				var idx []int
@@ -144,7 +156,7 @@ func TestRefineCandidateScoreAndInvariant(t *testing.T) {
 						idx = append(idx, i)
 					}
 				}
-				name := fmt.Sprintf("%s n=%d |A|=%d", model.NameTag, n, len(idx))
+				name := fmt.Sprintf("%s n=%d |A|=%d", model.name, n, len(idx))
 				cand, err := p.realignSplit(aln, side)
 				if err != nil {
 					t.Fatal(err)
@@ -201,7 +213,7 @@ func TestRefineSpanCounts(t *testing.T) {
 	attrs := func(workers int) map[string]int64 {
 		tr := obs.New(obs.Options{})
 		ctx := obs.WithTracer(context.Background(), tr)
-		if _, err := MuscleLikeRefined(workers, 2).AlignContext(ctx, seqs); err != nil {
+		if _, err := MuscleLikeRefined(workers).AlignContext(ctx, seqs); err != nil {
 			t.Fatal(err)
 		}
 		var found []*obs.SpanDoc

@@ -32,7 +32,7 @@ func TestProgressiveWorkersDeterminism(t *testing.T) {
 		build func(workers int) Aligner
 	}{
 		{"muscle-like", func(w int) Aligner { return MuscleLike(w) }},
-		{"muscle-like+refine", func(w int) Aligner { return MuscleLikeRefined(w, 2) }},
+		{"muscle-like+refine", func(w int) Aligner { return MuscleLikeRefined(w) }},
 		{"clustalw-like", func(w int) Aligner { return ClustalLike(w) }},
 	}
 	for _, e := range engines {
