@@ -272,7 +272,7 @@ func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
 		// Persist before landing: both tiers hold the result by the time
 		// any rider, or a submission racing the in-flight map removal
 		// below, looks for it.
-		s.cache.Put(fl.key, res)
+		s.cache.Put(fl.key, res, res.sizeBytes())
 		s.storePut(fl.key, res)
 		s.storePutTrace(fl.key, res)
 	case fl.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -312,12 +312,12 @@ func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
 }
 
 // rememberLocked stores the job record, pruning the oldest terminal
-// jobs beyond MaxJobs: a live job is never dropped, whatever the cap,
+// jobs beyond maxJobs: a live job is never dropped, whatever the cap,
 // and neither is the job being remembered. Server.mu must be held.
 func (s *Server) rememberLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
-	excess := len(s.order) - s.cfg.MaxJobs
+	excess := len(s.order) - s.maxJobs
 	// The oldest record is nearly always terminal: pop it off the head.
 	for excess > 0 && s.order[0] != job.ID && s.dropIfTerminalLocked(s.order[0]) {
 		s.order[0] = "" // the backing array outlives the reslice

@@ -30,7 +30,7 @@ import (
 // Replay: a submit with no terminal record is re-enqueued (its FASTA
 // is the input); one with a terminal record becomes a visible finished
 // job. On open the journal is compacted: finished jobs keep only a
-// FASTA-less submit + their terminal record, pruned beyond MaxJobs.
+// FASTA-less submit + their terminal record, pruned beyond maxJobs.
 
 // submitData is the submit record payload.
 type submitData struct {
@@ -153,12 +153,8 @@ func (s *Server) openPersistence() error {
 		return err
 	}
 	s.unlockDir = unlock
-	if s.cfg.StoreEntries >= 0 { // -1 disables the disk result tier
-		maxBytes := s.cfg.StoreBytes
-		if maxBytes < 0 {
-			maxBytes = 0 // store: <= 0 means unbounded
-		}
-		s.results, err = store.OpenResults(filepath.Join(dir, "results"), s.cfg.StoreEntries, maxBytes)
+	if s.cfg.StoreEntries >= 0 { // -1 disables the disk result tier; -1 bytes is unbounded
+		s.results, err = store.OpenResults(filepath.Join(dir, "results"), s.cfg.StoreEntries, s.cfg.StoreBytes)
 		if err != nil {
 			s.unlockDir()
 			s.unlockDir = nil
@@ -167,7 +163,7 @@ func (s *Server) openPersistence() error {
 		// Traces live beside results under the same bounds: a trace is
 		// only useful while its result is still addressable, and both
 		// stores evict independently by their own LRU.
-		s.traces, err = store.OpenResults(filepath.Join(dir, "traces"), s.cfg.StoreEntries, maxBytes)
+		s.traces, err = store.OpenResults(filepath.Join(dir, "traces"), s.cfg.StoreEntries, s.cfg.StoreBytes)
 		if err != nil {
 			s.unlockDir()
 			s.unlockDir = nil
@@ -387,7 +383,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 	}
 
 	// Compact: finished jobs shed their input payload (and are pruned
-	// beyond MaxJobs, in step with the job table); unfinished ones keep
+	// beyond maxJobs, in step with the job table); unfinished ones keep
 	// the FASTA they will re-run from.
 	var compact []store.Record
 	for _, r := range order {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -225,6 +227,74 @@ func TestCacheDisabledByConfig(t *testing.T) {
 	waitState(t, j2, StateDone)
 	if fe.Runs() != 2 {
 		t.Fatalf("runs = %d, want 2 (no caching)", fe.Runs())
+	}
+}
+
+// TestTierBoundsByConfig pins what samplealignsrv's tier flags mean:
+// -cache-entries/-cache-bytes bound the memory tier, -store-entries/
+// -store-bytes the disk tier, and -1 disables (entries) or unbounds
+// (bytes) it. Each row stores results A then B, reads the tier gauges
+// off /metrics, then resubmits A and checks which tier, if any,
+// answered. Disk rows disable the memory tier so only the disk answers.
+func TestTierBoundsByConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		gauges    map[string]int64
+		hit, disk bool
+	}{
+		{"cache-entries=-1", Config{CacheEntries: -1},
+			map[string]int64{"samplealign_cache_entries": 0, "samplealign_cache_bytes": 0}, false, false},
+		{"cache-entries=1", Config{CacheEntries: 1},
+			map[string]int64{"samplealign_cache_entries": 1}, false, false},
+		{"cache-bytes=-1", Config{CacheBytes: -1},
+			map[string]int64{"samplealign_cache_entries": 2}, true, false},
+		{"cache-bytes=1", Config{CacheBytes: 1},
+			map[string]int64{"samplealign_cache_entries": 0, "samplealign_cache_bytes": 0}, false, false},
+		{"store-entries=-1", Config{CacheEntries: -1, StoreEntries: -1},
+			map[string]int64{"samplealign_store_entries": 0, "samplealign_store_bytes": 0}, false, false},
+		{"store-entries=1", Config{CacheEntries: -1, StoreEntries: 1},
+			map[string]int64{"samplealign_store_entries": 1}, false, false},
+		{"store-bytes=-1", Config{CacheEntries: -1, StoreBytes: -1},
+			map[string]int64{"samplealign_store_entries": 2}, true, true},
+		{"store-bytes=1", Config{CacheEntries: -1, StoreBytes: 1},
+			map[string]int64{"samplealign_store_entries": 0, "samplealign_store_bytes": 0}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Executor = &fakeExec{}
+			if strings.HasPrefix(tc.name, "store") {
+				cfg.DataDir = t.TempDir()
+			}
+			s := newTestServer(t, cfg)
+			defer s.Close()
+			a, b := testSeqs(4, 30, 92), testSeqs(4, 30, 93)
+			for _, seqs := range [][]bio.Sequence{a, b} {
+				j, err := s.Submit(seqs, Options{Procs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, j, StateDone)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			for name, want := range tc.gauges {
+				if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(rec.Body.String(), line) {
+					t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+				}
+			}
+			j, err := s.Submit(a, Options{Procs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateDone)
+			if got := j.View().Cached; got != tc.hit {
+				t.Errorf("resubmission cached = %v, want %v", got, tc.hit)
+			}
+			if got := s.metrics.StoreHits.Value() == 1; got != tc.disk {
+				t.Errorf("answered by the disk tier = %v, want %v", got, tc.disk)
+			}
+		})
 	}
 }
 
@@ -493,8 +563,9 @@ func (h *holdExec) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved
 func TestJobRetentionKeepsLiveJobAndOrder(t *testing.T) {
 	const maxJobs = 4
 	he := &holdExec{release: make(chan struct{})}
-	s := newTestServer(t, Config{Executor: he, MaxJobs: maxJobs, MaxConcurrent: 2})
+	s := newTestServer(t, Config{Executor: he, MaxConcurrent: 2})
 	defer s.Close()
+	s.maxJobs = maxJobs
 	var submitted []string
 	submit := func(nseq int) *Job {
 		t.Helper()
@@ -547,8 +618,9 @@ func TestJobRetentionKeepsLiveJobAndOrder(t *testing.T) {
 
 func TestJobRetentionPrunesOldFinished(t *testing.T) {
 	fe := &fakeExec{}
-	s := newTestServer(t, Config{Executor: fe, MaxJobs: 4, MaxConcurrent: 1})
+	s := newTestServer(t, Config{Executor: fe, MaxConcurrent: 1})
 	defer s.Close()
+	s.maxJobs = 4
 	var last *Job
 	for i := 0; i < 10; i++ {
 		j, err := s.Submit(testSeqs(3, 20, int64(200+i)), Options{Procs: 1})
@@ -561,7 +633,7 @@ func TestJobRetentionPrunesOldFinished(t *testing.T) {
 	s.mu.Lock()
 	n := len(s.jobs)
 	s.mu.Unlock()
-	if n > 5 { // MaxJobs plus at most the newest in flight
+	if n > 5 { // maxJobs plus at most the newest in flight
 		t.Fatalf("retained %d job records, want ≤ 5", n)
 	}
 	if _, ok := s.Job(last.ID); !ok {

@@ -109,7 +109,6 @@ type Config struct {
 	MaxQueued     int      // flights waiting beyond the running ones (default 64)
 	CacheEntries  int      // result cache entry bound (default 256; -1 disables)
 	CacheBytes    int64    // result cache byte bound (default 64 MiB; -1 unbounded)
-	MaxJobs       int      // finished-job records retained for status (default 1024)
 	Executor      Executor // default Inproc{}
 
 	// DataDir enables durability: a write-ahead submit journal
@@ -146,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.MaxJobs == 0 {
-		c.MaxJobs = 1024
-	}
 	if c.Executor == nil {
 		c.Executor = Inproc{}
 	}
@@ -160,6 +156,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxJobs is how many finished-job records the server retains for
+// status queries.
+const maxJobs = 1024
 
 // flight is one alignment computation: the input, the options it runs
 // under, and every job waiting on it. Multiple concurrent submissions
@@ -275,7 +275,7 @@ func (j *Job) resultIfDone() (*Result, State, error) {
 // then govern result memory — or the full result when the job is the
 // payload's only home.
 func (s *Server) retainedResult(res *Result) *Result {
-	if s.cache.Enabled() || s.results != nil {
+	if s.cache != nil || s.results != nil {
 		summary := *res
 		summary.FASTA = nil
 		return &summary
@@ -303,7 +303,7 @@ func (s *Server) lookupResult(key string) (*Result, bool) {
 		return nil, false
 	}
 	s.metrics.StoreHits.Inc()
-	s.cache.Put(key, res)
+	s.cache.Put(key, res, res.sizeBytes())
 	return res, true
 }
 
@@ -312,7 +312,8 @@ func (s *Server) lookupResult(key string) (*Result, bool) {
 // Handler, stop with Drain (optional) + Close.
 type Server struct {
 	cfg     Config
-	cache   *Cache
+	cache   *store.LRU[*Result] // memory tier; nil when disabled
+	maxJobs int                 // finished-job records retained; tests lower it
 	metrics *Metrics
 	log     *slog.Logger
 	started time.Time
@@ -348,15 +349,9 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	//lint:allow ctxflow server-lifetime root context, cancelled by (*Server).Close
 	ctx, cancel := context.WithCancelCause(context.Background())
-	// CacheEntries < 0 disables caching entirely, whatever the byte
-	// bound says (a negative byte bound alone only means "no byte cap").
-	cacheEntries, cacheBytes := cfg.CacheEntries, cfg.CacheBytes
-	if cacheEntries < 0 {
-		cacheEntries, cacheBytes = -1, -1
-	}
 	s := &Server{
 		cfg:        cfg,
-		cache:      newCache(cacheEntries, cacheBytes),
+		maxJobs:    maxJobs,
 		metrics:    newMetrics(),
 		log:        orDiscard(cfg.Logger),
 		started:    time.Now(),
@@ -366,6 +361,9 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	if cfg.CacheEntries >= 0 { // -1 disables the memory tier
+		s.cache = store.NewLRU[*Result](cfg.CacheEntries, cfg.CacheBytes)
+	}
 	if cfg.DataDir != "" {
 		if err := s.openPersistence(); err != nil {
 			cancel(nil)

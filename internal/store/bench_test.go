@@ -12,7 +12,7 @@ import (
 // write+fsync cycles divided by records appended (1.0 means no
 // batching; TestJournalConcurrentAppendsGroupCommit holds 8 writers
 // under ½, and bench/ reports store.fsyncs_per_record_conc2). The
-// journal runs with production-default options — no MaxWait — so any
+// journal runs with the production bounds — no maxWait — so any
 // batching shown here comes purely from appenders piling up behind
 // in-flight flushes.
 func BenchmarkJournalAppendParallel(b *testing.B) {

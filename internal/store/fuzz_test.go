@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,6 +91,65 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if last := recs2[len(recs2)-1]; last.Type != RecShutdown || last.Job != "sentinel" {
 			t.Fatalf("appended record corrupted: %+v", last)
+		}
+	})
+}
+
+// FuzzResultFile writes arbitrary bytes as a result file under a valid
+// key and reopens the store — the state bit rot or a torn write can
+// leave on disk. Nothing may panic, and the two ways to read must
+// agree: Get and Open+io.ReadAll both miss, or both return the same
+// meta and payload. A miss leaves no file behind.
+func FuzzResultFile(f *testing.F) {
+	const key = "ab"
+	dir := f.TempDir()
+	s, err := OpenResults(dir, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(key, []byte(`{"num_seqs":2}`), []byte(">a\nACDEF\n>b\nAC-EF\n")); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lie := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint64(lie[24:32], 1<<30)
+	f.Add(valid)
+	f.Add(lie)
+	f.Fuzz(func(t *testing.T, file []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, key)
+		read := func(stream bool) (meta, payload []byte, ok bool) {
+			t.Helper()
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenResults(dir, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stream {
+				meta, payload, ok = s.Get(key)
+			} else if m, r, _, hit := s.Open(key); hit {
+				p, err := io.ReadAll(r)
+				r.Close()
+				meta, payload, ok = m, p, err == nil
+			}
+			if ok {
+				return meta, payload, true
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("stream=%v: a miss left the file on disk", stream)
+			}
+			return nil, nil, false
+		}
+		meta, payload, ok := read(false)
+		meta2, payload2, ok2 := read(true)
+		if ok != ok2 || !bytes.Equal(meta, meta2) || !bytes.Equal(payload, payload2) {
+			t.Fatalf("Get (ok=%v, %d+%d bytes) and Open (ok=%v, %d+%d bytes) disagree",
+				ok, len(meta), len(payload), ok2, len(meta2), len(payload2))
 		}
 	})
 }

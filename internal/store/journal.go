@@ -17,9 +17,11 @@
 //
 // The result store keeps one file per content address (the service's
 // SHA-256 cache key), written atomically and checksummed, bounded by
-// entry count and total payload bytes with deterministic LRU eviction.
-// Results can be read whole (fully verified) or streamed (verified
-// incrementally, so serving a huge alignment never buffers it).
+// entry count and total payload bytes with deterministic LRU eviction
+// (LRU, the same index the service's in-memory tier uses). Every read
+// goes through one verified path, Open's streaming reader, which checks
+// the checksums and the declared length as the bytes flow, so serving a
+// huge alignment never buffers it; Get is that reader read to the end.
 package store
 
 import (
@@ -72,12 +74,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // reported durable.
 const maxRecordBytes = 1 << 30
 
-// Group-commit defaults: a group stops accepting joiners once it holds
+// Group-commit bounds: a group stops accepting joiners once it holds
 // this many framed bytes or records. Both are far above what a flush
 // can accumulate on a healthy disk; they bound memory, not batching.
 const (
-	defaultMaxBatchBytes   = 1 << 20
-	defaultMaxBatchRecords = 512
+	maxBatchBytes   = 1 << 20
+	maxBatchRecords = 512
 )
 
 // errRecordTooLarge is wrapped by Append/AppendBatch when a record's
@@ -89,28 +91,8 @@ var errRecordTooLarge = errors.New("store: record exceeds the journal record siz
 
 var errJournalClosed = errors.New("store: journal is closed")
 
-// JournalOptions tunes the journal's group-commit behavior. The zero
-// value is valid: no artificial wait, limits at their defaults.
+// JournalOptions configures a journal. The zero value is valid.
 type JournalOptions struct {
-	// MaxBatchBytes caps the framed bytes one flush group accumulates
-	// before later appenders spill to the next group. <= 0 means
-	// defaultMaxBatchBytes. A single AppendBatch call is atomic and may
-	// exceed the cap in a group of its own.
-	MaxBatchBytes int
-	// MaxBatchRecords caps the records per flush group. <= 0 means
-	// defaultMaxBatchRecords.
-	MaxBatchRecords int
-	// MaxWait is how long a group leader waits for followers before
-	// flushing a group that is not yet full; it bounds the extra
-	// latency an isolated Append pays. 0 flushes immediately — groups
-	// still form naturally while a flush is in flight, because
-	// appenders arriving during it pile into the next group.
-	MaxWait time.Duration
-	// MaxRecordBytes rejects any single record whose encoded payload
-	// exceeds it. <= 0 means the replay limit (1 GiB); larger values
-	// are clamped to the replay limit, which replay would enforce by
-	// discarding the record anyway.
-	MaxRecordBytes int
 	// OnFlush, if set, is called after each durable flush with the
 	// records and framed bytes in the flushed group. Called without
 	// journal locks held; it must not call back into the journal.
@@ -138,6 +120,15 @@ type Journal struct {
 	records int64 // durable records (replayed + flushed)
 	bytes   int64 // durable bytes; equals the file size while the tail is clean
 
+	// Group-commit bounds, set from the package constants; in-package
+	// tests tighten them after OpenJournalOptions. A group stops
+	// accepting joiners at maxBatchBytes framed bytes or maxBatchRecords
+	// records (a single AppendBatch is atomic and may exceed both in a
+	// group of its own). maxWait is how long a leader waits for
+	// followers before flushing a group that is not yet full; 0 flushes
+	// immediately — groups still form naturally while a flush is in
+	// flight. Append rejects a record whose encoded payload exceeds
+	// maxRecordBytes, which never exceeds the replay limit.
 	maxBatchBytes   int
 	maxBatchRecords int64
 	maxWait         time.Duration
@@ -195,20 +186,10 @@ func OpenJournalOptions(path string, o JournalOptions) (*Journal, []Record, erro
 		path:            path,
 		records:         int64(len(recs)),
 		bytes:           goodOff,
-		maxBatchBytes:   o.MaxBatchBytes,
-		maxBatchRecords: int64(o.MaxBatchRecords),
-		maxWait:         o.MaxWait,
-		maxRecordBytes:  o.MaxRecordBytes,
+		maxBatchBytes:   maxBatchBytes,
+		maxBatchRecords: maxBatchRecords,
+		maxRecordBytes:  maxRecordBytes,
 		onFlush:         o.OnFlush,
-	}
-	if j.maxBatchBytes <= 0 {
-		j.maxBatchBytes = defaultMaxBatchBytes
-	}
-	if j.maxBatchRecords <= 0 {
-		j.maxBatchRecords = defaultMaxBatchRecords
-	}
-	if j.maxRecordBytes <= 0 || j.maxRecordBytes > maxRecordBytes {
-		j.maxRecordBytes = maxRecordBytes
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j, recs, nil
@@ -279,8 +260,8 @@ func frame(rec Record, limit int) ([]byte, error) {
 
 // Append writes one record durably: when Append returns nil the record
 // survives a crash. Under concurrency the record shares its fsync with
-// whatever commit group it lands in; alone, it pays at most MaxWait of
-// added latency (none with the default options).
+// whatever commit group it lands in; alone, it pays at most maxWait of
+// added latency (none in production, where maxWait is 0).
 func (j *Journal) Append(rec Record) error {
 	buf, err := frame(rec, j.maxRecordBytes)
 	if err != nil {
@@ -311,11 +292,11 @@ func (j *Journal) AppendBatch(recs []Record) error {
 
 // commit enqueues one already-framed unit (n records) into a commit
 // group and blocks until that group is durable or failed. The first
-// appender to open a group is its leader: it waits up to MaxWait for
+// appender to open a group is its leader: it waits up to maxWait for
 // followers, then performs one write+fsync for the whole group.
 // Appenders arriving while a flush is in flight accumulate into the
 // next group, which is what drives fsyncs-per-record below one under
-// concurrency even with MaxWait zero.
+// concurrency even with maxWait zero.
 func (j *Journal) commit(buf []byte, n int64) error {
 	j.mu.Lock()
 	for {
@@ -363,7 +344,7 @@ func (j *Journal) commit(buf []byte, n int64) error {
 }
 
 // seal closes a group to new joiners and releases a leader waiting on
-// MaxWait. Callers must hold j.mu.
+// maxWait. Callers must hold j.mu.
 func (j *Journal) seal(g *jgroup) {
 	if !g.sealed {
 		g.sealed = true

@@ -105,12 +105,13 @@ func TestJournalTornTailMidGroupTruncatesToLastIntactRecord(t *testing.T) {
 
 func TestJournalConcurrentAppendsGroupCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	// A small MaxWait makes group formation deterministic even if the
-	// scheduler runs the appenders one after another.
-	j, _, err := OpenJournalOptions(path, JournalOptions{MaxWait: 2 * time.Millisecond})
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A small maxWait makes group formation deterministic even if the
+	// scheduler runs the appenders one after another.
+	j.maxWait = 2 * time.Millisecond
 	const (
 		writers = 8
 		perG    = 25
@@ -163,10 +164,11 @@ func TestJournalConcurrentAppendsGroupCommit(t *testing.T) {
 
 func TestJournalOversizedRecordRejectedAtAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournalOptions(path, JournalOptions{MaxRecordBytes: 256})
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.maxRecordBytes = 256
 	if err := j.Append(testRecord(RecSubmit, "ok1", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +197,11 @@ func TestJournalOversizedRecordRejectedAtAppend(t *testing.T) {
 
 func TestJournalBatchLargerThanGroupBoundsStillCommits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournalOptions(path, JournalOptions{MaxBatchRecords: 2, MaxBatchBytes: 64})
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.maxBatchRecords, j.maxBatchBytes = 2, 64
 	// The batch is an atomic unit: it may exceed the group bounds and
 	// ride in a group of its own rather than being split.
 	batch := []Record{

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Result file layout ("SAR2"):
@@ -30,9 +28,11 @@ import (
 // Payloads are gzipped at rest — aligned FASTA is highly redundant
 // (gap runs, near-identical rows), so this multiplies the effective
 // store capacity — and the CRC covers the compressed frame, so reads
-// verify the cheap small frame, not the inflated bytes. Accounting
-// (LRU byte bound, Bytes) follows the compressed size actually on
-// disk.
+// verify the cheap small frame, not the inflated bytes. No checksum
+// covers rawLen, so every read checks it at EOF instead: the frame must
+// inflate to exactly rawLen bytes, and nothing is ever allocated from
+// it. Accounting (LRU byte bound, Bytes) follows the compressed size
+// actually on disk.
 //
 // Files are written to a temp name and renamed into place, so a
 // half-written result is never visible under its key; checksums catch
@@ -44,8 +44,8 @@ var resultMagic = [4]byte{'S', 'A', 'R', '2'}
 
 const resultHeaderLen = 4 + 4 + 4 + 8 + 4 + 8
 
-// errCorrupt reports a result file whose checksum did not match; the
-// streaming reader returns it from Read at the point of detection.
+// errCorrupt reports a result file that failed verification; the
+// payload reader returns it from Read at the point of detection.
 var errCorrupt = errors.New("store: result file corrupt")
 
 // Results is the bounded content-addressed result store. All methods
@@ -53,20 +53,8 @@ var errCorrupt = errors.New("store: result file corrupt")
 // recency, so for a deterministic access sequence the surviving set is
 // deterministic.
 type Results struct {
-	dir        string
-	maxEntries int
-	maxBytes   int64
-
-	mu        sync.Mutex
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	bytes     int64
-	evictions int64
-}
-
-type resultEntry struct {
-	key  string
-	size int64 // payload bytes, the accounting unit (mirrors the memory cache)
+	dir   string
+	index *LRU[struct{}] // keys on disk, sized by their compressed frames
 }
 
 // OpenResults opens (creating if needed) a result store rooted at dir,
@@ -86,13 +74,7 @@ func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 		// the whole directory along with every "durably" stored result.
 		syncDir(filepath.Dir(dir))
 	}
-	s := &Results{
-		dir:        dir,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-	}
+	s := &Results{dir: dir, index: NewLRU[struct{}](maxEntries, maxBytes)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -131,33 +113,20 @@ func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 		return found[i].key < found[j].key
 	})
 	for _, sc := range found {
-		s.items[sc.key] = s.ll.PushFront(&resultEntry{key: sc.key, size: sc.size})
-		s.bytes += sc.size
+		s.remove(s.index.Put(sc.key, struct{}{}, sc.size))
 	}
-	s.evictLocked()
 	return s, nil
 }
 
-// statResult reads and sanity-checks a result file header, returning
-// the on-disk payload size (the accounting unit). Full checksum
-// verification is deferred to reads.
+// statResult sanity-checks a result file's header at the open-time
+// rescan, returning the on-disk payload size (the accounting unit).
+// Checksums and rawLen are verified by reads.
 func statResult(path string) (int64, bool) {
-	f, err := os.Open(path)
+	f, hdr, err := openResultFile(path)
 	if err != nil {
 		return 0, false
 	}
-	defer func() { _ = f.Close() }() // read-only open
-	hdr, err := readHeader(f)
-	if err != nil {
-		return 0, false
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, false
-	}
-	if fi.Size() != resultHeaderLen+int64(hdr.metaLen)+hdr.payLen {
-		return 0, false // truncated or padded: treat as corrupt
-	}
+	_ = f.Close() // read-only open
 	return hdr.payLen, true
 }
 
@@ -168,6 +137,30 @@ type resultHeader struct {
 	payLen  int64 // compressed bytes on disk
 	payCRC  uint32
 	rawLen  int64 // decompressed payload length
+}
+
+// openResultFile opens a result file and decodes its header, which must
+// account for the file's size exactly (a truncated or padded file is
+// corrupt), so the meta and frame lengths it declares are backed by
+// bytes on disk. On success f is positioned at the meta bytes.
+func openResultFile(path string) (f *os.File, hdr resultHeader, err error) {
+	f, err = os.Open(path)
+	if err != nil {
+		return nil, hdr, err
+	}
+	hdr, err = readHeader(f)
+	if err == nil {
+		var fi os.FileInfo
+		fi, err = f.Stat()
+		if err == nil && fi.Size() != resultHeaderLen+int64(hdr.metaLen)+hdr.payLen {
+			err = errCorrupt
+		}
+	}
+	if err != nil {
+		_ = f.Close() // read-only open
+		return nil, hdr, err
+	}
+	return f, hdr, nil
 }
 
 func readHeader(r io.Reader) (resultHeader, error) {
@@ -201,13 +194,9 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid result key %q", key)
 	}
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
+	if _, ok := s.index.Get(key); ok {
 		return nil
 	}
-	s.mu.Unlock()
 
 	var frame bytes.Buffer
 	zw := gzip.NewWriter(&frame)
@@ -217,7 +206,7 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 	if err := zw.Close(); err != nil {
 		return err
 	}
-	if s.maxBytes > 0 && int64(frame.Len()) > s.maxBytes {
+	if !s.index.fits(int64(frame.Len())) {
 		return nil
 	}
 
@@ -251,105 +240,36 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 		return err
 	}
 	syncDir(s.dir)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok { // concurrent Put of the same key won
-		s.ll.MoveToFront(el)
-		return nil
-	}
-	s.items[key] = s.ll.PushFront(&resultEntry{key: key, size: int64(frame.Len())})
-	s.bytes += int64(frame.Len())
-	s.evictLocked()
+	// A concurrent Put of the same key may have won; Put then only
+	// refreshes it.
+	s.remove(s.index.Put(key, struct{}{}, int64(frame.Len())))
 	return nil
 }
 
-func (s *Results) evictLocked() {
-	for (s.maxEntries > 0 && s.ll.Len() > s.maxEntries) ||
-		(s.maxBytes > 0 && s.bytes > s.maxBytes) {
-		back := s.ll.Back()
-		if back == nil {
-			return
-		}
-		ent := back.Value.(*resultEntry)
-		s.ll.Remove(back)
-		delete(s.items, ent.key)
-		s.bytes -= ent.size
-		s.evictions++
-		_ = os.Remove(filepath.Join(s.dir, ent.key)) // rescan reaps any survivor
+// remove deletes the files of keys the index no longer holds.
+func (s *Results) remove(keys []string) {
+	for _, key := range keys {
+		_ = os.Remove(filepath.Join(s.dir, key)) // rescan reaps any survivor
 	}
 }
 
-// dropLocked removes a corrupt entry discovered during a read.
+// drop removes a corrupt entry discovered during a read.
 func (s *Results) drop(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		ent := el.Value.(*resultEntry)
-		s.ll.Remove(el)
-		delete(s.items, key)
-		s.bytes -= ent.size
-	}
-	_ = os.Remove(filepath.Join(s.dir, key)) // rescan reaps any survivor
+	s.index.remove(key)
+	s.remove([]string{key})
 }
 
-// touch refreshes key's recency; reports whether it is indexed.
-func (s *Results) touch(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if ok {
-		s.ll.MoveToFront(el)
-	}
-	return ok
-}
-
-// Get reads and fully verifies the result under key. Corruption
-// (checksum or framing mismatch) deletes the file and reports a miss —
-// the caller recomputes, exactly as for an evicted entry.
+// Get reads the whole result under key through Open, so it makes every
+// check a streamed read makes. Corruption deletes the file and reports
+// a miss — the caller recomputes, exactly as for an evicted entry.
 func (s *Results) Get(key string) (meta, payload []byte, ok bool) {
-	if !validKey(key) || !s.touch(key) {
+	meta, r, _, ok := s.Open(key)
+	if !ok {
 		return nil, nil, false
 	}
-	f, err := os.Open(filepath.Join(s.dir, key))
+	defer func() { _ = r.Close() }() // read side; corruption surfaces from ReadAll
+	payload, err := io.ReadAll(r)
 	if err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	defer func() { _ = f.Close() }() // read-only open
-	hdr, err := readHeader(f)
-	if err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	meta = make([]byte, hdr.metaLen)
-	frame := make([]byte, hdr.payLen)
-	if _, err := io.ReadFull(f, meta); err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	if _, err := io.ReadFull(f, frame); err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	if crc32.Checksum(meta, crcTable) != hdr.metaCRC || crc32.Checksum(frame, crcTable) != hdr.payCRC {
-		s.drop(key)
-		return nil, nil, false
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(frame))
-	if err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	payload = make([]byte, hdr.rawLen)
-	if _, err := io.ReadFull(zr, payload); err != nil {
-		s.drop(key)
-		return nil, nil, false
-	}
-	// The frame must inflate to exactly rawLen bytes: a longer stream
-	// means the header lies about the payload.
-	if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		s.drop(key)
 		return nil, nil, false
 	}
 	return meta, payload, true
@@ -357,25 +277,24 @@ func (s *Results) Get(key string) (meta, payload []byte, ok bool) {
 
 // Open returns the verified meta plus a streaming reader over the
 // decompressed payload, so the caller can serve a result without
-// buffering it. size is the decompressed payload length. The
-// compressed frame's checksum is verified incrementally as decompression
-// pulls it; if the bytes on disk do not add up, the reader returns
+// buffering it; it is the store's one read path. size is the
+// decompressed payload length the header declares, which the reader
+// enforces. The compressed frame's checksum is verified incrementally
+// as decompression pulls it, and the inflated length is checked against
+// size; if the bytes on disk do not add up, the reader returns
 // errCorrupt at the point of detection (after which the entry has been
 // dropped) — by then earlier bytes may already have been sent, which
 // is why streaming consumers must be able to abort (chunked HTTP
 // transfer does this naturally).
 func (s *Results) Open(key string) (meta []byte, r io.ReadCloser, size int64, ok bool) {
-	if !validKey(key) || !s.touch(key) {
+	if !validKey(key) {
 		return nil, nil, 0, false
 	}
-	f, err := os.Open(filepath.Join(s.dir, key))
-	if err != nil {
-		s.drop(key)
+	if _, ok := s.index.Get(key); !ok {
 		return nil, nil, 0, false
 	}
-	hdr, err := readHeader(f)
+	f, hdr, err := openResultFile(filepath.Join(s.dir, key))
 	if err != nil {
-		_ = f.Close()
 		s.drop(key)
 		return nil, nil, 0, false
 	}
@@ -385,113 +304,73 @@ func (s *Results) Open(key string) (meta []byte, r io.ReadCloser, size int64, ok
 		s.drop(key)
 		return nil, nil, 0, false
 	}
-	vr := &verifyReader{
-		r:    io.LimitReader(f, hdr.payLen),
-		f:    f,
-		want: hdr.payCRC,
-		left: hdr.payLen,
-		bad:  func() { s.drop(key) },
-	}
-	zr, err := gzip.NewReader(vr)
+	zr, err := gzip.NewReader(&crcReader{r: io.LimitReader(f, hdr.payLen), want: hdr.payCRC, left: hdr.payLen})
 	if err != nil {
-		// Already-corrupt gzip header: verifyReader may not have seen
-		// EOF yet, so drop explicitly.
-		s.drop(key)
 		_ = f.Close()
+		s.drop(key)
 		return nil, nil, 0, false
 	}
-	return meta, &gunzipReader{z: zr, vr: vr, bad: func() { s.drop(key) }}, hdr.rawLen, true
+	return meta, &payloadReader{z: zr, f: f, left: hdr.rawLen, drop: func() { s.drop(key) }}, hdr.rawLen, true
 }
 
-// gunzipReader streams the decompressed payload. Errors from the
-// compressed layer (CRC mismatch from verifyReader) or the gzip frame
-// itself (bad block, gzip's own checksum) surface as errCorrupt and
+// payloadReader streams the decompressed payload. Errors from the
+// compressed layer (a CRC or length mismatch from crcReader) or the
+// gzip frame itself (bad block, gzip's own checksum), and an inflated
+// length other than the header's rawLen, surface as errCorrupt and
 // drop the entry.
-type gunzipReader struct {
-	z   *gzip.Reader
-	vr  *verifyReader
-	bad func()
+type payloadReader struct {
+	z    *gzip.Reader
+	f    *os.File
+	left int64 // inflated bytes the header still promises
+	drop func()
 }
 
-func (g *gunzipReader) Read(p []byte) (int, error) {
-	n, err := g.z.Read(p)
-	if err != nil && err != io.EOF {
-		if g.bad != nil {
-			g.bad()
-			g.bad = nil
+func (p *payloadReader) Read(b []byte) (int, error) {
+	n, err := p.z.Read(b)
+	p.left -= int64(n)
+	if (err != nil && err != io.EOF) || p.left < 0 || (err == io.EOF && p.left != 0) {
+		if p.drop != nil {
+			p.drop()
+			p.drop = nil
 		}
 		return n, errCorrupt
 	}
 	return n, err
 }
 
-func (g *gunzipReader) Close() error {
-	_ = g.z.Close() // vr.Close carries the CRC verdict
-	return g.vr.Close()
+func (p *payloadReader) Close() error {
+	_ = p.z.Close() // reads carry the verdict
+	return p.f.Close()
 }
 
-// verifyReader streams a payload while accumulating its CRC; EOF is
-// only reported once the checksum matches, otherwise errCorrupt.
-type verifyReader struct {
+// crcReader streams a compressed frame while accumulating its CRC; EOF
+// is only reported once the whole frame is read and the checksum
+// matches, otherwise errCorrupt.
+type crcReader struct {
 	r    io.Reader
-	f    *os.File
 	want uint32
 	sum  uint32
 	left int64
-	bad  func()
 }
 
-func (v *verifyReader) Read(p []byte) (int, error) {
+func (v *crcReader) Read(p []byte) (int, error) {
 	n, err := v.r.Read(p)
-	if n > 0 {
-		v.sum = crc32.Update(v.sum, crcTable, p[:n])
-		v.left -= int64(n)
-	}
-	if err == io.EOF {
-		if v.left != 0 || v.sum != v.want {
-			if v.bad != nil {
-				v.bad()
-				v.bad = nil
-			}
-			return n, errCorrupt
-		}
+	v.sum = crc32.Update(v.sum, crcTable, p[:n])
+	v.left -= int64(n)
+	if err == io.EOF && (v.left != 0 || v.sum != v.want) {
+		return n, errCorrupt
 	}
 	return n, err
 }
 
-func (v *verifyReader) Close() error { return v.f.Close() }
-
 // Len returns the number of stored results.
-func (s *Results) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *Results) Len() int { return s.index.Len() }
 
 // Bytes returns the accounted payload bytes on disk.
-func (s *Results) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
+func (s *Results) Bytes() int64 { return s.index.Bytes() }
 
 // Evictions returns the number of results evicted since open.
-func (s *Results) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
-// Keys returns stored keys from most to least recently used (tests).
-func (s *Results) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*resultEntry).key)
-	}
-	return keys
-}
+func (s *Results) Evictions() int64 { return s.index.Evictions() }
 
 // validKey accepts only lowercase-hex content addresses: result keys
 // name files, so anything else (path separators, dots) is refused

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +142,70 @@ func TestResultsStreamingDetectsCorruption(t *testing.T) {
 	}
 }
 
+// lieAboutRawLen rewrites the stored header's rawLen (bytes 24–32), the
+// one field no checksum covers, to claim a 1 GiB payload.
+func lieAboutRawLen(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(buf[24:32], 1<<30)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResultsRawLenLieIsAMiss: a header that lies about the inflated
+// length is corrupt on both read paths, and no read allocates what the
+// lie asks for.
+func TestResultsRawLenLieIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, 0, 0)
+	payload := []byte(strings.Repeat("ACDEFGHIKL", 100))
+	path := filepath.Join(dir, "ff03")
+	putLie := func() {
+		t.Helper()
+		if err := s.Put("ff03", []byte(`{}`), payload); err != nil {
+			t.Fatal(err)
+		}
+		lieAboutRawLen(t, path)
+	}
+	dropped := func(how string) {
+		t.Helper()
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: lying file was not deleted", how)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("%s: Len = %d after the drop", how, s.Len())
+		}
+	}
+
+	putLie()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, ok := s.Get("ff03")
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("Get returned a payload whose header lies about its length")
+	}
+	if mib := (after.TotalAlloc - before.TotalAlloc) >> 20; mib >= 16 {
+		t.Fatalf("Get allocated %d MiB for a %d-byte payload", mib, len(payload))
+	}
+	dropped("Get")
+
+	putLie()
+	_, rc, _, ok := s.Open("ff03")
+	if !ok {
+		t.Fatal("Open refused (the lie is only visible at EOF)")
+	}
+	defer rc.Close()
+	if _, err := io.ReadAll(rc); !errors.Is(err, errCorrupt) {
+		t.Fatalf("streaming a lying header ended in %v, want errCorrupt", err)
+	}
+	dropped("Open")
+}
+
 func TestResultsEvictionDeterminism(t *testing.T) {
 	s := openStore(t, t.TempDir(), 3, 0)
 	pay := func(n int) []byte { return bytes.Repeat([]byte{'A'}, 10+n) }
@@ -149,7 +215,7 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 		}
 	}
 	// Strict LRU: the three most recent puts survive, oldest first out.
-	if got, want := s.Keys(), []string{tkey(5), tkey(4), tkey(3)}; !reflect.DeepEqual(got, want) {
+	if got, want := s.index.keys(), []string{tkey(5), tkey(4), tkey(3)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after 5 puts: %v, want %v", got, want)
 	}
 	if s.Evictions() != 2 {
@@ -162,7 +228,7 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 	if err := s.Put(tkey(6), []byte(`{}`), pay(6)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Keys(), []string{tkey(6), tkey(3), tkey(5)}; !reflect.DeepEqual(got, want) {
+	if got, want := s.index.keys(), []string{tkey(6), tkey(3), tkey(5)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Get+Put: %v, want %v", got, want)
 	}
 
@@ -176,7 +242,7 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := s2.Keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
+	if got, want := s2.index.keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("byte-bounded keys: %v, want %v", got, want)
 	}
 	// A payload whose compressed frame alone exceeds the bound is
@@ -191,7 +257,7 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 	if err := s2.Put(tkey(20), []byte(`{}`), big); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s2.Keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
+	if got, want := s2.index.keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after oversized put: %v, want %v", got, want)
 	}
 }
@@ -221,7 +287,7 @@ func TestResultsRestartRebuildsIndex(t *testing.T) {
 	if s2.Len() != 3 || s2.Bytes() != wantBytes {
 		t.Fatalf("rebuilt: Len=%d Bytes=%d, want 3/%d", s2.Len(), s2.Bytes(), wantBytes)
 	}
-	if got, want := s2.Keys(), []string{tkey(3), tkey(2), tkey(1)}; !reflect.DeepEqual(got, want) {
+	if got, want := s2.index.keys(), []string{tkey(3), tkey(2), tkey(1)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("rebuilt recency: %v, want %v", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".put-stray")); !os.IsNotExist(err) {
@@ -230,7 +296,7 @@ func TestResultsRestartRebuildsIndex(t *testing.T) {
 	// Reopening with tighter bounds evicts deterministically (oldest
 	// mtime first).
 	s3 := openStore(t, dir, 2, 0)
-	if got, want := s3.Keys(), []string{tkey(3), tkey(2)}; !reflect.DeepEqual(got, want) {
+	if got, want := s3.index.keys(), []string{tkey(3), tkey(2)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("bounded reopen: %v, want %v", got, want)
 	}
 }
