@@ -9,13 +9,15 @@
 //	samplealignd -rank 2 -addrs :7000,:7001,:7002,:7003 -in shard2.fa &
 //	samplealignd -rank 3 -addrs :7000,:7001,:7002,:7003 -in shard3.fa &
 //
-// Every rank must list the same addresses (rank i listens on addrs[i]).
+// Every rank must list the same addresses (rank i listens on addrs[i]);
+// ranks given different lists refuse each other's mesh hello.
 //
-// Worker mode — instead of one batch run, serve successive cluster jobs
-// dispatched by a samplealignsrv coordinator (which is rank 0 and ships
-// each job's shard over the control connection):
+// Worker mode — instead of one batch run, serve cluster jobs, side by
+// side, each on a mesh port of its own, dispatched by a samplealignsrv
+// coordinator (which is rank 0 and ships each job's shard over the
+// control connection):
 //
-//	samplealignd -worker-ctrl :9001 -worker-mesh 127.0.0.1:9101
+//	samplealignd -worker-ctrl :9001
 //
 // -metrics-addr serves rank-local Prometheus metrics (per-stage
 // latencies, job counts, DP-kernel tallies) on a separate listener in
@@ -31,6 +33,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"unicode"
 
 	samplealign "repro"
 	"repro/internal/obs"
@@ -46,7 +49,6 @@ func main() {
 	aligner := flag.String("aligner", "muscle", "bucket aligner")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 	workerCtrl := flag.String("worker-ctrl", "", "serve cluster jobs: control listen address (see samplealignsrv -cluster)")
-	workerMesh := flag.String("worker-mesh", "", "worker mode: fixed rank mesh listen address (host:port reachable by the cluster)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: text)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address — a separate listener (empty = disabled)")
 	metricsAddr := flag.String("metrics-addr", "", "serve rank-local Prometheus metrics (stage latencies, job counts, kernel tallies) on this address — a separate listener (empty = disabled)")
@@ -82,15 +84,11 @@ func main() {
 		logger.Info("metrics listening", "addr", bound)
 	}
 
-	if *workerCtrl != "" || *workerMesh != "" {
-		if *workerCtrl == "" || *workerMesh == "" {
-			fatal(fmt.Errorf("worker mode needs both -worker-ctrl and -worker-mesh"))
-		}
+	if *workerCtrl != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		err := serve.RunWorker(ctx, serve.WorkerConfig{
 			CtrlAddr: *workerCtrl,
-			MeshAddr: *workerMesh,
 			Metrics:  wm,
 			Logger:   logger,
 		})
@@ -100,7 +98,7 @@ func main() {
 		return
 	}
 
-	addrs := splitNonEmpty(*addrList)
+	addrs := strings.FieldsFunc(*addrList, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	if *rank < 0 || *in == "" || len(addrs) == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -155,16 +153,6 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("alignment written", "num_seqs", aln.NumSeqs(), "width", aln.Width(), "out", *out)
-}
-
-func splitNonEmpty(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -35,12 +35,13 @@
 //	samplealignsrv -addr :8080 -data-dir /var/lib/samplealign
 //
 // With -cluster, jobs fan out over a pre-connected TCP rank cluster of
-// samplealignd worker daemons instead of in-process ranks:
+// samplealignd worker daemons instead of in-process ranks. Each job
+// binds its own mesh ports, so up to -max-concurrent cluster jobs run
+// at once on the same workers:
 //
-//	samplealignd -worker-ctrl :9001 -worker-mesh 127.0.0.1:9101 &
-//	samplealignd -worker-ctrl :9002 -worker-mesh 127.0.0.1:9102 &
-//	samplealignsrv -addr :8080 -cluster 127.0.0.1:9001,127.0.0.1:9002 \
-//	               -cluster-self 127.0.0.1:9100
+//	samplealignd -worker-ctrl :9001 &
+//	samplealignd -worker-ctrl :9002 &
+//	samplealignsrv -addr :8080 -cluster 127.0.0.1:9001,127.0.0.1:9002
 //
 // Observability: logs are structured (text by default, -log-json for
 // JSON lines), every job carries a trace ID tying logs, the span tree
@@ -61,6 +62,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	samplealign "repro"
 	"repro/internal/obs"
@@ -83,7 +85,6 @@ func main() {
 	storeBytes := flag.Int64("store-bytes", 1<<30, "on-disk result store byte bound (-1 unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT waits for running jobs before hard-canceling (<0 skips draining)")
 	cluster := flag.String("cluster", "", "comma-separated worker control addresses (samplealignd -worker-ctrl); empty = in-process ranks")
-	clusterSelf := flag.String("cluster-self", "", "this server's rank-0 mesh listen address (required with -cluster)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: text)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address — a separate listener, never the public API mux (empty = disabled)")
 	noTrace := flag.Bool("no-trace", false, "disable per-job span tracing (trace endpoint answers 404; output bytes are identical either way)")
@@ -105,14 +106,9 @@ func main() {
 		StoreEntries:   *storeEntries,
 		StoreBytes:     *storeBytes,
 		DrainTimeout:   *drainTimeout,
-		ClusterSelf:    *clusterSelf,
+		ClusterWorkers: strings.FieldsFunc(*cluster, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }),
 		Logger:         logger,
 		NoTrace:        *noTrace,
-	}
-	for _, w := range strings.Split(*cluster, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			cfg.ClusterWorkers = append(cfg.ClusterWorkers, w)
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -38,7 +38,8 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 
 func TestDialTCPContextCancelledSetup(t *testing.T) {
 	// Reserve a port for rank 0 but never start rank 1: setup hangs until
-	// ctx cancels it.
+	// ctx cancels it, also while rank 0 waits for the hello of a
+	// connection that sends none.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +56,11 @@ func TestDialTCPContextCancelledSetup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := DialTCPContext(ctx, TCPConfig{
-			Rank:        0,
-			Addrs:       []string{addr0, addr1},
-			DialTimeout: 30 * time.Second,
-		})
+		_, err := DialTCPContext(ctx, TCPConfig{Rank: 0, Addrs: []string{addr0, addr1}})
 		done <- err
 	}()
+	silent := dialUp(t, addr0)
+	defer silent.Close()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,12 +12,30 @@ import (
 )
 
 // TCPConfig describes one rank of a TCP-transport world. Addrs[i] is the
-// address rank i listens on; all ranks must agree on the list.
+// address rank i listens on. All ranks must pass the same list: the mesh
+// hello carries a digest of it, and a rank refuses any other. Listener,
+// when set, is already bound to Addrs[Rank] (a caller binds port 0 and
+// publishes the address it got); the rank accepts on it, and closes it
+// with the communicator or on a failed setup.
 type TCPConfig struct {
-	Rank        int
-	Addrs       []string
-	DialTimeout time.Duration // per-connection; default 10s
-	DialRetry   time.Duration // backoff between attempts; default 100ms
+	Rank     int
+	Addrs    []string
+	Listener net.Listener
+}
+
+// dialTimeout bounds how long a rank redials (every dialRetry) a peer
+// that is not listening yet, and how long it waits for a peer's hello.
+const dialTimeout, dialRetry = 10 * time.Second, 100 * time.Millisecond
+
+// worldDigest names a world: the first 8 bytes of SHA-256 over its
+// addresses, each prefixed by its uint32 length. Cluster jobs bind fresh
+// ports, so it also tells one job's mesh from the next.
+func worldDigest(addrs []string) [8]byte {
+	h := sha256.New()
+	for _, a := range addrs {
+		h.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(a))), a...))
+	}
+	return [8]byte(h.Sum(nil))
 }
 
 // tcpComm is a Comm over a full mesh of TCP connections: rank i dials
@@ -52,16 +71,16 @@ const maxFrame = 1 << 30
 // it aborts a mesh setup in progress (pending accepts and dial retries
 // stop and the call returns ctx.Err()) and, after setup, closes the
 // communicator, so blocked Recvs return errClosed.
+//
+// An accepted connection whose hello (rank, then worldDigest) is late,
+// from another world, or names no missing higher rank is closed unread.
 func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 	size := len(cfg.Addrs)
 	if cfg.Rank < 0 || cfg.Rank >= size {
+		if cfg.Listener != nil {
+			cfg.Listener.Close()
+		}
 		return nil, fmt.Errorf("mpi: tcp rank %d of %d", cfg.Rank, size)
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.DialRetry == 0 {
-		cfg.DialRetry = 100 * time.Millisecond
 	}
 	c := &tcpComm{
 		rank:     cfg.Rank,
@@ -70,8 +89,9 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 		stats:    &Stats{},
 		conns:    make([]net.Conn, size),
 		sendLock: make([]sync.Mutex, size),
+		listener: cfg.Listener,
 	}
-	if size > 1 {
+	if c.listener == nil && size > 1 {
 		ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
 		if err != nil {
 			return nil, fmt.Errorf("mpi: rank %d listen %s: %w", cfg.Rank, cfg.Addrs[cfg.Rank], err)
@@ -88,46 +108,35 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, size)
+	digest := worldDigest(cfg.Addrs)
 
 	// accept from higher ranks
-	higher := size - 1 - cfg.Rank
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < higher; i++ {
+		for joined := cfg.Rank + 1; joined < size; {
 			conn, err := c.listener.Accept()
 			if err != nil {
 				errs <- fmt.Errorf("mpi: rank %d accept: %w", cfg.Rank, err)
 				return
 			}
-			var hello [4]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
-				errs <- fmt.Errorf("mpi: rank %d handshake: %w", cfg.Rank, err)
-				return
+			if c.admit(ctx, conn, digest) {
+				joined++
 			}
-			peer := int(binary.LittleEndian.Uint32(hello[:]))
-			if peer <= cfg.Rank || peer >= size {
-				errs <- fmt.Errorf("mpi: rank %d got handshake from invalid rank %d", cfg.Rank, peer)
-				return
-			}
-			c.mu.Lock()
-			c.conns[peer] = conn
-			c.mu.Unlock()
 		}
 	}()
 
 	// dial lower ranks
+	hello := append(binary.LittleEndian.AppendUint32(nil, uint32(cfg.Rank)), digest[:]...)
 	for peer := 0; peer < cfg.Rank; peer++ {
 		wg.Add(1)
 		go func(peer int) {
 			defer wg.Done()
-			deadline := time.Now().Add(cfg.DialTimeout)
+			deadline := time.Now().Add(dialTimeout)
 			for {
-				conn, err := net.DialTimeout("tcp", cfg.Addrs[peer], cfg.DialTimeout)
+				conn, err := net.DialTimeout("tcp", cfg.Addrs[peer], dialTimeout)
 				if err == nil {
-					var hello [4]byte
-					binary.LittleEndian.PutUint32(hello[:], uint32(cfg.Rank))
-					if _, err := conn.Write(hello[:]); err != nil {
+					if _, err := conn.Write(hello); err != nil {
 						errs <- fmt.Errorf("mpi: rank %d hello to %d: %w", cfg.Rank, peer, err)
 						return
 					}
@@ -144,23 +153,19 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 				case <-ctx.Done():
 					errs <- ctx.Err()
 					return
-				case <-time.After(cfg.DialRetry):
+				case <-time.After(dialRetry):
 				}
 			}
 		}(peer)
 	}
 
 	wg.Wait()
-	select {
-	case err := <-errs:
-		c.Close()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	default:
+	close(errs)
+	err := ctx.Err() // ctx's end explains the setup errors it caused
+	if err == nil {
+		err = <-errs
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -173,6 +178,30 @@ func DialTCPContext(ctx context.Context, cfg TCPConfig) (Comm, error) {
 		go c.readLoop(peer, conn)
 	}
 	return c, nil
+}
+
+// admit reads an accepted connection's hello, waiting at most
+// dialTimeout or until ctx ends, and keeps the connection as its peer's
+// if the hello names this world and a higher rank not yet connected;
+// else it closes it. Hellos are read one at a time, so a silent
+// stranger delays the ranks behind it by up to dialTimeout.
+func (c *tcpComm) admit(ctx context.Context, conn net.Conn, digest [8]byte) bool {
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	var hello [12]byte
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
+	_, err := io.ReadFull(conn, hello[:])
+	conn.SetReadDeadline(time.Time{})
+	peer := binary.LittleEndian.Uint32(hello[:4])
+	c.mu.Lock()
+	ok := err == nil && [8]byte(hello[4:]) == digest && peer > uint32(c.rank) && peer < uint32(c.size) && c.conns[peer] == nil
+	if ok {
+		c.conns[peer] = conn
+	}
+	c.mu.Unlock()
+	if !ok {
+		conn.Close()
+	}
+	return ok
 }
 
 func (c *tcpComm) readLoop(peer int, conn net.Conn) {

@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -31,6 +33,33 @@ func freeAddrs(t *testing.T, n int) []string {
 		ln.Close()
 	}
 	return addrs
+}
+
+// meshHello is the hello a rank of the world addrs sends, built from the
+// wire description rather than from tcp.go: the rank as a little-endian
+// uint32, then the first 8 bytes of SHA-256 over the addresses, each
+// prefixed by its little-endian uint32 length.
+func meshHello(rank int, addrs []string) []byte {
+	h := sha256.New()
+	for _, a := range addrs {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(a))))
+		h.Write([]byte(a))
+	}
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(rank)), h.Sum(nil)[:8]...)
+}
+
+// dialUp dials addr until a rank listens there, for up to 10 s.
+func dialUp(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nothing listened on %s: %v", addr, err)
+		}
+	}
 }
 
 // runTCP runs fn as an SPMD program over a TCP world on loopback.
@@ -191,6 +220,28 @@ func TestTCPInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestTCPClosesHandedListener hands DialTCPContext a bound listener: it
+// must close it when it refuses the config, and with the communicator.
+func TestTCPClosesHandedListener(t *testing.T) {
+	for _, rank := range []int{1, 0} { // 1 is out of range for one address
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.SetDeadline(time.Now().Add(5 * time.Second)) // an open listener fails Accept by timeout
+		c, err := DialTCPContext(context.Background(), TCPConfig{Rank: rank, Addrs: []string{ln.Addr().String()}, Listener: ln})
+		if (err != nil) != (rank == 1) {
+			t.Fatalf("rank %d: err %v", rank, err)
+		}
+		if c != nil {
+			c.Close()
+		}
+		if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("rank %d: listener still open after DialTCPContext (Accept: %v)", rank, err)
+		}
+	}
+}
+
 func TestTCPPeerDeathFailsPendingRecv(t *testing.T) {
 	// When a peer's connection drops, a Recv waiting on a *future*
 	// message from it must fail fast instead of hanging the rank —
@@ -241,18 +292,9 @@ func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
 		c, err := DialTCPContext(context.Background(), TCPConfig{Rank: 0, Addrs: addrs})
 		rank0 <- dialed{c, err}
 	}()
-	var conn net.Conn
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		var err error
-		if conn, err = net.Dial("tcp", addrs[0]); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rank 0 never listened: %v", err)
-		}
-	}
+	conn := dialUp(t, addrs[0])
 	defer conn.Close()
-	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, 1)); err != nil {
+	if _, err := conn.Write(meshHello(1, addrs)); err != nil {
 		t.Fatal(err)
 	}
 	d := <-rank0
@@ -283,5 +325,92 @@ func TestTCPOversizedFrameHeaderKillsThePeerNotTheRank(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("%d bytes allocated on the word of a frame header", grew)
+	}
+}
+
+// TestTCPRefusesStrangerHandshake has two connections reach rank 0 of a
+// 3-rank world before the real rank 1 dials: a hello for rank 1 with
+// another world's digest, and a correct hello for rank 2 after rank 2
+// has joined. Rank 0 must close both unread, still admit the real rank
+// 1, and carry a round trip between ranks 0 and 1. Rank 2 is played by
+// hand: correct hellos to ranks 0 and 1, and nothing after them.
+func TestTCPRefusesStrangerHandshake(t *testing.T) {
+	addrs := freeAddrs(t, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // closes both communicators and releases stuck Recvs
+	type dialed struct {
+		c   Comm
+		err error
+	}
+	dial := func(rank int) <-chan dialed {
+		ch := make(chan dialed, 1)
+		go func() {
+			c, err := DialTCPContext(ctx, TCPConfig{Rank: rank, Addrs: addrs})
+			ch <- dialed{c, err}
+		}()
+		return ch
+	}
+	joined := func(ch <-chan dialed, rank int) Comm {
+		select {
+		case d := <-ch:
+			if d.err != nil {
+				t.Fatalf("rank %d: %v", rank, d.err)
+			}
+			return d.c
+		case <-time.After(20 * time.Second):
+			t.Fatalf("rank %d never finished its mesh setup", rank)
+			return nil
+		}
+	}
+	send := func(addr string, hello []byte) net.Conn {
+		conn := dialUp(t, addr)
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	rank0 := dial(0)
+	strangers := map[string]net.Conn{
+		"wrong-digest": send(addrs[0], meshHello(1, []string{addrs[0], addrs[1], "127.0.0.1:1"})),
+	}
+	send(addrs[0], meshHello(2, addrs))
+	strangers["duplicate-rank"] = send(addrs[0], meshHello(2, addrs))
+	rank1 := dial(1)
+	send(addrs[1], meshHello(2, addrs))
+	c0, c1 := joined(rank0, 0), joined(rank1, 1)
+
+	recv := func(c Comm, from, tag int) string {
+		got := make(chan []byte, 1)
+		go func() {
+			d, _ := c.Recv(from, tag)
+			got <- d
+		}()
+		select {
+		case d := <-got:
+			return string(d)
+		case <-time.After(5 * time.Second):
+			return "(nothing within 5 s)"
+		}
+	}
+	if err := c0.Send(1, 7, []byte("for rank 1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := recv(c1, 0, 7); got != "for rank 1" {
+		t.Errorf("rank 1 received %q from rank 0", got)
+	} else if err := c1.Send(0, 8, []byte("for rank 0")); err != nil {
+		t.Error(err)
+	} else if got := recv(c0, 1, 8); got != "for rank 0" {
+		t.Errorf("rank 0 received %q from rank 1", got)
+	}
+
+	for name, conn := range strangers {
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := io.ReadFull(conn, make([]byte, 64))
+		var ne net.Error
+		if n > 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("%s connection read %d bytes (err %v), want it closed unread", name, n, err)
+		}
 	}
 }

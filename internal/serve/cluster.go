@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/bio"
@@ -19,10 +18,14 @@ import (
 // The cluster job protocol: one TCP control connection per worker per
 // job, JSON messages both ways.
 //
-//	coordinator → worker : prepare{}            (claims the worker)
-//	worker → coordinator : hello{mesh}          (the worker's rank mesh address)
+//	coordinator → worker : prepare{}            (claims the worker for one job)
+//	worker → coordinator : hello{mesh}          (this job's rank mesh address)
 //	coordinator → worker : jobSpec{rank, addrs, options, fasta-shard}
 //	worker → coordinator : jobAck{ok, error}    (after the rank finishes)
+//
+// Every job has a mesh of its own: each worker, and rank 0 here, binds
+// an ephemeral port beside its control connection (listenBeside) for
+// that job only, so jobs run side by side on one set of workers.
 //
 // Between spec and ack, both sides participate in a normal
 // mpi.DialTCPContext mesh; worker failure therefore surfaces twice —
@@ -35,7 +38,7 @@ type prepareMsg struct {
 }
 
 type helloMsg struct {
-	Mesh  string `json:"mesh"` // address this worker's rank will listen on
+	Mesh  string `json:"mesh"` // address this worker's rank listens on for this job
 	Error string `json:"error,omitempty"`
 }
 
@@ -71,21 +74,19 @@ type jobAck struct {
 // failing to decode each other's first collective: 2 was mpi's binary
 // wire format (1 was gob); 3 dropped the ablation options from the job
 // spec — a 2 coordinator could ask for a pipeline this build no longer
-// has — and renumbered core's message tags.
-const clusterProto = 3
+// has — and renumbered core's message tags; 4 added a digest of the
+// address list to the mesh hello, which a 3 worker would not send.
+const clusterProto = 4
+
+// ctrlTimeout bounds dialling a worker and its prepare/hello exchange.
+const ctrlTimeout = 5 * time.Second
 
 // Cluster executes jobs on a pre-connected set of samplealignd worker
-// daemons (started with -worker-ctrl/-worker-mesh): the server itself
-// is rank 0 and each worker one further rank. Jobs are serialized
-// through the cluster (one at a time) because every worker has a single
-// fixed mesh address; run several servers or worker sets for parallel
-// cluster jobs.
+// daemons (started with -worker-ctrl): the server itself is rank 0 and
+// each worker one further rank. Jobs share the workers at once, each on
+// a mesh of its own; the server's MaxConcurrent bounds them.
 type Cluster struct {
-	Workers     []string      // worker control addresses (world size = len+1)
-	SelfAddr    string        // rank-0 mesh listen address of this server
-	DialTimeout time.Duration // control-connection dial timeout (default 5s)
-
-	mu sync.Mutex // one job at a time: mesh ports are fixed per worker
+	Workers []string // worker control addresses (world size = len+1)
 }
 
 // Name identifies the executor in /healthz.
@@ -102,8 +103,6 @@ func (c *Cluster) FixedProcs() int { return len(c.Workers) + 1 }
 // Align satisfies Executor. opts.Procs is forced to the world size for
 // direct callers; jobs coming through Submit already arrive normalized.
 func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved) (*msa.Alignment, ExecReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, ExecReport{}, err
 	}
@@ -114,10 +113,6 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 
 	p := len(c.Workers) + 1
 	opts.Procs = p
-	dialTimeout := c.DialTimeout
-	if dialTimeout == 0 {
-		dialTimeout = 5 * time.Second
-	}
 
 	// Distributed tracing: when the job context carries a tracer, every
 	// worker runs its own under the same ID and bounds and ships its
@@ -138,46 +133,32 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 		}
 	}()
 
-	// Phase 1: claim every worker and learn its mesh address. The
-	// conn-closing watcher is armed before the first write and stays
-	// for the whole call, so a job cancel or deadline unwinds even a
-	// write stalled on a wedged worker and, in phase 3, tells every
+	// Phase 1: claim every worker and learn its mesh address. Each
+	// connection's closing hook is armed before the first write and
+	// stays for the whole call, so a job cancel or deadline unwinds even
+	// a write stalled on a wedged worker and, in phase 3, tells every
 	// worker to cancel its rank; per-operation I/O deadlines bound
 	// stalls that the context never sees.
-	var connsMu sync.Mutex
 	conns := make([]net.Conn, len(c.Workers))
-	closeConns := func() {
-		connsMu.Lock()
-		defer connsMu.Unlock()
-		for _, conn := range conns {
-			if conn != nil {
-				_ = conn.Close()
-			}
-		}
-	}
-	defer closeConns()
-	watch := make(chan struct{})
-	defer close(watch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeConns()
-		case <-watch:
-		}
-	}()
-
 	addrs := make([]string, p)
-	addrs[0] = c.SelfAddr
+	var ln net.Listener // rank 0's mesh port; the communicator takes it over
 	for i, ctrl := range c.Workers {
-		d := net.Dialer{Timeout: dialTimeout}
+		d := net.Dialer{Timeout: ctrlTimeout}
 		conn, err := d.DialContext(ctx, "tcp", ctrl)
 		if err != nil {
 			return nil, ExecReport{}, fmt.Errorf("serve: cluster worker %d (%s): %w", i+1, ctrl, err)
 		}
-		connsMu.Lock()
 		conns[i] = conn
-		connsMu.Unlock()
-		conn.SetDeadline(time.Now().Add(dialTimeout))
+		defer func() { _ = conn.Close() }()
+		defer context.AfterFunc(ctx, func() { _ = conn.Close() })()
+		if i == 0 { // beside the control connection to worker 1
+			if ln, err = listenBeside(conn); err != nil {
+				return nil, ExecReport{}, fmt.Errorf("serve: cluster mesh listen: %w", err)
+			}
+			defer func() { _ = ln.Close() }() // until the communicator takes it over
+			addrs[0] = ln.Addr().String()
+		}
+		conn.SetDeadline(time.Now().Add(ctrlTimeout))
 		if err := json.NewEncoder(conn).Encode(prepareMsg{Proto: clusterProto}); err != nil {
 			return nil, ExecReport{}, fmt.Errorf("serve: cluster worker %d (%s): prepare: %w", i+1, ctrl, err)
 		}
@@ -217,9 +198,9 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 
 	// Phase 3: run rank 0 here while collecting worker acks. If ctx is
 	// cancelled, the communicator (made under ctx) and the control
-	// connections (phase 1's watcher) close, which unwinds everything:
+	// connections (phase 1's hooks) close, which unwinds everything:
 	// workers see EOF on control and cancel too.
-	comm, err := mpi.DialTCPContext(ctx, mpi.TCPConfig{Rank: 0, Addrs: addrs})
+	comm, err := mpi.DialTCPContext(ctx, mpi.TCPConfig{Rank: 0, Addrs: addrs, Listener: ln})
 	if err != nil {
 		return nil, ExecReport{}, fmt.Errorf("serve: cluster mesh: %w", err)
 	}
@@ -227,31 +208,27 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 
 	ackCh := make(chan error, len(conns))
 	for i, conn := range conns {
-		go func(i int, conn net.Conn) {
+		go func() {
 			var ack jobAck
-			if err := json.NewDecoder(conn).Decode(&ack); err != nil {
-				wspans[i].End()
-				ackCh <- fmt.Errorf("worker %d: control connection lost: %w", i+1, err)
-				return
-			}
-			if !ack.OK {
+			err := json.NewDecoder(conn).Decode(&ack)
+			switch {
+			case err != nil:
+				err = fmt.Errorf("worker %d: control connection lost: %w", i+1, err)
+			case !ack.OK:
 				wspans[i].SetStr("error", ack.Error)
-				wspans[i].End()
-				ackCh <- fmt.Errorf("worker %d: %s", i+1, ack.Error)
-				return
-			}
-			if len(ack.Trace) > 0 {
+				err = fmt.Errorf("worker %d: %s", i+1, ack.Error)
+			case len(ack.Trace) > 0:
 				var doc obs.Document
-				if err := json.Unmarshal(ack.Trace, &doc); err == nil {
+				if uerr := json.Unmarshal(ack.Trace, &doc); uerr == nil {
 					wspans[i].SetInt("remote_spans", int64(doc.SpanCount))
 					wspans[i].AttachRemote(&doc)
 				} else {
-					wspans[i].SetStr("trace_error", err.Error())
+					wspans[i].SetStr("trace_error", uerr.Error())
 				}
 			}
 			wspans[i].End()
-			ackCh <- nil
-		}(i, conn)
+			ackCh <- err
+		}()
 	}
 
 	aln, rankStats, err := core.AlignContext(ctx, comm, shards[0], cfg)
@@ -262,17 +239,16 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 		return nil, ExecReport{}, fmt.Errorf("serve: cluster rank 0: %w", err)
 	}
 	// The glue already completed on rank 0; acks only confirm orderly
-	// worker shutdown (and surface worker-side errors for the log).
+	// worker shutdown (and surface worker-side errors for the log). Every
+	// ack comes: ctx ending closes the control connections.
 	var ackErr error
 	for range conns {
-		select {
-		case e := <-ackCh:
-			if e != nil && ackErr == nil {
-				ackErr = e
-			}
-		case <-ctx.Done():
-			return nil, ExecReport{}, ctx.Err()
+		if e := <-ackCh; ackErr == nil {
+			ackErr = e
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, ExecReport{}, err
 	}
 	if ackErr != nil {
 		return nil, ExecReport{}, fmt.Errorf("serve: cluster: %w", ackErr)
@@ -283,4 +259,14 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 		rep.BytesRecv = rankStats.Comm.BytesRecv
 	}
 	return aln, rep, nil
+}
+
+// listenBeside binds an ephemeral port on conn's local address, which
+// conn's peer, and so the job's other ranks, already reach this host on.
+func listenBeside(conn net.Conn) (net.Listener, error) {
+	host, _, err := net.SplitHostPort(conn.LocalAddr().String())
+	if err != nil {
+		return nil, err
+	}
+	return net.Listen("tcp", net.JoinHostPort(host, "0"))
 }

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -18,31 +19,30 @@ import (
 // WorkerConfig configures one cluster worker daemon.
 type WorkerConfig struct {
 	CtrlAddr string         // control listen address (coordinator dials this)
-	MeshAddr string         // fixed rank mesh listen address, advertised per job
 	Metrics  *WorkerMetrics // rank-local metrics (-metrics-addr); nil disables
 	Logger   *slog.Logger   // structured logs; nil = silent
 }
 
-// RunWorker serves cluster jobs until ctx is cancelled: accept one
-// control connection, run one rank, repeat. Jobs are strictly serial —
-// the mesh address is fixed — so a worker is claimed for the duration
-// of a job; admission control belongs to the coordinator.
+// RunWorker serves cluster jobs on cfg.CtrlAddr until ctx is cancelled,
+// each control connection a job on a mesh of its own, side by side;
+// admission control belongs to the coordinator. It returns once every
+// job in flight has unwound.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	logger := orDiscard(cfg.Logger)
-	if cfg.MeshAddr == "" {
-		return fmt.Errorf("serve: worker needs a mesh address")
-	}
-	var lc net.ListenConfig
-	ln, err := lc.Listen(ctx, "tcp", cfg.CtrlAddr)
+	ln, err := net.Listen("tcp", cfg.CtrlAddr)
 	if err != nil {
 		return fmt.Errorf("serve: worker listen %s: %w", cfg.CtrlAddr, err)
 	}
+	return serveWorker(ctx, ln, cfg)
+}
+
+// serveWorker is RunWorker's accept loop; it closes ln.
+func serveWorker(ctx context.Context, ln net.Listener, cfg WorkerConfig) error {
+	logger := orDiscard(cfg.Logger)
+	defer context.AfterFunc(ctx, func() { _ = ln.Close() })() // unblock Accept
 	defer func() { _ = ln.Close() }()
-	go func() {
-		<-ctx.Done()
-		_ = ln.Close() // unblock Accept
-	}()
-	logger.Info("worker listening", "ctrl", ln.Addr().String(), "mesh", cfg.MeshAddr)
+	var jobs sync.WaitGroup
+	defer jobs.Wait()
+	logger.Info("worker listening", "ctrl", ln.Addr().String())
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -51,9 +51,13 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			}
 			return fmt.Errorf("serve: worker accept: %w", err)
 		}
-		if err := handleWorkerJob(ctx, conn, cfg, logger); err != nil && ctx.Err() == nil {
-			logger.Warn("worker job failed", "err", err)
-		}
+		jobs.Add(1)
+		go func() {
+			defer jobs.Done()
+			if err := handleWorkerJob(ctx, conn, cfg, logger); err != nil && ctx.Err() == nil {
+				logger.Warn("worker job failed", "err", err)
+			}
+		}()
 	}
 }
 
@@ -62,6 +66,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 // the final ack when the connection still works.
 func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logger *slog.Logger) error {
 	defer func() { _ = conn.Close() }()
+	// The worker shutting down closes conn, unblocking any I/O on it.
+	defer context.AfterFunc(ctx, func() { _ = conn.Close() })()
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 
@@ -74,7 +80,15 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 		enc.Encode(helloMsg{Error: fmt.Sprintf("unsupported protocol %d (want %d)", prep.Proto, clusterProto)})
 		return fmt.Errorf("unsupported protocol %d", prep.Proto)
 	}
-	if err := enc.Encode(helloMsg{Mesh: cfg.MeshAddr}); err != nil {
+	// This job's mesh port; the communicator takes it over, and the
+	// deferred close covers every return before that.
+	ln, err := listenBeside(conn)
+	if err != nil {
+		enc.Encode(helloMsg{Error: fmt.Sprintf("mesh listen: %v", err)})
+		return fmt.Errorf("mesh listen: %w", err)
+	}
+	defer func() { _ = ln.Close() }()
+	if err := enc.Encode(helloMsg{Mesh: ln.Addr().String()}); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	// The spec carries the rank's whole FASTA shard; give a large
@@ -109,23 +123,20 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 
 	// The control connection doubles as the cancellation channel: the
 	// coordinator closing it (job cancelled, coordinator died) cancels
-	// this rank, whose communicator, made under jobCtx, closes: that
-	// unwinds its collectives and frees the mesh port for the next job.
-	jobCtx, cancel := context.WithCancel(ctx)
+	// this rank, whose communicator, made under ctx, closes: that
+	// unwinds its collectives and closes the job's mesh port. The
+	// deferred close unblocks the reader before waiting for it.
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	watchDone := make(chan struct{})
-	// Unblock the reader (it sits in conn.Read) before waiting for it;
-	// double-closing conn is harmless and the outer defer still covers
-	// early returns above.
 	defer func() { _ = conn.Close(); <-watchDone }()
 	go func() {
 		defer close(watchDone)
-		var one [1]byte
-		conn.Read(one[:]) // blocks until EOF/reset (no payload is expected)
+		conn.Read(make([]byte, 1)) // blocks until EOF/reset (no payload is expected)
 		cancel()
 	}()
 
-	comm, err := mpi.DialTCPContext(jobCtx, mpi.TCPConfig{Rank: spec.Rank, Addrs: spec.Addrs})
+	comm, err := mpi.DialTCPContext(ctx, mpi.TCPConfig{Rank: spec.Rank, Addrs: spec.Addrs, Listener: ln})
 	if err != nil {
 		enc.Encode(jobAck{Error: fmt.Sprintf("mesh: %v", err)})
 		return fmt.Errorf("mesh: %w", err)
@@ -134,17 +145,12 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	// runs its own tracer under the propagated ID and bounds and ships
 	// the finished tree back in the ack (the coordinator grafts it into
 	// the job's tree). Worker metrics feed off the same spans.
-	runCtx := jobCtx
+	runCtx := ctx
 	var tr *obs.Tracer
 	if spec.Trace != nil || cfg.Metrics != nil {
-		o := obs.Options{}
+		o := obs.Options{OnSpanEnd: cfg.Metrics.ObserveStage} // nil-safe
 		if spec.Trace != nil {
-			o.ID = spec.Trace.ID
-			o.MaxSpans = spec.Trace.MaxSpans
-			o.SampleDepth = spec.Trace.SampleDepth
-		}
-		if cfg.Metrics != nil {
-			o.OnSpanEnd = cfg.Metrics.ObserveStage
+			o.ID, o.MaxSpans, o.SampleDepth = spec.Trace.ID, spec.Trace.MaxSpans, spec.Trace.SampleDepth
 		}
 		tr = obs.New(o)
 		runCtx = obs.WithTracer(runCtx, tr)
@@ -159,7 +165,7 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	}
 	cfg.Metrics.JobFinished(true)
 	ack := jobAck{OK: true}
-	if spec.Trace != nil && tr != nil {
+	if spec.Trace != nil {
 		if doc, derr := json.Marshal(tr.Document()); derr == nil {
 			ack.Trace = doc
 		}

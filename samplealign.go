@@ -130,7 +130,7 @@ func AlignContext(ctx context.Context, seqs []Sequence, procs int, opts ...Optio
 // TCPRankConfig configures one rank of a multi-process TCP cluster run.
 type TCPRankConfig struct {
 	Rank  int      // this process's rank
-	Addrs []string // listen address of every rank, indexed by rank
+	Addrs []string // listen address of every rank, indexed by rank; the same list on every rank
 }
 
 // AlignTCPContext participates in a distributed alignment as one rank

@@ -20,8 +20,10 @@
 # survive the restart. A final cluster-mode pass (3 samplealignd
 # workers + coordinator, p=4) asserts the distributed trace covers
 # every rank, the output stays byte-identical to the batch CLI, live
-# events flow during the cluster run, and a worker's -metrics-addr
-# listener serves its rank-local histograms.
+# events flow during the cluster run, two different inputs submitted at
+# once each match the batch CLI (every cluster job binds a mesh of its
+# own, so they run side by side), and a worker's -metrics-addr listener
+# serves its rank-local histograms.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -208,12 +210,12 @@ for i in 1 2 3; do
   [ "$i" = 1 ] && METRICS_FLAG="-metrics-addr 127.0.0.1:$WM_PORT"
   # shellcheck disable=SC2086  # METRICS_FLAG is two words on purpose
   "$WORK/samplealignd" -worker-ctrl "127.0.0.1:$((PORT + 10 + i))" \
-    -worker-mesh "127.0.0.1:$((PORT + 20 + i))" $METRICS_FLAG 2>"$WORK/worker$i.log" &
+    $METRICS_FLAG 2>"$WORK/worker$i.log" &
   PIDS="$PIDS $!"
   CTRLS="$CTRLS,127.0.0.1:$((PORT + 10 + i))"
 done
 "$WORK/samplealignsrv" -addr "127.0.0.1:$PORT2" -cluster "${CTRLS#,}" \
-  -cluster-self "127.0.0.1:$((PORT + 20))" 2>"$WORK/srv-cluster.log" &
+  2>"$WORK/srv-cluster.log" &
 PIDS="$PIDS $!"
 for _ in $(seq 1 100); do
   curl -fsS "$BASE2/healthz" >/dev/null 2>&1 && break
@@ -265,6 +267,22 @@ for STAGE in decompose bucketalign merge; do
   [ "$N" -eq 4 ] || { echo "stage $STAGE appears $N times in the cluster trace, want one per rank"; exit 1; }
 done
 echo "one span tree over all 4 ranks (3 grafted worker subtrees)"
+
+echo "== cluster mode: two inputs at once =="
+"$WORK/seqgen" -kind family -n 60 -len 90 -seed 8 -out "$WORK/in3.fa"
+for F in in2 in3; do
+  "$WORK/samplealign" -in "$WORK/$F.fa" -p 4 -out "$WORK/batch4-$F.fa"
+done
+curl -fsS --max-time 120 --data-binary @"$WORK/in2.fa" "$BASE2/v1/align" -o "$WORK/cluster-in2.fa" &
+C2=$!
+curl -fsS --max-time 120 --data-binary @"$WORK/in3.fa" "$BASE2/v1/align" -o "$WORK/cluster-in3.fa" &
+C3=$!
+wait $C2
+wait $C3
+for F in in2 in3; do
+  diff "$WORK/batch4-$F.fa" "$WORK/cluster-$F.fa"
+done
+echo "both concurrent cluster jobs byte-identical to p=4 batch CLI"
 
 echo "== worker -metrics-addr listener =="
 WMETRICS=$(curl -fsS "http://127.0.0.1:$WM_PORT/metrics")

@@ -2,7 +2,6 @@ package samplealign
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"net"
 	"net/http"
@@ -59,12 +58,11 @@ type ServerConfig struct {
 	// Alignment output is byte-identical with tracing on or off.
 	NoTrace bool
 
-	// Optional TCP rank cluster: when Workers lists samplealignd
+	// Optional TCP rank cluster: when ClusterWorkers lists samplealignd
 	// worker daemons (their -worker-ctrl addresses), jobs fan out to
-	// them with this server as rank 0, listening on ClusterSelf for
-	// the per-job rank mesh.
+	// them with this server as rank 0. Each job binds its own mesh
+	// ports, so up to MaxConcurrent cluster jobs run at once.
 	ClusterWorkers []string
-	ClusterSelf    string
 }
 
 // Server is a long-running alignment job service: a bounded async
@@ -83,9 +81,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if _, err := NewAligner(cfg.DefaultAligner, 1); err != nil {
 			return nil, err
 		}
-	}
-	if len(cfg.ClusterWorkers) > 0 && cfg.ClusterSelf == "" {
-		return nil, errors.New("samplealign: cluster mode needs a rank-0 mesh address (ClusterSelf)")
 	}
 	sc := serve.Config{
 		Defaults: serve.Options{
@@ -108,10 +103,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		NoTrace:       cfg.NoTrace,
 	}
 	if len(cfg.ClusterWorkers) > 0 {
-		sc.Executor = &serve.Cluster{Workers: cfg.ClusterWorkers, SelfAddr: cfg.ClusterSelf}
-		// Cluster jobs are serialized (fixed per-worker mesh ports), so
-		// extra concurrency would only park jobs on the executor mutex.
-		sc.MaxConcurrent = 1
+		sc.Executor = &serve.Cluster{Workers: cfg.ClusterWorkers}
 	}
 	inner, err := serve.New(sc)
 	if err != nil {
