@@ -31,22 +31,19 @@ func AlignContext(ctx context.Context, c mpi.Comm, local []bio.Sequence, cfg Con
 	return alignTagged(ctx, c, local, origs, cfg, false)
 }
 
-// ctxErr prefers the context's error over err once the context is done,
-// so a rank unblocked by a closed world still reports the cancellation
-// that caused it.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
 // alignTagged is AlignContext with explicit per-sequence global ordering
 // keys (the inproc driver passes original input indices so the final
 // alignment comes back in input order). idsVerified marks worlds whose
 // driver already proved sequence-ID uniqueness across all ranks, so the
 // cluster-wide check (and its communication) can be skipped.
-func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []int64, cfg Config, idsVerified bool) (*msa.Alignment, *Stats, error) {
+func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []int64, cfg Config, idsVerified bool) (_ *msa.Alignment, _ *Stats, err error) {
+	// Once ctx is done its error wins, so a rank unblocked by a closed
+	// world still reports the cancellation that caused it.
+	defer func() {
+		if cerr := ctx.Err(); err != nil && cerr != nil {
+			err = cerr
+		}
+	}()
 	if len(origs) != len(local) {
 		return nil, nil, fmt.Errorf("core: %d origin keys for %d sequences", len(origs), len(local))
 	}
@@ -85,7 +82,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 
 	// Sequence IDs must be unique across the whole cluster: the glue
-	// phase keys rows by ID (origMap), so a collision would silently
+	// phase keys rows by ID, so a collision would silently
 	// drop or misorder a row in the final alignment. Every rank takes
 	// part in the check and fails with the same error. Skipped when the
 	// driver already verified the whole input (inproc), and done without
@@ -93,7 +90,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	// never distort the communication stats of the paper's benchmarks.
 	if !idsVerified {
 		if err := checkClusterIDs(c, seqs); err != nil {
-			return nil, nil, ctxErr(ctx, err)
+			return nil, nil, err
 		}
 	}
 
@@ -106,7 +103,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		defer dsp.End()
 		bucket, err = redistribute(dctx, c, counter, seqs, cfg, stats)
 		if err != nil {
-			return nil, nil, ctxErr(ctx, err)
+			return nil, nil, err
 		}
 		dsp.SetInt("bucket", int64(len(bucket)))
 		dsp.End()
@@ -126,9 +123,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 	localAln, err := localAligner.AlignContext(bctx, bucketSeqs)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
 		return nil, nil, fmt.Errorf("core: rank %d local alignment: %w", c.Rank(), err)
 	}
 	if bsp != nil {
@@ -169,17 +163,17 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 	ancestors, err := mpi.GatherValues(c, tagAncGather, localAnc)
 	if err != nil {
-		return nil, nil, ctxErr(ctx, err)
+		return nil, nil, err
 	}
 	var ga []byte
 	if c.Rank() == 0 {
 		ga, err = globalAncestor(actx, ancestors, localAligner)
 		if err != nil {
-			return nil, nil, ctxErr(ctx, err)
+			return nil, nil, err
 		}
 	}
 	if ga, err = mpi.BcastValue(c, tagGA, ga); err != nil {
-		return nil, nil, ctxErr(ctx, err)
+		return nil, nil, err
 	}
 	stats.GALen = len(ga)
 	asp.SetInt("ga_len", int64(len(ga)))
@@ -205,7 +199,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	defer gsp.End()
 	final, err := glue(c, localAln, bucket, path, len(ga), stats)
 	if err != nil {
-		return nil, nil, ctxErr(ctx, err)
+		return nil, nil, err
 	}
 	gsp.End()
 	msp.End()
@@ -293,10 +287,9 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	samples := pickSamples(seqs, cfg.SampleSize) // clamped to the local set size
-	sampleData := make([][]byte, len(samples))
-	for i, s := range samples {
-		sampleData[i] = s.Data
+	var sampleData [][]byte // k samples, k clamped to the local set size
+	for _, i := range evenlySpaced(len(seqs), min(cfg.SampleSize, len(seqs))) {
+		sampleData = append(sampleData, seqs[i].Data)
 	}
 	allSamples, err := mpi.AllGatherValues(c, tagSamples, sampleData)
 	if err != nil {
@@ -324,7 +317,10 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 	tPhase = startClock()
 	_, sp3 := obs.Start(ctx, "pivot")
 	defer sp3.End()
-	sampleKeys := regularRankSample(seqs, p-1)
+	var sampleKeys pivotKeyList // the paper's p−1 regular samples
+	for _, i := range evenlySpaced(len(seqs), p-1) {
+		sampleKeys = append(sampleKeys, pivotKey{Rank: seqs[i].Rank, Orig: seqs[i].Orig})
+	}
 	gathered, err := mpi.GatherValues(c, tagPivotGather, sampleKeys)
 	if err != nil {
 		return nil, err
@@ -396,24 +392,20 @@ func permute[T any](s []T, order []int) {
 	}
 }
 
-// pickSamples returns k evenly spaced samples of the locally sorted
-// sequence list: the element at (i+1)·n/(k+1) for i in [0, k).
-func pickSamples(seqs []wireSeq, k int) []wireSeq {
-	if k <= 0 || len(seqs) == 0 {
+// evenlySpaced returns the k indices (i+1)·n/(k+1), i < k, that cut n
+// sorted items into k+1 near-equal runs: where a rank takes its samples
+// and its regular rank keys, and where the root takes pivots when the
+// paper's exact schedule does not apply. It is empty when n or k is not
+// positive.
+func evenlySpaced(n, k int) []int {
+	if n <= 0 || k <= 0 {
 		return nil
 	}
-	if k > len(seqs) {
-		k = len(seqs)
+	at := make([]int, k)
+	for i := range at {
+		at[i] = (i + 1) * n / (k + 1)
 	}
-	out := make([]wireSeq, 0, k)
-	for i := 0; i < k; i++ {
-		idx := (i + 1) * len(seqs) / (k + 1)
-		if idx >= len(seqs) {
-			idx = len(seqs) - 1
-		}
-		out = append(out, seqs[idx])
-	}
-	return out
+	return at
 }
 
 // pivotKey is the total order sequences are partitioned by during
@@ -435,58 +427,25 @@ func (k pivotKey) less(o pivotKey) bool {
 	return k.Orig < o.Orig
 }
 
-// regularRankSample picks k evenly spaced rank keys from the locally
-// sorted list (the paper's p−1 regular samples).
-func regularRankSample(seqs []wireSeq, k int) pivotKeyList {
-	if len(seqs) == 0 || k <= 0 {
-		return nil
-	}
-	out := make(pivotKeyList, 0, k)
-	for i := 0; i < k; i++ {
-		idx := (i + 1) * len(seqs) / (k + 1)
-		if idx >= len(seqs) {
-			idx = len(seqs) - 1
-		}
-		out = append(out, pivotKey{Rank: seqs[idx].Rank, Orig: seqs[idx].Orig})
-	}
-	return out
-}
-
 // selectPivots sorts the gathered regular samples and picks the paper's
-// p−1 pivots Y_{p/2}, Y_{p+p/2}, …, Y_{(p−2)p+p/2}, scaled to however
-// many samples actually arrived. Duplicate pivots (possible only when a
-// clamped degenerate schedule picks one sample twice) are dropped —
-// they could only ever delimit guaranteed-empty buckets.
+// p−1 pivots Y_{p/2}, Y_{p+p/2}, …, Y_{(p−2)p+p/2} when all p(p−1)
+// arrived, and evenly spaced quantiles of however many did otherwise
+// (degenerate worlds with tiny local sets). Duplicate pivots (possible
+// only when a short block repeats one sample) are dropped — they could
+// only ever delimit guaranteed-empty buckets.
 func selectPivots(all []pivotKey, p int) []pivotKey {
 	sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
-	pivots := make([]pivotKey, 0, p-1)
-	appendPivot := func(k pivotKey) {
-		if n := len(pivots); n > 0 && !pivots[n-1].less(k) {
-			return // duplicate of the previous pivot
-		}
-		pivots = append(pivots, k)
-	}
-	if len(all) == 0 {
-		return pivots
-	}
+	at := evenlySpaced(len(all), p-1)
 	if len(all) == p*(p-1) {
-		// the exact index schedule from the paper
-		for j := 0; j < p-1; j++ {
-			idx := j*p + p/2
-			if idx >= len(all) {
-				idx = len(all) - 1
-			}
-			appendPivot(all[idx])
+		for j := range at {
+			at[j] = j*p + p/2
 		}
-		return pivots
 	}
-	// degenerate worlds (tiny local sets): evenly spaced quantiles
-	for j := 1; j < p; j++ {
-		idx := j * len(all) / p
-		if idx >= len(all) {
-			idx = len(all) - 1
+	pivots := make([]pivotKey, 0, p-1)
+	for _, i := range at {
+		if n := len(pivots); n == 0 || pivots[n-1].less(all[i]) {
+			pivots = append(pivots, all[i])
 		}
-		appendPivot(all[idx])
 	}
 	return pivots
 }

@@ -21,6 +21,10 @@
 //  7. Every rank profile-aligns its local alignment against the GA
 //     template (fine-tuning); the root glues the per-rank alignments in
 //     GA coordinates into the final global alignment of all N sequences.
+//
+// README's "The pipeline, step by step" names the function behind each
+// step. spec_test.go states the same steps as one sequential function,
+// and spec_compare_test.go holds this package to it byte for byte.
 package core
 
 import (

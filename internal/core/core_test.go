@@ -425,14 +425,17 @@ func TestSelectPivotsTiedRanks(t *testing.T) {
 	}
 }
 
-func TestParseLayoutValidation(t *testing.T) {
+func TestSlotCountsValidation(t *testing.T) {
 	// path consuming wrong number of GA columns must fail
 	bad := []byte{byte(0 /*match*/)}
-	if _, err := parseLayout(bad, 2); err == nil {
+	if _, err := slotCounts(bad, 2); err == nil {
 		t.Fatal("underrun path accepted")
 	}
 	over := []byte{0, 0, 0}
-	if _, err := parseLayout(over, 2); err == nil {
+	if _, err := slotCounts(over, 2); err == nil {
 		t.Fatal("overrun path accepted")
+	}
+	if _, err := slotCounts([]byte{0, 1, 2, 7}, 2); err == nil {
+		t.Fatal("invalid op accepted")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bio"
 	"repro/internal/mpi"
@@ -32,8 +31,9 @@ func AlignInprocContext(ctx context.Context, seqs []bio.Sequence, p int, cfg Con
 	}
 	parts, origParts := SplitBlocks(seqs, p)
 
+	// Each rank writes only its own Stats slot (and rank 0 the
+	// alignment); RunContext returns after every rank has.
 	res := &Result{Stats: make([]*Stats, p)}
-	var mu sync.Mutex
 	err := mpi.RunContext(ctx, p, func(c mpi.Comm) error {
 		// checkUniqueIDs above already covered the whole input, so the
 		// ranks skip the cluster-wide ID collective.
@@ -41,8 +41,6 @@ func AlignInprocContext(ctx context.Context, seqs []bio.Sequence, p int, cfg Con
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		res.Stats[c.Rank()] = stats
 		if c.Rank() == 0 {
 			res.Alignment = aln
@@ -84,7 +82,7 @@ func checkUniqueIDs(seqs []bio.Sequence) error {
 
 // duplicateIDError returns an error naming the first ID occurring twice
 // in ids, or nil. The empty ID counts like any other (bare FASTA '>'
-// headers parse to ID "", and two of those still collide in origMap).
+// headers parse to ID "", and two of those still collide in the glue).
 func duplicateIDError(ids []string) error {
 	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {

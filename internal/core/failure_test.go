@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,43 +105,43 @@ func TestAlignPropagatesLocalAlignerFailure(t *testing.T) {
 
 func TestGluePathPropertyRandomised(t *testing.T) {
 	// Property: for random (gaLen, path built from random ops that
-	// consume exactly gaLen GA columns), parseLayout inverts the path
-	// into a layout whose insertion+match counts equal the local column
-	// count.
+	// consume exactly gaLen GA columns), slotCounts accepts the path and
+	// counts exactly the insertions made at each slot, so its
+	// insertions plus the path's matches equal the local column count.
 	f := func(seed int64) bool {
 		rng := newRandSrc(seed)
 		gaLen := 1 + int(rng()%8)
 		var path []byte
-		local, g := 0, 0
+		wantIns := make([]int, gaLen+1)
+		local, matches, g := 0, 0, 0
 		for g < gaLen {
 			switch rng() % 3 {
 			case 0:
 				path = append(path, byte(profile.OpMatch))
 				local++
+				matches++
 				g++
 			case 1:
 				path = append(path, byte(profile.OpA))
+				wantIns[g]++
 				local++
 			default:
 				path = append(path, byte(profile.OpB))
 				g++
 			}
 		}
-		l, err := parseLayout(path, gaLen)
-		if err != nil {
+		for rng()%2 == 0 { // insertions after the last GA column
+			path = append(path, byte(profile.OpA))
+			wantIns[gaLen]++
+			local++
+		}
+		ins, err := slotCounts(path, gaLen)
+		if err != nil || !slices.Equal(ins, wantIns) {
 			return false
 		}
-		if l.numLocal != local {
-			return false
-		}
-		count := 0
-		for _, ins := range l.ins {
-			count += len(ins)
-		}
-		for _, m := range l.matched {
-			if m >= 0 {
-				count++
-			}
+		count := matches
+		for _, n := range ins {
+			count += n
 		}
 		return count == local
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bio"
 	"repro/internal/mpi"
@@ -39,13 +41,18 @@ func templatePath(localAln *msa.Alignment, ga []byte) (profile.Path, error) {
 	return path, nil
 }
 
+// glueRow is one aligned row on its way to the root, with the global
+// ordering key that puts it back in place.
+type glueRow struct {
+	ID, Desc string
+	Orig     int64
+	Row      []byte
+}
+
 // glueMsg is what each rank ships to the root for the final merge.
 type glueMsg struct {
-	IDs   []string
-	Descs []string
-	Origs []int64
-	Rows  [][]byte
-	Path  []byte // profile.Path ops, one byte per op
+	Rows []glueRow
+	Path []byte // profile.Path ops, one byte per op
 }
 
 // glue gathers every rank's fine-tuned local alignment at the root and
@@ -55,18 +62,14 @@ type glueMsg struct {
 // returns a non-nil alignment, and only rank 0's stats get BucketSizes:
 // a bucket's size is the number of rows its rank sends here.
 func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Path, gaLen int, stats *Stats) (*msa.Alignment, error) {
-	origs := origMap(bucket)
-	msgOut := glueMsg{
-		IDs:   make([]string, localAln.NumSeqs()),
-		Descs: make([]string, localAln.NumSeqs()),
-		Origs: make([]int64, localAln.NumSeqs()),
-		Rows:  localAln.Rows(),
-		Path:  make([]byte, len(path)),
+	// IDs are unique within the input (the drivers guarantee this).
+	origs := make(map[string]int64, len(bucket))
+	for _, ws := range bucket {
+		origs[ws.ID] = ws.Orig
 	}
+	msgOut := glueMsg{Rows: make([]glueRow, len(localAln.Seqs)), Path: make([]byte, len(path))}
 	for i, s := range localAln.Seqs {
-		msgOut.IDs[i] = s.ID
-		msgOut.Descs[i] = s.Desc
-		msgOut.Origs[i] = origs[s.ID]
+		msgOut.Rows[i] = glueRow{ID: s.ID, Desc: s.Desc, Orig: origs[s.ID], Row: s.Data}
 	}
 	for i, op := range path {
 		msgOut.Path[i] = byte(op)
@@ -82,44 +85,21 @@ func glue(c mpi.Comm, localAln *msa.Alignment, bucket []wireSeq, path profile.Pa
 	return mergeOnTemplate(msgs, gaLen)
 }
 
-// origMap indexes the bucket's global ordering keys by sequence ID.
-// IDs must be unique within the input (the drivers guarantee this).
-func origMap(bucket []wireSeq) map[string]int64 {
-	m := make(map[string]int64, len(bucket))
-	for i := range bucket {
-		m[bucket[i].ID] = bucket[i].Orig
-	}
-	return m
-}
-
-// rankLayout is one rank's parsed template mapping.
-type rankLayout struct {
-	ins      [][]int // ins[slot] = local column indices inserted at slot (0..gaLen)
-	matched  []int   // matched[g] = local column matched to GA column g, or -1
-	numLocal int
-}
-
-func parseLayout(path []byte, gaLen int) (*rankLayout, error) {
-	l := &rankLayout{
-		ins:     make([][]int, gaLen+1),
-		matched: make([]int, gaLen),
-	}
-	for g := range l.matched {
-		l.matched[g] = -1
-	}
-	local, g := 0, 0
+// slotCounts checks that a rank's path consumes exactly gaLen GA columns
+// and counts its insertions per slot: ins[s] local columns fall right
+// before GA column s (slot gaLen is after the last).
+func slotCounts(path []byte, gaLen int) ([]int, error) {
+	ins := make([]int, gaLen+1)
+	g := 0
 	for _, op := range path {
 		switch profile.Op(op) {
 		case profile.OpMatch:
 			if g >= gaLen {
 				return nil, fmt.Errorf("core: glue path overruns GA (match)")
 			}
-			l.matched[g] = local
-			local++
 			g++
 		case profile.OpA: // local insertion relative to GA
-			l.ins[g] = append(l.ins[g], local)
-			local++
+			ins[g]++
 		case profile.OpB: // GA column with no local counterpart
 			if g >= gaLen {
 				return nil, fmt.Errorf("core: glue path overruns GA (skip)")
@@ -132,88 +112,65 @@ func parseLayout(path []byte, gaLen int) (*rankLayout, error) {
 	if g != gaLen {
 		return nil, fmt.Errorf("core: glue path consumed %d GA columns of %d", g, gaLen)
 	}
-	l.numLocal = local
-	return l, nil
+	return ins, nil
 }
 
 // mergeOnTemplate lays every rank's rows into global GA coordinates.
 func mergeOnTemplate(msgs []glueMsg, gaLen int) (*msa.Alignment, error) {
-	layouts := make([]*rankLayout, len(msgs))
-	maxIns := make([]int, gaLen+1)
+	widest := make([]int, gaLen+1) // the most any rank inserts at each slot
 	for r, m := range msgs {
-		l, err := parseLayout(m.Path, gaLen)
+		ins, err := slotCounts(m.Path, gaLen)
 		if err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		if len(m.Rows) > 0 && l.numLocal != len(m.Rows[0]) {
-			return nil, fmt.Errorf("core: rank %d path consumes %d local columns, rows have %d",
-				r, l.numLocal, len(m.Rows[0]))
-		}
-		layouts[r] = l
-		for s := 0; s <= gaLen; s++ {
-			if n := len(l.ins[s]); n > maxIns[s] {
-				maxIns[s] = n
-			}
+		for s, n := range ins {
+			widest[s] = max(widest[s], n)
 		}
 	}
-	width := gaLen
-	for _, n := range maxIns {
-		width += n
+	// slot[s] = first global column of insertion slot s; GA column g
+	// follows slot g.
+	slot := make([]int, gaLen+1)
+	width := 0
+	for s := range slot {
+		slot[s] = width
+		width += widest[s] + 1
 	}
-	// slotStart[s] = first global column of insertion slot s;
-	// gaCol[g] = global column of GA column g.
-	slotStart := make([]int, gaLen+1)
-	gaCol := make([]int, gaLen)
-	col := 0
-	for s := 0; s <= gaLen; s++ {
-		slotStart[s] = col
-		col += maxIns[s]
-		if s < gaLen {
-			gaCol[s] = col
-			col++
-		}
-	}
-	if col != width {
-		return nil, fmt.Errorf("core: layout width mismatch %d != %d", col, width)
-	}
+	width-- // no GA column follows the last slot
 
-	type rowOut struct {
-		seq  bio.Sequence
-		orig int64
-	}
-	var rows []rowOut
+	var rows []glueRow
 	for r, m := range msgs {
-		l := layouts[r]
 		// global column of every local column for this rank
-		colOf := make([]int, l.numLocal)
-		for s := 0; s <= gaLen; s++ {
-			for k, localCol := range l.ins[s] {
-				colOf[localCol] = slotStart[s] + k
+		colOf := make([]int, 0, len(m.Path))
+		g, k := 0, 0 // GA column, insertions so far in its slot
+		for _, op := range m.Path {
+			switch profile.Op(op) {
+			case profile.OpMatch:
+				colOf = append(colOf, slot[g]+widest[g])
+				g, k = g+1, 0
+			case profile.OpA:
+				colOf = append(colOf, slot[g]+k)
+				k++
+			default: // OpB: slotCounts refused every other op
+				g, k = g+1, 0
 			}
 		}
-		for g, localCol := range l.matched {
-			if localCol >= 0 {
-				colOf[localCol] = gaCol[g]
-			}
+		if len(m.Rows) > 0 && len(colOf) != len(m.Rows[0].Row) {
+			return nil, fmt.Errorf("core: rank %d path consumes %d local columns, rows have %d",
+				r, len(colOf), len(m.Rows[0].Row))
 		}
-		for i, rowData := range m.Rows {
-			out := make([]byte, width)
-			for j := range out {
-				out[j] = bio.Gap
-			}
-			for localCol, b := range rowData {
+		for _, row := range m.Rows {
+			out := bytes.Repeat([]byte{bio.Gap}, width)
+			for localCol, b := range row.Row {
 				out[colOf[localCol]] = b
 			}
-			rows = append(rows, rowOut{
-				seq:  bio.Sequence{ID: m.IDs[i], Desc: m.Descs[i], Data: out},
-				orig: m.Origs[i],
-			})
+			row.Row = out
+			rows = append(rows, row)
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].orig < rows[j].orig })
+	slices.SortStableFunc(rows, func(a, b glueRow) int { return cmp.Compare(a.Orig, b.Orig) })
 	aln := &msa.Alignment{Seqs: make([]bio.Sequence, len(rows))}
 	for i, r := range rows {
-		aln.Seqs[i] = r.seq
+		aln.Seqs[i] = bio.Sequence{ID: r.ID, Desc: r.Desc, Data: r.Row}
 	}
 	aln.RemoveAllGapColumns()
 	return aln, nil

@@ -17,15 +17,18 @@ import (
 	"repro/internal/rose"
 )
 
-// specInputs are the cases the spec and the pipeline must agree on:
-// uneven blocks, a mixture of unrelated families, all-identical input,
-// repeated sequences whose k-mer ranks tie, and gapped rows that the
-// pipeline must ungap. heavy marks the cases -short skips.
-func specInputs(t *testing.T) []struct {
+// specInput is one case the spec and the pipeline must agree on; heavy
+// marks the cases -short skips.
+type specInput struct {
 	name  string
 	seqs  []bio.Sequence
 	heavy bool
-} {
+}
+
+// specInputs are uneven blocks, a mixture of unrelated families,
+// all-identical input, repeated sequences whose k-mer ranks tie, and
+// gapped rows that the pipeline must ungap.
+func specInputs(t *testing.T) []specInput {
 	family := func(n, meanLen int, relatedness float64, seed int64) *rose.Family {
 		f, err := rose.Evolve(rose.Config{N: n, MeanLen: meanLen, Relatedness: relatedness, Seed: seed})
 		if err != nil {
@@ -45,20 +48,16 @@ func specInputs(t *testing.T) []struct {
 	}
 	var repeated []bio.Sequence
 	distinct := family(10, 40, 400, 31).Seqs()
-	for copy := 0; copy < 4; copy++ {
+	for k := 0; k < 4; k++ {
 		for _, s := range distinct {
-			repeated = append(repeated, bio.Sequence{ID: fmt.Sprintf("%s-copy%d", s.ID, copy), Data: s.Data})
+			repeated = append(repeated, bio.Sequence{ID: fmt.Sprintf("%s-copy%d", s.ID, k), Data: s.Data})
 		}
 	}
 	gapped, err := family(30, 50, 500, 41).TrueAlignment(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name  string
-		seqs  []bio.Sequence
-		heavy bool
-	}{
+	return []specInput{
 		{"uneven97", family(97, 50, 400, 11).Seqs(), true},
 		{"mixture6", mixture, true},
 		{"identical13", identical, false},

@@ -65,37 +65,31 @@ func (l *pivotKeyList) ParseWire(r *mpi.Reader) error {
 	return r.Err()
 }
 
-// glueRowMin is the least one row of a glueMsg occupies: two string
-// lengths, a varint and a row length.
+// glueRowMin is the least one glueRow occupies: two string lengths, a
+// varint and a row length.
 const glueRowMin = 4
 
 // AppendWire writes the row count, then each row's ID, Desc, Orig and
-// bytes together, then the path. IDs, Descs, Origs and Rows are parallel
-// (glue builds them so).
+// bytes, then the path.
 func (m glueMsg) AppendWire(buf []byte) []byte {
 	size := 20 + len(m.Path)
-	for i, row := range m.Rows {
-		size += 16 + len(m.IDs[i]) + len(m.Descs[i]) + len(row)
+	for i := range m.Rows {
+		size += 16 + len(m.Rows[i].ID) + len(m.Rows[i].Desc) + len(m.Rows[i].Row)
 	}
 	buf = mpi.AppendUint(slices.Grow(buf, size), uint64(len(m.Rows)))
-	for i, row := range m.Rows {
-		buf = mpi.AppendString(buf, m.IDs[i])
-		buf = mpi.AppendString(buf, m.Descs[i])
-		buf = mpi.AppendInt(buf, m.Origs[i])
-		buf = mpi.AppendBytes(buf, row)
+	for _, row := range m.Rows {
+		buf = mpi.AppendString(buf, row.ID)
+		buf = mpi.AppendString(buf, row.Desc)
+		buf = mpi.AppendInt(buf, row.Orig)
+		buf = mpi.AppendBytes(buf, row.Row)
 	}
 	return mpi.AppendBytes(buf, m.Path)
 }
 
 func (m *glueMsg) ParseWire(r *mpi.Reader) error {
-	*m = glueMsg{}
-	if n := r.Count(glueRowMin); n > 0 {
-		m.IDs, m.Descs = make([]string, n), make([]string, n)
-		m.Origs, m.Rows = make([]int64, n), make([][]byte, n)
-		for i := range m.Rows {
-			m.IDs[i], m.Descs[i], m.Origs[i], m.Rows[i] = r.String(), r.String(), r.Int(), r.Bytes()
-		}
-	}
+	m.Rows = mpi.ReadSlice(r, glueRowMin, func(r *mpi.Reader) glueRow {
+		return glueRow{ID: r.String(), Desc: r.String(), Orig: r.Int(), Row: r.Bytes()}
+	})
 	m.Path = r.Bytes()
 	if err := r.Err(); err != nil {
 		return err
@@ -103,8 +97,8 @@ func (m *glueMsg) ParseWire(r *mpi.Reader) error {
 	// An alignment's rows have one width; the merge indexes every row by
 	// the first one's columns.
 	for i, row := range m.Rows {
-		if len(row) != len(m.Rows[0]) {
-			return fmt.Errorf("row %d is %d columns wide, row 0 is %d", i, len(row), len(m.Rows[0]))
+		if len(row.Row) != len(m.Rows[0].Row) {
+			return fmt.Errorf("row %d is %d columns wide, row 0 is %d", i, len(row.Row), len(m.Rows[0].Row))
 		}
 	}
 	return nil

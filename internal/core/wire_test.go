@@ -34,8 +34,9 @@ func sameKeys(a, b pivotKeyList) bool {
 }
 
 func sameGlue(a, b glueMsg) bool {
-	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Descs, b.Descs) && slices.Equal(a.Origs, b.Origs) &&
-		slices.EqualFunc(a.Rows, b.Rows, bytes.Equal) && bytes.Equal(a.Path, b.Path)
+	return slices.EqualFunc(a.Rows, b.Rows, func(x, y glueRow) bool {
+		return x.ID == y.ID && x.Desc == y.Desc && x.Orig == y.Orig && bytes.Equal(x.Row, y.Row)
+	}) && bytes.Equal(a.Path, b.Path)
 }
 
 func wireRoundTrip[T any](t *testing.T, in T) T {
@@ -97,11 +98,11 @@ func TestPivotKeyListRoundTrip(t *testing.T) {
 func TestGlueMsgRoundTrip(t *testing.T) {
 	cases := []glueMsg{
 		{},
-		{IDs: []string{}, Descs: []string{}, Origs: []int64{}, Rows: [][]byte{}, Path: []byte{}},
+		{Rows: []glueRow{}, Path: []byte{}},
 		{Path: []byte{1, 1, 1}}, // an empty bucket still skips every GA column
-		{IDs: []string{""}, Descs: []string{""}, Origs: []int64{-1}, Rows: [][]byte{nil}},
-		{IDs: []string{"a", "b"}, Descs: []string{"", "second"}, Origs: []int64{math.MinInt64, 3 << 40},
-			Rows: [][]byte{[]byte("AC-T"), []byte("A--T")}, Path: []byte{0, 0, 2, 1, 0}},
+		{Rows: []glueRow{{Orig: -1}}},
+		{Rows: []glueRow{{ID: "a", Orig: math.MinInt64, Row: []byte("AC-T")}, {ID: "b", Desc: "second", Orig: 3 << 40, Row: []byte("A--T")}},
+			Path: []byte{0, 0, 2, 1, 0}},
 	}
 	for _, in := range cases {
 		if out := wireRoundTrip(t, in); !sameGlue(in, out) {
@@ -113,8 +114,7 @@ func TestGlueMsgRoundTrip(t *testing.T) {
 // The root indexes every row of a glue message by the first row's
 // columns, so a message whose rows disagree in width must not parse.
 func TestGlueMsgRejectsRaggedRows(t *testing.T) {
-	ragged := glueMsg{IDs: []string{"a", "b"}, Descs: []string{"", ""}, Origs: []int64{0, 1},
-		Rows: [][]byte{[]byte("AC"), []byte("ACGT")}, Path: []byte{0, 0}}
+	ragged := glueMsg{Rows: []glueRow{{ID: "a", Row: []byte("AC")}, {ID: "b", Orig: 1, Row: []byte("ACGT")}}, Path: []byte{0, 0}}
 	data, err := mpi.Encode(ragged)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func FuzzWireDecode(f *testing.F) {
 	for _, v := range []any{
 		wireSeqList{{ID: "s1", Desc: "first", Data: []byte("MKV"), Orig: 7<<40 | 1, Rank: 0.25}, {ID: "s2", Data: []byte("M"), Orig: -1, Rank: math.Inf(1)}},
 		pivotKeyList{{Rank: 0.5, Orig: 3}, {Rank: math.NaN(), Orig: -9}},
-		glueMsg{IDs: []string{"a", "b"}, Descs: []string{"", "d"}, Origs: []int64{1, 0}, Rows: [][]byte{[]byte("A-C"), []byte("AG-")}, Path: []byte{0, 2, 0, 1, 0}},
+		glueMsg{Rows: []glueRow{{ID: "a", Orig: 1, Row: []byte("A-C")}, {ID: "b", Desc: "d", Row: []byte("AG-")}}, Path: []byte{0, 2, 0, 1, 0}},
 	} {
 		data, err := mpi.Encode(v)
 		if err != nil {
@@ -181,8 +181,7 @@ func BenchmarkWire(b *testing.B) {
 	}
 	glue := glueMsg{Path: make([]byte, 450)}
 	for i := 0; i < 150; i++ {
-		glue.IDs, glue.Descs, glue.Origs = append(glue.IDs, "seq0001"), append(glue.Descs, "synthetic"), append(glue.Origs, int64(i))
-		glue.Rows = append(glue.Rows, bytes.Repeat([]byte("ACDEFG-IKL"), 42))
+		glue.Rows = append(glue.Rows, glueRow{ID: "seq0001", Desc: "synthetic", Orig: int64(i), Row: bytes.Repeat([]byte("ACDEFG-IKL"), 42)})
 	}
 	run := func(name string, v any, out any) {
 		b.Run(name, func(b *testing.B) {
