@@ -82,8 +82,8 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	}
 
 	// Sequence IDs must be unique across the whole cluster: the glue
-	// phase keys rows by ID, so a collision would silently
-	// drop or misorder a row in the final alignment. Every rank takes
+	// phase keys rows by ID, so a collision would silently drop or
+	// misorder a row in the final alignment. Every rank takes
 	// part in the check and fails with the same error. Skipped when the
 	// driver already verified the whole input (inproc), and done without
 	// communication on single-rank worlds, so the collective's bytes

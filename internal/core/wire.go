@@ -73,8 +73,8 @@ const glueRowMin = 4
 // bytes, then the path.
 func (m glueMsg) AppendWire(buf []byte) []byte {
 	size := 20 + len(m.Path)
-	for i := range m.Rows {
-		size += 16 + len(m.Rows[i].ID) + len(m.Rows[i].Desc) + len(m.Rows[i].Row)
+	for _, row := range m.Rows {
+		size += 16 + len(row.ID) + len(row.Desc) + len(row.Row)
 	}
 	buf = mpi.AppendUint(slices.Grow(buf, size), uint64(len(m.Rows)))
 	for _, row := range m.Rows {

@@ -10,11 +10,19 @@ type Result struct {
 	NumSeqs   int           `json:"num_seqs"`
 	Width     int           `json:"width"`
 	Procs     int           `json:"procs"`
-	Elapsed   time.Duration `json:"-"`
 	BytesSent int64         `json:"bytes_sent"`
 	BytesRecv int64         `json:"bytes_recv"`
+	Elapsed   time.Duration `json:"elapsed_ns"`
 	TraceID   string        `json:"trace_id,omitempty"`
 	Trace     []byte        `json:"-"` // span-tree JSON (obs.Document); served at /v1/jobs/{id}/trace
+}
+
+// summaryOf is res without its FASTA payload. The trace stays, so a job
+// record holding the summary still answers lookupTrace.
+func summaryOf(res *Result) *Result {
+	summary := *res
+	summary.FASTA = nil
+	return &summary
 }
 
 // sizeBytes is the accounting size of a result in the memory tier, a

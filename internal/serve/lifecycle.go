@@ -142,7 +142,7 @@ func endRecord(j *Job, o outcome) store.Record {
 	if o.cause != nil {
 		errMsg = o.cause.Error()
 	}
-	return finishRecord(j.ID, j.Key, o.state, errMsg, metaOf(o.res), o.at)
+	return finishRecord(j.ID, j.Key, o.state, errMsg, o.res, o.at)
 }
 
 // newFlight opens a queued computation for key, holding one queue

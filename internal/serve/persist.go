@@ -74,58 +74,9 @@ func replayInput(subData, text []byte) ([]bio.Sequence, error) {
 
 // finishData is the finish/cancel record payload.
 type finishData struct {
-	State   State       `json:"state"`
-	Error   string      `json:"error,omitempty"`
-	Summary *resultMeta `json:"summary,omitempty"`
-}
-
-// resultMeta is the result summary persisted in finish records and as
-// the meta block of on-disk result files.
-type resultMeta struct {
-	NumSeqs   int    `json:"num_seqs"`
-	Width     int    `json:"width"`
-	Procs     int    `json:"procs"`
-	BytesSent int64  `json:"bytes_sent"`
-	BytesRecv int64  `json:"bytes_recv"`
-	ElapsedNs int64  `json:"elapsed_ns"`
-	TraceID   string `json:"trace_id,omitempty"`
-}
-
-func metaOf(res *Result) *resultMeta {
-	if res == nil {
-		return nil
-	}
-	return &resultMeta{
-		NumSeqs:   res.NumSeqs,
-		Width:     res.Width,
-		Procs:     res.Procs,
-		BytesSent: res.BytesSent,
-		BytesRecv: res.BytesRecv,
-		ElapsedNs: int64(res.Elapsed),
-		TraceID:   res.TraceID,
-	}
-}
-
-func (m *resultMeta) result(payload []byte) *Result {
-	return &Result{
-		FASTA:     payload,
-		NumSeqs:   m.NumSeqs,
-		Width:     m.Width,
-		Procs:     m.Procs,
-		BytesSent: m.BytesSent,
-		BytesRecv: m.BytesRecv,
-		Elapsed:   time.Duration(m.ElapsedNs),
-		TraceID:   m.TraceID,
-	}
-}
-
-// resultFromMeta decodes a disk-store meta block back into a Result.
-func resultFromMeta(meta, payload []byte) (*Result, error) {
-	var m resultMeta
-	if err := json.Unmarshal(meta, &m); err != nil {
-		return nil, err
-	}
-	return m.result(payload), nil
+	State   State   `json:"state"`
+	Error   string  `json:"error,omitempty"`
+	Summary *Result `json:"summary,omitempty"` // also a result file's meta block
 }
 
 // RecoveryInfo summarises what a journal replay reconstructed.
@@ -204,7 +155,7 @@ func submitRecord(id, key string, at time.Time, sd submitData) store.Record {
 	return store.Record{Type: store.RecSubmit, Job: id, Key: key, Time: at, Data: data}
 }
 
-func finishRecord(id, key string, state State, errMsg string, summary *resultMeta, at time.Time) store.Record {
+func finishRecord(id, key string, state State, errMsg string, summary *Result, at time.Time) store.Record {
 	typ := store.RecFinish
 	if state == StateCanceled {
 		typ = store.RecCancel
@@ -218,7 +169,7 @@ func (s *Server) storePut(key string, res *Result) {
 	if s.results == nil {
 		return
 	}
-	meta, _ := json.Marshal(metaOf(res))
+	meta, _ := json.Marshal(res)
 	if err := s.results.Put(key, meta, res.FASTA); err != nil {
 		s.log.Warn("persisting result failed", "key", key, "err", err)
 	}
@@ -230,7 +181,7 @@ func (s *Server) storePutTrace(key string, res *Result) {
 	if s.traces == nil || len(res.Trace) == 0 {
 		return
 	}
-	meta, _ := json.Marshal(resultMeta{TraceID: res.TraceID})
+	meta, _ := json.Marshal(Result{TraceID: res.TraceID})
 	if err := s.traces.Put(key, meta, res.Trace); err != nil {
 		s.log.Warn("persisting trace failed", "key", key, "trace", res.TraceID, "err", err)
 	}
@@ -250,7 +201,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 		started     time.Time
 		final       State // the journal's terminal state; StateQueued until a finish or cancel record
 		errMsg      string
-		summary     *resultMeta
+		summary     *Result
 		finished    time.Time
 		interrupted bool // hard-canceled by the previous shutdown, not by a caller
 	}
@@ -335,7 +286,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				// The result already exists (crash after the store write
 				// but before the finish record): restored, not re-run.
 				job.cached = true
-				r.final, r.summary, r.finished = StateDone, metaOf(res), now
+				r.final, r.summary, r.finished = StateDone, summaryOf(res), now
 			} else if len(r.sub.FASTA) == 0 {
 				// No input to re-run: a cache-hit submit whose finish
 				// half was torn away. The caller already got its answer
@@ -369,10 +320,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 		}
 		// Terminal in the journal (or just restored or failed above): a
 		// visible finished job record, never re-run.
-		o := outcome{state: r.final, at: r.finished}
-		if r.summary != nil {
-			o.res = r.summary.result(nil)
-		}
+		o := outcome{state: r.final, res: r.summary, at: r.finished}
 		if r.errMsg != "" {
 			o.cause = errors.New(r.errMsg)
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -537,6 +538,64 @@ func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
 	}
 }
 
+// A data dir written before Result carried its own JSON tags: a finish
+// record's summary and a result file's meta block, both as literal JSON
+// in that format, still decode to the full summary, and a summary still
+// encodes to exactly those bytes.
+func TestSummariesInTheEarlierFormatDecode(t *testing.T) {
+	const summary = `{"num_seqs":4,"width":31,"procs":2,"bytes_sent":1200,"bytes_recv":1100,"elapsed_ns":2500000,"trace_id":"t0042"}`
+	want := &Result{NumSeqs: 4, Width: 31, Procs: 2, BytesSent: 1200, BytesRecv: 1100, Elapsed: 2500 * time.Microsecond, TraceID: "t0042"}
+	if got, _ := json.Marshal(want); string(got) != summary {
+		t.Fatalf("summary encodes as %s, want %s", got, summary)
+	}
+
+	dir := t.TempDir()
+	seqs := testSeqs(4, 30, 81)
+	opts, err := resolve(Options{Procs: 2}, Options{}, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit, _ := json.Marshal(submitData{Opts: opts, NumSeqs: len(seqs), FASTA: []byte(fasta.FormatString(seqs))})
+	doneKey, storedKey := strings.Repeat("c", 64), strings.Repeat("d", 64)
+	now := time.Now()
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendBatch([]store.Record{
+		{Type: store.RecSubmit, Job: "jaabb06", Key: doneKey, Time: now, Data: submit},
+		{Type: store.RecFinish, Job: "jaabb06", Key: doneKey, Time: now, Data: []byte(`{"state":"done","summary":` + summary + `}`)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	results, err := store.OpenResults(filepath.Join(dir, "results"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(fasta.FormatString(seqs))
+	if err := results.Put(storedKey, []byte(summary), payload); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	defer s.Close()
+	done, ok := s.Job("jaabb06")
+	if !ok {
+		t.Fatal("finished job not restored")
+	}
+	if v := done.View(); v.State != StateDone || !reflect.DeepEqual(v.Result, want) {
+		t.Fatalf("finish record decoded to %s %+v, want done %+v", v.State, v.Result, want)
+	}
+	res, ok := s.lookupResult(storedKey)
+	if !ok {
+		t.Fatal("stored result not found")
+	}
+	if got := summaryOf(res); !bytes.Equal(res.FASTA, payload) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("meta block decoded to %+v with %d payload bytes, want %+v with %d", got, len(res.FASTA), want, len(payload))
+	}
+}
+
 // A journal written while the ablation options existed. A finished job
 // submitted under one is restored as it was: its result was computed
 // under that option and stays addressable by job ID. An unfinished one
@@ -567,7 +626,7 @@ func TestReplayOfJobsSubmittedUnderARetiredOption(t *testing.T) {
 	}
 	if err := j.AppendBatch([]store.Record{
 		{Type: store.RecSubmit, Job: "jaabb04", Key: doneKey, Time: now, Data: submit},
-		finishRecord("jaabb04", doneKey, StateDone, "", &resultMeta{NumSeqs: len(seqs), Width: 30, Procs: 1}, now),
+		finishRecord("jaabb04", doneKey, StateDone, "", &Result{NumSeqs: len(seqs), Width: 30, Procs: 1}, now),
 		{Type: store.RecSubmit, Job: "jaabb05", Key: liveKey, Time: now, Data: submit},
 	}); err != nil {
 		t.Fatal(err)

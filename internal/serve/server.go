@@ -48,6 +48,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -276,9 +277,7 @@ func (j *Job) resultIfDone() (*Result, State, error) {
 // payload's only home.
 func (s *Server) retainedResult(res *Result) *Result {
 	if s.cache != nil || s.results != nil {
-		summary := *res
-		summary.FASTA = nil
-		return &summary
+		return summaryOf(res)
 	}
 	return res
 }
@@ -297,8 +296,8 @@ func (s *Server) lookupResult(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	res, err := resultFromMeta(meta, payload)
-	if err != nil {
+	res := &Result{FASTA: payload}
+	if err := json.Unmarshal(meta, res); err != nil {
 		s.log.Warn("result meta unreadable", "key", key, "err", err)
 		return nil, false
 	}

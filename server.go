@@ -163,18 +163,8 @@ func (s *Server) Close() { s.inner.Close() }
 // then shuts down gracefully: new submissions are refused with 503
 // while queued and running jobs drain (up to DrainTimeout; status and
 // result reads keep being served), the HTTP listener closes, and the
-// pool is torn down — with a DataDir, a clean-shutdown record is
+// server is closed — with a DataDir, a clean-shutdown record is
 // journaled last.
-func ListenAndServe(ctx context.Context, addr string, cfg ServerConfig) error {
-	srv, err := NewServer(cfg)
-	if err != nil {
-		return err
-	}
-	return srv.ListenAndServe(ctx, addr)
-}
-
-// ListenAndServe runs an already-constructed server on addr until ctx
-// is cancelled (see the package-level ListenAndServe), then closes it.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	defer s.Close()
 	hs := &http.Server{
