@@ -6,14 +6,20 @@
 //	samplealign -in seqs.fa -out aligned.fa -p 8
 //	samplealign -in seqs.fa -p 4 -aligner muscle-refined -stats
 //
+// SIGINT/SIGTERM cancel the run: every rank unwinds and the command
+// exits with "context canceled", writing no output.
+//
 // For multi-process TCP cluster runs use samplealignd on every node.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	samplealign "repro"
 )
@@ -49,7 +55,9 @@ func main() {
 		opts = append(opts, samplealign.WithSampleSize(*sampleSize))
 	}
 
-	aln, report, err := samplealign.Align(seqs, *procs, opts...)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	aln, report, err := samplealign.AlignContext(ctx, seqs, *procs, opts...)
 	if err != nil {
 		fatal(err)
 	}

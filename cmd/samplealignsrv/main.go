@@ -8,6 +8,11 @@
 //
 //	samplealignsrv -addr :8080 -p 4 -max-concurrent 2
 //
+// The flags fill a serve.Config, and their defaults are read from
+// serve.Config{}.WithDefaults(), the same table an embedded server
+// uses: -max-procs is 64 (−1 lifts the cap) and -drain-timeout 30s
+// either way.
+//
 // Submit / poll / fetch:
 //
 //	curl -s --data-binary @seqs.fa 'localhost:8080/v1/jobs?procs=4'   # → {"id":"j..."}
@@ -61,29 +66,30 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 	"unicode"
 
 	samplealign "repro"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 func main() {
+	def := serve.Config{}.WithDefaults()
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	procs := flag.Int("p", 4, "default ranks per job")
-	workers := flag.Int("workers", 1, "default shared-memory workers per rank")
-	aligner := flag.String("aligner", "muscle",
+	procs := flag.Int("p", def.Defaults.Procs, "default ranks per job")
+	workers := flag.Int("workers", def.Defaults.Workers, "default shared-memory workers per rank")
+	aligner := flag.String("aligner", def.Defaults.Aligner,
 		fmt.Sprintf("default bucket aligner: %s", strings.Join(samplealign.SequentialAligners(), "|")))
-	maxConcurrent := flag.Int("max-concurrent", 2, "jobs aligning at once")
-	maxQueued := flag.Int("max-queued", 64, "queued jobs beyond the running ones (429 past this)")
-	maxProcs := flag.Int("max-procs", 64, "reject jobs requesting more ranks than this")
-	workerBudget := flag.Int("worker-budget", 0, "clamp procs*workers per job (0 = no cap)")
-	cacheEntries := flag.Int("cache-entries", 256, "result cache entry bound (-1 disables)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache byte bound (-1 unbounded)")
+	maxConcurrent := flag.Int("max-concurrent", def.MaxConcurrent, "jobs aligning at once")
+	maxQueued := flag.Int("max-queued", def.MaxQueued, "queued jobs beyond the running ones (429 past this)")
+	maxProcs := flag.Int("max-procs", def.Limits.MaxProcs, "reject jobs requesting more ranks than this (-1 = no cap)")
+	workerBudget := flag.Int("worker-budget", def.Limits.WorkerBudget, "clamp procs*workers per job (0 = no cap)")
+	cacheEntries := flag.Int("cache-entries", def.CacheEntries, "result cache entry bound (-1 disables)")
+	cacheBytes := flag.Int64("cache-bytes", def.CacheBytes, "result cache byte bound (-1 unbounded)")
 	dataDir := flag.String("data-dir", "", "durability directory: write-ahead job journal + on-disk result store (empty = in-memory only)")
-	storeEntries := flag.Int("store-entries", 4096, "on-disk result store entry bound (-1 disables the disk tier)")
-	storeBytes := flag.Int64("store-bytes", 1<<30, "on-disk result store byte bound (-1 unbounded)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM/SIGINT waits for running jobs before hard-canceling (<0 skips draining)")
+	storeEntries := flag.Int("store-entries", def.StoreEntries, "on-disk result store entry bound (-1 disables the disk tier)")
+	storeBytes := flag.Int64("store-bytes", def.StoreBytes, "on-disk result store byte bound (-1 unbounded)")
+	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout, "how long SIGTERM/SIGINT waits for running jobs before hard-canceling (<0 skips draining)")
 	cluster := flag.String("cluster", "", "comma-separated worker control addresses (samplealignd -worker-ctrl); empty = in-process ranks")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: text)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address — a separate listener, never the public API mux (empty = disabled)")
@@ -92,23 +98,25 @@ func main() {
 
 	logger := newLogger(*logJSON)
 
-	cfg := samplealign.ServerConfig{
-		DefaultProcs:   *procs,
-		DefaultWorkers: *workers,
-		DefaultAligner: *aligner,
-		MaxConcurrent:  *maxConcurrent,
-		MaxQueued:      *maxQueued,
-		MaxProcs:       *maxProcs,
-		WorkerBudget:   *workerBudget,
-		CacheEntries:   *cacheEntries,
-		CacheBytes:     *cacheBytes,
-		DataDir:        *dataDir,
-		StoreEntries:   *storeEntries,
-		StoreBytes:     *storeBytes,
-		DrainTimeout:   *drainTimeout,
-		ClusterWorkers: strings.FieldsFunc(*cluster, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }),
-		Logger:         logger,
-		NoTrace:        *noTrace,
+	cfg := serve.Config{
+		Defaults: serve.Options{Procs: *procs, Workers: *workers, Aligner: *aligner},
+		Limits:   serve.Limits{MaxProcs: *maxProcs, WorkerBudget: *workerBudget},
+
+		MaxConcurrent: *maxConcurrent,
+		MaxQueued:     *maxQueued,
+		CacheEntries:  *cacheEntries,
+		CacheBytes:    *cacheBytes,
+		DataDir:       *dataDir,
+		StoreEntries:  *storeEntries,
+		StoreBytes:    *storeBytes,
+		DrainTimeout:  *drainTimeout,
+		Logger:        logger,
+		NoTrace:       *noTrace,
+	}
+	mode := "inproc"
+	if ctrls := strings.FieldsFunc(*cluster, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }); len(ctrls) > 0 {
+		cfg.Executor = &serve.Cluster{Workers: ctrls}
+		mode = fmt.Sprintf("cluster(%d workers)", len(ctrls))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -124,7 +132,7 @@ func main() {
 		defer psrv.Close()
 		logger.Info("pprof listening", "addr", bound)
 	}
-	srv, err := samplealign.NewServer(cfg)
+	srv, err := serve.New(cfg)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)
@@ -134,10 +142,6 @@ func main() {
 			"journal_records", rec.JournalRecords, "finished_restored", rec.Finished,
 			"requeued", rec.Requeued, "interrupted", rec.Interrupted,
 			"clean_shutdown", rec.CleanShutdown)
-	}
-	mode := "inproc"
-	if len(cfg.ClusterWorkers) > 0 {
-		mode = fmt.Sprintf("cluster(%d workers)", len(cfg.ClusterWorkers))
 	}
 	logger.Info("listening", "addr", *addr, "executor", mode,
 		"default_procs", *procs, "default_aligner", *aligner, "tracing", !*noTrace)

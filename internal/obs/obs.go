@@ -56,16 +56,12 @@ type Options struct {
 	// depth greater than this are not recorded. Zero means
 	// defaultSampleDepth; negative disables depth-gated spans entirely.
 	SampleDepth int
-	// OnSpanEnd, when set, is invoked synchronously from Span.End with
-	// the span's name and wall duration in seconds. The serve layer uses
-	// it to feed per-stage latency histograms. It must be safe for
-	// concurrent use; it is called outside the tracer lock.
-	OnSpanEnd func(name string, seconds float64)
 	// OnSpanClose, when set, is invoked synchronously from Span.End
 	// (and once per span adopted via AttachRemote) with a snapshot of
 	// the finished span, attributes included. The serve layer uses it
-	// to feed the live job event stream. It must be safe for concurrent
-	// use; it is called outside the tracer lock.
+	// to feed the per-stage latency histograms and the live job event
+	// stream. It must be safe for concurrent use; it is called outside
+	// the tracer lock.
 	OnSpanClose func(SpanClose)
 }
 
@@ -87,7 +83,6 @@ type Tracer struct {
 	id          string
 	maxSpans    int
 	sampleDepth int
-	onEnd       func(string, float64)
 	onClose     func(SpanClose)
 	t0          time.Time
 
@@ -111,7 +106,6 @@ func New(o Options) *Tracer {
 		id:          o.ID,
 		maxSpans:    max,
 		sampleDepth: depth,
-		onEnd:       o.OnSpanEnd,
 		onClose:     o.OnSpanClose,
 		t0:          now(),
 	}
@@ -252,7 +246,7 @@ func (s *Span) SetBool(key string, value bool) {
 }
 
 // End closes the span, fixing its duration. Ending twice is a no-op, as
-// is ending a nil span. If the tracer has an OnSpanEnd hook it fires
+// is ending a nil span. If the tracer has an OnSpanClose hook it fires
 // here (outside the tracer lock), once per span.
 func (s *Span) End() {
 	if s == nil {
@@ -269,18 +263,14 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.durNs = dur
-	hook := s.tr.onEnd
-	closeHook := s.tr.onClose
+	hook := s.tr.onClose
 	var sc SpanClose
-	if closeHook != nil {
+	if hook != nil {
 		sc = SpanClose{Name: s.name, DurationNs: dur, Attrs: append([]Attr(nil), s.attrs...)}
 	}
 	s.tr.mu.Unlock()
 	if hook != nil {
-		hook(s.name, float64(dur)/1e9)
-	}
-	if closeHook != nil {
-		closeHook(sc)
+		hook(sc)
 	}
 }
 
@@ -291,10 +281,10 @@ func (s *Span) End() {
 // document's own dropped count carries over. Span timings inside the
 // adopted subtree stay relative to the remote tracer's start time, not
 // this one's; consumers read them as durations, not as a shared
-// timeline. The tracer's OnSpanEnd/OnSpanClose hooks fire once per
-// adopted span (children before parents, mirroring live End order), so
-// stage histograms and event streams cover remote ranks too. No-op on a
-// nil span or nil document.
+// timeline. The tracer's OnSpanClose hook fires once per adopted span
+// (children before parents, mirroring live End order), so stage
+// histograms and event streams cover remote ranks too. No-op on a nil
+// span or nil document.
 func (s *Span) AttachRemote(doc *Document) {
 	if s == nil || doc == nil {
 		return
@@ -328,14 +318,11 @@ func (s *Span) AttachRemote(doc *Document) {
 	for _, r := range doc.Spans {
 		adopt(s, r)
 	}
-	hook, closeHook := t.onEnd, t.onClose
+	hook := t.onClose
 	t.mu.Unlock()
-	for _, sc := range closed {
-		if hook != nil {
-			hook(sc.Name, float64(sc.DurationNs)/1e9)
-		}
-		if closeHook != nil {
-			closeHook(sc)
+	if hook != nil {
+		for _, sc := range closed {
+			hook(sc)
 		}
 	}
 }

@@ -112,12 +112,12 @@ func TestSpanDurations(t *testing.T) {
 func TestEndIdempotentAndHookOnce(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string]int{}
-	tr := New(Options{OnSpanEnd: func(name string, sec float64) {
+	tr := New(Options{OnSpanClose: func(sc SpanClose) {
 		mu.Lock()
-		calls[name]++
+		calls[sc.Name]++
 		mu.Unlock()
-		if sec < 0 {
-			t.Errorf("negative duration for %s", name)
+		if sc.DurationNs < 0 {
+			t.Errorf("negative duration for %s", sc.Name)
 		}
 	}})
 	ctx := WithTracer(context.Background(), tr)
@@ -126,7 +126,7 @@ func TestEndIdempotentAndHookOnce(t *testing.T) {
 	sp.End()
 	sp.End()
 	if calls["stage"] != 1 {
-		t.Fatalf("OnSpanEnd fired %d times, want 1", calls["stage"])
+		t.Fatalf("OnSpanClose fired %d times, want 1", calls["stage"])
 	}
 }
 
@@ -300,18 +300,18 @@ func TestAttachRemote(t *testing.T) {
 	rdoc := remote.Document()
 
 	// ...and the coordinator grafts it under a per-rank wrapper span,
-	// replaying the adopted spans through both hooks with Remote set.
+	// replaying the adopted spans through the hook with Remote set.
 	var mu sync.Mutex
-	endCalls := map[string]int{}
+	closeCalls := map[string]int{}
 	var remoteCloses []SpanClose
 	tr := New(Options{
-		ID:        "shared",
-		OnSpanEnd: func(name string, sec float64) { mu.Lock(); endCalls[name]++; mu.Unlock() },
+		ID: "shared",
 		OnSpanClose: func(sc SpanClose) {
+			mu.Lock()
+			defer mu.Unlock()
+			closeCalls[sc.Name]++
 			if sc.Remote {
-				mu.Lock()
 				remoteCloses = append(remoteCloses, sc)
-				mu.Unlock()
 			}
 		},
 	})
@@ -341,8 +341,8 @@ func TestAttachRemote(t *testing.T) {
 	if adopted.DurationNs != rdoc.Spans[0].DurationNs {
 		t.Fatalf("adopted duration %d != remote %d", adopted.DurationNs, rdoc.Spans[0].DurationNs)
 	}
-	if endCalls["distmatrix"] != 1 || endCalls["rank"] != 1 {
-		t.Fatalf("OnSpanEnd calls for adopted spans = %v", endCalls)
+	if closeCalls["distmatrix"] != 1 || closeCalls["rank"] != 1 {
+		t.Fatalf("OnSpanClose calls for adopted spans = %v", closeCalls)
 	}
 	if len(remoteCloses) != 2 {
 		t.Fatalf("remote OnSpanClose fired %d times, want 2", len(remoteCloses))

@@ -88,7 +88,7 @@ func TestCacheDuplicatePutRefreshes(t *testing.T) {
 
 func TestCacheKeyDeterminism(t *testing.T) {
 	seqs := testSeqs(5, 30, 7)
-	o1, err := resolve(Options{Procs: 4}, Options{}, Limits{}, 0)
+	o1, err := resolve(Options{Procs: 4}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

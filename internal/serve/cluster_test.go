@@ -104,7 +104,7 @@ func startCluster(t *testing.T, n int) (*Cluster, func()) {
 // clusterOpts resolves default options for a cluster job.
 func clusterOpts(t *testing.T) Resolved {
 	t.Helper()
-	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestClusterExecutorMatchesInproc(t *testing.T) {
 	cl, stop := startCluster(t, 2)
 	defer stop()
 	seqs := testSeqs(21, 60, 70)
-	opts, err := resolve(Options{Procs: 99 /* overridden by world size */}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 99 /* overridden by world size */}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestClusterDistributedTrace(t *testing.T) {
 	cl, stop := startCluster(t, 3)
 	defer stop()
 	seqs := testSeqs(24, 60, 74)
-	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func keys(m map[string]*obs.SpanDoc) []string {
 func TestClusterJobCancellation(t *testing.T) {
 	cl, stop := startCluster(t, 2)
 	defer stop()
-	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestWorkerRefusesOlderProtocol(t *testing.T) {
 		}
 	}
 
-	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestWorkerRefusesOlderProtocol(t *testing.T) {
 func TestWorkerRefusesSpecItCannotRun(t *testing.T) {
 	cl, stop := startCluster(t, 1)
 	defer stop()
-	opts, err := resolve(Options{}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,9 @@ func (s *Server) execute(fl *flight) (*Result, error) {
 	var tr *obs.Tracer
 	if !s.cfg.NoTrace {
 		tr = obs.New(obs.Options{
-			ID:        fl.trace,
-			OnSpanEnd: s.metrics.ObserveStage,
+			ID: fl.trace,
 			OnSpanClose: func(sc obs.SpanClose) {
+				s.metrics.ObserveStage(sc)
 				s.publishSpanEvent(fl.bus, fl.trace, sc)
 			},
 		})

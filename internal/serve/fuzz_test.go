@@ -72,11 +72,11 @@ func FuzzSubmitJSON(f *testing.F) {
 			return
 		}
 
-		r1, err := resolve(opts, Options{}, Limits{}, 0)
+		r1, err := resolve(opts, defaultOpts, Limits{}, 0)
 		if err != nil {
 			return // invalid option combination: rejected before any work
 		}
-		r2, err := resolve(opts, Options{}, Limits{}, 0)
+		r2, err := resolve(opts, defaultOpts, Limits{}, 0)
 		if err != nil || r1 != r2 {
 			t.Fatalf("resolve is unstable: %+v / %+v (err=%v)", r1, r2, err)
 		}

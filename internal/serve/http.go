@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,6 +61,49 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
+}
+
+// ListenAndServe runs the job service on addr until ctx is cancelled,
+// then shuts down gracefully: new submissions are refused with 503
+// while queued and running jobs drain (up to Config.DrainTimeout;
+// status and result reads keep being served), the HTTP listener
+// closes, and the server is closed — with a DataDir, a clean-shutdown
+// record is journaled last.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		s.Close()
+		return err
+	}
+	return s.serveOn(ctx, ln)
+}
+
+// serveOn is ListenAndServe on a bound listener; it closes ln and s.
+func (s *Server) serveOn(ctx context.Context, ln net.Listener) error {
+	defer s.Close()
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return context.WithoutCancel(ctx) },
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- hs.Serve(ln) }()
+	select {
+	case <-ctx.Done():
+		// Refuse new work but keep the listener up while jobs drain, so
+		// waiting clients can still poll status and fetch results.
+		if s.cfg.DrainTimeout >= 0 {
+			s.Drain(s.cfg.DrainTimeout)
+		}
+		//lint:allow ctxflow bounded graceful-shutdown timeout: the caller's ctx is already done here
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hs.Shutdown(shutCtx)
+		<-errCh // always http.ErrServerClosed after Shutdown
+		return nil
+	case err := <-errCh:
+		return err
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

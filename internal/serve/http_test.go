@@ -46,6 +46,30 @@ func decodeView(t *testing.T, resp *http.Response) JobView {
 	return v
 }
 
+// TestHTTPMaxProcsDefault: a server built from a zero Config caps procs
+// at 64, so procs=65 is a 400 before any rank is allocated; MaxProcs -1
+// lifts the cap.
+func TestHTTPMaxProcsDefault(t *testing.T) {
+	in := fasta.FormatString(testSeqs(4, 30, 41))
+	_, ts := httpServer(t, Config{})
+	resp := postFASTA(t, ts.URL+"/v1/jobs?procs=65", in)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("procs=65 on a default server: status %d, want 400", resp.StatusCode)
+	}
+
+	s, ts := httpServer(t, Config{Limits: Limits{MaxProcs: -1}, Executor: &fakeExec{}})
+	resp = postFASTA(t, ts.URL+"/v1/jobs?procs=65", in)
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("procs=65 with MaxProcs -1: status %d, want 202", resp.StatusCode)
+	}
+	j, _ := s.Job(decodeView(t, resp).ID)
+	if v := waitState(t, j, StateDone); v.Opts.Procs != 65 {
+		t.Fatalf("job procs = %d, want 65", v.Opts.Procs)
+	}
+}
+
 func TestHTTPSubmitPollResult(t *testing.T) {
 	_, ts := httpServer(t, Config{})
 	in := fasta.FormatString(testSeqs(12, 50, 40))

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -64,11 +65,11 @@ var pipelineStages = map[string]bool{
 }
 
 // ObserveStage feeds one finished span into the per-stage histograms if
-// its name is a canonical pipeline stage. Shaped to plug directly into
-// obs.Options.OnSpanEnd.
-func (m *Metrics) ObserveStage(name string, seconds float64) {
-	if pipelineStages[name] {
-		m.Stages.Observe(name, seconds)
+// its name is a canonical pipeline stage. Shaped to plug into
+// obs.Options.OnSpanClose.
+func (m *Metrics) ObserveStage(sc obs.SpanClose) {
+	if pipelineStages[sc.Name] {
+		m.Stages.Observe(sc.Name, float64(sc.DurationNs)/1e9)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/bio"
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/kmer"
 	"repro/internal/msa"
 )
 
@@ -90,46 +90,30 @@ type Resolved struct {
 
 // Limits bound what a single request may claim from the pool.
 type Limits struct {
-	MaxProcs     int // reject requests asking for more ranks (0 = no cap)
+	MaxProcs     int // reject requests asking for more ranks (default 64; -1 = no cap)
 	WorkerBudget int // clamp procs×workers to this many goroutines (0 = no cap)
 }
 
-// resolve merges request options over the defaults and validates the
-// result. fixedProcs > 0 (a fixed-size cluster executor) overrides the
-// rank count before any limit is applied, so limits act on the procs a
-// job will actually use. Limit violations on Procs reject (the rank
+// resolve picks each request option or, when unset, its server default
+// (a table Config.WithDefaults has filled) and validates the result.
+// fixedProcs > 0 (a fixed-size cluster executor) overrides the rank
+// count before any limit is applied, so limits act on the procs a job
+// will actually use. Limit violations on Procs reject (the rank
 // count changes the alignment, so silently clamping would return a
 // different answer than asked for); Workers are silently clamped to
 // the budget (they never change the result, only the schedule).
 func resolve(o, defaults Options, lim Limits, fixedProcs int) (Resolved, error) {
-	pick := func(v, d, fallback int) int {
-		if v != 0 {
-			return v
-		}
-		if d != 0 {
-			return d
-		}
-		return fallback
+	timeoutMs := cmp.Or(o.TimeoutMs, defaults.TimeoutMs)
+	if timeoutMs < 0 {
+		return Resolved{}, fmt.Errorf("timeout_ms = %d", timeoutMs)
 	}
 	r := Resolved{
-		Procs:      pick(o.Procs, defaults.Procs, 4),
-		Workers:    pick(o.Workers, defaults.Workers, 1),
-		K:          pick(o.K, defaults.K, kmer.DefaultK),
-		SampleSize: pick(o.SampleSize, defaults.SampleSize, 0),
-	}
-	r.Aligner = o.Aligner
-	if r.Aligner == "" {
-		r.Aligner = defaults.Aligner
-	}
-	if r.Aligner == "" {
-		r.Aligner = "muscle"
-	}
-	if o.TimeoutMs < 0 {
-		return Resolved{}, fmt.Errorf("timeout_ms = %d", o.TimeoutMs)
-	}
-	r.Timeout = time.Duration(o.TimeoutMs) * time.Millisecond
-	if r.Timeout == 0 && defaults.TimeoutMs > 0 {
-		r.Timeout = time.Duration(defaults.TimeoutMs) * time.Millisecond
+		Procs:      cmp.Or(o.Procs, defaults.Procs),
+		Workers:    cmp.Or(o.Workers, defaults.Workers),
+		Aligner:    cmp.Or(o.Aligner, defaults.Aligner),
+		K:          cmp.Or(o.K, defaults.K),
+		SampleSize: cmp.Or(o.SampleSize, defaults.SampleSize),
+		Timeout:    time.Duration(timeoutMs) * time.Millisecond,
 	}
 
 	if r.Procs < 1 {

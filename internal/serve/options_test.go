@@ -4,10 +4,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/kmer"
 )
 
+// defaultOpts is the defaults table of a zero Config: what resolve sees
+// on a server built without option defaults.
+var defaultOpts = Config{}.WithDefaults().Defaults
+
 func TestResolveDefaultsAndOverrides(t *testing.T) {
-	defaults := Options{Procs: 8, Workers: 2, Aligner: "clustal"}
+	defaults := Config{Defaults: Options{Procs: 8, Workers: 2, Aligner: "clustal"}}.WithDefaults().Defaults
 	r, err := resolve(Options{}, defaults, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -22,24 +28,24 @@ func TestResolveDefaultsAndOverrides(t *testing.T) {
 	if r.Procs != 2 || r.Aligner != "muscle" || r.Timeout != 1500*time.Millisecond {
 		t.Fatalf("request overrides lost: %+v", r)
 	}
-	// Zero-value server defaults bottom out at the library defaults.
-	r, err = resolve(Options{}, Options{}, Limits{}, 0)
+	// A zero Config's defaults are the library defaults.
+	r, err = resolve(Options{}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Procs != 4 || r.Workers != 1 || r.Aligner != "muscle" {
+	if r.Procs != 4 || r.Workers != 1 || r.Aligner != "muscle" || r.K != kmer.DefaultK {
 		t.Fatalf("fallback defaults: %+v", r)
 	}
 }
 
 func TestResolveLimits(t *testing.T) {
 	// Procs over the cap reject: clamping would change the result.
-	if _, err := resolve(Options{Procs: 100}, Options{}, Limits{MaxProcs: 16}, 0); err == nil ||
+	if _, err := resolve(Options{Procs: 100}, defaultOpts, Limits{MaxProcs: 16}, 0); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("procs over cap: %v", err)
 	}
 	// Workers over the budget clamp silently: they never change bytes.
-	r, err := resolve(Options{Procs: 4, Workers: 16}, Options{}, Limits{WorkerBudget: 8}, 0)
+	r, err := resolve(Options{Procs: 4, Workers: 16}, defaultOpts, Limits{WorkerBudget: 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +53,7 @@ func TestResolveLimits(t *testing.T) {
 		t.Fatalf("workers = %d, want clamped 2 (budget 8 / procs 4)", r.Workers)
 	}
 	// Budget smaller than procs still leaves one worker per rank.
-	r, err = resolve(Options{Procs: 4, Workers: 2}, Options{}, Limits{WorkerBudget: 2}, 0)
+	r, err = resolve(Options{Procs: 4, Workers: 2}, defaultOpts, Limits{WorkerBudget: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestResolveFixedProcs(t *testing.T) {
 	// A fixed-size executor overrides procs before limits: the request
 	// value is advisory, MaxProcs does not apply to the operator's own
 	// cluster size, and the worker budget clamps against actual procs.
-	r, err := resolve(Options{Procs: 100, Workers: 8}, Options{}, Limits{MaxProcs: 4, WorkerBudget: 22}, 11)
+	r, err := resolve(Options{Procs: 100, Workers: 8}, defaultOpts, Limits{MaxProcs: 4, WorkerBudget: 22}, 11)
 	if err != nil {
 		t.Fatalf("fixed-procs request rejected: %v", err)
 	}
@@ -82,7 +88,7 @@ func TestResolveRejects(t *testing.T) {
 		{TimeoutMs: -5},
 		{Aligner: "bogus"},
 	} {
-		if _, err := resolve(o, Options{}, Limits{}, 0); err == nil {
+		if _, err := resolve(o, defaultOpts, Limits{}, 0); err == nil {
 			t.Fatalf("options %+v accepted", o)
 		}
 	}
@@ -90,7 +96,7 @@ func TestResolveRejects(t *testing.T) {
 
 func TestCoreConfigRoundTrip(t *testing.T) {
 	r, err := resolve(Options{Procs: 2, Workers: 3, Aligner: "tcoffee", K: 5,
-		SampleSize: 7}, Options{}, Limits{}, 0)
+		SampleSize: 7}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestCrashRecoveryByteIdenticalToUninterruptedRun(t *testing.T) {
 	// the replayed alignment must be byte-identical to a direct run.
 	dir := t.TempDir()
 	seqs := testSeqs(24, 60, 72)
-	opts, err := resolve(Options{Procs: 3, Workers: 2}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 3, Workers: 2}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 	// terminal state wins and the job is NOT re-enqueued.
 	dir := t.TempDir()
 	seqs := testSeqs(4, 30, 78)
-	opts, err := resolve(Options{Procs: 1}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 1}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 func TestReplayAcceptsSubmitRecordWithRetiredKernelOption(t *testing.T) {
 	dir := t.TempDir()
 	seqs := testSeqs(4, 30, 79)
-	opts, err := resolve(Options{Procs: 1}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 1}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestSummariesInTheEarlierFormatDecode(t *testing.T) {
 
 	dir := t.TempDir()
 	seqs := testSeqs(4, 30, 81)
-	opts, err := resolve(Options{Procs: 2}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 2}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestSummariesInTheEarlierFormatDecode(t *testing.T) {
 func TestReplayOfJobsSubmittedUnderARetiredOption(t *testing.T) {
 	dir := t.TempDir()
 	seqs := testSeqs(4, 30, 80)
-	opts, err := resolve(Options{Procs: 1}, Options{}, Limits{}, 0)
+	opts, err := resolve(Options{Procs: 1}, defaultOpts, Limits{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

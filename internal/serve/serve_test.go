@@ -298,6 +298,39 @@ func TestTierBoundsByConfig(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadDefaults: New resolves an empty request against the
+// defaulted config, so defaults no request could run under fail at
+// start-up instead of as a 400 on every request. A fixed-size
+// cluster's world size is the operator's choice and never trips the
+// procs cap.
+func TestNewRejectsBadDefaults(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"unknown aligner":      {Defaults: Options{Aligner: "nope"}},
+		"bad k":                {Defaults: Options{K: 12}},
+		"procs over max_procs": {Defaults: Options{Procs: 65}},
+		"procs over own cap":   {Defaults: Options{Procs: 9}, Limits: Limits{MaxProcs: 8}},
+	} {
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("%s: New accepted %+v", name, cfg.Defaults)
+		}
+	}
+	workers := make([]string, 70) // world size 71 > the default cap of 64
+	for i := range workers {
+		workers[i] = "127.0.0.1:1"
+	}
+	for name, cfg := range map[string]Config{
+		"uncapped":      {Defaults: Options{Procs: 65}, Limits: Limits{MaxProcs: -1}},
+		"fixed cluster": {Executor: &Cluster{Workers: workers}},
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s.Close()
+	}
+}
+
 // fixedExec models a fixed-size cluster: every job runs at 3 ranks.
 type fixedExec struct{ fakeExec }
 

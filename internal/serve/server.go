@@ -45,6 +45,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -57,6 +58,7 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/events"
+	"repro/internal/kmer"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -100,9 +102,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Config parameterises a Server. The zero value is usable: in-process
-// executor, 2 concurrent jobs, 64 queued, 256-entry/64 MiB cache, no
-// persistence.
+// Config parameterises a Server. The zero value is usable: every unset
+// field takes the default WithDefaults writes.
 type Config struct {
 	Defaults      Options  // server-side option defaults for requests
 	Limits        Limits   // per-job procs/workers bounds
@@ -121,6 +122,12 @@ type Config struct {
 	StoreEntries int   // disk store entry bound (default 4096; -1 disables the disk result tier)
 	StoreBytes   int64 // disk store byte bound (default 1 GiB; -1 unbounded)
 
+	// DrainTimeout bounds the graceful-shutdown drain: how long
+	// ListenAndServe waits for queued and running jobs to finish after
+	// its context is canceled before hard-canceling the rest (default
+	// 30s; < 0 skips draining).
+	DrainTimeout time.Duration
+
 	// Logger receives structured operational logs (job lifecycle,
 	// journal I/O errors, recovery notes), keyed by job/trace IDs. Nil
 	// means silent.
@@ -133,28 +140,26 @@ type Config struct {
 	NoTrace bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 2
-	}
-	if c.MaxQueued == 0 {
-		c.MaxQueued = 64
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
+// WithDefaults returns c with every unset field given its default. It
+// is the one table of service defaults: New applies it, and the
+// samplealignsrv flags read theirs from Config{}.WithDefaults().
+func (c Config) WithDefaults() Config {
+	d := &c.Defaults
+	d.Procs = cmp.Or(d.Procs, 4)
+	d.Workers = cmp.Or(d.Workers, 1)
+	d.Aligner = cmp.Or(d.Aligner, "muscle")
+	d.K = cmp.Or(d.K, kmer.DefaultK)
+	c.Limits.MaxProcs = cmp.Or(c.Limits.MaxProcs, 64)
+	c.MaxConcurrent = cmp.Or(c.MaxConcurrent, 2)
+	c.MaxQueued = cmp.Or(c.MaxQueued, 64)
+	c.CacheEntries = cmp.Or(c.CacheEntries, 256)
+	c.CacheBytes = cmp.Or(c.CacheBytes, 64<<20)
 	if c.Executor == nil {
 		c.Executor = Inproc{}
 	}
-	if c.StoreEntries == 0 {
-		c.StoreEntries = 4096
-	}
-	if c.StoreBytes == 0 {
-		c.StoreBytes = 1 << 30
-	}
+	c.StoreEntries = cmp.Or(c.StoreEntries, 4096)
+	c.StoreBytes = cmp.Or(c.StoreBytes, 1<<30)
+	c.DrainTimeout = cmp.Or(c.DrainTimeout, 30*time.Second)
 	return c
 }
 
@@ -340,12 +345,17 @@ type Server struct {
 }
 
 // New builds and starts a Server (its dispatcher pool runs until
-// Close). With cfg.DataDir set it locks the directory, replays the
-// journal — re-enqueueing unfinished jobs and restoring finished ones
-// — and compacts it; the error is non-nil only for persistence setup
-// failures.
+// Close). It first resolves an empty request against the defaulted
+// config, so defaults no request could run under — an unknown aligner,
+// a bad K, procs above MaxProcs — fail here rather than as a 400 on
+// every request. With cfg.DataDir set it then locks the directory,
+// replays the journal — re-enqueueing unfinished jobs and restoring
+// finished ones — and compacts it.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
+	if _, err := resolve(Options{}, cfg.Defaults, cfg.Limits, cfg.Executor.FixedProcs()); err != nil {
+		return nil, fmt.Errorf("serve: default options: %w", err)
+	}
 	//lint:allow ctxflow server-lifetime root context, cancelled by (*Server).Close
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{

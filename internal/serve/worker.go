@@ -148,7 +148,7 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	runCtx := ctx
 	var tr *obs.Tracer
 	if spec.Trace != nil || cfg.Metrics != nil {
-		o := obs.Options{OnSpanEnd: cfg.Metrics.ObserveStage} // nil-safe
+		o := obs.Options{OnSpanClose: cfg.Metrics.ObserveStage} // nil-safe
 		if spec.Trace != nil {
 			o.ID, o.MaxSpans, o.SampleDepth = spec.Trace.ID, spec.Trace.MaxSpans, spec.Trace.SampleDepth
 		}

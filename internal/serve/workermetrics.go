@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/dpkern"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -30,13 +31,13 @@ func NewWorkerMetrics() *WorkerMetrics {
 
 // ObserveStage feeds one finished span into the rank-local stage
 // histograms if its name is a canonical pipeline stage. Shaped to plug
-// into obs.Options.OnSpanEnd; safe on a nil receiver.
-func (m *WorkerMetrics) ObserveStage(name string, seconds float64) {
+// into obs.Options.OnSpanClose; safe on a nil receiver.
+func (m *WorkerMetrics) ObserveStage(sc obs.SpanClose) {
 	if m == nil {
 		return
 	}
-	if pipelineStages[name] {
-		m.Stages.Observe(name, seconds)
+	if pipelineStages[sc.Name] {
+		m.Stages.Observe(sc.Name, float64(sc.DurationNs)/1e9)
 	}
 }
 

@@ -3,7 +3,9 @@
 # submit a small FASTA over HTTP, poll to completion, fetch the result
 # and diff it byte-for-byte against the samplealign batch CLI on the
 # same input and options. Also checks the content-addressed cache
-# (identical resubmission answered instantly) and restart recovery:
+# (identical resubmission answered instantly), that the default procs
+# cap of 64 holds without -max-procs (procs=65 is a 400) and restart
+# recovery:
 # the server is stopped and restarted on the same data directory, and
 # the pre-restart result must be served from disk — byte-identical,
 # with zero alignments recomputed (asserted via /metrics). A batch pass
@@ -110,6 +112,11 @@ echo "$RESUBMIT" | grep -q '"state": "done"' || { echo "cached job not done: $RE
 echo "== sync endpoint =="
 curl -fsS --data-binary @"$WORK/in.fa" "$BASE/v1/align?procs=3" -o "$WORK/sync.fa"
 diff "$WORK/batch.fa" "$WORK/sync.fa"
+
+echo "== default procs cap: started without -max-procs, procs=65 is refused =="
+CODE=$(curl -sS -o "$WORK/procs65.json" -w '%{http_code}' --data-binary @"$WORK/in.fa" "$BASE/v1/jobs?procs=65")
+[ "$CODE" = 400 ] || { echo "procs=65 answered $CODE, want 400"; cat "$WORK/procs65.json"; exit 1; }
+echo "procs=65 refused with 400 (the default cap of 64 the daemon shares with the library)"
 
 echo "== batch endpoint: many inputs in one request =="
 # Two inputs: in.fa is already cached (a batch member may be served
