@@ -535,9 +535,10 @@ func BenchmarkProfilePSP(b *testing.B) {
 // BenchmarkProfileAlignDeep times the PSP kernel on the merge
 // shape that dominates the benchmark's ops: the two halves of one long
 // homologous family (ROSE, 20 × 1200, relatedness 400), each already
-// aligned, joined by one profile-profile DP. Unlike random profiles —
-// where every max/argmax is a coin flip — the branches here behave as
-// they do near a guide tree's root. Reports ns per DP cell.
+// aligned, joined by one profile-profile DP. Unlike random profiles,
+// the columns' letters, gap mass and ties are those of a merge near a
+// guide tree's root, which set the column-score sweeps' work per cell.
+// Reports ns per DP cell.
 func BenchmarkProfileAlignDeep(b *testing.B) {
 	fam, err := GenerateFamily(FamilyConfig{N: 20, MeanLen: 1200, Relatedness: 400, Seed: 16})
 	if err != nil {

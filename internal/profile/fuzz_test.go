@@ -18,6 +18,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte("AGAGAGAGAGAGAG"), []byte("GAGAGAGA")) // tie-heavy
 	f.Add([]byte{}, []byte("ACDE"))
 	f.Add([]byte{0xff, 0x00, 0x41}, []byte{0x80, 0x7f})
+	f.Add([]byte("W"), []byte("WH"))   // an odd last row, one column
+	f.Add([]byte("HE"), []byte("E"))   // one row pair
+	f.Add([]byte("HEA"), []byte("PA")) // a pair and an odd row
 
 	letters := bio.AminoAcids.Letters()
 	fold := func(raw []byte) *Profile {
@@ -53,7 +56,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
-		bands := [][2]int{{0, 0}, {-8, 8}}
+		bands := [][2]int{{0, 0}, {-1, 1}, {-8, 8}}
 		checkAgainstOracle(t, fold(rawA), fold(rawB), bands)
 		checkAgainstOracle(t, multi(rawA), multi(rawB), bands)
 	})

@@ -386,12 +386,12 @@ func (al *Aligner) Align(a, b *Profile) (path Path, score float64) {
 
 // alignRows is the one PSP kernel, float64, behind Align and
 // AlignBanded: the affine-gap DP over the cells with j−i ∈ [diagLo,
-// diagHi] (which must contain diagonals 0 and m−n). It keeps rolling
-// rows — two of M (columns paired), two of X (consume an A column, gap
-// in B) and one of Y (the reverse) updated in place — so score memory
-// is O(m); the only per-cell memory is the packed traceback plane.
-// Cells just outside the band are sentinels, which is what a full plane
-// pre-filled with them would hold. The workspace arrives unreserved.
+// diagHi] (which must contain diagonals 0 and m−n). Scores live in
+// three rolling rows — M (columns paired), X (consume an A column, gap
+// in B) and Y (the reverse) — so score memory is O(m); the only
+// per-cell memory is the packed traceback plane. Cells just outside the
+// band are sentinels, which is what a full plane pre-filled with them
+// would hold. The workspace arrives unreserved.
 //
 // The rows hold costs, the negated scores, and the DP minimises: the
 // compiler lowers a float64 min to three instructions and a max to that
@@ -400,153 +400,206 @@ func (al *Aligner) Align(a, b *Profile) (path Path, score float64) {
 // cell (the sign of a zero aside, which no comparison sees), every
 // comparison mirrors that DP's, and path and score are its own.
 //
-// Each row's band window is filled in two passes: rowMX computes M and
-// X, which read only the previous row, so no cell waits for its left
-// neighbour; rowYChain then runs the one serial dependency, Y on the M
-// and Y to its left, over the row just written. rowMX's Go loop,
-// rowMXFrom, is a function of its own because in a small leaf the loop
-// index and slice bases stay in registers; written here, among this
-// function's live slices, the same loop spills them every cell.
+// Rows are filled two at a time, i and i+1, in one sweep (pairSweep)
+// whose step j computes cell (i, j) in lane 0 and cell (i+1, j−1) in
+// lane 1. Row i+1's M and X need row i only up to column j−1, and its Y
+// needs only its own left neighbour, so the two lanes advance together:
+// Y's serial chain is one add and one min per two cells, and no branch
+// depends on the data. Row i is never stored. The rolling rows hold
+// row i−1 ahead of the sweep and row i+1 one column behind it. The
+// cells where one lane runs alone are computed here by cellStep: row
+// i's cells before row i+1's window starts, and row i+1's cells after
+// row i's window ends. An odd last row pairs with a discarded copy of
+// itself, whose traceback goes to the extra row n+1.
 func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int) (Path, float64) {
 	n, m := a.Len(), b.Len()
-	w.ReserveTB(n+1, m+1)
+	w.ReserveTB(n+2, m+1)
 	sc := al.pspSetup(w, a, b)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	inf := math.Inf(1)
+	infs := cell{inf, inf, inf}
 	tb := w.TB
 	cols := m + 1
+	window := func(i int) (int, int) { return max(i+diagLo, 1), min(i+diagHi, m) }
 
 	// Index j of a row is DP column j; slot m+1 only ever holds the
-	// right-hand sentinel, so writing it needs no bounds case.
-	rows := w.Floats(5 * (m + 2))
-	prevM, curM := rows[:m+2], rows[m+2:2*(m+2)]
-	prevX, curX := rows[2*(m+2):3*(m+2)], rows[3*(m+2):4*(m+2)]
-	rowY := rows[4*(m+2):]
-	srow := w.Floats(m)
+	// right-hand sentinel, so writing it needs no bounds case. The
+	// column scores of rows i and i+1 are indexed by column − 1.
+	rows := w.Floats(3 * (m + 2))
+	rM, rX, rY := rows[:m+2], rows[m+2:2*(m+2)], rows[2*(m+2):]
+	srows := w.Floats(2 * m)
+	s0, s1 := srows[:m], srows[m:]
 
 	// Row 0: leading gaps in A as far as the band reaches.
-	prevM[0] = 0
-	prevX[0], rowY[0] = inf, inf
-	jHi := min(diagHi, m)
-	for j := 1; j <= jHi; j++ {
-		prevM[j], prevX[j] = inf, inf
-		rowY[j] = -leadGap(j, -rowY[j-1], open, ext, sc.occB[j-1])
+	rM[0], rX[0], rY[0] = 0, inf, inf
+	hi := min(diagHi, m)
+	for j := 1; j <= hi; j++ {
+		rM[j], rX[j] = inf, inf
+		rY[j] = -leadGap(j, -rY[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
-	prevM[jHi+1], prevX[jHi+1] = inf, inf
+	rM[hi+1], rX[hi+1], rY[hi+1] = inf, inf, inf
 
-	for i := 1; i <= n; i++ {
-		jLo := max(i+diagLo, 1)
-		jHi = min(i+diagHi, m)
-		row := i * cols
-		// gap in B against A column i-1: penalty scaled by how
+	var st sweepState
+	var end cell
+	for i := 1; i <= n; i += 2 {
+		i1 := min(i+1, n) // the row lane 1 scores: an odd last row's copy
+		lo0, hi0 := window(i)
+		lo1, hi1 := window(i1)
+		row0, row1 := i*cols, (i+1)*cols
+		// gap in B against A column i−1: penalty scaled by how
 		// occupied the gapped-against column is
-		wA := sc.occA[i-1]
+		wA0, wA1 := sc.occA[i-1], sc.occA[i1-1]
+		st.openA = [2]float64{(open + ext) * wA0, (open + ext) * wA1}
+		st.extA = [2]float64{ext * wA0, ext * wA1}
+		sc.colScores(s0[lo0-1:hi0], i-1, lo0-1)
+		sc.colScores(s1[lo1-1:hi1], i1-1, lo1-1)
 
-		// The cell left of the band's first: column 0 carries the
+		// The cell left of each row's window: column 0 carries the
 		// leading gaps in B while the band reaches it, else a sentinel.
-		curM[jLo-1], curX[jLo-1] = inf, inf
+		left0, left1 := infs, infs
 		if i+diagLo <= 0 {
-			curX[0] = -leadGap(i, -prevX[0], open, ext, wA)
-			tb[row] = dp.PackTB(sM, sX, sM)
+			left0.x = -leadGap(i, -rX[0], open, ext, wA0)
+			tb[row0] = dp.PackTB(sM, sX, sM)
+		}
+		if i1+diagLo <= 0 {
+			left1.x = -leadGap(i+1, -left0.x, open, ext, wA1)
+			tb[row1] = dp.PackTB(sM, sX, sM)
 		}
 
-		wd := jHi - jLo + 1
-		s := srow[:wd]
-		sc.colScores(s, i-1, jLo-1)
-		tbRow := tb[row+jLo:][:wd]
-		// rowY[jLo−1:jHi] still holds the previous row: rowMX reads it
-		// as the diagonal Y, then rowYChain overwrites it with this row's.
-		rowMX(curM[jLo:][:wd], curX[jLo:][:wd], tbRow,
-			prevM[jLo-1:][:wd+1], prevX[jLo-1:][:wd+1], rowY[jLo-1:][:wd], s,
-			(open+ext)*wA, ext*wA)
-		rowY[jLo-1] = inf
-		rowYChain(rowY[jLo-1:][:wd+1], tbRow, curM[jLo-1:][:wd],
-			sc.openB[jLo-1:][:wd], sc.extB[jLo-1:][:wd])
-		curM[jHi+1], curX[jHi+1] = inf, inf
-		prevM, curM = curM, prevM
-		prevX, curX = curX, prevX
+		// Row i up to the column where row i+1's window starts; ri
+		// ends as row i at columns lo1−1 and lo1.
+		ri := [2]cell{left0, infs}
+		l := left0
+		for j := lo0; j <= min(lo1, hi0); j++ {
+			c, t := cellStep(cell{rM[j-1], rX[j-1], rY[j-1]}, cell{rM[j], rX[j], rY[j]}, l,
+				s0[j-1], st.openA[0], st.extA[0], sc.openB[j-1], sc.extB[j-1])
+			tb[row0+j] = t
+			ri[j-lo1+1], l = c, c
+		}
+		rM[lo1-1], rX[lo1-1], rY[lo1-1] = left1.m, left1.x, left1.y
+
+		// Both lanes: steps j = lo1+1 … hi0. After it ri is row i at
+		// columns hi0−1 and hi0, and left1 row i+1 at hi0−1.
+		if wd := hi0 - lo1; wd > 0 {
+			st.set(cell{rM[lo1], rX[lo1], rY[lo1]}, ri[0], ri[1], left1)
+			pairSweep(&st, rM[lo1:hi0+1], rX[lo1:hi0+1], rY[lo1:hi0+1],
+				s0[lo1:hi0], s1[lo1-1:hi0-1], sc.openB[lo1-1:hi0], sc.extB[lo1-1:hi0],
+				tb[row0+lo1+1:][:wd], tb[row1+lo1:][:wd])
+			_, l0 := st.lane(0)
+			d1, l1 := st.lane(1)
+			ri[0], ri[1], left1 = d1, l0, l1
+		}
+
+		// Row i+1 from column jp = max(hi0, lo1) on; ri[1] is row i at jp,
+		// which for the last row is its cell (n, m).
+		end = ri[1]
+		d, u, l := ri[0], ri[1], left1
+		for j := max(hi0, lo1); j <= hi1; j++ {
+			c, t := cellStep(d, u, l, s1[j-1], st.openA[1], st.extA[1], sc.openB[j-1], sc.extB[j-1])
+			tb[row1+j] = t
+			rM[j], rX[j], rY[j] = c.m, c.x, c.y
+			d, u, l = u, infs, c
+		}
+		rM[hi1+1], rX[hi1+1], rY[hi1+1] = inf, inf, inf
+	}
+	if n%2 == 0 {
+		end = cell{rM[m], rX[m], rY[m]}
 	}
 
-	state, cost := sM, prevM[m]
-	if prevX[m] < cost {
-		state, cost = sX, prevX[m]
+	state, cost := sM, end.m
+	if end.x < cost {
+		state, cost = sX, end.x
 	}
-	if rowY[m] < cost {
-		state, cost = sY, rowY[m]
+	if end.y < cost {
+		state, cost = sY, end.y
 	}
 	return tracePath(w, n, m, state), 0 - cost // not −cost: a zero cost is the score +0
 }
 
-// rowMX is pass 1 over one row's band window of len(s) cells: cell t's
-// M from its diagonal predecessors pM[t], pX[t], pY[t] and the column
-// score s[t], its X from the cells above, pM[t+1] and pX[t+1], and the M
-// and X traceback fields of tb[t]. No cell depends on another, so on
-// amd64 rowMXPairs runs the whole pairs two cells per SSE2 instruction
-// and rowMXFrom the odd cell left; elsewhere rowMXFrom runs them all.
-func rowMX(cM, cX []float64, tb []byte, pM, pX, pY, s []float64, openA, extA float64) {
-	cM, cX, tb, pY = cM[:len(s)], cX[:len(s)], tb[:len(s)], pY[:len(s)]
-	pM, pX = pM[:len(s)+1], pX[:len(s)+1]
-	from := rowMXPairs(cM, cX, tb, pM, pX, pY, s, openA, extA)
-	rowMXFrom(from, cM, cX, tb, pM, pX, pY, s, openA, extA)
+// cell is one DP cell's M, X and Y costs.
+type cell struct{ m, x, y float64 }
+
+// cellStep computes one cell from its diagonal predecessor d, the cell
+// above it u and the cell to its left l, its column score s, and the
+// costs of opening or extending a gap against its A column (openA,
+// extA) and its B column (openB, extB). Values come from min and the
+// traceback bits from the comparisons a branching argmin would make, in
+// its order — X beats M, then Y the better of the two, extending a gap
+// beats opening one, each only when strictly better — as 0/1 bytes. A
+// cell whose predecessors are all unreachable (+∞) needs no case of its
+// own: no comparison fires, so it reads sM, and +∞ less a finite score
+// is +∞. The vector step may store a zero of the other sign where min's
+// operands tie; no comparison can see that.
+func cellStep(d, u, l cell, s, openA, extA, openB, extB float64) (cell, byte) {
+	var gx, gy, bx, by byte
+	if d.x < d.m {
+		gx = 1
+	}
+	bs := min(d.m, d.x)
+	if d.y < bs {
+		gy = 1
+	}
+	openX, extX := u.m+openA, u.x+extA
+	if extX < openX {
+		bx = 1
+	}
+	openY, extY := l.m+openB, l.y+extB
+	c := cell{m: min(bs, d.y) - s, x: min(openX, extX), y: openY}
+	if extY < openY {
+		by, c.y = 1, extY
+	}
+	return c, tbByte(gx, gy, bx, by)
 }
 
-// rowMXFrom is rowMX's loop over cells [from, len(s)). Values come from
-// min and the traceback bits from the comparisons a branching argmin
-// would make, in its order — X beats M, then Y the better of the two,
-// extending a gap beats opening one, each only when strictly better —
-// as 0/1 bytes, so no branch depends on the data. A cell's "above" is
-// the next cell's diagonal, so each pM/pX value is loaded once. A cell
-// whose diagonal predecessors are all unreachable (+∞) needs no case of
-// its own: no comparison fires, so its M-predecessor reads sM, and +∞
-// less a finite score is +∞. The vector pass may store a zero of the
-// other sign where min's operands tie; no comparison can see that.
-func rowMXFrom(from int, cM, cX []float64, tb []byte, pM, pX, pY, s []float64, openA, extA float64) {
-	cM, cX, tb, pY = cM[:len(s)], cX[:len(s)], tb[:len(s)], pY[:len(s)]
-	pM, pX = pM[:len(s)+1], pX[:len(s)+1]
-	m0, x0 := pM[from], pX[from]
-	for t := from; t < len(s); t++ {
-		var gx, gy, bx byte
-		if x0 < m0 {
-			gx = 1
-		}
-		bs, y0 := min(m0, x0), pY[t]
-		if y0 < bs {
-			gy = 1
-		}
-		cM[t] = min(bs, y0) - s[t]
+// tbByte packs the four comparison bits of a cell into its traceback
+// byte: gx&^gy | gy<<1 is sM, sX or sY in M's field, bx<<2 is sX in X's
+// and by<<5 is sY in Y's.
+func tbByte(gx, gy, bx, by byte) byte { return gx&^gy | gy<<1 | bx<<2 | by<<5 }
 
-		m0, x0 = pM[t+1], pX[t+1]
-		openX, extX := m0+openA, x0+extA
-		if extX < openX {
-			bx = 1
-		}
-		cX[t] = min(openX, extX)
-		// gx&^gy | gy<<1 is sM, sX or sY; bx<<2 is sX in X's field.
-		tb[t] = gx&^gy | gy<<1 | bx<<2
-	}
+// sweepState carries pairSweep's registers across calls, lane k of
+// each pair in index k: the diagonal predecessor (dM, dX, dY) and the
+// left neighbour (lM, lX, lY) of the next step's cells, and the gap
+// costs against each lane's A column.
+type sweepState struct {
+	dM, dX, dY  [2]float64
+	lM, lX, lY  [2]float64
+	openA, extA [2]float64
 }
 
-// rowYChain is pass 2: y[0] is Y of the cell left of the window (+∞)
-// and y[t+1] becomes Y of cell t, from M and Y of the cell to its left
-// (mLeft[t], y[t]) plus the penalty of opening or extending a gap
-// against B column t; an extension sets sY in the Y field of the byte
-// rowMX wrote. This pass keeps its branch: every Y waits for the one
-// before it, and a predicted branch takes the select off that chain,
-// where min puts its whole latency on it (measured: twice the time).
-func rowYChain(y []float64, tb []byte, mLeft, openB, extB []float64) {
-	mLeft, openB, extB, y = mLeft[:len(tb)], openB[:len(tb)], extB[:len(tb)], y[:len(tb)+1]
-	yl := y[0]
-	for t := range tb {
-		openY, extY := mLeft[t]+openB[t], yl+extB[t]
-		if extY < openY {
-			yl = extY
-			tb[t] |= sY << 4
-		} else {
-			yl = openY
-		}
-		y[t+1] = yl
+// set loads the two lanes' diagonal predecessors and left neighbours.
+func (st *sweepState) set(d0, d1, l0, l1 cell) {
+	st.dM, st.dX, st.dY = [2]float64{d0.m, d1.m}, [2]float64{d0.x, d1.x}, [2]float64{d0.y, d1.y}
+	st.lM, st.lX, st.lY = [2]float64{l0.m, l1.m}, [2]float64{l0.x, l1.x}, [2]float64{l0.y, l1.y}
+}
+
+// lane returns lane k's diagonal predecessor and left neighbour.
+func (st *sweepState) lane(k int) (d, l cell) {
+	return cell{st.dM[k], st.dX[k], st.dY[k]}, cell{st.lM[k], st.lX[k], st.lY[k]}
+}
+
+// pairSweepGo is pairSweep's Go form, the loop body on other
+// architectures and the assembly's reference. Step t computes lane 0's
+// cell from the row above at m/x/y[t+1], lane 1's from lane 0's last
+// result, and stores lane 1's cell at m/x/y[t], one column behind the
+// loads; lane 0's B-column gap costs are openB/extB[t+1] and lane 1's
+// openB/extB[t]. The slices must have len(tb0) entries, len(tb0)+1 for
+// m, x, y, openB and extB.
+func pairSweepGo(st *sweepState, m, x, y, s0, s1, openB, extB []float64, tb0, tb1 []byte) {
+	w := len(tb0)
+	m, x, y, s0, s1, tb1 = m[:w+1], x[:w+1], y[:w+1], s0[:w], s1[:w], tb1[:w]
+	openB, extB = openB[:w+1], extB[:w+1]
+	d0, l0 := st.lane(0)
+	d1, l1 := st.lane(1)
+	for t := range tb0 {
+		u0 := cell{m[t+1], x[t+1], y[t+1]}
+		c0, b0 := cellStep(d0, u0, l0, s0[t], st.openA[0], st.extA[0], openB[t+1], extB[t+1])
+		c1, b1 := cellStep(d1, l0, l1, s1[t], st.openA[1], st.extA[1], openB[t], extB[t])
+		m[t], x[t], y[t] = c1.m, c1.x, c1.y
+		tb0[t], tb1[t] = b0, b1
+		d0, d1, l0, l1 = u0, l0, c0, c1
 	}
+	st.set(d0, d1, l0, l1)
 }
 
 // leadGap accumulates the boundary gap cost for leading gaps: first

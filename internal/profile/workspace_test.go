@@ -151,13 +151,21 @@ func BenchmarkProfileAlign(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileAlignBanded is BenchmarkProfileAlign on a ±32 band and
+// reports ns per in-band cell.
 func BenchmarkProfileAlignBanded(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pa := randomProfile(b, rng, 8, 300)
 	pb := randomProfile(b, rng, 8, 300)
+	const lo, hi = -32, 32
+	cells := 0
+	for i := 1; i <= pa.Len(); i++ {
+		cells += min(i+hi, pb.Len()) - max(i+lo, 1) + 1
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		testAligner.AlignBanded(pa, pb, -32, 32)
+		testAligner.AlignBanded(pa, pb, lo, hi)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
