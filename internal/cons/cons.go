@@ -169,7 +169,8 @@ func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *k
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	results, err := par.MapCtx(ctx, len(pairs), a.workers, func(k int) pairResult {
+	results := make([]pairResult, len(pairs))
+	err := par.ForCtx(ctx, len(pairs), 1, a.workers, func(k, _ int) {
 		i, j := pairs[k][0], pairs[k][1]
 		r := pw.Global(seqs[i], seqs[j])
 		id := pairwise.Identity(r.A, r.B)
@@ -187,7 +188,7 @@ func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *k
 				pj++
 			}
 		}
-		return pairResult{i: i, j: j, id: id, keys: keys}
+		results[k] = pairResult{i: i, j: j, id: id, keys: keys}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -259,7 +260,8 @@ func (a *Aligner) extendLibrary(ctx context.Context, lib *library, seqs [][]byte
 			jobs = append(jobs, job{i, j})
 		}
 	}
-	mats, err := par.MapCtx(ctx, len(jobs), a.workers, func(t int) map[pairKey]float64 {
+	mats := make([]map[pairKey]float64, len(jobs))
+	err := par.ForCtx(ctx, len(jobs), 1, a.workers, func(t, _ int) {
 		i, j := jobs[t].i, jobs[t].j
 		acc := map[pairKey]float64{}
 		// direct support
@@ -287,7 +289,7 @@ func (a *Aligner) extendLibrary(ctx context.Context, lib *library, seqs [][]byte
 				}
 			}
 		}
-		return acc
+		mats[t] = acc
 	})
 	if err != nil {
 		return nil, err

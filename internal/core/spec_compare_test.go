@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -161,4 +162,93 @@ func TestSpecMatchesPipeline(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fuzzShapes names the input shapes FuzzSpecMatchesPipeline draws.
+var fuzzShapes = []string{"unrelated", "mutated", "near-identical", "gapped"}
+
+// fuzzSeqs draws n sequences of one shape from seed: unrelated random
+// proteins, copies of one ancestor mutated at 20 % or at 2 % of sites,
+// or mutated copies with gaps inserted, which the pipeline must ungap.
+func fuzzSeqs(seed int64, n int, shape string) []bio.Sequence {
+	rng := rand.New(rand.NewSource(seed))
+	letters := bio.AminoAcids.Letters()
+	random := func(length int) []byte {
+		b := make([]byte, length)
+		for i := range b {
+			b[i] = letters[rng.Intn(len(letters))]
+		}
+		return b
+	}
+	mutate := func(anc []byte, rate float64) []byte {
+		out := make([]byte, 0, len(anc)+4)
+		for _, c := range anc {
+			switch r := rng.Float64(); {
+			case r < rate*0.6:
+				out = append(out, letters[rng.Intn(len(letters))])
+			case r < rate*0.8: // deletion
+			case r < rate:
+				out = append(out, c, letters[rng.Intn(len(letters))])
+			default:
+				out = append(out, c)
+			}
+		}
+		if len(out) == 0 {
+			out = append(out, anc[0])
+		}
+		return out
+	}
+	anc := random(10 + rng.Intn(50))
+	seqs := make([]bio.Sequence, n)
+	for i := range seqs {
+		var data []byte
+		switch shape {
+		case "unrelated":
+			data = random(5 + rng.Intn(55))
+		case "mutated":
+			data = mutate(anc, 0.2)
+		case "near-identical":
+			data = mutate(anc, 0.02)
+		case "gapped":
+			for _, c := range mutate(anc, 0.2) {
+				if rng.Intn(8) == 0 {
+					data = append(data, bio.Gap)
+				}
+				data = append(data, c)
+			}
+		}
+		seqs[i] = bio.Sequence{ID: fmt.Sprintf("s%02d", i), Data: data}
+	}
+	return seqs
+}
+
+// FuzzSpecMatchesPipeline draws small inputs (N <= 40, p <= 9) of every
+// shape and holds AlignInprocContext to specAlign byte for byte, and
+// every bucket to the regular-sampling bound: size·p <= 2N + p.
+func FuzzSpecMatchesPipeline(f *testing.F) {
+	for shape := range fuzzShapes {
+		f.Add(int64(shape), uint8(17), uint8(4), uint8(shape))
+		f.Add(int64(40+shape), uint8(40), uint8(9), uint8(shape))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, p, shape uint8) {
+		nn, pp := 1+int(n)%40, 1+int(p)%9
+		seqs := fuzzSeqs(seed, nn, fuzzShapes[int(shape)%len(fuzzShapes)])
+		ctx := context.Background()
+		spec, err := specAlign(ctx, seqs, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.AlignInprocContext(ctx, seqs, pp, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fastaBytes(t, res.Alignment), fastaBytes(t, spec); !bytes.Equal(got, want) {
+			t.Fatalf("N=%d p=%d: AlignInprocContext differs from the spec:\n%s\nspec:\n%s", nn, pp, got, want)
+		}
+		for r, size := range res.Stats[0].BucketSizes {
+			if size*pp > 2*nn+pp {
+				t.Fatalf("N=%d p=%d: bucket %d holds %d (sizes %v)", nn, pp, r, size, res.Stats[0].BucketSizes)
+			}
+		}
+	})
 }

@@ -154,8 +154,9 @@ func (ix *index) accumulate(t Profile, after int32, acc []int32) (hits int64) {
 	return hits
 }
 
-// rowBlock is how many consecutive rows one dispatch hands a worker: it
-// amortises borrowing an accumulator while leaving the triangle's heavy
+// rowBlock is how many consecutive sequences one dispatch hands a
+// worker, in Profiles and in the index sweep: it amortises the dispatch
+// and the sweep's accumulator borrow, while leaving the triangle's heavy
 // early rows spread over all workers.
 const rowBlock = 8
 
@@ -169,7 +170,7 @@ func (ix *index) sweep(ctx context.Context, n, workers int, row func(i int, acc 
 		return &acc
 	}}
 	var total atomic.Int64
-	err := par.ForBlocksCtx(ctx, n, rowBlock, workers, func(lo, hi int) {
+	err := par.ForCtx(ctx, n, rowBlock, workers, func(lo, hi int) {
 		acc := accs.Get().(*[]int32)
 		var sum int64
 		for i := lo; i < hi; i++ {

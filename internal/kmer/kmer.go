@@ -132,9 +132,13 @@ func (c *Counter) Profile(data []byte) Profile {
 
 // Profiles computes the profiles of all sequences, in parallel.
 func (c *Counter) Profiles(seqs []bio.Sequence, workers int) []Profile {
-	return par.Map(len(seqs), workers, func(i int) Profile {
-		return c.Profile(seqs[i].Data)
+	out := make([]Profile, len(seqs))
+	par.For(len(seqs), rowBlock, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = c.Profile(seqs[i].Data)
+		}
 	})
+	return out
 }
 
 // common returns Σ_τ min(n_a(τ), n_b(τ)), the shared k-mer count, by
@@ -262,67 +266,6 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 	sp.SetInt("postings", int64(len(ix.post)))
 	sp.SetInt("hits", hits)
 	return m, nil
-}
-
-// defaultTileSize is the edge length of the blocks PairTiles cuts the
-// pair space into. A 128×128 tile touches 256 sequences — small enough
-// to stay cache-resident while a worker sweeps the tile, large enough
-// that tile dispatch overhead vanishes against the O(tile²) work
-// inside.
-const defaultTileSize = 128
-
-// Tile is one block of the strict upper-triangular pair space: rows
-// [RLo, RHi) against columns [CLo, CHi). Tiles on the diagonal include
-// sub-diagonal cells in their ranges; iterate with jlo = max(CLo, i+1)
-// to visit each unordered pair exactly once.
-type Tile struct {
-	RLo, RHi, CLo, CHi int
-}
-
-// PairTiles enumerates cache-sized tiles covering all unordered pairs
-// of n items, in a fixed (row-block, column-block) order, for pair
-// passes whose every pair costs about the same (the %-identity distance
-// pass in internal/msa). tile <= 0 selects defaultTileSize,
-// shrunk until the dynamic scheduler has around four tiles per worker —
-// at n <= defaultTileSize a single tile would serialize the whole
-// triangle, losing to a per-row fan-out. The floor keeps per-tile work
-// above dispatch cost; explicit tile sizes are honoured as given.
-func PairTiles(n, workers, tile int) []Tile {
-	if tile <= 0 {
-		tile = defaultTileSize
-		w := workers
-		if w <= 0 {
-			w = par.DefaultWorkers()
-		}
-		for w > 1 && tile > 16 {
-			nb := (n + tile - 1) / tile
-			if nb*(nb+1)/2 >= 4*w {
-				break
-			}
-			tile /= 2
-		}
-	}
-	if tile > n {
-		tile = n
-	}
-	if tile < 1 {
-		tile = 1
-	}
-	nb := (n + tile - 1) / tile
-	tiles := make([]Tile, 0, nb*(nb+1)/2)
-	for rb := 0; rb < nb; rb++ {
-		for cb := rb; cb < nb; cb++ {
-			t := Tile{RLo: rb * tile, RHi: rb*tile + tile, CLo: cb * tile, CHi: cb*tile + tile}
-			if t.RHi > n {
-				t.RHi = n
-			}
-			if t.CHi > n {
-				t.CHi = n
-			}
-			tiles = append(tiles, t)
-		}
-	}
-	return tiles
 }
 
 // DefaultRankScale calibrates ranks to the paper's reported numeric range.

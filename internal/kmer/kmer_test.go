@@ -199,39 +199,3 @@ func TestProfileInvalidBytesBreakWindows(t *testing.T) {
 		t.Fatalf("Windows = %d, want 2", withX.Windows)
 	}
 }
-
-func TestPairTilesCoverEveryPairOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 100, 257} {
-		for _, workers := range []int{1, 2, 7, 16} {
-			for _, tile := range []int{-1, 0, 1, 5, 16, 64, n + 3} {
-				seen := make(map[[2]int]int)
-				for _, tl := range PairTiles(n, workers, tile) {
-					if tl.RLo < 0 || tl.RHi > n || tl.CLo < 0 || tl.CHi > n ||
-						tl.RLo >= tl.RHi || tl.CLo >= tl.CHi {
-						t.Fatalf("n=%d workers=%d tile=%d: bad tile %+v", n, workers, tile, tl)
-					}
-					for i := tl.RLo; i < tl.RHi; i++ {
-						jlo := tl.CLo
-						if jlo <= i {
-							jlo = i + 1
-						}
-						for j := jlo; j < tl.CHi; j++ {
-							seen[[2]int{i, j}]++
-						}
-					}
-				}
-				want := n * (n - 1) / 2
-				if len(seen) != want {
-					t.Fatalf("n=%d workers=%d tile=%d: %d pairs covered, want %d",
-						n, workers, tile, len(seen), want)
-				}
-				for p, c := range seen {
-					if c != 1 {
-						t.Fatalf("n=%d workers=%d tile=%d: pair %v covered %d times",
-							n, workers, tile, p, c)
-					}
-				}
-			}
-		}
-	}
-}

@@ -99,12 +99,11 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 		profiles := counter.Profiles(seqs, p.opts.Workers)
 		return kmer.DistanceMatrixContext(ctx, profiles, p.opts.Workers)
 	}
-	// The O(N²·L²) pair space is dispatched as cache-sized tiles
-	// (kmer.PairTiles), so the dynamic scheduler balances the quadratic tail instead of handing each
-	// worker whole rows of shrinking length. Each tile borrows one
+	// Rows are dispatched one at a time, so the workers balance the
+	// triangle's shrinking rows between them. Each row borrows one
 	// pooled DP workspace for all of its alignments, and the identity
-	// is counted directly off the traceback plane
-	// (GlobalIdentityInto) without materializing aligned rows.
+	// is counted directly off the traceback plane (GlobalIdentityInto)
+	// without materializing aligned rows.
 	ctx, sp := obs.Start(ctx, "distmatrix")
 	defer sp.End()
 	sp.SetStr("method", "pid")
@@ -113,19 +112,10 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 	n := len(seqs)
 	m := kmer.NewMatrix(n)
 	al := pairwise.Aligner{Sub: p.sub, Gap: p.gap}
-	tiles := kmer.PairTiles(n, p.opts.Workers, 0)
-	if err := par.ForDynamicCtx(ctx, len(tiles), p.opts.Workers, func(t int) {
-		tl := tiles[t]
+	if err := par.ForCtx(ctx, n-1, 1, p.opts.Workers, func(i, _ int) {
 		dp.With(func(w *dp.Workspace) {
-			for i := tl.RLo; i < tl.RHi; i++ {
-				a := seqs[i].Data
-				jlo := tl.CLo
-				if jlo <= i {
-					jlo = i + 1 // diagonal tile: stay above the diagonal
-				}
-				for j := jlo; j < tl.CHi; j++ {
-					m.Set(i, j, 1-al.GlobalIdentityInto(w, a, seqs[j].Data))
-				}
+			for j := i + 1; j < n; j++ {
+				m.Set(i, j, 1-al.GlobalIdentityInto(w, seqs[i].Data, seqs[j].Data))
 			}
 		})
 	}); err != nil {

@@ -112,16 +112,18 @@ func (p *Progressive) refine(ctx context.Context, aln *Alignment, gt *tree.Node,
 		improved := false
 		for k := 0; k < len(splits); {
 			end := min(k+workers, len(splits))
-			cands, err := par.MapCtx(ctx, end-k, workers, func(i int) candidate {
+			cands := make([]candidate, end-k)
+			err := par.ForCtx(ctx, end-k, 1, workers, func(i, _ int) {
 				c, err := p.realignSplit(current, splits[k+i])
 				if err != nil {
-					return candidate{err: err}
+					cands[i] = candidate{err: err}
+					return
 				}
-				// Scored serially inside the already-parallel map.
+				// Scored serially inside the already-parallel loop.
 				t := slots[i]
 				copy(t, table)
 				crossing := obj.rescore(t, c.Rows(), splits[k+i])
-				return candidate{aln: c, score: obj.total(t), rescored: crossing}
+				cands[i] = candidate{aln: c, score: obj.total(t), rescored: crossing}
 			})
 			if err != nil {
 				return current, st, err

@@ -20,12 +20,13 @@ import (
 func SPScore(a *Alignment, sub *submat.Matrix, gap submat.Gap, workers int) float64 {
 	n := a.NumSeqs()
 	rows := a.Rows()
-	scores := par.Map(n, workers, func(i int) float64 {
+	scores := make([]float64, n)
+	par.For(n, 1, workers, func(i, _ int) {
 		var s float64
 		for j := i + 1; j < n; j++ {
 			s += pairScore(rows[i], rows[j], sub, gap)
 		}
-		return s
+		scores[i] = s
 	})
 	var total float64
 	for _, s := range scores {

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,8 +11,8 @@ import (
 
 func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	var n int64
-	if err := forCtx(context.Background(), 100, 4, func(i int) {
-		atomic.AddInt64(&n, 1)
+	if err := ForCtx(context.Background(), 100, 3, 4, func(lo, hi int) {
+		atomic.AddInt64(&n, int64(hi-lo))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -20,67 +21,91 @@ func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	}
 }
 
-func TestForCtxStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var n int64
-	err := forCtx(ctx, 1000, 4, func(i int) {
-		if atomic.AddInt64(&n, 1) == 8 {
-			cancel()
+func TestForCtxCoversEveryIndexOnce(t *testing.T) {
+	n := 523
+	seen := make([]int32, n)
+	if err := ForCtx(context.Background(), n, 1, 7, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&seen[i], 1)
 		}
-		time.Sleep(time.Millisecond)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&n); got >= 1000 {
-		t.Fatalf("cancel did not stop dispatch: ran all %d", got)
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("index %d visited %d times", i, c)
+		}
 	}
 }
 
-func TestForDynamicCtxStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var n int64
-	err := ForDynamicCtx(ctx, 1000, 4, func(i int) {
-		if atomic.AddInt64(&n, 1) == 8 {
-			cancel()
-		}
-		time.Sleep(time.Millisecond)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+func TestForCtxAscendingAtOneWorker(t *testing.T) {
+	var got []int
+	if err := ForCtx(context.Background(), 50, 4, 1, func(lo, hi int) {
+		got = append(got, lo, hi)
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&n); got >= 1000 {
-		t.Fatalf("cancel did not stop dispatch: ran all %d", got)
+	var want []int
+	for lo := 0; lo < 50; lo += 4 {
+		want = append(want, lo, min(lo+4, 50))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("blocks ran as %v, want %v", got, want)
+	}
+}
+
+func TestForCtxStopsOnCancel(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var n int64
+		err := ForCtx(ctx, 1000, 1, workers, func(lo, hi int) {
+			if atomic.AddInt64(&n, 1) == 8 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond)
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		if got := atomic.LoadInt64(&n); got >= 1000 {
+			t.Fatalf("workers=%d: cancel did not stop dispatch: ran all %d", workers, got)
+		}
 	}
 }
 
 func TestForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var n int64
-	// workers==1 path
-	if err := forCtx(ctx, 50, 1, func(i int) { atomic.AddInt64(&n, 1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if n != 0 {
-		t.Fatalf("pre-cancelled loop ran %d bodies", n)
-	}
-	if err := ForDynamicCtx(ctx, 50, 1, func(i int) { atomic.AddInt64(&n, 1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if n != 0 {
-		t.Fatalf("pre-cancelled dynamic loop ran %d bodies", n)
+	for _, workers := range []int{1, 4} {
+		for _, n := range []int{0, 50} {
+			var ran int64
+			err := ForCtx(ctx, n, 10, workers, func(int, int) { atomic.AddInt64(&ran, 1) })
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d n=%d: err = %v", workers, n, err)
+			}
+			if ran != 0 {
+				t.Fatalf("workers=%d n=%d: pre-cancelled loop ran %d blocks", workers, n, ran)
+			}
+		}
 	}
 }
 
-func TestMapCtx(t *testing.T) {
-	out, err := MapCtx(context.Background(), 10, 3, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+// TestForBlocksCtxCancel cancels inside the last block: every block ran,
+// and the cancellation is still reported.
+func TestForBlocksCtxCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran int64
+	err := ForCtx(ctx, 100, 10, 1, func(lo, hi int) {
+		atomic.AddInt64(&ran, 1)
+		if hi == 100 {
+			cancel()
 		}
+	})
+	if ran != 10 {
+		t.Fatalf("ran %d of 10 blocks", ran)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation", err)
 	}
 }

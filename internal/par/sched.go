@@ -70,9 +70,9 @@ func (s *Sched) Len() int { return len(s.tasks) }
 // returns an error, or ctx is cancelled. The first task error is
 // returned and no new tasks start after it (already-running tasks finish
 // first); dependents of a failed task never run. On cancellation Run
-// stops dispatching and returns ctx.Err() — like forCtx, a cancelled
-// context is reported even when every task happened to finish first.
-// Run may be called once.
+// stops dispatching and returns ctx.Err(); a cancelled context is
+// reported even when every task happened to finish first. Run may be
+// called once.
 //
 // The calling goroutine is one of the workers: with workers == 1 the
 // DAG runs inline, in the one order the stack rule allows.

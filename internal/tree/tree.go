@@ -114,10 +114,22 @@ func escapeName(s string) string {
 }
 
 // parMinClusters is the active-set size below which the tree builders
-// stop fanning work out to par: a goroutine dispatch costs more than a
-// short cache-refresh scan, and the sequential path is bit-identical
-// anyway, so the cutover is invisible in the output.
+// run their scans on one worker: a hand-off to another core costs more
+// than a short cache-refresh scan. A scan makes the same call either
+// way, so the cutover is invisible in the output.
 const parMinClusters = 96
+
+// rowBlock is how many rows of the distance matrix one dispatched block
+// of a scan covers.
+const rowBlock = 16
+
+// scanWorkers is the worker count for a scan over m active clusters.
+func scanWorkers(m, workers int) int {
+	if m < parMinClusters {
+		return 1
+	}
+	return workers
+}
 
 // UPGMAWorkers builds a rooted ultrametric guide tree by repeatedly
 // joining the closest cluster pair; cluster distances are size-weighted
@@ -127,7 +139,7 @@ const parMinClusters = 96
 // lower cluster index and the global pick resolves score ties by the
 // lower cluster index too, so the merge order, and therefore the tree,
 // is identical for every workers value (workers <= 0 selects all
-// cores, 1 is the sequential path).
+// cores; 1 runs every scan on the calling goroutine).
 func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 	n := d.N
 	if n == 0 {
@@ -175,16 +187,13 @@ func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 		}
 		nearestD[i] = best
 	}
-	parallel := workers != 1 && n >= parMinClusters
-	if parallel {
-		par.For(n, workers, recomputeNearest)
-	} else {
-		for i := 0; i < n; i++ {
+	par.For(n, rowBlock, scanWorkers(n, workers), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			recomputeNearest(i)
 		}
-	}
+	})
 
-	stale := make([]int, 0, n) // clusters whose cached nearest died this merge
+	stale := make([]int, 0, n) // bi, and the clusters whose cached nearest died this merge
 	remaining := n
 	for remaining > 1 {
 		// pick the globally closest pair via the nearest caches; strict <
@@ -230,7 +239,7 @@ func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 		// else at most adopts the merged cluster with an O(1) check. The
 		// rescans are independent (each writes its own slots), so they
 		// run concurrently; the merged cluster bi rescans alongside.
-		stale = stale[:0]
+		stale = append(stale[:0], bi)
 		for k := 0; k < n; k++ {
 			if !active[k] || k == bi {
 				continue
@@ -241,20 +250,11 @@ func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 				nearest[k], nearestD[k] = bi, dist[k][bi]
 			}
 		}
-		if parallel && remaining >= parMinClusters && len(stale) >= 2 {
-			par.For(len(stale)+1, workers, func(t int) {
-				if t == 0 {
-					recomputeNearest(bi)
-				} else {
-					recomputeNearest(stale[t-1])
-				}
-			})
-		} else {
-			recomputeNearest(bi)
-			for _, k := range stale {
+		par.For(len(stale), 1, scanWorkers(remaining, workers), func(lo, hi int) {
+			for _, k := range stale[lo:hi] {
 				recomputeNearest(k)
 			}
-		}
+		})
 	}
 	return nodes[0]
 }
@@ -265,9 +265,10 @@ func UPGMAWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 // row-sum and Q-minimisation scans are spread over workers shared-memory
 // workers. Each row's scan is sequential (so its float accumulation
 // order never changes) and ties are resolved to the lexicographically
-// first (a, b) pair, exactly as the sequential double loop does — the
+// first (a, b) pair, as one nested double loop would — the
 // join order, and therefore the tree, is identical for every workers
-// value (workers <= 0 selects all cores, 1 is the sequential path).
+// value (workers <= 0 selects all cores; 1 runs every scan on the
+// calling goroutine).
 func NeighborJoiningWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 	n := d.N
 	if n == 0 {
@@ -300,13 +301,11 @@ func NeighborJoiningWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 	r := make([]float64, n)    // row sums over the active set
 	rowQ := make([]float64, n) // per-row minimal Q
 	rowArg := make([]int, n)   // argmin b of rowQ (first on ties)
-	const rowBlock = 16        // rows per dispatched block
 
 	for len(activeIdx) > 2 {
 		m := len(activeIdx)
-		parallel := workers != 1 && m >= parMinClusters
-		// Row sums over the active set. Each row accumulates in the same
-		// b order as the sequential loop; rows are independent.
+		// Row sums over the active set. Each row accumulates in
+		// ascending b order; rows are independent.
 		rowSums := func(lo, hi int) {
 			for a := lo; a < hi; a++ {
 				var sum float64
@@ -335,13 +334,9 @@ func NeighborJoiningWorkers(d *kmer.Matrix, names []string, workers int) *Node {
 				rowQ[a] = best
 			}
 		}
-		if parallel {
-			par.ForBlocks(m, rowBlock, workers, rowSums)
-			par.ForBlocks(m, rowBlock, workers, rowScan)
-		} else {
-			rowSums(0, m)
-			rowScan(0, m)
-		}
+		w := scanWorkers(m, workers)
+		par.For(m, rowBlock, w, rowSums)
+		par.For(m, rowBlock, w, rowScan)
 		bestA, bestB, bestQ := -1, -1, 0.0
 		for a := 0; a < m; a++ {
 			if rowArg[a] == -1 {

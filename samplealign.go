@@ -87,7 +87,7 @@ func (r *RunReport) Summary() string {
 // ranks. Sequence IDs must be unique and sequences non-empty. The result
 // rows come back in input order.
 func Align(seqs []Sequence, procs int, opts ...Option) (*Alignment, *RunReport, error) {
-	//lint:allow ctxflow context-free twin kept while bench/ calls it (ROADMAP S, benchmark PR B)
+	//lint:allow ctxflow context-free twin kept while bench/ calls it (ROADMAP U, after benchmark PR B)
 	return AlignContext(context.Background(), seqs, procs, opts...)
 }
 
