@@ -73,6 +73,28 @@ func TestForCtxStopsOnCancel(t *testing.T) {
 	}
 }
 
+// TestForDynamicCtxStopsOnCancel holds the dynamic dispatch of ForCtx to
+// its cancellation promise with blocks of uneven cost: once cancel
+// returns no worker takes another block, so besides the block that
+// cancelled only the workers-1 blocks already taken may still start.
+func TestForDynamicCtxStopsOnCancel(t *testing.T) {
+	const workers, at = 4, 8
+	ctx, cancel := context.WithCancel(context.Background())
+	var n int64
+	err := ForCtx(ctx, 1000, 1, workers, func(lo, hi int) {
+		if atomic.AddInt64(&n, 1) == at {
+			cancel()
+		}
+		time.Sleep(time.Duration(lo%3) * time.Millisecond)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := atomic.LoadInt64(&n); got > at+workers-1 {
+		t.Fatalf("cancel did not stop dispatch: %d blocks started, at most %d may", got, at+workers-1)
+	}
+}
+
 func TestForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
