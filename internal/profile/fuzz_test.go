@@ -18,9 +18,12 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte("AGAGAGAGAGAGAG"), []byte("GAGAGAGA")) // tie-heavy
 	f.Add([]byte{}, []byte("ACDE"))
 	f.Add([]byte{0xff, 0x00, 0x41}, []byte{0x80, 0x7f})
-	f.Add([]byte("W"), []byte("WH"))   // an odd last row, one column
-	f.Add([]byte("HE"), []byte("E"))   // one row pair
-	f.Add([]byte("HEA"), []byte("PA")) // a pair and an odd row
+	f.Add([]byte("W"), []byte("WH"))           // an odd last row, one column
+	f.Add([]byte("HE"), []byte("E"))           // one row pair
+	f.Add([]byte("HEA"), []byte("PA"))         // a pair and an odd row
+	f.Add([]byte("HEAGA"), []byte("PAWH"))     // blocks of 4 and 1 rows, or 2, 2, 1
+	f.Add([]byte("HEAGAW"), []byte("PAW"))     // 4 and 2, or three pairs
+	f.Add([]byte("HEAGAWG"), []byte("PAWHEA")) // 4 and 3, or 2, 2, 2, 1
 
 	letters := bio.AminoAcids.Letters()
 	fold := func(raw []byte) *Profile {

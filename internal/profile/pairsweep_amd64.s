@@ -1,49 +1,60 @@
 #include "textflag.h"
 
-// func pairSweep(st *sweepState, m, x, y, s0, s1, openB, extB []float64, tb0, tb1 []byte)
+// func pairSweep(st *sweepState, m, x, y, s, openB, extB []float64, tb []byte, sStride int)
 //
-// pairSweepGo's loop, lane k of every pair in the low (k = 0) or high
-// (k = 1) half of an XMM register. Each comparison is cellStep's,
+// sweepGo's loop for h = 2, lane k of every pair in the low (k = 0) or
+// high (k = 1) half of an XMM register. Each comparison is cellStep's,
 // operands in its order, predicate LT (CMPPD src, dst, $1 sets
 // dst = dst < src); MINPD src, dst sets dst = dst < src ? dst : src,
 // which is Y's select exactly and M's and X's min up to a zero's sign.
 //
 // Registers across steps: X0–X2 the diagonal M, X, Y; X3–X5 the left
 // M, X, Y (the last step's cells); X6, X7 the A-column gap costs. Step
-// t's above vector pairs the row above at column t+1 with lane 0's last
-// cell, and becomes step t+1's diagonal. tb1's base is in CX so that
-// lane 1's byte can be stored from AH, whose encoding takes no REX
-// prefix; R14 is scratch in ABI0.
-TEXT ·pairSweep(SB), NOSPLIT, $0-224
+// t's above vector pairs the row above at column t+2 with lane 0's last
+// cell, and becomes step t+1's diagonal. BX counts from −w up to 0, and
+// every base is advanced by w entries to match; R14 is scratch in ABI0.
+TEXT ·pairSweep(SB), NOSPLIT, $0-184
 	MOVQ   st+0(FP), AX
 	MOVUPD 0(AX), X0
-	MOVUPD 16(AX), X1
-	MOVUPD 32(AX), X2
-	MOVUPD 48(AX), X3
-	MOVUPD 64(AX), X4
-	MOVUPD 80(AX), X5
-	MOVUPD 96(AX), X6
-	MOVUPD 112(AX), X7
+	MOVUPD 32(AX), X1
+	MOVUPD 64(AX), X2
+	MOVUPD 96(AX), X3
+	MOVUPD 128(AX), X4
+	MOVUPD 160(AX), X5
+	MOVUPD 192(AX), X6
+	MOVUPD 224(AX), X7
+	MOVQ   m_len+16(FP), BX
+	SUBQ   $2, BX                  // w
 	MOVQ   m_base+8(FP), DI
 	MOVQ   x_base+32(FP), SI
 	MOVQ   y_base+56(FP), DX
-	MOVQ   s0_base+80(FP), R8
-	MOVQ   s1_base+104(FP), R9
-	MOVQ   openB_base+128(FP), R10
-	MOVQ   extB_base+152(FP), R11
-	MOVQ   tb0_base+176(FP), R14
-	MOVQ   tb1_base+200(FP), CX
+	MOVHPD X3, (DI)                // lane 1's left cell
+	MOVHPD X4, (SI)
+	MOVHPD X5, (DX)
+	LEAQ   (DI)(BX*8), DI
+	LEAQ   (SI)(BX*8), SI
+	LEAQ   (DX)(BX*8), DX
+	MOVQ   s_base+80(FP), R8
+	LEAQ   (R8)(BX*8), R8
+	MOVQ   sStride+176(FP), R9
+	LEAQ   (R8)(R9*8), R9          // lane 1's scores
+	MOVQ   openB_base+104(FP), R10
+	LEAQ   (R10)(BX*8), R10
+	MOVQ   extB_base+128(FP), R11
+	LEAQ   (R11)(BX*8), R11
+	MOVQ   tb_base+152(FP), R14
+	LEAQ   (R14)(BX*2), R14
 	LEAQ   ·pairTB(SB), R13
-	XORQ   BX, BX
-	JMP    test
+	NEGQ   BX
+	JZ     done
 
 loop:
 	// Above: lane 0 the row above at this column, lane 1 lane 0's last cell.
-	MOVSD    8(DI)(BX*8), X8
+	MOVSD    16(DI)(BX*8), X8
 	UNPCKLPD X3, X8           // uM
-	MOVSD    8(SI)(BX*8), X9
+	MOVSD    16(SI)(BX*8), X9
 	UNPCKLPD X4, X9           // uX
-	MOVSD    8(DX)(BX*8), X10
+	MOVSD    16(DX)(BX*8), X10
 	UNPCKLPD X5, X10          // uY
 
 	// Y from the left: extY < openY ? extY : openY, lane 0's gap costs
@@ -81,15 +92,16 @@ loop:
 
 	// Lane 1's cell goes one column behind the loads; above becomes
 	// the next diagonal.
-	MOVHPD X3, (DI)(BX*8)
-	MOVHPD X4, (SI)(BX*8)
-	MOVHPD X5, (DX)(BX*8)
+	MOVHPD X3, 8(DI)(BX*8)
+	MOVHPD X4, 8(SI)(BX*8)
+	MOVHPD X5, 8(DX)(BX*8)
 	MOVAPD X8, X0
 	MOVAPD X9, X1
 	MOVAPD X10, X2
 
 	// Traceback: PACKSSLW (PACKSSDW) turns two pairs of lane masks into
-	// four dword masks, so two MOVMSKPS make pairTB's index.
+	// four dword masks, so two MOVMSKPS make pairTB's index, whose entry
+	// is the step's two bytes.
 	PACKSSLW X15, X14         // gx | gy<<2
 	PACKSSLW X13, X11         // bx | by<<2
 	MOVMSKPS X14, AX
@@ -97,18 +109,16 @@ loop:
 	SHLL     $4, R12
 	ORL      R12, AX
 	MOVWLZX  (R13)(AX*2), AX
-	MOVB     AX, (R14)(BX*1)
-	MOVB     AH, (CX)(BX*1)
+	MOVW     AX, (R14)(BX*2)
 	INCQ     BX
+	JNZ      loop
 
-test:
-	CMPQ BX, tb0_len+184(FP)
-	JLT  loop
+done:
 	MOVQ   st+0(FP), AX
 	MOVUPD X0, 0(AX)
-	MOVUPD X1, 16(AX)
-	MOVUPD X2, 32(AX)
-	MOVUPD X3, 48(AX)
-	MOVUPD X4, 64(AX)
-	MOVUPD X5, 80(AX)
+	MOVUPD X1, 32(AX)
+	MOVUPD X2, 64(AX)
+	MOVUPD X3, 96(AX)
+	MOVUPD X4, 128(AX)
+	MOVUPD X5, 160(AX)
 	RET

@@ -342,13 +342,33 @@ func (sc *pspScratch) colScores(dst []float64, i, lo int) {
 	sweepLetters(dst, sc.zero, sc.faIdx[k:end], sc.faVal[k:end], sc.sbT[lo:], sc.m, occA, occB)
 }
 
-// tracePath follows the packed traceback plane from (n, m) back to the
-// origin and returns the alignment path in forward order.
-func tracePath(w *dp.Workspace, n, m int, state byte) Path {
-	rev := make(Path, 0, n+m)
-	i, j := n, m
+// tbPlane lays out the packed traceback plane of alignRows, h rows to
+// a block: row 0's m+1 bytes, then each block in the order its sweep
+// makes them — step j's h bytes together, cell (i+k, j−k) of the block
+// at row i k-th among them, for steps 0 … m+h−1 — so that a sweep
+// stores one h-byte word a step, to one stream. At h = 1 it is the
+// row-major plane.
+type tbPlane struct{ m, h int }
+
+// size returns the bytes the plane of an n-row DP takes.
+func (p tbPlane) size(n int) int { return p.m + 1 + (n+p.h-1)/p.h*p.h*(p.m+p.h) }
+
+// at returns the index of cell (i, j).
+func (p tbPlane) at(i, j int) int {
+	if i == 0 {
+		return j
+	}
+	b, k := (i-1)/p.h, (i-1)%p.h
+	return p.m + 1 + (b*(p.m+p.h)+j+k)*p.h + k
+}
+
+// trace follows the traceback plane tb of an n-row DP from (n, m) back
+// to the origin and returns the alignment path in forward order.
+func (p tbPlane) trace(tb []byte, n int, state byte) Path {
+	rev := make(Path, 0, n+p.m)
+	i, j := n, p.m
 	for i > 0 || j > 0 {
-		cell := w.TB[w.At(i, j)]
+		cell := tb[p.at(i, j)]
 		switch state {
 		case sM:
 			rev = append(rev, OpMatch)
@@ -400,112 +420,129 @@ func (al *Aligner) Align(a, b *Profile) (path Path, score float64) {
 // cell (the sign of a zero aside, which no comparison sees), every
 // comparison mirrors that DP's, and path and score are its own.
 //
-// Rows are filled two at a time, i and i+1, in one sweep (pairSweep)
-// whose step j computes cell (i, j) in lane 0 and cell (i+1, j−1) in
-// lane 1. Row i+1's M and X need row i only up to column j−1, and its Y
-// needs only its own left neighbour, so the two lanes advance together:
-// Y's serial chain is one add and one min per two cells, and no branch
-// depends on the data. Row i is never stored. The rolling rows hold
-// row i−1 ahead of the sweep and row i+1 one column behind it. The
-// cells where one lane runs alone are computed here by cellStep: row
-// i's cells before row i+1's window starts, and row i+1's cells after
-// row i's window ends. An odd last row pairs with a discarded copy of
-// itself, whose traceback goes to the extra row n+1.
+// Rows are filled in blocks of h, four where the CPU has AVX2
+// (quadSweep) and two elsewhere (pairSweep), one sweep per block whose
+// step j computes cell (i+k, j−k) in lane k. Row i+k's M and X need row
+// i+k−1 only up to column j−k, and its Y only its own left neighbour,
+// so the lanes advance together: Y's serial chain is one add and one
+// min per h cells, and no branch depends on the data. Only the block's
+// last row is stored: the rolling rows hold row i−1 ahead of the sweep
+// and row i+h−1 h−1 columns behind it. A step's h traceback bytes are
+// adjacent in the plane (tbPlane). The steps where some lane is outside
+// its row's window — the ramps at either end of the block, all of it
+// when the band is narrower than the block — run in Go, through the
+// step sweepGo is made of. A last block short of h rows fills up with
+// discarded copies of row n, and stops once row n is done.
 func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int) (Path, float64) {
 	n, m := a.Len(), b.Len()
-	w.ReserveTB(n+2, m+1)
+	h := 2
+	if useAVX2 {
+		h = 4
+	}
+	plane := tbPlane{m, h}
+	w.ReserveTB(1, plane.size(n)) // one flat plane, indexed by plane.at
 	sc := al.pspSetup(w, a, b)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	inf := math.Inf(1)
 	infs := cell{inf, inf, inf}
 	tb := w.TB
-	cols := m + 1
-	window := func(i int) (int, int) { return max(i+diagLo, 1), min(i+diagHi, m) }
 
 	// Index j of a row is DP column j; slot m+1 only ever holds the
-	// right-hand sentinel, so writing it needs no bounds case. The
-	// column scores of rows i and i+1 are indexed by column − 1.
+	// right-hand sentinel, so writing it needs no bounds case. Lane k's
+	// column scores are srows[k·m + column − 1].
 	rows := w.Floats(3 * (m + 2))
 	rM, rX, rY := rows[:m+2], rows[m+2:2*(m+2)], rows[2*(m+2):]
-	srows := w.Floats(2 * m)
-	s0, s1 := srows[:m], srows[m:]
+	srows := w.Floats(h * m)
 
 	// Row 0: leading gaps in A as far as the band reaches.
 	rM[0], rX[0], rY[0] = 0, inf, inf
-	hi := min(diagHi, m)
-	for j := 1; j <= hi; j++ {
+	end0 := min(diagHi, m)
+	for j := 1; j <= end0; j++ {
 		rM[j], rX[j] = inf, inf
 		rY[j] = -leadGap(j, -rY[j-1], open, ext, sc.occB[j-1])
 		tb[j] = dp.PackTB(sM, sM, sY)
 	}
-	rM[hi+1], rX[hi+1], rY[hi+1] = inf, inf, inf
+	rM[end0+1], rX[end0+1], rY[end0+1] = inf, inf, inf
 
 	var st sweepState
-	var end cell
-	for i := 1; i <= n; i += 2 {
-		i1 := min(i+1, n) // the row lane 1 scores: an odd last row's copy
-		lo0, hi0 := window(i)
-		lo1, hi1 := window(i1)
-		row0, row1 := i*cols, (i+1)*cols
-		// gap in B against A column i−1: penalty scaled by how
-		// occupied the gapped-against column is
-		wA0, wA1 := sc.occA[i-1], sc.occA[i1-1]
-		st.openA = [2]float64{(open + ext) * wA0, (open + ext) * wA1}
-		st.extA = [2]float64{ext * wA0, ext * wA1}
-		sc.colScores(s0[lo0-1:hi0], i-1, lo0-1)
-		sc.colScores(s1[lo1-1:hi1], i1-1, lo1-1)
-
-		// The cell left of each row's window: column 0 carries the
-		// leading gaps in B while the band reaches it, else a sentinel.
-		left0, left1 := infs, infs
-		if i+diagLo <= 0 {
-			left0.x = -leadGap(i, -rX[0], open, ext, wA0)
-			tb[row0] = dp.PackTB(sM, sX, sM)
+	var lo, hi [4]int // lane k's window
+	top := h - 1
+	// ramp runs step j of the block at row i in Go, each lane in or
+	// out of its window as it stands at that step.
+	ramp := func(i, j int) {
+		var s, openB, extB [4]float64
+		started, ended := 0, 0
+		for k := 0; k < h; k++ {
+			if lo[k]+k <= j {
+				started++
+			}
+			if hi[k]+k < j {
+				ended++
+			}
 		}
-		if i1+diagLo <= 0 {
-			left1.x = -leadGap(i+1, -left0.x, open, ext, wA1)
-			tb[row1] = dp.PackTB(sM, sX, sM)
+		above := infs
+		if ended == 0 {
+			above = cell{rM[j], rX[j], rY[j]}
 		}
-
-		// Row i up to the column where row i+1's window starts; ri
-		// ends as row i at columns lo1−1 and lo1.
-		ri := [2]cell{left0, infs}
-		l := left0
-		for j := lo0; j <= min(lo1, hi0); j++ {
-			c, t := cellStep(cell{rM[j-1], rX[j-1], rY[j-1]}, cell{rM[j], rX[j], rY[j]}, l,
-				s0[j-1], st.openA[0], st.extA[0], sc.openB[j-1], sc.extB[j-1])
-			tb[row0+j] = t
-			ri[j-lo1+1], l = c, c
+		for k := ended; k < started; k++ {
+			c := j - k
+			s[k], openB[k], extB[k] = srows[k*m+c-1], sc.openB[c-1], sc.extB[c-1]
 		}
-		rM[lo1-1], rX[lo1-1], rY[lo1-1] = left1.m, left1.x, left1.y
-
-		// Both lanes: steps j = lo1+1 … hi0. After it ri is row i at
-		// columns hi0−1 and hi0, and left1 row i+1 at hi0−1.
-		if wd := hi0 - lo1; wd > 0 {
-			st.set(cell{rM[lo1], rX[lo1], rY[lo1]}, ri[0], ri[1], left1)
-			pairSweep(&st, rM[lo1:hi0+1], rX[lo1:hi0+1], rY[lo1:hi0+1],
-				s0[lo1:hi0], s1[lo1-1:hi0-1], sc.openB[lo1-1:hi0], sc.extB[lo1-1:hi0],
-				tb[row0+lo1+1:][:wd], tb[row1+lo1:][:wd])
-			_, l0 := st.lane(0)
-			d1, l1 := st.lane(1)
-			ri[0], ri[1], left1 = d1, l0, l1
+		t := st.step(h, ended, started, above, &s, &openB, &extB)
+		for k := ended; k < started; k++ {
+			tb[plane.at(i+k, j-k)] = t[k]
 		}
-
-		// Row i+1 from column jp = max(hi0, lo1) on; ri[1] is row i at jp,
-		// which for the last row is its cell (n, m).
-		end = ri[1]
-		d, u, l := ri[0], ri[1], left1
-		for j := max(hi0, lo1); j <= hi1; j++ {
-			c, t := cellStep(d, u, l, s1[j-1], st.openA[1], st.extA[1], sc.openB[j-1], sc.extB[j-1])
-			tb[row1+j] = t
-			rM[j], rX[j], rY[j] = c.m, c.x, c.y
-			d, u, l = u, infs, c
+		if c := j - top; c >= lo[top]-1 {
+			rM[c], rX[c], rY[c] = st.lM[top], st.lX[top], st.lY[top]
 		}
-		rM[hi1+1], rX[hi1+1], rY[hi1+1] = inf, inf, inf
 	}
-	if n%2 == 0 {
-		end = cell{rM[m], rX[m], rY[m]}
+
+	for i := 1; i <= n; i += h {
+		for k := 0; k < h; k++ {
+			r := min(i+k, n) // the row lane k scores: past n, a copy of row n
+			lo[k], hi[k] = max(r+diagLo, 1), min(r+diagHi, m)
+			// gap in B against A column r−1: penalty scaled by how
+			// occupied the gapped-against column is
+			wA := sc.occA[r-1]
+			st.openA[k], st.extA[k] = (open+ext)*wA, ext*wA
+			sc.colScores(srows[k*m+lo[k]-1:k*m+hi[k]], r-1, lo[k]-1)
+
+			// The cell left of the row's window: column 0 carries the
+			// leading gaps in B while the band reaches it, else a
+			// sentinel.
+			left := infs
+			if r+diagLo <= 0 {
+				prev := rX[0]
+				if k > 0 {
+					prev = st.lX[k-1]
+				}
+				left.x = -leadGap(i+k, -prev, open, ext, wA)
+				tb[plane.at(i+k, 0)] = dp.PackTB(sM, sX, sM)
+			}
+			st.setLane(k, infs, left)
+		}
+		d := lo[0] - 1
+		st.dM[0], st.dX[0], st.dY[0] = rM[d], rX[d], rY[d]
+
+		// Steps j0 … hi[0] have every lane in its window and run in
+		// the sweep; the last block ends with row n's last cell.
+		j0 := lo[top] + top
+		last := min(n-i, top)
+		for j := lo[0]; j <= hi[last]+last; j++ {
+			if j == j0 && j0 <= hi[0] {
+				wd := hi[0] - j0 + 1
+				base := plane.at(i, j0)
+				sweep(h, &st, rM[j0-h:j0+wd], rX[j0-h:j0+wd], rY[j0-h:j0+wd],
+					srows[j0-1:j0-1+top*(m-1)+wd], sc.openB[j0-h:j0+wd-1], sc.extB[j0-h:j0+wd-1],
+					tb[base:base+wd*h], m-1)
+				j += wd - 1
+				continue
+			}
+			ramp(i, j)
+		}
+		rM[hi[top]+1], rX[hi[top]+1], rY[hi[top]+1] = inf, inf, inf
 	}
+	_, end := st.lane((n - 1) % h)
 
 	state, cost := sM, end.m
 	if end.x < cost {
@@ -514,7 +551,17 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 	if end.y < cost {
 		state, cost = sY, end.y
 	}
-	return tracePath(w, n, m, state), 0 - cost // not −cost: a zero cost is the score +0
+	return plane.trace(tb, n, state), 0 - cost // not −cost: a zero cost is the score +0
+}
+
+// sweep runs the h-row sweep, quadSweep at h = 4 and pairSweep at
+// h = 2: called directly, st stays on the caller's stack.
+func sweep(h int, st *sweepState, m, x, y, s, openB, extB []float64, tb []byte, sStride int) {
+	if h == 4 {
+		quadSweep(st, m, x, y, s, openB, extB, tb, sStride)
+		return
+	}
+	pairSweep(st, m, x, y, s, openB, extB, tb, sStride)
 }
 
 // cell is one DP cell's M, X and Y costs.
@@ -557,20 +604,20 @@ func cellStep(d, u, l cell, s, openA, extA, openB, extB float64) (cell, byte) {
 // and by<<5 is sY in Y's.
 func tbByte(gx, gy, bx, by byte) byte { return gx&^gy | gy<<1 | bx<<2 | by<<5 }
 
-// sweepState carries pairSweep's registers across calls, lane k of
-// each pair in index k: the diagonal predecessor (dM, dX, dY) and the
-// left neighbour (lM, lX, lY) of the next step's cells, and the gap
-// costs against each lane's A column.
+// sweepState carries a sweep's registers across calls, lane k of each
+// in index k: the diagonal predecessor (dM, dX, dY) and the left
+// neighbour (lM, lX, lY) of the next step's cells, and the gap costs
+// against each lane's A column. A two-row sweep uses lanes 0 and 1.
 type sweepState struct {
-	dM, dX, dY  [2]float64
-	lM, lX, lY  [2]float64
-	openA, extA [2]float64
+	dM, dX, dY  [4]float64
+	lM, lX, lY  [4]float64
+	openA, extA [4]float64
 }
 
-// set loads the two lanes' diagonal predecessors and left neighbours.
-func (st *sweepState) set(d0, d1, l0, l1 cell) {
-	st.dM, st.dX, st.dY = [2]float64{d0.m, d1.m}, [2]float64{d0.x, d1.x}, [2]float64{d0.y, d1.y}
-	st.lM, st.lX, st.lY = [2]float64{l0.m, l1.m}, [2]float64{l0.x, l1.x}, [2]float64{l0.y, l1.y}
+// setLane loads lane k's diagonal predecessor and left neighbour.
+func (st *sweepState) setLane(k int, d, l cell) {
+	st.dM[k], st.dX[k], st.dY[k] = d.m, d.x, d.y
+	st.lM[k], st.lX[k], st.lY[k] = l.m, l.x, l.y
 }
 
 // lane returns lane k's diagonal predecessor and left neighbour.
@@ -578,28 +625,57 @@ func (st *sweepState) lane(k int) (d, l cell) {
 	return cell{st.dM[k], st.dX[k], st.dY[k]}, cell{st.lM[k], st.lX[k], st.lY[k]}
 }
 
-// pairSweepGo is pairSweep's Go form, the loop body on other
-// architectures and the assembly's reference. Step t computes lane 0's
-// cell from the row above at m/x/y[t+1], lane 1's from lane 0's last
-// result, and stores lane 1's cell at m/x/y[t], one column behind the
-// loads; lane 0's B-column gap costs are openB/extB[t+1] and lane 1's
-// openB/extB[t]. The slices must have len(tb0) entries, len(tb0)+1 for
-// m, x, y, openB and extB.
-func pairSweepGo(st *sweepState, m, x, y, s0, s1, openB, extB []float64, tb0, tb1 []byte) {
-	w := len(tb0)
-	m, x, y, s0, s1, tb1 = m[:w+1], x[:w+1], y[:w+1], s0[:w], s1[:w], tb1[:w]
-	openB, extB = openB[:w+1], extB[:w+1]
-	d0, l0 := st.lane(0)
-	d1, l1 := st.lane(1)
-	for t := range tb0 {
-		u0 := cell{m[t+1], x[t+1], y[t+1]}
-		c0, b0 := cellStep(d0, u0, l0, s0[t], st.openA[0], st.extA[0], openB[t+1], extB[t+1])
-		c1, b1 := cellStep(d1, l0, l1, s1[t], st.openA[1], st.extA[1], openB[t], extB[t])
-		m[t], x[t], y[t] = c1.m, c1.x, c1.y
-		tb0[t], tb1[t] = b0, b1
-		d0, d1, l0, l1 = u0, l0, c0, c1
+// step advances lanes 0 … h−1 by one step; it is the one form of a
+// sweep step in Go, run alone for the ramps and in a loop by sweepGo.
+// Lanes [lo, hi) are inside their row's window: lane k computes
+// cellStep(d, u, l, s[k], openA, extA, openB[k], extB[k]) from its
+// registers, u being above for lane 0 and lane k−1's last cell for the
+// others, and returns its traceback byte in tb[k]. Lanes below lo have
+// passed their window, so their cell is the sentinel right of it, +∞;
+// lanes from hi on have not reached it and keep their left cell. Each
+// lane's u becomes its next diagonal.
+func (st *sweepState) step(h, lo, hi int, above cell, s, openB, extB *[4]float64) (tb [4]byte) {
+	inf := math.Inf(1)
+	u := above
+	for k := 0; k < h; k++ {
+		d, l := st.lane(k)
+		c := l
+		switch {
+		case k < lo:
+			c = cell{inf, inf, inf}
+		case k < hi:
+			c, tb[k] = cellStep(d, u, l, s[k], st.openA[k], st.extA[k], openB[k], extB[k])
+		}
+		st.setLane(k, u, c)
+		u = l
 	}
-	st.set(d0, d1, l0, l1)
+	return tb
+}
+
+// sweepGo is the h-lane sweep in Go, every lane inside its window for
+// all len(m)−h steps: the loop body of pairSweep and quadSweep on other
+// architectures and their assemblies' reference. Step t computes lane
+// k's cell from its column score s[k·sStride+t] and its B column's gap
+// costs openB/extB[t+h−1−k], lane 0's from the row above at
+// m/x/y[t+h], and writes lane k's traceback byte to tb[t·h+k].
+// Lane h−1's cells go to m/x/y, h−1 columns behind the loads: its left
+// cell to index 0, step t's to t+1. openB and extB must hold len(m)−1
+// entries.
+func sweepGo(st *sweepState, h int, m, x, y, s, openB, extB []float64, tb []byte, sStride int) {
+	top := h - 1
+	x, y, openB, extB = x[:len(m)], y[:len(m)], openB[:len(m)-1], extB[:len(m)-1]
+	m[0], x[0], y[0] = st.lM[top], st.lX[top], st.lY[top]
+	for t := 0; t+h < len(m); t++ {
+		var sv, ob, eb [4]float64
+		for k := 0; k < h; k++ {
+			sv[k], ob[k], eb[k] = s[k*sStride+t], openB[t+top-k], extB[t+top-k]
+		}
+		b := st.step(h, 0, h, cell{m[t+h], x[t+h], y[t+h]}, &sv, &ob, &eb)
+		for k := 0; k < h; k++ {
+			tb[t*h+k] = b[k]
+		}
+		m[t+1], x[t+1], y[t+1] = st.lM[top], st.lX[top], st.lY[top]
+	}
 }
 
 // leadGap accumulates the boundary gap cost for leading gaps: first
