@@ -1,18 +1,8 @@
 package profile
 
-// colSweepPairs runs colSweep's loop over cells [0, len(dst)&^1) and
-// returns where it stopped: four cells per AVX2 instruction where
-// useAVX2 is set, else two per SSE2 one (colsweep_amd64.s). src and c1
+// colSweepPairs runs colSweep's loop over cells [0, len(dst)&^1) two at
+// a time (colsweep_amd64.s) and returns where it stopped. src and c1
 // must be at least len(dst) long, and so must c2 and occB unless empty.
-func colSweepPairs(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int {
-	if useAVX2 {
-		return colSweepQuads(dst, src, c1, c2, occB, v1, v2, occA)
-	}
-	return colSweepSSE2(dst, src, c1, c2, occB, v1, v2, occA)
-}
-
+//
 //go:noescape
-func colSweepSSE2(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
-
-//go:noescape
-func colSweepQuads(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
+func colSweepPairs(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int

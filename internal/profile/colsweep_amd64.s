@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// func colSweepSSE2(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
+// func colSweepPairs(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
 //
 // colSweep's loop over the whole pairs of cells [0, len(dst)&^1), two
 // cells per SSE2 instruction, one loop per sweep shape: a second letter
@@ -8,7 +8,7 @@
 // colSweepFrom's cell, every product rounded before its add:
 // (src + v1·c1) + v2·c2, then ·occA, then ·occB. dst may be src: a pair
 // is loaded before it is stored.
-TEXT ·colSweepSSE2(SB), NOSPLIT, $0-152
+TEXT ·colSweepPairs(SB), NOSPLIT, $0-152
 	MOVQ     dst_base+0(FP), DI
 	MOVQ     src_base+24(FP), SI
 	MOVQ     c1_base+48(FP), R8
@@ -101,124 +101,4 @@ oneScaleTest:
 
 done:
 	MOVQ CX, ret+144(FP)
-	RET
-
-// func colSweepQuads(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
-//
-// colSweepSSE2's loop in AVX2: four cells per VEX.256 instruction over
-// [0, len(dst)&^3), then one VEX.128 step for a pair left over, so it
-// stops where colSweepSSE2 does. Each lane is colSweepFrom's cell, every
-// product rounded before its add — no fused multiply-add.
-TEXT ·colSweepQuads(SB), NOSPLIT, $0-152
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         src_base+24(FP), SI
-	MOVQ         c1_base+48(FP), R8
-	MOVQ         c2_base+72(FP), R9
-	MOVQ         occB_base+96(FP), R10
-	MOVQ         dst_len+8(FP), DX
-	ANDQ         $-2, DX
-	MOVQ         DX, CX
-	ANDQ         $-4, CX
-	VBROADCASTSD v1+120(FP), Y8
-	VBROADCASTSD v2+128(FP), Y9
-	VBROADCASTSD occA+136(FP), Y10
-	XORQ         BX, BX
-	MOVQ         occB_len+104(FP), AX
-	TESTQ        AX, AX
-	JZ           noScale
-	MOVQ         c2_len+80(FP), AX
-	TESTQ        AX, AX
-	JZ           qoneScaleTest
-	JMP          qtwoScaleTest
-
-noScale:
-	MOVQ  c2_len+80(FP), AX
-	TESTQ AX, AX
-	JZ    qoneTest
-	JMP   qtwoTest
-
-
-qtwo: // dst = src + v1·c1 + v2·c2
-	VMULPD  (R8)(BX*8), Y8, Y0
-	VADDPD  (SI)(BX*8), Y0, Y1
-	VMULPD  (R9)(BX*8), Y9, Y2
-	VADDPD  Y2, Y1, Y1
-	VMOVUPD Y1, (DI)(BX*8)
-	ADDQ    $4, BX
-
-qtwoTest:
-	CMPQ BX, CX
-	JLT  qtwo
-	CMPQ BX, DX
-	JGE  qdone
-	VMULPD  (R8)(BX*8), X8, X0
-	VADDPD  (SI)(BX*8), X0, X1
-	VMULPD  (R9)(BX*8), X9, X2
-	VADDPD  X2, X1, X1
-	VMOVUPD X1, (DI)(BX*8)
-	JMP  qdone
-
-qtwoScale: // dst = (src + v1·c1 + v2·c2)·occA·occB
-	VMULPD  (R8)(BX*8), Y8, Y0
-	VADDPD  (SI)(BX*8), Y0, Y1
-	VMULPD  (R9)(BX*8), Y9, Y2
-	VADDPD  Y2, Y1, Y1
-	VMULPD  Y10, Y1, Y1
-	VMULPD  (R10)(BX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(BX*8)
-	ADDQ    $4, BX
-
-qtwoScaleTest:
-	CMPQ BX, CX
-	JLT  qtwoScale
-	CMPQ BX, DX
-	JGE  qdone
-	VMULPD  (R8)(BX*8), X8, X0
-	VADDPD  (SI)(BX*8), X0, X1
-	VMULPD  (R9)(BX*8), X9, X2
-	VADDPD  X2, X1, X1
-	VMULPD  X10, X1, X1
-	VMULPD  (R10)(BX*8), X1, X1
-	VMOVUPD X1, (DI)(BX*8)
-	JMP  qdone
-
-qone: // dst = src + v1·c1
-	VMULPD  (R8)(BX*8), Y8, Y0
-	VADDPD  (SI)(BX*8), Y0, Y1
-	VMOVUPD Y1, (DI)(BX*8)
-	ADDQ    $4, BX
-
-qoneTest:
-	CMPQ BX, CX
-	JLT  qone
-	CMPQ BX, DX
-	JGE  qdone
-	VMULPD  (R8)(BX*8), X8, X0
-	VADDPD  (SI)(BX*8), X0, X1
-	VMOVUPD X1, (DI)(BX*8)
-	JMP  qdone
-
-qoneScale: // dst = (src + v1·c1)·occA·occB
-	VMULPD  (R8)(BX*8), Y8, Y0
-	VADDPD  (SI)(BX*8), Y0, Y1
-	VMULPD  Y10, Y1, Y1
-	VMULPD  (R10)(BX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(BX*8)
-	ADDQ    $4, BX
-
-qoneScaleTest:
-	CMPQ BX, CX
-	JLT  qoneScale
-	CMPQ BX, DX
-	JGE  qdone
-	VMULPD  (R8)(BX*8), X8, X0
-	VADDPD  (SI)(BX*8), X0, X1
-	VMULPD  X10, X1, X1
-	VMULPD  (R10)(BX*8), X1, X1
-	VMOVUPD X1, (DI)(BX*8)
-	JMP  qdone
-
-qdone:
-	VZEROUPPER
-	MOVQ DX, ret+144(FP)
 	RET

@@ -2,9 +2,9 @@ package profile
 
 import "testing"
 
-// UseSSE2 switches the AVX2 loops off until t ends, so the kernel runs
+// UseSSE2 switches the AVX2 sweep off until t ends, so the kernel runs
 // two rows per sweep in SSE2 as on a CPU without AVX2. It reports false,
-// changing nothing, where they are off already.
+// changing nothing, where it is off already.
 func UseSSE2(t testing.TB) bool {
 	if !useAVX2 {
 		return false

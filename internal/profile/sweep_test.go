@@ -134,10 +134,9 @@ func TestAlignSmallGridMatchesReference(t *testing.T) {
 }
 
 // TestSSE2KernelMatchesOracles runs the kernel's oracle tests again with
-// the AVX2 loops switched off, so that a host with AVX2, where every
+// the AVX2 sweep switched off, so that a host with AVX2, where every
 // other test runs four rows per sweep, also holds the two-row SSE2
-// sweeps and the SSE2 column sweeps — what a CPU without AVX2 runs — to
-// the reference.
+// sweep — what a CPU without AVX2 runs — to the reference.
 func TestSSE2KernelMatchesOracles(t *testing.T) {
 	if !UseSSE2(t) {
 		t.Skip("no AVX2: the other tests already run the SSE2 kernel")
