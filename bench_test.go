@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -92,22 +93,27 @@ func kmerMatrix(b *testing.B, profiles []kmer.Profile, workers int) *kmer.Matrix
 	return m
 }
 
+// centralAndGlobalRanks is msabench's centralGlobal: the globalised pool
+// is the pipeline's regular sampling, each of the p blocks ranking
+// itself, sorting by (local rank, position) and giving the k = p−1
+// sequences evenly spaced through that order.
 func centralAndGlobalRanks(b *testing.B, seqs []bio.Sequence, p int) (central, global []float64) {
 	counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
 	profiles := counter.Profiles(seqs, 0)
 	central = kmerRanks(b, profiles, profiles)
-	// globalised: k·p regular samples, k = p−1 per "processor" block
-	k := p - 1
 	var samplePool []kmer.Profile
 	n := len(seqs)
 	for r := 0; r < p; r++ {
-		lo, hi := r*n/p, (r+1)*n/p
+		block := profiles[r*n/p : (r+1)*n/p]
+		local := kmerRanks(b, block, block)
+		order := make([]int, len(block))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(x, y int) bool { return local[order[x]] < local[order[y]] })
+		k := min(p-1, len(block))
 		for i := 0; i < k; i++ {
-			idx := lo + (i+1)*(hi-lo)/(k+1)
-			if idx >= hi {
-				idx = hi - 1
-			}
-			samplePool = append(samplePool, profiles[idx])
+			samplePool = append(samplePool, block[order[(i+1)*len(block)/(k+1)]])
 		}
 	}
 	global = kmerRanks(b, profiles, samplePool)

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -115,7 +116,10 @@ func (r *runner) diverseSet(n int) ([]bio.Sequence, error) {
 	return seqs, nil
 }
 
-// centralGlobal computes centralised and globalised (k·p samples) ranks.
+// centralGlobal computes centralised and globalised (k·p samples)
+// ranks. The globalised pool is the pipeline's regular sampling: each of
+// the p blocks ranks itself, sorts by (local rank, position) and gives
+// the k = p−1 sequences evenly spaced through that order.
 func centralGlobal(seqs []bio.Sequence, p int) (central, global []float64, err error) {
 	ctx := context.Background()
 	counter := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK)
@@ -124,21 +128,36 @@ func centralGlobal(seqs []bio.Sequence, p int) (central, global []float64, err e
 	if err != nil {
 		return nil, nil, err
 	}
-	k := p - 1
 	var pool []kmer.Profile
 	n := len(seqs)
 	for rk := 0; rk < p; rk++ {
-		lo, hi := rk*n/p, (rk+1)*n/p
-		for i := 0; i < k; i++ {
-			idx := lo + (i+1)*(hi-lo)/(k+1)
-			if idx >= hi {
-				idx = hi - 1
-			}
-			pool = append(pool, profiles[idx])
+		block := profiles[rk*n/p : (rk+1)*n/p]
+		var local []float64
+		if local, err = kmer.RanksContext(ctx, block, block, kmer.DefaultRankScale, 0); err != nil {
+			return nil, nil, err
+		}
+		for _, i := range regularSamples(local, p-1) {
+			pool = append(pool, block[i])
 		}
 	}
 	global, err = kmer.RanksContext(ctx, profiles, pool, kmer.DefaultRankScale, 0)
 	return central, global, err
+}
+
+// regularSamples returns the indices of the k items, k clamped to
+// len(ranks), at positions (i+1)·n/(k+1) of the order by (rank, index).
+func regularSamples(ranks []float64, k int) []int {
+	order := make([]int, len(ranks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ranks[order[a]] < ranks[order[b]] })
+	k = min(k, len(ranks))
+	at := make([]int, k)
+	for i := range at {
+		at[i] = order[(i+1)*len(ranks)/(k+1)]
+	}
+	return at
 }
 
 func (r *runner) fig1() error {

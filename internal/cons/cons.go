@@ -376,16 +376,16 @@ func (a *Aligner) mergeGroups(l, r *group, lib *library) *group {
 		}
 		return s / float64(len(l.ids)*len(r.ids))
 	}
-	// NW with zero gap cost, maximising total support; the score plane
-	// comes from the pooled DP workspace.
+	// NW with zero gap cost, maximising total support; the score matrix
+	// comes from the pooled DP workspace's float scratch.
 	type op byte
 	const (
 		opM, opA, opB op = 0, 1, 2
 	)
 	var rev []op
 	dp.With(func(w *dp.Workspace) {
-		w.ReserveScore(wa+1, wb+1)
-		mat := w.MP
+		w.ReserveTB(0)
+		mat := w.Floats((wa + 1) * (wb + 1))
 		cols := wb + 1
 		for j := 0; j <= wb; j++ {
 			mat[j] = 0

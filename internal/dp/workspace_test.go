@@ -20,40 +20,38 @@ func TestPackTBRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReserveSizesAndIndexing(t *testing.T) {
+func TestReserveSizesTracebackPlane(t *testing.T) {
 	var w Workspace
-	w.Reserve(3, 5)
-	if w.Rows() != 3 || w.Cols() != 5 {
-		t.Fatalf("dims %dx%d", w.Rows(), w.Cols())
+	w.ReserveTB(15)
+	if len(w.TB) != 15 {
+		t.Fatalf("plane length %d, want 15", len(w.TB))
 	}
-	if len(w.MP) != 15 || len(w.XP) != 15 || len(w.YP) != 15 || len(w.TB) != 15 {
-		t.Fatalf("plane lengths %d %d %d %d", len(w.MP), len(w.XP), len(w.YP), len(w.TB))
-	}
-	if w.At(2, 4) != 14 || w.At(0, 0) != 0 || w.At(1, 0) != 5 {
-		t.Fatalf("At broken: %d %d %d", w.At(2, 4), w.At(0, 0), w.At(1, 0))
+	w.ReserveTB(0)
+	if len(w.TB) != 0 {
+		t.Fatalf("plane length %d, want 0", len(w.TB))
 	}
 }
 
 func TestReserveGrowsInPlace(t *testing.T) {
 	var w Workspace
-	w.Reserve(10, 10)
-	big := &w.MP[0]
-	w.Reserve(4, 4) // shrink: must reuse the same backing
-	if len(w.MP) != 16 {
-		t.Fatalf("len %d", len(w.MP))
+	w.ReserveTB(100)
+	big := &w.TB[0]
+	w.ReserveTB(16) // shrink: must reuse the same backing
+	if len(w.TB) != 16 {
+		t.Fatalf("len %d", len(w.TB))
 	}
-	if &w.MP[0] != big {
-		t.Fatal("shrinking Reserve reallocated the backing array")
+	if &w.TB[0] != big {
+		t.Fatal("shrinking ReserveTB reallocated the backing array")
 	}
-	w.Reserve(20, 20) // grow: must reallocate
-	if len(w.MP) != 400 {
-		t.Fatalf("len %d", len(w.MP))
+	w.ReserveTB(400) // grow: must reallocate
+	if len(w.TB) != 400 {
+		t.Fatalf("len %d", len(w.TB))
 	}
 }
 
 func TestFloatsZeroedAndDisjoint(t *testing.T) {
 	var w Workspace
-	w.Reserve(1, 1)
+	w.ReserveTB(1)
 	a := w.Floats(8)
 	b := w.Floats(8)
 	for i := range a {
@@ -64,11 +62,11 @@ func TestFloatsZeroedAndDisjoint(t *testing.T) {
 			t.Fatalf("b[%d] = %v after writing a", i, v)
 		}
 	}
-	// dirty both, re-Reserve, and check fresh slices are zeroed again
+	// dirty both, re-reserve, and check fresh slices are zeroed again
 	for i := range b {
 		b[i] = 2
 	}
-	w.Reserve(1, 1)
+	w.ReserveTB(1)
 	c := w.Floats(16)
 	for i, v := range c {
 		if v != 0 {
@@ -79,7 +77,7 @@ func TestFloatsZeroedAndDisjoint(t *testing.T) {
 
 func TestFloatsGrowKeepsEarlierSlices(t *testing.T) {
 	var w Workspace
-	w.Reserve(1, 1)
+	w.ReserveTB(1)
 	a := w.Floats(4)
 	for i := range a {
 		a[i] = 7
@@ -106,18 +104,19 @@ func TestPoolConcurrent(t *testing.T) {
 				rows := 5 + g%7
 				cols := 3 + iter%11
 				With(func(w *Workspace) {
-					w.Reserve(rows, cols)
+					w.ReserveTB(rows * cols)
 					v := float64(g*1000 + iter)
-					for i := range w.MP {
-						w.MP[i] = v
+					mat := w.Floats(rows * cols)
+					for i := range mat {
+						mat[i] = v
 						w.TB[i] = byte(g)
 					}
 					aux := w.Floats(64)
 					for i := range aux {
 						aux[i] = v
 					}
-					for i := range w.MP {
-						if w.MP[i] != v || w.TB[i] != byte(g) {
+					for i := range mat {
+						if mat[i] != v || w.TB[i] != byte(g) {
 							t.Errorf("workspace aliased across goroutines")
 							break
 						}
@@ -129,22 +128,28 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestReserveScoreThenReserve(t *testing.T) {
-	// A score-only borrow grows MP alone; a later full Reserve on the
-	// same (pooled) workspace must still size XP/YP/TB correctly.
+// TestReserveResetsEveryArena checks that each typed arena hands out
+// slices disjoint from the others and from the plane, and that ReserveTB
+// rewinds all four: the second borrow of each type reuses its first
+// backing, zeroed again.
+func TestReserveResetsEveryArena(t *testing.T) {
 	var w Workspace
-	w.ReserveScore(30, 30)
-	if len(w.MP) != 900 || len(w.XP) != 0 || len(w.YP) != 0 || len(w.TB) != 0 {
-		t.Fatalf("score reserve: MP=%d XP=%d YP=%d TB=%d", len(w.MP), len(w.XP), len(w.YP), len(w.TB))
+	w.ReserveTB(8)
+	f, i16, b, i32 := w.Floats(8), w.Int16s(8), w.Bytes(8), w.Ints(8)
+	for k := range 8 {
+		f[k], i16[k], b[k], i32[k], w.TB[k] = 1, 2, 3, 4, 5
 	}
-	w.Reserve(20, 20)
-	if len(w.MP) != 400 || len(w.XP) != 400 || len(w.YP) != 400 || len(w.TB) != 400 {
-		t.Fatalf("full reserve after score: MP=%d XP=%d YP=%d TB=%d", len(w.MP), len(w.XP), len(w.YP), len(w.TB))
+	if f[0] != 1 || i16[0] != 2 || b[0] != 3 || i32[0] != 4 || w.TB[0] != 5 {
+		t.Fatal("arenas alias each other or the plane")
 	}
-	for i := range w.XP {
-		w.XP[i] = 1 // must not panic or alias MP
+	w.ReserveTB(8)
+	f2, i162, b2, i322 := w.Floats(8), w.Int16s(8), w.Bytes(8), w.Ints(8)
+	if &f2[0] != &f[0] || &i162[0] != &i16[0] || &b2[0] != &b[0] || &i322[0] != &i32[0] {
+		t.Fatal("ReserveTB did not rewind every arena")
 	}
-	if w.MP[0] == 1 {
-		t.Fatal("XP aliases MP")
+	for k := range 8 {
+		if f2[k] != 0 || i162[k] != 0 || b2[k] != 0 || i322[k] != 0 {
+			t.Fatalf("reused slices not zeroed at %d", k)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 //   - −inf-derived values stay well below every real value and above
 //     −32768 (dead chains are at most two extensions deep), so a
 //     comparison between a real and an unreachable cell falls the way
-//     the float64 kernel's comparison with −inf does.
+//     the float64 DP's comparison with −inf does.
 const (
 	scale      = 2
 	neg        = int16(-31000) // −inf sentinel
@@ -27,17 +27,17 @@ const (
 )
 
 // Table is the scaled-integer image of one (substitution matrix, gap
-// model) pair: an (L+1)×(L+1) int16 score table whose last row/column
-// hold the matrix's unknown-residue score, a byte→row map covering all
-// 256 residue bytes, and the scaled gap costs. Tables are immutable and
-// cached; a nil *Table means the pair has no exact int16 representation
-// and the caller must use the scalar kernel.
+// model) pair: an (L+1)×(L+1) int16 score table, indexed by residue
+// class (alphabet index, or L for any other byte), whose last row and
+// column hold the matrix's unknown-residue score, and the scaled gap
+// costs. Tables are immutable and cached; a nil *Table means the pair
+// has no exact int16 representation and the caller must run the DP in
+// float64.
 type Table struct {
 	L      int     // alphabet length; row L scores unknown residues
 	scores []int16 // (L+1)×(L+1), row-major, scaled
-	rowOf  [256]uint8
-	openE  int16 // scaled open+extend (charged when a gap opens)
-	ext    int16 // scaled extend
+	open   int16   // scaled gap open
+	ext    int16   // scaled extend
 
 	maxPos int64 // max positive scaled score (0 if none)
 	maxAbs int64 // max |scaled score|
@@ -52,7 +52,7 @@ var tables sync.Map // tableKey → *Table (nil when not representable)
 
 // For returns the cached quantization table for the matrix and gap
 // model, or nil when the pair is not exactly representable in scaled
-// int16 (the caller then runs the scalar kernel).
+// int16 (the caller then runs the DP in float64).
 func For(sub *submat.Matrix, gap submat.Gap) *Table {
 	key := tableKey{sub, gap}
 	if v, ok := tables.Load(key); ok {
@@ -96,14 +96,7 @@ func build(sub *submat.Matrix, gap submat.Gap) *Table {
 	if !ok || open < 0 || ext < 0 || int(open)+2*int(ext) > maxGapStep {
 		return nil
 	}
-	t.openE, t.ext = open+ext, ext
-	for b := 0; b < 256; b++ {
-		if idx := alpha.Index(byte(b)); idx >= 0 {
-			t.rowOf[b] = uint8(idx)
-		} else {
-			t.rowOf[b] = uint8(L)
-		}
-	}
+	t.open, t.ext = open, ext
 	for _, v := range t.scores {
 		sv := int64(v)
 		if sv > t.maxPos {
@@ -135,31 +128,27 @@ func (t *Table) Fits(n, m int) bool {
 	if (mn+1)*t.maxPos > maxReal {
 		return false
 	}
-	return 3*int64(t.openE)+int64(n+m+1)*int64(t.ext)+2*t.maxAbs <= maxReal
+	return 3*int64(t.open+t.ext)+int64(n+m+1)*int64(t.ext)+2*t.maxAbs <= maxReal
 }
 
-// MapRows translates residue bytes to table row indices (row L for any
-// byte outside the alphabet, mirroring Matrix.Score's unknown rule),
-// using the workspace byte arena.
-func (t *Table) MapRows(w *dp.Workspace, seq []byte) []byte {
-	r := w.Bytes(len(seq))
-	for i, c := range seq {
-		r[i] = t.rowOf[c]
-	}
-	return r
-}
+// Gap returns the scaled gap costs and the value the int16 DP holds
+// for −inf.
+func (t *Table) Gap() (open, ext, negInf int16) { return t.open, t.ext, neg }
 
-// queryProfile builds the Farrar query profile for row set rb: one
-// contiguous int16 score row per residue class, so the kernel's inner
-// loop does a single indexed load per cell.
-func (t *Table) queryProfile(w *dp.Workspace, rb []byte) []int16 {
-	m := len(rb)
+// Unscale converts a scaled DP score back to the matrix's units.
+func (t *Table) Unscale(v int16) float64 { return float64(v) / scale }
+
+// Profile builds the query profile of residue classes cb: one
+// contiguous int16 score row per class, so a DP's inner loop does a
+// single indexed load per cell.
+func (t *Table) Profile(w *dp.Workspace, cb []byte) []int16 {
+	m := len(cb)
 	L1 := t.L + 1
 	qp := w.Int16s(L1 * m)
 	for r := 0; r < L1; r++ {
 		srow := t.scores[r*L1 : (r+1)*L1]
 		qrow := qp[r*m : (r+1)*m]
-		for j, c := range rb {
+		for j, c := range cb {
 			qrow[j] = srow[c]
 		}
 	}

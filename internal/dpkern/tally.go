@@ -3,8 +3,8 @@ package dpkern
 import "sync/atomic"
 
 // Process-wide kernel-dispatch tally: how many pairwise global
-// alignments ran the int16 kernel vs. escaped to the scalar float64
-// kernel because the exactness bounds failed. The tracer samples deltas
+// alignments ran the DP in int16 vs. escaped to float64 because the
+// exactness bounds failed. The tracer samples deltas
 // around each bucket alignment, turning the tally into per-span
 // striped/escape counts.
 //
@@ -17,11 +17,11 @@ var (
 	escapeCalls  atomic.Int64
 )
 
-// NoteStriped records one alignment dispatched to the int16 kernel.
+// NoteStriped records one alignment whose DP ran in int16.
 func NoteStriped() { stripedCalls.Add(1) }
 
-// NoteEscape records one alignment that ran the scalar kernel because
-// the int16 kernel could not take it.
+// NoteEscape records one alignment whose DP ran in float64 because
+// int16 could not hold it exactly.
 func NoteEscape() { escapeCalls.Add(1) }
 
 // Tally is a snapshot of the kernel-dispatch counters.

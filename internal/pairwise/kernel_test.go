@@ -2,7 +2,10 @@ package pairwise
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bio"
@@ -11,13 +14,14 @@ import (
 	"repro/internal/submat"
 )
 
-// Cross-kernel property tests: Global and GlobalIdentityInto choose the
-// int16 kernel wherever its bounds hold, and must then produce the rows
-// and the score of the float64 body to the byte and the bit — the int16
-// kernel is an exactness contract, not an approximation, and the escape
-// must keep that true when the bounds do not hold. The float64 body is
-// called directly (scalarGlobal), the int16 one through the dispatch,
-// with the dispatch tally read to show which body ran.
+// Cross-kernel property tests: Global and GlobalIdentityInto run the DP
+// body in int16 wherever its bounds hold and in float64 otherwise, and
+// both must produce the rows and the score of the oracle, the full-plane
+// float64 body below, to the byte and the bit — the int16 instantiation
+// is an exactness contract, not an approximation, and the escape must
+// keep that true when the bounds do not hold. The oracle is called
+// directly (scalarGlobal), the body through the dispatch, with the
+// dispatch tally read to show which instantiation ran.
 
 func randSeqOf(rng *rand.Rand, n int, letters []byte) []byte {
 	s := make([]byte, n)
@@ -27,15 +31,94 @@ func randSeqOf(rng *rand.Rand, n int, letters []byte) []byte {
 	return s
 }
 
-// scalarGlobal is Global through the float64 body whatever the input.
+// scalarGlobal is Global through the oracle: the full-plane float64
+// Gotoh body, whatever the input.
 func scalarGlobal(al Aligner, a, b []byte) Result {
-	var r Result
-	dp.With(func(w *dp.Workspace) {
-		state, score := al.globalScalar(w, a, b)
-		r.A, r.B = traceAffine(w, a, b, state)
-		r.Score = score
-	})
-	return r
+	state, score, tb := al.globalScalar(a, b)
+	ra, rb := traceAffine(tb, a, b, state)
+	return Result{A: ra, B: rb, Score: score}
+}
+
+// globalScalar is the reference Gotoh DP: three (n+1)×(m+1) float64
+// score planes, the substitution score looked up per cell, and the
+// packed traceback plane it returns with the end state and score.
+func (al Aligner) globalScalar(a, b []byte) (byte, float64, []byte) {
+	n, m := len(a), len(b)
+	open, ext := al.Gap.Open, al.Gap.Extend
+	negInf := math.Inf(-1)
+
+	// DP planes. M: last pair aligned; X: gap in b; Y: gap in a.
+	cols := m + 1
+	M := make([]float64, (n+1)*cols)
+	X := make([]float64, (n+1)*cols)
+	Y := make([]float64, (n+1)*cols)
+	tb := make([]byte, (n+1)*cols)
+
+	M[0] = 0
+	X[0], Y[0] = negInf, negInf
+	for i := 1; i <= n; i++ {
+		idx := i * cols
+		M[idx], Y[idx] = negInf, negInf
+		X[idx] = -(open + float64(i)*ext)
+		tb[idx] = dp.PackTB(stM, stX, stM)
+	}
+	for j := 1; j <= m; j++ {
+		M[j], X[j] = negInf, negInf
+		Y[j] = -(open + float64(j)*ext)
+		tb[j] = dp.PackTB(stM, stM, stY)
+	}
+
+	for i := 1; i <= n; i++ {
+		row := i * cols
+		prev := row - cols
+		for j := 1; j <= m; j++ {
+			s := al.Sub.Score(a[i-1], b[j-1])
+			// M from best of three diagonal predecessors
+			d := prev + j - 1
+			bm, bs := stM, M[d]
+			if X[d] > bs {
+				bm, bs = stX, X[d]
+			}
+			if Y[d] > bs {
+				bm, bs = stY, Y[d]
+			}
+			M[row+j] = bs + s
+
+			// X: consume a[i-1] against a gap
+			up := prev + j
+			bx := stM
+			openX := M[up] - open - ext
+			if extX := X[up] - ext; openX >= extX {
+				X[row+j] = openX
+			} else {
+				X[row+j] = extX
+				bx = stX
+			}
+
+			// Y: consume b[j-1] against a gap
+			left := row + j - 1
+			by := stM
+			openY := M[left] - open - ext
+			if extY := Y[left] - ext; openY >= extY {
+				Y[row+j] = openY
+			} else {
+				Y[row+j] = extY
+				by = stY
+			}
+			tb[row+j] = dp.PackTB(bm, bx, by)
+		}
+	}
+
+	// choose the best final state
+	end := n*cols + m
+	state, score := stM, M[end]
+	if X[end] > score {
+		state, score = stX, X[end]
+	}
+	if Y[end] > score {
+		state, score = stY, Y[end]
+	}
+	return state, score, tb
 }
 
 // dispatched runs f and returns how many alignments inside it took the
@@ -209,6 +292,60 @@ func TestNonIntegralMatrixEscapes(t *testing.T) {
 	}
 }
 
+// TestInt16BoundPairsMatchOracle runs one pair on each side of
+// BLOSUM62's int16 bound, the shortest side at 1 271 (Fits holds) and at
+// 1 272 (it does not), and holds both to the oracle. The pairs are
+// near-copies of a run of W, BLOSUM62's highest score, so the int16 side
+// ends close to the largest value Fits admits.
+func TestInt16BoundPairsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	letters := bio.AminoAcids.Letters()
+	tbl := dpkern.For(prot.Sub, prot.Gap)
+	for _, c := range []struct {
+		n          int
+		int16, f64 int64
+	}{{1271, 1, 0}, {1272, 0, 1}} {
+		if tbl.Fits(c.n, c.n) != (c.int16 == 1) {
+			t.Fatalf("Fits(%d, %d) = %v", c.n, c.n, tbl.Fits(c.n, c.n))
+		}
+		a := bytes.Repeat([]byte{'W'}, c.n)
+		b := bytes.Repeat([]byte{'W'}, c.n)
+		for k := 0; k < c.n/20; k++ {
+			b[rng.Intn(c.n)] = letters[rng.Intn(len(letters))]
+		}
+		var got Result
+		int16Calls, escapes := dispatched(func() { got = prot.Global(a, b) })
+		if int16Calls != c.int16 || escapes != c.f64 {
+			t.Fatalf("n=%d: %d int16, %d float64 calls, want %d and %d", c.n, int16Calls, escapes, c.int16, c.f64)
+		}
+		assertSameResult(t, fmt.Sprintf("n=%d", c.n), scalarGlobal(prot, a, b), got)
+	}
+}
+
+// TestGlobalCommitsAboutOneBytePerCell pins the memory shape of one
+// call on a fresh workspace: the 1 B/cell traceback plane plus O(n+m)
+// rows, profile and classes, under 2 B/cell in all, in both number
+// types — where full score planes beside the traceback would be 7 B/cell
+// in int16 and 25 in float64.
+func TestGlobalCommitsAboutOneBytePerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	tbl := dpkern.For(prot.Sub, prot.Gap)
+	for _, n := range []int{500, 1500} {
+		a, b := randomSeq(rng, n), randomSeq(rng, n)
+		if tbl.Fits(n, n) != (n == 500) {
+			t.Fatalf("n=%d: want the int16 path at 500 only", n)
+		}
+		var w dp.Workspace
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		prot.globalInto(&w, a, b)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*(n+1)*(n+1)); got >= limit {
+			t.Errorf("n=%d: allocated %d bytes, want < %d (2 B/cell)", n, got, limit)
+		}
+	}
+}
+
 // FuzzKernelEquivalence holds the dispatched kernel to the float64 body
 // on arbitrary residue bytes (bytes outside the alphabet score as
 // unknown in both; the gap byte is replaced, since Identity reads it as
@@ -248,18 +385,47 @@ func FuzzKernelEquivalence(f *testing.F) {
 	})
 }
 
-// BenchmarkPairwiseGlobal prices the two bodies on one 500×500 pair.
+// fracMatrix is an amino-acid matrix whose scores are not multiples of
+// ½, so no exact int16 image exists and every pair runs in float64.
+func fracMatrix() *submat.Matrix {
+	L := bio.AminoAcids.Len()
+	table := make([][]float64, L)
+	for i := range table {
+		table[i] = make([]float64, L)
+		for j := range table[i] {
+			if i == j {
+				table[i][j] = 1.3
+			} else {
+				table[i][j] = -0.7
+			}
+		}
+	}
+	return submat.New("frac", bio.AminoAcids, table, -0.7)
+}
+
+// BenchmarkPairwiseGlobal prices Global on one random pair per case:
+// lengths 100, 300 and 500 run in int16; 1 500, past BLOSUM62's int16
+// bound, and the fractional matrix at 500 run in float64.
 func BenchmarkPairwiseGlobal(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x, y := randomSeq(rng, 500), randomSeq(rng, 500)
-	b.Run("kernel=scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scalarGlobal(prot, x, y)
-		}
-	})
-	b.Run("kernel=int16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prot.Global(x, y)
-		}
-	})
+	frac := Aligner{Sub: fracMatrix(), Gap: submat.DefaultProteinGap}
+	for _, c := range []struct {
+		name string
+		al   Aligner
+		n    int
+	}{
+		{"len=100", prot, 100},
+		{"len=300", prot, 300},
+		{"len=500", prot, 500},
+		{"len=1500", prot, 1500},
+		{"frac/len=500", frac, 500},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		x, y := randomSeq(rng, c.n), randomSeq(rng, c.n)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.al.Global(x, y)
+			}
+		})
+	}
 }

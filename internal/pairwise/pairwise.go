@@ -5,9 +5,9 @@
 // Scores are maximised; gap penalties are supplied as positive costs and a
 // gap of length g costs Open + g·Extend.
 //
-// All kernels run on pooled dp.Workspace scratch memory, so repeated
-// calls (a progressive alignment makes thousands) allocate only their
-// results, not their O(n·m) DP planes.
+// The DP runs on pooled dp.Workspace scratch memory, so repeated calls
+// (a progressive alignment makes thousands) allocate only their results,
+// not their O(n·m) traceback planes.
 package pairwise
 
 import (
@@ -39,8 +39,6 @@ type Result struct {
 	Score float64
 }
 
-var negInf = math.Inf(-1)
-
 // traceback states (shared with the dp package's packed traceback)
 const (
 	stM = dp.M // match/mismatch
@@ -54,7 +52,7 @@ func (al Aligner) Global(a, b []byte) Result {
 	var r Result
 	dp.With(func(w *dp.Workspace) {
 		state, score := al.globalInto(w, a, b)
-		r.A, r.B = traceAffine(w, a, b, state)
+		r.A, r.B = traceAffine(w.TB, a, b, state)
 		r.Score = score
 	})
 	return r
@@ -62,97 +60,128 @@ func (al Aligner) Global(a, b []byte) Result {
 
 // globalInto fills the workspace's traceback plane for the global
 // alignment of a and b and returns the optimal end state and score.
-// This is the one place a DP kernel is chosen: the int16 kernel of
-// internal/dpkern where its exactness bounds hold, globalScalar
-// otherwise. The traceback plane and score are identical whichever ran.
+// This is the one place a number type is chosen: int16 on the scale of
+// internal/dpkern where its exactness bounds hold, float64 otherwise.
+// The traceback plane and score are identical whichever ran.
 func (al Aligner) globalInto(w *dp.Workspace, a, b []byte) (byte, float64) {
 	n, m := len(a), len(b)
+	w.ReserveTB((n + 1) * (m + 1))
+	ca, cb := al.classes(w, a), al.classes(w, b)
 	if t := dpkern.For(al.Sub, al.Gap); t.Fits(n, m) {
 		dpkern.NoteStriped()
-		w.ReserveInt(n+1, m+1)
-		ra := t.MapRows(w, a)
-		rb := t.MapRows(w, b)
-		return t.Global(w, ra, rb)
+		open, ext, neg := t.Gap()
+		state, score := gotoh(w.TB, ca, t.Profile(w, cb), w.Int16s(6*(m+1)), m, open, ext, neg)
+		return state, t.Unscale(score)
 	}
 	dpkern.NoteEscape()
-	return al.globalScalar(w, a, b)
+	return gotoh(w.TB, ca, al.profile(w, cb), w.Floats(6*(m+1)), m, al.Gap.Open, al.Gap.Extend, math.Inf(-1))
 }
 
-// globalScalar is the float64 Gotoh kernel: the only one for matrices
-// with no exact int16 image and for inputs past the int16 bounds, and
-// the reference the int16 kernel is tested against.
-func (al Aligner) globalScalar(w *dp.Workspace, a, b []byte) (byte, float64) {
-	n, m := len(a), len(b)
-	open, ext := al.Gap.Open, al.Gap.Extend
-
-	// DP planes. M: last pair aligned; X: gap in b; Y: gap in a.
-	w.Reserve(n+1, m+1)
-	M, X, Y, tb := w.MP, w.XP, w.YP, w.TB
-	cols := m + 1
-
-	M[0] = 0
-	X[0], Y[0] = negInf, negInf
-	for i := 1; i <= n; i++ {
-		idx := i * cols
-		M[idx], Y[idx] = negInf, negInf
-		X[idx] = -(open + float64(i)*ext)
-		tb[idx] = dp.PackTB(stM, stX, stM)
+// classes maps each residue of s to its score-table row: the alphabet
+// index of a letter, L for any other byte (Matrix.Score's unknown rule).
+func (al Aligner) classes(w *dp.Workspace, s []byte) []byte {
+	alpha := al.Sub.Alphabet()
+	unknown := byte(alpha.Len())
+	c := w.Bytes(len(s))
+	for i, r := range s {
+		if k := alpha.Index(r); k >= 0 {
+			c[i] = byte(k)
+		} else {
+			c[i] = unknown
+		}
 	}
-	for j := 1; j <= m; j++ {
-		M[j], X[j] = negInf, negInf
-		Y[j] = -(open + float64(j)*ext)
+	return c
+}
+
+// profile is the float64 query profile of residue classes cb: for each
+// class r, the length-len(cb) row of Sub's scores of r against cb.
+func (al Aligner) profile(w *dp.Workspace, cb []byte) []float64 {
+	L, m := al.Sub.Alphabet().Len(), len(cb)
+	qp := w.Floats((L + 1) * m)
+	for r := 0; r <= L; r++ {
+		row := qp[r*m : (r+1)*m]
+		for j, c := range cb {
+			if r == L || int(c) == L {
+				row[j] = al.Sub.Unknown()
+			} else {
+				row[j] = al.Sub.ScoreIdx(r, int(c))
+			}
+		}
+	}
+	return qp
+}
+
+// gotoh is the affine-gap global DP: it fills the traceback plane tb
+// ((len(ca)+1)×(m+1), row-major) for residue classes ca against the
+// length-m sequence whose query profile is qp, and returns the end
+// state and score. T is float64, or int16 on a dpkern.Table's scale
+// where its Fits holds; both run the same expressions in the same order,
+// so wherever int16 computes exactly the two give the same plane and
+// score. M is the last pair aligned, X a gap in b, Y a gap in a; neg
+// stands for −inf.
+//
+// Scores live in two rolling rows per state, carved from rows
+// (6·(m+1) values): DP row i is in half i&1. Each row runs in two passes: pass 1 computes M and
+// X, which read only the row above; pass 2 runs the serial Y chain and
+// folds its choices into the traceback bytes pass 1 wrote.
+func gotoh[T int16 | float64](tb, ca []byte, qp, rows []T, m int, open, ext, neg T) (byte, T) {
+	cols := m + 1
+	half := func(i int) (mm, xx, yy []T) {
+		r := rows[(i&1)*3*cols:]
+		return r[:cols], r[cols:][:cols], r[2*cols:][:cols]
+	}
+
+	pm, px, py := half(0)
+	pm[0], px[0], py[0] = 0, neg, neg
+	for j := 1; j < cols; j++ {
+		pm[j], px[j] = neg, neg
+		py[j] = -(open + T(j)*ext)
 		tb[j] = dp.PackTB(stM, stM, stY)
 	}
+	for i := 1; i <= len(ca); i++ {
+		pm, px, py := half(i - 1)
+		cm, cx, cy := half(i)
+		tr := tb[i*cols:][:cols]
+		q := qp[int(ca[i-1])*m:][:m]
+		cm[0], cy[0] = neg, neg
+		cx[0] = -(open + T(i)*ext)
+		tr[0] = dp.PackTB(stM, stX, stM)
 
-	for i := 1; i <= n; i++ {
-		row := i * cols
-		prev := row - cols
-		for j := 1; j <= m; j++ {
-			s := al.Sub.Score(a[i-1], b[j-1])
-			// M from best of three diagonal predecessors
-			d := prev + j - 1
-			bm, bs := stM, M[d]
-			if X[d] > bs {
-				bm, bs = stX, X[d]
+		for j := 1; j < cols; j++ {
+			bm, bs := stM, pm[j-1]
+			if v := px[j-1]; v > bs {
+				bm, bs = stX, v
 			}
-			if Y[d] > bs {
-				bm, bs = stY, Y[d]
+			if v := py[j-1]; v > bs {
+				bm, bs = stY, v
 			}
-			M[row+j] = bs + s
+			cm[j] = bs + q[j-1]
+			vx, bx := pm[j]-open-ext, stM
+			if v := px[j] - ext; vx < v {
+				vx, bx = v, stX
+			}
+			cx[j] = vx
+			tr[j] = bm | bx<<2
+		}
 
-			// X: consume a[i-1] against a gap
-			up := prev + j
-			bx := stM
-			openX := M[up] - open - ext
-			if extX := X[up] - ext; openX >= extX {
-				X[row+j] = openX
-			} else {
-				X[row+j] = extX
-				bx = stX
+		vy := cy[0]
+		for j := 1; j < cols; j++ {
+			y, by := cm[j-1]-open-ext, stM
+			if v := vy - ext; y < v {
+				y, by = v, stY
 			}
-
-			// Y: consume b[j-1] against a gap
-			left := row + j - 1
-			by := stM
-			openY := M[left] - open - ext
-			if extY := Y[left] - ext; openY >= extY {
-				Y[row+j] = openY
-			} else {
-				Y[row+j] = extY
-				by = stY
-			}
-			tb[row+j] = dp.PackTB(bm, bx, by)
+			vy, cy[j] = y, y
+			tr[j] |= by << 4
 		}
 	}
 
-	// choose the best final state
-	end := n*cols + m
-	state, score := stM, M[end]
-	if X[end] > score {
-		state, score = stX, X[end]
+	em, ex, ey := half(len(ca))
+	state, score := stM, em[m]
+	if ex[m] > score {
+		state, score = stX, ex[m]
 	}
-	if Y[end] > score {
-		state, score = stY, Y[end]
+	if ey[m] > score {
+		state, score = stY, ey[m]
 	}
 	return state, score
 }
@@ -167,7 +196,7 @@ func (al Aligner) GlobalIdentityInto(w *dp.Workspace, a, b []byte) float64 {
 	i, j := len(a), len(b)
 	same, pairs := 0, 0
 	for i > 0 || j > 0 {
-		cell := w.TB[w.At(i, j)]
+		cell := w.TB[i*(len(b)+1)+j]
 		switch state {
 		case stM:
 			pairs++
@@ -191,15 +220,16 @@ func (al Aligner) GlobalIdentityInto(w *dp.Workspace, a, b []byte) float64 {
 	return float64(same) / float64(pairs)
 }
 
-// traceAffine follows the packed traceback plane from (len(a), len(b))
-// back to the origin, emitting the gapped rows.
-func traceAffine(w *dp.Workspace, a, b []byte, state byte) ([]byte, []byte) {
+// traceAffine follows the packed traceback plane ((len(a)+1)×(len(b)+1),
+// row-major) from (len(a), len(b)) back to the origin, emitting the
+// gapped rows.
+func traceAffine(tb, a, b []byte, state byte) ([]byte, []byte) {
 	n, m := len(a), len(b)
 	ra := make([]byte, 0, n+m)
 	rb := make([]byte, 0, n+m)
 	i, j := n, m
 	for i > 0 || j > 0 {
-		cell := w.TB[w.At(i, j)]
+		cell := tb[i*(m+1)+j]
 		switch state {
 		case stM:
 			ra = append(ra, a[i-1])

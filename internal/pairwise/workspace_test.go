@@ -17,8 +17,8 @@ func randomSeq(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// TestKernelsDeterministicAcrossReuse runs both kernel bodies twice over
-// the same inputs with other work in between, proving recycled
+// TestKernelsDeterministicAcrossReuse runs Global and the oracle twice
+// over the same inputs with other work in between, proving recycled
 // workspace memory never leaks into results.
 func TestKernelsDeterministicAcrossReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

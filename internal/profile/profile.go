@@ -440,7 +440,7 @@ func (al *Aligner) alignRows(w *dp.Workspace, a, b *Profile, diagLo, diagHi int)
 		h = 4
 	}
 	plane := tbPlane{m, h}
-	w.ReserveTB(1, plane.size(n)) // one flat plane, indexed by plane.at
+	w.ReserveTB(plane.size(n)) // indexed by plane.at
 	sc := al.pspSetup(w, a, b)
 	open, ext := al.Gap.Open, al.Gap.Extend
 	inf := math.Inf(1)

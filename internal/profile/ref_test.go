@@ -96,7 +96,7 @@ type refPlanes struct {
 func newRefPlanes(n, m int) *refPlanes {
 	cells := (n + 1) * (m + 1)
 	p := &refPlanes{M: make([]float64, cells), X: make([]float64, cells), Y: make([]float64, cells)}
-	p.w.ReserveTB(n+1, m+1)
+	p.w.ReserveTB(cells)
 	return p
 }
 
