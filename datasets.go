@@ -101,24 +101,12 @@ func SampleGenomeProteins(cfg GenomeConfig, n int, sampleSeed int64) ([]Sequence
 
 // PrefabSet is one PREFAB-like benchmark unit: sequences plus the true
 // reference alignment of two of them.
-type PrefabSet struct {
-	ID   string
-	Seqs []Sequence
-	Ref  *Alignment
-}
+type PrefabSet = prefab.Set
 
 // GeneratePrefab builds a PREFAB-like quality benchmark (the paper's
 // Table 2 workload): numSets sets of ~24 sequences of varying divergence.
 func GeneratePrefab(numSets int, seed int64) ([]PrefabSet, error) {
-	sets, err := prefab.Generate(prefab.Config{NumSets: numSets, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PrefabSet, len(sets))
-	for i, s := range sets {
-		out[i] = PrefabSet{ID: s.ID, Seqs: s.Seqs, Ref: s.Ref}
-	}
-	return out, nil
+	return prefab.Generate(prefab.Config{NumSets: numSets, Seed: seed})
 }
 
 // EvaluatePrefab scores an aligner (by name, or "sample-align-d:p" for
@@ -130,11 +118,7 @@ func EvaluatePrefab(ctx context.Context, alignerName string, sets []PrefabSet) (
 	if err != nil {
 		return 0, err
 	}
-	native := make([]prefab.Set, len(sets))
-	for i, s := range sets {
-		native[i] = prefab.Set{ID: s.ID, Seqs: s.Seqs, Ref: s.Ref}
-	}
-	mean, _, err := prefab.Evaluate(ctx, al, native)
+	mean, _, err := prefab.Evaluate(ctx, al, sets)
 	return mean, err
 }
 

@@ -126,15 +126,13 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		return nil, nil, fmt.Errorf("core: rank %d local alignment: %w", c.Rank(), err)
 	}
 	if bsp != nil {
-		// Striped-vs-escape deltas come from process-wide counters, so
-		// concurrent jobs in one server overlap in them; within a single
-		// run they attribute kernel dispatch to this bucket alignment.
-		d := dpkern.TallySnapshot().Sub(tally0)
+		// The integer-DP call delta comes from a process-wide counter,
+		// so concurrent jobs in one server overlap in it; within a single
+		// run it attributes pairwise DP calls to this bucket alignment.
 		bsp.SetInt("seqs", int64(len(bucketSeqs)))
 		bsp.SetInt("workers", int64(cfg.Workers))
 		bsp.SetStr("aligner", localAligner.Name())
-		bsp.SetInt("striped_calls", d.Striped)
-		bsp.SetInt("escape_calls", d.Escaped)
+		bsp.SetInt("striped_calls", dpkern.TallySnapshot().Sub(tally0).Striped)
 	}
 	bsp.End()
 	stats.Timings.LocalAlign = tPhase.elapsed()
@@ -154,12 +152,15 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	tPhase = startClock()
 	actx, asp := obs.Start(mctx, "ancestor")
 	defer asp.End()
+	// One profile of the bucket alignment serves the ancestor and the
+	// fine-tune.
+	localProf, err := localAln.Profile(submat.BLOSUM62.Alphabet())
+	if err != nil {
+		return nil, nil, err
+	}
 	var localAnc []byte
 	if localAln.NumSeqs() > 0 {
-		localAnc, err = localAln.Consensus(submat.BLOSUM62.Alphabet(), ancestorOcc)
-		if err != nil {
-			return nil, nil, err
-		}
+		localAnc = localProf.Consensus(ancestorOcc)
 	}
 	ancestors, err := mpi.GatherValues(c, tagAncGather, localAnc)
 	if err != nil {
@@ -187,10 +188,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	path, err := templatePath(localAln, ga)
-	if err != nil {
-		return nil, nil, err
-	}
+	path := templatePath(localProf, ga)
 	fsp.End()
 	stats.Timings.FineTune = tPhase.elapsed()
 

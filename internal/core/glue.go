@@ -13,13 +13,14 @@ import (
 	"repro/internal/submat"
 )
 
-// templatePath profile-aligns a rank's local alignment against the global
-// ancestor template (the paper's fine-tuning step) and returns the merge
-// path: which local columns match which GA columns and where insertions
-// fall. An empty local alignment maps to "all GA columns unmatched"; an
-// empty GA maps to "all local columns are insertions".
-func templatePath(localAln *msa.Alignment, ga []byte) (profile.Path, error) {
-	localCols := localAln.Width()
+// templatePath profile-aligns a rank's local alignment, given as its
+// profile lp, against the global ancestor template (the paper's
+// fine-tuning step) and returns the merge path: which local columns
+// match which GA columns and where insertions fall. An empty local
+// alignment maps to "all GA columns unmatched"; an empty GA maps to
+// "all local columns are insertions".
+func templatePath(lp *profile.Profile, ga []byte) profile.Path {
+	localCols := lp.Len()
 	if len(ga) == 0 || localCols == 0 {
 		path := make(profile.Path, 0, localCols+len(ga))
 		for i := 0; i < localCols; i++ {
@@ -28,17 +29,12 @@ func templatePath(localAln *msa.Alignment, ga []byte) (profile.Path, error) {
 		for g := 0; g < len(ga); g++ {
 			path = append(path, profile.OpB)
 		}
-		return path, nil
+		return path
 	}
-	alpha := submat.BLOSUM62.Alphabet()
-	lp, err := localAln.Profile(alpha)
-	if err != nil {
-		return nil, err
-	}
-	gp := profile.FromSequence(alpha, ga)
+	gp := profile.FromSequence(submat.BLOSUM62.Alphabet(), ga)
 	aligner := profile.NewAligner(submat.BLOSUM62, submat.DefaultProteinGap)
 	path, _ := aligner.Align(lp, gp)
-	return path, nil
+	return path
 }
 
 // glueRow is one aligned row on its way to the root, with the global

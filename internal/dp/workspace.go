@@ -11,11 +11,12 @@
 // it needs inside it, and the workspace goes back to the pool when the
 // literal returns, so steady-state kernels run allocation-free.
 //
-// The affine-gap kernels of internal/pairwise and internal/profile keep
-// their scores in O(n+m) rolling rows drawn from the typed scratch
-// arenas; the only O(n·m) memory of such a pass is the traceback plane,
-// one byte per cell. A DP that traces back through its scores instead
-// (the cons merge) takes its score matrix from the float arena.
+// The affine-gap kernels of internal/pairwise (int64) and
+// internal/profile (float64) keep their scores in O(n+m) rolling rows
+// drawn from the typed scratch arenas; the only O(n·m) memory of such a
+// pass is the traceback plane, one byte per cell. A DP that traces back
+// through its scores instead (the cons merge) takes its score matrix
+// from the float arena.
 //
 // The three per-state traceback arrays of the classic affine-gap
 // formulation are merged into a single byte plane: each cell packs the
@@ -63,7 +64,7 @@ type Workspace struct {
 	TB []byte
 
 	f   arena[float64]
-	i16 arena[int16]
+	i64 arena[int64]
 	b   arena[byte]
 	i32 arena[int32]
 }
@@ -79,7 +80,7 @@ func (w *Workspace) ReserveTB(cells int) {
 		w.TB = make([]byte, cells)
 	}
 	w.TB = w.TB[:cells]
-	w.f.off, w.i16.off, w.b.off, w.i32.off = 0, 0, 0, 0
+	w.f.off, w.i64.off, w.b.off, w.i32.off = 0, 0, 0, 0
 }
 
 // arena hands out zeroed slices of one element type from a backing
@@ -107,9 +108,9 @@ func (a *arena[T]) take(n int) []T {
 // arena. Slices stay valid until the next ReserveTB.
 func (w *Workspace) Floats(n int) []float64 { return w.f.take(n) }
 
-// Int16s hands out a zeroed length-n int16 slice, with the same
+// Int64s hands out a zeroed length-n int64 slice, with the same
 // lifetime as Floats.
-func (w *Workspace) Int16s(n int) []int16 { return w.i16.take(n) }
+func (w *Workspace) Int64s(n int) []int64 { return w.i64.take(n) }
 
 // Bytes hands out a zeroed length-n byte slice, with the same lifetime
 // as Floats.

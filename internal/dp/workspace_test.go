@@ -135,20 +135,20 @@ func TestPoolConcurrent(t *testing.T) {
 func TestReserveResetsEveryArena(t *testing.T) {
 	var w Workspace
 	w.ReserveTB(8)
-	f, i16, b, i32 := w.Floats(8), w.Int16s(8), w.Bytes(8), w.Ints(8)
+	f, i64, b, i32 := w.Floats(8), w.Int64s(8), w.Bytes(8), w.Ints(8)
 	for k := range 8 {
-		f[k], i16[k], b[k], i32[k], w.TB[k] = 1, 2, 3, 4, 5
+		f[k], i64[k], b[k], i32[k], w.TB[k] = 1, 2, 3, 4, 5
 	}
-	if f[0] != 1 || i16[0] != 2 || b[0] != 3 || i32[0] != 4 || w.TB[0] != 5 {
+	if f[0] != 1 || i64[0] != 2 || b[0] != 3 || i32[0] != 4 || w.TB[0] != 5 {
 		t.Fatal("arenas alias each other or the plane")
 	}
 	w.ReserveTB(8)
-	f2, i162, b2, i322 := w.Floats(8), w.Int16s(8), w.Bytes(8), w.Ints(8)
-	if &f2[0] != &f[0] || &i162[0] != &i16[0] || &b2[0] != &b[0] || &i322[0] != &i32[0] {
+	f2, i642, b2, i322 := w.Floats(8), w.Int64s(8), w.Bytes(8), w.Ints(8)
+	if &f2[0] != &f[0] || &i642[0] != &i64[0] || &b2[0] != &b[0] || &i322[0] != &i32[0] {
 		t.Fatal("ReserveTB did not rewind every arena")
 	}
 	for k := range 8 {
-		if f2[k] != 0 || i162[k] != 0 || b2[k] != 0 || i322[k] != 0 {
+		if f2[k] != 0 || i642[k] != 0 || b2[k] != 0 || i322[k] != 0 {
 			t.Fatalf("reused slices not zeroed at %d", k)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestForShippedMatrices(t *testing.T) {
 	// Every shipped (matrix, gap) pair is half-integral and must have an
-	// exact int16 image — the int16 kernel covers the default paths.
+	// exact int64 image, or the pairwise DP refuses it.
 	if For(submat.BLOSUM62, submat.DefaultProteinGap) == nil {
 		t.Error("BLOSUM62 + default protein gap: want a table, got nil")
 	}
@@ -23,7 +23,7 @@ func TestForShippedMatrices(t *testing.T) {
 }
 
 // fracMatrix builds an amino-acid matrix whose scores are not multiples
-// of ½ — no exact scaled-int16 image exists.
+// of ½ — no exact scale-2 image exists.
 func fracMatrix() *submat.Matrix {
 	L := bio.AminoAcids.Len()
 	table := make([][]float64, L)
@@ -47,9 +47,13 @@ func TestForRejectsNonDyadic(t *testing.T) {
 }
 
 func TestForRejectsExtremeGapModels(t *testing.T) {
-	// open + 2·extend beyond maxGapStep would let −inf chains wrap int16.
-	if tbl := For(submat.BLOSUM62, submat.Gap{Open: 300, Extend: 300}); tbl != nil {
-		t.Error("huge gap model: want nil table")
+	// A gap cost beyond maxStep would void the int64 bound argument.
+	if tbl := For(submat.BLOSUM62, submat.Gap{Open: maxStep, Extend: 1}); tbl != nil {
+		t.Error("gap open past the step bound: want nil table")
+	}
+	// Within the bound, large gap models have an image.
+	if For(submat.BLOSUM62, submat.Gap{Open: 300, Extend: 300}) == nil {
+		t.Error("300/300 gap model: want a table, got nil")
 	}
 	// Negative penalties never occur; reject rather than reason about them.
 	if tbl := For(submat.BLOSUM62, submat.Gap{Open: -1, Extend: 1}); tbl != nil {
@@ -57,35 +61,5 @@ func TestForRejectsExtremeGapModels(t *testing.T) {
 	}
 	if tbl := For(submat.BLOSUM62, submat.Gap{Open: 1, Extend: 0.25}); tbl != nil {
 		t.Error("quarter-integral extend: want nil table")
-	}
-}
-
-func TestFitsBounds(t *testing.T) {
-	tbl := For(submat.BLOSUM62, submat.DefaultProteinGap)
-	if tbl == nil {
-		t.Fatal("no BLOSUM62 table")
-	}
-	if !tbl.Fits(100, 100) || !tbl.Fits(1, 1) {
-		t.Error("small problems must fit")
-	}
-	if tbl.Fits(0, 10) || tbl.Fits(10, 0) {
-		t.Error("empty sides never fit (scalar path handles them)")
-	}
-	// BLOSUM62's max score is 11 (22 scaled): min(n,m) ~> maxReal/22
-	// must be rejected — the positive bound would overflow.
-	if tbl.Fits(4000, 4000) {
-		t.Error("huge min-side must not fit")
-	}
-	// Long-and-thin stays fine on the positive side but the gap floor
-	// must eventually reject it: 3·openE + (n+m+1)·ext grows with n.
-	if !tbl.Fits(5, 1000) {
-		t.Error("long-and-thin within gap floor must fit")
-	}
-	if tbl.Fits(5, 30000) {
-		t.Error("gap floor must reject extreme total length")
-	}
-	var nilTbl *Table
-	if nilTbl.Fits(5, 5) {
-		t.Error("nil table never fits")
 	}
 }

@@ -2,29 +2,22 @@ package dpkern
 
 import "sync/atomic"
 
-// Process-wide kernel-dispatch tally: how many pairwise global
-// alignments ran the DP in int16 vs. escaped to float64 because the
-// exactness bounds failed. The tracer samples deltas
-// around each bucket alignment, turning the tally into per-span
-// striped/escape counts.
+// Process-wide tally of pairwise global alignments run by the integer
+// DP. The tracer samples deltas around each bucket alignment, turning
+// the tally into per-span counts.
 //
-// The counters are observational only; nothing in alignment control
-// flow reads them, so they cannot perturb the byte-identical
-// determinism contract. Note they are process-wide: concurrent jobs in
-// one server overlap in the deltas.
-var (
-	stripedCalls atomic.Int64
-	escapeCalls  atomic.Int64
-)
+// The counter is observational only; nothing in alignment control flow
+// reads it, so it cannot perturb the byte-identical determinism
+// contract. It is process-wide: concurrent jobs in one server overlap
+// in the deltas.
+var stripedCalls atomic.Int64
 
-// NoteStriped records one alignment whose DP ran in int16.
+// NoteStriped records one alignment whose DP ran in int64.
 func NoteStriped() { stripedCalls.Add(1) }
 
-// NoteEscape records one alignment whose DP ran in float64 because
-// int16 could not hold it exactly.
-func NoteEscape() { escapeCalls.Add(1) }
-
-// Tally is a snapshot of the kernel-dispatch counters.
+// Tally is a snapshot of the kernel-dispatch counters. Escaped is
+// always 0: every call runs the integer DP. It stays for readers of
+// the old two-path tally (the benchmark's replay reports it).
 type Tally struct {
 	Striped int64
 	Escaped int64
@@ -32,7 +25,7 @@ type Tally struct {
 
 // TallySnapshot returns the current process-wide dispatch counts.
 func TallySnapshot() Tally {
-	return Tally{Striped: stripedCalls.Load(), Escaped: escapeCalls.Load()}
+	return Tally{Striped: stripedCalls.Load()}
 }
 
 // Sub returns the delta t - t0, for bracketing a pipeline phase.

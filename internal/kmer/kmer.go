@@ -66,12 +66,6 @@ func MustCounter(comp *bio.Compressed, k int) *Counter {
 	return c
 }
 
-// K returns the k-mer length.
-func (c *Counter) K() int { return c.k }
-
-// Alphabet returns the compressed alphabet in use.
-func (c *Counter) Alphabet() *bio.Compressed { return c.comp }
-
 // Entry is one k-mer code with its occurrence count.
 type Entry struct {
 	Code  uint32

@@ -1,9 +1,14 @@
-// Package pairwise implements the dynamic-programming sequence alignment
-// kernel every higher layer builds on: global alignment with affine gap
-// penalties (Gotoh).
+// Package pairwise implements global alignment of two sequences with
+// affine gap penalties (Gotoh), the DP behind the CLUSTALW and T-Coffee
+// engines' pairwise passes.
 //
 // Scores are maximised; gap penalties are supplied as positive costs and a
 // gap of length g costs Open + g·Extend.
+//
+// The DP runs in int64 on the scale-2 image of internal/dpkern. Every
+// shipped matrix and gap model is half-integral, so that is the float64
+// DP computed exactly, at any length; a matrix or gap model with no such
+// image makes Global panic.
 //
 // The DP runs on pooled dp.Workspace scratch memory, so repeated calls
 // (a progressive alignment makes thousands) allocate only their results,
@@ -11,7 +16,7 @@
 package pairwise
 
 import (
-	"math"
+	"fmt"
 
 	"repro/internal/bio"
 	"repro/internal/dp"
@@ -59,22 +64,29 @@ func (al Aligner) Global(a, b []byte) Result {
 }
 
 // globalInto fills the workspace's traceback plane for the global
-// alignment of a and b and returns the optimal end state and score.
-// This is the one place a number type is chosen: int16 on the scale of
-// internal/dpkern where its exactness bounds hold, float64 otherwise.
-// The traceback plane and score are identical whichever ran.
+// alignment of a and b and returns the optimal end state and score. The
+// DP runs in int64 on the scale-2 image of internal/dpkern, which is
+// exact at every length, so plane and score are the float64 DP's. It
+// panics when the matrix or gap model has no such image (no shipped
+// matrix or gap model is one).
 func (al Aligner) globalInto(w *dp.Workspace, a, b []byte) (byte, float64) {
+	t := dpkern.For(al.Sub, al.Gap)
+	if t == nil {
+		panic(fmt.Sprintf("pairwise: matrix %s with gap %+v has no exact half-unit integer image", al.Sub.Name(), al.Gap))
+	}
+	dpkern.NoteStriped()
 	n, m := len(a), len(b)
 	w.ReserveTB((n + 1) * (m + 1))
 	ca, cb := al.classes(w, a), al.classes(w, b)
-	if t := dpkern.For(al.Sub, al.Gap); t.Fits(n, m) {
-		dpkern.NoteStriped()
-		open, ext, neg := t.Gap()
-		state, score := gotoh(w.TB, ca, t.Profile(w, cb), w.Int16s(6*(m+1)), m, open, ext, neg)
-		return state, t.Unscale(score)
-	}
-	dpkern.NoteEscape()
-	return gotoh(w.TB, ca, al.profile(w, cb), w.Floats(6*(m+1)), m, al.Gap.Open, al.Gap.Extend, math.Inf(-1))
+	// One arena take holds the query profile and the rolling rows, so a
+	// fresh workspace grows its int64 arena once.
+	np := (t.L + 1) * m
+	buf := w.Int64s(np + 6*(m+1))
+	qp, rows := buf[:np], buf[np:]
+	t.Profile(qp, cb)
+	open, ext, neg := t.Gap()
+	state, score := gotoh(w.TB, ca, qp, rows, m, open, ext, neg)
+	return state, t.Unscale(score)
 }
 
 // classes maps each residue of s to its score-table row: the alphabet
@@ -93,40 +105,19 @@ func (al Aligner) classes(w *dp.Workspace, s []byte) []byte {
 	return c
 }
 
-// profile is the float64 query profile of residue classes cb: for each
-// class r, the length-len(cb) row of Sub's scores of r against cb.
-func (al Aligner) profile(w *dp.Workspace, cb []byte) []float64 {
-	L, m := al.Sub.Alphabet().Len(), len(cb)
-	qp := w.Floats((L + 1) * m)
-	for r := 0; r <= L; r++ {
-		row := qp[r*m : (r+1)*m]
-		for j, c := range cb {
-			if r == L || int(c) == L {
-				row[j] = al.Sub.Unknown()
-			} else {
-				row[j] = al.Sub.ScoreIdx(r, int(c))
-			}
-		}
-	}
-	return qp
-}
-
 // gotoh is the affine-gap global DP: it fills the traceback plane tb
 // ((len(ca)+1)×(m+1), row-major) for residue classes ca against the
 // length-m sequence whose query profile is qp, and returns the end
-// state and score. T is float64, or int16 on a dpkern.Table's scale
-// where its Fits holds; both run the same expressions in the same order,
-// so wherever int16 computes exactly the two give the same plane and
-// score. M is the last pair aligned, X a gap in b, Y a gap in a; neg
-// stands for −inf.
+// state and score, all on a dpkern.Table's scale. M is the last pair
+// aligned, X a gap in b, Y a gap in a; neg stands for −inf.
 //
 // Scores live in two rolling rows per state, carved from rows
 // (6·(m+1) values): DP row i is in half i&1. Each row runs in two passes: pass 1 computes M and
 // X, which read only the row above; pass 2 runs the serial Y chain and
 // folds its choices into the traceback bytes pass 1 wrote.
-func gotoh[T int16 | float64](tb, ca []byte, qp, rows []T, m int, open, ext, neg T) (byte, T) {
+func gotoh(tb, ca []byte, qp, rows []int64, m int, open, ext, neg int64) (byte, int64) {
 	cols := m + 1
-	half := func(i int) (mm, xx, yy []T) {
+	half := func(i int) (mm, xx, yy []int64) {
 		r := rows[(i&1)*3*cols:]
 		return r[:cols], r[cols:][:cols], r[2*cols:][:cols]
 	}
@@ -135,7 +126,7 @@ func gotoh[T int16 | float64](tb, ca []byte, qp, rows []T, m int, open, ext, neg
 	pm[0], px[0], py[0] = 0, neg, neg
 	for j := 1; j < cols; j++ {
 		pm[j], px[j] = neg, neg
-		py[j] = -(open + T(j)*ext)
+		py[j] = -(open + int64(j)*ext)
 		tb[j] = dp.PackTB(stM, stM, stY)
 	}
 	for i := 1; i <= len(ca); i++ {
@@ -144,7 +135,7 @@ func gotoh[T int16 | float64](tb, ca []byte, qp, rows []T, m int, open, ext, neg
 		tr := tb[i*cols:][:cols]
 		q := qp[int(ca[i-1])*m:][:m]
 		cm[0], cy[0] = neg, neg
-		cx[0] = -(open + T(i)*ext)
+		cx[0] = -(open + int64(i)*ext)
 		tr[0] = dp.PackTB(stM, stX, stM)
 
 		for j := 1; j < cols; j++ {

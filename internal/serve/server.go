@@ -118,9 +118,14 @@ type Config struct {
 	// store that backs the in-memory cache as a second tier and serves
 	// streaming result reads. Empty = fully in-memory (byte-identical
 	// behaviour to a server without persistence).
+	//
+	// StoreEntries and StoreBytes bound the results/ store and, apart,
+	// the traces/ store beside it, so the data dir can hold twice each
+	// bound (plus the journal); the samplealign_store_* gauges count
+	// results only.
 	DataDir      string
-	StoreEntries int   // disk store entry bound (default 4096; -1 disables the disk result tier)
-	StoreBytes   int64 // disk store byte bound (default 1 GiB; -1 unbounded)
+	StoreEntries int   // entry bound per disk store (default 4096; -1 disables the disk result tier)
+	StoreBytes   int64 // byte bound per disk store (default 1 GiB; -1 unbounded)
 
 	// DrainTimeout bounds the graceful-shutdown drain: how long
 	// ListenAndServe waits for queued and running jobs to finish after

@@ -60,7 +60,7 @@ func (m *WorkerMetrics) JobFinished(ok bool) {
 }
 
 // Render writes the Prometheus text exposition, folding in the
-// process-wide kernel dispatch tallies sampled at call time.
+// process-wide integer-DP call tally sampled at call time.
 func (m *WorkerMetrics) Render() string {
 	var b strings.Builder
 	counter := func(name, help string, v int64) {
@@ -70,9 +70,7 @@ func (m *WorkerMetrics) Render() string {
 	}
 	counter("samplealign_worker_jobs_total", "Rank jobs started on this worker.", m.Jobs.Value())
 	counter("samplealign_worker_jobs_failed_total", "Rank jobs that ended in error on this worker.", m.JobsFailed.Value())
-	tally := dpkern.TallySnapshot()
-	counter("samplealign_kernel_striped_calls_total", "DP kernel calls served by the striped integer path.", tally.Striped)
-	counter("samplealign_kernel_escape_calls_total", "DP kernel calls that escaped to the scalar-exact path.", tally.Escaped)
+	counter("samplealign_kernel_striped_calls_total", "Pairwise DP calls, every one run by the integer kernel.", dpkern.TallySnapshot().Striped)
 	m.Stages.WritePrometheus(&b, "samplealign_stage_seconds",
 		"Wall-clock seconds per pipeline stage on this rank, one observation per traced span.", "stage")
 	return b.String()

@@ -35,9 +35,13 @@ type ServerConfig struct {
 	// backing the in-memory cache as a second tier and serving result
 	// downloads as streams. Empty = fully in-memory, exactly the
 	// pre-persistence behaviour.
+	//
+	// StoreEntries and StoreBytes bound the result store and, apart,
+	// the trace store beside it, so the data dir can hold twice each
+	// bound (plus the journal).
 	DataDir      string
-	StoreEntries int   // disk store entry bound (default 4096; -1 disables the disk tier)
-	StoreBytes   int64 // disk store byte bound (default 1 GiB; -1 unbounded)
+	StoreEntries int   // entry bound per disk store (default 4096; -1 disables the disk tier)
+	StoreBytes   int64 // byte bound per disk store (default 1 GiB; -1 unbounded)
 
 	// DrainTimeout bounds the graceful-shutdown drain: how long
 	// ListenAndServe waits for queued and running jobs to finish after
