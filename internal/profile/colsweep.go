@@ -1,5 +1,55 @@
 package profile
 
+// letterSums fills dst with sums of letter columns as sweepLetters
+// describes, through letterDots where the CPU has AVX2 and through
+// sweepLetters elsewhere; every byte is the same either way. idx may be
+// empty: every sum is then +0, scaled.
+func letterSums(dst, zero []float64, idx []int32, val, tab []float64, stride int, occA float64, occB []float64) {
+	switch {
+	case useAVX2:
+		letterDots(dst, idx, val, tab, stride, occA, occB)
+	case len(idx) == 0:
+		for t := range dst {
+			var x float64
+			if occB != nil {
+				x = x * occA * occB[t]
+			}
+			dst[t] = x
+		}
+	default:
+		sweepLetters(dst, zero, idx, val, tab, stride, occA, occB)
+	}
+}
+
+// letterDots is sweepLetters in one pass over dst: cell t becomes
+//
+//	(+0 + val[0]·tab[idx[0]·stride+t] + val[1]·tab[idx[1]·stride+t] + …)·occA·occB[t]
+//
+// added in the order given, each product rounded before its add, and
+// scaled only when occB is non-empty. The sum stays in a register over
+// every letter, so each cell is written once: on amd64 letterDotStrips
+// runs the cells in strips of sixteen and four in AVX2 (the CPU must
+// have it), and the Go loop here the last few. idx may be empty.
+func letterDots(dst []float64, idx []int32, val, tab []float64, stride int, occA float64, occB []float64) {
+	val = val[:len(idx)]
+	for _, y := range idx {
+		_ = tab[int(y)*stride:][:len(dst)]
+	}
+	if len(occB) > 0 {
+		occB = occB[:len(dst)]
+	}
+	for t := letterDotStrips(dst, idx, val, tab, stride, occA, occB); t < len(dst); t++ {
+		var x float64
+		for k, y := range idx {
+			x += val[k] * tab[int(y)*stride+t]
+		}
+		if len(occB) > 0 {
+			x = x * occA * occB[t]
+		}
+		dst[t] = x
+	}
+}
+
 // sweepLetters fills dst with sums of letter columns, cell t becoming
 //
 //	(+0 + val[0]·tab[idx[0]·stride+t] + val[1]·tab[idx[1]·stride+t] + …)·occA·occB[t]

@@ -6,3 +6,10 @@ package profile
 //
 //go:noescape
 func colSweepPairs(dst, src, c1, c2, occB []float64, v1, v2, occA float64) int
+
+// letterDotStrips runs letterDots' loop over cells [0, len(dst)&^3) in
+// AVX2 (letterdots_amd64.s) and returns where it stopped. The CPU must
+// have AVX2, and the slices must be as letterDots checks them.
+//
+//go:noescape
+func letterDotStrips(dst []float64, idx []int32, val, tab []float64, stride int, occA float64, occB []float64) int

@@ -8,6 +8,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bio"
 	"repro/internal/dp"
@@ -249,12 +250,14 @@ type pspScratch struct {
 // present in its A column), at most O(alphaLen).
 //
 // sbT is filled a B column at a time through an alphabet-long
-// accumulator: sweepLetters adds fy·S(·,y) for the letters y present,
-// two unit-stride columns of the matrix (transposed once per call) per
-// sweep, and the finished column goes to its L letter-major slots once.
-// Every entry is still the sum over the column's letters in ascending
-// order from +0 — what adding into sbT[x·m+j] letter by letter gives,
-// without L read-modify-writes m entries apart per nonzero count.
+// accumulator: one unscaled letterSums call adds fy·S(·,y) for the
+// letters y present, unit-stride columns of the matrix (transposed once
+// per call), and the finished column goes to its L letter-major slots
+// once. Every entry is still the sum over the column's letters in
+// ascending order from +0 — what adding into sbT[x·m+j] letter by letter
+// gives, without L read-modify-writes m entries apart per nonzero
+// count. Both letter loops take a column's nonzero letters from
+// nonzeroLetters' mask, so no branch depends on the counts.
 func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	n, m := a.Len(), b.Len()
 	L := al.Sub.Alphabet().Len()
@@ -279,12 +282,11 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 		if res == 0 {
 			continue
 		}
-		for y, c := range col.Counts {
-			if c != 0 {
-				sc.faIdx[nz] = int32(y)
-				sc.faVal[nz] = c / res
-				nz++
-			}
+		for mask := nonzeroLetters(col.Counts); mask != 0; mask &= mask - 1 {
+			y := bits.TrailingZeros32(mask)
+			sc.faIdx[nz] = int32(y)
+			sc.faVal[nz] = col.Counts[y] / res
+			nz++
 		}
 	}
 	sc.faOff[n] = nz
@@ -308,13 +310,12 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 			continue
 		}
 		nb := 0
-		for y, c := range col.Counts {
-			if c != 0 {
-				bIdx[nb], bVal[nb] = int32(y), c/res
-				nb++
-			}
+		for mask := nonzeroLetters(col.Counts); mask != 0; mask &= mask - 1 {
+			y := bits.TrailingZeros32(mask)
+			bIdx[nb], bVal[nb] = int32(y), col.Counts[y]/res
+			nb++
 		}
-		sweepLetters(acc, sc.zero, bIdx[:nb], bVal[:nb], subT, L, 0, nil)
+		letterSums(acc, sc.zero, bIdx[:nb], bVal[:nb], subT, L, 0, nil)
 		for x, v := range acc {
 			sc.sbT[x*m+j] = v
 		}
@@ -323,23 +324,34 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 }
 
 // colScores streams the occupancy-scaled PSP scores of A column i
-// against B columns [lo, lo+len(dst)) into dst through sweepLetters:
-// unit-stride sweeps over sbT, two letters of the A column per sweep,
-// in ascending order from +0, the last sweep scaling by the occupancies
-// so sparse columns influence less — the order a per-cell sparse dot
-// product adds and scales in, so every score is bit-identical to that
-// formulation. An A column without residues scores the empty sum, +0,
-// scaled.
+// against B columns [lo, lo+len(dst)) into dst through letterSums:
+// unit-stride reads of sbT, the A column's letters in ascending order
+// from +0, then the scale by the occupancies so sparse columns
+// influence less — the order a per-cell sparse dot product adds and
+// scales in, so every score is bit-identical to that formulation. An A
+// column without residues scores the empty sum, +0, scaled.
 func (sc *pspScratch) colScores(dst []float64, i, lo int) {
 	k, end := sc.faOff[i], sc.faOff[i+1]
-	occA, occB := sc.occA[i], sc.occB[lo:][:len(dst)]
-	if k == end {
-		for t, ob := range occB {
-			dst[t] = 0 * occA * ob
-		}
-		return
+	letterSums(dst, sc.zero, sc.faIdx[k:end], sc.faVal[k:end], sc.sbT[lo:], sc.m, sc.occA[i], sc.occB[lo:][:len(dst)])
+}
+
+// nonzeroLetters returns a mask with bit y set where counts[y] is not
+// zero (either zero), without a branch on the counts: pspSetup's letter
+// loops walk it with bits.TrailingZeros32, in ascending letter order.
+// The alphabet must have at most 32 letters.
+func nonzeroLetters(counts []float64) uint32 {
+	if len(counts) > 32 {
+		panic("profile: an alphabet of more than 32 letters")
 	}
-	sweepLetters(dst, sc.zero, sc.faIdx[k:end], sc.faVal[k:end], sc.sbT[lo:], sc.m, occA, occB)
+	var mask uint32
+	for y, c := range counts {
+		var bit uint32
+		if c != 0 {
+			bit = 1
+		}
+		mask |= bit << y
+	}
+	return mask
 }
 
 // tbPlane lays out the packed traceback plane of alignRows, h rows to

@@ -1,10 +1,11 @@
 package profile
 
 // useAVX2 picks quadSweep's four rows per sweep in AVX2 over pairSweep's
-// two in SSE2, which every amd64 CPU runs. It is set once, when the
-// package initialises, from what the CPU and the operating system
-// report; tests clear it to hold the SSE2 sweep to its oracles on an
-// AVX2 host too.
+// two in SSE2, which every amd64 CPU runs, and letterDots' one pass per
+// row of column scores over the two-letter SSE2 sweeps. It is set once,
+// when the package initialises, from what the CPU and the operating
+// system report; tests clear it to hold the SSE2 sweeps to their
+// oracles on an AVX2 host too.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and the operating system

@@ -2,7 +2,8 @@
 
 package profile
 
-// useAVX2 is false off amd64: the sweeps run two rows at a time in Go.
+// useAVX2 is false off amd64: the sweeps run two rows at a time in Go,
+// and the column scores in colSweepFrom's sweeps.
 var useAVX2 = false
 
 func pairSweep(st *sweepState, m, x, y, s, openB, extB []float64, tb []byte, sStride int) {

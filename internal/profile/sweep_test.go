@@ -134,9 +134,10 @@ func TestAlignSmallGridMatchesReference(t *testing.T) {
 }
 
 // TestSSE2KernelMatchesOracles runs the kernel's oracle tests again with
-// the AVX2 sweep switched off, so that a host with AVX2, where every
-// other test runs four rows per sweep, also holds the two-row SSE2
-// sweep — what a CPU without AVX2 runs — to the reference.
+// AVX2 switched off, so that a host with AVX2, where every other test
+// runs four rows per sweep and sums column scores in letterDots, also
+// holds the two-row SSE2 sweep and the SSE2 column sweeps — what a CPU
+// without AVX2 runs — to the reference.
 func TestSSE2KernelMatchesOracles(t *testing.T) {
 	if !UseSSE2(t) {
 		t.Skip("no AVX2: the other tests already run the SSE2 kernel")
@@ -144,44 +145,55 @@ func TestSSE2KernelMatchesOracles(t *testing.T) {
 	t.Run("AlignMatchesReferenceBitForBit", TestAlignMatchesReferenceBitForBit)
 	t.Run("AlignSmallGridMatchesReference", TestAlignSmallGridMatchesReference)
 	t.Run("ColSweepsMatchGoLoop", TestColSweepsMatchGoLoop)
+	t.Run("LetterSumsMatchDotProduct", TestLetterSumsMatchDotProduct)
+	t.Run("PSPSetupMatchesPerEntry", TestPSPSetupMatchesPerEntry)
 	t.Run("PairSweepMatchesGoStep", TestPairSweepMatchesGoStep)
 }
 
-// BenchmarkRowSweep times the row sweep alone, pairSweep (h = 2) and
-// quadSweep (h = 4, on a CPU with AVX2), over rows 300 and 2100 columns
-// wide, in ns per DP cell: h·width cells a call. The entries are
-// finite costs of PSP magnitude, so no step meets +∞.
+// BenchmarkRowSweep times the row sweep alone over rows 300 and 2100
+// columns wide, in ns per DP cell (h·width cells a call): the assembly,
+// pairSweep (h = 2) and quadSweep (h = 4, on a CPU with AVX2), beside
+// sweepGo at both h, the loop every non-amd64 build runs. The entries
+// are finite costs of PSP magnitude, so no step meets +∞.
 func BenchmarkRowSweep(b *testing.B) {
-	for _, h := range []int{2, 4} {
-		sweep := pairSweep
-		if h == 4 {
-			sweep = quadSweep
+	type sweepFunc func(st *sweepState, m, x, y, s, openB, extB []float64, tb []byte, sStride int)
+	goSweep := func(h int) sweepFunc {
+		return func(st *sweepState, m, x, y, s, openB, extB []float64, tb []byte, sStride int) {
+			sweepGo(st, h, m, x, y, s, openB, extB, tb, sStride)
 		}
-		for _, w := range []int{300, 2100} {
-			b.Run(fmt.Sprintf("h=%d/width=%d", h, w), func(b *testing.B) {
-				if h == 4 && runtime.GOARCH == "amd64" && !useAVX2 {
-					b.Skip("the CPU has no AVX2")
-				}
-				rng := rand.New(rand.NewSource(31))
-				row := func(n int, scale float64) []float64 {
-					v := make([]float64, n)
-					for i := range v {
-						v[i] = scale * rng.Float64()
+	}
+	for _, kernel := range []string{"asm", "go"} {
+		for _, h := range []int{2, 4} {
+			sweep := goSweep(h)
+			if kernel == "asm" {
+				sweep = map[int]sweepFunc{2: pairSweep, 4: quadSweep}[h]
+			}
+			for _, w := range []int{300, 2100} {
+				b.Run(fmt.Sprintf("%s/h=%d/width=%d", kernel, h, w), func(b *testing.B) {
+					if kernel == "asm" && h == 4 && runtime.GOARCH == "amd64" && !useAVX2 {
+						b.Skip("the CPU has no AVX2")
 					}
-					return v
-				}
-				var st sweepState
-				st.openA, st.extA = [4]float64{11, 11, 11, 11}, [4]float64{1, 1, 1, 1}
-				m, x, y := row(w+h, 50), row(w+h, 50), row(w+h, 50)
-				s := row((h-1)*w+w, 4)
-				openB, extB := row(w+h-1, 11), row(w+h-1, 1)
-				tb := make([]byte, h*w)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sweep(&st, m, x, y, s, openB, extB, tb, w)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(h*w), "ns/cell")
-			})
+					rng := rand.New(rand.NewSource(31))
+					row := func(n int, scale float64) []float64 {
+						v := make([]float64, n)
+						for i := range v {
+							v[i] = scale * rng.Float64()
+						}
+						return v
+					}
+					var st sweepState
+					st.openA, st.extA = [4]float64{11, 11, 11, 11}, [4]float64{1, 1, 1, 1}
+					m, x, y := row(w+h, 50), row(w+h, 50), row(w+h, 50)
+					s := row((h-1)*w+w, 4)
+					openB, extB := row(w+h-1, 11), row(w+h-1, 1)
+					tb := make([]byte, h*w)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sweep(&st, m, x, y, s, openB, extB, tb, w)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(h*w), "ns/cell")
+				})
+			}
 		}
 	}
 }
