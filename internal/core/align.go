@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/msa"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/submat"
 )
 
@@ -248,6 +249,10 @@ func checkClusterIDs(c mpi.Comm, seqs []wireSeq) error {
 	return nil
 }
 
+// profileBlock is how many sequences one dispatch of phase 1's profile
+// loop hands a worker.
+const profileBlock = 8
+
 // redistribute performs the sampling, pivoting and all-to-all exchange
 // phases, returning this rank's bucket. The communicator closes when
 // ctx ends; ctx is checked between compute phases.
@@ -262,8 +267,13 @@ func redistribute(ctx context.Context, c mpi.Comm, counter *kmer.Counter, seqs [
 		return nil, err
 	}
 	profiles := make([]kmer.Profile, len(seqs))
-	for i := range seqs {
-		profiles[i] = counter.Profile(seqs[i].Data)
+	err := par.ForCtx(ctx1, len(seqs), profileBlock, cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			profiles[i] = counter.Profile(seqs[i].Data)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	localRanks, err := kmer.RanksContext(ctx1, profiles, profiles, kmer.DefaultRankScale, cfg.Workers)
 	if err != nil {

@@ -2,7 +2,7 @@ package kmer
 
 import (
 	"context"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -17,32 +17,42 @@ type posting struct {
 
 // index is a reference set turned inside out: for every k-mer code that
 // occurs in the set, the list of sequences holding it. It is stored as
-// CSR — the distinct codes ascending, and one flat posting array cut
-// into per-code lists — so its size is the number of profile entries,
-// never the size of the code space.
+// CSR — the distinct codes ascending, each with the start of its list
+// in one flat posting array — plus a bucket table over the top
+// bucketBits bits of the code that finds a code's position in one probe
+// and a short scan. Its size is the number of profile entries plus at
+// most 2^bucketBits+1 bucket starts, never the size of the code space.
 type index struct {
-	codes   []uint32  // distinct k-mer codes, ascending
-	start   []int     // list of codes[c] is post[start[c]:start[c+1]]
+	// the distinct codes ascending, then a sentinel whose start is
+	// len(post): the list of lists[c].code is
+	// post[lists[c].start:lists[c+1].start]
+	lists   []list
 	post    []posting // ascending seq inside each list
 	windows []int     // Profile.Windows of every reference sequence
+	// lists[first[b]:first[b+1]] hold the codes with code>>shift == b;
+	// when the codes fit bucketBits bits, shift is 0 and a bucket holds
+	// at most one code
+	first []int32
+	shift uint
+	accs  sync.Pool // *[]int32 accumulators of len(windows) cells, all zero
 }
 
-// cell is one profile entry on its way into the index: a posting and
-// the code of the list it belongs to.
-type cell struct {
-	code uint32
-	posting
+// list is one distinct code of an index and the start of its postings.
+type list struct {
+	code  uint32
+	start int32
 }
 
-// radixBits is the digit width of the index build's radix sort: 2048
-// counters stay cache-resident, and the 16-bit codes of the default
-// Dayhoff 6-mers sort in two passes (31-bit codes in three).
-const radixBits = 11
+// bucketBits bounds the bucket table at 2^16+1 entries (256 KiB): the
+// default Dayhoff 6-mers (6⁶ = 46 656 codes) fit it exactly, and wider
+// code spaces share a bucket among 2^shift neighbouring codes.
+const bucketBits = 16
 
 // buildIndex inverts the reference profiles. Their entries are gathered
-// in sequence order and sorted by code with a stable LSD radix sort, so
-// each list comes out in ascending sequence order without comparing
-// sequence numbers.
+// in sequence order as keys — the code in the low 32 bits, the entry's
+// place in that order above it — and sorted by code with a stable LSD
+// radix sort, so each list comes out in ascending sequence order without
+// comparing sequence numbers.
 func buildIndex(ref []Profile) *index {
 	total, maxCode := 0, uint32(0)
 	windows := make([]int, len(ref))
@@ -53,103 +63,134 @@ func buildIndex(ref []Profile) *index {
 			maxCode = p.Entries[n-1].Code
 		}
 	}
-	cells := make([]cell, 0, total)
+	keys := make([]uint64, 0, total)
+	gathered := make([]posting, 0, total)
 	for j, p := range ref {
 		for _, e := range p.Entries {
-			cells = append(cells, cell{e.Code, posting{int32(j), e.Count}})
+			keys = append(keys, uint64(len(keys))<<32|uint64(e.Code))
+			gathered = append(gathered, posting{int32(j), e.Count})
 		}
 	}
-	cells = sortCellsRadix(cells, maxCode)
+	keys = radixSort(keys, make([]uint64, total), maxCode)
 	distinct := 0
-	for i, c := range cells {
-		if i == 0 || c.code != cells[i-1].code {
+	for i, x := range keys {
+		if i == 0 || uint32(x) != uint32(keys[i-1]) {
 			distinct++
 		}
 	}
 	ix := &index{
-		codes:   make([]uint32, 0, distinct),
-		start:   make([]int, 0, distinct+1),
+		lists:   make([]list, 0, distinct+1),
 		post:    make([]posting, total),
 		windows: windows,
+		shift:   uint(max(bits.Len32(maxCode)-bucketBits, 0)),
 	}
-	for i, c := range cells {
-		if i == 0 || c.code != cells[i-1].code {
-			ix.codes = append(ix.codes, c.code)
-			ix.start = append(ix.start, i)
+	for i, x := range keys {
+		if i == 0 || uint32(x) != uint32(keys[i-1]) {
+			ix.lists = append(ix.lists, list{uint32(x), int32(i)})
 		}
-		ix.post[i] = c.posting
+		ix.post[i] = gathered[x>>32]
 	}
-	ix.start = append(ix.start, total)
+	ix.first = make([]int32, maxCode>>ix.shift+2)
+	b := 0
+	for c, l := range ix.lists {
+		for ; b <= int(l.code>>ix.shift); b++ {
+			ix.first[b] = int32(c)
+		}
+	}
+	for ; b < len(ix.first); b++ {
+		ix.first[b] = int32(distinct)
+	}
+	ix.lists = append(ix.lists, list{start: int32(total)})
+	ix.accs.New = func() any {
+		acc := make([]int32, len(windows))
+		return &acc
+	}
 	return ix
 }
 
-// sortCellsRadix sorts cells by code, equal codes keeping their order,
-// over the digits maxCode occupies. It returns the sorted slice, which
-// is cells or a buffer of the same length.
-func sortCellsRadix(cells []cell, maxCode uint32) []cell {
-	spare := make([]cell, len(cells))
-	for shift := 0; maxCode>>shift != 0; shift += radixBits {
-		var next [1 << radixBits]int
-		for _, c := range cells {
-			next[(c.code>>shift)&(1<<radixBits-1)]++
+// radixBits is the widest digit of the package's radix sort: 2048
+// counters stay cache-resident, and keys of up to 22 bits sort in two
+// passes (31-bit k-mer codes in three).
+const radixBits = 11
+
+// radixSort sorts xs by their low 32 bits, the key, equal keys keeping
+// their order, with an LSD radix sort over the bits maxKey occupies: as
+// few passes as digits of radixBits need, each digit as narrow as that
+// many passes allow (the 16-bit Dayhoff 6-mer codes take two 8-bit
+// passes). spare is a buffer of len(xs); the sorted slice returned is
+// xs or spare. Profile sorts its window codes with it and buildIndex
+// its entries.
+func radixSort[T ~uint32 | ~uint64](xs, spare []T, maxKey uint32) []T {
+	width := bits.Len32(maxKey)
+	if width == 0 {
+		return xs
+	}
+	passes := (width + radixBits - 1) / radixBits
+	digit := uint((width + passes - 1) / passes)
+	mask := uint32(1)<<digit - 1
+	var counts [1 << radixBits]int
+	next := counts[:1<<digit]
+	for shift := uint(0); shift < uint(width); shift += digit {
+		clear(next)
+		for _, x := range xs {
+			next[uint32(x)>>shift&mask]++
 		}
 		// counts to start offsets; the running sum stays in a register
 		// (summing through the array waits on every store it just made)
 		sum := 0
-		for d := range next {
-			n := next[d]
+		for d, n := range next {
 			next[d] = sum
 			sum += n
 		}
-		for _, c := range cells {
-			d := (c.code >> shift) & (1<<radixBits - 1)
-			spare[next[d]] = c
+		for _, x := range xs {
+			d := uint32(x) >> shift & mask
+			spare[next[d]] = x
 			next[d]++
 		}
-		cells, spare = spare, cells
+		xs, spare = spare, xs
 	}
-	return cells
-}
-
-// seek returns the first position at or after from whose code is not
-// below code, galloping forward from from: a profile's ascending codes
-// are located in time logarithmic in the distance between them, not by
-// walking the index.
-func (ix *index) seek(from int, code uint32) int {
-	lo, hi, step := from, from, 1
-	for hi < len(ix.codes) && ix.codes[hi] < code {
-		lo = hi + 1
-		hi += step
-		step *= 2
-	}
-	hi = min(hi, len(ix.codes))
-	pos, _ := slices.BinarySearch(ix.codes[lo:hi], code)
-	return lo + pos
+	return xs
 }
 
 // accumulate adds the shared k-mer count of target t and reference
 // sequence j — the integer common(t, reference[j]) — into acc[j], for
-// every j above after that shares any k-mer with t. Only t's own lists
-// are visited, and each from its tail down to after, so the cost is the
-// number of (k-mer, sequence) cells the target actually shares with
-// that part of the reference. It returns that number.
+// every j above after that shares any k-mer with t. Each of t's codes is
+// found through its bucket, and only its list is visited, from its
+// tail down to after, so the cost is the number of (k-mer, sequence)
+// cells the target actually shares with that part of the reference. It
+// returns that number.
 func (ix *index) accumulate(t Profile, after int32, acc []int32) (hits int64) {
-	c := 0
 	for _, e := range t.Entries {
-		c = ix.seek(c, e.Code)
-		if c == len(ix.codes) {
-			break
+		b := int(e.Code >> ix.shift)
+		if b+1 >= len(ix.first) {
+			break // t's codes ascend: the rest are beyond the reference's
 		}
-		if ix.codes[c] != e.Code {
+		c, end := ix.first[b], ix.first[b+1]
+		for c < end && ix.lists[c].code < e.Code {
+			c++
+		}
+		if c == end || ix.lists[c].code != e.Code {
 			continue
 		}
-		list := ix.post[ix.start[c]:ix.start[c+1]]
+		list := ix.post[ix.lists[c].start:ix.lists[c+1].start]
 		k := len(list) - 1
 		for ; k >= 0 && list[k].seq > after; k-- {
 			acc[list[k].seq] += min(e.Count, list[k].count)
 		}
 		hits += int64(len(list) - 1 - k)
-		c++
+	}
+	return hits
+}
+
+// upperRow writes the distance of target t, which is reference
+// sequence i, to every reference sequence j > i into row[j-i-1]: the
+// row's stretch of the upper triangle. acc is all zero on entry and on
+// return. It returns the posting cells visited.
+func (ix *index) upperRow(t Profile, i int, acc []int32, row []float64) int64 {
+	hits := ix.accumulate(t, int32(i), acc)
+	for j := i + 1; j < len(acc); j++ {
+		row[j-i-1] = 1 - similarityOf(int(acc[j]), ix.windows[i], ix.windows[j])
+		acc[j] = 0
 	}
 	return hits
 }
@@ -165,18 +206,14 @@ const rowBlock = 8
 // zero on entry; row must leave it all zero. It returns the summed
 // results of row, which is the same for every worker count.
 func (ix *index) sweep(ctx context.Context, n, workers int, row func(i int, acc []int32) int64) (int64, error) {
-	accs := sync.Pool{New: func() any {
-		acc := make([]int32, len(ix.windows))
-		return &acc
-	}}
 	var total atomic.Int64
 	err := par.ForCtx(ctx, n, rowBlock, workers, func(lo, hi int) {
-		acc := accs.Get().(*[]int32)
+		acc := ix.accs.Get().(*[]int32)
 		var sum int64
 		for i := lo; i < hi; i++ {
 			sum += row(i, *acc)
 		}
-		accs.Put(acc)
+		ix.accs.Put(acc)
 		total.Add(sum)
 	})
 	return total.Load(), err

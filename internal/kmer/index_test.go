@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -182,6 +183,226 @@ func TestRanksAreRankedAvgDistances(t *testing.T) {
 	}
 }
 
+// checkTriangleMatchesSquare holds the ranks of a set against itself —
+// the aliased call, which walks the triangle — to the square sweep over
+// a copy of the set and to the Distance double loop, bit for bit, at
+// every worker count given.
+func checkTriangleMatchesSquare(t testing.TB, profiles []Profile, workers ...int) {
+	t.Helper()
+	ctx := context.Background()
+	wantAvg := pairwiseAvg(profiles, profiles)
+	for _, w := range workers {
+		avg, err := selfAvgDistancesContext(ctx, profiles, w)
+		if err != nil {
+			t.Fatalf("workers=%d: triangle: %v", w, err)
+		}
+		tri, err := RanksContext(ctx, profiles, profiles, DefaultRankScale, w)
+		if err != nil {
+			t.Fatalf("workers=%d: ranks: %v", w, err)
+		}
+		square, err := RanksContext(ctx, profiles, slices.Clone(profiles), DefaultRankScale, w)
+		if err != nil {
+			t.Fatalf("workers=%d: square ranks: %v", w, err)
+		}
+		if len(avg) != len(wantAvg) || len(tri) != len(wantAvg) || len(square) != len(wantAvg) {
+			t.Fatalf("workers=%d: %d means, %d and %d ranks for %d sequences", w, len(avg), len(tri), len(square), len(wantAvg))
+		}
+		for i := range wantAvg {
+			if math.Float64bits(avg[i]) != math.Float64bits(wantAvg[i]) {
+				t.Fatalf("workers=%d: sequence %d: triangle mean %v, pairwise %v", w, i, avg[i], wantAvg[i])
+			}
+			if math.Float64bits(tri[i]) != math.Float64bits(square[i]) {
+				t.Fatalf("workers=%d: sequence %d: triangle rank %v, square %v", w, i, tri[i], square[i])
+			}
+		}
+	}
+}
+
+// TestTriangleRanksMatchSquare: the local rank's triangle gives the
+// square's floats on every set shape, across block edges and worker
+// counts.
+func TestTriangleRanksMatchSquare(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const B = triangleBlock
+	identical := make([]Profile, B+3)
+	for i := range identical {
+		identical[i] = testCounter.Profile([]byte("MKVLAAGGTWYHHKDE"))
+	}
+	// windowless: shorter than k, or no residue in the alphabet; their
+	// self distance is 1, not 0
+	windowless := profilesOf(testCounter, "", "A", "AC", "XXXXXXXX", "BJOUZ", "ACDEFG", "AC-D", "XXXXXXXX")
+	mixed := append(randomProfiles(testCounter, rng, B+5, 0, 40), windowless...)
+	rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	cases := []struct {
+		name     string
+		profiles []Profile
+	}{
+		{"n=0", nil},
+		{"n=1", randomProfiles(testCounter, rng, 1, 20, 40)},
+		{"n=2", randomProfiles(testCounter, rng, 2, 20, 40)},
+		{"random", randomProfiles(testCounter, rng, 40, 10, 200)},
+		{"identical", identical},
+		{"windowless", windowless},
+		{"windowless among random", mixed},
+		{"n=B-1", randomProfiles(testCounter, rng, B-1, 30, 100)},
+		{"n=B", randomProfiles(testCounter, rng, B, 30, 100)},
+		{"n=B+1", randomProfiles(testCounter, rng, B+1, 30, 100)},
+		{"n=2B+1", randomProfiles(testCounter, rng, 2*B+1, 30, 100)},
+		{"Dayhoff-6 k=6, n=2B+1", randomProfiles(MustCounter(bio.Dayhoff6, DefaultK), rng, 2*B+1, 30, 300)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkTriangleMatchesSquare(t, tc.profiles, 1, 2, 8)
+		})
+	}
+}
+
+// TestBucketLookupMatchesMerge holds the index's bucket lookup to the
+// common merge where the bucket table is exact (Dayhoff-6 6-mers: one
+// code per bucket) and where buckets hold many codes and the lookup
+// scans (Dayhoff-6 k = 9 and 11, 20 letters k = 7). Beside profiles of
+// random sequences, hand-made profiles carry the codes on bucket edges
+// — the first and last code of a bucket and their neighbours — code 0
+// and the code space's last code (2³¹−1 beside the 20-letter 7-mers);
+// some targets carry codes beyond the reference's largest.
+func TestBucketLookupMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	cases := []struct {
+		name  string
+		c     *Counter
+		last  uint32 // the largest code a hand-made profile carries
+		shift uint
+	}{
+		{"Dayhoff-6 k=6", MustCounter(bio.Dayhoff6, 6), 46656 - 1, 0},
+		{"Dayhoff-6 k=9", MustCounter(bio.Dayhoff6, 9), 10077696 - 1, 8},
+		{"Dayhoff-6 k=11", MustCounter(bio.Dayhoff6, 11), 362797056 - 1, 13},
+		{"20 letters k=7", MustCounter(bio.Identity(bio.AminoAcids), 7), 1<<31 - 1, 15},
+	}
+	handMade := func(codes []uint32) Profile {
+		slices.Sort(codes)
+		codes = slices.Compact(codes)
+		p := Profile{}
+		for _, c := range codes {
+			n := int32(1 + rng.Intn(3))
+			p.Entries = append(p.Entries, Entry{Code: c, Count: n})
+			p.Windows += int(n)
+		}
+		return p
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			last := tc.last
+			var edges []uint32
+			for _, b := range []uint32{1, 2, 7, 100, last >> tc.shift} {
+				lo := b << tc.shift
+				for _, c := range []uint32{lo - 1, lo, lo + 1, lo + 1<<tc.shift - 2, lo + 1<<tc.shift - 1} {
+					if c <= last {
+						edges = append(edges, c)
+					}
+				}
+			}
+			edges = append(edges, 0, last)
+			ref := randomProfiles(tc.c, rng, 30, 5, 300)
+			for i := 0; i < 10; i++ {
+				var codes []uint32
+				for _, c := range edges {
+					if rng.Intn(2) == 0 {
+						codes = append(codes, c)
+					}
+				}
+				ref = append(ref, handMade(codes))
+			}
+			ref = append(ref, handMade(slices.Clone(edges)))
+			targets := append(slices.Clone(ref), randomProfiles(tc.c, rng, 10, 5, 300)...)
+			targets = append(targets, handMade([]uint32{0, last}), handMade([]uint32{last}))
+			// below is the reference without any profile holding the last
+			// code, so that targets reach beyond its largest code
+			below := slices.DeleteFunc(slices.Clone(ref), func(p Profile) bool {
+				return len(p.Entries) > 0 && p.Entries[len(p.Entries)-1].Code == last
+			})
+
+			ix := buildIndex(ref)
+			if ix.shift != tc.shift {
+				t.Fatalf("bucket shift %d, want %d", ix.shift, tc.shift)
+			}
+			if len(ix.first) > 1<<bucketBits+1 {
+				t.Fatalf("bucket table of %d entries", len(ix.first))
+			}
+			if tc.shift == 0 {
+				for b := 0; b+1 < len(ix.first); b++ {
+					if ix.first[b+1]-ix.first[b] > 1 {
+						t.Fatalf("bucket %d holds %d codes; the table should be exact", b, ix.first[b+1]-ix.first[b])
+					}
+				}
+			}
+			for _, reference := range [][]Profile{ref, below} {
+				ix := buildIndex(reference)
+				acc := make([]int32, len(reference))
+				for i, tp := range targets {
+					ix.accumulate(tp, -1, acc)
+					for j := range reference {
+						if want := common(tp, reference[j]); int(acc[j]) != want {
+							t.Fatalf("%d references: target %d, reference %d: index %d, merge %d", len(reference), i, j, acc[j], want)
+						}
+					}
+					clear(acc)
+				}
+			}
+		})
+	}
+}
+
+// TestProfileSortMatchesSlicesSort holds the radix sort Profile runs
+// on its window codes to slices.Sort: on codes of up to 16 and up to 31
+// bits directly, and through Profile itself, whose entries must be the
+// run-length of the codes sorted by slices.Sort.
+func TestProfileSortMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 5000} {
+		for _, maxKey := range []uint32{46655, 1<<31 - 1} {
+			codes := make([]uint32, n)
+			for i := range codes {
+				codes[i] = uint32(rng.Int63n(int64(maxKey) + 1))
+				if rng.Intn(3) == 0 && i > 0 {
+					codes[i] = codes[rng.Intn(i)]
+				}
+			}
+			want := slices.Clone(codes)
+			slices.Sort(want)
+			if got := radixSort(codes, make([]uint32, n), maxKey); !slices.Equal(got, want) {
+				t.Fatalf("n=%d maxKey=%d: radix sort differs from slices.Sort", n, maxKey)
+			}
+		}
+		for _, c := range []*Counter{MustCounter(bio.Dayhoff6, DefaultK), MustCounter(bio.Identity(bio.AminoAcids), 7)} {
+			seq := randomSeq(rng, n+c.k-1) // exactly n windows
+			if n == 0 {
+				seq = nil
+			}
+			var codes []uint32
+			for i := 0; i+c.k <= len(seq); i++ {
+				code := uint32(0)
+				for _, b := range seq[i : i+c.k] {
+					code = code*uint32(c.comp.Len()) + uint32(c.comp.Class(b))
+				}
+				codes = append(codes, code)
+			}
+			slices.Sort(codes)
+			var want []Entry
+			for i, code := range codes {
+				if i > 0 && code == codes[i-1] {
+					want[len(want)-1].Count++
+					continue
+				}
+				want = append(want, Entry{Code: code, Count: 1})
+			}
+			p := c.Profile(seq)
+			if p.Windows != n || !slices.Equal(p.Entries, want) {
+				t.Fatalf("n=%d, %d^%d codes: profile of %d windows differs from the slices.Sort oracle", n, c.comp.Len(), c.k, p.Windows)
+			}
+		}
+	}
+}
+
 func TestIndexCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	profiles := randomProfiles(testCounter, rng, 300, 60, 1)
@@ -197,7 +418,8 @@ func TestIndexCancel(t *testing.T) {
 
 // TestIndexSizedByEntriesNotCodeSpace: 20 letters at k=7 is 1.28·10⁹
 // codes. The index over 40 short sequences must cost what its ~8000
-// profile entries cost; any table indexed by code would be gigabytes.
+// profile entries cost plus a bucket table of at most 2^16+1 entries;
+// any table indexed by code would be gigabytes.
 func TestIndexSizedByEntriesNotCodeSpace(t *testing.T) {
 	wide := MustCounter(bio.Identity(bio.AminoAcids), 7)
 	rng := rand.New(rand.NewSource(19))
@@ -207,8 +429,8 @@ func TestIndexSizedByEntriesNotCodeSpace(t *testing.T) {
 		entries += len(p.Entries)
 	}
 	ix := buildIndex(profiles)
-	if len(ix.post) != entries || len(ix.codes) > entries || len(ix.start) != len(ix.codes)+1 {
-		t.Fatalf("index of %d entries holds %d postings, %d codes, %d starts", entries, len(ix.post), len(ix.codes), len(ix.start))
+	if len(ix.post) != entries || len(ix.lists) > entries+1 || len(ix.first) > 1<<bucketBits+1 {
+		t.Fatalf("index of %d entries holds %d postings, %d lists, %d buckets", entries, len(ix.post), len(ix.lists), len(ix.first))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -271,22 +493,24 @@ func TestIndexHitsCountSharedCells(t *testing.T) {
 }
 
 // TestRadixSortIsTheStableSortByCode holds the index build's radix sort
-// to slices.SortStableFunc on cells in sequence order: ties keep that
-// order, so every list comes out in ascending sequence order.
+// to slices.SortStableFunc on keys in gathering order (the code in the
+// low 32 bits, the place above it): ties keep that order, so every list
+// comes out in ascending sequence order.
 func TestRadixSortIsTheStableSortByCode(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, n := range []int{0, 1, 2, 3, 17, 300, 1<<radixBits - 1, 1 << radixBits, 5000} {
 		for _, maxCode := range []uint32{0, 1, 5, 1<<radixBits - 1, 1 << radixBits, 1<<16 - 1, 1<<31 - 1} {
-			cells := make([]cell, n)
-			for i := range cells {
-				cells[i] = cell{uint32(rng.Int63n(int64(maxCode) + 1)), posting{int32(i), int32(rng.Intn(9))}}
+			keys := make([]uint64, n)
+			for i := range keys {
+				code := uint32(rng.Int63n(int64(maxCode) + 1))
 				if rng.Intn(3) == 0 && i > 0 {
-					cells[i].code = cells[rng.Intn(i)].code // force ties
+					code = uint32(keys[rng.Intn(i)]) // force ties
 				}
+				keys[i] = uint64(i)<<32 | uint64(code)
 			}
-			want := slices.Clone(cells)
-			slices.SortStableFunc(want, func(a, b cell) int { return cmp.Compare(a.code, b.code) })
-			if got := sortCellsRadix(cells, maxCode); !slices.Equal(got, want) {
+			want := slices.Clone(keys)
+			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(uint32(a), uint32(b)) })
+			if got := radixSort(keys, make([]uint64, n), maxCode); !slices.Equal(got, want) {
 				t.Fatalf("n=%d maxCode=%d: radix sort is not the stable sort by code", n, maxCode)
 			}
 		}
@@ -296,7 +520,8 @@ func TestRadixSortIsTheStableSortByCode(t *testing.T) {
 // FuzzIndexMatchesPairwise cuts arbitrary bytes into sequences at
 // newlines, picks a counter and a reference prefix from the two knobs,
 // and holds the index to the oracle. All sequences are targets, so some
-// are in the reference and some foreign to it.
+// are in the reference and some foreign to it. The whole set is also
+// ranked against itself, through the triangle.
 func FuzzIndexMatchesPairwise(f *testing.F) {
 	f.Add([]byte("MKVLAAGG\nMKVLAAGG\n\nAC\nTWYHHKDEXDEDE\nWWWWWWWW"), uint8(2), uint8(3))
 	f.Add([]byte("ACDEFGHIKLMNPQRSTVWY\nACDEFGHIKLMNPQRSTVWY\nYWVTSRQPNMLKIHGFEDCA"), uint8(6), uint8(1))
@@ -317,5 +542,30 @@ func FuzzIndexMatchesPairwise(f *testing.F) {
 			profiles[i] = c.Profile(l)
 		}
 		checkIndexMatchesPairwise(t, profiles, profiles[:int(cut)%(len(profiles)+1)])
+		checkTriangleMatchesSquare(t, profiles, 1, 3)
 	})
+}
+
+// BenchmarkRanks times the k-mer ranks of N sequences of length 300:
+// against themselves (the aliased call, which walks the triangle, as
+// the local rank does) and against a copy of the set (the square
+// sweep, the path of distinct target and reference sets).
+func BenchmarkRanks(b *testing.B) {
+	c := MustCounter(bio.Dayhoff6, DefaultK)
+	for _, n := range []int{150, 1200} {
+		profiles := randomProfiles(c, rand.New(rand.NewSource(43)), n, 300, 1)
+		for _, tc := range []struct {
+			name      string
+			reference []Profile
+		}{{"triangle", profiles}, {"square", slices.Clone(profiles)}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := RanksContext(b.Context(), profiles, tc.reference, DefaultRankScale, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

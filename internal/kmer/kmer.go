@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/bio"
 	"repro/internal/obs"
@@ -85,7 +84,9 @@ type Profile struct {
 func (c *Counter) Profile(data []byte) Profile {
 	k := c.k
 	size := uint32(c.comp.Len())
-	codes := make([]uint32, 0, max(0, len(data)-k+1))
+	windows := max(0, len(data)-k+1)
+	buf := make([]uint32, 2*windows) // the window codes, then the sort's spare
+	codes := buf[:0:windows]
 	hi := uint32(1) // size^(k-1): modulus that keeps the last k-1 classes
 	for i := 1; i < k; i++ {
 		hi *= size
@@ -111,7 +112,7 @@ func (c *Counter) Profile(data []byte) Profile {
 			codes = append(codes, code)
 		}
 	}
-	slices.Sort(codes)
+	codes = radixSort(codes, buf[windows:][:len(codes)], hi*size-1)
 	entries := make([]Entry, 0, len(codes))
 	for i := 0; i < len(codes); {
 		j := i
@@ -246,13 +247,7 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 	}
 	ix := buildIndex(profiles)
 	hits, err := ix.sweep(ctx, n-1, workers, func(i int, acc []int32) int64 {
-		hits := ix.accumulate(profiles[i], int32(i), acc)
-		row := m.d[m.idx(i, i+1):][:n-i-1]
-		for j := i + 1; j < n; j++ {
-			row[j-i-1] = 1 - similarityOf(int(acc[j]), ix.windows[i], ix.windows[j])
-			acc[j] = 0
-		}
-		return hits
+		return ix.upperRow(profiles[i], i, acc, m.d[m.idx(i, i+1):][:n-i-1])
 	})
 	if err != nil {
 		return nil, err
@@ -303,11 +298,74 @@ func avgDistancesContext(ctx context.Context, targets, reference []Profile, work
 	return out, err
 }
 
+// triangleBlock is how many rows selfAvgDistancesContext computes
+// before folding them into the row sums; its buffer holds
+// triangleBlock·n distances.
+const triangleBlock = 64
+
+// selfAvgDistancesContext is avgDistancesContext(ctx, profiles,
+// profiles, workers) from each unordered pair's distance once.
+// d(i, j) and d(j, i) are the same float (the shared count is symmetric
+// and similarityOf takes the smaller window count), so row i of the
+// square is d(0, i) … d(i−1, i), the self term, then d(i, i+1) …
+// d(i, n−1). Rows go in blocks of triangleBlock: the block's rows write
+// their d(i, j > i) into a buffer in parallel, then one goroutine folds
+// the block in ascending i, adding the self term and then each d(i, j)
+// into the sums of both i and j. Every row therefore sums in ascending
+// j, as the square does, for any block size and worker count. The span
+// records "hits": each shared unordered (k-mer, pair) cell once, plus
+// every sequence's own entries as its self term.
+func selfAvgDistancesContext(ctx context.Context, profiles []Profile, workers int) ([]float64, error) {
+	n := len(profiles)
+	sums := make([]float64, n)
+	if n == 0 {
+		return sums, ctx.Err()
+	}
+	ix := buildIndex(profiles)
+	buf := make([]float64, min(triangleBlock, n)*n)
+	var hits int64
+	for lo := 0; lo < n; lo += triangleBlock {
+		hi := min(lo+triangleBlock, n)
+		h, err := ix.sweep(ctx, hi-lo, workers, func(r int, acc []int32) int64 {
+			i := lo + r
+			return ix.upperRow(profiles[i], i, acc, buf[r*n:][:n-i-1])
+		})
+		if err != nil {
+			return nil, err
+		}
+		hits += h
+		for i := lo; i < hi; i++ {
+			w := ix.windows[i] // common(p, p) = Σ counts = p.Windows
+			s := sums[i] + (1 - similarityOf(w, w, w))
+			for k, d := range buf[(i-lo)*n:][:n-i-1] {
+				s += d
+				sums[i+1+k] += d
+			}
+			sums[i] = s
+			hits += int64(len(profiles[i].Entries))
+		}
+	}
+	for i := range sums {
+		sums[i] /= float64(n)
+	}
+	obs.Current(ctx).SetInt("hits", hits)
+	return sums, nil
+}
+
 // RanksContext computes the k-mer rank of every target against the
 // reference set: centralised ranks when reference is the full data set,
-// globalised ranks when it is the k·p sample.
+// globalised ranks when it is the k·p sample. When targets and
+// reference are the same slice (a block ranked against itself), each
+// unordered pair is compared once; the ranks are the same floats either
+// way.
 func RanksContext(ctx context.Context, targets, reference []Profile, scale float64, workers int) ([]float64, error) {
-	ds, err := avgDistancesContext(ctx, targets, reference, workers)
+	var ds []float64
+	var err error
+	if len(targets) > 0 && len(targets) == len(reference) && &targets[0] == &reference[0] {
+		ds, err = selfAvgDistancesContext(ctx, targets, workers)
+	} else {
+		ds, err = avgDistancesContext(ctx, targets, reference, workers)
+	}
 	if err != nil {
 		return nil, err
 	}
