@@ -18,10 +18,11 @@ type posting struct {
 // index is a reference set turned inside out: for every k-mer code that
 // occurs in the set, the list of sequences holding it. It is stored as
 // CSR — the distinct codes ascending, each with the start of its list
-// in one flat posting array — plus a bucket table over the top
-// bucketBits bits of the code that finds a code's position in one probe
-// and a short scan. Its size is the number of profile entries plus at
-// most 2^bucketBits+1 bucket starts, never the size of the code space.
+// in one flat posting array — plus a bucket table over the top bits of
+// the code that finds a code's position in one probe and a short scan.
+// Its size is the number of profile entries plus a bucket table of at
+// most 4·distinct+2 and at most 2^bucketBits+1 entries, never the size
+// of the code space.
 type index struct {
 	// the distinct codes ascending, then a sentinel whose start is
 	// len(post): the list of lists[c].code is
@@ -30,8 +31,7 @@ type index struct {
 	post    []posting // ascending seq inside each list
 	windows []int     // Profile.Windows of every reference sequence
 	// lists[first[b]:first[b+1]] hold the codes with code>>shift == b;
-	// when the codes fit bucketBits bits, shift is 0 and a bucket holds
-	// at most one code
+	// when shift is 0 a bucket holds at most one code
 	first []int32
 	shift uint
 	accs  sync.Pool // *[]int32 accumulators of len(windows) cells, all zero
@@ -43,9 +43,13 @@ type list struct {
 	start int32
 }
 
-// bucketBits bounds the bucket table at 2^16+1 entries (256 KiB): the
-// default Dayhoff 6-mers (6⁶ = 46 656 codes) fit it exactly, and wider
-// code spaces share a bucket among 2^shift neighbouring codes.
+// bucketBits bounds the bucket table at 2^16+1 entries (256 KiB). The
+// default Dayhoff 6-mers (6⁶ = 46 656 codes) fit it exactly: an index of
+// at least 2^14 distinct codes (a few dozen sequences of length 300)
+// finds every code in one probe. Wider code spaces, and smaller
+// indexes, whose table is sized by their distinct codes so that a
+// handful of short sequences does not pay for 2^16 buckets, share a
+// bucket among 2^shift neighbouring codes.
 const bucketBits = 16
 
 // buildIndex inverts the reference profiles. Their entries are gathered
@@ -82,8 +86,12 @@ func buildIndex(ref []Profile) *index {
 		lists:   make([]list, 0, distinct+1),
 		post:    make([]posting, total),
 		windows: windows,
-		shift:   uint(max(bits.Len32(maxCode)-bucketBits, 0)),
 	}
+	// one bucket bit more than the distinct count has (more buckets
+	// than codes, at most 4·distinct+2 table entries), at most
+	// bucketBits, and never more than the codes' own bits
+	width := bits.Len32(maxCode)
+	ix.shift = uint(width - min(width, bits.Len(uint(distinct))+1, bucketBits))
 	for i, x := range keys {
 		if i == 0 || uint32(x) != uint32(keys[i-1]) {
 			ix.lists = append(ix.lists, list{uint32(x), int32(i)})
@@ -108,18 +116,18 @@ func buildIndex(ref []Profile) *index {
 	return ix
 }
 
-// radixBits is the widest digit of the package's radix sort: 2048
-// counters stay cache-resident, and keys of up to 22 bits sort in two
-// passes (31-bit k-mer codes in three).
-const radixBits = 11
+// radixBits is the widest digit of the package's radix sort: its 256
+// counters are cleared per pass and cost little beside a profile's few
+// hundred codes, and the 16-bit Dayhoff 6-mer codes sort in two passes
+// (31-bit codes in four).
+const radixBits = 8
 
 // radixSort sorts xs by their low 32 bits, the key, equal keys keeping
 // their order, with an LSD radix sort over the bits maxKey occupies: as
 // few passes as digits of radixBits need, each digit as narrow as that
-// many passes allow (the 16-bit Dayhoff 6-mer codes take two 8-bit
-// passes). spare is a buffer of len(xs); the sorted slice returned is
-// xs or spare. Profile sorts its window codes with it and buildIndex
-// its entries.
+// many passes allow. spare is a buffer of len(xs); the sorted slice
+// returned is xs or spare. Profile sorts its window codes with it and
+// buildIndex its entries.
 func radixSort[T ~uint32 | ~uint64](xs, spare []T, maxKey uint32) []T {
 	width := bits.Len32(maxKey)
 	if width == 0 {

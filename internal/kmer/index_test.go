@@ -258,9 +258,10 @@ func TestTriangleRanksMatchSquare(t *testing.T) {
 }
 
 // TestBucketLookupMatchesMerge holds the index's bucket lookup to the
-// common merge where the bucket table is exact (Dayhoff-6 6-mers: one
-// code per bucket) and where buckets hold many codes and the lookup
-// scans (Dayhoff-6 k = 9 and 11, 20 letters k = 7). Beside profiles of
+// common merge where the bucket table is exact (Dayhoff-6 6-mers over
+// enough sequences: one code per bucket) and where buckets hold many
+// codes and the lookup scans (Dayhoff-6 k = 9 and 11, 20 letters k = 7,
+// and any code space over a few short sequences). Beside profiles of
 // random sequences, hand-made profiles carry the codes on bucket edges
 // — the first and last code of a bucket and their neighbours — code 0
 // and the code space's last code (2³¹−1 beside the 20-letter 7-mers);
@@ -302,7 +303,7 @@ func TestBucketLookupMatchesMerge(t *testing.T) {
 				}
 			}
 			edges = append(edges, 0, last)
-			ref := randomProfiles(tc.c, rng, 30, 5, 300)
+			ref := randomProfiles(tc.c, rng, 120, 250, 100)
 			for i := 0; i < 10; i++ {
 				var codes []uint32
 				for _, c := range edges {
@@ -323,7 +324,7 @@ func TestBucketLookupMatchesMerge(t *testing.T) {
 
 			ix := buildIndex(ref)
 			if ix.shift != tc.shift {
-				t.Fatalf("bucket shift %d, want %d", ix.shift, tc.shift)
+				t.Fatalf("bucket shift %d over %d distinct codes, want %d", ix.shift, len(ix.lists)-1, tc.shift)
 			}
 			if len(ix.first) > 1<<bucketBits+1 {
 				t.Fatalf("bucket table of %d entries", len(ix.first))
@@ -335,8 +336,13 @@ func TestBucketLookupMatchesMerge(t *testing.T) {
 					}
 				}
 			}
-			for _, reference := range [][]Profile{ref, below} {
+			// a few short sequences: the table is sized by their codes
+			few := randomProfiles(tc.c, rng, 4, 20, 80)
+			for _, reference := range [][]Profile{ref, below, few} {
 				ix := buildIndex(reference)
+				if distinct := len(ix.lists) - 1; len(ix.first) > 4*distinct+2 {
+					t.Fatalf("bucket table of %d entries over %d distinct codes", len(ix.first), distinct)
+				}
 				acc := make([]int32, len(reference))
 				for i, tp := range targets {
 					ix.accumulate(tp, -1, acc)

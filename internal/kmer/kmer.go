@@ -6,16 +6,21 @@
 // Counting runs over a compressed alphabet (bio.Dayhoff6 by default):
 // grouping chemically similar residues makes short k-mers sensitive to
 // distant homology (Edgar, NAR 2004). Sequences become sparse sorted
-// k-mer count profiles. One pair is compared by merging its two
-// profiles (common, similarity, Distance). Whole sets are not compared
-// pair by pair: DistanceMatrixContext and avgDistancesContext invert
-// the reference set once into posting lists — for every k-mer, the
-// sequences that hold it (index.go) — and then each row walks only the
-// lists of its own k-mers, so a pair costs the k-mers it shares instead
-// of the length of both profiles. The shared count is the integer the
-// merge produces and the float operations after it are the same, so
-// both routes give bit-identical distances; the merge is the oracle the
-// tests hold the index to.
+// k-mer count profiles (window codes radix-sorted, then run-length
+// counted). One pair is compared by merging its two profiles (common,
+// similarity, Distance). Whole sets are not compared pair by pair:
+// DistanceMatrixContext and RanksContext invert the reference set once
+// into posting lists — for every k-mer, the sequences that hold it
+// (index.go) — and then each row finds its own k-mers' lists through a
+// bucket table over the codes' top 16 bits (one probe for the default
+// Dayhoff 6-mers, a short scan in wider code spaces) and walks only
+// those lists, so a pair costs the k-mers it shares instead of the
+// length of both profiles. A set ranked against itself is walked as a
+// triangle, each unordered pair once. The shared count is the integer
+// the merge produces and the float operations after it are the same,
+// summed in the same order, so every route gives bit-identical
+// distances and ranks; the merge is the oracle the tests hold the index
+// to.
 package kmer
 
 import (
