@@ -43,13 +43,12 @@ type list struct {
 	start int32
 }
 
-// bucketBits bounds the bucket table at 2^16+1 entries (256 KiB). The
-// default Dayhoff 6-mers (6⁶ = 46 656 codes) fit it exactly: an index of
-// at least 2^14 distinct codes (a few dozen sequences of length 300)
-// finds every code in one probe. Wider code spaces, and smaller
-// indexes, whose table is sized by their distinct codes so that a
-// handful of short sequences does not pay for 2^16 buckets, share a
-// bucket among 2^shift neighbouring codes.
+// bucketBits bounds the bucket table at 2^16+1 entries (256 KiB), one
+// bucket per code for the default Dayhoff 6-mers (6⁶ = 46 656 codes)
+// once an index holds 2^14 distinct codes (a few dozen sequences of
+// length 300). A smaller index gets a table sized by its distinct codes,
+// so that a handful of short sequences does not pay for 2^16 buckets;
+// there, and in wider code spaces, a bucket spans 2^shift codes.
 const bucketBits = 16
 
 // buildIndex inverts the reference profiles. Their entries are gathered
