@@ -87,8 +87,7 @@ type Profile struct {
 }
 
 // codeBufs holds Profile's scratch (*[]uint32), so that profiling a set
-// allocates only the profiles' entries: a fresh buffer per call read
-// 2–3 MB more peak RSS on seq800w2-shaped runs.
+// allocates only the profiles' entries.
 var codeBufs = sync.Pool{New: func() any { return new([]uint32) }}
 
 // Profile counts the k-mers of data (gap bytes and residues outside the
