@@ -574,9 +574,11 @@ func BenchmarkProfileAlignDeep(b *testing.B) {
 // BenchmarkRefine times tree-bipartition refinement the way the NS-i
 // bucket engines run it: one ROSE family, aligned progressively along
 // its guide tree outside the timer, then two rounds of refinement.
-// n=40 scores candidates by exact SP, n=90 by the sampled objective.
+// n=40 scores candidates by exact SP, n=90 and n=300 by the sampled
+// objective; at n=300 most splits' smaller side is a few rows of many,
+// which is what a candidate's side profiles cost.
 func BenchmarkRefine(b *testing.B) {
-	for _, n := range []int{40, 90} {
+	for _, n := range []int{40, 90, 300} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			fam, err := GenerateFamily(FamilyConfig{N: n, MeanLen: 300, Relatedness: 400, Seed: 18})
 			if err != nil {

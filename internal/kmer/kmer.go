@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/bio"
@@ -107,6 +108,7 @@ func (c *Counter) Profile(data []byte) Profile {
 	for i := 1; i < k; i++ {
 		hi *= size
 	}
+	mod := newFastMod(hi)
 	var (
 		code uint32
 		run  int // valid residues seen since the last window break
@@ -122,7 +124,7 @@ func (c *Counter) Profile(data []byte) Profile {
 			run, code = 0, 0
 			continue
 		}
-		code = (code%hi)*size + uint32(cl)
+		code = mod.of(code)*size + uint32(cl)
 		run++
 		if run >= k {
 			codes = append(codes, code)
@@ -139,6 +141,24 @@ func (c *Counter) Profile(data []byte) Profile {
 		i = j
 	}
 	return Profile{Entries: entries, Windows: len(codes), SeqLen: nres}
+}
+
+// fastMod is x % d by two multiplies instead of a divide (Lemire,
+// Kaser and Kurz, "Faster remainder by direct computation", 2019):
+// with m = ⌈2^64/d⌉, the remainder is the high word of (m·x mod 2^64)·d,
+// exact for every 32-bit x and d ≥ 1. At d = 1, m wraps to 0 and so
+// does the remainder.
+type fastMod struct {
+	m uint64
+	d uint32
+}
+
+func newFastMod(d uint32) fastMod { return fastMod{m: ^uint64(0)/uint64(d) + 1, d: d} }
+
+// of returns x % d.
+func (f fastMod) of(x uint32) uint32 {
+	r, _ := bits.Mul64(f.m*uint64(x), uint64(f.d))
+	return uint32(r)
 }
 
 // Profiles computes the profiles of all sequences, in parallel.

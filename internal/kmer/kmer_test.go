@@ -3,6 +3,7 @@ package kmer
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,5 +198,76 @@ func TestProfileInvalidBytesBreakWindows(t *testing.T) {
 	// Only ACD and EFG contribute one window each.
 	if withX.Windows != 2 {
 		t.Fatalf("Windows = %d, want 2", withX.Windows)
+	}
+}
+
+// TestProfileCodesMatchModuloFormula holds Profile's window codes, whose
+// rolling update drops the outgoing class with a multiply-based modulo,
+// to the plain formula code = (code % size^(k−1))·size + class, on
+// random sequences broken by gaps and bytes outside the compressed
+// alphabet, at every k NewCounter accepts over Dayhoff-6 and at a few
+// over the full 20-letter alphabet.
+func TestProfileCodesMatchModuloFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var counters []*Counter
+	for k := 1; ; k++ {
+		c, err := NewCounter(bio.Dayhoff6, k)
+		if err != nil {
+			break
+		}
+		counters = append(counters, c)
+	}
+	if len(counters) != 11 {
+		t.Fatalf("Dayhoff-6 accepts k = 1 … %d, want 1 … 11", len(counters))
+	}
+	for _, k := range []int{1, 2, 5, 7} {
+		counters = append(counters, MustCounter(bio.Identity(bio.AminoAcids), k))
+	}
+	for _, c := range counters {
+		size := uint32(c.comp.Len())
+		hi := uint32(1)
+		for i := 1; i < c.k; i++ {
+			hi *= size
+		}
+		for trial := 0; trial < 20; trial++ {
+			seq := randomSeq(rng, rng.Intn(300))
+			for i := range seq {
+				switch r := rng.Intn(40); {
+				case r == 0:
+					seq[i] = bio.Gap
+				case r == 1:
+					seq[i] = 'X'
+				}
+			}
+			var codes []uint32
+			var code uint32
+			run := 0
+			for _, b := range seq {
+				if b == bio.Gap {
+					continue
+				}
+				cl := c.comp.Class(b)
+				if cl < 0 {
+					run, code = 0, 0
+					continue
+				}
+				code = (code%hi)*size + uint32(cl)
+				if run++; run >= c.k {
+					codes = append(codes, code)
+				}
+			}
+			slices.Sort(codes)
+			var want []Entry
+			for i, code := range codes {
+				if i > 0 && code == codes[i-1] {
+					want[len(want)-1].Count++
+					continue
+				}
+				want = append(want, Entry{Code: code, Count: 1})
+			}
+			if p := c.Profile(seq); p.Windows != len(codes) || !slices.Equal(p.Entries, want) {
+				t.Fatalf("%d^%d codes, trial %d: profile differs from the %% formula's", size, c.k, trial)
+			}
+		}
 	}
 }

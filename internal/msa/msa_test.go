@@ -160,15 +160,23 @@ func TestSPScoreParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSPScoreSampledConvergesToExact: refinement's objective samples
+// pairs only where the sample would not cover them all; below that it
+// is exact SP, and its table totals to SPScore bit for bit.
 func TestSPScoreSampledConvergesToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	seqs := family(rng, 10, 50, 0.15)
 	aln := mustAlign(t, MuscleLike(0), seqs)
 	exact := SPScore(aln, submat.BLOSUM62, submat.DefaultProteinGap, 0)
-	sampledAll := spScoreSampled(aln, submat.BLOSUM62, submat.DefaultProteinGap, 10000, 7)
-	if sampledAll != exact {
-		t.Fatalf("sampling more pairs than exist should fall back to exact: %g vs %g",
-			sampledAll, exact)
+	sc := newPairScorer(submat.BLOSUM62, submat.DefaultProteinGap)
+	obj := newSPObjective(aln.NumSeqs(), sc)
+	if !obj.exact {
+		t.Fatalf("%d rows: the objective samples pairs", aln.NumSeqs())
+	}
+	table := make([]float64, len(obj.pairs))
+	obj.rescore(table, sc.encode(aln.Rows()), nil)
+	if got := obj.total(table); math.Float64bits(got) != math.Float64bits(exact) {
+		t.Fatalf("objective %g, exact SP %g", got, exact)
 	}
 }
 

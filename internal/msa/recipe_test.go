@@ -15,7 +15,7 @@ import (
 )
 
 // The reference merge chain: what alignWithTreePairs did at every node
-// before a group became a recipe — rows rebuilt with profile.MergeRows,
+// before a group became a recipe — rows rebuilt with mergeRows (refine_ref_test.go),
 // ids concatenated, a profile available from profile.FromRows of those
 // rows — kept test-only. It also carries the profile.Merge chain, so
 // one walk yields both sides of "carried ≡ rebuilt".
@@ -59,7 +59,7 @@ func refReduce(t *testing.T, gt *tree.Node, seqs []bio.Sequence, weights []float
 			t.Fatal(err)
 		}
 		g := refGroup{
-			rows: profile.MergeRows(l.rows, r.rows, path),
+			rows: mergeRows(l.rows, r.rows, path),
 			ids:  append(append([]int(nil), l.ids...), r.ids...),
 		}
 		if g.carried, err = profile.Merge(l.carried, r.carried, path); err != nil {
@@ -149,7 +149,7 @@ func randomPairPath(seed int64) pairPath {
 
 // TestRecipeRowsMatchMergeRowsChain: the rows alignWithTreePairs builds
 // once at the root, by pushing a column map down its tree of paths, are
-// the rows the per-node MergeRows chain produces from the same paths.
+// the rows the per-node mergeRows chain produces from the same paths.
 func TestRecipeRowsMatchMergeRowsChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, shape := range []string{"balanced", "caterpillar", "random"} {

@@ -3,32 +3,101 @@ package msa
 import (
 	"repro/internal/bio"
 	"repro/internal/profile"
+	"repro/internal/submat"
 	"repro/internal/tree"
 )
 
 // The refinement oracle: the objective and the split realignment
 // RefineAlignmentContext used before its objective kept a pair-score
-// table — every candidate re-scored in full, every split cloned,
-// compacted in place and re-scanned — with the plain sequential greedy
-// loop over them. The two function bodies are verbatim copies; the
-// tests in refine_test.go hold the table-keeping code to them byte for
-// byte and bit for bit.
+// table — every candidate re-scored in full on its byte rows, every
+// split cloned, compacted in place, re-scanned and merged row by row —
+// with the plain sequential greedy loop over them. pairScore,
+// mergeRows and refRealignSplit are verbatim copies of the code of
+// that time (MergeRows was profile's); refRefineScore inlines the
+// SPScore and sampled-SP bodies it called, on pairScore. The tests in
+// refine_test.go hold the table-keeping code to them byte for byte and
+// bit for bit.
 
 // refRefineScore is the objective used to accept refinement steps: exact SP
 // for small alignments, sampled SP for large ones (deterministic seed so
-// refinement is reproducible). The value is identical for any workers
-// count; workers only bounds the SP computation's own parallelism.
-func (p *Progressive) refRefineScore(a *Alignment, workers int) float64 {
+// refinement is reproducible).
+func (p *Progressive) refRefineScore(a *Alignment) float64 {
 	const exactLimit = 60
 	const samplePairs = 2000
 	n := a.NumSeqs()
-	// Take the exact branch whenever spScoreSampled would fall back to
-	// exact anyway (pair count below the sample budget), so the workers
-	// bound is honored on that path too.
+	rows := a.Rows()
 	if n <= exactLimit || n*(n-1)/2 <= samplePairs {
-		return SPScore(a, p.sub, p.gap, workers)
+		var total float64
+		for i := 0; i < n; i++ {
+			var s float64
+			for j := i + 1; j < n; j++ {
+				s += pairScore(rows[i], rows[j], p.sub, p.gap)
+			}
+			total += s
+		}
+		return total
 	}
-	return spScoreSampled(a, p.sub, p.gap, samplePairs, 1)
+	var s float64
+	for _, pr := range drawPairs(n, samplePairs, 1) {
+		s += pairScore(rows[pr[0]], rows[pr[1]], p.sub, p.gap)
+	}
+	return s * float64(n*(n-1)/2) / float64(samplePairs)
+}
+
+// pairScore scores one row pair under the affine model, ignoring
+// dual-gap columns.
+func pairScore(x, y []byte, sub *submat.Matrix, gap submat.Gap) float64 {
+	var s float64
+	inX, inY := false, false
+	for c := range x {
+		gx, gy := x[c] == bio.Gap, y[c] == bio.Gap
+		switch {
+		case gx && gy:
+			// dual gap: no cost, but keeps gap runs open
+		case gx:
+			if !inX {
+				s -= gap.Open
+			}
+			s -= gap.Extend
+			inX, inY = true, false
+		case gy:
+			if !inY {
+				s -= gap.Open
+			}
+			s -= gap.Extend
+			inX, inY = false, true
+		default:
+			s += sub.Score(x[c], y[c])
+			inX, inY = false, false
+		}
+	}
+	return s
+}
+
+// mergeRows applies a path to the two row sets that produced the aligned
+// profiles, yielding the merged alignment rows (A's rows first).
+func mergeRows(rowsA, rowsB [][]byte, path profile.Path) [][]byte {
+	width := len(path)
+	out := make([][]byte, 0, len(rowsA)+len(rowsB))
+	build := func(rows [][]byte, takeA bool) {
+		for _, row := range rows {
+			merged := make([]byte, 0, width)
+			i := 0
+			for _, op := range path {
+				consume := op == profile.OpMatch || (takeA && op == profile.OpA) || (!takeA && op == profile.OpB)
+				if consume {
+					merged = append(merged, row[i])
+					i++
+				} else {
+					merged = append(merged, bio.Gap)
+				}
+			}
+			out = append(out, merged)
+		}
+	}
+	build(rowsA, true)
+	build(rowsB, false)
+	return out
 }
 
 // refRealignSplit extracts the rows in `split` (by sequence index order of
@@ -69,7 +138,7 @@ func (p *Progressive) refRealignSplit(aln *Alignment, split []int) (*Alignment, 
 	}
 	palign := profile.NewAligner(p.sub, p.gap)
 	path, _ := palign.Align(pa, pb)
-	merged := profile.MergeRows(partA.Rows(), partB.Rows(), path)
+	merged := mergeRows(partA.Rows(), partB.Rows(), path)
 
 	out := &Alignment{Seqs: make([]bio.Sequence, aln.NumSeqs())}
 	for k, i := range idxA {
@@ -101,7 +170,7 @@ func (p *Progressive) refRefine(aln *Alignment, gt *tree.Node, rounds int) (*Ali
 		splits = append(splits, leaves)
 	})
 	current := aln
-	currentScore := p.refRefineScore(current, 1)
+	currentScore := p.refRefineScore(current)
 	for round := 0; round < rounds; round++ {
 		improved := false
 		for _, split := range splits {
@@ -109,7 +178,7 @@ func (p *Progressive) refRefine(aln *Alignment, gt *tree.Node, rounds int) (*Ali
 			if err != nil {
 				continue
 			}
-			if score := p.refRefineScore(c, 1); score > currentScore {
+			if score := p.refRefineScore(c); score > currentScore {
 				current, currentScore = c, score
 				improved = true
 			}

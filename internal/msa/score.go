@@ -16,15 +16,17 @@ import (
 // rows have gaps are skipped). This is the objective the paper reports as
 // "score of the global map".
 //
-// Exact SP is O(N²·W); for large alignments use spScoreSampled.
+// Exact SP is O(N²·W); refinement's objective samples pairs instead
+// above 63 rows (spObjective).
 func SPScore(a *Alignment, sub *submat.Matrix, gap submat.Gap, workers int) float64 {
 	n := a.NumSeqs()
-	rows := a.Rows()
+	sc := newPairScorer(sub, gap)
+	codes := sc.encode(a.Rows())
 	scores := make([]float64, n)
 	par.For(n, 1, workers, func(i, _ int) {
 		var s float64
 		for j := i + 1; j < n; j++ {
-			s += pairScore(rows[i], rows[j], sub, gap)
+			s += sc.score(codes[i], codes[j])
 		}
 		scores[i] = s
 	})
@@ -35,57 +37,104 @@ func SPScore(a *Alignment, sub *submat.Matrix, gap submat.Gap, workers int) floa
 	return total
 }
 
-// pairScore scores one row pair under the affine model, ignoring
+// gapCode is a gap's class code; a residue's is its alphabet index, or
+// the alphabet's length for any byte outside it.
+const gapCode = 0xff
+
+// pairScorer scores row pairs on class-coded rows: every byte becomes
+// its class once (encode), and a residue pair reads its score from one
+// flat (L+1)² table that holds the floats sub.Score returns — the
+// alphabet's scores, and sub.Unknown() against class L — so a pair adds
+// the same floats in the same order as scoring the bytes would.
+type pairScorer struct {
+	class [256]uint8
+	tab   []float64 // tab[x·l1+y] is the score of classes x and y
+	l1    int
+	gap   submat.Gap
+}
+
+func newPairScorer(sub *submat.Matrix, gap submat.Gap) *pairScorer {
+	alpha := sub.Alphabet()
+	L := alpha.Len()
+	sc := &pairScorer{tab: make([]float64, (L+1)*(L+1)), l1: L + 1, gap: gap}
+	for b := range sc.class {
+		switch idx := alpha.Index(byte(b)); {
+		case byte(b) == bio.Gap:
+			sc.class[b] = gapCode
+		case idx >= 0:
+			sc.class[b] = uint8(idx)
+		default:
+			sc.class[b] = uint8(L)
+		}
+	}
+	for x := 0; x <= L; x++ {
+		for y := 0; y <= L; y++ {
+			v := sub.Unknown()
+			if x < L && y < L {
+				v = sub.ScoreIdx(x, y)
+			}
+			sc.tab[x*sc.l1+y] = v
+		}
+	}
+	return sc
+}
+
+// encode returns the class codes of equal-length rows in one slab, each
+// row followed by one gapCode past its last column: a dual gap to any
+// pair, and the column a merged row reads where its side has a gap
+// (splitWork.realign).
+func (sc *pairScorer) encode(rows [][]byte) [][]uint8 {
+	out := make([][]uint8, len(rows))
+	if len(rows) == 0 {
+		return out
+	}
+	w := len(rows[0]) + 1
+	slab := make([]uint8, len(rows)*w)
+	for i, row := range rows {
+		dst := slab[i*w : (i+1)*w : (i+1)*w]
+		for c, b := range row {
+			dst[c] = sc.class[b]
+		}
+		dst[len(row)] = gapCode
+		out[i] = dst
+	}
+	return out
+}
+
+// score scores one coded row pair under the affine model, ignoring
 // dual-gap columns.
-func pairScore(x, y []byte, sub *submat.Matrix, gap submat.Gap) float64 {
+func (sc *pairScorer) score(x, y []uint8) float64 {
 	var s float64
 	inX, inY := false, false
-	for c := range x {
-		gx, gy := x[c] == bio.Gap, y[c] == bio.Gap
+	y = y[:len(x)]
+	for c, cx := range x {
+		cy := y[c]
+		gx, gy := cx == gapCode, cy == gapCode
 		switch {
 		case gx && gy:
 			// dual gap: no cost, but keeps gap runs open
 		case gx:
 			if !inX {
-				s -= gap.Open
+				s -= sc.gap.Open
 			}
-			s -= gap.Extend
+			s -= sc.gap.Extend
 			inX, inY = true, false
 		case gy:
 			if !inY {
-				s -= gap.Open
+				s -= sc.gap.Open
 			}
-			s -= gap.Extend
+			s -= sc.gap.Extend
 			inX, inY = false, true
 		default:
-			s += sub.Score(x[c], y[c])
+			s += sc.tab[int(cx)*sc.l1+int(cy)]
 			inX, inY = false, false
 		}
 	}
 	return s
 }
 
-// spScoreSampled estimates SP from `pairs` uniformly sampled row pairs,
-// scaled to the full pair count. Deterministic for a given seed.
-func spScoreSampled(a *Alignment, sub *submat.Matrix, gap submat.Gap, pairs int, seed int64) float64 {
-	n := a.NumSeqs()
-	totalPairs := n * (n - 1) / 2
-	if totalPairs == 0 {
-		return 0
-	}
-	if pairs >= totalPairs {
-		return SPScore(a, sub, gap, 0)
-	}
-	rows := a.Rows()
-	var s float64
-	for _, p := range drawPairs(n, pairs, seed) {
-		s += pairScore(rows[p[0]], rows[p[1]], sub, gap)
-	}
-	return s * float64(totalPairs) / float64(pairs)
-}
-
-// drawPairs returns the row pairs spScoreSampled sums, in draw order:
-// `pairs` uniform draws of i, then of j ≠ i, from n ≥ 2 rows. Repeats
+// drawPairs returns the row pairs the sampled objective sums, in draw
+// order: `pairs` uniform draws of i, then of j ≠ i, from n ≥ 2 rows. Repeats
 // and orientation are kept — a pair drawn twice counts twice, and
 // (i, j) is scored as drawn. The list depends on (n, pairs, seed) only.
 func drawPairs(n, pairs int, seed int64) [][2]int32 {

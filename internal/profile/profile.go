@@ -177,32 +177,6 @@ func (path Path) Validate(lenA, lenB int) error {
 	return nil
 }
 
-// MergeRows applies a path to the two row sets that produced the aligned
-// profiles, yielding the merged alignment rows (A's rows first).
-func MergeRows(rowsA, rowsB [][]byte, path Path) [][]byte {
-	width := len(path)
-	out := make([][]byte, 0, len(rowsA)+len(rowsB))
-	build := func(rows [][]byte, takeA bool) {
-		for _, row := range rows {
-			merged := make([]byte, 0, width)
-			i := 0
-			for _, op := range path {
-				consume := op == OpMatch || (takeA && op == OpA) || (!takeA && op == OpB)
-				if consume {
-					merged = append(merged, row[i])
-					i++
-				} else {
-					merged = append(merged, bio.Gap)
-				}
-			}
-			out = append(out, merged)
-		}
-	}
-	build(rowsA, true)
-	build(rowsB, false)
-	return out
-}
-
 // Aligner aligns profiles with PSP (profile sum-of-pairs) column scores
 // and affine gap penalties scaled by the opposing column's occupancy, so
 // gapping against a sparsely occupied column is cheap.

@@ -161,11 +161,38 @@ func TestAlignEmptyProfile(t *testing.T) {
 	}
 }
 
+// mergeRows applies a path to the two row sets that produced the aligned
+// profiles, yielding the merged alignment rows (A's rows first): the
+// rows Merge's profile summarises.
+func mergeRows(rowsA, rowsB [][]byte, path Path) [][]byte {
+	width := len(path)
+	out := make([][]byte, 0, len(rowsA)+len(rowsB))
+	build := func(rows [][]byte, takeA bool) {
+		for _, row := range rows {
+			merged := make([]byte, 0, width)
+			i := 0
+			for _, op := range path {
+				consume := op == OpMatch || (takeA && op == OpA) || (!takeA && op == OpB)
+				if consume {
+					merged = append(merged, row[i])
+					i++
+				} else {
+					merged = append(merged, bio.Gap)
+				}
+			}
+			out = append(out, merged)
+		}
+	}
+	build(rowsA, true)
+	build(rowsB, false)
+	return out
+}
+
 func TestMergeRows(t *testing.T) {
 	rowsA := [][]byte{[]byte("AC"), []byte("A-")}
 	rowsB := [][]byte{[]byte("CW")}
 	path := Path{OpA, OpMatch, OpB}
-	merged := MergeRows(rowsA, rowsB, path)
+	merged := mergeRows(rowsA, rowsB, path)
 	want := [][]byte{
 		[]byte("AC-"),
 		[]byte("A--"),
@@ -208,7 +235,7 @@ func TestMergeProfileMatchesMergeRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromRows, _ := FromRows(bio.AminoAcids, MergeRows(rowsA, rowsB, path), nil)
+		fromRows, _ := FromRows(bio.AminoAcids, mergeRows(rowsA, rowsB, path), nil)
 		if merged.Len() != fromRows.Len() {
 			t.Fatalf("trial %d: merged len %d != %d", trial, merged.Len(), fromRows.Len())
 		}
