@@ -12,11 +12,11 @@ import (
 // table — every candidate re-scored in full on its byte rows, every
 // split cloned, compacted in place, re-scanned and merged row by row —
 // with the plain sequential greedy loop over them. pairScore,
-// mergeRows and refRealignSplit are verbatim copies of the code of
-// that time (MergeRows was profile's); refRefineScore inlines the
-// SPScore and sampled-SP bodies it called, on pairScore. The tests in
-// refine_test.go hold the table-keeping code to them byte for byte and
-// bit for bit.
+// mergeRows (profile.MergeRows then) and refRealignSplit, which calls
+// it, are verbatim copies of the code of that time; refRefineScore
+// inlines the SPScore and sampled-SP bodies it called, on pairScore.
+// The tests in refine_test.go hold the table-keeping code to them byte
+// for byte and bit for bit.
 
 // refRefineScore is the objective used to accept refinement steps: exact SP
 // for small alignments, sampled SP for large ones (deterministic seed so
