@@ -274,8 +274,8 @@ func TestRefineCandidateScoreAndInvariant(t *testing.T) {
 				}
 				for _, side := range sides {
 					var idx []int
-					for i, in := range side {
-						if in {
+					for i, a := range side {
+						if a {
 							idx = append(idx, i)
 						}
 					}
