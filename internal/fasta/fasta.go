@@ -74,6 +74,11 @@ func sniffReader(r io.Reader) (io.Reader, error) {
 
 // Read parses every FASTA record from r. Gzip-compressed input is
 // detected by magic bytes and decompressed transparently.
+//
+// Each line is handled as the scanner's bytes, once: a header becomes
+// one string that ID and description are cut from, and a data line's
+// residues, the runs between its spaces and tabs (bytes.IndexAny), are
+// appended to the record whole.
 func Read(r io.Reader) ([]bio.Sequence, error) {
 	plain, err := sniffReader(r)
 	if err != nil {
@@ -87,38 +92,39 @@ func Read(r io.Reader) ([]bio.Sequence, error) {
 	var (
 		seqs []bio.Sequence
 		cur  *bio.Sequence
-		buf  bytes.Buffer
+		buf  []byte // the current record's residues
 		line int
 	)
 	flush := func() {
 		if cur != nil {
-			cur.Data = append([]byte(nil), buf.Bytes()...)
+			cur.Data = append([]byte(nil), buf...)
 			seqs = append(seqs, *cur)
 			cur = nil
-			buf.Reset()
+			buf = buf[:0]
 		}
 	}
 	for sc.Scan() {
 		line++
-		text := strings.TrimRight(sc.Text(), " \t\r")
-		if text == "" {
+		text := bytes.TrimRight(sc.Bytes(), " \t\r")
+		if len(text) == 0 {
 			continue
 		}
 		if text[0] == '>' {
 			flush()
-			id, desc := splitHeader(text[1:])
+			id, desc := splitHeader(string(text[1:]))
 			cur = &bio.Sequence{ID: id, Desc: desc}
 			continue
 		}
 		if cur == nil {
 			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
 		}
-		for i := 0; i < len(text); i++ {
-			b := text[i]
-			if b == ' ' || b == '\t' {
-				continue
+		for len(text) > 0 {
+			i := bytes.IndexAny(text, " \t>")
+			if i < 0 {
+				buf = append(buf, text...)
+				break
 			}
-			if b == '>' {
+			if text[i] == '>' {
 				// '>' mid-line is never residue data; it is the
 				// signature of a glued header (a lost newline before a
 				// record). Accepting it would also make the record
@@ -126,7 +132,8 @@ func Read(r io.Reader) ([]bio.Sequence, error) {
 				// '>' can land at line start and parse as a header.
 				return nil, fmt.Errorf("fasta: line %d: '>' inside sequence data", line)
 			}
-			buf.WriteByte(b)
+			buf = append(buf, text[:i]...)
+			text = text[i+1:]
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -16,13 +16,10 @@ func gz(b []byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzRead throws arbitrary bytes at the FASTA reader. The reader
-// accepts messy-but-real input (CRLF, lone CR, gzip, blank lines,
-// ragged widths) and rejects garbage with an error — it must never
-// panic, and anything it does parse must survive a Write/Read round
-// trip unchanged (IDs, descriptions and residue data).
-func FuzzRead(f *testing.F) {
-	seeds := [][]byte{
+// fuzzReadSeeds is FuzzRead's seed corpus, which TestReadMatchesOracle
+// also runs Read and its oracle on.
+func fuzzReadSeeds() [][]byte {
+	return [][]byte{
 		[]byte(">a desc here\nACDEFG\nHIKLMN\n>b\nMKV\n"),
 		[]byte(">a\r\nACDE\r\n>b\r\nFGHI\r\n"),
 		// classic Mac endings: lone CR both after headers and data
@@ -48,10 +45,21 @@ func FuzzRead(f *testing.F) {
 		{0x1f, 0x8b, 0xff}, // gzip magic, corrupt header
 		[]byte(">\xff\xfe binary\n\x00\x01\x02\n"),
 	}
-	for _, s := range seeds {
+}
+
+// FuzzRead throws arbitrary bytes at the FASTA reader. The reader
+// accepts messy-but-real input (CRLF, lone CR, gzip, blank lines,
+// ragged widths) and rejects garbage with an error — it must never
+// panic, and anything it does parse must survive a Write/Read round
+// trip unchanged (IDs, descriptions and residue data). Whatever it
+// does, it must do as readOracle does: the same records or the same
+// error.
+func FuzzRead(f *testing.F) {
+	for _, s := range fuzzReadSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMatchesOracle(t, data)
 		seqs, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panics are the bug

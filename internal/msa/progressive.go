@@ -146,7 +146,7 @@ func (p *Progressive) AlignContext(ctx context.Context, seqs []bio.Sequence) (*A
 		return &Alignment{Seqs: []bio.Sequence{seqs[0].Ungapped()}}, nil
 	}
 	for i := range seqs {
-		if len(bio.Ungap(seqs[i].Data)) == 0 {
+		if len(bytes.Trim(seqs[i].Data, string(bio.Gap))) == 0 {
 			return nil, fmt.Errorf("msa: sequence %q is empty", seqs[i].ID)
 		}
 	}
@@ -253,14 +253,16 @@ type pairPath func(pl, pr *profile.Profile) (profile.Path, error)
 //
 // A merge touches profiles only: it aligns its children's with pair,
 // joins them along the path (profile.Merge: O(width), no rows read) and
-// lets them go; a leaf's one-row profile is made when ParallelReduce
-// calls leaf, which is inside the merge that consumes it. A profile so
-// lives from the merge that makes it to the merge that uses it, and
-// ParallelReduce's order keeps those few. The carried profile is the
-// definition of a group's profile: it equals profile.FromRows of the
-// group's rows exactly with unit weights over the alphabet's letters,
-// and to within rounding with tree weights or unknown residues
-// ((ΣA)+(ΣB) where FromRows adds row by row).
+// releases them, so the next FromRows or Merge reuses their column
+// storage; a leaf's one-row profile is made when ParallelReduce calls
+// leaf, which is inside the merge that consumes it. A profile so lives
+// from the merge that makes it to the merge that uses it, and
+// ParallelReduce's order keeps those few. pair must not keep either
+// profile past its return. The carried profile is the definition of a
+// group's profile: it equals profile.FromRows of the group's rows
+// exactly with unit weights over the alphabet's letters, and to within
+// rounding with tree weights or unknown residues ((ΣA)+(ΣB) where
+// FromRows adds row by row).
 func (p *Progressive) alignWithTreePairs(ctx context.Context, seqs []bio.Sequence, gt *tree.Node, weights []float64, pair pairPath) (*Alignment, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
@@ -272,7 +274,10 @@ func (p *Progressive) alignWithTreePairs(ctx context.Context, seqs []bio.Sequenc
 		if n.ID < 0 || n.ID >= len(seqs) {
 			return nil, fmt.Errorf("msa: guide tree leaf id %d out of range", n.ID)
 		}
-		g := &group{id: n.ID, seq: bio.Ungap(seqs[n.ID].Data), leaves: 1}
+		g := &group{id: n.ID, seq: seqs[n.ID].Data, leaves: 1}
+		if bytes.IndexByte(g.seq, bio.Gap) >= 0 { // read only: no copy unless gapped
+			g.seq = bio.Ungap(g.seq)
+		}
 		var w []float64
 		if weights != nil {
 			w = weights[n.ID : n.ID+1]
@@ -296,6 +301,8 @@ func (p *Progressive) alignWithTreePairs(ctx context.Context, seqs []bio.Sequenc
 		if g.prof, err = profile.Merge(pl, pr, g.path); err != nil {
 			return nil, err
 		}
+		pl.Release()
+		pr.Release()
 		return g, nil
 	}
 
@@ -306,6 +313,8 @@ func (p *Progressive) alignWithTreePairs(ctx context.Context, seqs []bio.Sequenc
 	if g == nil {
 		return nil, fmt.Errorf("msa: empty guide tree")
 	}
+	g.prof.Release() // the rows come from the recipes
+
 	cols := make([]int32, max(len(g.seq), len(g.path))) // one of them is the root's
 	for c := range cols {
 		cols[c] = int32(c)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"weak"
 
 	"repro/internal/bio"
 	"repro/internal/dp"
@@ -50,10 +52,86 @@ type Profile struct {
 	Alpha  *bio.Alphabet
 	Cols   []Column
 	Weight float64 // total weight of the rows summarised
+
+	slab []float64 // pooled counts storage (FromRows, Merge); nil if the caller built Cols
+	ref  *freeRef  // what Release puts in a pool, made on the first Release
 }
 
 // Len returns the number of columns.
 func (p *Profile) Len() int { return len(p.Cols) }
+
+// Release hands the column storage of a profile made by FromRows or
+// Merge back for later profiles to reuse; the profile must not be used
+// afterwards. A guide-tree merge releases its children's profiles once
+// it has merged them. Release does nothing to a profile whose columns
+// the caller built.
+func (p *Profile) Release() {
+	if p.slab == nil {
+		return
+	}
+	p.Cols = p.Cols[:0] // until reused, a stale reference sees no columns
+	if p.ref == nil {
+		p.ref = &freeRef{weak.Make(p)}
+	}
+	colPools[sizeClass(len(p.slab))].Put(p.ref)
+}
+
+// colPools recycles the profiles of FromRows and Merge with their
+// column storage, one pool per size class: class k holds released
+// profiles whose counts slab has room for 1<<k floats.
+var colPools [bits.UintSize]sync.Pool
+
+// freeRef is a released profile as its pool holds it: weakly, so pooled
+// storage is garbage to the collector. A FromRows or Merge that asks
+// before the next collection takes it again; otherwise that collection
+// frees it, as it would have freed the profile unpooled. Held strongly,
+// pooled profiles would count as live heap at a collection and raise
+// the heap goal, and so peak RSS, where the live heap is small.
+type freeRef struct{ p weak.Pointer[Profile] }
+
+// sizeClass returns the class of a slab of n ≥ 1 floats: the smallest
+// k with 1<<k ≥ n.
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// takeProfile returns a profile of width columns over alpha, Weight 0,
+// whose Counts share one slab, each capped at its own letters so an
+// append cannot reach its neighbour. It comes from the size class's
+// pool when it can — then its counts and gaps hold whatever the last
+// user left, and the caller must write every one — and is otherwise
+// made with three allocations: profile, columns and slab.
+func takeProfile(alpha *bio.Alphabet, width int) *Profile {
+	if width == 0 {
+		return &Profile{Alpha: alpha}
+	}
+	k := sizeClass(width * alpha.Len())
+	var p *Profile
+	for p == nil {
+		ref, _ := colPools[k].Get().(*freeRef)
+		if ref == nil {
+			break
+		}
+		p = ref.p.Value() // nil once collected
+	}
+	if p == nil {
+		p = &Profile{slab: make([]float64, 1<<k)}
+	}
+	p.shape(alpha, width)
+	return p
+}
+
+// shape lays width columns over alpha out on a pooled profile's slab,
+// which must hold width·alpha.Len() floats, and zeroes its Weight.
+func (p *Profile) shape(alpha *bio.Alphabet, width int) {
+	L := alpha.Len()
+	p.Alpha, p.Weight = alpha, 0
+	if cap(p.Cols) < width { // new, or last shaped for more letters a column
+		p.Cols = make([]Column, 0, len(p.slab)/L)
+	}
+	p.Cols = p.Cols[:width]
+	for c := range p.Cols {
+		p.Cols[c].Counts = p.slab[c*L : (c+1)*L : (c+1)*L]
+	}
+}
 
 // FromRows builds a profile from equal-length aligned rows with the
 // given per-row weights (nil means unit weights).
@@ -70,7 +148,17 @@ func FromRows(alpha *bio.Alphabet, rows [][]byte, weights []float64) (*Profile, 
 	if weights != nil && len(weights) != len(rows) {
 		return nil, fmt.Errorf("profile: %d weights for %d rows", len(weights), len(rows))
 	}
-	p := &Profile{Alpha: alpha, Cols: newColumns(alpha, width)}
+	return fromRows(takeProfile(alpha, width), rows, weights), nil
+}
+
+// fromRows fills p, whose columns are as wide as the rows and hold
+// anything, with the rows' weighted counts.
+func fromRows(p *Profile, rows [][]byte, weights []float64) *Profile {
+	alpha := p.Alpha
+	clear(p.slab[:len(p.Cols)*alpha.Len()])
+	for c := range p.Cols {
+		p.Cols[c].Gaps = 0
+	}
 	for r, row := range rows {
 		w := 1.0
 		if weights != nil {
@@ -95,20 +183,7 @@ func FromRows(alpha *bio.Alphabet, rows [][]byte, weights []float64) (*Profile, 
 			}
 		}
 	}
-	return p, nil
-}
-
-// newColumns returns width zeroed columns whose Counts share one
-// backing slab — one allocation per profile, not one per column — each
-// capped at its own letters so an append cannot reach its neighbour.
-func newColumns(alpha *bio.Alphabet, width int) []Column {
-	L := alpha.Len()
-	slab := make([]float64, width*L)
-	cols := make([]Column, width)
-	for c := range cols {
-		cols[c].Counts = slab[c*L : (c+1)*L : (c+1)*L]
-	}
-	return cols
+	return p
 }
 
 // FromSequence builds a single-row profile from an ungapped sequence.
@@ -231,7 +306,7 @@ type pspScratch struct {
 // ascending order from +0 — what adding into sbT[x·m+j] letter by letter
 // gives, without L read-modify-writes m entries apart per nonzero
 // count. Both letter loops take a column's nonzero letters from
-// nonzeroLetters' mask, so no branch depends on the counts.
+// residuesMask's mask, so no branch depends on the counts.
 func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	n, m := a.Len(), b.Len()
 	L := al.Sub.Alphabet().Len()
@@ -250,13 +325,13 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	var nz int32
 	for i := range a.Cols {
 		col := &a.Cols[i]
-		res := col.Residues()
+		res, mask := residuesMask(col.Counts)
 		sc.occA[i] = occupancy(res, col.Gaps)
 		sc.faOff[i] = nz
 		if res == 0 {
 			continue
 		}
-		for mask := nonzeroLetters(col.Counts); mask != 0; mask &= mask - 1 {
+		for ; mask != 0; mask &= mask - 1 {
 			y := bits.TrailingZeros32(mask)
 			sc.faIdx[nz] = int32(y)
 			sc.faVal[nz] = col.Counts[y] / res
@@ -276,7 +351,7 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 	open, ext := al.Gap.Open, al.Gap.Extend
 	for j := range b.Cols {
 		col := &b.Cols[j]
-		res := col.Residues()
+		res, mask := residuesMask(col.Counts)
 		occ := occupancy(res, col.Gaps)
 		sc.occB[j] = occ
 		sc.openB[j], sc.extB[j] = (open+ext)*occ, ext*occ
@@ -284,7 +359,7 @@ func (al *Aligner) pspSetup(w *dp.Workspace, a, b *Profile) pspScratch {
 			continue
 		}
 		nb := 0
-		for mask := nonzeroLetters(col.Counts); mask != 0; mask &= mask - 1 {
+		for ; mask != 0; mask &= mask - 1 {
 			y := bits.TrailingZeros32(mask)
 			bIdx[nb], bVal[nb] = int32(y), col.Counts[y]/res
 			nb++
@@ -309,23 +384,26 @@ func (sc *pspScratch) colScores(dst []float64, i, lo int) {
 	letterSums(dst, sc.zero, sc.faIdx[k:end], sc.faVal[k:end], sc.sbT[lo:], sc.m, sc.occA[i], sc.occB[lo:][:len(dst)])
 }
 
-// nonzeroLetters returns a mask with bit y set where counts[y] is not
-// zero (either zero), without a branch on the counts: pspSetup's letter
-// loops walk it with bits.TrailingZeros32, in ascending letter order.
-// The alphabet must have at most 32 letters.
-func nonzeroLetters(counts []float64) uint32 {
+// residuesMask reads a column's counts once for both things pspSetup
+// needs of it: their sum, added as Residues adds it (from +0, in
+// ascending letter order, so bit for bit the same), and a mask with bit
+// y set where counts[y] is not zero (either zero), made without a
+// branch on the counts. pspSetup's letter loops walk the mask with
+// bits.TrailingZeros32, in ascending letter order. The alphabet must
+// have at most 32 letters.
+func residuesMask(counts []float64) (res float64, mask uint32) {
 	if len(counts) > 32 {
 		panic("profile: an alphabet of more than 32 letters")
 	}
-	var mask uint32
 	for y, c := range counts {
+		res += c
 		var bit uint32
 		if c != 0 {
 			bit = 1
 		}
 		mask |= bit << y
 	}
-	return mask
+	return res, mask
 }
 
 // tbPlane lays out the packed traceback plane of alignRows, h rows to
@@ -679,7 +757,14 @@ func Merge(a, b *Profile, path Path) (*Profile, error) {
 	if err := path.Validate(a.Len(), b.Len()); err != nil {
 		return nil, err
 	}
-	out := &Profile{Alpha: a.Alpha, Weight: a.Weight + b.Weight, Cols: newColumns(a.Alpha, len(path))}
+	return merge(takeProfile(a.Alpha, len(path)), a, b, path), nil
+}
+
+// merge fills out, whose columns are as wide as the path and hold
+// anything, with a and b joined along the path. It writes every count
+// and gap by assignment, so out's storage needs no clearing.
+func merge(out, a, b *Profile, path Path) *Profile {
+	out.Weight = a.Weight + b.Weight
 	i, j := 0, 0
 	for c, op := range path {
 		col := &out.Cols[c]
@@ -702,5 +787,5 @@ func Merge(a, b *Profile, path Path) (*Profile, error) {
 			j++
 		}
 	}
-	return out, nil
+	return out
 }
