@@ -126,7 +126,7 @@ func main() {
 	// Batch mode feeds the same stage histograms through a rank-local
 	// tracer; output stays byte-identical (tracing only observes).
 	if wm != nil {
-		ctx = obs.WithTracer(ctx, obs.New(obs.Options{OnSpanClose: wm.ObserveStage}))
+		ctx = obs.WithTracer(ctx, obs.New("", wm.ObserveStage))
 		wm.JobStarted()
 	}
 	aln, err := samplealign.AlignTCPContext(ctx,

@@ -276,7 +276,7 @@ func TestKmerWorkCountsOnSpans(t *testing.T) {
 	seqs := testFamily(t, 30, 60, 400, 12)
 	const p = 3
 	counts := func(workers int) []string {
-		tr := obs.New(obs.Options{})
+		tr := obs.New("", nil)
 		ctx := obs.WithTracer(context.Background(), tr)
 		if _, err := AlignInprocContext(ctx, seqs, p, Config{Workers: workers}); err != nil {
 			t.Fatal(err)

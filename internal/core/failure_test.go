@@ -43,14 +43,14 @@ func TestAlignSurvivesInjectedSendFault(t *testing.T) {
 	// Whatever send fails, Align must return an error (never hang, never
 	// return a partial alignment as success). The world is closed on
 	// first error, unblocking the peers. Every span a failed rank opened
-	// must still end, so the stage it died in reaches the OnSpanClose hook.
+	// must still end, so the stage it died in reaches the span-close hook.
 	seqs := testFamily(t, 16, 40, 300, 21)
 	for _, failAt := range []int{1, 2, 5, 9} {
 		parts, origs := SplitBlocks(seqs, 3)
 		var anyErr error
 		var mu sync.Mutex
 		var ended atomic.Int64
-		tr := obs.New(obs.Options{OnSpanClose: func(obs.SpanClose) { ended.Add(1) }})
+		tr := obs.New("", func(obs.SpanClose) { ended.Add(1) })
 		ctx := obs.WithTracer(context.Background(), tr)
 		faulty := &faultyComm{failAt: failAt}
 		_ = mpi.RunContext(context.Background(), 3, func(c mpi.Comm) error {

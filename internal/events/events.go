@@ -8,9 +8,10 @@
 //     HistLimit entries for replay, and each subscriber owns a
 //     fixed-capacity delivery buffer sized at Subscribe time.
 //  2. Slow consumers never block publishers. When a subscriber's buffer
-//     is full the entry is dropped for that subscriber and accounted —
-//     never queued unboundedly. The SSE layer resynchronizes a gappy
-//     stream from history or from the job's terminal state.
+//     is full the entry is dropped for that subscriber and reported to
+//     NewBus's onDrop hook — never queued unboundedly. The SSE layer
+//     resynchronizes a gappy stream from history or from the job's
+//     terminal state.
 //  3. Replayable. A subscriber may attach after entries — or the whole
 //     flight — have passed; Subscribe(after, n) re-delivers retained
 //     history with stable sequence numbers, so reconnecting clients
@@ -30,14 +31,13 @@ type Entry[T any] struct {
 // Bus is a bounded broadcast bus. The zero value is not usable; build
 // one with NewBus. All methods are safe for concurrent use.
 type Bus[T any] struct {
-	mu      sync.Mutex
-	limit   int
-	hist    []Entry[T] // most recent limit entries, ascending Seq
-	seq     int64
-	subs    map[*Sub[T]]struct{}
-	closed  bool
-	dropped int64
-	onDrop  func(n int64)
+	mu     sync.Mutex
+	limit  int
+	hist   []Entry[T] // most recent limit entries, ascending Seq
+	seq    int64
+	subs   map[*Sub[T]]struct{}
+	closed bool
+	onDrop func(n int64)
 }
 
 // NewBus builds a bus retaining the last histLimit entries for replay
@@ -57,8 +57,8 @@ func NewBus[T any](histLimit int, onDrop func(n int64)) *Bus[T] {
 
 // Publish appends v to the history and fans it out to every live
 // subscriber without blocking: subscribers whose buffers are full miss
-// this entry and the drop is accounted. It returns the entry's sequence
-// number. Publishing on a closed bus is a no-op returning the last
+// this entry and the drop goes to onDrop. It returns the entry's
+// sequence number. Publishing on a closed bus is a no-op returning the last
 // sequence number.
 func (b *Bus[T]) Publish(v T) int64 {
 	b.mu.Lock()
@@ -78,8 +78,6 @@ func (b *Bus[T]) Publish(v T) int64 {
 		select {
 		case s.ch <- e:
 		default:
-			s.dropped++
-			b.dropped++
 			if b.onDrop != nil {
 				b.onDrop(1)
 			}
@@ -103,13 +101,6 @@ func (b *Bus[T]) Close() {
 		close(s.ch)
 	}
 	b.subs = nil
-}
-
-// Dropped returns the total entries dropped across all subscribers.
-func (b *Bus[T]) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // History returns the retained entries with sequence numbers greater
@@ -163,21 +154,11 @@ type Sub[T any] struct {
 	bus *Bus[T]
 	ch  chan Entry[T]
 
-	// guarded by bus.mu
-	dropped int64
-	removed bool
+	removed bool // guarded by bus.mu
 }
 
 // C returns the delivery channel.
 func (s *Sub[T]) C() <-chan Entry[T] { return s.ch }
-
-// Dropped returns how many entries this subscriber missed because its
-// buffer was full.
-func (s *Sub[T]) Dropped() int64 {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	return s.dropped
-}
 
 // Close detaches the subscription from the bus. It does not close the
 // delivery channel (a concurrent Publish may hold a buffered entry);

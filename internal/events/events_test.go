@@ -68,12 +68,6 @@ func TestSlowConsumerDropsAreAccounted(t *testing.T) {
 		b.Publish(i)
 	}
 	// Buffer of 2: entries 3..6 were dropped for this subscriber.
-	if got := s.Dropped(); got != 4 {
-		t.Fatalf("Sub.Dropped = %d, want 4", got)
-	}
-	if got := b.Dropped(); got != 4 {
-		t.Fatalf("Bus.Dropped = %d, want 4", got)
-	}
 	if hooked != 4 {
 		t.Fatalf("onDrop total = %d, want 4", hooked)
 	}
@@ -113,13 +107,15 @@ func TestSubscribeAfterCloseReplaysHistory(t *testing.T) {
 }
 
 func TestSubCloseDetaches(t *testing.T) {
-	b := NewBus[int](16, nil)
+	var dropped int64
+	b := NewBus[int](16, func(n int64) { dropped += n })
 	s := b.Subscribe(0, 1)
 	s.Close()
 	s.Close() // idempotent
 	b.Publish(1)
-	if got := s.Dropped(); got != 0 {
-		t.Fatalf("detached subscriber accounted a drop: %d", got)
+	b.Publish(2) // would overflow the buffer of an attached subscriber
+	if dropped != 0 {
+		t.Fatalf("detached subscriber accounted a drop: %d", dropped)
 	}
 	b.Close() // must not double-close the detached channel
 }

@@ -23,12 +23,12 @@ import (
 //     loops are cross-run nondeterministic unless the output is sorted
 //     afterwards (a sort call on the collected slice later in the same
 //     block is recognized and silences the finding);
-//   - obs span timing reads — obs.(*Span).Wall and
-//     obs.(*Tracer).Document expose wall-clock durations (obs owns the
-//     pipeline's only other audited clock besides core/clock.go), so
-//     reading them inside a determinism-critical package is a clock
-//     read by another name. Emitting spans (Start/StartDepth, the
-//     Set* attribute setters, End) is write-only and stays allowed.
+//   - obs trace timing reads — obs.(*Tracer).Document exposes
+//     wall-clock durations (obs owns the pipeline's only other audited
+//     clock besides core/clock.go), so reading it inside a
+//     determinism-critical package is a clock read by another name.
+//     Emitting spans (Start/StartDepth, the Set* attribute setters,
+//     End) is write-only and stays allowed.
 var determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "determinism-critical packages must not read clocks, use math/rand, or depend on map iteration order",
@@ -52,9 +52,6 @@ func runDeterminism(pass *Pass) {
 					pass.Reportf(call.Pos(), "determinism-critical package reads the wall clock via time.%s: clock values must never influence alignment bytes", name)
 				}
 				const obsPath = ModulePath + "/internal/obs"
-				if methodOn(pass.Info, call, "Wall", obsPath, "Span") {
-					pass.Reportf(call.Pos(), "determinism-critical package reads a span timing via obs.(*Span).Wall: trace durations must never influence alignment bytes")
-				}
 				if methodOn(pass.Info, call, "Document", obsPath, "Tracer") {
 					pass.Reportf(call.Pos(), "determinism-critical package reads trace timings via obs.(*Tracer).Document: trace durations must never influence alignment bytes")
 				}

@@ -133,10 +133,6 @@ func allowedClock() int64 {
 	return t.UnixNano()
 }
 
-func spanWall(sp *obs.Span) time.Duration {
-	return sp.Wall() // want `reads a span timing via obs\.\(\*Span\)\.Wall`
-}
-
 func traceDoc(tr *obs.Tracer) *obs.Document {
 	return tr.Document() // want `reads trace timings via obs\.\(\*Tracer\)\.Document`
 }

@@ -389,7 +389,7 @@ func TestRefineSpanCounts(t *testing.T) {
 	for _, n := range []int{30, 90} {
 		seqs := family(rand.New(rand.NewSource(5)), n, 60, 0.25)
 		attrs := func(workers int) map[string]int64 {
-			tr := obs.New(obs.Options{})
+			tr := obs.New("", nil)
 			ctx := obs.WithTracer(context.Background(), tr)
 			if _, err := MuscleLikeRefined(workers).AlignContext(ctx, seqs); err != nil {
 				t.Fatal(err)

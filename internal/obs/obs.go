@@ -13,13 +13,13 @@
 //     performs no allocations (BenchmarkStartEndDisabled enforces this).
 //  2. Observation only. Spans are write-only sinks from the pipeline's
 //     point of view: alignment code may Start/Set*/End spans but must
-//     never read timing back (Span.Wall, Tracer.Document) — durations
-//     come from a wall clock and would break the byte-identical
-//     determinism contract if they influenced output. The determinism
+//     never read timing back (Tracer.Document) — durations come from
+//     a wall clock and would break the byte-identical determinism
+//     contract if they influenced output. The determinism
 //     lint analyzer enforces this split for the pipeline packages.
-//  3. Bounded. A tracer caps its span count (MaxSpans) and samples
-//     per-merge-node spans above a depth threshold (SampleDepth), so a
-//     10k-sequence progressive merge cannot balloon the trace.
+//  3. Bounded. A tracer caps its span count (maxSpans) and drops
+//     per-merge-node spans deeper than a fixed depth (sampleDepth), so
+//     a 10k-sequence progressive merge cannot balloon the trace.
 //
 // Wall-clock access stays centralized: clock.go holds this package's
 // only time calls, the second audited clock in the repo next to
@@ -36,36 +36,15 @@ import (
 type tracerKey struct{}
 type spanKey struct{}
 
-// DefaultMaxSpans bounds a trace when Options.MaxSpans is zero.
-const DefaultMaxSpans = 4096
+// maxSpans caps a trace's recorded spans; once reached, Start returns
+// nil spans and the document reports the dropped count.
+const maxSpans = 4096
 
-// defaultSampleDepth is the merge-node sampling threshold when
-// Options.SampleDepth is zero: StartDepth records spans with depth ≤ 3
+// sampleDepth is StartDepth's threshold: it records spans with depth ≤ 3
 // (the top four levels of a merge tree) and drops deeper ones.
-const defaultSampleDepth = 3
+const sampleDepth = 3
 
-// Options configures a Tracer.
-type Options struct {
-	// ID names the trace (the serve layer uses the flight's trace ID).
-	ID string
-	// MaxSpans caps the number of recorded spans; once reached, Start
-	// returns nil spans and the document reports the dropped count.
-	// Zero means DefaultMaxSpans; negative means unbounded.
-	MaxSpans int
-	// SampleDepth is the StartDepth threshold: spans requested with a
-	// depth greater than this are not recorded. Zero means
-	// defaultSampleDepth; negative disables depth-gated spans entirely.
-	SampleDepth int
-	// OnSpanClose, when set, is invoked synchronously from Span.End
-	// (and once per span adopted via AttachRemote) with a snapshot of
-	// the finished span, attributes included. The serve layer uses it
-	// to feed the per-stage latency histograms and the live job event
-	// stream. It must be safe for concurrent use; it is called outside
-	// the tracer lock.
-	OnSpanClose func(SpanClose)
-}
-
-// SpanClose is the snapshot handed to Options.OnSpanClose when a span
+// SpanClose is the snapshot handed to a tracer's onClose hook when a span
 // finishes: the name, the wall duration, and the attributes recorded up
 // to End. Remote marks spans adopted from another rank's tracer via
 // AttachRemote rather than ended locally.
@@ -80,11 +59,10 @@ type SpanClose struct {
 // concurrent use: the in-process driver runs p rank goroutines against
 // one tracer, and progressive merges end spans from worker goroutines.
 type Tracer struct {
-	id          string
-	maxSpans    int
-	sampleDepth int
-	onClose     func(SpanClose)
-	t0          time.Time
+	id      string
+	spanCap int // maxSpans, except where a test starves the tracer
+	onClose func(SpanClose)
+	t0      time.Time
 
 	mu      sync.Mutex
 	spans   int
@@ -92,33 +70,18 @@ type Tracer struct {
 	roots   []*Span
 }
 
-// New builds a tracer. The zero Options value gives sane bounds.
-func New(o Options) *Tracer {
-	max := o.MaxSpans
-	if max == 0 {
-		max = DefaultMaxSpans
-	}
-	depth := o.SampleDepth
-	if depth == 0 {
-		depth = defaultSampleDepth
-	}
-	return &Tracer{
-		id:          o.ID,
-		maxSpans:    max,
-		sampleDepth: depth,
-		onClose:     o.OnSpanClose,
-		t0:          now(),
-	}
+// New builds a tracer named id (the serve layer uses the flight's trace
+// ID). onClose, when non-nil, is invoked synchronously from Span.End
+// (and once per span adopted via AttachRemote) with a snapshot of the
+// finished span, attributes included; the serve layer uses it to feed
+// the per-stage latency histograms and the live job event stream. It
+// must be safe for concurrent use; it is called outside the tracer lock.
+func New(id string, onClose func(SpanClose)) *Tracer {
+	return &Tracer{id: id, spanCap: maxSpans, onClose: onClose, t0: now()}
 }
 
 // ID returns the trace identifier the tracer was created with.
 func (t *Tracer) ID() string { return t.id }
-
-// Bounds returns the tracer's resolved span cap and sampling depth, for
-// propagating the same tracing configuration to remote ranks.
-func (t *Tracer) Bounds() (maxSpans, sampleDepth int) {
-	return t.maxSpans, t.sampleDepth
-}
 
 // WithTracer installs t as the collector for spans started under the
 // returned context. Installing nil returns ctx unchanged.
@@ -160,16 +123,16 @@ func Current(ctx context.Context) *Span {
 	return sp
 }
 
-// StartDepth is Start gated by the tracer's sampling threshold: spans
-// requested at a depth greater than Options.SampleDepth are not
-// recorded. Progressive aligners use it for per-merge-node spans so
-// deep merge trees stay bounded.
+// StartDepth is Start gated by the sampling threshold: spans requested
+// at a depth greater than sampleDepth are not recorded. Progressive
+// aligners use it for per-merge-node spans so deep merge trees stay
+// bounded.
 func StartDepth(ctx context.Context, name string, depth int) (context.Context, *Span) {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	if t == nil {
 		return ctx, nil
 	}
-	if t.sampleDepth < 0 || depth > t.sampleDepth {
+	if depth > sampleDepth {
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanKey{}).(*Span)
@@ -184,7 +147,7 @@ func (t *Tracer) newSpan(name string, parent *Span) *Span {
 	start := sinceNs(t.t0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.maxSpans >= 0 && t.spans >= t.maxSpans {
+	if t.spans >= t.spanCap {
 		t.dropped++
 		return nil
 	}
@@ -246,7 +209,7 @@ func (s *Span) SetBool(key string, value bool) {
 }
 
 // End closes the span, fixing its duration. Ending twice is a no-op, as
-// is ending a nil span. If the tracer has an OnSpanClose hook it fires
+// is ending a nil span. If the tracer has an onClose hook it fires
 // here (outside the tracer lock), once per span.
 func (s *Span) End() {
 	if s == nil {
@@ -276,12 +239,12 @@ func (s *Span) End() {
 
 // AttachRemote grafts a remotely collected span tree — a worker rank's
 // serialized Document — under s as already-ended child spans. Adopted
-// spans count against this tracer's MaxSpans bound: once the cap is
+// spans count against this tracer's span cap: once the cap is
 // reached, remaining subtrees are dropped and accounted, and the remote
 // document's own dropped count carries over. Span timings inside the
 // adopted subtree stay relative to the remote tracer's start time, not
 // this one's; consumers read them as durations, not as a shared
-// timeline. The tracer's OnSpanClose hook fires once per adopted span
+// timeline. The tracer's onClose hook fires once per adopted span
 // (children before parents, mirroring live End order), so stage
 // histograms and event streams cover remote ranks too. No-op on a nil
 // span or nil document.
@@ -295,7 +258,7 @@ func (s *Span) AttachRemote(doc *Document) {
 	t.dropped += doc.DroppedSpans
 	var adopt func(parent *Span, d *SpanDoc)
 	adopt = func(parent *Span, d *SpanDoc) {
-		if t.maxSpans >= 0 && t.spans >= t.maxSpans {
+		if t.spans >= t.spanCap {
 			t.dropped += int64(docSpanCount(d))
 			return
 		}
@@ -308,46 +271,32 @@ func (s *Span) AttachRemote(doc *Document) {
 		for _, c := range d.Children {
 			adopt(sp, c)
 		}
-		closed = append(closed, SpanClose{
-			Name:       sp.name,
-			DurationNs: sp.durNs,
-			Attrs:      append([]Attr(nil), sp.attrs...),
-			Remote:     true,
-		})
+		if t.onClose != nil {
+			closed = append(closed, SpanClose{
+				Name:       sp.name,
+				DurationNs: sp.durNs,
+				Attrs:      append([]Attr(nil), sp.attrs...),
+				Remote:     true,
+			})
+		}
 	}
 	for _, r := range doc.Spans {
 		adopt(s, r)
 	}
-	hook := t.onClose
 	t.mu.Unlock()
-	if hook != nil {
-		for _, sc := range closed {
-			hook(sc)
-		}
+	for _, sc := range closed {
+		t.onClose(sc)
 	}
 }
 
 // docSpanCount counts the spans in a subtree, for drop accounting when
-// an adopted tree overflows MaxSpans.
+// an adopted tree overflows the span cap.
 func docSpanCount(d *SpanDoc) int {
 	n := 1
 	for _, c := range d.Children {
 		n += docSpanCount(c)
 	}
 	return n
-}
-
-// Wall returns the span's recorded duration (zero until End). This is a
-// timing *reader*: calling it from a determinism-audited pipeline
-// package is a lint error, because span timings must never influence
-// alignment bytes.
-func (s *Span) Wall() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return time.Duration(s.durNs)
 }
 
 // SpanDoc is the JSON form of one span.
@@ -368,8 +317,9 @@ type Document struct {
 }
 
 // Document snapshots the tracer's span tree. Unended spans appear with
-// a zero duration. Like Span.Wall this is a timing reader, off-limits
-// to determinism-audited packages.
+// a zero duration. This is a timing reader: calling it from a
+// determinism-audited pipeline package is a lint error, because span
+// timings must never influence alignment bytes.
 func (t *Tracer) Document() *Document {
 	if t == nil {
 		return nil

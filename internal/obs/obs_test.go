@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -26,9 +27,6 @@ func TestDisabledPathIsInert(t *testing.T) {
 	sp.SetBool("b", true)
 	sp.End()
 	sp.End()
-	if got := sp.Wall(); got != 0 {
-		t.Fatalf("nil span Wall = %v, want 0", got)
-	}
 	if FromContext(ctx) != nil {
 		t.Fatal("FromContext must be nil without a tracer")
 	}
@@ -49,7 +47,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 }
 
 func TestSpanTreeNesting(t *testing.T) {
-	tr := New(Options{ID: "t1"})
+	tr := New("t1", nil)
 	ctx := WithTracer(context.Background(), tr)
 	if FromContext(ctx) == nil {
 		t.Fatal("FromContext must be non-nil with a tracer installed")
@@ -92,14 +90,11 @@ func TestSpanTreeNesting(t *testing.T) {
 }
 
 func TestSpanDurations(t *testing.T) {
-	tr := New(Options{})
+	tr := New("", nil)
 	ctx := WithTracer(context.Background(), tr)
 	_, sp := Start(ctx, "work")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	if w := sp.Wall(); w <= 0 {
-		t.Fatalf("Wall = %v, want > 0", w)
-	}
 	doc := tr.Document()
 	if doc.Spans[0].DurationNs <= 0 {
 		t.Fatalf("duration_ns = %d, want > 0", doc.Spans[0].DurationNs)
@@ -112,14 +107,14 @@ func TestSpanDurations(t *testing.T) {
 func TestEndIdempotentAndHookOnce(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string]int{}
-	tr := New(Options{OnSpanClose: func(sc SpanClose) {
+	tr := New("", func(sc SpanClose) {
 		mu.Lock()
 		calls[sc.Name]++
 		mu.Unlock()
 		if sc.DurationNs < 0 {
 			t.Errorf("negative duration for %s", sc.Name)
 		}
-	}})
+	})
 	ctx := WithTracer(context.Background(), tr)
 	_, sp := Start(ctx, "stage")
 	sp.End()
@@ -131,7 +126,7 @@ func TestEndIdempotentAndHookOnce(t *testing.T) {
 }
 
 func TestSpanCap(t *testing.T) {
-	tr := New(Options{MaxSpans: 3})
+	tr := NewCapped("", 3)
 	ctx := WithTracer(context.Background(), tr)
 	ctx, root := Start(ctx, "root")
 	var kept int
@@ -156,34 +151,22 @@ func TestSpanCap(t *testing.T) {
 }
 
 func TestStartDepthSampling(t *testing.T) {
-	tr := New(Options{SampleDepth: 2})
+	tr := New("", nil)
 	ctx := WithTracer(context.Background(), tr)
-	for depth, want := range map[int]bool{0: true, 1: true, 2: true, 3: false, 10: false} {
+	for depth, want := range map[int]bool{0: true, 1: true, 2: true, 3: true, 4: false, 10: false} {
 		_, sp := StartDepth(ctx, "mergenode", depth)
 		if got := sp != nil; got != want {
 			t.Fatalf("depth %d recorded=%v, want %v", depth, got, want)
 		}
 		sp.End()
 	}
-	// Negative SampleDepth disables depth-gated spans entirely.
-	tr2 := New(Options{SampleDepth: -1})
-	ctx2 := WithTracer(context.Background(), tr2)
-	if _, sp := StartDepth(ctx2, "mergenode", 0); sp != nil {
-		t.Fatal("SampleDepth<0 must drop all StartDepth spans")
-	}
-	// Default threshold records the top levels.
-	tr3 := New(Options{})
-	ctx3 := WithTracer(context.Background(), tr3)
-	if _, sp := StartDepth(ctx3, "mergenode", defaultSampleDepth); sp == nil {
-		t.Fatal("default threshold must record depth == defaultSampleDepth")
-	}
-	if _, sp := StartDepth(ctx3, "mergenode", defaultSampleDepth+1); sp != nil {
-		t.Fatal("default threshold must drop depth == defaultSampleDepth+1")
+	if got := tr.Document().SpanCount; got != sampleDepth+1 {
+		t.Fatalf("span count = %d, want %d (depths 0..sampleDepth)", got, sampleDepth+1)
 	}
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(Options{MaxSpans: -1})
+	tr := New("", nil)
 	ctx := WithTracer(context.Background(), tr)
 	ctx, root := Start(ctx, "job")
 	var wg sync.WaitGroup
@@ -219,7 +202,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestDocumentJSONRoundTrip(t *testing.T) {
-	tr := New(Options{ID: "abc123"})
+	tr := New("abc123", nil)
 	ctx := WithTracer(context.Background(), tr)
 	ctx, root := Start(ctx, "job")
 	_, sp := Start(ctx, "guidetree")
@@ -242,26 +225,14 @@ func TestDocumentJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBounds(t *testing.T) {
-	maxSpans, sampleDepth := New(Options{}).Bounds()
-	if maxSpans != DefaultMaxSpans || sampleDepth != defaultSampleDepth {
-		t.Fatalf("default Bounds = (%d, %d), want (%d, %d)",
-			maxSpans, sampleDepth, DefaultMaxSpans, defaultSampleDepth)
-	}
-	maxSpans, sampleDepth = New(Options{MaxSpans: -1, SampleDepth: 7}).Bounds()
-	if maxSpans != -1 || sampleDepth != 7 {
-		t.Fatalf("Bounds = (%d, %d), want (-1, 7)", maxSpans, sampleDepth)
-	}
-}
-
 func TestOnSpanCloseHook(t *testing.T) {
 	var mu sync.Mutex
 	var closes []SpanClose
-	tr := New(Options{OnSpanClose: func(sc SpanClose) {
+	tr := New("", func(sc SpanClose) {
 		mu.Lock()
 		closes = append(closes, sc)
 		mu.Unlock()
-	}})
+	})
 	ctx := WithTracer(context.Background(), tr)
 	ctx, root := Start(ctx, "job")
 	_, sp := Start(ctx, "guidetree")
@@ -290,7 +261,7 @@ func TestOnSpanCloseHook(t *testing.T) {
 
 func TestAttachRemote(t *testing.T) {
 	// A "worker rank" produces a finished document under the shared ID...
-	remote := New(Options{ID: "shared"})
+	remote := New("shared", nil)
 	rctx := WithTracer(context.Background(), remote)
 	rctx, rank := Start(rctx, "rank")
 	rank.SetInt("rank", 2)
@@ -304,16 +275,13 @@ func TestAttachRemote(t *testing.T) {
 	var mu sync.Mutex
 	closeCalls := map[string]int{}
 	var remoteCloses []SpanClose
-	tr := New(Options{
-		ID: "shared",
-		OnSpanClose: func(sc SpanClose) {
-			mu.Lock()
-			defer mu.Unlock()
-			closeCalls[sc.Name]++
-			if sc.Remote {
-				remoteCloses = append(remoteCloses, sc)
-			}
-		},
+	tr := New("shared", func(sc SpanClose) {
+		mu.Lock()
+		defer mu.Unlock()
+		closeCalls[sc.Name]++
+		if sc.Remote {
+			remoteCloses = append(remoteCloses, sc)
+		}
 	})
 	ctx := WithTracer(context.Background(), tr)
 	ctx, job := Start(ctx, "job")
@@ -350,7 +318,7 @@ func TestAttachRemote(t *testing.T) {
 }
 
 func TestAttachRemoteRespectsSpanCap(t *testing.T) {
-	remote := New(Options{MaxSpans: -1})
+	remote := New("", nil)
 	rctx := WithTracer(context.Background(), remote)
 	rctx, rank := Start(rctx, "rank")
 	for i := 0; i < 5; i++ {
@@ -361,7 +329,7 @@ func TestAttachRemoteRespectsSpanCap(t *testing.T) {
 	rdoc := remote.Document()
 	rdoc.DroppedSpans = 3 // the remote side already shed spans
 
-	tr := New(Options{MaxSpans: 4})
+	tr := NewCapped("", 4)
 	ctx := WithTracer(context.Background(), tr)
 	_, worker := Start(ctx, "worker")
 	worker.AttachRemote(rdoc)
@@ -380,7 +348,7 @@ func TestAttachRemoteRespectsSpanCap(t *testing.T) {
 func TestAttachRemoteNilSafety(t *testing.T) {
 	var sp *Span
 	sp.AttachRemote(&Document{Spans: []*SpanDoc{{Name: "rank"}}}) // nil span: no-op
-	tr := New(Options{})
+	tr := New("", nil)
 	ctx := WithTracer(context.Background(), tr)
 	_, real := Start(ctx, "worker")
 	real.AttachRemote(nil) // nil doc: no-op
@@ -427,7 +395,7 @@ func BenchmarkStartEndDisabled(b *testing.B) {
 }
 
 func BenchmarkStartEndEnabled(b *testing.B) {
-	tr := New(Options{MaxSpans: -1})
+	tr := NewCapped("", math.MaxInt)
 	ctx := WithTracer(context.Background(), tr)
 	b.ReportAllocs()
 	b.ResetTimer()

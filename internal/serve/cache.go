@@ -27,7 +27,7 @@ func summaryOf(res *Result) *Result {
 
 // sizeBytes is the accounting size of a result in the memory tier, a
 // store.LRU bounded by entry count and total FASTA bytes. Traces are
-// deliberately excluded: they are bounded by obs.DefaultMaxSpans and
+// deliberately excluded: they are bounded by the tracer's span cap and
 // tiny next to alignments, and counting them would perturb the cache's
 // deterministic hit/evict sequence between tracing-on and -off runs.
 func (r *Result) sizeBytes() int64 { return int64(len(r.FASTA)) }

@@ -42,23 +42,17 @@ type helloMsg struct {
 	Error string `json:"error,omitempty"`
 }
 
+// jobSpec is one rank's job. A non-empty TraceID asks the worker to run
+// its own obs.Tracer under that ID and ship the finished span tree back
+// in its ack; the whole job then renders as one tree — the coordinator
+// grafts each remote tree under a per-rank child span
+// (obs.Span.AttachRemote).
 type jobSpec struct {
-	Rank    int        `json:"rank"`
-	Addrs   []string   `json:"addrs"`
-	Options Resolved   `json:"options"`
-	Trace   *traceSpec `json:"trace,omitempty"` // nil = tracing off for this job
-	FASTA   string     `json:"fasta"`           // this rank's input shard
-}
-
-// traceSpec propagates the coordinator's tracing configuration to one
-// worker rank: the worker runs its own obs.Tracer under the same trace
-// ID and bounds, and ships the finished span tree back in its ack. The
-// whole job then renders as one tree — the coordinator grafts each
-// remote tree under a per-rank child span (obs.Span.AttachRemote).
-type traceSpec struct {
-	ID          string `json:"id"`
-	MaxSpans    int    `json:"max_spans"`
-	SampleDepth int    `json:"sample_depth"`
+	Rank    int      `json:"rank"`
+	Addrs   []string `json:"addrs"`
+	Options Resolved `json:"options"`
+	TraceID string   `json:"trace_id,omitempty"` // empty = tracing off for this job
+	FASTA   string   `json:"fasta"`              // this rank's input shard
 }
 
 type jobAck struct {
@@ -75,8 +69,10 @@ type jobAck struct {
 // wire format (1 was gob); 3 dropped the ablation options from the job
 // spec — a 2 coordinator could ask for a pipeline this build no longer
 // has — and renumbered core's message tags; 4 added a digest of the
-// address list to the mesh hello, which a 3 worker would not send.
-const clusterProto = 4
+// address list to the mesh hello, which a 3 worker would not send; 5
+// replaced the spec's trace settings with a bare trace ID, which a 4
+// worker would read as an untraced job.
+const clusterProto = 5
 
 // ctrlTimeout bounds dialling a worker and its prepare/hello exchange.
 const ctrlTimeout = 5 * time.Second
@@ -115,16 +111,16 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 	opts.Procs = p
 
 	// Distributed tracing: when the job context carries a tracer, every
-	// worker runs its own under the same ID and bounds and ships its
-	// span tree back in the ack; a per-rank "worker" span here covers
-	// claim-to-ack and adopts the remote tree, so the job renders as one
-	// tree over all p ranks. Span Start/End/AttachRemote are all nil-safe,
-	// so the untraced path stays branch-free.
-	tr := obs.FromContext(ctx)
-	var tspec *traceSpec
-	if tr != nil {
-		maxSpans, sampleDepth := tr.Bounds()
-		tspec = &traceSpec{ID: tr.ID(), MaxSpans: maxSpans, SampleDepth: sampleDepth}
+	// worker runs its own under the same ID and ships its span tree back
+	// in the ack; a per-rank "worker" span here covers claim-to-ack and
+	// adopts the remote tree, so the job renders as one tree over all p
+	// ranks. Span Start/End/AttachRemote are all nil-safe, so the
+	// untraced path stays branch-free. An ID is what turns a worker's
+	// tracing on, so a coordinator tracer with an empty ID traces this
+	// rank alone.
+	var traceID string
+	if tr := obs.FromContext(ctx); tr != nil {
+		traceID = tr.ID()
 	}
 	wspans := make([]*obs.Span, len(c.Workers))
 	defer func() {
@@ -186,7 +182,7 @@ func (c *Cluster) Align(ctx context.Context, seqs []bio.Sequence, opts Resolved)
 			Rank:    i + 1,
 			Addrs:   addrs,
 			Options: opts,
-			Trace:   tspec,
+			TraceID: traceID,
 			FASTA:   fasta.FormatString(shards[i+1]),
 		}
 		conn.SetWriteDeadline(time.Now().Add(5 * time.Minute))

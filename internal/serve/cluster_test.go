@@ -165,7 +165,7 @@ func TestClusterDistributedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := obs.New(obs.Options{ID: "cluster-trace", MaxSpans: -1})
+	tr := obs.New("cluster-trace", nil)
 	ctx := obs.WithTracer(context.Background(), tr)
 	ctx, root := obs.Start(ctx, "job")
 	aln, rep, err := cl.Align(ctx, seqs, opts)
@@ -317,15 +317,16 @@ func TestClusterWorkerUnreachableFailsFast(t *testing.T) {
 
 // TestWorkerRefusesOlderProtocol speaks prepare by hand as a coordinator
 // of an older build — protocol 1, before the mesh changed its wire
-// format, 2, which could still ask for an ablation pipeline, and 3, whose
-// ranks send the bare-rank mesh hello: the worker must refuse in its
+// format, 2, which could still ask for an ablation pipeline, 3, whose
+// ranks send the bare-rank mesh hello, and 4, whose spec carries trace
+// settings instead of a trace ID: the worker must refuse in its
 // hello — naming both versions, before any spec or mesh — and stay up
 // for a coordinator of its own build.
 func TestWorkerRefusesOlderProtocol(t *testing.T) {
 	cl, stop := startCluster(t, 1)
 	defer stop()
 
-	for _, proto := range []int{1, 2, 3} {
+	for _, proto := range []int{1, 2, 3, 4} {
 		conn, err := net.DialTimeout("tcp", cl.Workers[0], 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -463,7 +464,7 @@ func TestClusterJobsOverlap(t *testing.T) {
 	defer stop()
 	opts := clusterOpts(t)
 	inputs := [][]bio.Sequence{testSeqs(120, 300, 81), testSeqs(120, 300, 82)}
-	tr := obs.New(obs.Options{ID: "overlap", MaxSpans: -1})
+	tr := obs.New("overlap", nil)
 	alns := make([]*msa.Alignment, len(inputs))
 	errs := make([]error, len(inputs))
 	var wg sync.WaitGroup

@@ -81,7 +81,7 @@ func (s *Server) publish(bus *events.Bus[Event], ev Event) {
 // publishSpanEvent maps one finished span onto the live stream:
 // canonical pipeline stages become stage events, per-rank pipeline
 // roots become rank events, everything else stays trace-only. Shaped to
-// close over a flight's bus and plug into obs.Options.OnSpanClose.
+// close over a flight's bus and serve as an obs.New span-close hook.
 func (s *Server) publishSpanEvent(bus *events.Bus[Event], trace string, sc obs.SpanClose) {
 	var ev Event
 	switch {

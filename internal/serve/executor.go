@@ -81,12 +81,9 @@ func (s *Server) execute(fl *flight) (*Result, error) {
 	ctx := fl.ctx
 	var tr *obs.Tracer
 	if !s.cfg.NoTrace {
-		tr = obs.New(obs.Options{
-			ID: fl.trace,
-			OnSpanClose: func(sc obs.SpanClose) {
-				s.metrics.ObserveStage(sc)
-				s.publishSpanEvent(fl.bus, fl.trace, sc)
-			},
+		tr = obs.New(fl.trace, func(sc obs.SpanClose) {
+			s.metrics.ObserveStage(sc)
+			s.publishSpanEvent(fl.bus, fl.trace, sc)
 		})
 		ctx = obs.WithTracer(ctx, tr)
 		// Published under the lock so the trace endpoint can serve

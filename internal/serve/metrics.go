@@ -32,7 +32,7 @@ type Metrics struct {
 	CommSent stats.Counter // MPI payload bytes sent across all finished jobs
 	CommRecv stats.Counter // MPI payload bytes received across all finished jobs
 
-	TraceDropped  stats.Counter // spans dropped at the tracer's MaxSpans bound (remote drops folded in)
+	TraceDropped  stats.Counter // spans dropped at the tracer's span cap (remote drops folded in)
 	EventsDropped stats.Counter // live-stream events dropped on slow subscribers
 
 	QueueWait    *stats.LabeledHistograms // seconds from submit to leaving the queue, by outcome (dispatched/canceled/coalesced)
@@ -65,8 +65,8 @@ var pipelineStages = map[string]bool{
 }
 
 // ObserveStage feeds one finished span into the per-stage histograms if
-// its name is a canonical pipeline stage. Shaped to plug into
-// obs.Options.OnSpanClose.
+// its name is a canonical pipeline stage. Shaped to serve as an obs.New
+// span-close hook.
 func (m *Metrics) ObserveStage(sc obs.SpanClose) {
 	if pipelineStages[sc.Name] {
 		m.Stages.Observe(sc.Name, float64(sc.DurationNs)/1e9)
@@ -127,7 +127,7 @@ func (m *Metrics) Render(q QueueStats, evictions int64, persist *PersistGauges) 
 	counter("samplealign_results_streamed_total", "Results streamed to clients from the on-disk store.", m.Streamed.Value())
 	counter("samplealign_comm_sent_bytes_total", "MPI payload bytes sent across all finished jobs.", m.CommSent.Value())
 	counter("samplealign_comm_recv_bytes_total", "MPI payload bytes received across all finished jobs.", m.CommRecv.Value())
-	counter("samplealign_trace_dropped_spans_total", "Trace spans dropped at the tracer's MaxSpans bound.", m.TraceDropped.Value())
+	counter("samplealign_trace_dropped_spans_total", "Trace spans dropped at the tracer's span cap.", m.TraceDropped.Value())
 	counter("samplealign_events_dropped_total", "Live-stream events dropped on slow subscribers.", m.EventsDropped.Value())
 	gauge("samplealign_queue_depth", "Flights admitted and waiting.", int64(q.Queued))
 	gaugeF("samplealign_queue_oldest_age_seconds", "Seconds the head-of-line flight has waited; 0 with an empty queue.", q.OldestQueuedAge)

@@ -114,12 +114,8 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 		enc.Encode(jobAck{Error: fmt.Sprintf("parsing shard: %v", err)})
 		return fmt.Errorf("parsing shard: %w", err)
 	}
-	traceID := ""
-	if spec.Trace != nil {
-		traceID = spec.Trace.ID
-	}
 	logger.Info("worker job starting", "rank", spec.Rank, "procs", len(spec.Addrs),
-		"local_seqs", len(shard), "trace", traceID)
+		"local_seqs", len(shard), "trace", spec.TraceID)
 
 	// The control connection doubles as the cancellation channel: the
 	// coordinator closing it (job cancelled, coordinator died) cancels
@@ -142,17 +138,18 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 		return fmt.Errorf("mesh: %w", err)
 	}
 	// Rank-local tracing: when the coordinator asked for it, this rank
-	// runs its own tracer under the propagated ID and bounds and ships
-	// the finished tree back in the ack (the coordinator grafts it into
-	// the job's tree). Worker metrics feed off the same spans.
+	// runs its own tracer under the propagated ID and ships the finished
+	// tree back in the ack (the coordinator grafts it into the job's
+	// tree). Worker metrics feed off the same spans; without them the
+	// tracer has no hook to copy each closing span into.
 	runCtx := ctx
 	var tr *obs.Tracer
-	if spec.Trace != nil || cfg.Metrics != nil {
-		o := obs.Options{OnSpanClose: cfg.Metrics.ObserveStage} // nil-safe
-		if spec.Trace != nil {
-			o.ID, o.MaxSpans, o.SampleDepth = spec.Trace.ID, spec.Trace.MaxSpans, spec.Trace.SampleDepth
+	if spec.TraceID != "" || cfg.Metrics != nil {
+		var onClose func(obs.SpanClose)
+		if cfg.Metrics != nil {
+			onClose = cfg.Metrics.ObserveStage
 		}
-		tr = obs.New(o)
+		tr = obs.New(spec.TraceID, onClose)
 		runCtx = obs.WithTracer(runCtx, tr)
 	}
 	cfg.Metrics.JobStarted()
@@ -165,11 +162,11 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	}
 	cfg.Metrics.JobFinished(true)
 	ack := jobAck{OK: true}
-	if spec.Trace != nil {
+	if spec.TraceID != "" {
 		if doc, derr := json.Marshal(tr.Document()); derr == nil {
 			ack.Trace = doc
 		}
 	}
-	logger.Info("worker job done", "rank", spec.Rank, "trace", traceID)
+	logger.Info("worker job done", "rank", spec.Rank, "trace", spec.TraceID)
 	return enc.Encode(ack)
 }

@@ -30,8 +30,8 @@ func NewWorkerMetrics() *WorkerMetrics {
 }
 
 // ObserveStage feeds one finished span into the rank-local stage
-// histograms if its name is a canonical pipeline stage. Shaped to plug
-// into obs.Options.OnSpanClose; safe on a nil receiver.
+// histograms if its name is a canonical pipeline stage. Shaped to serve
+// as an obs.New span-close hook; safe on a nil receiver.
 func (m *WorkerMetrics) ObserveStage(sc obs.SpanClose) {
 	if m == nil {
 		return

@@ -529,9 +529,6 @@ func (j *Journal) FlushedRecords() int64 {
 	return j.flushedRecords
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the journal file after any in-flight flush finishes.
 // Appends after Close fail; they do not panic, so a crashing server
 // can be abandoned mid-operation. Records in groups that have not

@@ -15,11 +15,10 @@ import (
 // alphabet, with a fixed penalty for scoring against any byte outside the
 // alphabet (ambiguity codes and the like).
 type Matrix struct {
-	name     string
-	alpha    *bio.Alphabet
-	scores   [][]float64
-	unknown  float64
-	min, max float64
+	name    string
+	alpha   *bio.Alphabet
+	scores  [][]float64
+	unknown float64
 }
 
 // New builds a Matrix from a dense score table in alphabet letter order.
@@ -31,7 +30,6 @@ func New(name string, alpha *bio.Alphabet, table [][]float64, unknown float64) *
 		panic(fmt.Sprintf("submat: %s: %d rows for %d-letter alphabet", name, len(table), n))
 	}
 	m := &Matrix{name: name, alpha: alpha, scores: table, unknown: unknown}
-	m.min, m.max = math.Inf(1), math.Inf(-1)
 	for i, row := range table {
 		if len(row) != n {
 			panic(fmt.Sprintf("submat: %s: row %d has %d cols", name, i, len(row)))
@@ -39,12 +37,6 @@ func New(name string, alpha *bio.Alphabet, table [][]float64, unknown float64) *
 		for j, v := range row {
 			if math.Abs(v-table[j][i]) > 1e-9 {
 				panic(fmt.Sprintf("submat: %s: asymmetric at (%d,%d)", name, i, j))
-			}
-			if v < m.min {
-				m.min = v
-			}
-			if v > m.max {
-				m.max = v
 			}
 		}
 	}
@@ -73,10 +65,6 @@ func (m *Matrix) ScoreIdx(i, j int) float64 { return m.scores[i][j] }
 
 // Unknown returns the score used for bytes outside the alphabet.
 func (m *Matrix) Unknown() float64 { return m.unknown }
-
-// Min and Max return the extreme scores in the matrix.
-func (m *Matrix) Min() float64 { return m.min }
-func (m *Matrix) Max() float64 { return m.max }
 
 // Gap holds affine gap penalties expressed as non-negative costs: opening
 // a gap costs Open, each residue in it costs Extend more.

@@ -67,18 +67,6 @@ func (n *Node) PostOrder(visit func(*Node)) {
 	visit(n)
 }
 
-// Depth returns the maximum edge count from n to any leaf.
-func (n *Node) Depth() int {
-	if n == nil || n.IsLeaf() {
-		return 0
-	}
-	l, r := n.Left.Depth(), n.Right.Depth()
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
 // Newick renders the tree in Newick format with branch lengths.
 func (n *Node) Newick() string {
 	var b strings.Builder

@@ -235,7 +235,14 @@ func TestDepth(t *testing.T) {
 		{8, 8, 8, 0},
 	})
 	root := UPGMAWorkers(d, nil, 1)
-	if got := root.Depth(); got != 3 {
+	var depth func(n *Node) int // edges from n to its deepest leaf
+	depth = func(n *Node) int {
+		if n.IsLeaf() {
+			return 0
+		}
+		return 1 + max(depth(n.Left), depth(n.Right))
+	}
+	if got := depth(root); got != 3 {
 		t.Fatalf("depth = %d, want 3 (caterpillar)", got)
 	}
 }
