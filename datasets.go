@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/genome"
 	"repro/internal/msa"
 	"repro/internal/prefab"
 	"repro/internal/rose"
@@ -46,6 +45,9 @@ func GenerateFamily(cfg FamilyConfig) ([]Sequence, error) {
 // distribution the way the paper's Fig. 3 shows, and redistribution then
 // groups related sequences onto the same rank.
 func GenerateDiverseSet(n, meanLen int, seed int64) ([]Sequence, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("samplealign: %d sequences requested, want >= 0", n)
+	}
 	rng := newSplitRand(seed)
 	var out []Sequence
 	fam := 0
@@ -78,25 +80,66 @@ func GenerateDiverseSet(n, meanLen int, seed int64) ([]Sequence, error) {
 	return out[:n], nil
 }
 
-// GenomeConfig parameterises the synthetic archaeal genome standing in
-// for Methanosarcina acetivorans (paper: 5 Mbp, ~2000 sampled proteins of
-// average length 316).
+// GenomeConfig parameterises the genome workload standing in for
+// Methanosarcina acetivorans (paper: 5 Mbp, ~2000 sampled proteins of
+// average length 316). The proteins come from an evolved proteome:
+// paralog families of varied size and depth, evolved by duplication and
+// divergence so a random sample holds homologous clusters, as a real
+// genome's does. TargetBP sets the gene count at an 85 % coding density,
+// ≈ 0.85·TargetBP / (3·MeanProteinLen + 6); no DNA is built.
 type GenomeConfig struct {
-	TargetBP       int
-	MeanProteinLen int
+	TargetBP       int // genome size in base pairs, at least 1000
+	MeanProteinLen int // mean protein length; 10 or less means 316
 	Seed           int64
 }
 
-// SampleGenomeProteins synthesises a genome and samples n proteins from
-// it, the paper's Fig. 6 workload.
+// genomeFamilyMean is the mean paralog family size of the proteome.
+const genomeFamilyMean = 4
+
+// SampleGenomeProteins evolves the proteome cfg describes and draws n of
+// its proteins uniformly without replacement under sampleSeed, the way
+// the paper "randomly selected 2000 sequences" for its Fig. 6 run. If n
+// exceeds the proteome size the whole proteome is returned.
 func SampleGenomeProteins(cfg GenomeConfig, n int, sampleSeed int64) ([]Sequence, error) {
-	g, err := genome.Synthesize(genome.Config{
-		TargetBP: cfg.TargetBP, MeanProteinLen: cfg.MeanProteinLen, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, fmt.Errorf("samplealign: %d proteins requested, want >= 0", n)
 	}
-	return g.Sample(n, sampleSeed), nil
+	if cfg.TargetBP < 1000 {
+		return nil, fmt.Errorf("samplealign: genome TargetBP = %d, want >= 1000", cfg.TargetBP)
+	}
+	if cfg.MeanProteinLen <= 10 {
+		cfg.MeanProteinLen = 316
+	}
+	rng := newSplitRand(cfg.Seed)
+	targetGenes := max(1, int(float64(cfg.TargetBP)*0.85)/(cfg.MeanProteinLen*3+6))
+	var proteins []Sequence
+	for fam := 0; len(proteins) < targetGenes; fam++ {
+		size := min(1+rng.Intn(2*genomeFamilyMean-1), targetGenes-len(proteins))
+		f, err := rose.Evolve(rose.Config{
+			N:           size,
+			MeanLen:     cfg.MeanProteinLen/2 + rng.Intn(cfg.MeanProteinLen+1),
+			Relatedness: 200 + rng.Float64()*600,
+			Seed:        rng.Int63(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		for m, s := range f.Seqs() {
+			proteins = append(proteins, Sequence{
+				ID:   fmt.Sprintf("MA%04d", len(proteins)),
+				Desc: fmt.Sprintf("family %d member %d", fam, m),
+				Data: s.Data,
+			})
+		}
+	}
+	if n >= len(proteins) {
+		return proteins, nil
+	}
+	out := make([]Sequence, n)
+	for i, j := range newSplitRand(sampleSeed).Perm(len(proteins))[:n] {
+		out[i] = proteins[j]
+	}
+	return out, nil
 }
 
 // PrefabSet is one PREFAB-like benchmark unit: sequences plus the true
@@ -105,7 +148,11 @@ type PrefabSet = prefab.Set
 
 // GeneratePrefab builds a PREFAB-like quality benchmark (the paper's
 // Table 2 workload): numSets sets of ~24 sequences of varying divergence.
+// numSets must be at least 1.
 func GeneratePrefab(numSets int, seed int64) ([]PrefabSet, error) {
+	if numSets < 1 {
+		return nil, fmt.Errorf("samplealign: %d PREFAB sets requested, want >= 1", numSets)
+	}
 	return prefab.Generate(prefab.Config{NumSets: numSets, Seed: seed})
 }
 

@@ -1,7 +1,7 @@
 // genome2000 reproduces the paper's §4 real-data experiment at laptop
-// scale: a run on proteins sampled from the synthetic archaeal genome
-// (the paper: 2000 proteins on 16 nodes, 9.82 min against 23 h of
-// sequential MUSCLE). Run with:
+// scale: a run on proteins sampled from the evolved proteome of a
+// synthetic archaeal genome (the paper: 2000 proteins on 16 nodes,
+// 9.82 min against 23 h of sequential MUSCLE). Run with:
 //
 //	go run ./examples/genome2000 [-n 200] [-p 4]
 package main
@@ -20,9 +20,9 @@ func main() {
 	p := flag.Int("p", 4, "ranks for the real run (paper: 16 nodes)")
 	flag.Parse()
 
-	fmt.Printf("synthesising archaeal genome and sampling %d proteins...\n", *n)
+	fmt.Printf("evolving an archaeal proteome and sampling %d proteins...\n", *n)
 	seqs, err := samplealign.SampleGenomeProteins(samplealign.GenomeConfig{
-		TargetBP:       1_000_000, // scaled from the paper's 5 Mbp
+		TargetBP:       1_000_000, // scaled from the paper's 5 Mbp: sets the gene count
 		MeanProteinLen: 150,       // scaled from the paper's 316
 		Seed:           2008,
 	}, *n, 42)

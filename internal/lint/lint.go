@@ -129,13 +129,15 @@ func libraryPackage(path string) bool {
 }
 
 // determinismPackages are the packages whose output must be
-// byte-identical across engines, worker counts, backends and kernels.
+// byte-identical across engines, worker counts, backends and kernels,
+// and the dataset generators (rose, prefab) whose output feeds golden
+// hashes and benchmark inputs.
 var determinismPackages = map[string]bool{}
 
 func init() {
 	for _, p := range []string{
 		"msa", "mafft", "cons", "tree", "kmer", "par", "profile",
-		"pairwise", "dpkern", "core",
+		"pairwise", "dpkern", "core", "rose", "prefab",
 	} {
 		determinismPackages[ModulePath+"/internal/"+p] = true
 	}

@@ -10,6 +10,7 @@ package prefab
 import (
 	"context"
 	"fmt"
+	//lint:allow determinism Generate's rng is seeded by Config.Seed alone, so a seed names one benchmark
 	"math/rand"
 
 	"repro/internal/bio"

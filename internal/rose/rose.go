@@ -13,6 +13,7 @@ package rose
 import (
 	"fmt"
 	"math"
+	//lint:allow determinism Evolve's rng is seeded by Config.Seed alone, so a seed names one family
 	"math/rand"
 	"sort"
 

@@ -3,8 +3,13 @@ package samplealign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/bio"
 )
 
 func testSeqs(t *testing.T, n int) []Sequence {
@@ -147,12 +152,94 @@ func TestEvaluatePrefabPublic(t *testing.T) {
 }
 
 func TestSampleGenomeProteinsPublic(t *testing.T) {
-	seqs, err := SampleGenomeProteins(GenomeConfig{TargetBP: 50000, MeanProteinLen: 100, Seed: 1}, 10, 2)
+	for _, cfg := range []GenomeConfig{
+		{TargetBP: 50000, MeanProteinLen: 100, Seed: 1},
+		{TargetBP: 60000, MeanProteinLen: 120, Seed: 3},
+		{TargetBP: 100000, MeanProteinLen: 80, Seed: 7},
+		{TargetBP: 200000, MeanProteinLen: 150, Seed: 11},
+	} {
+		// Oversampling returns the whole proteome, whose size the
+		// documented gene-count estimate sets.
+		all, err := SampleGenomeProteins(cfg, 1<<30, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(float64(cfg.TargetBP)*0.85) / (3*cfg.MeanProteinLen + 6); len(all) != want {
+			t.Fatalf("%+v: proteome of %d, want %d", cfg, len(all), want)
+		}
+		proteome := map[string]string{}
+		for _, p := range all {
+			if err := p.Validate(bio.AminoAcids); err != nil {
+				t.Fatal(err)
+			}
+			proteome[p.ID] = string(p.Data)
+		}
+		if len(proteome) != len(all) {
+			t.Fatalf("%+v: duplicate protein IDs", cfg)
+		}
+		if mean := bio.MeanLen(all); math.Abs(mean-float64(cfg.MeanProteinLen)) > 0.4*float64(cfg.MeanProteinLen) {
+			t.Fatalf("%+v: mean protein length %g", cfg, mean)
+		}
+
+		// A sample is n distinct proteome members, the same at one seed.
+		s1, err := SampleGenomeProteins(cfg, 10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, _ := SampleGenomeProteins(cfg, 10, 2)
+		if len(s1) != 10 {
+			t.Fatalf("%+v: %d proteins", cfg, len(s1))
+		}
+		seen := map[string]bool{}
+		for i, s := range s1 {
+			if !bio.Equal(s, s2[i]) {
+				t.Fatalf("%+v: same-seed samples differ", cfg)
+			}
+			if seen[s.ID] || proteome[s.ID] != string(s.Data) {
+				t.Fatalf("%+v: sampled %s is a duplicate or not in the proteome", cfg, s.ID)
+			}
+			seen[s.ID] = true
+		}
+	}
+}
+
+// TestGenomeFig6InputPinned pins the FASTA bytes of msabench's Fig. 6
+// input at -seed 2008 (genome seed 2010, 256 proteins, sample seed 2011).
+func TestGenomeFig6InputPinned(t *testing.T) {
+	seqs, err := SampleGenomeProteins(GenomeConfig{TargetBP: 600000, MeanProteinLen: 120, Seed: 2010}, 256, 2011)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 10 {
-		t.Fatalf("%d proteins", len(seqs))
+	var buf bytes.Buffer
+	if err := WriteFASTA(&buf, seqs); err != nil {
+		t.Fatal(err)
+	}
+	const want = "939cfbd0cfa1201341c1c3faceca19bd95bb26d9283d793428c226b032514c5f"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("fig6 FASTA sha256 = %x, want %s", sum, want)
+	}
+}
+
+// TestGeneratorsRejectBadCounts: a negative sequence count or a
+// non-positive set count is an error, not a panic or a default.
+func TestGeneratorsRejectBadCounts(t *testing.T) {
+	cfg := GenomeConfig{TargetBP: 50000, MeanProteinLen: 100, Seed: 1}
+	for name, gen := range map[string]func() error{
+		"diverse n=-1": func() error { _, err := GenerateDiverseSet(-1, 300, 1); return err },
+		"genome n=-1":  func() error { _, err := SampleGenomeProteins(cfg, -1, 2); return err },
+		"genome TargetBP=10": func() error {
+			_, err := SampleGenomeProteins(GenomeConfig{TargetBP: 10}, 10, 2)
+			return err
+		},
+		"prefab sets=0":  func() error { _, err := GeneratePrefab(0, 1); return err },
+		"prefab sets=-3": func() error { _, err := GeneratePrefab(-3, 1); return err },
+	} {
+		if gen() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if seqs, err := GenerateDiverseSet(0, 300, 1); err != nil || len(seqs) != 0 {
+		t.Errorf("diverse n=0: %d sequences, err %v", len(seqs), err)
 	}
 }
 
