@@ -152,54 +152,62 @@ func TestEvaluatePrefabPublic(t *testing.T) {
 }
 
 func TestSampleGenomeProteinsPublic(t *testing.T) {
-	for _, cfg := range []GenomeConfig{
-		{TargetBP: 50000, MeanProteinLen: 100, Seed: 1},
-		{TargetBP: 60000, MeanProteinLen: 120, Seed: 3},
-		{TargetBP: 100000, MeanProteinLen: 80, Seed: 7},
-		{TargetBP: 200000, MeanProteinLen: 150, Seed: 11},
+	for _, tc := range []struct {
+		name string
+		cfg  GenomeConfig
+	}{
+		{"50kbp_len100_seed1", GenomeConfig{TargetBP: 50000, MeanProteinLen: 100, Seed: 1}},
+		{"small_genome", GenomeConfig{TargetBP: 60000, MeanProteinLen: 120, Seed: 3}},
+		{"sample_properties", GenomeConfig{TargetBP: 100000, MeanProteinLen: 80, Seed: 7}},
+		{"mean_length", GenomeConfig{TargetBP: 200000, MeanProteinLen: 150, Seed: 11}},
 	} {
-		// Oversampling returns the whole proteome, whose size the
-		// documented gene-count estimate sets.
-		all, err := SampleGenomeProteins(cfg, 1<<30, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int(float64(cfg.TargetBP)*0.85) / (3*cfg.MeanProteinLen + 6); len(all) != want {
-			t.Fatalf("%+v: proteome of %d, want %d", cfg, len(all), want)
-		}
-		proteome := map[string]string{}
-		for _, p := range all {
-			if err := p.Validate(bio.AminoAcids); err != nil {
-				t.Fatal(err)
-			}
-			proteome[p.ID] = string(p.Data)
-		}
-		if len(proteome) != len(all) {
-			t.Fatalf("%+v: duplicate protein IDs", cfg)
-		}
-		if mean := bio.MeanLen(all); math.Abs(mean-float64(cfg.MeanProteinLen)) > 0.4*float64(cfg.MeanProteinLen) {
-			t.Fatalf("%+v: mean protein length %g", cfg, mean)
-		}
+		t.Run(tc.name, func(t *testing.T) { checkGenomeProteins(t, tc.cfg) })
+	}
+}
 
-		// A sample is n distinct proteome members, the same at one seed.
-		s1, err := SampleGenomeProteins(cfg, 10, 2)
-		if err != nil {
+// checkGenomeProteins checks the proteome and a sample drawn from it at cfg.
+func checkGenomeProteins(t *testing.T, cfg GenomeConfig) {
+	// Oversampling returns the whole proteome, whose size the
+	// documented gene-count estimate sets.
+	all, err := SampleGenomeProteins(cfg, 1<<30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int(float64(cfg.TargetBP)*0.85) / (3*cfg.MeanProteinLen + 6); len(all) != want {
+		t.Fatalf("proteome of %d, want %d", len(all), want)
+	}
+	proteome := map[string]string{}
+	for _, p := range all {
+		if err := p.Validate(bio.AminoAcids); err != nil {
 			t.Fatal(err)
 		}
-		s2, _ := SampleGenomeProteins(cfg, 10, 2)
-		if len(s1) != 10 {
-			t.Fatalf("%+v: %d proteins", cfg, len(s1))
+		proteome[p.ID] = string(p.Data)
+	}
+	if len(proteome) != len(all) {
+		t.Fatal("duplicate protein IDs")
+	}
+	if mean := bio.MeanLen(all); math.Abs(mean-float64(cfg.MeanProteinLen)) > 0.4*float64(cfg.MeanProteinLen) {
+		t.Fatalf("mean protein length %g", mean)
+	}
+
+	// A sample is n distinct proteome members, the same at one seed.
+	s1, err := SampleGenomeProteins(cfg, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := SampleGenomeProteins(cfg, 10, 2)
+	if len(s1) != 10 {
+		t.Fatalf("%d proteins", len(s1))
+	}
+	seen := map[string]bool{}
+	for i, s := range s1 {
+		if !bio.Equal(s, s2[i]) {
+			t.Fatal("same-seed samples differ")
 		}
-		seen := map[string]bool{}
-		for i, s := range s1 {
-			if !bio.Equal(s, s2[i]) {
-				t.Fatalf("%+v: same-seed samples differ", cfg)
-			}
-			if seen[s.ID] || proteome[s.ID] != string(s.Data) {
-				t.Fatalf("%+v: sampled %s is a duplicate or not in the proteome", cfg, s.ID)
-			}
-			seen[s.ID] = true
+		if seen[s.ID] || proteome[s.ID] != string(s.Data) {
+			t.Fatalf("sampled %s is a duplicate or not in the proteome", s.ID)
 		}
+		seen[s.ID] = true
 	}
 }
 
