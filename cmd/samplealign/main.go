@@ -31,7 +31,7 @@ func main() {
 	workers := flag.Int("workers", 1, "shared-memory workers per rank, covering guide-tree construction (distance matrix, UPGMA/NJ) and merging; identical output for any value (0 = all cores)")
 	aligner := flag.String("aligner", "muscle",
 		fmt.Sprintf("bucket aligner: %s", strings.Join(samplealign.SequentialAligners(), "|")))
-	sampleSize := flag.Int("samples", 0, "samples per rank for the globalised rank (0 = p-1)")
+	sampleSize := flag.Int("samples", 0, "samples per rank for the globalised rank (0 = max(p-1, 4))")
 	showStats := flag.Bool("stats", false, "print the per-rank run report to stderr")
 	flag.Parse()
 
@@ -51,7 +51,7 @@ func main() {
 		samplealign.WithWorkers(*workers),
 		samplealign.WithLocalAligner(*aligner),
 	}
-	if *sampleSize > 0 {
+	if *sampleSize != 0 {
 		opts = append(opts, samplealign.WithSampleSize(*sampleSize))
 	}
 

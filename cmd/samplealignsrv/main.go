@@ -87,8 +87,8 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", def.CacheEntries, "result cache entry bound (-1 disables)")
 	cacheBytes := flag.Int64("cache-bytes", def.CacheBytes, "result cache byte bound (-1 unbounded)")
 	dataDir := flag.String("data-dir", "", "durability directory: write-ahead job journal + on-disk result store (empty = in-memory only)")
-	storeEntries := flag.Int("store-entries", def.StoreEntries, "entry bound of the on-disk result store, and apart of its trace store (-1 disables the disk tier)")
-	storeBytes := flag.Int64("store-bytes", def.StoreBytes, "byte bound of the on-disk result store, and apart of its trace store, so the data dir can hold twice this (-1 unbounded)")
+	storeEntries := flag.Int("store-entries", def.StoreEntries, "result files the on-disk store holds, each with its job trace (-1 disables the disk tier)")
+	storeBytes := flag.Int64("store-bytes", def.StoreBytes, "byte bound over the on-disk store's result files, traces and all (-1 unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", def.DrainTimeout, "how long SIGTERM/SIGINT waits for running jobs before hard-canceling (<0 skips draining)")
 	cluster := flag.String("cluster", "", "comma-separated worker control addresses (samplealignd -worker-ctrl); empty = in-process ranks")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: text)")

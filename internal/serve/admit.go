@@ -214,7 +214,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 	s.journalAppendBatch(records)
 	for i, job := range jobs {
 		if hits[i] != nil {
-			s.end(evHit, outcome{state: StateDone, res: hits[i], at: now}, job)
+			s.end(evHit, outcome{state: StateDone, res: summaryOf(hits[i]), at: now}, job)
 		}
 	}
 

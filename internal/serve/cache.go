@@ -17,11 +17,12 @@ type Result struct {
 	Trace     []byte        `json:"-"` // span-tree JSON (obs.Document); served at /v1/jobs/{id}/trace
 }
 
-// summaryOf is res without its FASTA payload. The trace stays, so a job
-// record holding the summary still answers lookupTrace.
+// summaryOf is res without its FASTA payload and its trace: what a job
+// record keeps while a cache tier holds the rest, so the job serves its
+// result and its trace from the same place.
 func summaryOf(res *Result) *Result {
 	summary := *res
-	summary.FASTA = nil
+	summary.FASTA, summary.Trace = nil, nil
 	return &summary
 }
 

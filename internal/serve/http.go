@@ -422,21 +422,16 @@ func (s *Server) streamResult(w http.ResponseWriter, job *Job) bool {
 	return true
 }
 
-// lookupTrace finds a done job's span tree: the job record first, then
-// the memory cache's full result, then the on-disk trace store.
-func (s *Server) lookupTrace(job *Job, res *Result) ([]byte, bool) {
-	if res != nil && len(res.Trace) > 0 {
-		return res.Trace, true
+// lookupTrace finds a done job's span tree where its result is: the
+// job record, then the cache tiers.
+func (s *Server) lookupTrace(job *Job, res *Result) []byte {
+	if res == nil || len(res.Trace) == 0 {
+		res, _ = s.lookupResult(job.Key)
 	}
-	if cres, ok := s.cache.Get(job.Key); ok && len(cres.Trace) > 0 {
-		return cres.Trace, true
+	if res == nil {
+		return nil
 	}
-	if s.traces != nil {
-		if _, payload, ok := s.traces.Get(job.Key); ok {
-			return payload, true
-		}
-	}
-	return nil, false
+	return res.Trace
 }
 
 // handleTrace serves a job's span tree as indented JSON. A running job
@@ -454,8 +449,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	res, state, err := job.resultIfDone()
 	switch state {
 	case StateDone:
-		doc, ok := s.lookupTrace(job, res)
-		if !ok {
+		doc := s.lookupTrace(job, res)
+		if len(doc) == 0 {
 			// The trace ID outlives the trace itself: it still keys log
 			// lines even when tracing is off, so distinguish "never
 			// recorded" from "recorded but evicted" via cfg, not the ID.

@@ -43,7 +43,7 @@ var endRows = [...]endRow{
 type outcome struct {
 	state State
 	cause error   // failed or canceled: why
-	res   *Result // done: the result (only its summary when restored)
+	res   *Result // done: what the job record keeps, the result or (while a cache tier holds that) its summary
 	at    time.Time
 }
 
@@ -69,7 +69,7 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 			ended = append(ended, j)
 			j.state, j.finished, j.err = o.state, o.at, o.cause
 			if o.res != nil {
-				j.result = s.retainedResult(o.res)
+				j.result = o.res
 				if j.Trace == "" { // a hit or a restored job: the computation's trace
 					j.Trace = o.res.TraceID
 				}
@@ -271,10 +271,12 @@ func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
 		res.Elapsed = elapsed
 		// Persist before landing: both tiers hold the result by the time
 		// any rider, or a submission racing the in-flight map removal
-		// below, looks for it.
-		s.cache.Put(fl.key, res, res.sizeBytes())
-		s.storePut(fl.key, res)
-		s.storePutTrace(fl.key, res)
+		// below, looks for it. The riders keep the whole result unless a
+		// tier took it (the memory LRU hands back a key it refuses).
+		cached := s.cache != nil && !slices.Contains(s.cache.Put(fl.key, res, res.sizeBytes()), fl.key)
+		if stored := s.storePut(fl.key, res); cached || stored {
+			o.res = summaryOf(res)
+		}
 	case fl.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The flight's own cancellation, whatever clothing the executor
 		// put on it (closed communicators, peer death). Its recorded

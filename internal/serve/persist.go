@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -76,7 +77,7 @@ func replayInput(subData, text []byte) ([]bio.Sequence, error) {
 type finishData struct {
 	State   State   `json:"state"`
 	Error   string  `json:"error,omitempty"`
-	Summary *Result `json:"summary,omitempty"` // also a result file's meta block
+	Summary *Result `json:"summary,omitempty"` // a result file's meta block is this plus the trace (diskMeta)
 }
 
 // RecoveryInfo summarises what a journal replay reconstructed.
@@ -104,21 +105,18 @@ func (s *Server) openPersistence() error {
 		return err
 	}
 	s.unlockDir = unlock
+	// Earlier builds kept traces in a second store; a trace now lives in
+	// its result's file.
+	old := filepath.Join(dir, "traces")
+	if _, err := os.Stat(old); err == nil {
+		s.log.Info("removed the trace store of an earlier build", "dir", old, "err", os.RemoveAll(old))
+	}
 	if s.cfg.StoreEntries >= 0 { // -1 disables the disk result tier; -1 bytes is unbounded
 		s.results, err = store.OpenResults(filepath.Join(dir, "results"), s.cfg.StoreEntries, s.cfg.StoreBytes)
 		if err != nil {
 			s.unlockDir()
 			s.unlockDir = nil
 			return fmt.Errorf("serve: opening result store: %w", err)
-		}
-		// Traces live beside results under the same bounds: a trace is
-		// only useful while its result is still addressable, and both
-		// stores evict independently by their own LRU.
-		s.traces, err = store.OpenResults(filepath.Join(dir, "traces"), s.cfg.StoreEntries, s.cfg.StoreBytes)
-		if err != nil {
-			s.unlockDir()
-			s.unlockDir = nil
-			return fmt.Errorf("serve: opening trace store: %w", err)
 		}
 	}
 	journal, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{
@@ -164,27 +162,28 @@ func finishRecord(id, key string, state State, errMsg string, summary *Result, a
 	return store.Record{Type: typ, Job: id, Key: key, Time: at, Data: data}
 }
 
-// storePut persists a finished result content-addressed on disk.
-func (s *Server) storePut(key string, res *Result) {
-	if s.results == nil {
-		return
-	}
-	meta, _ := json.Marshal(res)
-	if err := s.results.Put(key, meta, res.FASTA); err != nil {
-		s.log.Warn("persisting result failed", "key", key, "err", err)
-	}
+// diskMeta is a result file's meta block: the summary plus the span
+// trace, which Result's own JSON leaves out so that journal records
+// never carry one. A file written by an earlier build has no trace.
+type diskMeta struct {
+	Result
+	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
-// storePutTrace persists a finished job's span tree beside its result,
-// so traces survive restarts and cache evictions of the memory tier.
-func (s *Server) storePutTrace(key string, res *Result) {
-	if s.traces == nil || len(res.Trace) == 0 {
-		return
+// storePut persists a finished result and its trace content-addressed
+// on disk, in one file, and reports whether the store took it.
+func (s *Server) storePut(key string, res *Result) bool {
+	if s.results == nil {
+		return false
 	}
-	meta, _ := json.Marshal(Result{TraceID: res.TraceID})
-	if err := s.traces.Put(key, meta, res.Trace); err != nil {
-		s.log.Warn("persisting trace failed", "key", key, "trace", res.TraceID, "err", err)
+	meta, err := json.Marshal(diskMeta{Result: *res, Trace: res.Trace})
+	if err == nil {
+		err = s.results.Put(key, meta, res.FASTA)
 	}
+	if err != nil {
+		s.log.Warn("persisting result failed", "key", key, "err", err)
+	}
+	return err == nil
 }
 
 // recoverFromJournal folds replayed records into server state:

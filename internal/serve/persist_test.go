@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -771,5 +772,157 @@ func TestNoDataDirWritesNothing(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("no-DataDir server created files: %v", entries)
+	}
+}
+
+// TestResultKeptWhenNoTierTakesIt: a tier that exists but declines the
+// payload (too large for its byte bound) leaves the whole result, trace
+// included, in the job record, so the job still answers /result,
+// /trace and the POST /v1/align that computed it.
+func TestResultKeptWhenNoTierTakesIt(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"cache-bytes=16": {CacheBytes: 16},
+		"store-bytes=16": {CacheEntries: -1, DataDir: "dir", StoreBytes: 16},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if cfg.DataDir != "" {
+				cfg.DataDir = t.TempDir()
+			}
+			cfg.Executor = &fakeExec{}
+			s, ts := httpServer(t, cfg)
+			seqs := testSeqs(4, 30, 94)
+			job, err := s.Submit(seqs, Options{Procs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, job, StateDone)
+			if s.cache.Len() != 0 || s.results != nil && s.results.Len() != 0 {
+				t.Fatal("a tier took a result larger than its byte bound")
+			}
+			resp, body := fetchTrace(t, ts.URL+"/v1/jobs/"+job.ID+"/result")
+			if resp.StatusCode != http.StatusOK || string(body) != fasta.FormatString(seqs) {
+				t.Fatalf("/result = %d %q, want 200 with the alignment", resp.StatusCode, body)
+			}
+			if code := getStatus(t, ts.URL+"/v1/jobs/"+job.ID+"/trace"); code != http.StatusOK {
+				t.Fatalf("/trace = %d, want 200", code)
+			}
+			other := fasta.FormatString(testSeqs(4, 30, 95))
+			resp = postFASTA(t, ts.URL+"/v1/align?procs=1", other)
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || string(body) != other {
+				t.Fatalf("POST /v1/align = %d %q, want 200 with the alignment", resp.StatusCode, body)
+			}
+		})
+	}
+}
+
+// TestEvictedResultTakesItsTrace: the disk store holds a job's trace in
+// its result file, so once the store evicts the result, the job's
+// /result and /trace both answer 410; until then both answer 200.
+func TestEvictedResultTakesItsTrace(t *testing.T) {
+	s, ts := httpServer(t, Config{Executor: &fakeExec{}, CacheEntries: -1, DataDir: t.TempDir(), StoreEntries: 1})
+	run := func(seed int64) *Job {
+		job, err := s.Submit(testSeqs(4, 30, seed), Options{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, job, StateDone)
+		return job
+	}
+	statuses := func(job *Job) [2]int {
+		return [2]int{getStatus(t, ts.URL+"/v1/jobs/"+job.ID+"/result"), getStatus(t, ts.URL+"/v1/jobs/"+job.ID+"/trace")}
+	}
+	ok, gone := [2]int{http.StatusOK, http.StatusOK}, [2]int{http.StatusGone, http.StatusGone}
+	a := run(96)
+	if got := statuses(a); got != ok {
+		t.Fatalf("A stored: /result, /trace = %v, want %v", got, ok)
+	}
+	b := run(97)
+	if got := statuses(a); got != gone {
+		t.Fatalf("A evicted: /result, /trace = %v, want %v", got, gone)
+	}
+	if got := statuses(b); got != ok {
+		t.Fatalf("B stored: /result, /trace = %v, want %v", got, ok)
+	}
+}
+
+// TestDataDirHoldsOneFilePerResult: each stored result is one file,
+// its trace inside; there is no traces/ directory, the store gauges
+// count every byte of those files, and journal records carry no trace.
+func TestDataDirHoldsOneFilePerResult(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	var keys []string
+	for _, seed := range []int64{98, 99} {
+		job, err := s.Submit(testSeqs(4, 30, seed), Options{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, job, StateDone)
+		keys = append(keys, job.Key)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	s.Close()
+
+	files, err := os.ReadDir(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, f := range files {
+		fi, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if len(files) != len(keys) {
+		t.Fatalf("results/ holds %d files for %d results", len(files), len(keys))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "traces")); !os.IsNotExist(err) {
+		t.Fatalf("traces/ exists: %v", err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf("\nsamplealign_store_entries %d\n", len(keys)),
+		fmt.Sprintf("\nsamplealign_store_bytes %d\n", onDisk),
+	} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+		}
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(journal, []byte(`"trace":`)) {
+		t.Fatal("a journal record carries a trace")
+	}
+
+	s2 := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	defer s2.Close()
+	for _, key := range keys {
+		if res, ok := s2.lookupResult(key); !ok || len(res.Trace) == 0 {
+			t.Fatalf("result %s after a restart: found %v, trace %d bytes", key, ok, len(res.Trace))
+		}
+	}
+}
+
+// TestStaleTraceStoreRemovedOnOpen: the traces/ directory an earlier
+// build kept beside results/ is removed when the data dir is opened.
+func TestStaleTraceStoreRemovedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "traces")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, strings.Repeat("e", 64)), []byte("SAR2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	defer s.Close()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale traces/ survived the open: %v", err)
 	}
 }

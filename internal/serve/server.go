@@ -119,13 +119,13 @@ type Config struct {
 	// streaming result reads. Empty = fully in-memory (byte-identical
 	// behaviour to a server without persistence).
 	//
-	// StoreEntries and StoreBytes bound the results/ store and, apart,
-	// the traces/ store beside it, so the data dir can hold twice each
-	// bound (plus the journal); the samplealign_store_* gauges count
-	// results only.
+	// StoreEntries and StoreBytes bound that store: one file per result,
+	// holding its summary, its span trace and its FASTA, and counted at
+	// its whole size on disk, as the samplealign_store_* gauges count
+	// it. A trace is served while its result is.
 	DataDir      string
-	StoreEntries int   // entry bound per disk store (default 4096; -1 disables the disk result tier)
-	StoreBytes   int64 // byte bound per disk store (default 1 GiB; -1 unbounded)
+	StoreEntries int   // result file bound (default 4096; -1 disables the disk result tier)
+	StoreBytes   int64 // byte bound over the result files (default 1 GiB; -1 unbounded)
 
 	// DrainTimeout bounds the graceful-shutdown drain: how long
 	// ListenAndServe waits for queued and running jobs to finish after
@@ -281,17 +281,6 @@ func (j *Job) resultIfDone() (*Result, State, error) {
 	return j.result, j.state, j.err
 }
 
-// retainedResult decides what the job record keeps: only the summary
-// when a cache tier (memory or disk) owns the payload — their bounds
-// then govern result memory — or the full result when the job is the
-// payload's only home.
-func (s *Server) retainedResult(res *Result) *Result {
-	if s.cache != nil || s.results != nil {
-		return summaryOf(res)
-	}
-	return res
-}
-
 // lookupResult consults the cache tiers: the in-memory LRU first, then
 // the disk store (promoting a disk hit into memory, bounded by the
 // memory cache's own limits).
@@ -306,11 +295,13 @@ func (s *Server) lookupResult(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	res := &Result{FASTA: payload}
-	if err := json.Unmarshal(meta, res); err != nil {
+	var m diskMeta
+	if err := json.Unmarshal(meta, &m); err != nil {
 		s.log.Warn("result meta unreadable", "key", key, "err", err)
 		return nil, false
 	}
+	res := &m.Result
+	res.FASTA, res.Trace = payload, m.Trace
 	s.metrics.StoreHits.Inc()
 	s.cache.Put(key, res, res.sizeBytes())
 	return res, true
@@ -329,7 +320,6 @@ type Server struct {
 
 	journal   *store.Journal
 	results   *store.Results
-	traces    *store.Results // finished span trees, keyed like results
 	unlockDir func()
 	recovery  RecoveryInfo
 

@@ -31,8 +31,8 @@ import (
 // verify the cheap small frame, not the inflated bytes. No checksum
 // covers rawLen, so every read checks it at EOF instead: the frame must
 // inflate to exactly rawLen bytes, and nothing is ever allocated from
-// it. Accounting (LRU byte bound, Bytes) follows the compressed size
-// actually on disk.
+// it. Accounting (LRU byte bound, Bytes) follows each file's whole
+// size on disk: header, meta and compressed frame.
 //
 // Files are written to a temp name and renamed into place, so a
 // half-written result is never visible under its key; checksums catch
@@ -54,7 +54,7 @@ var errCorrupt = errors.New("store: result file corrupt")
 // deterministic.
 type Results struct {
 	dir   string
-	index *LRU[struct{}] // keys on disk, sized by their compressed frames
+	index *LRU[struct{}] // keys on disk, sized by their files
 }
 
 // OpenResults opens (creating if needed) a result store rooted at dir,
@@ -95,8 +95,7 @@ func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 			_ = os.Remove(path)
 			continue
 		}
-		size, ok := statResult(path)
-		if !ok {
+		if !isResult(path) {
 			_ = os.Remove(path) // unreadable or inconsistent header: not a result
 			continue
 		}
@@ -104,7 +103,9 @@ func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 		if err != nil {
 			continue
 		}
-		found = append(found, scanned{key: name, size: size, mtime: info.ModTime().UnixNano()})
+		// The file's whole size, which isResult checked against its
+		// header: the unit Put counts.
+		found = append(found, scanned{key: name, size: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
 	sort.Slice(found, func(i, j int) bool {
 		if found[i].mtime != found[j].mtime {
@@ -118,16 +119,14 @@ func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 	return s, nil
 }
 
-// statResult sanity-checks a result file's header at the open-time
-// rescan, returning the on-disk payload size (the accounting unit).
-// Checksums and rawLen are verified by reads.
-func statResult(path string) (int64, bool) {
-	f, hdr, err := openResultFile(path)
-	if err != nil {
-		return 0, false
+// isResult sanity-checks a result file's header at the open-time
+// rescan. Checksums and rawLen are verified by reads.
+func isResult(path string) bool {
+	f, _, err := openResultFile(path)
+	if err == nil {
+		_ = f.Close() // read-only open
 	}
-	_ = f.Close() // read-only open
-	return hdr.payLen, true
+	return err == nil
 }
 
 // resultHeader is a decoded result file header.
@@ -187,9 +186,9 @@ func readHeader(r io.Reader) (resultHeader, error) {
 
 // Put stores (meta, payload) under key with an atomic temp-file +
 // rename write, then evicts LRU entries until both bounds hold. The
-// payload is gzipped at rest; a payload whose compressed frame exceeds
-// the byte bound is not stored. Re-putting an existing key only
-// refreshes its recency (content-addressed: same key, same bytes).
+// payload is gzipped at rest; a file that alone would exceed the byte
+// bound is not written, and Put says so. Re-putting an existing key
+// only refreshes its recency (content-addressed: same key, same bytes).
 func (s *Results) Put(key string, meta, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid result key %q", key)
@@ -206,8 +205,9 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 	if err := zw.Close(); err != nil {
 		return err
 	}
-	if !s.index.fits(int64(frame.Len())) {
-		return nil
+	size := resultHeaderLen + int64(len(meta)) + int64(frame.Len())
+	if !s.index.fits(size) {
+		return fmt.Errorf("store: result %s is %d bytes, over the %d-byte bound", key, size, s.index.maxBytes)
 	}
 
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
@@ -242,7 +242,7 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 	syncDir(s.dir)
 	// A concurrent Put of the same key may have won; Put then only
 	// refreshes it.
-	s.remove(s.index.Put(key, struct{}{}, int64(frame.Len())))
+	s.remove(s.index.Put(key, struct{}{}, size))
 	return nil
 }
 
@@ -366,7 +366,7 @@ func (v *crcReader) Read(p []byte) (int, error) {
 // Len returns the number of stored results.
 func (s *Results) Len() int { return s.index.Len() }
 
-// Bytes returns the accounted payload bytes on disk.
+// Bytes returns the size of the stored files.
 func (s *Results) Bytes() int64 { return s.index.Bytes() }
 
 // Evictions returns the number of results evicted since open.

@@ -21,14 +21,19 @@ import (
 // tkey makes a valid (hex) store key from a short name.
 func tkey(n int) string { return fmt.Sprintf("%02x", n) }
 
-// gzLen returns the size of a payload's gzipped at-rest frame — the
-// store's accounting unit since the SAR2 format.
+// gzLen returns the size of a payload's gzipped at-rest frame.
 func gzLen(p []byte) int64 {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	zw.Write(p)
 	zw.Close()
 	return int64(buf.Len())
+}
+
+// fileLen returns the size of the file Put writes for (meta, payload):
+// the store's accounting unit.
+func fileLen(meta, payload []byte) int64 {
+	return resultHeaderLen + int64(len(meta)) + gzLen(payload)
 }
 
 func openStore(t *testing.T, dir string, maxEntries int, maxBytes int64) *Results {
@@ -51,8 +56,8 @@ func TestResultsRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(gotMeta, meta) || !bytes.Equal(gotPayload, payload) {
 		t.Fatalf("Get: ok=%v meta=%q payload=%q", ok, gotMeta, gotPayload)
 	}
-	if s.Len() != 1 || s.Bytes() != gzLen(payload) {
-		t.Fatalf("Len=%d Bytes=%d, want 1/%d", s.Len(), s.Bytes(), gzLen(payload))
+	if s.Len() != 1 || s.Bytes() != fileLen(meta, payload) {
+		t.Fatalf("Len=%d Bytes=%d, want 1/%d", s.Len(), s.Bytes(), fileLen(meta, payload))
 	}
 	if _, _, ok := s.Get("cd34"); ok {
 		t.Fatal("Get of a missing key succeeded")
@@ -232,10 +237,10 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 		t.Fatalf("after Get+Put: %v, want %v", got, want)
 	}
 
-	// Byte bound (on the compressed at-rest frames): a store capped at
-	// two-and-a-half frames holds at most two of these payloads.
+	// Byte bound (on the whole files): a store capped at two-and-a-half
+	// files holds at most two of these results.
 	small := bytes.Repeat([]byte{'B'}, 12)
-	frame := gzLen(small)
+	frame := fileLen([]byte(`{}`), small)
 	s2 := openStore(t, t.TempDir(), 0, 2*frame+frame/2)
 	for i := 1; i <= 4; i++ {
 		if err := s2.Put(tkey(10+i), []byte(`{}`), small); err != nil {
@@ -245,8 +250,8 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 	if got, want := s2.index.keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("byte-bounded keys: %v, want %v", got, want)
 	}
-	// A payload whose compressed frame alone exceeds the bound is
-	// refused outright, evicting nothing.
+	// A result whose file alone would exceed the bound is refused
+	// outright with an error, evicting nothing.
 	big := make([]byte, 4096)
 	for i := range big {
 		big[i] = byte(i*131 + i>>3) // poorly compressible
@@ -254,8 +259,8 @@ func TestResultsEvictionDeterminism(t *testing.T) {
 	if gzLen(big) <= 2*frame+frame/2 {
 		t.Fatalf("test payload compresses to %d, not oversized", gzLen(big))
 	}
-	if err := s2.Put(tkey(20), []byte(`{}`), big); err != nil {
-		t.Fatal(err)
+	if err := s2.Put(tkey(20), []byte(`{}`), big); err == nil {
+		t.Fatal("Put of an oversized result reported success")
 	}
 	if got, want := s2.index.keys(), []string{tkey(14), tkey(13)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after oversized put: %v, want %v", got, want)
@@ -271,7 +276,7 @@ func TestResultsRestartRebuildsIndex(t *testing.T) {
 		if err := s.Put(tkey(i), []byte(`{}`), payload); err != nil {
 			t.Fatal(err)
 		}
-		wantBytes += gzLen(payload)
+		wantBytes += fileLen([]byte(`{}`), payload)
 		// Distinct mtimes so the rebuilt recency order is deterministic.
 		mt := time.Now().Add(time.Duration(i) * time.Hour)
 		if err := os.Chtimes(filepath.Join(dir, tkey(i)), mt, mt); err != nil {
@@ -298,6 +303,58 @@ func TestResultsRestartRebuildsIndex(t *testing.T) {
 	s3 := openStore(t, dir, 2, 0)
 	if got, want := s3.index.keys(), []string{tkey(3), tkey(2)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("bounded reopen: %v, want %v", got, want)
+	}
+}
+
+// TestResultsRescanMatchesPut: the open-time rescan sizes each file as
+// Put counted it — the whole file, meta included — and rebuilds the
+// recency order Put left, so the byte bound and the eviction order
+// mean the same after a reopen as before it.
+func TestResultsRescanMatchesPut(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, 0, 0)
+	for i := 1; i <= 4; i++ {
+		// Metas of different sizes, as traces make them. Keys ascend in
+		// Put order, so files sharing an mtime still rescan in that order.
+		meta := bytes.Repeat([]byte{'m'}, 300*(5-i))
+		if err := s.Put(tkey(i), meta, bytes.Repeat([]byte{'A'}, 100*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := func(r *Results) map[string]int64 {
+		m := make(map[string]int64)
+		for key, el := range r.index.items {
+			m[key] = el.Value.(*lruEntry[struct{}]).size
+		}
+		return m
+	}
+	put := sizes(s)
+	for key, size := range put {
+		fi, err := os.Stat(filepath.Join(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != size {
+			t.Fatalf("Put counted %d bytes for %s, its file has %d", size, key, fi.Size())
+		}
+	}
+
+	s2 := openStore(t, dir, 0, 0)
+	if got := sizes(s2); !reflect.DeepEqual(got, put) {
+		t.Fatalf("rescan sizes %v, Put counted %v", got, put)
+	}
+	if got, want := s2.index.keys(), s.index.keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rescan recency %v, before the reopen %v", got, want)
+	}
+	// One byte under what Put counted: the reopen evicts exactly the
+	// entry the store would have evicted next before it.
+	before := s.index.keys()
+	s3 := openStore(t, dir, 0, s.Bytes()-1)
+	if got, want := s3.index.keys(), before[:len(before)-1]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounded reopen kept %v, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, before[len(before)-1])); !os.IsNotExist(err) {
+		t.Fatalf("evicted file still on disk: %v", err)
 	}
 }
 

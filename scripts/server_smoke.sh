@@ -193,6 +193,7 @@ done
 diff "$WORK/trace.json" "$WORK/trace2.json" >/dev/null \
   || { echo "recovered trace differs from the original"; exit 1; }
 echo "recovered trace byte-identical to the original"
+[ ! -e "$WORK/data/traces" ] || { echo "data dir has a traces/ store; traces belong in the result files"; exit 1; }
 
 echo "== identical resubmission after restart hits the disk store =="
 RESUBMIT2=$(curl -fsS --data-binary @"$WORK/in.fa" "$BASE/v1/jobs?procs=3")

@@ -36,12 +36,12 @@ type ServerConfig struct {
 	// downloads as streams. Empty = fully in-memory, exactly the
 	// pre-persistence behaviour.
 	//
-	// StoreEntries and StoreBytes bound the result store and, apart,
-	// the trace store beside it, so the data dir can hold twice each
-	// bound (plus the journal).
+	// StoreEntries and StoreBytes bound that store: one file per
+	// result, holding its job's trace too, counted at its whole size.
+	// A trace is served while its result is.
 	DataDir      string
-	StoreEntries int   // entry bound per disk store (default 4096; -1 disables the disk tier)
-	StoreBytes   int64 // byte bound per disk store (default 1 GiB; -1 unbounded)
+	StoreEntries int   // result file bound (default 4096; -1 disables the disk tier)
+	StoreBytes   int64 // byte bound over the result files (default 1 GiB; -1 unbounded)
 
 	// DrainTimeout bounds the graceful-shutdown drain: how long
 	// ListenAndServe waits for queued and running jobs to finish after
