@@ -81,7 +81,13 @@ func main() {
 		aln.NumSeqs(), aln.Width(), *out)
 }
 
+// fatal prints err once under the program's name (library errors
+// already carry it) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "samplealign:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "samplealign: ") {
+		msg = "samplealign: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

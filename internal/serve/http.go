@@ -138,14 +138,23 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseSubmit extracts the sequences and options from a submit body.
-func parseSubmit(r *http.Request) ([]bio.Sequence, Options, error) {
+// readBody reads a request body of at most maxRequestBytes.
+func readBody(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
 	if err != nil {
-		return nil, Options{}, badRequest("reading body: %v", err)
+		return nil, badRequest("reading body: %v", err)
 	}
 	if len(body) > maxRequestBytes {
-		return nil, Options{}, badRequest("request body exceeds %d bytes", maxRequestBytes)
+		return nil, badRequest("request body exceeds %d bytes", maxRequestBytes)
+	}
+	return body, nil
+}
+
+// parseSubmit extracts the sequences and options from a submit body.
+func parseSubmit(r *http.Request) ([]bio.Sequence, Options, error) {
+	body, err := readBody(r)
+	if err != nil {
+		return nil, Options{}, err
 	}
 	var o Options
 	fastaText := body
@@ -276,13 +285,9 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	body, err := readBody(r)
 	if err != nil {
-		submitError(w, badRequest("reading body: %v", err))
-		return
-	}
-	if len(body) > maxRequestBytes {
-		submitError(w, badRequest("request body exceeds %d bytes", maxRequestBytes))
+		submitError(w, err)
 		return
 	}
 	var req BatchRequest
@@ -423,15 +428,29 @@ func (s *Server) streamResult(w http.ResponseWriter, job *Job) bool {
 }
 
 // lookupTrace finds a done job's span tree where its result is: the
-// job record, then the cache tiers.
+// job record, the memory tier, then the meta block of the result's file
+// on disk. The disk read leaves the payload unread and the memory tier
+// as it was: a trace request is not a result request.
 func (s *Server) lookupTrace(job *Job, res *Result) []byte {
-	if res == nil || len(res.Trace) == 0 {
-		res, _ = s.lookupResult(job.Key)
+	if res != nil && len(res.Trace) > 0 {
+		return res.Trace
 	}
-	if res == nil {
+	if res, ok := s.cache.Get(job.Key); ok {
+		return res.Trace
+	}
+	if s.results == nil {
 		return nil
 	}
-	return res.Trace
+	meta, rc, _, ok := s.results.Open(job.Key)
+	if !ok {
+		return nil
+	}
+	_ = rc.Close() // read side, closed unread
+	m, ok := s.decodeMeta(job.Key, meta)
+	if !ok {
+		return nil
+	}
+	return m.Trace
 }
 
 // handleTrace serves a job's span tree as indented JSON. A running job

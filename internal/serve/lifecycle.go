@@ -58,6 +58,7 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 	row := endRows[ev]
 	var ended []*Job
 	var from []State
+	var recs []store.Record
 	for _, j := range jobs {
 		j.mu.Lock()
 		if !j.state.Terminal() {
@@ -78,16 +79,13 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 				j.cached, j.started = true, o.at
 				j.bus = s.newEventBus() // a one-event stream: /events of a hit still ends on done
 			}
+			if row.journal && s.journal != nil {
+				recs = append(recs, endRecord(j, o, j.started))
+			}
 		}
 		j.mu.Unlock()
 	}
-	if row.journal && s.journal != nil {
-		recs := make([]store.Record, len(ended))
-		for i, j := range ended {
-			recs[i] = endRecord(j, o)
-		}
-		s.journalAppendBatch(recs)
-	}
+	s.journalAppendBatch(recs)
 	if row.count {
 		for i, j := range ended {
 			switch {
@@ -129,20 +127,21 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 	return len(ended)
 }
 
-// endRecord is a job's terminal journal record. A cancellation whose
-// cause is the shutdown itself is journaled as an interrupt, which
-// carries no state: at replay it is a hint ("the last process stopped
-// on purpose with this job still live"), not a terminal record, and the
-// job re-enqueues from its submit record like a crash victim.
-func endRecord(j *Job, o outcome) store.Record {
+// endRecord is a job's terminal journal record, which carries when the
+// job started (zero if it never ran). A cancellation whose cause is the
+// shutdown itself is journaled as an interrupt, which carries no state:
+// at replay it is a hint ("the last process stopped on purpose with
+// this job still live"), not a terminal record, and the job re-enqueues
+// from its submit record like a crash victim.
+func endRecord(j *Job, o outcome, started time.Time) store.Record {
 	if o.state == StateCanceled && errors.Is(o.cause, errInterrupted) {
 		return store.Record{Type: store.RecInterrupt, Job: j.ID, Key: j.Key, Time: o.at}
 	}
-	errMsg := ""
+	fd := finishData{State: o.state, Summary: o.res, Started: started}
 	if o.cause != nil {
-		errMsg = o.cause.Error()
+		fd.Error = o.cause.Error()
 	}
-	return finishRecord(j.ID, j.Key, o.state, errMsg, o.res, o.at)
+	return finishRecord(j.ID, j.Key, o.at, fd)
 }
 
 // newFlight opens a queued computation for key, holding one queue
@@ -187,9 +186,9 @@ func (s *Server) attach(job *Job, fl *flight, now time.Time) {
 
 // popLocked is a dispatcher taking the queue head: the flight and every
 // rider go queued → running at once, and the flight gives its queue
-// slot back, so holding a slot is exactly state == StateQueued. It
-// returns the flight and the riders it started. Server.mu must be held.
-func (s *Server) popLocked(now time.Time) (*flight, []*Job) {
+// slot back, so holding a slot is exactly state == StateQueued.
+// Server.mu must be held.
+func (s *Server) popLocked(now time.Time) *flight {
 	fl := s.fifo[0]
 	s.fifo = s.fifo[1:]
 	s.queued--
@@ -200,7 +199,7 @@ func (s *Server) popLocked(now time.Time) (*flight, []*Job) {
 		j.mu.Unlock()
 		s.metrics.QueueWait.Observe("dispatched", now.Sub(j.Submitted).Seconds())
 	}
-	return fl, slices.Clone(fl.jobs)
+	return fl
 }
 
 // detachLocked takes j off its flight. A flight it leaves without a
@@ -252,14 +251,9 @@ func (s *Server) cancelJob(j *Job, cause error) bool {
 	return live
 }
 
-// run journals the start of a popped flight as one group, executes it,
-// and lands it with the executor's verdict.
-func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
-	recs := make([]store.Record, len(riders))
-	for i, j := range riders {
-		recs[i] = store.Record{Type: store.RecStart, Job: j.ID, Key: fl.key, Time: started}
-	}
-	s.journalAppendBatch(recs)
+// run executes a popped flight and lands it with the executor's
+// verdict. Its start is journaled with each rider's finish record.
+func (s *Server) run(fl *flight, started time.Time) {
 	s.publish(fl.bus, Event{Type: eventStarted, Trace: fl.trace})
 
 	res, err := s.execute(fl)
@@ -297,7 +291,7 @@ func (s *Server) run(fl *flight, riders []*Job, started time.Time) {
 	fl.state = o.state
 	fl.tracer = nil // live-snapshot window over; the trace now lives in the result
 	fl.seqs = nil
-	riders = slices.Clone(fl.jobs)
+	riders := slices.Clone(fl.jobs)
 	for _, j := range riders {
 		s.detachLocked(j)
 	}

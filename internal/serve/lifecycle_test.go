@@ -309,7 +309,6 @@ func (m *lifeModel) start(fl *mFlight) {
 	for _, j := range fl.jobs {
 		j.state = StateRunning
 		m.count["queue_wait_dispatched"]++
-		m.records++ // its start record
 	}
 }
 
@@ -357,8 +356,8 @@ func (m *lifeModel) cancel(j *mJob) bool {
 }
 
 // close ends every live job as a shutdown casualty: the running flight,
-// then each queued one, which the dispatcher still pops (and journals
-// the start of) before its canceled context ends it.
+// then each queued one, which the dispatcher still pops before its
+// canceled context ends it.
 func (m *lifeModel) close() {
 	m.closed = true
 	flights := m.fifo

@@ -20,18 +20,21 @@ import (
 //
 // Journal schema (store.Record.Data by record type):
 //
-//	submit  submitData — resolved options, input FASTA (omitted for
-//	        cache-hit submissions, which carry a finish record in the
-//	        same commit group and are never re-run)
-//	start   (no data) — the flight began executing
-//	finish  finishData — terminal state done/failed + result summary
-//	cancel  finishData — terminal state canceled + cause
-//	shutdown (no data) — clean server Close
+//	submit    submitData — resolved options, input FASTA (omitted for
+//	          cache-hit submissions, which carry a finish record in the
+//	          same commit group and are never re-run)
+//	finish    finishData — terminal state done/failed/canceled, cause,
+//	          result summary, and when the job started (if it ran)
+//	interrupt (no data) — a shutdown casualty; not terminal
+//	shutdown  (no data) — clean server Close
+//
+// Journals written by earlier builds also hold "start" records, which
+// replay ignores, and "cancel" records, which it reads as finish.
 //
 // Replay: a submit with no terminal record is re-enqueued (its FASTA
 // is the input); one with a terminal record becomes a visible finished
 // job. On open the journal is compacted: finished jobs keep only a
-// FASTA-less submit + their terminal record, pruned beyond maxJobs.
+// FASTA-less submit + their finish record, pruned beyond maxJobs.
 
 // submitData is the submit record payload.
 type submitData struct {
@@ -40,7 +43,6 @@ type submitData struct {
 	FASTA     []byte   `json:"fasta,omitempty"`
 	Cached    bool     `json:"cached,omitempty"`
 	Coalesced bool     `json:"coalesced,omitempty"`
-	Recovered bool     `json:"recovered,omitempty"`
 }
 
 // retiredInSubmit reports a retired option set in a journaled submit
@@ -73,11 +75,12 @@ func replayInput(subData, text []byte) ([]bio.Sequence, error) {
 	return seqs, nil
 }
 
-// finishData is the finish/cancel record payload.
+// finishData is the finish record payload.
 type finishData struct {
-	State   State   `json:"state"`
-	Error   string  `json:"error,omitempty"`
-	Summary *Result `json:"summary,omitempty"` // a result file's meta block is this plus the trace (diskMeta)
+	State   State     `json:"state"`
+	Error   string    `json:"error,omitempty"`
+	Summary *Result   `json:"summary,omitempty"` // a result file's meta block is this plus the trace (diskMeta)
+	Started time.Time `json:"started,omitzero"`  // zero for a job that never ran
 }
 
 // RecoveryInfo summarises what a journal replay reconstructed.
@@ -153,13 +156,9 @@ func submitRecord(id, key string, at time.Time, sd submitData) store.Record {
 	return store.Record{Type: store.RecSubmit, Job: id, Key: key, Time: at, Data: data}
 }
 
-func finishRecord(id, key string, state State, errMsg string, summary *Result, at time.Time) store.Record {
-	typ := store.RecFinish
-	if state == StateCanceled {
-		typ = store.RecCancel
-	}
-	data, _ := json.Marshal(finishData{State: state, Error: errMsg, Summary: summary})
-	return store.Record{Type: typ, Job: id, Key: key, Time: at, Data: data}
+func finishRecord(id, key string, at time.Time, fd finishData) store.Record {
+	data, _ := json.Marshal(fd)
+	return store.Record{Type: store.RecFinish, Job: id, Key: key, Time: at, Data: data}
 }
 
 // diskMeta is a result file's meta block: the summary plus the span
@@ -168,6 +167,17 @@ func finishRecord(id, key string, state State, errMsg string, summary *Result, a
 type diskMeta struct {
 	Result
 	Trace json.RawMessage `json:"trace,omitempty"`
+}
+
+// decodeMeta decodes the meta block of key's result file, logging one
+// that will not decode.
+func (s *Server) decodeMeta(key string, meta []byte) (*diskMeta, bool) {
+	var m diskMeta
+	if err := json.Unmarshal(meta, &m); err != nil {
+		s.log.Warn("result meta unreadable", "key", key, "err", err)
+		return nil, false
+	}
+	return &m, true
 }
 
 // storePut persists a finished result and its trace content-addressed
@@ -196,24 +206,21 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 		id, key     string
 		submitted   time.Time
 		sub         *submitData
-		subData     []byte // the submit record as journaled, for retiredInSubmit
-		started     time.Time
-		final       State // the journal's terminal state; StateQueued until a finish or cancel record
-		errMsg      string
-		summary     *Result
+		subData     []byte     // the submit record as journaled, for retiredInSubmit
+		fin         finishData // the terminal record's payload; State is StateQueued until one arrives
 		finished    time.Time
 		interrupted bool // hard-canceled by the previous shutdown, not by a caller
 	}
 	var order []*rj
 	byID := make(map[string]*rj)
-	// A job's records usually appear submit → start → finish, but
-	// appends race the server lock, so replay tolerates any order per
-	// job: records merge into one entry keyed by job ID, and a terminal
-	// record wins whenever it arrives.
+	// A job's records usually appear submit → finish, but appends race
+	// the server lock, so replay tolerates any order per job: records
+	// merge into one entry keyed by job ID, and a terminal record wins
+	// whenever it arrives.
 	entry := func(rec store.Record) *rj {
 		r := byID[rec.Job]
 		if r == nil {
-			r = &rj{id: rec.Job, key: rec.Key, submitted: rec.Time, final: StateQueued}
+			r = &rj{id: rec.Job, key: rec.Key, submitted: rec.Time, fin: finishData{State: StateQueued}}
 			byID[rec.Job] = r
 			order = append(order, r)
 		}
@@ -232,10 +239,6 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			r := entry(rec)
 			r.sub, r.subData = &sd, rec.Data
 			r.submitted = rec.Time
-		case store.RecStart:
-			if r := byID[rec.Job]; r != nil {
-				r.started = rec.Time
-			}
 		case store.RecFinish, store.RecCancel:
 			var fd finishData
 			if err := json.Unmarshal(rec.Data, &fd); err != nil {
@@ -243,16 +246,13 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				continue
 			}
 			r := entry(rec)
-			r.final = fd.State
-			r.errMsg = fd.Error
-			r.summary = fd.Summary
-			r.finished = rec.Time
+			r.fin, r.finished = fd, rec.Time
 		case store.RecInterrupt:
 			// Deliberately NOT terminal: the previous shutdown killed
 			// this job mid-flight, so it falls through to the requeue
 			// path below exactly like a crash victim (unless a real
 			// terminal record also exists, which wins).
-			if r := entry(rec); !r.final.Terminal() {
+			if r := entry(rec); !r.fin.State.Terminal() {
 				r.interrupted = true
 			}
 		}
@@ -278,14 +278,14 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			done:      make(chan struct{}),
 			cached:    r.sub.Cached,
 			coalesced: r.sub.Coalesced,
-			recovered: !r.final.Terminal(),
+			recovered: !r.fin.State.Terminal(),
 		}
 		if job.recovered {
 			if res, ok := s.lookupResult(r.key); ok {
 				// The result already exists (crash after the store write
 				// but before the finish record): restored, not re-run.
 				job.cached = true
-				r.final, r.summary, r.finished = StateDone, summaryOf(res), now
+				r.fin.State, r.fin.Summary, r.finished = StateDone, summaryOf(res), now
 			} else if len(r.sub.FASTA) == 0 {
 				// No input to re-run: a cache-hit submit whose finish
 				// half was torn away. The caller already got its answer
@@ -293,7 +293,7 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				// contradict what they saw, so drop it (and let
 				// compaction shed it via the terminal-untracked path).
 				s.log.Warn("recovery: job has no journaled input; dropped", "job", r.id)
-				r.final = StateCanceled
+				r.fin.State = StateCanceled
 				continue
 			} else if seqs, err := replayInput(r.subData, r.sub.FASTA); err == nil {
 				// Re-enqueue under the original ID, coalescing by content
@@ -313,17 +313,17 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 				s.metrics.Recovered.Inc()
 				continue
 			} else {
-				r.final, r.finished = StateFailed, now
-				r.errMsg = fmt.Sprintf("recovery: %v", err)
+				r.fin.State, r.finished = StateFailed, now
+				r.fin.Error = fmt.Sprintf("recovery: %v", err)
 			}
 		}
 		// Terminal in the journal (or just restored or failed above): a
 		// visible finished job record, never re-run.
-		o := outcome{state: r.final, res: r.summary, at: r.finished}
-		if r.errMsg != "" {
-			o.cause = errors.New(r.errMsg)
+		o := outcome{state: r.fin.State, res: r.fin.Summary, at: r.finished}
+		if r.fin.Error != "" {
+			o.cause = errors.New(r.fin.Error)
 		}
-		job.started = r.started
+		job.started = r.fin.Started
 		s.end(evRestore, o, job)
 		s.rememberLocked(job)
 		s.recovery.Finished++
@@ -338,17 +338,15 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			continue // dropped above: no submit half to carry forward
 		}
 		sd := *r.sub
-		if r.final.Terminal() {
-			if _, tracked := s.jobs[r.id]; !tracked {
-				continue // pruned from the job table: prune from the journal too
-			}
-			sd.FASTA = nil
+		if !r.fin.State.Terminal() {
 			compact = append(compact, submitRecord(r.id, r.key, r.submitted, sd))
-			compact = append(compact, finishRecord(r.id, r.key, r.final, r.errMsg, r.summary, r.finished))
-		} else {
-			sd.Recovered = true
-			compact = append(compact, submitRecord(r.id, r.key, r.submitted, sd))
+			continue
 		}
+		if _, tracked := s.jobs[r.id]; !tracked {
+			continue // pruned from the job table: prune from the journal too
+		}
+		sd.FASTA = nil
+		compact = append(compact, submitRecord(r.id, r.key, r.submitted, sd), finishRecord(r.id, r.key, r.finished, r.fin))
 	}
 	if err := s.journal.Rewrite(compact); err != nil {
 		s.log.Warn("journal compaction failed", "err", err)

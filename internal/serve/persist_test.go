@@ -105,7 +105,7 @@ func TestCrashRecoveryRequeuesUnfinishedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-fe1.started // journal now holds submit + start, no finish
+	<-fe1.started // journal now holds the submit, no finish
 	// A duplicate rides job1's running flight.
 	dup1, err := s1.Submit(seqs, Options{Procs: 2})
 	if err != nil {
@@ -161,9 +161,9 @@ func TestCacheHitSubmitJournalsOneGroup(t *testing.T) {
 	}
 	waitState(t, first, StateDone)
 	// Done closes just before the finish record is appended; let it land.
-	for deadline := time.Now().Add(10 * time.Second); s.journal.FlushedRecords() < 3; {
+	for deadline := time.Now().Add(10 * time.Second); s.journal.FlushedRecords() < 2; {
 		if time.Now().After(deadline) {
-			t.Fatal("first job's submit/start/finish records never flushed")
+			t.Fatal("first job's submit/finish records never flushed")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -177,6 +177,172 @@ func TestCacheHitSubmitJournalsOneGroup(t *testing.T) {
 	}
 	if f, r := s.journal.Flushes()-flushes, s.journal.FlushedRecords()-records; f != 1 || r != 2 {
 		t.Fatalf("cache-hit submit cost %d fsyncs for %d records, want 1 and 2", f, r)
+	}
+}
+
+// journaledRecords reads the journal in dir back as a restart would,
+// keeping the records of job id.
+func journaledRecords(t *testing.T, dir, id string) []store.Record {
+	t.Helper()
+	j, recs, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var mine []store.Record
+	for _, rec := range recs {
+		if rec.Job == id {
+			mine = append(mine, rec)
+		}
+	}
+	return mine
+}
+
+// A cold job on an idle durable server costs two journal fsyncs: its
+// submit and its finish. Dispatching it journals nothing; its finish
+// record says when it started.
+func TestColdJobJournalsTwoGroups(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	defer s.Close()
+	flushes := s.journal.Flushes()
+	job, err := s.Submit(testSeqs(5, 40, 80), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitState(t, job, StateDone)
+	if got := s.journal.Flushes() - flushes; got != 2 {
+		t.Fatalf("a cold job cost %d journal fsyncs, want 2", got)
+	}
+	recs := journaledRecords(t, dir, job.ID)
+	var kinds []string
+	for _, rec := range recs {
+		kinds = append(kinds, rec.Type)
+	}
+	if want := []string{store.RecSubmit, store.RecFinish}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("the job journaled %v, want %v", kinds, want)
+	}
+	var fd finishData
+	if err := json.Unmarshal(recs[1].Data, &fd); err != nil {
+		t.Fatal(err)
+	}
+	if v.Started == nil || !fd.Started.Equal(*v.Started) || !recs[1].Time.Equal(*v.Finished) {
+		t.Fatalf("finish record started %v at %v, the job started %v and finished %v", fd.Started, recs[1].Time, v.Started, v.Finished)
+	}
+}
+
+// A job's started_at and finished_at read the same before a restart and
+// after each of two: the first restart replays the records the jobs
+// ended with, the second the ones its compaction wrote. A cold job, a
+// cache hit and a running job that was canceled all carry both times.
+func TestJobTimesSurviveRestarts(t *testing.T) {
+	dir := t.TempDir()
+	fe := &fakeExec{block: make(chan struct{}), started: make(chan struct{}, 2)}
+	s := newTestServer(t, Config{Executor: fe, DataDir: dir})
+	canceled, err := s.Submit(testSeqs(5, 40, 81), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fe.started
+	if live, err := s.Cancel(canceled.ID, nil); err != nil || !live {
+		t.Fatalf("cancel of the running job: live=%v err=%v", live, err)
+	}
+	close(fe.block)
+	seqs := testSeqs(5, 40, 82)
+	cold, err := s.Submit(seqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cold, StateDone)
+	hit, err := s.Submit(seqs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitState(t, hit, StateDone); !v.Cached {
+		t.Fatalf("resubmission was not a cache hit: %+v", v)
+	}
+	jobs := map[string]string{"cold": cold.ID, "hit": hit.ID, "canceled": canceled.ID}
+	times := func(s *Server) map[string]string {
+		got := make(map[string]string)
+		for name, id := range jobs {
+			j, ok := s.Job(id)
+			if !ok {
+				t.Fatalf("%s job %s missing", name, id)
+			}
+			v := j.View()
+			if v.Started == nil || v.Finished == nil {
+				t.Fatalf("%s job: started %v, finished %v; want both", name, v.Started, v.Finished)
+			}
+			got[name] = v.Started.Format(time.RFC3339Nano) + " " + v.Finished.Format(time.RFC3339Nano)
+		}
+		return got
+	}
+	want := times(s)
+	s.Close()
+	for restart := 1; restart <= 2; restart++ {
+		s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+		got := times(s)
+		s.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after restart %d: %v, want %v", restart, got, want)
+		}
+	}
+}
+
+// An earlier build journaled a "start" record when a flight began and a
+// "cancel" record for a canceled job. Replay ignores the first and reads
+// the second as a finish: the job comes back canceled, not re-run, and
+// the compaction rewrites it as a submit and a finish.
+func TestReplayReadsLegacyStartAndCancelRecords(t *testing.T) {
+	dir := t.TempDir()
+	seqs := testSeqs(4, 30, 83)
+	opts, err := resolve(Options{Procs: 1}, defaultOpts, Limits{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey(seqs, opts)
+	submitted := time.Now().Add(-time.Minute)
+	j, _, err := store.OpenJournalOptions(filepath.Join(dir, "journal.wal"), store.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, _ := json.Marshal(map[string]string{"state": "canceled", "error": "canceled by client request"})
+	for _, rec := range []store.Record{
+		submitRecord("jaabb05", key, submitted, submitData{Opts: opts, NumSeqs: len(seqs), FASTA: []byte(fasta.FormatString(seqs))}),
+		{Type: "start", Job: "jaabb05", Key: key, Time: submitted.Add(time.Second)},
+		{Type: store.RecCancel, Job: "jaabb05", Key: key, Time: submitted.Add(2 * time.Second), Data: canceled},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	fe := &fakeExec{}
+	s := newTestServer(t, Config{Executor: fe, DataDir: dir})
+	defer s.Close()
+	if rec := s.Recovery(); rec.Requeued != 0 || rec.Finished != 1 || rec.JournalRecords != 3 {
+		t.Fatalf("recovery = %+v, want 3 records, 0 requeued / 1 finished", rec)
+	}
+	job, ok := s.Job("jaabb05")
+	if !ok {
+		t.Fatal("canceled job not restored")
+	}
+	if v := job.View(); v.State != StateCanceled || v.Error != "canceled by client request" ||
+		v.Finished == nil || !v.Finished.Equal(submitted.Add(2*time.Second)) {
+		t.Fatalf("restored %+v, want canceled by the client at the cancel record's time", v)
+	}
+	if fe.Runs() != 0 {
+		t.Fatalf("canceled job re-ran %d times", fe.Runs())
+	}
+	var kinds []string
+	for _, rec := range journaledRecords(t, dir, "jaabb05") {
+		kinds = append(kinds, rec.Type)
+	}
+	if want := []string{store.RecSubmit, store.RecFinish}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("compacted journal holds %v for the job, want %v", kinds, want)
 	}
 }
 
@@ -375,16 +541,16 @@ func TestRecoveryFindsOrphanedStoreResult(t *testing.T) {
 	}
 	waitState(t, job1, StateDone)
 	crash(s1)
-	// Rewind the journal to submit+start by dropping the finish record.
+	// Rewind the journal to the submit by dropping the finish record.
 	path := filepath.Join(dir, "journal.wal")
 	jr, recs, err := store.OpenJournalOptions(path, store.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) < 3 {
-		t.Fatalf("journal has %d records, want >= 3", len(recs))
+	if len(recs) != 2 || recs[0].Type != store.RecSubmit || recs[1].Type != store.RecFinish {
+		t.Fatalf("journal holds %+v, want a submit and a finish", recs)
 	}
-	if err := jr.Rewrite(recs[:2]); err != nil {
+	if err := jr.Rewrite(recs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	jr.Close()
@@ -460,7 +626,7 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	if err := j.Append(finishRecord("jaabb01", key, StateCanceled, "canceled by client request", nil, now)); err != nil {
+	if err := j.Append(finishRecord("jaabb01", key, now, finishData{State: StateCanceled, Error: "canceled by client request"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(submitRecord("jaabb01", key, now, submitData{
@@ -469,7 +635,7 @@ func TestReplayMergesOutOfOrderRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And a lone finish with no submit half at all: dropped, not restored.
-	if err := j.Append(finishRecord("jaabb02", key, StateDone, "", nil, now)); err != nil {
+	if err := j.Append(finishRecord("jaabb02", key, now, finishData{State: StateDone})); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -627,7 +793,7 @@ func TestReplayOfJobsSubmittedUnderARetiredOption(t *testing.T) {
 	}
 	if err := j.AppendBatch([]store.Record{
 		{Type: store.RecSubmit, Job: "jaabb04", Key: doneKey, Time: now, Data: submit},
-		finishRecord("jaabb04", doneKey, StateDone, "", &Result{NumSeqs: len(seqs), Width: 30, Procs: 1}, now),
+		finishRecord("jaabb04", doneKey, now, finishData{State: StateDone, Summary: &Result{NumSeqs: len(seqs), Width: 30, Procs: 1}}),
 		{Type: store.RecSubmit, Job: "jaabb05", Key: liveKey, Time: now, Data: submit},
 	}); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 //	new       attach                queued, or running¹     remember
 //	new       cache hit             done (cached)           end²
 //	new       replayed outcome      the journal's outcome   record, close Done
-//	queued    flight pop            running                 journal start³, publish started
+//	queued    flight pop            running                 publish started
 //	queued    cancel, deadline      canceled                detach⁴, end
 //	running   cancel, deadline      canceled                detach⁴, end
 //	running   flight verdict        done, failed, canceled  end³
@@ -32,10 +32,11 @@
 // event, close Done, log. A job seen Done, or whose terminal event was
 // published, is journaled and counted. ¹ when the flight already runs.
 // ² no journal effect: its records ride the admission's commit group.
-// ³ one journal commit group per flight. ⁴ only the last waiter to
-// leave stops the flight, so one impatient client cannot kill a
-// computation others wait for. Close ends every live job canceled with
-// errInterrupted, journaled as an interrupt the next boot re-enqueues.
+// ³ one journal commit group per flight, its finish records holding
+// when the riders started. ⁴ only the last waiter to leave stops the
+// flight, so one impatient client cannot kill a computation others wait
+// for. Close ends every live job canceled with errInterrupted, journaled
+// as an interrupt the next boot re-enqueues.
 //
 // With Config.DataDir set, every accepted job is journaled before it
 // can run and every finished result is persisted content-addressed on
@@ -49,7 +50,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -295,9 +295,8 @@ func (s *Server) lookupResult(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var m diskMeta
-	if err := json.Unmarshal(meta, &m); err != nil {
-		s.log.Warn("result meta unreadable", "key", key, "err", err)
+	m, ok := s.decodeMeta(key, meta)
+	if !ok {
 		return nil, false
 	}
 	res := &m.Result
@@ -484,10 +483,10 @@ func (s *Server) dispatch() {
 			return
 		}
 		now := time.Now()
-		fl, riders := s.popLocked(now)
+		fl := s.popLocked(now)
 		s.active++
 		s.mu.Unlock()
-		s.run(fl, riders, now)
+		s.run(fl, now)
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()

@@ -246,6 +246,35 @@ func TestTracePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestTraceAfterRestartReadsOnlyTheMeta: after a restart a job's trace
+// comes from the meta block of its result file, byte-identical to the
+// answer before the restart, without reading the payload into the
+// memory tier or counting a store hit.
+func TestTraceAfterRestartReadsOnlyTheMeta(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := httpServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	job, err := s1.Submit(testSeqs(6, 40, 30), Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StateDone)
+	resp, before := fetchTrace(t, ts1.URL+"/v1/jobs/"+job.ID+"/trace")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace before the restart: %d %s", resp.StatusCode, before)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := httpServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
+	resp, after := fetchTrace(t, ts2.URL+"/v1/jobs/"+job.ID+"/trace")
+	if resp.StatusCode != http.StatusOK || string(after) != string(before) {
+		t.Fatalf("trace after the restart: %d, %d bytes; want 200 and the %d bytes served before", resp.StatusCode, len(after), len(before))
+	}
+	if n, hits := s2.cache.Len(), s2.metrics.StoreHits.Value(); n != 0 || hits != 0 {
+		t.Fatalf("a trace request left %d memory-tier entries and %d store hits, want 0 and 0", n, hits)
+	}
+}
+
 var (
 	sampleLineRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
 	helpLineRe   = regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .+$`)

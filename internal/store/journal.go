@@ -41,15 +41,16 @@ import (
 // opaque; replay-time semantics live in the service.
 const (
 	RecSubmit   = "submit"
-	RecStart    = "start"
 	RecFinish   = "finish"
-	RecCancel   = "cancel"
 	RecShutdown = "shutdown"
 	// RecInterrupt marks a job hard-canceled by the shutdown path
 	// itself (drain window expired with the job still queued/running).
-	// Unlike RecCancel it is not terminal at replay: the next boot
-	// re-enqueues the job exactly like a crash victim.
+	// Unlike a canceled finish it is not terminal at replay: the next
+	// boot re-enqueues the job exactly like a crash victim.
 	RecInterrupt = "interrupt"
+	// RecCancel is the terminal kind earlier builds wrote for a canceled
+	// job; nothing writes it now, and replay reads it as a finish.
+	RecCancel = "cancel"
 )
 
 // Record is one journal entry: a typed envelope with a service-defined

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Result file layout ("SAR2"):
@@ -60,8 +61,9 @@ type Results struct {
 // OpenResults opens (creating if needed) a result store rooted at dir,
 // scanning existing files to rebuild the index. Entries are ordered
 // oldest-first by (mtime, key) so eviction after a restart is
-// deterministic for identical on-disk states. Either bound <= 0 means
-// "no bound on that axis".
+// deterministic for identical on-disk states; Put and Open keep each
+// file's mtime at its last use, so that order is the recency order the
+// store had before. Either bound <= 0 means "no bound on that axis".
 func OpenResults(dir string, maxEntries int, maxBytes int64) (*Results, error) {
 	_, statErr := os.Stat(dir)
 	created := errors.Is(statErr, os.ErrNotExist)
@@ -194,6 +196,7 @@ func (s *Results) Put(key string, meta, payload []byte) error {
 		return fmt.Errorf("store: invalid result key %q", key)
 	}
 	if _, ok := s.index.Get(key); ok {
+		s.touch(key)
 		return nil
 	}
 
@@ -253,6 +256,12 @@ func (s *Results) remove(keys []string) {
 	}
 }
 
+// touch carries a recency refresh to the file's mtime, which the
+// open-time rescan orders by. Best effort: the mtime is only a hint.
+func (s *Results) touch(key string) {
+	_ = os.Chtimes(filepath.Join(s.dir, key), time.Time{}, time.Now())
+}
+
 // drop removes a corrupt entry discovered during a read.
 func (s *Results) drop(key string) {
 	s.index.remove(key)
@@ -293,6 +302,7 @@ func (s *Results) Open(key string) (meta []byte, r io.ReadCloser, size int64, ok
 	if _, ok := s.index.Get(key); !ok {
 		return nil, nil, 0, false
 	}
+	s.touch(key)
 	f, hdr, err := openResultFile(filepath.Join(s.dir, key))
 	if err != nil {
 		s.drop(key)

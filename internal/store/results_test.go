@@ -358,6 +358,59 @@ func TestResultsRescanMatchesPut(t *testing.T) {
 	}
 }
 
+// TestResultsRescanKeepsUseRecency: a read and a re-Put of a held key
+// refresh the file's mtime as well as the in-memory order, so after a
+// reopen the store evicts what it would have evicted before it.
+func TestResultsRescanKeepsUseRecency(t *testing.T) {
+	for _, use := range []string{"get", "open", "re-put"} {
+		t.Run(use, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir, 0, 0)
+			a, b, c := tkey(1), tkey(2), tkey(3)
+			for _, key := range []string{a, b} {
+				if err := s.Put(key, []byte(`{}`), []byte("ACGT")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// a written before b, both well in the past: the use of a below
+			// moves it past b at any mtime granularity, with no sleep.
+			past := time.Now().Add(-time.Hour)
+			for i, key := range []string{a, b} {
+				at := past.Add(time.Duration(i) * time.Second)
+				if err := os.Chtimes(filepath.Join(dir, key), at, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch use {
+			case "get":
+				if _, _, ok := s.Get(a); !ok {
+					t.Fatal("Get missed")
+				}
+			case "open":
+				_, rc, _, ok := s.Open(a)
+				if !ok {
+					t.Fatal("Open missed")
+				}
+				rc.Close()
+			case "re-put":
+				if err := s.Put(a, []byte(`{}`), []byte("ACGT")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2 := openStore(t, dir, 2, 0)
+			if err := s2.Put(c, []byte(`{}`), []byte("ACGT")); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s2.index.keys(), []string{c, a}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the reopen the store holds %v, want %v (b least recently used)", got, want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, b)); !os.IsNotExist(err) {
+				t.Fatalf("evicted file still on disk: %v", err)
+			}
+		})
+	}
+}
+
 func TestResultsConcurrentAccess(t *testing.T) {
 	s := openStore(t, t.TempDir(), 8, 0)
 	var wg sync.WaitGroup

@@ -8,7 +8,9 @@
 # recovery:
 # the server is stopped and restarted on the same data directory, and
 # the pre-restart result must be served from disk — byte-identical,
-# with zero alignments recomputed (asserted via /metrics). A batch pass
+# with zero alignments recomputed (asserted via /metrics); a cold job's
+# and a cache hit's started_at and finished_at must read the same after
+# that restart and after a second one. A batch pass
 # POSTs two inputs (one already cached) to /v1/batch in a single
 # request, checks the cached member is answered terminal immediately,
 # diffs the fresh member against the batch CLI, and asserts the
@@ -52,6 +54,29 @@ curl -fsS "$BASE/healthz" >/dev/null
 
 json_field() { # json_field <field> — first string value of "field"
   sed -n "s/.*\"$1\": *\"\([^\"]*\)\".*/\1/p" | head -1
+}
+
+job_times() { # job_times <id> — "started_at finished_at" of a job
+  local view
+  view=$(curl -fsS "$BASE/v1/jobs/$1")
+  echo "$(echo "$view" | json_field started_at) $(echo "$view" | json_field finished_at)"
+}
+
+restart_server() { # restart_server <log> — SIGTERM drain, restart on the same data dir
+  kill -TERM $SRV
+  wait $SRV 2>/dev/null || true
+  "$WORK/samplealignsrv" -addr "127.0.0.1:$PORT" -p 3 -data-dir "$WORK/data" 2>"$1" &
+  SRV=$!
+  for _ in $(seq 1 100); do
+    curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
+    sleep 0.1
+  done
+  curl -fsS "$BASE/healthz" >/dev/null
+}
+
+check_times() { # check_times <when> — both jobs' times match the pre-restart ones
+  [ "$(job_times "$ID")" = "$TIMES" ] || { echo "cold job times $(job_times "$ID") $1, want $TIMES"; exit 1; }
+  [ "$(job_times "$HIT_ID")" = "$HIT_TIMES" ] || { echo "cache hit times $(job_times "$HIT_ID") $1, want $HIT_TIMES"; exit 1; }
 }
 
 echo "== submit =="
@@ -108,6 +133,7 @@ echo "== cache: identical resubmission is served instantly =="
 RESUBMIT=$(curl -fsS --data-binary @"$WORK/in.fa" "$BASE/v1/jobs?procs=3")
 echo "$RESUBMIT" | grep -q '"cached": true' || { echo "resubmission missed the cache: $RESUBMIT"; exit 1; }
 echo "$RESUBMIT" | grep -q '"state": "done"' || { echo "cached job not done: $RESUBMIT"; exit 1; }
+HIT_ID=$(echo "$RESUBMIT" | json_field id)
 
 echo "== sync endpoint =="
 curl -fsS --data-binary @"$WORK/in.fa" "$BASE/v1/align?procs=3" -o "$WORK/sync.fa"
@@ -164,16 +190,14 @@ echo "$METRICS" | grep -q '^samplealign_journal_fsyncs_total [1-9]' || { echo "n
 echo "$METRICS" | grep -q '^samplealign_journal_flushed_records_total [1-9]' || { echo "no journal flushed-records counter"; exit 1; }
 echo "$METRICS" | grep -q '^samplealign_journal_group_records_bucket' || { echo "no journal group-size histogram"; exit 1; }
 
-echo "== restart recovery: stop (SIGTERM drain), restart on the same data dir =="
-kill -TERM $SRV
-wait $SRV 2>/dev/null || true
-"$WORK/samplealignsrv" -addr "127.0.0.1:$PORT" -p 3 -data-dir "$WORK/data" 2>"$WORK/srv2.log" &
-SRV=$!
-for _ in $(seq 1 100); do
-  curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
-  sleep 0.1
+TIMES=$(job_times "$ID")
+HIT_TIMES=$(job_times "$HIT_ID")
+for T in "$TIMES" "$HIT_TIMES"; do
+  case "$T" in " "*|*" ") echo "a job lacks started_at or finished_at: '$T'"; exit 1 ;; esac
 done
-curl -fsS "$BASE/healthz" >/dev/null
+
+echo "== restart recovery: stop (SIGTERM drain), restart on the same data dir =="
+restart_server "$WORK/srv2.log"
 grep -q 'journal recovery complete' "$WORK/srv2.log" || { echo "no recovery log line"; cat "$WORK/srv2.log"; exit 1; }
 grep -q 'clean_shutdown=true' "$WORK/srv2.log" || { echo "shutdown was not journaled as clean"; cat "$WORK/srv2.log"; exit 1; }
 
@@ -183,6 +207,8 @@ STATE2=$(curl -fsS "$BASE/v1/jobs/$ID" | json_field state)
 curl -fsS "$BASE/v1/jobs/$ID/result" -o "$WORK/recovered.fa"
 diff "$WORK/batch.fa" "$WORK/recovered.fa"
 echo "recovered result byte-identical to samplealign output"
+check_times "after the restart"
+echo "started_at and finished_at unchanged"
 
 echo "== persisted trace survives the restart =="
 curl -fsS "$BASE/v1/jobs/$ID/trace" -o "$WORK/trace2.json"
@@ -204,6 +230,11 @@ METRICS2=$(curl -fsS "$BASE/metrics")
 echo "$METRICS2" | grep -q '^samplealign_cache_misses_total 0$' || { echo "restart recomputed an alignment"; echo "$METRICS2" | grep ^samplealign_cache; exit 1; }
 echo "$METRICS2" | grep -q '^samplealign_results_streamed_total [1-9]' || { echo "recovered result was not streamed from disk"; exit 1; }
 echo "$METRICS2" | grep -q '^samplealign_store_hits_total [1-9]' || { echo "resubmission did not hit the disk store"; exit 1; }
+
+echo "== second restart: job times replay from the compacted journal =="
+restart_server "$WORK/srv3.log"
+check_times "after the second restart"
+echo "started_at and finished_at unchanged after two restarts"
 
 echo "== cluster mode: 3 workers + coordinator (p=4) =="
 "$WORK/samplealign" -in "$WORK/in.fa" -p 4 -out "$WORK/batch4.fa"
