@@ -124,9 +124,10 @@ func main() {
 		defer cancel()
 	}
 	// Batch mode feeds the same stage histograms through a rank-local
-	// tracer; output stays byte-identical (tracing only observes).
+	// hook-only tracer; output stays byte-identical (tracing only
+	// observes).
 	if wm != nil {
-		ctx = obs.WithTracer(ctx, obs.New("", wm.ObserveStage))
+		ctx = obs.WithTracer(ctx, obs.NewHook(wm.ObserveStage))
 		wm.JobStarted()
 	}
 	aln, err := samplealign.AlignTCPContext(ctx,

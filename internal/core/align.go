@@ -190,6 +190,7 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 		return nil, nil, err
 	}
 	path := templatePath(localProf, ga)
+	localProf.Release()
 	fsp.End()
 	stats.Timings.FineTune = tPhase.elapsed()
 

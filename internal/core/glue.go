@@ -34,6 +34,7 @@ func templatePath(lp *profile.Profile, ga []byte) profile.Path {
 	gp := profile.FromSequence(submat.BLOSUM62.Alphabet(), ga)
 	aligner := profile.NewAligner(submat.BLOSUM62, submat.DefaultProteinGap)
 	path, _ := aligner.Align(lp, gp)
+	gp.Release()
 	return path
 }
 

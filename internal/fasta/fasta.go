@@ -3,8 +3,9 @@
 // The reader is tolerant of the variation found in real files: blank
 // lines, Windows (CRLF) and classic Mac (CR) line endings, arbitrary
 // line widths, trailing whitespace, and gzip-compressed input (sniffed
-// by magic bytes, so uploads need no content-type negotiation). The
-// writer emits fixed-width records suitable for other tools.
+// by magic bytes, so uploads need no content-type negotiation). Read
+// takes a stream, Parse the bytes a caller already holds. The writer
+// emits fixed-width records suitable for other tools.
 package fasta
 
 import (
@@ -22,100 +23,75 @@ import (
 // gzip magic bytes (RFC 1952).
 var gzipMagic = []byte{0x1f, 0x8b}
 
-// scanLines is a bufio.SplitFunc that terminates lines at \n, \r\n or a
-// lone \r (classic Mac endings make the whole file one bufio.ScanLines
-// line, which would mis-parse as a single giant header).
-func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if atEOF && len(data) == 0 {
-		return 0, nil, nil
-	}
-	if i := bytes.IndexAny(data, "\r\n"); i >= 0 {
-		advance = i + 1
-		if data[i] == '\r' {
-			if i+1 < len(data) {
-				if data[i+1] == '\n' {
-					advance++
-				}
-			} else if !atEOF {
-				// \r at the buffer edge: wait to see whether \n follows.
-				return 0, nil, nil
-			}
-		}
-		return advance, data[:i], nil
-	}
-	if atEOF {
-		return len(data), data, nil
-	}
-	return 0, nil, nil
-}
-
-// sniffReader transparently decompresses gzip input, detected by its
-// magic bytes; everything else passes through unchanged. The two bytes
-// it looks at are put back in front of r, not peeked through a
-// bufio.Reader: the scanner has a buffer of its own, and a request
-// body of a kilobyte should not cost a second, 4 KiB one.
-func sniffReader(r io.Reader) (io.Reader, error) {
-	head := make([]byte, len(gzipMagic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+// Read parses every FASTA record from r. It reads r to its end, and
+// parses the bytes as Parse does; gzip-compressed input is detected by
+// magic bytes and inflated first. When the inflation fails part way,
+// what it inflated is still parsed: an error there is reported, else
+// the inflation's.
+func Read(r io.Reader) ([]bio.Sequence, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("fasta: %w", err)
 	}
-	whole := io.MultiReader(bytes.NewReader(head[:n]), r)
-	if err != nil || !bytes.Equal(head, gzipMagic) {
-		// Not gzip (or too short to be): the FASTA parser's to handle.
-		return whole, nil
+	if !bytes.HasPrefix(data, gzipMagic) {
+		return Parse(data)
 	}
-	zr, err := gzip.NewReader(whole)
+	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("fasta: gzip input: %w", err)
 	}
-	return zr, nil
+	plain, zerr := io.ReadAll(zr)
+	seqs, err := Parse(plain)
+	if err == nil && zerr != nil {
+		return nil, fmt.Errorf("fasta: %w", zerr)
+	}
+	return seqs, err
 }
 
-// Read parses every FASTA record from r. Gzip-compressed input is
-// detected by magic bytes and decompressed transparently.
+// Parse parses every FASTA record in data, plain text (no gzip), for a
+// caller that already holds the bytes, such as a request body. The
+// records own their bytes: none aliases data, which the caller may
+// reuse.
 //
-// Each line is handled as the scanner's bytes, once: a header becomes
-// one string that ID and description are cut from, and a data line's
-// residues, the runs between its spaces and tabs (bytes.IndexAny), are
-// appended to the record whole.
-func Read(r io.Reader) ([]bio.Sequence, error) {
-	plain, err := sniffReader(r)
-	if err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(plain)
-	// No initial buffer: the scanner starts at 4 KiB and doubles as
-	// lines demand, up to the same 64 MiB cap on one line.
-	sc.Buffer(nil, 64*1024*1024)
-	sc.Split(scanLines)
+// Lines end at \n, \r\n or a lone \r. Each line is handled once: a
+// header becomes one string that ID and description are cut from, and
+// a data line's residues, the runs between its spaces and tabs
+// (bytes.IndexAny), are appended to the record whole.
+func Parse(data []byte) ([]bio.Sequence, error) {
 	var (
-		seqs []bio.Sequence
-		cur  *bio.Sequence
-		buf  []byte // the current record's residues
-		line int
+		seqs []bio.Sequence // the last one is the record being read
+		buf  []byte         // its residues
 	)
+	if n := bytes.Count(data, []byte{'>'}); n > 0 { // at least the headers
+		seqs = make([]bio.Sequence, 0, n)
+	}
 	flush := func() {
-		if cur != nil {
-			cur.Data = append([]byte(nil), buf...)
-			seqs = append(seqs, *cur)
-			cur = nil
+		if len(seqs) > 0 {
+			seqs[len(seqs)-1].Data = append([]byte(nil), buf...)
 			buf = buf[:0]
 		}
 	}
-	for sc.Scan() {
-		line++
-		text := bytes.TrimRight(sc.Bytes(), " \t\r")
+	for line := 1; len(data) > 0; line++ {
+		text := data
+		data = nil
+		if i := bytes.IndexAny(text, "\r\n"); i >= 0 {
+			rest := text[i+1:]
+			if text[i] == '\r' && len(rest) > 0 && rest[0] == '\n' {
+				rest = rest[1:]
+			}
+			text, data = text[:i], rest
+		}
+		text = bytes.TrimRight(text, " \t")
 		if len(text) == 0 {
 			continue
 		}
 		if text[0] == '>' {
 			flush()
 			id, desc := splitHeader(string(text[1:]))
-			cur = &bio.Sequence{ID: id, Desc: desc}
+			seqs = append(seqs, bio.Sequence{ID: id, Desc: desc})
 			continue
 		}
-		if cur == nil {
+		if len(seqs) == 0 {
 			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
 		}
 		for len(text) > 0 {
@@ -135,9 +111,6 @@ func Read(r io.Reader) ([]bio.Sequence, error) {
 			buf = append(buf, text[:i]...)
 			text = text[i+1:]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fasta: %w", err)
 	}
 	flush()
 	return seqs, nil

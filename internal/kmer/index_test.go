@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"repro/internal/bio"
 )
@@ -422,6 +423,135 @@ func TestIndexCancel(t *testing.T) {
 	}
 }
 
+// TestSizeClassesFitTightly: a class's storage holds n entries and
+// under a quarter more (above 4), storage of a class's size is of that
+// class, and classes ascend with n.
+func TestSizeClassesFitTightly(t *testing.T) {
+	prev := -1
+	for n := 1; n <= 1<<16; n++ {
+		class, size := sizeClass(n)
+		if size < n || (n > 4 && 4*size >= 5*n) {
+			t.Fatalf("n=%d: class %d holds %d", n, class, size)
+		}
+		if c, s := sizeClass(size); c != class || s != size {
+			t.Fatalf("n=%d: storage of %d is class %d (%d), want %d", n, size, c, s, class)
+		}
+		if class < prev || class >= len(indexes) {
+			t.Fatalf("n=%d: class %d after %d, of %d", n, class, prev, len(indexes))
+		}
+		prev = class
+	}
+	if class, _ := sizeClass(math.MaxInt); class >= len(indexes) {
+		t.Fatalf("largest class %d, of %d", class, len(indexes))
+	}
+}
+
+// poisonPooled fills every index and key buffer the pools hold with
+// garbage up to its capacity — postings of a huge count, zeroed lists
+// and buckets, one-window sequences, non-zero accumulator and cursor
+// cells, keys pointing nowhere — and pools it again. It returns the indexes so that
+// the caller holds them strongly until the next build has had its
+// chance to take one.
+func poisonPooled() []*index {
+	var ixs []*index
+	for k := range indexes {
+		for ix := indexes.Get(k); ix != nil; ix = indexes.Get(k) {
+			ixs = append(ixs, ix)
+		}
+		var kbs []*keyBuf
+		for b := keyBufs.Get(k); b != nil; b = keyBufs.Get(k) {
+			kbs = append(kbs, b)
+		}
+		for _, b := range kbs {
+			for i := range b.s {
+				b.s[i] = ^uint64(0)
+			}
+			keyBufs.Put(k, b, &b.ref)
+		}
+	}
+	for _, ix := range ixs {
+		clear(ix.lists[:cap(ix.lists)])
+		clear(ix.first[:cap(ix.first)])
+		for i := range ix.post[:cap(ix.post)] {
+			ix.post[:cap(ix.post)][i] = posting{0, 1 << 20}
+		}
+		for i := range ix.windows[:cap(ix.windows)] {
+			ix.windows[:cap(ix.windows)][i] = 1
+		}
+		for i := range ix.acc[:cap(ix.acc)] {
+			ix.acc[:cap(ix.acc)][i] = 1 << 20
+		}
+		ix.release()
+	}
+	return ixs
+}
+
+// TestReleasedIndexIsGarbage: the pools hold a released index and its
+// build's keys weakly, so storage that nothing takes again is freed by
+// the next collection. Pooled through a pointer into it (the address of
+// a field or an element), it would stay live through that collection.
+func TestReleasedIndexIsGarbage(t *testing.T) {
+	ix := buildIndex(randomProfiles(testCounter, rand.New(rand.NewSource(41)), 20, 50, 50))
+	class, _ := sizeClass(len(ix.post))
+	wix := weak.Make(ix)
+	ix.release()
+	ix = nil
+	// the build pooled its two key buffers (the race detector's pools
+	// drop a quarter of what they are given)
+	var keys []*keyBuf
+	for b := keyBufs.Get(class); b != nil; b = keyBufs.Get(class) {
+		keys = append(keys, b)
+	}
+	var wkeys []weak.Pointer[keyBuf]
+	for _, b := range keys {
+		wkeys = append(wkeys, weak.Make(b))
+		keyBufs.Put(class, b, &b.ref)
+	}
+	keys = nil
+	runtime.GC()
+	if wix.Value() != nil {
+		t.Fatal("a released index outlived a collection: its pool holds it")
+	}
+	for _, w := range wkeys {
+		if w.Value() != nil {
+			t.Fatal("pooled keys outlived a collection: their pool holds them")
+		}
+	}
+}
+
+// TestIndexReuseMatchesPairwise builds a large index, a small one and a
+// large one again, each from storage a previous build released and
+// poisonPooled then filled with garbage. Every matrix and every rank
+// must still equal the pair-by-pair loop bit for bit: no posting, list,
+// bucket or accumulator cell of one build may reach the next. The test
+// also demands that some build did take poisoned storage, so that it
+// cannot pass by never reusing any.
+func TestIndexReuseMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	// exact buckets, and buckets of many codes that a lookup scans
+	for _, c := range []*Counter{testCounter, MustCounter(bio.Identity(bio.AminoAcids), 4)} {
+		large := randomProfiles(c, rng, 90, 100, 100)
+		small := randomProfiles(c, rng, 6, 10, 40)
+		large2 := randomProfiles(c, rng, 90, 100, 100)
+		reused := 0
+		for round := range 4 {
+			for _, set := range [][]Profile{large, small, large2} {
+				held := poisonPooled()
+				checkIndexMatchesPairwise(t, set[:len(set)-round], set)
+				checkTriangleMatchesSquare(t, set, 1, 3)
+				for _, ix := range held {
+					if ix.post[:1][0].count != 1<<20 {
+						reused++
+					}
+				}
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("%d^%d codes: no build took pooled storage", c.comp.Len(), c.k)
+		}
+	}
+}
+
 // TestIndexSizedByEntriesNotCodeSpace: 20 letters at k=7 is 1.28·10⁹
 // codes. The index over 40 short sequences must cost what its ~8000
 // profile entries cost plus a bucket table of at most 2^16+1 entries;
@@ -527,7 +657,9 @@ func TestRadixSortIsTheStableSortByCode(t *testing.T) {
 // newlines, picks a counter and a reference prefix from the two knobs,
 // and holds the index to the oracle. All sequences are targets, so some
 // are in the reference and some foreign to it. The whole set is also
-// ranked against itself, through the triangle.
+// ranked against itself, through the triangle. Each input builds from
+// the storage earlier inputs released, poisoned (poisonPooled), so the
+// fuzzer also drives sequences of sets through the pools.
 func FuzzIndexMatchesPairwise(f *testing.F) {
 	f.Add([]byte("MKVLAAGG\nMKVLAAGG\n\nAC\nTWYHHKDEXDEDE\nWWWWWWWW"), uint8(2), uint8(3))
 	f.Add([]byte("ACDEFGHIKLMNPQRSTVWY\nACDEFGHIKLMNPQRSTVWY\nYWVTSRQPNMLKIHGFEDCA"), uint8(6), uint8(1))
@@ -547,8 +679,10 @@ func FuzzIndexMatchesPairwise(f *testing.F) {
 		for i, l := range lines {
 			profiles[i] = c.Profile(l)
 		}
+		held := poisonPooled()
 		checkIndexMatchesPairwise(t, profiles, profiles[:int(cut)%(len(profiles)+1)])
 		checkTriangleMatchesSquare(t, profiles, 1, 3)
+		runtime.KeepAlive(held)
 	})
 }
 

@@ -22,6 +22,17 @@
 // summed in the same order, so every route gives bit-identical
 // distances and ranks; the merge is the oracle the tests hold the index
 // to.
+//
+// An index's storage — postings, lists, buckets, windows, accumulators,
+// and the keys its build sorts — comes from pools and goes back to them
+// when the call that built it returns, so that the many small indexes
+// of a job service's small jobs are built in the storage of the last
+// one. The pools hold it weakly (weak.Pointer, as profile's column
+// pools do): pooled storage is garbage to the collector, taken again if
+// asked for before the next collection and freed by it otherwise. Held
+// strongly, it would count as live heap at every collection, raising
+// the heap goal and so peak RSS, which is what makes a strongly held
+// pool cost more memory than it saves.
 package kmer
 
 import (
@@ -285,10 +296,12 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 	hits, err := ix.sweep(ctx, n-1, workers, func(i int, acc []int32) int64 {
 		return ix.upperRow(profiles[i], i, acc, m.d[m.idx(i, i+1):][:n-i-1])
 	})
+	postings := len(ix.post)
+	ix.release()
 	if err != nil {
 		return nil, err
 	}
-	sp.SetInt("postings", int64(len(ix.post)))
+	sp.SetInt("postings", int64(postings))
 	sp.SetInt("hits", hits)
 	return m, nil
 }
@@ -330,6 +343,7 @@ func avgDistancesContext(ctx context.Context, targets, reference []Profile, work
 		out[i] = sum / float64(len(reference))
 		return hits
 	})
+	ix.release()
 	obs.Current(ctx).SetInt("hits", hits)
 	return out, err
 }
@@ -367,6 +381,7 @@ func selfAvgDistancesContext(ctx context.Context, profiles []Profile, workers in
 			return ix.upperRow(profiles[i], i, acc, buf[r*n:][:n-i-1])
 		})
 		if err != nil {
+			ix.release()
 			return nil, err
 		}
 		hits += h
@@ -381,6 +396,7 @@ func selfAvgDistancesContext(ctx context.Context, profiles []Profile, workers in
 			hits += int64(len(profiles[i].Entries))
 		}
 	}
+	ix.release()
 	for i := range sums {
 		sums[i] /= float64(n)
 	}

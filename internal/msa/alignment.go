@@ -88,6 +88,7 @@ func (a *Alignment) Consensus(alpha *bio.Alphabet, minOcc float64) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	return p.Consensus(minOcc), nil
 }
 

@@ -59,10 +59,11 @@ type SpanClose struct {
 // concurrent use: the in-process driver runs p rank goroutines against
 // one tracer, and progressive merges end spans from worker goroutines.
 type Tracer struct {
-	id      string
-	spanCap int // maxSpans, except where a test starves the tracer
-	onClose func(SpanClose)
-	t0      time.Time
+	id       string
+	spanCap  int // maxSpans, except where a test starves the tracer
+	onClose  func(SpanClose)
+	hookOnly bool // NewHook: spans feed onClose and join no tree
+	t0       time.Time
 
 	mu      sync.Mutex
 	spans   int
@@ -78,6 +79,16 @@ type Tracer struct {
 // must be safe for concurrent use; it is called outside the tracer lock.
 func New(id string, onClose func(SpanClose)) *Tracer {
 	return &Tracer{id: id, spanCap: maxSpans, onClose: onClose, t0: now()}
+}
+
+// NewHook builds a tracer for a caller that wants only the hook: the
+// samplealignd worker and batch mode feed their stage histograms from
+// it when no trace is to be shipped. Its spans time themselves and
+// reach onClose with their attributes, as New's do, but they are never
+// linked into a tree, so none counts against the span cap and the
+// Document holds none.
+func NewHook(onClose func(SpanClose)) *Tracer {
+	return &Tracer{onClose: onClose, hookOnly: true, t0: now()}
 }
 
 // ID returns the trace identifier the tracer was created with.
@@ -144,21 +155,34 @@ func StartDepth(ctx context.Context, name string, depth int) (context.Context, *
 }
 
 func (t *Tracer) newSpan(name string, parent *Span) *Span {
-	start := sinceNs(t.t0)
+	sp := &Span{tr: t, name: name, startNs: sinceNs(t.t0)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.spans >= t.spanCap {
-		t.dropped++
+	if !t.linkLocked(sp, parent) {
 		return nil
 	}
+	return sp
+}
+
+// linkLocked adds sp to the tree under parent, or as a root when parent
+// is nil, and reports false, counting sp dropped, when the span cap is
+// reached. A hook-only tracer links nothing and drops nothing. t.mu
+// must be held.
+func (t *Tracer) linkLocked(sp, parent *Span) bool {
+	switch {
+	case t.hookOnly:
+		return true
+	case t.spans >= t.spanCap:
+		t.dropped++
+		return false
+	}
 	t.spans++
-	sp := &Span{tr: t, name: name, startNs: start}
 	if parent != nil {
 		parent.children = append(parent.children, sp)
 	} else {
 		t.roots = append(t.roots, sp)
 	}
-	return sp
+	return true
 }
 
 // Attr is one span attribute. Attributes keep insertion order so trace
@@ -246,8 +270,9 @@ func (s *Span) End() {
 // this one's; consumers read them as durations, not as a shared
 // timeline. The tracer's onClose hook fires once per adopted span
 // (children before parents, mirroring live End order), so stage
-// histograms and event streams cover remote ranks too. No-op on a nil
-// span or nil document.
+// histograms and event streams cover remote ranks too; on a hook-only
+// tracer (NewHook) that is all it does. No-op on a nil span or nil
+// document.
 func (s *Span) AttachRemote(doc *Document) {
 	if s == nil || doc == nil {
 		return
@@ -258,16 +283,14 @@ func (s *Span) AttachRemote(doc *Document) {
 	t.dropped += doc.DroppedSpans
 	var adopt func(parent *Span, d *SpanDoc)
 	adopt = func(parent *Span, d *SpanDoc) {
-		if t.spans >= t.spanCap {
-			t.dropped += int64(docSpanCount(d))
+		sp := &Span{tr: t, name: d.Name, startNs: d.StartNs, durNs: d.DurationNs, ended: true}
+		if !t.linkLocked(sp, parent) {
+			t.dropped += int64(docSpanCount(d)) - 1 // linkLocked counted sp
 			return
 		}
-		t.spans++
-		sp := &Span{tr: t, name: d.Name, startNs: d.StartNs, durNs: d.DurationNs, ended: true}
 		if len(d.Attrs) > 0 {
 			sp.attrs = append([]Attr(nil), d.Attrs...)
 		}
-		parent.children = append(parent.children, sp)
 		for _, c := range d.Children {
 			adopt(sp, c)
 		}

@@ -259,6 +259,53 @@ func TestOnSpanCloseHook(t *testing.T) {
 	}
 }
 
+// TestHookOnlyTracerLinksNoSpan: a NewHook tracer reports every span it
+// opens or adopts to its hook, with its attributes and well past the
+// span cap, and its Document holds none of them.
+func TestHookOnlyTracerLinksNoSpan(t *testing.T) {
+	remote := New("r", nil)
+	rctx, rank := Start(WithTracer(context.Background(), remote), "rank")
+	_, st := Start(rctx, "distmatrix")
+	st.End()
+	rank.End()
+
+	var mu sync.Mutex
+	closes := map[string]int{}
+	tr := NewHook(func(sc SpanClose) {
+		mu.Lock()
+		defer mu.Unlock()
+		closes[sc.Name]++
+		if sc.Name == "merge" && (len(sc.Attrs) != 1 || sc.Attrs[0] != (Attr{Key: "node", Value: "7"})) {
+			t.Errorf("merge closed with attrs %+v", sc.Attrs)
+		}
+	})
+	ctx, job := Start(WithTracer(context.Background(), tr), "job")
+	const merges = maxSpans + 10
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range merges / 4 {
+				_, sp := StartDepth(ctx, "merge", sampleDepth)
+				sp.SetInt("node", 7)
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+	job.AttachRemote(remote.Document())
+	job.End()
+
+	want := map[string]int{"job": 1, "merge": merges / 4 * 4, "rank": 1, "distmatrix": 1}
+	if fmt.Sprint(closes) != fmt.Sprint(want) {
+		t.Fatalf("hook saw %v, want %v", closes, want)
+	}
+	if doc := tr.Document(); doc.SpanCount != 0 || doc.DroppedSpans != 0 || len(doc.Spans) != 0 {
+		t.Fatalf("hook-only document holds %d spans (%d dropped, %d roots)", doc.SpanCount, doc.DroppedSpans, len(doc.Spans))
+	}
+}
+
 func TestAttachRemote(t *testing.T) {
 	// A "worker rank" produces a finished document under the shared ID...
 	remote := New("shared", nil)

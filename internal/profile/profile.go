@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"weak"
 
 	"repro/internal/bio"
@@ -53,8 +52,8 @@ type Profile struct {
 	Cols   []Column
 	Weight float64 // total weight of the rows summarised
 
-	slab []float64 // pooled counts storage (FromRows, Merge); nil if the caller built Cols
-	ref  *freeRef  // what Release puts in a pool, made on the first Release
+	slab []float64              // pooled counts storage (FromRows, Merge); nil if the caller built Cols
+	ref  *weak.Pointer[Profile] // what Release pools, made on the first Release
 }
 
 // Len returns the number of columns.
@@ -70,24 +69,15 @@ func (p *Profile) Release() {
 		return
 	}
 	p.Cols = p.Cols[:0] // until reused, a stale reference sees no columns
-	if p.ref == nil {
-		p.ref = &freeRef{weak.Make(p)}
-	}
-	colPools[sizeClass(len(p.slab))].Put(p.ref)
+	colPools.Put(sizeClass(len(p.slab)), p, &p.ref)
 }
 
 // colPools recycles the profiles of FromRows and Merge with their
-// column storage, one pool per size class: class k holds released
-// profiles whose counts slab has room for 1<<k floats.
-var colPools [bits.UintSize]sync.Pool
-
-// freeRef is a released profile as its pool holds it: weakly, so pooled
-// storage is garbage to the collector. A FromRows or Merge that asks
-// before the next collection takes it again; otherwise that collection
-// frees it, as it would have freed the profile unpooled. Held strongly,
-// pooled profiles would count as live heap at a collection and raise
-// the heap goal, and so peak RSS, where the live heap is small.
-type freeRef struct{ p weak.Pointer[Profile] }
+// column storage, weakly, one pool per size class: class k holds
+// released profiles whose counts slab has room for 1<<k floats. A
+// FromRows or Merge that asks before the next collection takes one
+// again; otherwise that collection frees it.
+var colPools dp.WeakPool[Profile]
 
 // sizeClass returns the class of a slab of n ≥ 1 floats: the smallest
 // k with 1<<k ≥ n.
@@ -104,14 +94,7 @@ func takeProfile(alpha *bio.Alphabet, width int) *Profile {
 		return &Profile{Alpha: alpha}
 	}
 	k := sizeClass(width * alpha.Len())
-	var p *Profile
-	for p == nil {
-		ref, _ := colPools[k].Get().(*freeRef)
-		if ref == nil {
-			break
-		}
-		p = ref.p.Value() // nil once collected
-	}
+	p := colPools.Get(k)
 	if p == nil {
 		p = &Profile{slab: make([]float64, 1<<k)}
 	}

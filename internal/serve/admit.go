@@ -204,7 +204,9 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 		if hits[i] != nil {
 			// Terminal on arrival: a FASTA-less submit plus its finish, so
 			// the job stays visible after a restart without being re-run.
-			records = append(records, endRecord(job, outcome{state: StateDone, res: hits[i], at: now}, now))
+			// It started when it finished, which replay derives from the
+			// submit's Cached flag, so the finish carries no start time.
+			records = append(records, endRecord(job, outcome{state: StateDone, res: hits[i], at: now}, time.Time{}))
 		} else {
 			// Options plus the full input: enough to re-run from a cold start.
 			sd.FASTA = []byte(fasta.FormatString(items[i].Seqs))

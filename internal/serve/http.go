@@ -138,11 +138,28 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// readBody reads a request body of at most maxRequestBytes.
+// readBody reads a request body of at most maxRequestBytes. A body
+// that states its length is read into a buffer of that size, a byte
+// more so that the read which meets its end has room; one that does
+// not grows from 512 bytes, as io.ReadAll's does.
 func readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
+	if r.ContentLength > maxRequestBytes {
+		return nil, badRequest("request body exceeds %d bytes", maxRequestBytes)
+	}
+	body := make([]byte, 0, max(r.ContentLength, 511)+1)
+	lr := io.LimitReader(r.Body, maxRequestBytes+1)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := lr.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, badRequest("reading body: %v", err)
+		}
 	}
 	if len(body) > maxRequestBytes {
 		return nil, badRequest("request body exceeds %d bytes", maxRequestBytes)
@@ -186,7 +203,9 @@ func parseSubmit(r *http.Request) ([]bio.Sequence, Options, error) {
 		}
 		fastaText = expanded
 	}
-	seqs, err := fasta.Read(bytes.NewReader(fastaText))
+	// The records copy their bytes out of the body: a job outlives its
+	// request.
+	seqs, err := fasta.Parse(fastaText)
 	if err != nil {
 		return nil, Options{}, badRequest("parsing FASTA: %v", err)
 	}

@@ -468,3 +468,50 @@ func TestHTTPResultStates(t *testing.T) {
 		t.Fatalf("canceled result = %d, want 410", r.StatusCode)
 	}
 }
+
+// BenchmarkAlignRequest times one POST /v1/align of an 8 × 100 set
+// through Server.Handler(), with no network and no data directory:
+// "cold" runs the alignment on every request (the result cache is off),
+// "hit" answers every request from the cache. B/op and allocs/op are
+// what a small job costs the allocator on each path.
+func BenchmarkAlignRequest(b *testing.B) {
+	body := fasta.FormatString(testSeqs(8, 100, 7))
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		wantCache string
+	}{
+		{"cold", Config{CacheEntries: -1}, "miss"},
+		{"hit", Config{}, "hit"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := New(tc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			h := s.Handler()
+			post := func() *httptest.ResponseRecorder {
+				// http.NewRequest, not httptest's, which reads the request
+				// line through a bufio.Reader of its own, 4 KiB a request
+				req, err := http.NewRequest(http.MethodPost, "/v1/align", strings.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body)
+				}
+				return w
+			}
+			post() // the hit path's cache entry; a cold warm-up otherwise
+			b.ReportAllocs()
+			for b.Loop() {
+				if got := post().Header().Get("X-Cache"); got != tc.wantCache {
+					b.Fatalf("X-Cache %q, want %q", got, tc.wantCache)
+				}
+			}
+		})
+	}
+}

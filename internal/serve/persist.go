@@ -24,7 +24,10 @@ import (
 //	          cache-hit submissions, which carry a finish record in the
 //	          same commit group and are never re-run)
 //	finish    finishData — terminal state done/failed/canceled, cause,
-//	          result summary, and when the job started (if it ran)
+//	          result summary, and when the job started (if it ran and
+//	          was no cache hit: a hit starts at its finish record's
+//	          time, which replay reads for a submit marked cached;
+//	          earlier builds wrote it for hits too, and replay reads it)
 //	interrupt (no data) — a shutdown casualty; not terminal
 //	shutdown  (no data) — clean server Close
 //
@@ -80,7 +83,7 @@ type finishData struct {
 	State   State     `json:"state"`
 	Error   string    `json:"error,omitempty"`
 	Summary *Result   `json:"summary,omitempty"` // a result file's meta block is this plus the trace (diskMeta)
-	Started time.Time `json:"started,omitzero"`  // zero for a job that never ran
+	Started time.Time `json:"started,omitzero"`  // zero for a job that never ran or was a cache hit
 }
 
 // RecoveryInfo summarises what a journal replay reconstructed.
@@ -324,6 +327,9 @@ func (s *Server) recoverFromJournal(recs []store.Record) {
 			o.cause = errors.New(r.fin.Error)
 		}
 		job.started = r.fin.Started
+		if job.started.IsZero() && r.sub.Cached {
+			job.started = r.finished // a cache hit started when it finished
+		}
 		s.end(evRestore, o, job)
 		s.rememberLocked(job)
 		s.recovery.Finished++

@@ -152,7 +152,8 @@ func TestCrashRecoveryRequeuesUnfinishedJob(t *testing.T) {
 // A cache-hit submission journals its finish+submit pair as one commit
 // group: one fsync, both records or neither.
 func TestCacheHitSubmitJournalsOneGroup(t *testing.T) {
-	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: t.TempDir()})
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Executor: &fakeExec{}, DataDir: dir})
 	defer s.Close()
 	seqs := testSeqs(5, 40, 79)
 	first, err := s.Submit(seqs, Options{})
@@ -177,6 +178,17 @@ func TestCacheHitSubmitJournalsOneGroup(t *testing.T) {
 	}
 	if f, r := s.journal.Flushes()-flushes, s.journal.FlushedRecords()-records; f != 1 || r != 2 {
 		t.Fatalf("cache-hit submit cost %d fsyncs for %d records, want 1 and 2", f, r)
+	}
+	// A hit starts when it finishes, so its finish record leaves the
+	// start time for replay to derive from the submit's cached flag.
+	for _, rec := range journaledRecords(t, dir, hit.ID) {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Data, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["started"]; rec.Type == store.RecFinish && ok {
+			t.Fatalf("the hit's finish record carries started: %s", rec.Data)
+		}
 	}
 }
 

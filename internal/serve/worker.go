@@ -140,18 +140,20 @@ func handleWorkerJob(ctx context.Context, conn net.Conn, cfg WorkerConfig, logge
 	// Rank-local tracing: when the coordinator asked for it, this rank
 	// runs its own tracer under the propagated ID and ships the finished
 	// tree back in the ack (the coordinator grafts it into the job's
-	// tree). Worker metrics feed off the same spans; without them the
-	// tracer has no hook to copy each closing span into.
-	runCtx := ctx
-	var tr *obs.Tracer
-	if spec.TraceID != "" || cfg.Metrics != nil {
-		var onClose func(obs.SpanClose)
-		if cfg.Metrics != nil {
-			onClose = cfg.Metrics.ObserveStage
-		}
-		tr = obs.New(spec.TraceID, onClose)
-		runCtx = obs.WithTracer(runCtx, tr)
+	// tree). Worker metrics feed off the same spans; when no tree is to
+	// be shipped they get a hook-only tracer, which builds none.
+	var onClose func(obs.SpanClose)
+	if cfg.Metrics != nil {
+		onClose = cfg.Metrics.ObserveStage
 	}
+	var tr *obs.Tracer
+	switch {
+	case spec.TraceID != "":
+		tr = obs.New(spec.TraceID, onClose)
+	case onClose != nil:
+		tr = obs.NewHook(onClose)
+	}
+	runCtx := obs.WithTracer(ctx, tr)
 	cfg.Metrics.JobStarted()
 	_, _, runErr := core.AlignContext(runCtx, comm, shard, coreCfg)
 	_ = comm.Close()
