@@ -23,55 +23,93 @@ import (
 // gzip magic bytes (RFC 1952).
 var gzipMagic = []byte{0x1f, 0x8b}
 
-// Read parses every FASTA record from r. It reads r to its end, and
-// parses the bytes as Parse does; gzip-compressed input is detected by
-// magic bytes and inflated first. When the inflation fails part way,
-// what it inflated is still parsed: an error there is reported, else
-// the inflation's.
-func Read(r io.Reader) ([]bio.Sequence, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+// scanLines is a bufio.SplitFunc that terminates lines at \n, \r\n or a
+// lone \r (classic Mac endings make the whole file one bufio.ScanLines
+// line, which would mis-parse as a single giant header).
+func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if atEOF && len(data) == 0 {
+		return 0, nil, nil
+	}
+	if i := bytes.IndexAny(data, "\r\n"); i >= 0 {
+		advance = i + 1
+		if data[i] == '\r' {
+			if i+1 < len(data) {
+				if data[i+1] == '\n' {
+					advance++
+				}
+			} else if !atEOF {
+				// \r at the buffer edge: wait to see whether \n follows.
+				return 0, nil, nil
+			}
+		}
+		return advance, data[:i], nil
+	}
+	if atEOF {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// sniffReader transparently decompresses gzip input, detected by its
+// magic bytes; everything else passes through unchanged. The two bytes
+// it looks at are put back in front of r, not peeked through a
+// bufio.Reader: the scanner has a buffer of its own, and a request
+// body of a kilobyte should not cost a second, 4 KiB one.
+func sniffReader(r io.Reader) (io.Reader, error) {
+	head := make([]byte, len(gzipMagic))
+	n, err := io.ReadFull(r, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("fasta: %w", err)
 	}
-	if !bytes.HasPrefix(data, gzipMagic) {
-		return Parse(data)
+	whole := io.MultiReader(bytes.NewReader(head[:n]), r)
+	if err != nil || !bytes.Equal(head, gzipMagic) {
+		// Not gzip (or too short to be): the FASTA parser's to handle.
+		return whole, nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+	zr, err := gzip.NewReader(whole)
 	if err != nil {
 		return nil, fmt.Errorf("fasta: gzip input: %w", err)
 	}
-	plain, zerr := io.ReadAll(zr)
-	seqs, err := Parse(plain)
-	if err == nil && zerr != nil {
-		return nil, fmt.Errorf("fasta: %w", zerr)
+	return zr, nil
+}
+
+// Read parses every FASTA record from r. Gzip-compressed input is
+// detected by magic bytes and decompressed transparently. The input
+// streams through a scanner, never held whole, and a line over 64 MiB
+// is refused.
+func Read(r io.Reader) ([]bio.Sequence, error) {
+	plain, err := sniffReader(r)
+	if err != nil {
+		return nil, err
 	}
-	return seqs, err
+	sc := bufio.NewScanner(plain)
+	// No initial buffer: the scanner starts at 4 KiB and doubles as
+	// lines demand, up to the same 64 MiB cap on one line.
+	sc.Buffer(nil, 64*1024*1024)
+	sc.Split(scanLines)
+	var rs records
+	for sc.Scan() {
+		if err := rs.line(sc.Bytes()); err != nil {
+			return nil, err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("fasta: %w", err)
+	}
+	return rs.done(), nil
 }
 
 // Parse parses every FASTA record in data, plain text (no gzip), for a
-// caller that already holds the bytes, such as a request body. The
-// records own their bytes: none aliases data, which the caller may
-// reuse.
-//
-// Lines end at \n, \r\n or a lone \r. Each line is handled once: a
-// header becomes one string that ID and description are cut from, and
-// a data line's residues, the runs between its spaces and tabs
-// (bytes.IndexAny), are appended to the record whole.
+// caller that already holds the bytes, such as a request body: no
+// scanner buffer is needed, and no line cap, as data is already held.
+// Lines end where Read's do. The records own their bytes: none aliases
+// data, which the caller may reuse.
 func Parse(data []byte) ([]bio.Sequence, error) {
-	var (
-		seqs []bio.Sequence // the last one is the record being read
-		buf  []byte         // its residues
-	)
+	var rs records
 	if n := bytes.Count(data, []byte{'>'}); n > 0 { // at least the headers
-		seqs = make([]bio.Sequence, 0, n)
+		rs.seqs = make([]bio.Sequence, 0, n)
 	}
-	flush := func() {
-		if len(seqs) > 0 {
-			seqs[len(seqs)-1].Data = append([]byte(nil), buf...)
-			buf = buf[:0]
-		}
-	}
-	for line := 1; len(data) > 0; line++ {
+	for len(data) > 0 {
 		text := data
 		data = nil
 		if i := bytes.IndexAny(text, "\r\n"); i >= 0 {
@@ -81,39 +119,72 @@ func Parse(data []byte) ([]bio.Sequence, error) {
 			}
 			text, data = text[:i], rest
 		}
-		text = bytes.TrimRight(text, " \t")
-		if len(text) == 0 {
-			continue
-		}
-		if text[0] == '>' {
-			flush()
-			id, desc := splitHeader(string(text[1:]))
-			seqs = append(seqs, bio.Sequence{ID: id, Desc: desc})
-			continue
-		}
-		if len(seqs) == 0 {
-			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
-		}
-		for len(text) > 0 {
-			i := bytes.IndexAny(text, " \t>")
-			if i < 0 {
-				buf = append(buf, text...)
-				break
-			}
-			if text[i] == '>' {
-				// '>' mid-line is never residue data; it is the
-				// signature of a glued header (a lost newline before a
-				// record). Accepting it would also make the record
-				// ambiguous to re-serialise: rewrapped at lineWidth the
-				// '>' can land at line start and parse as a header.
-				return nil, fmt.Errorf("fasta: line %d: '>' inside sequence data", line)
-			}
-			buf = append(buf, text[:i]...)
-			text = text[i+1:]
+		if err := rs.line(text); err != nil {
+			return nil, err
 		}
 	}
-	flush()
-	return seqs, nil
+	return rs.done(), nil
+}
+
+// records is the parse Read and Parse share, fed one line at a time
+// without its terminator.
+type records struct {
+	seqs []bio.Sequence // the last one is the record being read
+	buf  []byte         // its residues
+	n    int            // lines seen
+}
+
+// line handles one line, once: a header becomes one string that ID and
+// description are cut from, and a data line's residues, the runs
+// between its spaces and tabs (bytes.IndexAny), are appended to the
+// record whole. text is not kept.
+func (rs *records) line(text []byte) error {
+	rs.n++
+	text = bytes.TrimRight(text, " \t\r")
+	if len(text) == 0 {
+		return nil
+	}
+	if text[0] == '>' {
+		rs.flush()
+		id, desc := splitHeader(string(text[1:]))
+		rs.seqs = append(rs.seqs, bio.Sequence{ID: id, Desc: desc})
+		return nil
+	}
+	if len(rs.seqs) == 0 {
+		return fmt.Errorf("fasta: line %d: sequence data before first header", rs.n)
+	}
+	for len(text) > 0 {
+		i := bytes.IndexAny(text, " \t>")
+		if i < 0 {
+			rs.buf = append(rs.buf, text...)
+			break
+		}
+		if text[i] == '>' {
+			// '>' mid-line is never residue data; it is the
+			// signature of a glued header (a lost newline before a
+			// record). Accepting it would also make the record
+			// ambiguous to re-serialise: rewrapped at lineWidth the
+			// '>' can land at line start and parse as a header.
+			return fmt.Errorf("fasta: line %d: '>' inside sequence data", rs.n)
+		}
+		rs.buf = append(rs.buf, text[:i]...)
+		text = text[i+1:]
+	}
+	return nil
+}
+
+// flush gives the record being read its residues.
+func (rs *records) flush() {
+	if len(rs.seqs) > 0 {
+		rs.seqs[len(rs.seqs)-1].Data = append([]byte(nil), rs.buf...)
+		rs.buf = rs.buf[:0]
+	}
+}
+
+// done ends the last record and returns them all.
+func (rs *records) done() []bio.Sequence {
+	rs.flush()
+	return rs.seqs
 }
 
 func splitHeader(h string) (id, desc string) {

@@ -213,11 +213,10 @@ func TestReadShortInput(t *testing.T) {
 
 // TestReadSmallInputAllocatesLittle holds the parse's fixed cost down:
 // a request body of about a kilobyte must not pay for buffers sized for
-// files (Read used to zero a 64 KiB scanner buffer and a 4 KiB reader,
-// and then a scanner buffer of 4 KiB). Read allocates the records, the
-// input it reads whole (about 2.8 KiB as io.ReadAll grows it) and a
-// residue buffer: 4.4 KiB. Parse of bytes already held allocates the
-// records and the buffer alone: 1.6 KiB.
+// files (Read used to zero a 64 KiB scanner buffer and a 4 KiB reader).
+// Read allocates the records, a residue buffer and its scanner's first
+// buffer of 4 KiB: 6.1 KiB. Parse of bytes already held allocates the
+// records and the residue buffer alone: 1.6 KiB.
 func TestReadSmallInputAllocatesLittle(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 8; i++ {
@@ -234,7 +233,7 @@ func TestReadSmallInputAllocatesLittle(t *testing.T) {
 		parse func() ([]bio.Sequence, error)
 		limit uint64
 	}{
-		{"Read", func() ([]bio.Sequence, error) { return Read(strings.NewReader(in)) }, 5 << 10},
+		{"Read", func() ([]bio.Sequence, error) { return Read(strings.NewReader(in)) }, 7 << 10},
 		{"Parse", func() ([]bio.Sequence, error) { return Parse(data) }, 2 << 10},
 	} {
 		// the least of a few runs: the counter also sees what other
@@ -256,7 +255,8 @@ func TestReadSmallInputAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestReadLongLine: a whole sequence on one line of 1 MiB survives.
+// TestReadLongLine: the scanner's buffer starts small and must still
+// grow to hold a whole sequence on one line.
 func TestReadLongLine(t *testing.T) {
 	line := strings.Repeat("ACDEFGHIKLMNPQRSTVWY", (1<<20)/20+1)
 	seqs, err := parseString(">long\n" + line + "\n")

@@ -3,7 +3,6 @@ package fasta
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"reflect"
@@ -13,59 +12,10 @@ import (
 	"repro/internal/bio"
 )
 
-// scanLines is a bufio.SplitFunc that terminates lines at \n, \r\n or a
-// lone \r (classic Mac endings make the whole file one bufio.ScanLines
-// line, which would mis-parse as a single giant header).
-func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if atEOF && len(data) == 0 {
-		return 0, nil, nil
-	}
-	if i := bytes.IndexAny(data, "\r\n"); i >= 0 {
-		advance = i + 1
-		if data[i] == '\r' {
-			if i+1 < len(data) {
-				if data[i+1] == '\n' {
-					advance++
-				}
-			} else if !atEOF {
-				// \r at the buffer edge: wait to see whether \n follows.
-				return 0, nil, nil
-			}
-		}
-		return advance, data[:i], nil
-	}
-	if atEOF {
-		return len(data), data, nil
-	}
-	return 0, nil, nil
-}
-
-// sniffReader transparently decompresses gzip input, detected by its
-// magic bytes; everything else passes through unchanged.
-func sniffReader(r io.Reader) (io.Reader, error) {
-	head := make([]byte, len(gzipMagic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("fasta: %w", err)
-	}
-	whole := io.MultiReader(bytes.NewReader(head[:n]), r)
-	if err != nil || !bytes.Equal(head, gzipMagic) {
-		// Not gzip (or too short to be): the FASTA parser's to handle.
-		return whole, nil
-	}
-	zr, err := gzip.NewReader(whole)
-	if err != nil {
-		return nil, fmt.Errorf("fasta: gzip input: %w", err)
-	}
-	return zr, nil
-}
-
-// readOracle is Read as it was before it worked on the scanner's bytes
-// and then on the whole input's: a bufio.Scanner over the stream, a
-// string per line and a byte at a time into the record. It is the
+// readOracle is Read as it was before it worked on the scanner's bytes:
+// a string per line and a byte at a time into the record. It is the
 // oracle Read and Parse are held to, error messages and line numbers
-// included. Its scanner refuses a line over 64 MiB, which Read and
-// Parse accept; no input here has one.
+// included.
 func readOracle(r io.Reader) ([]bio.Sequence, error) {
 	plain, err := sniffReader(r)
 	if err != nil {
@@ -174,7 +124,7 @@ func TestReadMatchesOracle(t *testing.T) {
 		inputs = append(inputs, []byte(s))
 	}
 	// gzip streams cut short, after a good record and after a bad one:
-	// what was inflated is parsed before the inflation error counts
+	// the lines inflated before the stream breaks are parsed first
 	long := strings.Repeat("ACDEFGHIKLMNPQRSTVWY\n", 400)
 	for _, text := range []string{">a\n" + long + ">b\n" + long, ">a\n" + long + "AC>GT\n" + long} {
 		z := gz([]byte(text))

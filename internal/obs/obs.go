@@ -280,7 +280,9 @@ func (s *Span) AttachRemote(doc *Document) {
 	t := s.tr
 	var closed []SpanClose
 	t.mu.Lock()
-	t.dropped += doc.DroppedSpans
+	if !t.hookOnly { // which keeps no tree to have dropped spans from
+		t.dropped += doc.DroppedSpans
+	}
 	var adopt func(parent *Span, d *SpanDoc)
 	adopt = func(parent *Span, d *SpanDoc) {
 		sp := &Span{tr: t, name: d.Name, startNs: d.StartNs, durNs: d.DurationNs, ended: true}

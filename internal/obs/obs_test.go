@@ -261,13 +261,20 @@ func TestOnSpanCloseHook(t *testing.T) {
 
 // TestHookOnlyTracerLinksNoSpan: a NewHook tracer reports every span it
 // opens or adopts to its hook, with its attributes and well past the
-// span cap, and its Document holds none of them.
+// span cap, and its Document holds none of them and counts none
+// dropped, not even those the adopted document dropped.
 func TestHookOnlyTracerLinksNoSpan(t *testing.T) {
 	remote := New("r", nil)
+	remote.spanCap = 2
 	rctx, rank := Start(WithTracer(context.Background(), remote), "rank")
 	_, st := Start(rctx, "distmatrix")
 	st.End()
+	_, lost := Start(rctx, "glue") // past the remote's cap
+	lost.End()
 	rank.End()
+	if d := remote.Document().DroppedSpans; d != 1 {
+		t.Fatalf("remote document dropped %d spans, want 1", d)
+	}
 
 	var mu sync.Mutex
 	closes := map[string]int{}

@@ -23,6 +23,10 @@ import (
 // since the limit applies to the wire bytes before decompression).
 const maxRequestBytes = 128 << 20
 
+// preBodyBytes bounds the buffer readBody makes before a byte of the
+// body has arrived.
+const preBodyBytes = 64 << 10
+
 // SubmitRequest is the JSON submit body. Raw FASTA bodies (text/*,
 // application/octet-stream, or anything starting with '>' or the gzip
 // magic) are accepted too, with options taken from query parameters.
@@ -139,14 +143,17 @@ func submitError(w http.ResponseWriter, err error) {
 }
 
 // readBody reads a request body of at most maxRequestBytes. A body
-// that states its length is read into a buffer of that size, a byte
-// more so that the read which meets its end has room; one that does
-// not grows from 512 bytes, as io.ReadAll's does.
+// that states a small length is read into a buffer of that size, a byte
+// more so that the read which meets its end has room. A larger one
+// starts at preBodyBytes, and one that states none at 512 bytes; both
+// grow as their bytes arrive, as io.ReadAll's buffer does, so a client
+// that states a large length and then stalls holds no more than
+// preBodyBytes.
 func readBody(r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxRequestBytes {
 		return nil, badRequest("request body exceeds %d bytes", maxRequestBytes)
 	}
-	body := make([]byte, 0, max(r.ContentLength, 511)+1)
+	body := make([]byte, 0, min(max(r.ContentLength, 511), preBodyBytes)+1)
 	lr := io.LimitReader(r.Body, maxRequestBytes+1)
 	for {
 		if len(body) == cap(body) {

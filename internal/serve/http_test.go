@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -466,6 +468,44 @@ func TestHTTPResultStates(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusGone {
 		t.Fatalf("canceled result = %d, want 410", r.StatusCode)
+	}
+}
+
+// TestReadBodyAllocatesWhatArrives: readBody sizes its first buffer
+// from the length a request states only up to preBodyBytes, so a client
+// that states 100 MiB and sends a kilobyte costs under 2 × preBodyBytes
+// (the allocator rounds 64 KiB + 1 up to 72 KiB), not the length it
+// stated. A body that states its length exactly is read into one
+// buffer of that size.
+func TestReadBodyAllocatesWhatArrives(t *testing.T) {
+	sent := strings.Repeat("ACDEFGHIKLMNPQRSTVWY", 50) // 1 000 bytes
+	for _, tc := range []struct {
+		name   string
+		stated int64
+		limit  uint64
+	}{
+		{"overstated", 100 << 20, 2 * preBodyBytes},
+		{"exact", int64(len(sent)), 2 << 10},
+	} {
+		// the least of a few runs: the counter also sees what other
+		// goroutines allocate meanwhile
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			r := httptest.NewRequest(http.MethodPost, "/v1/align", strings.NewReader(sent))
+			r.ContentLength = tc.stated
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			body, err := readBody(r)
+			runtime.ReadMemStats(&after)
+			if err != nil || string(body) != sent {
+				t.Fatalf("%s: read %d bytes, err %v", tc.name, len(body), err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= tc.limit {
+			t.Errorf("%s: %d bytes stated, %d sent: readBody allocated %d bytes, want < %d",
+				tc.name, tc.stated, len(sent), least, tc.limit)
+		}
 	}
 }
 
