@@ -122,6 +122,15 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	lsp.SetInt("n", int64(len(seqs)))
 	lsp.SetInt("workers", int64(a.workers))
 	lsp.SetBool("extend", a.extend)
+	// The library aligns every pair once: (|a|+1)·(|b|+1) DP cells
+	// each, summed as ((Σ(L+1))² − Σ(L+1)²) / 2.
+	var sum, sumSq int64
+	for _, s := range clean {
+		l := int64(len(s)) + 1
+		sum, sumSq = sum+l, sumSq+l*l
+	}
+	lsp.SetInt("pairs", int64(len(clean)*(len(clean)-1)/2))
+	lsp.SetInt("cells", (sum*sum-sumSq)/2)
 	lib, dist, err := a.buildLibrary(ctx, clean)
 	if err == nil && a.extend {
 		lib, err = a.extendLibrary(ctx, lib, clean)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/bio"
 	"repro/internal/msa"
+	"repro/internal/obs"
 	"repro/internal/rose"
 )
 
@@ -217,5 +219,39 @@ func TestConsCancelReachesLibraryExtension(t *testing.T) {
 	}
 	if lag := time.Since(cancelled); lag > time.Second {
 		t.Fatalf("AlignContext returned %v after the cancel", lag)
+	}
+}
+
+// The library span counts the pairwise DP work it did: every pair
+// once, (|a|+1)·(|b|+1) cells each.
+func TestLibrarySpanCountsPairsAndCells(t *testing.T) {
+	seqs := famSeqs(t, 7, 50, 250, 5)
+	tr := obs.New("", nil)
+	if _, err := New(1).AlignContext(obs.WithTracer(context.Background(), tr), seqs); err != nil {
+		t.Fatal(err)
+	}
+	var pairs, cells int64
+	for i := range seqs {
+		for j := i + 1; j < len(seqs); j++ {
+			pairs++
+			cells += int64(len(bio.Ungap(seqs[i].Data))+1) * int64(len(bio.Ungap(seqs[j].Data))+1)
+		}
+	}
+	want := map[string]string{"pairs": strconv.FormatInt(pairs, 10), "cells": strconv.FormatInt(cells, 10)}
+	for _, sp := range tr.Document().Spans {
+		if sp.Name != "library" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if w, ok := want[a.Key]; ok {
+				if a.Value != w {
+					t.Fatalf("library %s = %s, want %s", a.Key, a.Value, w)
+				}
+				delete(want, a.Key)
+			}
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("library span lacks %v", want)
 	}
 }

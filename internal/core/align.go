@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/bio"
-	"repro/internal/dpkern"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/msa"
@@ -116,7 +115,6 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	tPhase := startClock()
 	bctx, bsp := obs.Start(ctx, "bucketalign")
 	defer bsp.End()
-	tally0 := dpkern.TallySnapshot()
 	localAligner := cfg.NewLocalAligner(cfg.Workers)
 	bucketSeqs := make([]bio.Sequence, len(bucket))
 	for i, ws := range bucket {
@@ -126,15 +124,9 @@ func alignTagged(ctx context.Context, c mpi.Comm, local []bio.Sequence, origs []
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rank %d local alignment: %w", c.Rank(), err)
 	}
-	if bsp != nil {
-		// The integer-DP call delta comes from a process-wide counter,
-		// so concurrent jobs in one server overlap in it; within a single
-		// run it attributes pairwise DP calls to this bucket alignment.
-		bsp.SetInt("seqs", int64(len(bucketSeqs)))
-		bsp.SetInt("workers", int64(cfg.Workers))
-		bsp.SetStr("aligner", localAligner.Name())
-		bsp.SetInt("striped_calls", dpkern.TallySnapshot().Sub(tally0).Striped)
-	}
+	bsp.SetInt("seqs", int64(len(bucketSeqs)))
+	bsp.SetInt("workers", int64(cfg.Workers))
+	bsp.SetStr("aligner", localAligner.Name())
 	bsp.End()
 	stats.Timings.LocalAlign = tPhase.elapsed()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/bio"
@@ -307,6 +308,54 @@ func TestKmerWorkCountsOnSpans(t *testing.T) {
 	}
 	if one, four := counts(1), counts(4); !slices.Equal(one, four) {
 		t.Fatalf("work counts depend on the worker count:\n%v\n%v", one, four)
+	}
+}
+
+// TestPairwiseWorkCountsOnSpans: with clustal in the buckets, each
+// bucket's pid distmatrix span counts its own pairwise DP work, so the
+// spans under bucketalign sum to the pairs of the buckets, whatever
+// the other ranks run at the same time; no span carries the old
+// process-wide striped_calls delta.
+func TestPairwiseWorkCountsOnSpans(t *testing.T) {
+	seqs := testFamily(t, 60, 80, 400, 12)
+	cfg := Config{NewLocalAligner: func(w int) msa.Aligner { return msa.ClustalLike(w) }}
+	for _, p := range []int{1, 2, 4} {
+		tr := obs.New("", nil)
+		ctx := obs.WithTracer(context.Background(), tr)
+		res, err := AlignInprocContext(ctx, seqs, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for _, st := range res.Stats {
+			n := int64(st.BucketSize)
+			want += n * (n - 1) / 2
+		}
+		var got, spans int64
+		var walk func([]*obs.SpanDoc, bool)
+		walk = func(docs []*obs.SpanDoc, inBucket bool) {
+			for _, sp := range docs {
+				inBucket := inBucket || sp.Name == "bucketalign"
+				for _, a := range sp.Attrs {
+					if a.Key == "striped_calls" {
+						t.Fatalf("p=%d: %s span carries striped_calls", p, sp.Name)
+					}
+					if a.Key == "pairs" && sp.Name == "distmatrix" && inBucket {
+						n, err := strconv.ParseInt(a.Value, 10, 64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got += n
+						spans++
+					}
+				}
+				walk(sp.Children, inBucket)
+			}
+		}
+		walk(tr.Document().Spans, false)
+		if spans != int64(p) || got != want {
+			t.Fatalf("p=%d: %d bucket distmatrix spans count %d pairs, want %d spans and %d pairs", p, spans, got, p, want)
+		}
 	}
 }
 

@@ -110,6 +110,15 @@ func (p *Progressive) DistanceMatrixContext(ctx context.Context, seqs []bio.Sequ
 	sp.SetInt("n", int64(len(seqs)))
 	sp.SetInt("workers", int64(p.opts.Workers))
 	n := len(seqs)
+	// The pid matrix aligns every pair once: (|a|+1)·(|b|+1) DP cells
+	// each, summed as ((Σ(L+1))² − Σ(L+1)²) / 2.
+	var sum, sumSq int64
+	for i := range seqs {
+		l := int64(len(seqs[i].Data)) + 1
+		sum, sumSq = sum+l, sumSq+l*l
+	}
+	sp.SetInt("pairs", int64(n*(n-1)/2))
+	sp.SetInt("cells", (sum*sum-sumSq)/2)
 	m := kmer.NewMatrix(n)
 	al := pairwise.Aligner{Sub: p.sub, Gap: p.gap}
 	if err := par.ForCtx(ctx, n-1, 1, p.opts.Workers, func(i, _ int) {

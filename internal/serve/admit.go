@@ -254,7 +254,7 @@ func (s *Server) admit(items []BatchItem) (jobs []*Job, bad int, err error) {
 
 // publishQueued announces an attached job on its flight's stream.
 func (s *Server) publishQueued(job *Job) {
-	s.publish(job.bus, Event{Type: eventQueued, Job: job.ID, Trace: job.Trace,
+	job.stream.publish(Event{Type: eventQueued, Job: job.ID, Trace: job.Trace,
 		Coalesced: job.coalesced, Recovered: job.recovered})
 }
 

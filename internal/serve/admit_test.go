@@ -200,8 +200,8 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 				s.Drain(30 * time.Second) // every job admitted so far runs to completion
 				if job != nil {
 					out.Final = scrubView(waitState(t, job, StateDone))
-					for _, ev := range job.bus.History(0) {
-						out.Events = append(out.Events, ev.V.Type+"/"+whose(ev.V.Job, probe))
+					for _, ev := range retained(job.stream) {
+						out.Events = append(out.Events, ev.ev.Type+"/"+whose(ev.ev.Job, probe))
 					}
 					for _, line := range logs.where("job", probe) {
 						out.Logs = append(out.Logs, line["msg"])

@@ -374,6 +374,22 @@ func TestHandleBatchHTTP(t *testing.T) {
 			t.Fatalf("job %d result: status %d, payload match %v", i, rr.StatusCode, bytes.Equal(got, want))
 		}
 	}
+
+	// A batch input parses like a single submit's body: the same text,
+	// with CRLF line ends, blank lines and lowercase residues, gets the
+	// same cache key through /v1/batch and /v1/jobs.
+	messy := strings.ReplaceAll(strings.ToLower(fasta.FormatString(testSeqs(5, 40, 96))), "\n", "\r\n\r\n")
+	reqBody, _ = json.Marshal(BatchRequest{Inputs: []SubmitRequest{{FASTA: messy}}})
+	resp = post(string(reqBody), "")
+	br = BatchResponse{}
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	single := decodeView(t, postFASTA(t, ts.URL+"/v1/jobs", messy))
+	if len(br.Jobs) != 1 || br.Jobs[0].Key == "" || br.Jobs[0].Key != single.Key {
+		t.Fatalf("batch keys %+v, single submit key %q: want the same key", br.Jobs, single.Key)
+	}
 }
 
 func TestHandleBatchOverloadedHTTP(t *testing.T) {

@@ -83,7 +83,7 @@ func (s *Server) execute(fl *flight) (*Result, error) {
 	if !s.cfg.NoTrace {
 		tr = obs.New(fl.trace, func(sc obs.SpanClose) {
 			s.metrics.ObserveStage(sc)
-			s.publishSpanEvent(fl.bus, fl.trace, sc)
+			fl.stream.publishSpan(fl.trace, sc)
 		})
 		ctx = obs.WithTracer(ctx, tr)
 		// Published under the lock so the trace endpoint can serve

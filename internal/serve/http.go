@@ -335,7 +335,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			submitError(w, err)
 			return
 		}
-		seqs, err := fasta.Read(strings.NewReader(in.FASTA))
+		seqs, err := fasta.Parse([]byte(in.FASTA))
 		if err != nil {
 			submitError(w, badRequest("input %d: parsing FASTA: %v", i, err))
 			return

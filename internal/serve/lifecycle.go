@@ -77,7 +77,7 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 			}
 			if ev == evHit {
 				j.cached, j.started = true, o.at
-				j.bus = s.newEventBus() // a one-event stream: /events of a hit still ends on done
+				j.stream = new(stream) // a one-event stream: /events of a hit still ends on done
 			}
 			if row.journal && s.journal != nil {
 				recs = append(recs, endRecord(j, o, j.started))
@@ -106,10 +106,10 @@ func (s *Server) end(ev event, o outcome, jobs ...*Job) int {
 	}
 	for _, j := range ended {
 		if row.publish {
-			s.publish(j.bus, terminalEvent(j.View()))
+			j.stream.publish(terminalEvent(j.View()))
 		}
 		if ev == evHit {
-			j.bus.Close()
+			j.stream.close()
 		}
 	}
 	for _, j := range ended {
@@ -155,7 +155,7 @@ func (s *Server) newFlight(key string, seqs []bio.Sequence, opts Resolved, now t
 		opts:     opts,
 		ctx:      ctx,
 		cancel:   cancel,
-		bus:      s.newEventBus(),
+		stream:   new(stream),
 		enqueued: now,
 		state:    StateQueued,
 	}
@@ -170,7 +170,7 @@ func (s *Server) attach(job *Job, fl *flight, now time.Time) {
 	if len(fl.jobs) > 0 {
 		job.coalesced = true
 	}
-	job.fl, job.Trace, job.bus = fl, fl.trace, fl.bus
+	job.fl, job.Trace, job.stream = fl, fl.trace, fl.stream
 	job.state = StateQueued
 	if fl.state == StateRunning {
 		// Never queued: it attached straight to a running flight. Riders
@@ -245,7 +245,7 @@ func (s *Server) cancelJob(j *Job, cause error) bool {
 	if fl != nil {
 		fl.cancel(cause) // unwinds the rank world if running
 		if queued {
-			fl.bus.Close() // no dispatcher will ever run it: the stream ends here
+			fl.stream.close() // no dispatcher will ever run it: the stream ends here
 		}
 	}
 	return live
@@ -254,7 +254,7 @@ func (s *Server) cancelJob(j *Job, cause error) bool {
 // run executes a popped flight and lands it with the executor's
 // verdict. Its start is journaled with each rider's finish record.
 func (s *Server) run(fl *flight, started time.Time) {
-	s.publish(fl.bus, Event{Type: eventStarted, Trace: fl.trace})
+	fl.stream.publish(Event{Type: eventStarted, Trace: fl.trace})
 
 	res, err := s.execute(fl)
 	elapsed := time.Since(started)
@@ -303,8 +303,8 @@ func (s *Server) run(fl *flight, started time.Time) {
 		s.log.Warn("flight ended without result", "key", fl.key, "trace", fl.trace,
 			"state", string(o.state), "elapsed", elapsed, "err", o.cause)
 	}
-	fl.bus.Close() // ends every /events stream still riding this flight
-	fl.cancel(nil) // release the context resources
+	fl.stream.close() // ends every /events stream still riding this flight
+	fl.cancel(nil)    // release the context resources
 }
 
 // rememberLocked stores the job record, pruning the oldest terminal

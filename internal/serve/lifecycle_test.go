@@ -51,17 +51,13 @@ func TestEndedJobIsJournaledAndCounted(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-fe.started
-			sub := job.bus.Subscribe(0, eventSubBuffer)
-			defer sub.Close()
 			close(fe.block)
 			if seen == "done" {
 				waitState(t, job, StateDone)
 			} else {
-				for ev := range sub.C() {
-					if ev.V.Type == eventDone && ev.V.Job == job.ID {
-						break
-					}
-				}
+				awaitEvent(t, job.stream, func(ev Event) bool {
+					return ev.Type == eventDone && ev.Job == job.ID
+				})
 			}
 			if got := s.metrics.Completed.Value(); got != 1 {
 				t.Fatalf("completed = %d once the job was seen ended, want 1", got)

@@ -33,7 +33,7 @@ type Metrics struct {
 	CommRecv stats.Counter // MPI payload bytes received across all finished jobs
 
 	TraceDropped  stats.Counter // spans dropped at the tracer's span cap (remote drops folded in)
-	EventsDropped stats.Counter // live-stream events dropped on slow subscribers
+	EventsDropped stats.Counter // live-stream events a reader had not reached when the history moved past them
 
 	QueueWait    *stats.LabeledHistograms // seconds from submit to leaving the queue, by outcome (dispatched/canceled/coalesced)
 	RunSeconds   *stats.LatencyHistogram  // execution wall-clock
@@ -128,7 +128,7 @@ func (m *Metrics) Render(q QueueStats, evictions int64, persist *PersistGauges) 
 	counter("samplealign_comm_sent_bytes_total", "MPI payload bytes sent across all finished jobs.", m.CommSent.Value())
 	counter("samplealign_comm_recv_bytes_total", "MPI payload bytes received across all finished jobs.", m.CommRecv.Value())
 	counter("samplealign_trace_dropped_spans_total", "Trace spans dropped at the tracer's span cap.", m.TraceDropped.Value())
-	counter("samplealign_events_dropped_total", "Live-stream events dropped on slow subscribers.", m.EventsDropped.Value())
+	counter("samplealign_events_dropped_total", "Live-stream events a reader had not reached when the history moved past them.", m.EventsDropped.Value())
 	gauge("samplealign_queue_depth", "Flights admitted and waiting.", int64(q.Queued))
 	gaugeF("samplealign_queue_oldest_age_seconds", "Seconds the head-of-line flight has waited; 0 with an empty queue.", q.OldestQueuedAge)
 	gauge("samplealign_jobs_running", "Flights currently executing.", int64(q.Active))

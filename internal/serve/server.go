@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/bio"
-	"repro/internal/events"
 	"repro/internal/kmer"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -184,8 +183,8 @@ type flight struct {
 	opts     Resolved
 	ctx      context.Context
 	cancel   context.CancelCauseFunc
-	bus      *events.Bus[Event] // live progress stream, shared by coalesced jobs
-	enqueued time.Time          // admission time, for queue-age accounting
+	stream   *stream   // live progress stream, shared by coalesced jobs
+	enqueued time.Time // admission time, for queue-age accounting
 
 	state  State
 	jobs   []*Job
@@ -204,9 +203,9 @@ type Job struct {
 	Submitted time.Time
 	NumSeqs   int
 
-	fl   *flight // guarded by Server.mu; nil once detached or terminal
-	done chan struct{}
-	bus  *events.Bus[Event] // the flight's event stream (a hit's own); immutable once the job is visible; nil for journal-restored jobs
+	fl     *flight // guarded by Server.mu; nil once detached or terminal
+	done   chan struct{}
+	stream *stream // the flight's event stream (a hit's own); immutable once the job is visible; nil for journal-restored jobs
 
 	mu        sync.Mutex
 	state     State
