@@ -66,13 +66,22 @@ func checkEntries(t *testing.T, got []entry, first, last int64) {
 }
 
 // Sequence numbers start at 1, rise by one per publish and stay with
-// their event; a read returns exactly the entries after its cursor.
+// their event, in publish order.
 func TestStreamSequenceNumbersAreStable(t *testing.T) {
 	st := new(stream)
 	for i := 1; i <= 5; i++ {
 		st.publish(stageEvent(i))
 	}
 	checkEntries(t, retained(st), 1, 5)
+}
+
+// A read returns exactly the entries after its cursor, and a later
+// read from the new cursor returns only what was published since.
+func TestStreamReadAfterCursor(t *testing.T) {
+	st := new(stream)
+	for i := 1; i <= 5; i++ {
+		st.publish(stageEvent(i))
+	}
 	got, lost, wait := st.read(3, nil)
 	checkEntries(t, got, 4, 5)
 	if lost != 0 || wait != nil {
@@ -100,15 +109,39 @@ func TestStreamHistoryTrimsToLimit(t *testing.T) {
 	}
 }
 
-// A closed stream still replays its history, then reads as finished;
-// publishing on it is a no-op.
+// A reader that arrives after the close still gets the history, then
+// reads as finished.
 func TestStreamReplayAfterClose(t *testing.T) {
 	st := new(stream)
 	st.publish(stageEvent(1))
 	st.publish(stageEvent(2))
 	st.close()
+	got, _, wait := st.read(0, nil)
+	checkEntries(t, got, 1, 2)
+	if wait != nil {
+		t.Fatal("a read of a closed stream returned a wait channel")
+	}
+	if got, _, wait := st.read(2, nil); len(got) != 0 || wait != nil {
+		t.Fatalf("read past the end of a closed stream: %d entries, wait %v", len(got), wait)
+	}
+}
+
+// A reader waiting when the stream closes is woken, reads what was
+// published before the close and then the end; closing twice is
+// harmless and publishing after the close is a no-op.
+func TestStreamCloseEndsAfterHistory(t *testing.T) {
+	st := new(stream)
+	_, _, waiting := st.read(0, nil)
+	st.publish(stageEvent(1))
+	st.publish(stageEvent(2))
+	st.close()
 	st.close()
 	st.publish(stageEvent(3))
+	select {
+	case <-waiting:
+	default:
+		t.Fatal("the waiting reader was not woken")
+	}
 	got, _, wait := st.read(0, nil)
 	checkEntries(t, got, 1, 2)
 	if wait != nil {
