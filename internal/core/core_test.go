@@ -314,12 +314,14 @@ func TestKmerWorkCountsOnSpans(t *testing.T) {
 // TestPairwiseWorkCountsOnSpans: with clustal in the buckets, each
 // bucket's pid distmatrix span counts its own pairwise DP work, so the
 // spans under bucketalign sum to the pairs of the buckets, whatever
-// the other ranks run at the same time; no span carries the old
-// process-wide striped_calls delta.
+// the other ranks run at the same time or how many workers share a
+// bucket; no span carries the old process-wide striped_calls delta.
 func TestPairwiseWorkCountsOnSpans(t *testing.T) {
 	seqs := testFamily(t, 60, 80, 400, 12)
 	cfg := Config{NewLocalAligner: func(w int) msa.Aligner { return msa.ClustalLike(w) }}
-	for _, p := range []int{1, 2, 4} {
+	for _, run := range []struct{ p, workers int }{{1, 0}, {2, 0}, {4, 0}, {4, 4}} {
+		p := run.p
+		cfg.Workers = run.workers
 		tr := obs.New("", nil)
 		ctx := obs.WithTracer(context.Background(), tr)
 		res, err := AlignInprocContext(ctx, seqs, p, cfg)
@@ -354,7 +356,7 @@ func TestPairwiseWorkCountsOnSpans(t *testing.T) {
 		}
 		walk(tr.Document().Spans, false)
 		if spans != int64(p) || got != want {
-			t.Fatalf("p=%d: %d bucket distmatrix spans count %d pairs, want %d spans and %d pairs", p, spans, got, p, want)
+			t.Fatalf("p=%d workers=%d: %d bucket distmatrix spans count %d pairs, want %d spans and %d pairs", p, run.workers, spans, got, p, want)
 		}
 	}
 }

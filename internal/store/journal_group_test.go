@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -103,55 +102,80 @@ func TestJournalTornTailMidGroupTruncatesToLastIntactRecord(t *testing.T) {
 	}
 }
 
+// holdFlush stands in for a flush in flight: until the returned
+// release runs, every appender queues behind it in one open group.
+func holdFlush(j *Journal) (release func()) {
+	j.mu.Lock()
+	j.flushing = true
+	j.mu.Unlock()
+	return func() {
+		j.mu.Lock()
+		j.flushing = false
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	}
+}
+
+// waitQueued blocks until the open group holds n records.
+func waitQueued(t *testing.T, j *Journal, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		j.mu.Lock()
+		var got int64
+		if j.cur != nil {
+			got = j.cur.recs
+		}
+		j.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open group holds %d records, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestJournalConcurrentAppendsGroupCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, _, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A small maxWait makes group formation deterministic even if the
-	// scheduler runs the appenders one after another.
-	j.maxWait = 2 * time.Millisecond
-	const (
-		writers = 8
-		perG    = 25
-	)
-	errs := make(chan error, writers*perG)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				errs <- j.Append(testRecord(RecSubmit, fmt.Sprintf("w%d-%d", g, i), i))
-			}
-		}(g)
+	// Every appender that arrives while a flush is in flight joins the
+	// one group behind it, so n appenders cost exactly one fsync.
+	const n = 200
+	release := holdFlush(j)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			errs <- j.Append(testRecord(RecSubmit, fmt.Sprintf("w%d", i), i))
+		}(i)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+	waitQueued(t, j, n)
+	release()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	total := int64(writers * perG)
-	if got := j.Records(); got != total {
-		t.Fatalf("Records() = %d, want %d", got, total)
+	if got := j.Records(); got != n {
+		t.Fatalf("Records() = %d, want %d", got, n)
 	}
-	if got := j.FlushedRecords(); got != total {
-		t.Fatalf("FlushedRecords() = %d, want %d", got, total)
+	if got := j.FlushedRecords(); got != n {
+		t.Fatalf("FlushedRecords() = %d, want %d", got, n)
 	}
-	// The whole point of group commit: far fewer fsyncs than records.
-	if f := j.Flushes(); f >= total/2 {
-		t.Fatalf("Flushes() = %d for %d records; groups are not forming", f, total)
+	if f := j.Flushes(); f != 1 {
+		t.Fatalf("Flushes() = %d for %d queued records, want 1", f, n)
 	}
 	j.Close()
 	_, got, err := OpenJournalOptions(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(got)) != total {
-		t.Fatalf("replayed %d records, want %d", len(got), total)
+	if len(got) != n {
+		t.Fatalf("replayed %d records, want %d", len(got), n)
 	}
 	seen := make(map[string]bool, len(got))
 	for _, r := range got {
@@ -159,6 +183,81 @@ func TestJournalConcurrentAppendsGroupCommit(t *testing.T) {
 			t.Fatalf("job %s replayed twice", r.Job)
 		}
 		seen[r.Job] = true
+	}
+}
+
+// TestJournalFailedFlushPoisons: a group whose write fails and whose
+// tail cannot be truncated back fails every member, leaves the durable
+// counters alone, and poisons the journal, so no later append or
+// rewrite extends a tail replay could not reach. A reopen replays
+// exactly the records acknowledged before the failure.
+func TestJournalFailedFlushPoisons(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := OpenJournalOptions(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := []Record{testRecord(RecSubmit, "ok1", 1), testRecord(RecSubmit, "ok2", 2)}
+	for _, rec := range acked {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records, flushes, flushed := j.Records(), j.Flushes(), j.FlushedRecords()
+
+	const n = 3
+	release := holdFlush(j)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			errs <- j.Append(testRecord(RecSubmit, fmt.Sprintf("lost%d", i), 10+i))
+		}(i)
+	}
+	waitQueued(t, j, n)
+	// A read-only handle on the same file: the group's write fails
+	// (EBADF) and so does the truncate back to the clean prefix
+	// (EINVAL), which takes the poison branch.
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	rw := j.f
+	j.f = ro
+	j.mu.Unlock()
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	var flushErr error
+	for i := 0; i < n; i++ {
+		err := <-errs
+		if err == nil {
+			t.Fatal("an append in the failed group reported success")
+		}
+		flushErr = err
+	}
+
+	if err := j.Append(testRecord(RecSubmit, "after", 20)); err == nil || !errors.Is(err, flushErr) {
+		t.Fatalf("Append after poison = %v, want the poison error wrapping %v", err, flushErr)
+	}
+	if err := j.AppendBatch([]Record{testRecord(RecSubmit, "afterB", 21)}); err == nil || !errors.Is(err, flushErr) {
+		t.Fatalf("AppendBatch after poison = %v, want the poison error", err)
+	}
+	if err := j.Rewrite(acked); err == nil || !errors.Is(err, flushErr) {
+		t.Fatalf("Rewrite after poison = %v, want the poison error", err)
+	}
+	if j.Records() != records || j.Flushes() != flushes || j.FlushedRecords() != flushed {
+		t.Fatalf("counters moved on a failed flush: records %d→%d, flushes %d→%d, flushed %d→%d",
+			records, j.Records(), flushes, j.Flushes(), flushed, j.FlushedRecords())
+	}
+	j.Close()
+	_, got, err := OpenJournalOptions(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, acked) {
+		t.Fatalf("replay after poison:\n got %+v\nwant %+v", got, acked)
 	}
 }
 
