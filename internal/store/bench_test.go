@@ -10,11 +10,10 @@ import (
 // BenchmarkJournalAppendParallel measures durable append throughput and
 // how well group commit amortizes fsyncs: fsyncs/rec is the number of
 // write+fsync cycles divided by records appended (1.0 means no
-// batching; TestJournalConcurrentAppendsGroupCommit holds 8 writers
-// under ½, and bench/ reports store.fsyncs_per_record_conc2). The
-// journal runs with the production bounds — no maxWait — so any
-// batching shown here comes purely from appenders piling up behind
-// in-flight flushes.
+// batching; TestJournalConcurrentAppendsGroupCommit holds 200 queued
+// appenders to one flush, and bench/ reports
+// store.fsyncs_per_record_conc2). Groups form only from appenders
+// piling up behind the flush in flight, as in production.
 func BenchmarkJournalAppendParallel(b *testing.B) {
 	for _, conc := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {

@@ -3,11 +3,12 @@
 // on-disk result store.
 //
 // The journal is an append-only file of length-prefixed, CRC-checked
-// records, made durable by group commit: concurrent appenders enqueue
-// frames into a shared flush group and the first member (the leader)
-// writes and fsyncs the whole group at once, so fsyncs-per-record
-// drops below one under concurrency while Append keeps its contract —
-// it returns nil only after its record's group is on disk. Opening
+// records, made durable by group commit: appenders that arrive while a
+// flush is in flight join one open group behind it, and the group's
+// first member (the leader) writes and fsyncs the whole group at once
+// when that flush ends, so fsyncs-per-record drops below one under
+// concurrency while Append keeps its contract — it returns nil only
+// after its record's group is on disk. Opening
 // the journal replays every intact record and truncates a torn or
 // corrupt tail (the expected shape of a crash mid-write), so the
 // service can reconstruct its job table and re-enqueue
@@ -75,14 +76,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // reported durable.
 const maxRecordBytes = 1 << 30
 
-// Group-commit bounds: a group stops accepting joiners once it holds
-// this many framed bytes or records. Both are far above what a flush
-// can accumulate on a healthy disk; they bound memory, not batching.
-const (
-	maxBatchBytes   = 1 << 20
-	maxBatchRecords = 512
-)
-
 // errRecordTooLarge is wrapped by Append/AppendBatch when a record's
 // encoded payload exceeds the journal's record size limit. Nothing is
 // written: an oversized frame would be acknowledged as durable and
@@ -100,43 +93,34 @@ type JournalOptions struct {
 	OnFlush func(records, bytes int64)
 }
 
-// jgroup is one commit group: concatenated frames from every appender
-// that joined it, written and fsync'd as a unit by its leader.
+// jgroup is one commit group: the framed units of every appender that
+// joined it, in join order, written and fsync'd as a unit by its
+// leader.
 type jgroup struct {
-	buf    []byte
-	recs   int64
-	full   chan struct{} // closed when the group stops accepting joiners
-	sealed bool
-	done   chan struct{} // closed after the flush; err is valid then
-	err    error
+	bufs  [][]byte
+	bytes int64
+	recs  int64
+	done  chan struct{} // closed after the flush; err is valid then
+	err   error
 }
 
 // Journal is the append-only write-ahead log. All methods are
 // goroutine-safe.
 type Journal struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // signals: group detached, flush finished, file closed
+	cond    *sync.Cond // signals: the flush in flight finished
 	f       *os.File
 	path    string
 	records int64 // durable records (replayed + flushed)
 	bytes   int64 // durable bytes; equals the file size while the tail is clean
 
-	// Group-commit bounds, set from the package constants; in-package
-	// tests tighten them after OpenJournalOptions. A group stops
-	// accepting joiners at maxBatchBytes framed bytes or maxBatchRecords
-	// records (a single AppendBatch is atomic and may exceed both in a
-	// group of its own). maxWait is how long a leader waits for
-	// followers before flushing a group that is not yet full; 0 flushes
-	// immediately — groups still form naturally while a flush is in
-	// flight. Append rejects a record whose encoded payload exceeds
-	// maxRecordBytes, which never exceeds the replay limit.
-	maxBatchBytes   int
-	maxBatchRecords int64
-	maxWait         time.Duration
-	maxRecordBytes  int
-	onFlush         func(records, bytes int64)
+	// Append rejects a record whose encoded payload exceeds
+	// maxRecordBytes, which never exceeds the replay limit; in-package
+	// tests lower it after OpenJournalOptions.
+	maxRecordBytes int
+	onFlush        func(records, bytes int64)
 
-	cur      *jgroup // open group accepting joiners, nil if none
+	cur      *jgroup // open group waiting behind the flush in flight, nil if none
 	flushing bool    // a leader owns the file tail
 	failed   error   // sticky: a failed flush left the tail untrustworthy
 
@@ -183,14 +167,12 @@ func OpenJournalOptions(path string, o JournalOptions) (*Journal, []Record, erro
 		return nil, nil, err
 	}
 	j := &Journal{
-		f:               f,
-		path:            path,
-		records:         int64(len(recs)),
-		bytes:           goodOff,
-		maxBatchBytes:   maxBatchBytes,
-		maxBatchRecords: maxBatchRecords,
-		maxRecordBytes:  maxRecordBytes,
-		onFlush:         o.OnFlush,
+		f:              f,
+		path:           path,
+		records:        int64(len(recs)),
+		bytes:          goodOff,
+		maxRecordBytes: maxRecordBytes,
+		onFlush:        o.OnFlush,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j, recs, nil
@@ -261,14 +243,9 @@ func frame(rec Record, limit int) ([]byte, error) {
 
 // Append writes one record durably: when Append returns nil the record
 // survives a crash. Under concurrency the record shares its fsync with
-// whatever commit group it lands in; alone, it pays at most maxWait of
-// added latency (none in production, where maxWait is 0).
+// the other appenders queued behind the same flush.
 func (j *Journal) Append(rec Record) error {
-	buf, err := frame(rec, j.maxRecordBytes)
-	if err != nil {
-		return err
-	}
-	return j.commit(buf, 1)
+	return j.AppendBatch([]Record{rec})
 }
 
 // AppendBatch writes recs as one atomic unit of a commit group: all of
@@ -291,109 +268,51 @@ func (j *Journal) AppendBatch(recs []Record) error {
 	return j.commit(buf, int64(len(recs)))
 }
 
-// commit enqueues one already-framed unit (n records) into a commit
-// group and blocks until that group is durable or failed. The first
-// appender to open a group is its leader: it waits up to maxWait for
-// followers, then performs one write+fsync for the whole group.
-// Appenders arriving while a flush is in flight accumulate into the
-// next group, which is what drives fsyncs-per-record below one under
-// concurrency even with maxWait zero.
+// commit adds one already-framed unit (n records) to the open commit
+// group and blocks until that group is durable or failed. An appender
+// that finds no open group opens one and leads it: it waits while a
+// flush is in flight — every appender arriving meanwhile joins its
+// group — then detaches the group and flushes it with one write pass
+// and one fsync. Groups flush strictly in the order they were opened:
+// a new group can only open after this one detaches, and its leader
+// waits for this flush to finish.
 func (j *Journal) commit(buf []byte, n int64) error {
 	j.mu.Lock()
-	for {
-		if j.failed != nil {
-			err := j.failed
-			j.mu.Unlock()
-			return err
-		}
-		if j.f == nil {
-			j.mu.Unlock()
-			return errJournalClosed
-		}
-		g := j.cur
-		if g == nil {
-			// Open a new group and lead it. A unit larger than the
-			// group bounds still commits — it just rides alone.
-			g = &jgroup{full: make(chan struct{}), done: make(chan struct{})}
-			g.buf = append(g.buf, buf...)
-			g.recs = n
-			j.cur = g
-			if len(g.buf) >= j.maxBatchBytes || g.recs >= j.maxBatchRecords {
-				j.seal(g)
-			}
-			j.mu.Unlock()
-			j.lead(g)
-			return g.err
-		}
-		if int64(len(g.buf))+int64(len(buf)) <= int64(j.maxBatchBytes) &&
-			g.recs+n <= j.maxBatchRecords {
-			// Join the open group and wait for its leader's fsync.
-			g.buf = append(g.buf, buf...)
-			g.recs += n
-			if g.recs >= j.maxBatchRecords {
-				j.seal(g)
-			}
-			j.mu.Unlock()
-			<-g.done
-			return g.err
-		}
-		// The open group can't fit this unit: hurry its leader along
-		// and wait for the slot to reopen.
-		j.seal(g)
-		j.cond.Wait()
+	if err := j.unusable(); err != nil {
+		j.mu.Unlock()
+		return err
 	}
-}
-
-// seal closes a group to new joiners and releases a leader waiting on
-// maxWait. Callers must hold j.mu.
-func (j *Journal) seal(g *jgroup) {
-	if !g.sealed {
-		g.sealed = true
-		close(g.full)
+	if g := j.cur; g != nil {
+		g.bufs = append(g.bufs, buf)
+		g.bytes += int64(len(buf))
+		g.recs += n
+		j.mu.Unlock()
+		<-g.done
+		return g.err
 	}
-}
-
-// lead runs the leader side of one commit group: wait for followers,
-// detach the group, flush it with a single write+fsync, publish the
-// outcome. Groups flush strictly in the order they were opened — a new
-// group can only form after this one detaches, and detaching requires
-// the previous flush to have finished.
-func (j *Journal) lead(g *jgroup) {
-	if j.maxWait > 0 {
-		t := time.NewTimer(j.maxWait)
-		select {
-		case <-g.full:
-		case <-t.C:
-		}
-		t.Stop()
-	}
-	j.mu.Lock()
+	g := &jgroup{bufs: [][]byte{buf}, bytes: int64(len(buf)), recs: n, done: make(chan struct{})}
+	j.cur = g
 	for j.flushing {
 		j.cond.Wait()
 	}
-	if j.cur == g {
-		j.cur = nil
-	}
-	j.seal(g)
-	j.cond.Broadcast() // spilled appenders may open the next group
-	if j.failed != nil || j.f == nil {
-		err := j.failed
-		if err == nil {
-			err = errJournalClosed
-		}
+	j.cur = nil
+	defer close(g.done)
+	if g.err = j.unusable(); g.err != nil {
 		j.mu.Unlock()
-		g.err = err
-		close(g.done)
-		return
+		return g.err
 	}
 	f := j.f
 	durable := j.bytes
-	buf, recs := g.buf, g.recs
 	j.flushing = true
 	j.mu.Unlock()
 
-	var flushErr, poison error
-	if _, werr := f.Write(buf); werr != nil {
+	var werr, flushErr, poison error
+	for _, b := range g.bufs {
+		if _, werr = f.Write(b); werr != nil {
+			break
+		}
+	}
+	if werr != nil {
 		// A short or failed write leaves a torn frame at the tail.
 		// Restore the clean prefix so later appends stay replayable; if
 		// even that fails, poison the journal — appending past a torn
@@ -421,20 +340,32 @@ func (j *Journal) lead(g *jgroup) {
 	}
 	var hook func(records, bytes int64)
 	if flushErr == nil {
-		j.records += recs
-		j.bytes += int64(len(buf))
+		j.records += g.recs
+		j.bytes += g.bytes
 		j.flushes++
-		j.flushedRecords += recs
+		j.flushedRecords += g.recs
 		hook = j.onFlush
 	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
 	if hook != nil {
-		hook(recs, int64(len(buf)))
+		hook(g.recs, g.bytes)
 	}
 	g.err = flushErr
-	close(g.done)
+	return flushErr
+}
+
+// unusable reports why nothing more can be appended: a poisoned tail or
+// a closed file. Callers must hold j.mu.
+func (j *Journal) unusable() error {
+	if j.failed != nil {
+		return j.failed
+	}
+	if j.f == nil {
+		return errJournalClosed
+	}
+	return nil
 }
 
 // Rewrite atomically replaces the journal's contents with recs
@@ -447,11 +378,8 @@ func (j *Journal) Rewrite(recs []Record) error {
 	for j.flushing {
 		j.cond.Wait()
 	}
-	if j.f == nil {
-		return errJournalClosed
-	}
-	if j.failed != nil {
-		return j.failed
+	if err := j.unusable(); err != nil {
+		return err
 	}
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, ".journal-*")
@@ -546,7 +474,6 @@ func (j *Journal) Close() error {
 	}
 	f := j.f
 	j.f = nil
-	j.cond.Broadcast()
 	j.mu.Unlock()
 	return f.Close()
 }

@@ -294,36 +294,6 @@ func TestJournalOversizedRecordRejectedAtAppend(t *testing.T) {
 	}
 }
 
-func TestJournalBatchLargerThanGroupBoundsStillCommits(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.wal")
-	j, _, err := OpenJournalOptions(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.maxBatchRecords, j.maxBatchBytes = 2, 64
-	// The batch is an atomic unit: it may exceed the group bounds and
-	// ride in a group of its own rather than being split.
-	batch := []Record{
-		testRecord(RecSubmit, "u1", 1),
-		testRecord(RecSubmit, "u2", 2),
-		testRecord(RecSubmit, "u3", 3),
-	}
-	if err := j.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Flushes(); got != 1 {
-		t.Fatalf("Flushes() = %d, want 1", got)
-	}
-	j.Close()
-	_, got, err := OpenJournalOptions(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(got))
-	}
-}
-
 func TestJournalAppendAfterCloseFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, _, err := OpenJournalOptions(path, JournalOptions{})
