@@ -648,6 +648,24 @@ func BenchmarkMuscleLikeEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkConsAlign is the consistency engine's cost: tcoffee on one
+// ROSE family of 50 × 300 (seqgen -kind family -seed 2008) at p = 1 and
+// Workers 1. No bench workload runs tcoffee, so this is its cost guard.
+func BenchmarkConsAlign(b *testing.B) {
+	seqs, err := GenerateFamily(FamilyConfig{N: 50, MeanLen: 300, Relatedness: 800, Seed: 2008})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := AlignContext(context.Background(), seqs, 1,
+			WithLocalAligner("tcoffee"), WithWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMPIAllToAll(b *testing.B) {
 	payload := make([]byte, 64*1024)
 	for i := 0; i < b.N; i++ {

@@ -5,17 +5,25 @@
 // transform), and a progressive alignment then maximises library support
 // instead of raw substitution scores.
 //
-// Consistency methods are accurate but expensive — O(N³·L) extension and
-// a library of O(N²·L) pairs — which is exactly why T-Coffee "is reported
-// to not able to handle more than 10² sequences" in the paper. Use on
-// PREFAB-sized sets.
+// A global alignment pairs each residue with at most one partner, so the
+// library is one residue map and one weight per sequence pair. The
+// extension is never stored: a pair's support through third sequences
+// is summed inside the one guide-tree merge that puts the pair's two
+// sequences on opposite sides, straight into that merge's column-pair
+// scores.
+//
+// Consistency methods are accurate but expensive — the extension is
+// O(N³·L) however it is laid out — which is exactly why T-Coffee "is
+// reported to not able to handle more than 10² sequences" in the paper.
+// Use on PREFAB-sized sets.
 package cons
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bio"
 	"repro/internal/dp"
@@ -47,55 +55,59 @@ func New(workers int) *Aligner {
 // Name identifies the aligner.
 func (a *Aligner) Name() string { return "tcoffee-like" }
 
-// pairKey identifies an ordered residue pair between two sequences.
-type pairKey struct {
-	posI, posJ int32
-}
-
-// library holds, for every sequence pair (i<j), the weighted residue
-// pairs supporting their alignment.
+// library is the direct library. A global alignment pairs each residue
+// with at most one partner, and every residue pair of it carries the
+// same weight, so per ordered sequence pair (i, j) it is to[i][j], the
+// partner in j of each residue of i or -1, and w[i][j], the pair's
+// identity. The consistency extension is not stored: support sums each
+// pair's terms at the one merge that scores the pair.
 type library struct {
-	n     int
-	pairs []map[pairKey]float64 // indexed by pairIdx(i,j)
+	to     [][][]int32
+	w      [][]float64
+	extend bool
 }
 
-func newLibrary(n int) *library {
-	return &library{n: n, pairs: make([]map[pairKey]float64, n*(n-1)/2)}
-}
-
-func (l *library) idx(i, j int) int {
-	// caller guarantees i < j
-	return i*(2*l.n-i-1)/2 + (j - i - 1)
-}
-
-func (l *library) get(i, j int) map[pairKey]float64 {
-	if m := l.pairs[l.idx(i, j)]; m != nil {
-		return m
+// support adds the support of every residue pair (a, b) of sequences i
+// and j to cell (ci[a], cj[b]) of m, a matrix wb columns wide. A pair's
+// support is its direct weight and then, when the library is extended,
+// min(w(i,k), w(k,j)) through each third sequence k, in ascending k,
+// that aligns a and b to one residue. acc is zeroed scratch as long as
+// sequence j, and is left zeroed.
+func (l *library) support(m []float64, wb int, i, j int, ci, cj []int32, acc []float64) {
+	var buf [maxSequences]int32 // a residue has one partner per other sequence
+	for a, b := range l.to[i][j] {
+		hits := buf[:0]
+		if b >= 0 {
+			acc[b] = l.w[i][j]
+			hits = append(hits, b)
+		}
+		for k := 0; l.extend && k < len(l.to); k++ {
+			if k == i || k == j {
+				continue
+			}
+			c := l.to[i][k][a]
+			if c < 0 {
+				continue
+			}
+			if b := l.to[k][j][c]; b >= 0 {
+				if acc[b] == 0 {
+					hits = append(hits, b)
+				}
+				acc[b] += math.Min(l.w[i][k], l.w[k][j])
+			}
+		}
+		row := int(ci[a]) * wb
+		for _, b := range hits {
+			m[row+int(cj[b])] += acc[b]
+			acc[b] = 0
+		}
 	}
-	m := map[pairKey]float64{}
-	l.pairs[l.idx(i, j)] = m
-	return m
-}
-
-// weight looks up the library weight of residue a of sequence i aligned
-// to residue b of sequence j (any order).
-func (l *library) weight(i int, a int, j int, b int) float64 {
-	if i == j {
-		return 0
-	}
-	if i > j {
-		i, j, a, b = j, i, b, a
-	}
-	m := l.pairs[l.idx(i, j)]
-	if m == nil {
-		return 0
-	}
-	return m[pairKey{int32(a), int32(b)}]
 }
 
 // AlignContext runs the full consistency pipeline under a context:
-// cancellation is observed per sequence pair in the library build and
-// the consistency extension, and per guide-tree merge.
+// cancellation is observed per sequence pair in the library build, per
+// guide-tree merge, and inside each merge once per row of its left
+// group, where the consistency extension is summed.
 func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.Alignment, error) {
 	switch len(seqs) {
 	case 0:
@@ -132,9 +144,6 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 	lsp.SetInt("pairs", int64(len(clean)*(len(clean)-1)/2))
 	lsp.SetInt("cells", (sum*sum-sumSq)/2)
 	lib, dist, err := a.buildLibrary(ctx, clean)
-	if err == nil && a.extend {
-		lib, err = a.extendLibrary(ctx, lib, clean)
-	}
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -163,32 +172,30 @@ func (a *Aligner) AlignContext(ctx context.Context, seqs []bio.Sequence) (*msa.A
 // matrix (1 − identity) for the guide tree.
 func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *kmer.Matrix, error) {
 	n := len(seqs)
-	lib := newLibrary(n)
+	lib := &library{to: make([][][]int32, n), w: make([][]float64, n), extend: a.extend}
+	for i := range n {
+		lib.to[i] = make([][]int32, n)
+		lib.w[i] = make([]float64, n)
+	}
 	dist := kmer.NewMatrix(n)
 	pw := pairwise.Aligner{Sub: submat.BLOSUM62, Gap: submat.DefaultProteinGap}
-
-	type pairResult struct {
-		i, j int
-		id   float64
-		keys []pairKey
-	}
 	var pairs [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	results := make([]pairResult, len(pairs))
+	ids := make([]float64, len(pairs))
 	err := par.ForCtx(ctx, len(pairs), 1, a.workers, func(k, _ int) {
 		i, j := pairs[k][0], pairs[k][1]
 		r := pw.Global(seqs[i], seqs[j])
-		id := pairwise.Identity(r.A, r.B)
-		var keys []pairKey
-		pi, pj := 0, 0
+		ids[k] = pairwise.Identity(r.A, r.B)
+		ij, ji := slices.Repeat([]int32{-1}, len(seqs[i])), slices.Repeat([]int32{-1}, len(seqs[j]))
+		pi, pj := int32(0), int32(0)
 		for c := range r.A {
 			gi, gj := r.A[c] == bio.Gap, r.B[c] == bio.Gap
 			if !gi && !gj {
-				keys = append(keys, pairKey{int32(pi), int32(pj)})
+				ij[pi], ji[pj] = pj, pi
 			}
 			if !gi {
 				pi++
@@ -197,125 +204,30 @@ func (a *Aligner) buildLibrary(ctx context.Context, seqs [][]byte) (*library, *k
 				pj++
 			}
 		}
-		results[k] = pairResult{i: i, j: j, id: id, keys: keys}
+		lib.to[i][j], lib.to[j][i] = ij, ji
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, r := range results {
-		dist.Set(r.i, r.j, 1-r.id)
-		m := lib.get(r.i, r.j)
-		w := r.id
+	for k, p := range pairs {
+		i, j := p[0], p[1]
+		dist.Set(i, j, 1-ids[k])
+		w := ids[k]
 		if w <= 0 {
 			w = 0.01 // unrelated pairs still contribute minimal support
 		}
-		for _, k := range r.keys {
-			m[k] += w
-		}
+		lib.w[i][j], lib.w[j][i] = w, w
 	}
 	return lib, dist, nil
 }
 
-// extendLibrary applies the triplet consistency transform: the support
-// for (i,a)↔(j,b) grows by min(w(i,a,k,c), w(k,c,j,b)) summed over all
-// third sequences k that align both to the same residue c.
-func (a *Aligner) extendLibrary(ctx context.Context, lib *library, seqs [][]byte) (*library, error) {
-	n := len(seqs)
-	out := newLibrary(n)
-	// adjacency: for pair (x,k), map residue of x → (residue of k, w)
-	type edge struct {
-		to int32
-		w  float64
-	}
-	adj := make([][]map[int32][]edge, n)
-	for x := 0; x < n; x++ {
-		adj[x] = make([]map[int32][]edge, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m := lib.pairs[lib.idx(i, j)]
-			if m == nil {
-				continue
-			}
-			// Build the adjacency from sorted keys, not map order:
-			// the extension below accumulates min-weights in edge-list
-			// order, and float rounding makes that order visible in the
-			// support values across runs.
-			keys := make([]pairKey, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a].posI != keys[b].posI {
-					return keys[a].posI < keys[b].posI
-				}
-				return keys[a].posJ < keys[b].posJ
-			})
-			fwd := map[int32][]edge{}
-			rev := map[int32][]edge{}
-			for _, k := range keys {
-				w := m[k]
-				fwd[k.posI] = append(fwd[k.posI], edge{to: k.posJ, w: w})
-				rev[k.posJ] = append(rev[k.posJ], edge{to: k.posI, w: w})
-			}
-			adj[i][j] = fwd
-			adj[j][i] = rev
-		}
-	}
-	type job struct{ i, j int }
-	var jobs []job
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			jobs = append(jobs, job{i, j})
-		}
-	}
-	mats := make([]map[pairKey]float64, len(jobs))
-	err := par.ForCtx(ctx, len(jobs), 1, a.workers, func(t, _ int) {
-		i, j := jobs[t].i, jobs[t].j
-		acc := map[pairKey]float64{}
-		// direct support
-		if m := lib.pairs[lib.idx(i, j)]; m != nil {
-			for k, w := range m {
-				acc[k] += w
-			}
-		}
-		// support through every third sequence
-		for k := 0; k < n; k++ {
-			if k == i || k == j {
-				continue
-			}
-			ik := adj[i][k]
-			kj := adj[k][j]
-			if ik == nil || kj == nil {
-				continue
-			}
-			for ai, edges1 := range ik {
-				for _, e1 := range edges1 {
-					for _, e2 := range kj[e1.to] {
-						w := math.Min(e1.w, e2.w)
-						acc[pairKey{ai, e2.to}] += w
-					}
-				}
-			}
-		}
-		mats[t] = acc
-	})
-	if err != nil {
-		return nil, err
-	}
-	for t, m := range mats {
-		out.pairs[out.idx(jobs[t].i, jobs[t].j)] = m
-	}
-	return out, nil
-}
-
-// group is a partially aligned set of rows. ords tracks, per row, the
-// residue ordinal at every column (-1 for gap) so library lookups during
-// the DP are O(1).
+// group is a partially aligned set of rows: row x is sequence ids[x],
+// its residue a sits in column cols[x][a], and the rows are width
+// columns wide. Rows become bytes once, at the root.
 type group struct {
-	ids  []int
-	rows [][]byte
-	ords [][]int32
+	ids   []int
+	cols  [][]int32
+	width int
 }
 
 // progressive merges groups up the guide tree, scoring columns by
@@ -327,9 +239,9 @@ type group struct {
 // It cannot run on msa's progressive merge driver, whose pair step sees
 // two *profile.Profile, which are letter counts per column; this merge
 // scores a column pair by summing library support over (sequence,
-// residue ordinal) pairs, and a profile cannot tell which sequence put
-// which residue in a column. What the engines can share is the
-// schedule, tree.ParallelReduce, and they already do.
+// residue) pairs, and a profile cannot tell which sequence put which
+// residue in a column. What the engines can share is the schedule,
+// tree.ParallelReduce, and they already do.
 func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node, lib *library) ([][]byte, []int, error) {
 	ctx, psp := obs.Start(ctx, "progressive")
 	defer psp.End()
@@ -339,19 +251,18 @@ func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node,
 		if n.ID < 0 || n.ID >= len(seqs) {
 			return nil, fmt.Errorf("cons: leaf id %d out of range", n.ID)
 		}
-		row := seqs[n.ID]
-		ords := make([]int32, len(row))
-		for i := range ords {
-			ords[i] = int32(i)
+		cols := make([]int32, len(seqs[n.ID]))
+		for i := range cols {
+			cols[i] = int32(i)
 		}
-		return &group{ids: []int{n.ID}, rows: [][]byte{row}, ords: [][]int32{ords}}, nil
+		return &group{ids: []int{n.ID}, cols: [][]int32{cols}, width: len(cols)}, nil
 	}
 	merge := func(mi tree.Merge, l, r *group) (*group, error) {
 		_, msp := obs.StartDepth(ctx, "mergenode", mi.Depth)
 		defer msp.End()
 		msp.SetInt("depth", int64(mi.Depth))
 		msp.SetInt("rows", int64(len(l.ids)+len(r.ids)))
-		return a.mergeGroups(l, r, lib), nil
+		return a.mergeGroups(ctx, l, r, lib)
 	}
 	g, err := tree.ParallelReduce(ctx, gt, a.workers, leaf, merge)
 	if err != nil {
@@ -360,51 +271,53 @@ func (a *Aligner) progressive(ctx context.Context, seqs [][]byte, gt *tree.Node,
 	if g == nil {
 		return nil, nil, fmt.Errorf("cons: empty guide tree")
 	}
-	return g.rows, g.ids, nil
+	rows := make([][]byte, len(g.ids))
+	for x, id := range g.ids {
+		rows[x] = bytes.Repeat([]byte{bio.Gap}, g.width)
+		for a, c := range g.cols[x] {
+			rows[x][c] = seqs[id][a]
+		}
+	}
+	return rows, g.ids, nil
 }
 
 // mergeGroups aligns two groups with a linear-gap DP over average library
 // support (T-Coffee's progressive stage runs with zero gap penalties: the
-// extended library already encodes where gaps belong).
-func (a *Aligner) mergeGroups(l, r *group, lib *library) *group {
-	wa, wb := len(l.rows[0]), len(r.rows[0])
-	score := func(ca, cb int) float64 {
-		var s float64
-		for x, idx := range l.ids {
-			oa := l.ords[x][ca]
-			if oa < 0 {
-				continue
-			}
-			for y, idy := range r.ids {
-				ob := r.ords[y][cb]
-				if ob < 0 {
-					continue
-				}
-				s += lib.weight(idx, int(oa), idy, int(ob))
-			}
-		}
-		return s / float64(len(l.ids)*len(r.ids))
-	}
-	// NW with zero gap cost, maximising total support; the score matrix
-	// comes from the pooled DP workspace's float scratch.
-	type op byte
-	const (
-		opM, opA, opB op = 0, 1, 2
-	)
-	var rev []op
+// extended library already encodes where gaps belong). Each sequence
+// pair with one row on either side is scored here and nowhere else, so
+// this is where its consistency support is summed; ctx is checked once
+// per row of l. l and r are consumed: their column maps are rewritten
+// into the merged group's.
+func (a *Aligner) mergeGroups(ctx context.Context, l, r *group, lib *library) (*group, error) {
+	wa, wb := l.width, r.width
+	var err error
+	width := 0
 	dp.With(func(w *dp.Workspace) {
 		w.ReserveTB(0)
+		// sc[ca*wb+cb] sums the support of every residue pair in column
+		// pair (ca, cb), one term per row pair, in row-pair order.
+		sc := w.Floats(wa * wb)
+		acc := w.Floats(wb) // no row of r has more residues than columns
+		for x, i := range l.ids {
+			if err = ctx.Err(); err != nil {
+				return
+			}
+			for y, j := range r.ids {
+				lib.support(sc, wb, i, j, l.cols[x], r.cols[y], acc)
+			}
+		}
+		den := float64(len(l.ids) * len(r.ids))
+		for c := range sc {
+			sc[c] /= den
+		}
+		// NW with zero gap cost, maximising total support.
 		mat := w.Floats((wa + 1) * (wb + 1))
 		cols := wb + 1
-		for j := 0; j <= wb; j++ {
-			mat[j] = 0
-		}
 		for i := 1; i <= wa; i++ {
 			row := i * cols
 			prev := row - cols
-			mat[row] = 0
 			for j := 1; j <= wb; j++ {
-				best := mat[prev+j-1] + score(i-1, j-1)
+				best := mat[prev+j-1] + sc[(i-1)*wb+j-1]
 				if mat[prev+j] > best {
 					best = mat[prev+j]
 				}
@@ -414,49 +327,36 @@ func (a *Aligner) mergeGroups(l, r *group, lib *library) *group {
 				mat[row+j] = best
 			}
 		}
-		// traceback into a merge recipe
+		// The traceback numbers the merged columns from the right.
+		toL, toR := w.Ints(wa), w.Ints(wb)
 		i, j := wa, wb
 		for i > 0 || j > 0 {
 			switch {
-			case i > 0 && j > 0 && mat[i*cols+j] == mat[(i-1)*cols+j-1]+score(i-1, j-1):
-				rev = append(rev, opM)
+			case i > 0 && j > 0 && mat[i*cols+j] == mat[(i-1)*cols+j-1]+sc[(i-1)*wb+j-1]:
 				i--
 				j--
+				toL[i], toR[j] = int32(width), int32(width)
 			case i > 0 && mat[i*cols+j] == mat[(i-1)*cols+j]:
-				rev = append(rev, opA)
 				i--
+				toL[i] = int32(width)
 			default:
-				rev = append(rev, opB)
 				j--
+				toR[j] = int32(width)
 			}
+			width++
 		}
-	})
-	width := len(rev)
-	out := &group{ids: append(append([]int{}, l.ids...), r.ids...)}
-	out.rows = make([][]byte, 0, len(out.ids))
-	out.ords = make([][]int32, 0, len(out.ids))
-	expand := func(g *group, takeA bool) {
-		for x := range g.rows {
-			row := make([]byte, 0, width)
-			ord := make([]int32, 0, width)
-			src := 0
-			for k := width - 1; k >= 0; k-- {
-				o := rev[k]
-				consume := o == opM || (takeA && o == opA) || (!takeA && o == opB)
-				if consume {
-					row = append(row, g.rows[x][src])
-					ord = append(ord, g.ords[x][src])
-					src++
-				} else {
-					row = append(row, bio.Gap)
-					ord = append(ord, -1)
+		remap := func(rows [][]int32, to []int32) {
+			for _, row := range rows {
+				for k, c := range row {
+					row[k] = int32(width-1) - to[c]
 				}
 			}
-			out.rows = append(out.rows, row)
-			out.ords = append(out.ords, ord)
 		}
+		remap(l.cols, toL)
+		remap(r.cols, toR)
+	})
+	if err != nil {
+		return nil, err
 	}
-	expand(l, true)
-	expand(r, false)
-	return out
+	return &group{ids: slices.Concat(l.ids, r.ids), cols: slices.Concat(l.cols, r.cols), width: width}, nil
 }

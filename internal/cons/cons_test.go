@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/bio"
 	"repro/internal/msa"
@@ -194,31 +194,61 @@ func TestConsWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// The consistency extension is summed inside the merges, after the
+// library span closes. A cancel at that moment must end the run with
+// the context's error instead of running the merges to the end.
 func TestConsCancelReachesLibraryExtension(t *testing.T) {
-	// At N=80, L=200 the library build takes ≈0.5 s and the O(N³·L)
-	// consistency extension ≈2.6 s on two workers. A cancel one second
-	// in lands inside the extension, which must stop at its next pair
-	// instead of running to the end before the next phase sees ctx. The
-	// 1 s bound leaves room for a loaded host (0.54 s seen under
-	// go test -p 4) and still fails an extension that ignores ctx (≈2 s
-	// late).
-	seqs := famSeqs(t, 80, 200, 300, 9)
+	seqs := famSeqs(t, 40, 120, 300, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := New(2).AlignContext(ctx, seqs)
-		done <- err
-	}()
-	time.Sleep(time.Second)
-	cancel()
-	cancelled := time.Now()
-	err := <-done
+	tr := obs.New("", func(sc obs.SpanClose) {
+		if sc.Name == "library" {
+			cancel()
+		}
+	})
+	_, err := New(2).AlignContext(obs.WithTracer(ctx, tr), seqs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if lag := time.Since(cancelled); lag > time.Second {
-		t.Fatalf("AlignContext returned %v after the cancel", lag)
+}
+
+// A merge checks ctx once per row of its left group while it sums
+// support, so a cancelled merge of two large groups returns before its
+// DP, leaving both groups' column maps as they were.
+func TestMergeGroupsStopsWhenCancelled(t *testing.T) {
+	seqs := ungapped(famSeqs(t, 40, 150, 300, 4))
+	a := New(1)
+	lib, _, err := a.buildLibrary(context.Background(), seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := func(ids []int) *group {
+		g := &group{ids: ids}
+		for _, id := range ids {
+			g.cols = append(g.cols, identityCols(len(seqs[id])))
+			g.width = max(g.width, len(seqs[id]))
+		}
+		return g
+	}
+	var left, right []int
+	for i := range seqs {
+		if i < len(seqs)/2 {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	l, r := half(left), half(right)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, err := a.mergeGroups(ctx, l, r, lib)
+	if g != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("mergeGroups = %v, %v; want nil, context.Canceled", g, err)
+	}
+	for x, id := range l.ids {
+		if !slices.Equal(l.cols[x], identityCols(len(seqs[id]))) {
+			t.Fatalf("left row %d was remapped by a cancelled merge", x)
+		}
 	}
 }
 

@@ -139,19 +139,10 @@ func Current(ctx context.Context) *Span {
 // aligners use it for per-merge-node spans so deep merge trees stay
 // bounded.
 func StartDepth(ctx context.Context, name string, depth int) (context.Context, *Span) {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	if t == nil {
-		return ctx, nil
-	}
 	if depth > sampleDepth {
 		return ctx, nil
 	}
-	parent, _ := ctx.Value(spanKey{}).(*Span)
-	sp := t.newSpan(name, parent)
-	if sp == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	return Start(ctx, name)
 }
 
 func (t *Tracer) newSpan(name string, parent *Span) *Span {
